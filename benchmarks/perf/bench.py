@@ -57,17 +57,15 @@ def bench_queue_ops(ops: int = 200_000) -> BenchResult:
     queue = FluidQueue()
     t0 = time.perf_counter()
     now = 0.0
-    buf: list = []
-    pop_into = getattr(queue, "pop_into", None)
+    counts: list[float] = []
+    gens: list[float] = []
     for i in range(ops):
         now += 0.25
         queue.push(100.0 + (i % 7), now)
         if i % 2 == 1:
-            if pop_into is not None:
-                buf.clear()
-                pop_into(150.0, buf)
-            else:
-                queue.pop(150.0)
+            counts.clear()
+            gens.clear()
+            queue.pop_into(150.0, counts, gens)
         if i % 64 == 63:
             queue.drop_oldest(50.0)
         if i % 256 == 255:
@@ -83,29 +81,34 @@ def bench_queue_ops(ops: int = 200_000) -> BenchResult:
 
 
 def bench_queue_fused_ops(rounds: int = 20_000) -> BenchResult:
-    """The fused/batched FluidQueue ops the transfer path leans on.
+    """The fused/batched FluidQueue ops the tick path leans on.
 
-    Each round mimics a WAN hop: a donor queue pops a burst, the receiver
-    absorbs it via ``push_aged`` (latency crossing) and ``push_scaled``
-    (selectivity), then periodic SLO maintenance (``drop_oldest`` /
-    ``drop_older_than``) and snapshot pressure (``clone_cow`` followed by
-    a mutation, so copy-on-write actually pays its materialization).
+    Each round mimics one stage output crossing the WAN: a donor queue
+    pops a burst (``pop_into``), routes its share onto a flow queue
+    (``push_scaled``), and the flow moves a link budget into the receiver
+    aged by the latency (``transfer_into``); then periodic SLO maintenance
+    (``drop_oldest`` / ``drop_older_than``) and snapshot pressure
+    (``clone_cow`` followed by a mutation, so copy-on-write actually pays
+    its materialization).
     """
-    from repro.engine.queues import FluidQueue
-
     donor = FluidQueue()
+    flow = FluidQueue()
     receiver = FluidQueue()
     now = 0.0
     for i in range(64):
         now += 0.5
         donor.push(200.0 + (i % 5), now)
+    counts: list[float] = []
+    gens: list[float] = []
     t0 = time.perf_counter()
     for i in range(rounds):
         now += 0.25
         donor.push(120.0 + (i % 3), now)
-        burst = donor.pop(110.0)
-        receiver.push_aged(burst, 0.040)
-        receiver.push_scaled(burst, 0.5)
+        counts.clear()
+        gens.clear()
+        donor.pop_into(110.0, counts, gens)
+        flow.push_scaled(counts, gens, 0.5)
+        flow.transfer_into(receiver, 50.0, 0.040)
         if i % 32 == 31:
             receiver.drop_oldest(90.0)
         if i % 128 == 127:

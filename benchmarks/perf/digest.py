@@ -4,26 +4,61 @@ The hot-path optimization must be invisible to every experiment: a fixed
 seed has to produce bit-identical recorder output before and after.  This
 module runs two canonical fixed-seed scenarios (the Fig-8 bottleneck run
 and a chaos-enabled run with mid-adaptation faults) and hashes every
-recorded sample, adaptation and fault event at full float precision.
+recorded sample, adaptation and fault event at full float precision.  A
+third fingerprint covers the many-flow regime those runs do not reach: raw
+engine ticks on the 16-site all-to-all shuffle of
+:func:`benchmarks.perf.scale.build_world`.
 
-Compare across commits::
+Print the values, or compare them against the pinned ones (exit 1 on any
+mismatch)::
 
     PYTHONPATH=src python -m benchmarks.perf.digest
+    PYTHONPATH=src python -m benchmarks.perf.digest --check
+
+The pinned values are CPython 3.11 results: the floating-point sums the
+simulation takes with ``sum()`` are compensated from CPython 3.12 on, so
+other interpreters have no pins and ``--check`` refuses to run there.
 """
 
 from __future__ import annotations
 
+import argparse
 import hashlib
+import sys
 
 from repro.baselines.variants import wasp
 from repro.chaos.faults import BandwidthCollapse, SiteCrash, Straggler
 from repro.chaos.injector import ChaosInjector
+from repro.config import WaspConfig
+from repro.engine.runtime import EngineRuntime
 from repro.experiments.harness import ExperimentRun
 from repro.experiments.scenarios import bottleneck_dynamics, fig8_scenario
 from repro.sim.recorder import RunRecorder
 from repro.sim.rng import RngRegistry
 
+from .scale import build_world
+
 DIGEST_SEED = 20201207
+
+#: Shuffle fingerprint world: sites, aggregation tasks per site, ticks.
+SHUFFLE_SITES = 16
+SHUFFLE_TICKS = 120
+
+#: Expected outputs per CPython ``(major, minor)``.
+PINNED = {
+    (3, 11): {
+        "fig8": (
+            "618749f594a3e641dc65233797bc87e6a5114c0f2b3f5f50dcdd3c1a56efcb5d"
+        ),
+        "chaos": (
+            "f8fb00876182f2e8aeb0264b705035b22d02ec73393fe639dbdfc6d8a7735655"
+        ),
+        "shuffle16": (
+            "sink=7918284.75794412 backlog=49681715.242055885 "
+            "net=68018501.15750133"
+        ),
+    },
+}
 
 
 def recorder_digest(recorder: RunRecorder) -> str:
@@ -82,9 +117,60 @@ def chaos_digest(duration_s: float = 450.0, seed: int = DIGEST_SEED) -> str:
     return recorder_digest(run.recorder)
 
 
-def main() -> int:
-    print(f"fig8  {fig8_digest()}")
-    print(f"chaos {chaos_digest()}")
+def shuffle_fingerprint(
+    sites: int = SHUFFLE_SITES, ticks: int = SHUFFLE_TICKS
+) -> str:
+    """Raw reference-engine ticks on the all-to-all shuffle world, no
+    controller: sums of sink events and of WAN events sent over the run,
+    plus the final backlog, at ``repr`` (exact) precision."""
+    topology, plan, workload = build_world(sites, 1)
+    runtime = EngineRuntime(
+        topology, plan, workload, WaspConfig.paper_defaults()
+    )
+    sink = 0.0
+    net = 0.0
+    for _ in range(ticks):
+        report = runtime.tick()
+        sink += report.sink_events
+        net += sum(report.net_sent.values())
+    return f"sink={sink!r} backlog={runtime.total_backlog()!r} net={net!r}"
+
+
+#: Every pinned output, by name.
+DIGESTS = {
+    "fig8": fig8_digest,
+    "chaos": chaos_digest,
+    "shuffle16": shuffle_fingerprint,
+}
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(
+        prog="python -m benchmarks.perf.digest",
+        description="fixed-seed behaviour digests",
+    )
+    parser.add_argument(
+        "--check",
+        action="store_true",
+        help="compare against the pinned values; exit 1 on any mismatch",
+    )
+    args = parser.parse_args(argv)
+    expected = PINNED.get(sys.version_info[:2])
+    if args.check and expected is None:
+        version = ".".join(map(str, sys.version_info[:2]))
+        print(f"error: no pinned digests for CPython {version}", file=sys.stderr)
+        return 2
+    mismatches = 0
+    for name, compute in DIGESTS.items():
+        value = compute()
+        line = f"{name:9s} {value}"
+        if args.check and value != expected[name]:
+            mismatches += 1
+            line += f"\n          MISMATCH, pinned {expected[name]}"
+        print(line)
+    if mismatches:
+        print(f"{mismatches} digest(s) differ from the pinned values")
+        return 1
     return 0
 
 

@@ -148,7 +148,9 @@ class _DepthGroup:
 
 
 class _DenseModel:
-    """Structure-of-arrays compilation of one (plan, mutation version).
+    """Structure-of-arrays compilation of one (plan, mutation version)
+    over the topology's current link definitions (base capacities and
+    latencies are compiled in, so a ``Topology.set_link`` recompiles).
 
     The row universe covers every queue the reference backend could touch
     during ticks at this plan version: placement read rows, every existing
@@ -159,7 +161,7 @@ class _DenseModel:
     """
 
     __slots__ = (
-        "plan", "version", "B", "dt",
+        "plan", "version", "links_version", "B", "dt",
         "in_rows", "in_index", "in_persistent",
         "net_rows", "net_index", "net_persistent",
         "sites", "links", "link_base", "link_local",
@@ -178,6 +180,8 @@ class _DenseModel:
     ) -> None:
         self.plan = plan
         self.version = plan.mutation_version()
+        #: Link capacities and latencies are compiled in below.
+        self.links_version = topology._links_version
         self.B = B
         self.dt = dt
 
@@ -527,6 +531,7 @@ class DenseEngineRuntime(EngineRuntime):
             model is None
             or model.plan is not plan
             or model.version != plan.mutation_version()
+            or model.links_version != self._topology._links_version
         ):
             if self._arrays_live and not self._dicts_fresh:
                 self._sync_out()

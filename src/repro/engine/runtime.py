@@ -34,7 +34,7 @@ from ..config import WaspConfig
 from ..errors import SimulationError
 from ..network.topology import Topology
 from .physical import PhysicalPlan, Stage
-from .queues import FluidQueue, Parcel
+from .queues import FluidQueue
 
 #: Conversion: megabits to bytes.
 MBIT_BYTES = 1_000_000 / 8
@@ -144,12 +144,18 @@ class _StageExec:
     fractions.  Site *state* (failures, slowdowns) is read live from the
     cached :class:`~repro.network.site.Site` objects, which are stable for
     the lifetime of the topology.
+
+    Two further tables depend on the runtime's WAN flow queues as well and
+    carry their own stamps: ``routes`` (per source site, the resolved
+    routing targets, valid while ``routes_version`` equals the runtime's
+    net-index version) and ``flows`` (the stage's outgoing flow records,
+    valid for ``flows_stamp``; see :meth:`EngineRuntime._flow_records`).
     """
 
     __slots__ = (
         "stage", "name", "is_source", "is_sink", "selectivity", "cost",
         "output_event_bytes", "pinned_site", "gen_key", "site_rows",
-        "downstream",
+        "downstream", "routes", "routes_version", "flows", "flows_stamp",
     )
 
     def __init__(self, stage: Stage, topology: Topology) -> None:
@@ -169,6 +175,10 @@ class _StageExec:
             for site in sorted(placement)
         ]
         self.downstream: list[_DownstreamExec] = []
+        self.routes: dict[str, list[tuple]] = {}
+        self.routes_version = -1
+        self.flows: list[tuple] = []
+        self.flows_stamp: tuple | None = None
 
 
 class _PlanCache:
@@ -229,10 +239,15 @@ class EngineRuntime:
         #: Per src-stage sorted lists of ``_net_queue`` keys, so the per-tick
         #: transfer pass never scans (and re-sorts) the whole flow table.
         self._net_index: dict[str, list[tuple[str, str, str, str]]] = {}
+        #: Bumped whenever a flow queue is added or the flow table is
+        #: rebuilt; stamps the per-stage route and flow-record tables.
+        self._net_version = 0
         #: Version-checked execution records (see :class:`_PlanCache`).
         self._exec_cache: _PlanCache | None = None
-        #: Reused parcel buffer for the tick loop's pop/push cycles.
-        self._pop_buf: list[Parcel] = []
+        #: Reused (counts, gen times) column buffers for the tick loop's
+        #: pop/route cycles.
+        self._pop_counts: list[float] = []
+        self._pop_gens: list[float] = []
 
         self._suspended_until: dict[str, float] = {}
         self._stage_equiv_factor: dict[str, float] = {}
@@ -315,6 +330,7 @@ class EngineRuntime:
             queue = FluidQueue()
             self._net_queue[key] = queue
             insort(self._net_index.setdefault(key[0], []), key)
+            self._net_version += 1
         return queue
 
     def _rebuild_net_index(self) -> None:
@@ -326,6 +342,7 @@ class EngineRuntime:
         for keys in index.values():
             keys.sort()
         self._net_index = index
+        self._net_version += 1
 
     def _plan_cache(self) -> _PlanCache:
         """Return valid execution records, rebuilding on plan mutation."""
@@ -412,8 +429,7 @@ class EngineRuntime:
         src = self._input_queue.get((stage_name, from_site))
         if src is None or not src:
             return
-        dst = self._queue(self._input_queue, (stage_name, to_site))
-        dst.push_parcels(src.pop(src.count))
+        src.drain_into(self._queue(self._input_queue, (stage_name, to_site)))
 
     def redirect_flows(self, stage_name: str, from_site: str, to_site: str) -> None:
         """Repoint in-flight WAN queues targeting a migrated task."""
@@ -426,8 +442,7 @@ class EngineRuntime:
             changed = True
             if not queue:
                 continue
-            target = self._net_q((src_stage, dst_stage, su, to_site))
-            target.push_parcels(queue.pop(queue.count))
+            queue.drain_into(self._net_q((src_stage, dst_stage, su, to_site)))
         if changed:
             self._rebuild_net_index()
 
@@ -438,7 +453,7 @@ class EngineRuntime:
         if src is None or not src:
             return
         relay = self._net_q((stage_name, stage_name, from_site, to_site))
-        relay.push_parcels(src.pop(src.count))
+        src.drain_into(relay)
 
     def rehome_to_placement(
         self,
@@ -478,7 +493,7 @@ class EngineRuntime:
                 relay = self._net_q(
                     (stage_name, stage_name, site, target_for(site))
                 )
-                relay.push_parcels(queue.pop(queue.count))
+                queue.drain_into(relay)
         changed = False
         for key in list(self._net_queue):
             src_stage, dst_stage, su, sd = key
@@ -487,10 +502,9 @@ class EngineRuntime:
             queue = self._net_queue.pop(key)
             changed = True
             if queue:
-                target = self._net_q(
-                    (src_stage, dst_stage, su, target_for(sd))
+                queue.drain_into(
+                    self._net_q((src_stage, dst_stage, su, target_for(sd)))
                 )
-                target.push_parcels(queue.pop(queue.count))
         if changed:
             self._rebuild_net_index()
 
@@ -588,9 +602,7 @@ class EngineRuntime:
             heirs = new_downstream_of.get(upstream[0], []) if upstream else []
             if heirs:
                 heir = heirs[0]
-                self._queue(self._input_queue, (heir, site)).push_parcels(
-                    queue.pop(queue.count)
-                )
+                queue.drain_into(self._queue(self._input_queue, (heir, site)))
 
         for key in list(self._net_queue):
             src_stage, dst_stage, su, sd = key
@@ -605,7 +617,7 @@ class EngineRuntime:
                 heirs = new_downstream_of.get(src_stage, [])
                 if heirs:
                     target = self._net_q((src_stage, heirs[0], su, sd))
-                    target.push_parcels(queue.pop(queue.count))
+                    queue.drain_into(target)
 
         self._plan = new_plan
         self._rebuild_net_index()
@@ -679,9 +691,11 @@ class EngineRuntime:
                 report.input_backlog[key] = (
                     report.input_backlog.get(key, 0.0) + queue.count
                 )
+        net_backlog = report.net_backlog
         for key, queue in self._net_queue.items():
-            if queue.count > 0:
-                report.net_backlog[key] = queue.count
+            backlog = queue.count
+            if backlog > 0:
+                net_backlog[key] = backlog
 
         self._now_s = now
         self.last_report = report
@@ -699,7 +713,8 @@ class EngineRuntime:
         slo = self._degrade_slo_s
         cutoff = (now - slo) if slo is not None else None
         suspended = self._now_s < self._suspended_until.get(name, 0.0)
-        buf = self._pop_buf
+        counts = self._pop_counts
+        gens = self._pop_gens
         capacity_by_site = report.capacity_by_site
         processed_by_site = report.processed_by_site
         stage_processed = 0.0
@@ -725,8 +740,9 @@ class EngineRuntime:
                 capacity = (
                     n_tasks * site_obj.effective_proc_rate_eps / cost * dt
                 )
-            buf.clear()
-            processed = queue.pop_into(capacity, buf)
+            counts.clear()
+            gens.clear()
+            processed = queue.pop_into(capacity, counts, gens)
             if processed <= 0:
                 capacity_by_site[site_key] = capacity
                 continue
@@ -737,71 +753,125 @@ class EngineRuntime:
             if ex.is_sink:
                 emitted = 0.0
                 delay = 0.0
-                for p in buf:
-                    c = p.count * sel
+                for c, g in zip(counts, gens):
+                    c = c * sel
                     emitted += c
-                    delay += c * (now - p.gen_time_s)
+                    delay += c * (now - g)
                 report.sink_events += emitted
                 report.sink_delay_weighted_s += delay
                 continue
-            # Apply the chained selectivity in place: the popped parcels
+            # Apply the chained selectivity in place: the popped columns
             # are exclusively ours, and downstream pushes copy the values.
             had_output = True
+            counts[:] = [c * sel for c in counts]
             emitted = 0.0
-            for p in buf:
-                c = p.count * sel
-                p.count = c
+            for c in counts:
                 emitted += c
             stage_emitted += emitted
             if sel != 0.0:
-                self._route_output(ex, site, buf, report)
+                self._route_output(ex, site, counts, gens, report)
         if stage_processed > 0.0:
             report.processed[name] = stage_processed
         if had_output:
             report.emitted[name] = stage_emitted
 
+    def _route_targets(self, ex: _StageExec, src_site: str) -> list[tuple]:
+        """Routing rows for one source site of a stage, in fan-out order.
+
+        Each row is ``(downstream name, fraction, local input key, flow
+        queue)``: a co-located share carries the input key, a remote share
+        its (created on first use) WAN flow queue, and an undeployed
+        downstream neither.
+        """
+        rows: list[tuple] = []
+        for down in ex.downstream:
+            if not down.deployed:
+                rows.append((down.name, 0.0, None, None))
+                continue
+            for dst_site, fraction, in_key in down.shares:
+                if dst_site == src_site:
+                    rows.append((down.name, fraction, in_key, None))
+                else:
+                    flow = self._net_q((ex.name, down.name, src_site, dst_site))
+                    rows.append((down.name, fraction, None, flow))
+        return rows
+
     def _route_output(
         self,
         ex: _StageExec,
         src_site: str,
-        out_parcels: list[Parcel],
+        counts: list[float],
+        gens: list[float],
         report: TickReport,
     ) -> None:
         """Partition a stage's per-site output across downstream tasks.
 
         Balanced event partitioning (Section 7): each downstream stage
         receives the full stream, split across its tasks in proportion to
-        tasks per site.
+        tasks per site.  The routing rows are resolved once per source site
+        and net-index version (adding a flow queue never replaces another,
+        so rows resolved earlier in the same version stay valid).
         """
+        if ex.routes_version != self._net_version:
+            ex.routes.clear()
+        rows = ex.routes.get(src_site)
+        if rows is None:
+            rows = ex.routes[src_site] = self._route_targets(ex, src_site)
+        ex.routes_version = self._net_version
         name = ex.name
         input_queue = self._input_queue
         arrived = report.arrived
-        for down in ex.downstream:
-            if not down.deployed:
+        for down_name, fraction, in_key, flow in rows:
+            if flow is not None:
+                flow.push_scaled(counts, gens, fraction)
+            elif in_key is not None:
+                queue = input_queue.get(in_key)
+                if queue is None:
+                    queue = FluidQueue()
+                    input_queue[in_key] = queue
+                moved = queue.push_scaled(counts, gens, fraction)
+                arrived[down_name] = arrived.get(down_name, 0.0) + moved
+            else:
                 # Downstream not deployed (transient during adaptation):
                 # keep the events at the sender by re-queueing them into the
                 # queue this stage reads from, to be re-emitted next tick.
                 table = self._gen_queue if ex.is_source else self._input_queue
-                self._queue(table, (name, src_site)) \
-                    .push_parcels(out_parcels)
-                report.requeued[name] = report.requeued.get(name, 0.0) + sum(
-                    p.count for p in out_parcels
+                queue = self._queue(table, (name, src_site))
+                for c, g in zip(counts, gens):
+                    queue.push(c, g)
+                report.requeued[name] = (
+                    report.requeued.get(name, 0.0) + sum(counts)
                 )
-                continue
-            for dst_site, fraction, in_key in down.shares:
-                if dst_site == src_site:
-                    queue = input_queue.get(in_key)
-                    if queue is None:
-                        queue = FluidQueue()
-                        input_queue[in_key] = queue
-                    moved = queue.push_scaled(out_parcels, fraction)
-                    arrived[down.name] = (
-                        arrived.get(down.name, 0.0) + moved
-                    )
-                else:
-                    self._net_q(
-                        (name, down.name, src_site, dst_site)
-                    ).push_scaled(out_parcels, fraction)
+
+    def _flow_records(self, ex: _StageExec, dt: float) -> list[tuple]:
+        """The stage's outgoing WAN flows in FCFS (sorted key) order.
+
+        Each record is ``(flow queue, flow key, link, destination stage,
+        destination input key, full-link byte budget, latency_s)``.  The
+        records are cached per stage on (net-index version, topology factors
+        version, tick length): flow queues change only with the net index,
+        and link capacities and latencies only with a factor write or a link
+        redefinition, both of which bump ``Topology._factors_version``.
+        """
+        topology = self._topology
+        stamp = (self._net_version, topology._factors_version, dt)
+        if ex.flows_stamp == stamp:
+            return ex.flows
+        net_queue = self._net_queue
+        records = []
+        for key in self._net_index.get(ex.name, ()):
+            _, dst_stage, src_site, dst_site = key
+            budget = (
+                topology.bandwidth_mbps(src_site, dst_site) * MBIT_BYTES * dt
+            )
+            latency_s = topology.latency_ms(src_site, dst_site) / 1000.0
+            records.append((
+                net_queue[key], key, (src_site, dst_site), dst_stage,
+                (dst_stage, dst_site), budget, latency_s,
+            ))
+        ex.flows = records
+        ex.flows_stamp = stamp
+        return records
 
     def _transfer_stage_flows(
         self,
@@ -812,25 +882,21 @@ class EngineRuntime:
         report: TickReport,
     ) -> None:
         """Move this stage's outgoing WAN queues within link budgets."""
-        flow_keys = self._net_index.get(ex.name)
-        if not flow_keys:
+        records = self._flow_records(ex, dt)
+        if not records:
             return
         event_bytes = ex.output_event_bytes
         slo = self._degrade_slo_s
         cutoff = (now - slo) if slo is not None else None
-        net_queue = self._net_queue
         input_queue = self._input_queue
-        topology = self._topology
         arrived = report.arrived
         net_sent = report.net_sent
-        buf = self._pop_buf
-        # Deterministic order (the index is kept sorted); FCFS link sharing
-        # across flows.
-        for key in flow_keys:
-            queue = net_queue[key]
+        # FCFS link sharing across flows, in the records' sorted order.
+        for (
+            queue, key, link, dst_stage, in_key, full_budget, latency_s
+        ) in records:
             if not queue:
                 continue
-            _, dst_stage, src_site, dst_site = key
             if cutoff is not None:
                 dropped = queue.drop_older_than(cutoff)
                 if dropped > 0:
@@ -842,30 +908,26 @@ class EngineRuntime:
                     )
                 if not queue:
                     continue
-            link = (src_site, dst_site)
             budget = link_budget.get(link)
             if budget is None:
-                budget = (
-                    topology.bandwidth_mbps(src_site, dst_site)
-                    * MBIT_BYTES
-                    * dt
-                )
+                budget = full_budget
                 link_budget[link] = budget
             budget_events = budget / event_bytes
             if budget_events <= 0:
                 continue
-            buf.clear()
-            moved = queue.pop_into(budget_events, buf)
+            dst_q = input_queue.get(in_key)
+            fresh = dst_q is None
+            if fresh:
+                dst_q = FluidQueue()
+            moved = queue.transfer_into(dst_q, budget_events, latency_s)
             if moved <= 0:
                 continue
+            if fresh:
+                # A destination queue exists once events land in it.
+                input_queue[in_key] = dst_q
             link_budget[link] = budget - moved * event_bytes
-            latency_s = topology.latency_ms(src_site, dst_site) / 1000.0
-            dst_q = input_queue.get((dst_stage, dst_site))
-            if dst_q is None:
-                dst_q = FluidQueue()
-                input_queue[(dst_stage, dst_site)] = dst_q
-            dst_q.push_aged(buf, latency_s)
-            net_sent[key] = net_sent.get(key, 0.0) + moved
+            # Each flow transfers once per tick (0.0 + moved == moved).
+            net_sent[key] = moved
             arrived[dst_stage] = arrived.get(dst_stage, 0.0) + moved
 
     # -------------------------- conversions ---------------------------- #

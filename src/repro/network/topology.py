@@ -57,9 +57,13 @@ class Topology:
         #: the scripted dynamics apply a global factor on every tick.
         self._factors: dict[tuple[str, str], float] = {}
         self._global_factor = 1.0
-        #: Monotonic counter bumped whenever a factor actually changes, so
-        #: vectorized consumers can cache derived link tables.
+        #: Monotonic counter bumped whenever a link's current capacity or
+        #: latency may change (a factor write or a link redefinition), so
+        #: consumers can cache derived link tables.
         self._factors_version = 0
+        #: Monotonic counter bumped whenever a link is (re)defined; tables
+        #: compiled from the base capacities and latencies key on it.
+        self._links_version = 0
 
     # ------------------------------------------------------------------ #
     # Sites
@@ -126,6 +130,8 @@ class Topology:
             )
         self._base_bandwidth[(src, dst)] = float(bandwidth_mbps)
         self._base_latency[(src, dst)] = float(latency_ms)
+        self._links_version += 1
+        self._factors_version += 1
 
     def bandwidth_mbps(self, src: str, dst: str) -> float:
         """Current capacity of the ``src -> dst`` link in Mbps."""

@@ -1,11 +1,13 @@
 """Randomized equivalence: the optimized FluidQueue vs reference semantics.
 
-The hot-path rewrite (in-place fused ops, copy-on-write sharing, reused
-pop buffers) must be *behaviour-preserving*: every operation has to leave
-bit-identical counts, parcel lists and return values compared to the
-original list-building implementation.  ``ReferenceQueue`` below is that
-original implementation, kept verbatim; a seeded random op stream drives
-both side by side and compares exhaustively after every step.
+The hot-path rewrite (column storage, in-place fused ops, copy-on-write
+sharing, reused pop buffers) must be *behaviour-preserving*: every
+operation has to leave bit-identical counts, parcel lists and return
+values compared to the original list-building implementation.
+``ReferenceQueue`` below is that original implementation, kept verbatim; a
+seeded random op stream drives both side by side and compares exhaustively
+after every step.  The fused moves between queues (``transfer_into``,
+``drain_into``) are checked against their compositions the same way.
 """
 
 from __future__ import annotations
@@ -106,11 +108,20 @@ class ReferenceQueue:
         return dropped
 
 
-def assert_equal_state(fluid: FluidQueue, ref: ReferenceQueue) -> None:
+def pairs(queue) -> list[tuple[float, float]]:
+    parcels = (
+        queue.parcels() if isinstance(queue, FluidQueue) else queue._parcels
+    )
+    return [(p.count, p.gen_time_s) for p in parcels]
+
+
+def columns(parcels: list[Parcel]) -> tuple[list[float], list[float]]:
+    return [p.count for p in parcels], [p.gen_time_s for p in parcels]
+
+
+def assert_equal_state(fluid: FluidQueue, ref) -> None:
     assert fluid.count == ref.count  # bit-exact, no tolerance
-    fluid_parcels = [(p.count, p.gen_time_s) for p in fluid._parcels]
-    ref_parcels = [(p.count, p.gen_time_s) for p in ref._parcels]
-    assert fluid_parcels == ref_parcels
+    assert pairs(fluid) == pairs(ref)
 
 
 def random_parcels(rng: random.Random, now: float) -> list[Parcel]:
@@ -140,9 +151,11 @@ def test_randomized_op_stream_matches_reference(seed: int) -> None:
             if rng.random() < 0.5:
                 got = fluid.pop(amount)
             else:
-                got = []
-                total = fluid.pop_into(amount, got)
+                counts: list[float] = []
+                gens: list[float] = []
+                total = fluid.pop_into(amount, counts, gens)
                 assert total == parcels_total(got_ref)
+                got = [Parcel(c, g) for c, g in zip(counts, gens)]
             assert [(p.count, p.gen_time_s) for p in got] == [
                 (p.count, p.gen_time_s) for p in got_ref
             ]
@@ -182,17 +195,9 @@ def test_fused_push_variants_match_compositions(seed: int) -> None:
         fused.push_parcels(seeded)
         composed.push_parcels(seeded)
         scaled = scale_parcels(parcels, factor)
-        total = fused.push_scaled(parcels, factor)
+        total = fused.push_scaled(*columns(parcels), factor)
         composed.push_parcels(scaled)
         assert total == parcels_total(scaled)
-        assert_equal_state(fused, composed)
-
-        age = rng.uniform(0.0, 4.0)
-        fused, composed = FluidQueue(), ReferenceQueue()
-        fused.push_parcels(seeded)
-        composed.push_parcels(seeded)
-        fused.push_aged(parcels, age)
-        composed.push_parcels(age_parcels(parcels, age))
         assert_equal_state(fused, composed)
 
 
@@ -201,13 +206,106 @@ def test_clone_cow_restores_exactly_after_mutation() -> None:
     for i in range(20):
         queue.push(10.0 + i, float(i))
     snapshot = queue.clone_cow()
-    before = [(p.count, p.gen_time_s) for p in queue._parcels]
+    before = pairs(queue)
     queue.pop(55.0)
     queue.push(3.0, 99.0)
     queue.drop_oldest(7.0)
     restored = snapshot.clone_cow()
-    assert [(p.count, p.gen_time_s) for p in restored._parcels] == before
+    assert pairs(restored) == before
     assert restored.count == sum(c for c, _ in before)
     # The snapshot itself is still intact for a second restore.
     again = snapshot.clone_cow()
-    assert [(p.count, p.gen_time_s) for p in again._parcels] == before
+    assert pairs(again) == before
+
+
+def _random_queue(rng: random.Random, now: float, merge_heavy: bool):
+    """A (FluidQueue, ReferenceQueue) pair holding the same random parcels.
+
+    ``merge_heavy`` spaces generation times right around ``_MERGE_EPS`` so
+    pushes land on both sides of the merge boundary.
+    """
+    fluid, ref = FluidQueue(), ReferenceQueue()
+    gen = now - rng.uniform(0.0, 30.0)
+    for _ in range(rng.randrange(0, 12)):
+        count = rng.uniform(1e-13, 80.0) if rng.random() < 0.9 else 1e-13
+        fluid.push(count, gen)
+        ref.push(count, gen)
+        if merge_heavy:
+            step = rng.choice([0.5, 0.999999, 1.0, 1.5])
+            gen += FluidQueue._MERGE_EPS * step
+        else:
+            gen += rng.uniform(0.0, 2.0)
+    return fluid, ref
+
+
+def _copy_reference(ref: ReferenceQueue) -> ReferenceQueue:
+    copy = ReferenceQueue()
+    copy._parcels = [Parcel(p.count, p.gen_time_s) for p in ref._parcels]
+    copy._count = ref._count
+    return copy
+
+
+def _running_total(parcels: list[Parcel]) -> float:
+    total = 0.0
+    for p in parcels:
+        total += p.count
+    return total
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_transfer_into_matches_pop_then_aged_push(seed: int) -> None:
+    rng = random.Random(seed)
+    now = 0.0
+    for step in range(400):
+        now += rng.uniform(0.0, 3.0)
+        merge_heavy = step % 2 == 1
+        src, src_ref = _random_queue(rng, now, merge_heavy)
+        if rng.random() < 0.3:
+            # The destination shares the source's copy-on-write storage.
+            dst, dst_ref = src.clone_cow(), _copy_reference(src_ref)
+        else:
+            dst, dst_ref = _random_queue(rng, now, merge_heavy)
+        src_clone = src.clone_cow() if rng.random() < 0.5 else None
+        dst_clone = dst.clone_cow() if rng.random() < 0.5 else None
+        src_before, dst_before = pairs(src), pairs(dst)
+        # Partial head pops, exact whole-queue moves, over-asks, nothing.
+        budget = rng.choice(
+            [rng.uniform(0.0, src.count + 1.0), src.count, 0.0, 1e-13]
+        )
+        age = rng.choice([0.0, rng.uniform(0.0, 4.0), FluidQueue._MERGE_EPS])
+
+        moved = src.transfer_into(dst, budget, age)
+        popped = src_ref.pop(budget)
+        dst_ref.push_parcels(age_parcels(popped, age))
+        assert moved == _running_total(popped)
+        assert_equal_state(src, src_ref)
+        assert_equal_state(dst, dst_ref)
+        # Copy-on-write clones of either side never see the move.
+        if src_clone is not None:
+            assert pairs(src_clone) == src_before
+        if dst_clone is not None:
+            assert pairs(dst_clone) == dst_before
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_drain_into_matches_push_parcels_of_pop(seed: int) -> None:
+    rng = random.Random(seed)
+    now = 0.0
+    for step in range(400):
+        now += rng.uniform(0.0, 3.0)
+        merge_heavy = step % 2 == 1
+        src, src_ref = _random_queue(rng, now, merge_heavy)
+        dst, dst_ref = _random_queue(rng, now, merge_heavy)
+        src_clone = src.clone_cow() if rng.random() < 0.5 else None
+        dst_clone = dst.clone_cow() if rng.random() < 0.5 else None
+        src_before, dst_before = pairs(src), pairs(dst)
+
+        src.drain_into(dst)
+        dst_ref.push_parcels(src_ref.pop(src_ref.count))
+        assert_equal_state(src, src_ref)
+        assert_equal_state(dst, dst_ref)
+        # Copy-on-write clones of either side never see the move.
+        if src_clone is not None:
+            assert pairs(src_clone) == src_before
+        if dst_clone is not None:
+            assert pairs(dst_clone) == dst_before

@@ -41,8 +41,9 @@ ops = st.lists(
             st.floats(min_value=0.0, max_value=4.0, allow_nan=False),
         ),
         st.tuples(
-            st.just("push_aged"),
+            st.just("transfer_into"),
             parcel_lists,
+            counts,
             st.floats(min_value=0.0, max_value=60.0, allow_nan=False),
         ),
         st.tuples(st.just("clear")),
@@ -61,6 +62,10 @@ def fill(pairs) -> FluidQueue:
 
 def as_pairs(queue: FluidQueue) -> list[tuple[float, float]]:
     return [(p.count, p.gen_time_s) for p in queue.parcels()]
+
+
+def as_columns(pairs) -> tuple[list[float], list[float]]:
+    return [c for c, _ in pairs], [g for _, g in pairs]
 
 
 class TestMassConservation:
@@ -90,12 +95,9 @@ class TestMassConservation:
             elif kind == "drop_older_than":
                 removed += queue.drop_older_than(op[1])
             elif kind == "push_scaled":
-                parcels = [Parcel(c, g) for c, g in op[1]]
-                pushed += queue.push_scaled(parcels, op[2])
-            elif kind == "push_aged":
-                parcels = [Parcel(c, g) for c, g in op[1]]
-                queue.push_aged(parcels, op[2])
-                pushed += parcels_total(parcels)
+                pushed += queue.push_scaled(*as_columns(op[1]), op[2])
+            elif kind == "transfer_into":
+                pushed += fill(op[1]).transfer_into(queue, op[2], op[3])
             elif kind == "clear":
                 removed += queue.clear()
             elif kind == "clone_cow":
@@ -115,10 +117,12 @@ class TestMassConservation:
     def test_pop_returns_exactly_what_leaves(self, pairs, amount):
         queue = fill(pairs)
         before = queue.count
-        out: list[Parcel] = []
-        popped = queue.pop_into(amount, out)
+        counts: list[float] = []
+        gens: list[float] = []
+        popped = queue.pop_into(amount, counts, gens)
+        assert len(counts) == len(gens)
         assert popped == pytest.approx(
-            parcels_total(out), abs=1e-9 + 1e-12 * before
+            sum(counts), abs=1e-9 + 1e-12 * before
         )
         assert popped <= amount + 1e-9
         assert queue.count + popped == pytest.approx(
@@ -137,9 +141,9 @@ class TestFusedEqualsCompositional:
     @settings(max_examples=100)
     def test_push_scaled(self, pairs, extra, factor):
         fused = fill(pairs)
-        composed = fused.clone()
+        composed = fill(pairs)
         parcels = [Parcel(c, g) for c, g in extra]
-        returned = fused.push_scaled(parcels, factor)
+        returned = fused.push_scaled(*as_columns(extra), factor)
         scaled = scale_parcels(parcels, factor)
         composed.push_parcels(scaled)
         assert as_pairs(fused) == as_pairs(composed)
@@ -149,23 +153,29 @@ class TestFusedEqualsCompositional:
     @given(
         parcel_lists,
         parcel_lists,
+        counts,
         st.floats(min_value=0.0, max_value=60.0, allow_nan=False),
     )
     @settings(max_examples=100)
-    def test_push_aged(self, pairs, extra, age):
-        fused = fill(pairs)
-        composed = fused.clone()
-        parcels = [Parcel(c, g) for c, g in extra]
-        fused.push_aged(parcels, age)
-        composed.push_parcels(age_parcels(parcels, age))
+    def test_transfer_into(self, pairs, extra, amount, age):
+        fused, fused_src = fill(pairs), fill(extra)
+        composed, composed_src = fill(pairs), fill(extra)
+        moved = fused_src.transfer_into(fused, amount, age)
+        popped = composed_src.pop(amount)
+        composed.push_parcels(age_parcels(popped, age))
         assert as_pairs(fused) == as_pairs(composed)
         assert fused.count == composed.count
+        assert as_pairs(fused_src) == as_pairs(composed_src)
+        assert fused_src.count == composed_src.count
+        assert moved == pytest.approx(
+            parcels_total(popped), abs=1e-9 + 1e-12 * moved
+        )
 
     @given(parcel_lists, counts)
     @settings(max_examples=100)
     def test_drop_oldest_leaves_same_tail_as_pop(self, pairs, amount):
         dropper = fill(pairs)
-        popper = dropper.clone()
+        popper = fill(pairs)
         dropped = dropper.drop_oldest(amount)
         popped = popper.pop(amount)
         assert as_pairs(dropper) == as_pairs(popper)
@@ -181,7 +191,7 @@ class TestCopyOnWriteIsolation:
     @settings(max_examples=100)
     def test_mutating_original_never_touches_clone(self, pairs, sequence):
         queue = fill(pairs)
-        snapshot = queue.clone()  # eager, trivially independent
+        snapshot = fill(pairs)  # built separately, trivially independent
         cow = queue.clone_cow()
         self._apply(queue, sequence)
         assert as_pairs(cow) == as_pairs(snapshot)
@@ -191,7 +201,7 @@ class TestCopyOnWriteIsolation:
     @settings(max_examples=100)
     def test_mutating_clone_never_touches_original(self, pairs, sequence):
         queue = fill(pairs)
-        snapshot = queue.clone()
+        snapshot = fill(pairs)
         cow = queue.clone_cow()
         self._apply(cow, sequence)
         assert as_pairs(queue) == as_pairs(snapshot)
@@ -210,9 +220,9 @@ class TestCopyOnWriteIsolation:
             elif kind == "drop_older_than":
                 queue.drop_older_than(op[1])
             elif kind == "push_scaled":
-                queue.push_scaled([Parcel(c, g) for c, g in op[1]], op[2])
-            elif kind == "push_aged":
-                queue.push_aged([Parcel(c, g) for c, g in op[1]], op[2])
+                queue.push_scaled(*as_columns(op[1]), op[2])
+            elif kind == "transfer_into":
+                fill(op[1]).transfer_into(queue, op[2], op[3])
             elif kind == "clear":
                 queue.clear()
             elif kind == "clone_cow":

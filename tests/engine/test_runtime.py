@@ -12,6 +12,7 @@ from repro.engine.operators import (
     source,
     window_aggregate,
 )
+from repro.engine.dense import DenseEngineRuntime
 from repro.engine.physical import PhysicalPlan
 from repro.engine.runtime import EngineRuntime, WorkloadModel, mbps_to_eps
 
@@ -27,7 +28,7 @@ class ConstantWorkload(WorkloadModel):
 
 def build_pipeline(topology, *, rate=1000.0, selectivity=0.5,
                    agg_site="dc-1", event_bytes=100.0, degrade_slo=None,
-                   agg_cost=1.0):
+                   agg_cost=1.0, runtime_cls=EngineRuntime):
     """source(edge-x)+filter -> agg(dc-1) -> sink(dc-1)."""
     ops = [
         source("src", "edge-x", event_bytes=200.0),
@@ -43,7 +44,7 @@ def build_pipeline(topology, *, rate=1000.0, selectivity=0.5,
     physical.stage("src").add_task("edge-x")
     physical.stage("agg").add_task(agg_site)
     physical.stage("out").add_task(agg_site)
-    runtime = EngineRuntime(
+    runtime = runtime_cls(
         topology,
         physical,
         ConstantWorkload({"src": rate}),
@@ -133,6 +134,40 @@ class TestNetworkBottleneck:
         for _ in range(10):
             report = runtime.tick()
         assert not report.net_backlog
+
+
+@pytest.mark.parametrize(
+    "runtime_cls", [EngineRuntime, DenseEngineRuntime],
+    ids=["reference", "dense"],
+)
+class TestLinkRedefinition:
+    """``Topology.set_link`` on a live link takes effect on the next tick,
+    even though both backends cache per-link budgets and latencies."""
+
+    def test_new_capacity_applies_mid_run(self, small_topology, runtime_cls):
+        flow_eps = mbps_to_eps(10.0, 100.0)
+        runtime = build_pipeline(
+            small_topology, rate=flow_eps * 4, runtime_cls=runtime_cls
+        )
+        key = ("src", "agg", "edge-x", "dc-1")
+        for _ in range(10):
+            report = runtime.tick()
+        assert report.net_sent[key] == pytest.approx(flow_eps, rel=0.01)
+        small_topology.set_link("edge-x", "dc-1", 5.0, 50.0)
+        report = runtime.tick()
+        assert report.net_sent[key] == pytest.approx(
+            mbps_to_eps(5.0, 100.0), rel=0.01
+        )
+
+    def test_new_latency_applies_mid_run(self, small_topology, runtime_cls):
+        runtime = build_pipeline(small_topology, runtime_cls=runtime_cls)
+        for _ in range(10):
+            before = runtime.tick().mean_sink_delay_s()
+        small_topology.set_link("edge-x", "dc-1", 10.0, 1050.0)
+        for _ in range(5):
+            after = runtime.tick().mean_sink_delay_s()
+        # One more second on the wire, and nothing else changed.
+        assert after == pytest.approx(before + 1.0, abs=0.05)
 
 
 class TestDegrade:

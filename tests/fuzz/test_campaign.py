@@ -13,7 +13,7 @@ import json
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.engine.queues import FluidQueue, Parcel
+from repro.engine.queues import FluidQueue
 from repro.fuzz import campaign
 from repro.fuzz.campaign import (
     load_artifact,
@@ -112,16 +112,14 @@ class TestShrinking:
             shrink_scenario(short_scenario(1), "conservation", max_evals=1)
 
     def test_shrinks_leaky_repro(self, monkeypatch):
-        original = FluidQueue.push_aged
+        original = FluidQueue.transfer_into
 
-        def leaky(self, parcels, extra_age_s):
-            original(
-                self,
-                [Parcel(p.count * 0.9, p.gen_time_s) for p in parcels],
-                extra_age_s,
-            )
+        def leaky(self, dst, max_events, extra_age_s):
+            moved = original(self, dst, max_events, extra_age_s)
+            dst.drop_oldest(moved * 0.1)
+            return moved
 
-        monkeypatch.setattr(FluidQueue, "push_aged", leaky)
+        monkeypatch.setattr(FluidQueue, "transfer_into", leaky)
         spec = short_scenario(0, duration_s=80.0)
         shrunk, violations = shrink_scenario(
             spec, "conservation", max_evals=4

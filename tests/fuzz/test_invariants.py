@@ -18,7 +18,7 @@ import pytest
 
 from repro.core.diagnosis import Health, StageDiagnosis
 from repro.engine.metrics import MetricsWindow
-from repro.engine.queues import FluidQueue, Parcel
+from repro.engine.queues import FluidQueue
 from repro.fuzz.campaign import run_scenario
 from repro.fuzz.generate import build_run, generate_scenario
 from repro.fuzz.invariants import InvariantChecker
@@ -59,16 +59,14 @@ class TestPerTickDetection:
     def test_conservation_catches_wan_mass_leak(self, monkeypatch):
         """Shave 10% off every WAN arrival: the per-stage ledger must
         notice mass vanishing between emission and enqueue."""
-        original = FluidQueue.push_aged
+        original = FluidQueue.transfer_into
 
-        def leaky(self, parcels, extra_age_s):
-            original(
-                self,
-                [Parcel(p.count * 0.9, p.gen_time_s) for p in parcels],
-                extra_age_s,
-            )
+        def leaky(self, dst, max_events, extra_age_s):
+            moved = original(self, dst, max_events, extra_age_s)
+            dst.drop_oldest(moved * 0.1)
+            return moved
 
-        monkeypatch.setattr(FluidQueue, "push_aged", leaky)
+        monkeypatch.setattr(FluidQueue, "transfer_into", leaky)
         spec = dataclasses.replace(generate_scenario(0), duration_s=60.0)
         result = run_scenario(spec, verify_digest=False)
         assert any(v.invariant == "conservation" for v in result.violations)
@@ -76,7 +74,8 @@ class TestPerTickDetection:
     def test_queue_nonnegative_catches_negative_parcel(self):
         run, checker, _ = make_run(seed=1, run_for=5.0)
         _table, _key, queue = next(iter(run.runtime.iter_queues()))
-        queue._parcels.append(Parcel(-5.0, 0.0))
+        queue._counts.append(-5.0)
+        queue._gens.append(0.0)
         checker._check_nonnegative(run.runtime.now_s)
         assert checker.counts().get("queue-nonnegative", 0) >= 1
 

@@ -123,6 +123,16 @@ class TestDynamics:
         with pytest.raises(TopologyError):
             topo.set_global_bandwidth_factor(-1.0)
 
+    def test_redefining_a_link_bumps_the_versions(self, topo):
+        """Cached link tables key on these counters, so a redefinition
+        must invalidate them just like a factor write does."""
+        factors, links = topo._factors_version, topo._links_version
+        topo.set_link("a", "b", 4.0, 80.0)
+        assert topo._factors_version > factors
+        assert topo._links_version > links
+        assert topo.bandwidth_mbps("a", "b") == 4.0
+        assert topo.latency_ms("a", "b") == 80.0
+
     def test_factor_query(self, topo):
         topo.set_bandwidth_factor("a", "b", 0.25)
         assert topo.bandwidth_factor("a", "b") == 0.25
