@@ -281,21 +281,76 @@ def bench_snapshot(rounds: int = 200, warm_ticks: int = 350) -> BenchResult:
 
 
 # --------------------------------------------------------------------------- #
+# Adaptation round bookkeeping (control plane)
+# --------------------------------------------------------------------------- #
+
+
+def bench_adaptation_round(
+    calls: int = 200, warm_s: float = 400.0
+) -> BenchResult:
+    """Per-call cost of a monitoring round's two bookkeeping steps.
+
+    A 16-site Figure-8 WASP run is stepped to one tick before the adaptation
+    round at ``warm_s``, so the metric monitor holds a full window of tick
+    reports.  Each call then times ``WanMonitor.refresh`` over every link
+    and ``GlobalMetricMonitor.collect`` over that window (re-fed through
+    ``observe`` outside the timed region, since ``collect`` resets it).
+    """
+    run = _build_run()
+    run.set_dynamics(bottleneck_dynamics())
+    dt = run.config.tick_s
+    for _ in range(int(round(warm_s / dt)) - 1):
+        run.step()
+    manager = run.manager
+    wan = manager.wan_monitor
+    metrics = manager.monitor
+    runtime = run.runtime
+    window = list(metrics._reports)
+    now = run.clock.now_s
+    refresh_s = collect_s = 0.0
+    for _ in range(calls):
+        t0 = time.perf_counter()
+        wan.refresh(now)
+        t1 = time.perf_counter()
+        for report in window:
+            metrics.observe(report)
+        t2 = time.perf_counter()
+        metrics.collect(runtime.sink_source_equiv)
+        t3 = time.perf_counter()
+        refresh_s += t1 - t0
+        collect_s += t3 - t2
+    wall = refresh_s + collect_s
+    return BenchResult(
+        name="adaptation_round",
+        wall_s=wall,
+        rate_per_s=calls / wall if wall > 0 else float("inf"),
+        unit="rounds/s",
+        detail={
+            "calls": float(calls),
+            "links": float(len(wan.bandwidth_matrix())),
+            "window_ticks": float(len(window)),
+            "refresh_us": refresh_s / calls * 1e6,
+            "collect_us": collect_s / calls * 1e6,
+        },
+    )
+
+
+# --------------------------------------------------------------------------- #
 # Driver
 # --------------------------------------------------------------------------- #
 
 #: Work sizes per mode: (queue ops, fused-op rounds, single-tick ticks,
-#: scenario seconds, snapshot rounds).
+#: scenario seconds, snapshot rounds, adaptation-round calls).
 MODES = {
-    "smoke": (20_000, 4_000, 120, 120.0, 30),
-    "full": (200_000, 40_000, 600, 600.0, 200),
+    "smoke": (20_000, 4_000, 120, 120.0, 30, 30),
+    "full": (200_000, 40_000, 600, 600.0, 200, 200),
 }
 
 
 def run_all(mode: str = "full") -> list[BenchResult]:
     """Run every benchmark at the given mode's work sizes."""
     try:
-        ops, fused_rounds, ticks, duration_s, rounds = MODES[mode]
+        ops, fused_rounds, ticks, duration_s, rounds, calls = MODES[mode]
     except KeyError:
         raise ValueError(
             f"unknown mode {mode!r}; choose from {sorted(MODES)}"
@@ -306,4 +361,5 @@ def run_all(mode: str = "full") -> list[BenchResult]:
         bench_single_tick(ticks),
         bench_full_scenario(duration_s),
         bench_snapshot(rounds),
+        bench_adaptation_round(calls),
     ]

@@ -84,14 +84,6 @@ def _backlog_by_stage(report: TickReport) -> dict[str, float]:
     return totals
 
 
-def _site_backlog_by_stage(report: TickReport) -> dict[str, dict[str, float]]:
-    """Per-site input backlog grouped by stage in one report."""
-    grouped: dict[str, dict[str, float]] = {}
-    for (stage, site), v in report.input_backlog.items():
-        grouped.setdefault(stage, {})[site] = v
-    return grouped
-
-
 def _net_backlog_by_stage(
     report: TickReport,
 ) -> dict[str, dict[tuple[str, str], float]]:
@@ -101,6 +93,16 @@ def _net_backlog_by_stage(
         d = grouped.setdefault(dst, {})
         link = (su, sd)
         d[link] = d.get(link, 0.0) + v
+    return grouped
+
+
+def _group_by_stage(
+    flat: dict[tuple[str, str], float],
+) -> dict[str, dict[str, float]]:
+    """``{(stage, site): v}`` regrouped as ``{stage: {site: v}}``."""
+    grouped: dict[str, dict[str, float]] = {}
+    for (stage, site), v in flat.items():
+        grouped.setdefault(stage, {})[site] = v
     return grouped
 
 
@@ -150,22 +152,27 @@ class GlobalMetricMonitor:
             tick_len = reports[0].t_s or 1.0
         span = max(tick_len * len(reports), 1e-9)
 
-        # Single pass over the reports, grouping by stage as we go.  Per-key
-        # accumulation order is unchanged (report order, then dict insertion
-        # order within a report), and skipped absent-key terms are exact
-        # no-ops on the float sums, so the window aggregates are bit-for-bit
-        # the ones the per-stage rescan produced.
+        # Single pass over the reports.  Per-site and per-link sums
+        # accumulate flat, keyed by (stage, site) and (dst stage, src site,
+        # dst site), and are grouped by stage once at the end; stage names
+        # come from the union of the backlog key sets.  Per-key accumulation
+        # order is unchanged (report order, then dict insertion order within
+        # a report), and so is each grouped dict's insertion order (first
+        # appearance), so the window aggregates are bit-for-bit the ones a
+        # per-stage rescan produces.  ``net_sent`` folds several flows into
+        # one (dst stage, link) key, so it still folds report by report.
         offered = 0.0
         source_gen: dict[str, float] = {}
         processed_by: dict[str, float] = {}
         arrived_by: dict[str, float] = {}
         emitted_by: dict[str, float] = {}
-        by_site_by: dict[str, dict[str, float]] = {}
-        cap_site_by: dict[str, dict[str, float]] = {}
-        net_in_by: dict[str, dict[tuple[str, str], float]] = {}
+        processed_site: dict[tuple[str, str], float] = {}
+        capacity_site: dict[tuple[str, str], float] = {}
+        net_in: dict[tuple[str, str, str], float] = {}
+        backlog_keys: set[tuple[str, str]] = set()
+        net_backlog_keys: set[tuple[str, str, str, str]] = set()
         sink_events = 0.0
         delay_weight = 0.0
-        stage_names: set[str] = set()
         for r in reports:
             offered += r.offered
             sink_events += r.sink_events
@@ -178,18 +185,22 @@ class GlobalMetricMonitor:
                 arrived_by[name] = arrived_by.get(name, 0.0) + v
             for name, v in r.emitted.items():
                 emitted_by[name] = emitted_by.get(name, 0.0) + v
-            for (stage, site), value in r.processed_by_site.items():
-                d = by_site_by.setdefault(stage, {})
-                d[site] = d.get(site, 0.0) + value
-            for (stage, site), value in r.capacity_by_site.items():
-                d = cap_site_by.setdefault(stage, {})
-                d[site] = d.get(site, 0.0) + value
+            for key, v in r.processed_by_site.items():
+                processed_site[key] = processed_site.get(key, 0.0) + v
+            for key, v in r.capacity_by_site.items():
+                capacity_site[key] = capacity_site.get(key, 0.0) + v
             for (_, dst, su, sd), v in r.net_sent.items():
-                d = net_in_by.setdefault(dst, {})
-                link = (su, sd)
-                d[link] = d.get(link, 0.0) + v
-            stage_names.update(name for name, _ in r.input_backlog)
-            stage_names.update(key[1] for key in r.net_backlog)
+                key = (dst, su, sd)
+                net_in[key] = net_in.get(key, 0.0) + v
+            backlog_keys.update(r.input_backlog)
+            net_backlog_keys.update(r.net_backlog)
+        by_site_by = _group_by_stage(processed_site)
+        cap_site_by = _group_by_stage(capacity_site)
+        net_in_by: dict[str, dict[tuple[str, str], float]] = {}
+        for (dst, su, sd), v in net_in.items():
+            net_in_by.setdefault(dst, {})[su, sd] = v
+        stage_names = {stage for stage, _ in backlog_keys}
+        stage_names.update(key[1] for key in net_backlog_keys)
         stage_names.update(processed_by)
         stage_names.update(arrived_by)
         stage_names.update(emitted_by)
@@ -199,7 +210,7 @@ class GlobalMetricMonitor:
         first, last = reports[0], reports[-1]
         backlog_first = _backlog_by_stage(first)
         backlog_last = _backlog_by_stage(last)
-        site_backlog_last = _site_backlog_by_stage(last)
+        site_backlog_last = _group_by_stage(last.input_backlog)
         net_first_by = _net_backlog_by_stage(first)
         net_last_by = _net_backlog_by_stage(last)
 

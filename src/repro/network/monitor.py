@@ -12,6 +12,7 @@ the placement ILP exists to absorb (Section 4.1).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 
 import numpy as np
 
@@ -54,28 +55,43 @@ class WanMonitor:
         self._topology = topology
         self._rng = rng
         self._relative_error = float(relative_error)
-        self._measurements: dict[tuple[str, str], LinkMeasurement] = {}
+        # Measurements live in flat per-link tables.  ``_bandwidth`` keeps
+        # the order links were first measured in (``bandwidth_matrix``'s
+        # order); a link is measured iff it has a bandwidth entry.  A link's
+        # sample time is its ``remeasure`` time if it was re-gauged since the
+        # last refresh, else the refresh time.
+        self._bandwidth: dict[tuple[str, str], float] = {}
+        self._latency: dict[tuple[str, str], float] = {}
+        self._remeasured_at: dict[tuple[str, str], float] = {}
+        #: ``Topology._links_version`` the latency table was last synced at.
+        #: Latencies change only with a link redefinition, so a refresh at
+        #: an unchanged version can keep the table as it is.
+        self._latency_version = -1
         self._last_refresh_s = float("-inf")
 
     @property
     def last_refresh_s(self) -> float:
         return self._last_refresh_s
 
+    def _noise(self, n: int) -> list[float]:
+        """``n`` multiplicative noise factors (same draws as ``n`` scalar
+        ``uniform`` calls on the stream)."""
+        e = self._relative_error
+        return self._rng.uniform(1.0 - e, 1.0 + e, size=n).tolist()
+
     def refresh(self, now_s: float) -> None:
         """Re-measure every defined link (one monitoring round)."""
-        for link in self._topology.links():
-            noise = 1.0
-            if self._relative_error > 0:
-                noise = self._rng.uniform(
-                    1.0 - self._relative_error, 1.0 + self._relative_error
-                )
-            self._measurements[(link.src, link.dst)] = LinkMeasurement(
-                src=link.src,
-                dst=link.dst,
-                bandwidth_mbps=link.bandwidth_mbps * noise,
-                latency_ms=link.latency_ms,
-                measured_at_s=now_s,
-            )
+        topology = self._topology
+        current = topology.link_bandwidths()
+        if self._relative_error > 0:
+            noise = self._noise(len(current))
+            current = dict(zip(current, map(mul, current.values(), noise)))
+        self._bandwidth.update(current)
+        if self._latency_version != topology._links_version:
+            latency = topology.latency_ms
+            self._latency.update({key: latency(*key) for key in current})
+            self._latency_version = topology._links_version
+        self._remeasured_at.clear()
         self._last_refresh_s = now_s
 
     def remeasure(self, src: str, dst: str, now_s: float) -> float:
@@ -89,20 +105,13 @@ class WanMonitor:
         """
         if src == dst:
             return self._topology.bandwidth_mbps(src, dst)
-        noise = 1.0
-        if self._relative_error > 0:
-            noise = self._rng.uniform(
-                1.0 - self._relative_error, 1.0 + self._relative_error
-            )
-        sample = LinkMeasurement(
-            src=src,
-            dst=dst,
-            bandwidth_mbps=self._topology.bandwidth_mbps(src, dst) * noise,
-            latency_ms=self._topology.latency_ms(src, dst),
-            measured_at_s=now_s,
-        )
-        self._measurements[(src, dst)] = sample
-        return sample.bandwidth_mbps
+        noise = self._noise(1)[0] if self._relative_error > 0 else 1.0
+        bandwidth = self._topology.bandwidth_mbps(src, dst) * noise
+        key = (src, dst)
+        self._latency[key] = self._topology.latency_ms(src, dst)
+        self._bandwidth[key] = bandwidth
+        self._remeasured_at[key] = now_s
+        return bandwidth
 
     def bandwidth_mbps(self, src: str, dst: str) -> float:
         """Most recent bandwidth measurement for ``src -> dst``.
@@ -113,26 +122,33 @@ class WanMonitor:
         """
         if src == dst:
             return self._topology.bandwidth_mbps(src, dst)
-        sample = self._measurements.get((src, dst))
-        if sample is None:
+        measured = self._bandwidth.get((src, dst))
+        if measured is None:
             return self._topology.bandwidth_mbps(src, dst)
-        return sample.bandwidth_mbps
+        return measured
 
     def latency_ms(self, src: str, dst: str) -> float:
         """Most recent latency measurement for ``src -> dst``."""
         if src == dst:
             return self._topology.latency_ms(src, dst)
-        sample = self._measurements.get((src, dst))
-        if sample is None:
+        measured = self._latency.get((src, dst))
+        if measured is None:
             return self._topology.latency_ms(src, dst)
-        return sample.latency_ms
+        return measured
 
     def measurement(self, src: str, dst: str) -> LinkMeasurement | None:
-        return self._measurements.get((src, dst))
+        key = (src, dst)
+        bandwidth = self._bandwidth.get(key)
+        if bandwidth is None:
+            return None
+        return LinkMeasurement(
+            src=src,
+            dst=dst,
+            bandwidth_mbps=bandwidth,
+            latency_ms=self._latency[key],
+            measured_at_s=self._remeasured_at.get(key, self._last_refresh_s),
+        )
 
     def bandwidth_matrix(self) -> dict[tuple[str, str], float]:
         """Measured bandwidth for every known link."""
-        return {
-            key: sample.bandwidth_mbps
-            for key, sample in self._measurements.items()
-        }
+        return dict(self._bandwidth)

@@ -64,6 +64,9 @@ class Topology:
         #: Monotonic counter bumped whenever a link is (re)defined; tables
         #: compiled from the base capacities and latencies key on it.
         self._links_version = 0
+        #: Link keys in sorted order, rebuilt when ``_links_version`` moves.
+        self._link_keys: list[tuple[str, str]] = []
+        self._link_keys_version = -1
 
     # ------------------------------------------------------------------ #
     # Sites
@@ -155,11 +158,34 @@ class Topology:
             raise TopologyError(f"no link defined from {src!r} to {dst!r}")
         return latency
 
+    def _sorted_link_keys(self) -> list[tuple[str, str]]:
+        """Every defined link key in sorted order, cached until a link is
+        (re)defined."""
+        if self._link_keys_version != self._links_version:
+            self._link_keys = sorted(self._base_bandwidth)
+            self._link_keys_version = self._links_version
+        return self._link_keys
+
+    def link_bandwidths(self) -> dict[tuple[str, str], float]:
+        """Current capacity of every directed link, keyed in sorted order.
+
+        Each value is ``base * factor`` exactly as :meth:`bandwidth_mbps`
+        computes it, without building a :class:`Link` per entry.
+        """
+        base = self._base_bandwidth
+        factor = self._factors.get
+        default = self._global_factor
+        return {
+            key: base[key] * factor(key, default)
+            for key in self._sorted_link_keys()
+        }
+
     def links(self) -> list[Link]:
         """All directed links with their *current* capacities."""
+        latency = self._base_latency
         return [
-            Link(src, dst, self.bandwidth_mbps(src, dst), self.latency_ms(src, dst))
-            for (src, dst) in sorted(self._base_bandwidth)
+            Link(src, dst, bandwidth, latency[src, dst])
+            for (src, dst), bandwidth in self.link_bandwidths().items()
         ]
 
     # ------------------------------------------------------------------ #

@@ -9,7 +9,6 @@ from .enumerate import (
     join_tree_plans,
     region_groupings,
 )
-from .ilp import IntegerProgram, IlpSolution, solve_branch_and_bound
 from .placement import (
     DownstreamDemand,
     PlacementProblem,
@@ -27,8 +26,6 @@ __all__ = [
     "Branch",
     "DeploymentEstimate",
     "DownstreamDemand",
-    "IlpSolution",
-    "IntegerProgram",
     "PlacementProblem",
     "PlacementSolution",
     "Scheduler",
@@ -42,7 +39,6 @@ __all__ = [
     "max_placeable_tasks",
     "optimize",
     "region_groupings",
-    "solve_branch_and_bound",
     "solve_placement",
     "solve_with_milp",
 ]

@@ -1,6 +1,7 @@
 """Tests for repro.engine.metrics - the Global Metric Monitor."""
 
 import math
+import random
 
 import pytest
 
@@ -207,3 +208,84 @@ class TestCollectEdgeCases:
         assert metrics.lambda_p == pytest.approx(40.0)
         assert metrics.input_backlog == pytest.approx(5.0)
         assert metrics.input_backlog_growth == pytest.approx(5.0)
+
+
+def _rescan_sites(reports, stage, field):
+    """Per-stage rescan of a ``(stage, site)`` table, in report order."""
+    out = {}
+    for r in reports:
+        for (name, site), v in getattr(r, field).items():
+            if name == stage:
+                out[site] = out.get(site, 0.0) + v
+    return out
+
+
+def _rescan_inflow(reports, stage):
+    """Per-stage rescan of ``net_sent`` folded onto (src site, dst site)."""
+    out = {}
+    for r in reports:
+        for (_, dst, su, sd), v in r.net_sent.items():
+            if dst == stage:
+                out[su, sd] = out.get((su, sd), 0.0) + v
+    return out
+
+
+class TestFlatAccumulation:
+    """The flat per-key sums equal a per-stage rescan bit for bit, with the
+    same per-stage key order."""
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_grouped_tables_match_a_per_stage_rescan(self, seed):
+        draw = random.Random(seed)
+        stages, sites = ["a", "b", "c", "d"], ["x", "y", "z"]
+
+        def value():
+            return 10 ** draw.uniform(-3, 6)
+
+        def table(keys):
+            chosen = draw.sample(keys, draw.randint(0, len(keys)))
+            return {key: value() for key in chosen}
+
+        stage_sites = [(s, site) for s in stages for site in sites]
+        flows = [
+            (su_stage, dst, su, sd)
+            for su_stage in stages
+            for dst in stages
+            for su in sites
+            for sd in sites
+            if su_stage != dst and su != sd
+        ]
+        reports = [
+            report(
+                float(t),
+                processed_by_site=table(stage_sites),
+                capacity_by_site=table(stage_sites),
+                input_backlog=table(stage_sites),
+                net_sent=table(flows),
+                net_backlog=table(flows),
+            )
+            for t in range(1, draw.randint(2, 12))
+        ]
+        monitor = GlobalMetricMonitor()
+        for r in reports:
+            monitor.observe(r)
+        window = monitor.collect()
+        span = float(len(reports))
+        expected_names = {s for r in reports for s, _ in r.input_backlog}
+        expected_names |= {k[1] for r in reports for k in r.net_backlog}
+        expected_names |= {k[1] for r in reports for k in r.net_sent}
+        assert set(window.stages) == expected_names
+        for name, metrics in window.stages.items():
+            for field, got in (
+                ("processed_by_site", metrics.processed_by_site),
+                ("capacity_by_site", metrics.capacity_by_site),
+            ):
+                expected = {
+                    k: v / span
+                    for k, v in _rescan_sites(reports, name, field).items()
+                }
+                assert list(got.items()) == list(expected.items())
+            expected = {
+                k: v / span for k, v in _rescan_inflow(reports, name).items()
+            }
+            assert list(metrics.net_inflow.items()) == list(expected.items())

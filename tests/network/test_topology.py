@@ -7,6 +7,7 @@ from repro.network.site import Site, SiteKind
 from repro.network.topology import (
     LOCAL_BANDWIDTH_MBPS,
     LOCAL_LATENCY_MS,
+    Link,
     Topology,
 )
 
@@ -137,3 +138,47 @@ class TestDynamics:
         topo.set_bandwidth_factor("a", "b", 0.25)
         assert topo.bandwidth_factor("a", "b") == 0.25
         assert topo.bandwidth_factor("b", "a") == 1.0
+
+
+class TestLinkTables:
+    @pytest.fixture
+    def three(self):
+        t = Topology(
+            [
+                Site("c", SiteKind.EDGE, 1),
+                Site("a", SiteKind.EDGE, 1),
+                Site("b", SiteKind.DATA_CENTER, 4),
+            ]
+        )
+        t.set_link("c", "a", 5.0, 10.0)
+        t.set_link("a", "b", 10.0, 20.0)
+        return t
+
+    def test_links_pick_up_a_link_added_mid_run(self, three):
+        """The sorted key list is cached; adding a link must invalidate it."""
+        keys = [(l.src, l.dst) for l in three.links()]
+        assert keys == [("a", "b"), ("c", "a")]
+        three.set_link("b", "c", 7.0, 30.0)
+        assert [(l.src, l.dst) for l in three.links()] == [
+            ("a", "b"),
+            ("b", "c"),
+            ("c", "a"),
+        ]
+        assert three.links()[1] == Link("b", "c", 7.0, 30.0)
+        assert list(three.link_bandwidths()) == [
+            ("a", "b"),
+            ("b", "c"),
+            ("c", "a"),
+        ]
+
+    def test_link_bandwidths_match_per_link_reads(self, three):
+        three.set_global_bandwidth_factor(0.3)
+        three.set_bandwidth_factor("c", "a", 0.7)
+        expected = {
+            key: three.bandwidth_mbps(*key)
+            for key in sorted(three._base_bandwidth)
+        }
+        assert three.link_bandwidths() == expected
+        assert [(l.src, l.dst, l.bandwidth_mbps) for l in three.links()] == [
+            (*key, bw) for key, bw in expected.items()
+        ]

@@ -1,10 +1,9 @@
 """Differential test: placement solvers vs brute-force enumeration.
 
 For instances small enough to enumerate exhaustively (<= 3 sites, <= 3
-tasks), every optimizer in the planner stack - the greedy reduction
-(``solve_placement``), the scipy MILP cross-check (``solve_with_milp``)
-and the branch-and-bound ILP solver - must agree with the brute-force
-optimum of the Section 4.1 program: minimize the latency objective over
+tasks), both optimizers in the planner stack - the greedy reduction
+(``solve_placement``) and the scipy MILP cross-check (``solve_with_milp``)
+- must agree with the brute-force optimum of the Section 4.1 program: minimize the latency objective over
 all integer assignments satisfying the alpha-headroom flow caps (Eqs 2-3),
 slot capacities (Eq 4) and full deployment (Eq 5).
 
@@ -17,18 +16,12 @@ from __future__ import annotations
 
 import itertools
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.engine.runtime import MBIT_BYTES
 from repro.errors import InfeasiblePlacementError
-from repro.planner.ilp import (
-    Infeasible,
-    IntegerProgram,
-    solve_branch_and_bound,
-)
 from repro.planner.placement import (
     DownstreamDemand,
     PlacementProblem,
@@ -173,46 +166,3 @@ class TestPlacementDifferential:
             assert solution.cost == pytest.approx(
                 expected, rel=1e-9, abs=1e-6
             )
-
-    @given(instances())
-    @settings(max_examples=40, deadline=None)
-    def test_branch_and_bound_matches_brute_force(self, instance):
-        """The generic ILP solver, fed the same Eq 1-5 system."""
-        problem, network = instance
-        sites = sorted(problem.available_slots)
-        costs = np.array(
-            [site_cost_ms(s, problem, network) for s in sites]
-        )
-        caps = np.array(
-            [
-                max(
-                    (
-                        n
-                        for n in range(
-                            problem.available_slots[s] + 1
-                        )
-                        if assignment_feasible({s: n}, problem, network)
-                    ),
-                    default=0,
-                )
-                for s in sites
-            ],
-            dtype=float,
-        )
-        program = IntegerProgram(
-            c=costs,
-            a_eq=np.ones((1, len(sites))),
-            b_eq=np.array([float(problem.parallelism)]),
-            lb=np.zeros(len(sites)),
-            ub=caps,
-        )
-        expected = brute_force(problem, network)
-        if expected is None:
-            with pytest.raises(Infeasible):
-                solve_branch_and_bound(program)
-            return
-        solution = solve_branch_and_bound(program)
-        assert solution.objective == pytest.approx(
-            expected, rel=1e-9, abs=1e-6
-        )
-        assert solution.x.sum() == pytest.approx(problem.parallelism)
