@@ -65,7 +65,7 @@ def bench_queue_ops(ops: int = 200_000) -> BenchResult:
         if i % 2 == 1:
             counts.clear()
             gens.clear()
-            queue.pop_into(150.0, counts, gens)
+            queue.pop_scaled_into(150.0, 1.0, counts, gens)
         if i % 64 == 63:
             queue.drop_oldest(50.0)
         if i % 256 == 255:
@@ -84,7 +84,7 @@ def bench_queue_fused_ops(rounds: int = 20_000) -> BenchResult:
     """The fused/batched FluidQueue ops the tick path leans on.
 
     Each round mimics one stage output crossing the WAN: a donor queue
-    pops a burst (``pop_into``), routes its share onto a flow queue
+    pops a burst (``pop_scaled_into``), routes its share onto a flow queue
     (``push_scaled``), and the flow moves a link budget into the receiver
     aged by the latency (``transfer_into``); then periodic SLO maintenance
     (``drop_oldest`` / ``drop_older_than``) and snapshot pressure
@@ -106,7 +106,7 @@ def bench_queue_fused_ops(rounds: int = 20_000) -> BenchResult:
         donor.push(120.0 + (i % 3), now)
         counts.clear()
         gens.clear()
-        donor.pop_into(110.0, counts, gens)
+        donor.pop_scaled_into(110.0, 1.0, counts, gens)
         flow.push_scaled(counts, gens, 0.5)
         flow.transfer_into(receiver, 50.0, 0.040)
         if i % 32 == 31:

@@ -2,10 +2,11 @@
 
 The hot-path optimization must be invisible to every experiment: a fixed
 seed has to produce bit-identical recorder output before and after.  This
-module runs two canonical fixed-seed scenarios (the Fig-8 bottleneck run
-and a chaos-enabled run with mid-adaptation faults) and hashes every
-recorded sample, adaptation and fault event at full float precision.  A
-third fingerprint covers the many-flow regime those runs do not reach: raw
+module runs three canonical fixed-seed scenarios (the Fig-8 bottleneck run,
+the same dynamics under the Degrade baseline, whose SLO drops the WASP run
+never takes, and a chaos-enabled run with mid-adaptation faults) and hashes
+every recorded sample, adaptation and fault event at full float precision.  A
+fourth fingerprint covers the many-flow regime those runs do not reach: raw
 engine ticks on the 16-site all-to-all shuffle of
 :func:`benchmarks.perf.scale.build_world`.
 
@@ -26,7 +27,7 @@ import argparse
 import hashlib
 import sys
 
-from repro.baselines.variants import wasp
+from repro.baselines.variants import VariantSpec, degrade, wasp
 from repro.chaos.faults import BandwidthCollapse, SiteCrash, Straggler
 from repro.chaos.injector import ChaosInjector
 from repro.config import WaspConfig
@@ -49,6 +50,9 @@ PINNED = {
     (3, 11): {
         "fig8": (
             "618749f594a3e641dc65233797bc87e6a5114c0f2b3f5f50dcdd3c1a56efcb5d"
+        ),
+        "fig8_degrade": (
+            "80800753aaee74969355282bc88d067db2330abcc291a7c8bbfe7274dc25afc2"
         ),
         "chaos": (
             "f8fb00876182f2e8aeb0264b705035b22d02ec73393fe639dbdfc6d8a7735655"
@@ -82,17 +86,35 @@ def recorder_digest(recorder: RunRecorder) -> str:
     return h.hexdigest()
 
 
-def _build_run(seed: int = DIGEST_SEED) -> ExperimentRun:
-    scenario = fig8_scenario("topk-topics")
+def _build_run(
+    seed: int = DIGEST_SEED,
+    variant: VariantSpec | None = None,
+    query_name: str = "topk-topics",
+) -> ExperimentRun:
+    scenario = fig8_scenario(query_name)
     rngs = RngRegistry(seed)
     topology = scenario.make_topology(rngs)
     query = scenario.make_query(topology, rngs)
-    return ExperimentRun(topology, query, wasp(), rngs=rngs)
+    return ExperimentRun(topology, query, variant or wasp(), rngs=rngs)
 
 
 def fig8_digest(duration_s: float = 450.0, seed: int = DIGEST_SEED) -> str:
     """Digest of a fixed-seed Fig-8 bottleneck run (WASP variant)."""
     run = _build_run(seed)
+    run.run(duration_s, bottleneck_dynamics())
+    return recorder_digest(run.recorder)
+
+
+def fig8_degrade_digest(
+    duration_s: float = 1500.0, seed: int = DIGEST_SEED
+) -> str:
+    """Digest of a full Fig-8 YSB panel under the Degrade baseline.
+
+    Degrade drops events older than its SLO from the stage input queues
+    and from the in-flight WAN queues instead of adapting; this run takes
+    both drop paths on hundreds of ticks, which the WASP run never does.
+    """
+    run = _build_run(seed, degrade(), "ysb-advertising")
     run.run(duration_s, bottleneck_dynamics())
     return recorder_digest(run.recorder)
 
@@ -139,6 +161,7 @@ def shuffle_fingerprint(
 #: Every pinned output, by name.
 DIGESTS = {
     "fig8": fig8_digest,
+    "fig8_degrade": fig8_degrade_digest,
     "chaos": chaos_digest,
     "shuffle16": shuffle_fingerprint,
 }
@@ -163,10 +186,10 @@ def main(argv: list[str] | None = None) -> int:
     mismatches = 0
     for name, compute in DIGESTS.items():
         value = compute()
-        line = f"{name:9s} {value}"
+        line = f"{name:12s} {value}"
         if args.check and value != expected[name]:
             mismatches += 1
-            line += f"\n          MISMATCH, pinned {expected[name]}"
+            line += f"\n             MISMATCH, pinned {expected[name]}"
         print(line)
     if mismatches:
         print(f"{mismatches} digest(s) differ from the pinned values")

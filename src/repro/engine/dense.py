@@ -161,7 +161,7 @@ class _DenseModel:
     """
 
     __slots__ = (
-        "plan", "version", "links_version", "B", "dt",
+        "plan", "version", "parallelism", "links_version", "B", "dt",
         "in_rows", "in_index", "in_persistent",
         "net_rows", "net_index", "net_persistent",
         "sites", "links", "link_base", "link_local",
@@ -180,6 +180,7 @@ class _DenseModel:
     ) -> None:
         self.plan = plan
         self.version = plan.mutation_version()
+        self.parallelism = plan.total_parallelism()
         #: Link capacities and latencies are compiled in below.
         self.links_version = topology._links_version
         self.B = B
@@ -999,6 +1000,7 @@ class DenseEngineRuntime(EngineRuntime):
             for i in np.nonzero(touched)[0].tolist():
                 link_budget[model.links[i]] = lb_list[i]
 
+        report.parallelism = model.parallelism
         self._now_s = now
         self.last_report = report
         self._arrays_live = True

@@ -23,7 +23,9 @@ Because the engine executes these operations for every (stage, site) and
 every WAN flow on every tick, the queue exposes *fused, in-place* variants
 of its hot paths, all working on parallel ``(counts, gens)`` column lists:
 
-* :meth:`FluidQueue.pop_into` dequeues into caller-reused column buffers;
+* :meth:`FluidQueue.pop_scaled_into` dequeues into column lists with the
+  counts scaled (selectivity) and returns both the popped and the scaled
+  totals (``scale_parcels`` + ``pop`` + two ``parcels_total`` in one pass);
 * :meth:`FluidQueue.push_scaled` merges the ``scale_parcels`` +
   ``push_parcels`` pair into a single pass with no intermediate list;
 * :meth:`FluidQueue.transfer_into` moves up to a budget of events into
@@ -192,48 +194,66 @@ class FluidQueue:
         """Dequeue up to ``count`` events FIFO; returns the parcels removed."""
         counts: list[float] = []
         gens: list[float] = []
-        self.pop_into(count, counts, gens)
+        self.pop_scaled_into(count, 1.0, counts, gens)
         return [Parcel(c, g) for c, g in zip(counts, gens)]
 
-    def pop_into(
-        self, count: float, counts: list[float], gens: list[float]
-    ) -> float:
-        """Dequeue up to ``count`` events FIFO, appending into the column
-        buffers ``counts`` and ``gens``.
+    def pop_scaled_into(
+        self,
+        count: float,
+        factor: float,
+        counts: list[float],
+        gens: list[float],
+    ) -> tuple[float, float]:
+        """Dequeue up to ``count`` events FIFO and append the removed
+        parcels, counts scaled by ``factor``, to ``counts`` and ``gens``.
 
-        Returns the total events dequeued.  The buffers are caller-owned
-        (typically reused across calls) and receive the removed parcels in
-        FIFO order.
+        Returns ``(popped, emitted)``: the unscaled events dequeued and the
+        sum of the scaled counts, each summed in FIFO order.  Fuses
+        ``scale_parcels(pop(count), factor)`` and both totals into one pass;
+        like :func:`scale_parcels`, a zero ``factor`` appends nothing.  With
+        ``factor`` 1.0 the columns are the popped parcels exactly.
         """
         if count < 0:
             raise SimulationError(f"cannot pop negative count {count}")
-        remaining = min(count, self._count)
+        if factor < 0:
+            raise SimulationError(
+                f"scale factor must be >= 0, got {factor}"
+            )
+        if factor == 0:
+            # Pop as usual, into columns nobody reads.
+            counts = []
+            gens = []
+        queued = self._count
+        remaining = queued if queued < count else count
         if remaining > 1e-12 and self._shared:
             self._materialize()
         q_counts = self._counts
         q_gens = self._gens
-        queued = self._count
-        popped_total = 0.0
+        popped = 0.0
+        emitted = 0.0
         while remaining > 1e-12 and q_counts:
-            head_count = q_counts[0]
-            if head_count <= remaining + 1e-12:
-                counts.append(head_count)
+            c = q_counts.popleft()
+            if c <= remaining + 1e-12:
                 gens.append(q_gens.popleft())
-                remaining -= head_count
-                queued -= head_count
-                popped_total += head_count
-                q_counts.popleft()
+                remaining -= c
             else:
-                counts.append(remaining)
+                # Split head: put the rest back, take what is left to pop.
+                q_counts.appendleft(c - remaining)
+                c = remaining
                 gens.append(q_gens[0])
-                q_counts[0] = head_count - remaining
-                queued -= remaining
-                popped_total += remaining
                 remaining = 0.0
-        self._count = queued
+            queued -= c
+            popped += c
+            c *= factor
+            emitted += c
+            counts.append(c)
         if queued < 1e-12:
-            self._drain_reset()
-        return popped_total
+            self._count = 0.0
+            if q_counts:
+                self._drain_reset()
+        else:
+            self._count = queued
+        return popped, emitted
 
     def transfer_into(
         self, dst: "FluidQueue", max_events: float, extra_age_s: float
@@ -266,21 +286,17 @@ class FluidQueue:
             eps = self._MERGE_EPS
             arrived = dst._count
             while remaining > 1e-12 and q_counts:
-                head_count = q_counts[0]
-                if head_count <= remaining + 1e-12:
-                    c = head_count
+                c = q_counts.popleft()
+                if c <= remaining + 1e-12:
                     gen = q_gens.popleft() - extra_age_s
-                    remaining -= head_count
-                    queued -= head_count
-                    moved += head_count
-                    q_counts.popleft()
+                    remaining -= c
                 else:
+                    q_counts.appendleft(c - remaining)
                     c = remaining
                     gen = q_gens[0] - extra_age_s
-                    q_counts[0] = head_count - remaining
-                    queued -= remaining
-                    moved += remaining
                     remaining = 0.0
+                queued -= c
+                moved += c
                 if d_gens and -eps < d_gens[-1] - gen < eps:
                     d_counts[-1] += c
                 else:
@@ -290,7 +306,9 @@ class FluidQueue:
             self._count = queued
             dst._count = arrived
         if queued < 1e-12:
-            self._drain_reset()
+            self._count = 0.0
+            if self._counts:
+                self._drain_reset()
         return moved
 
     def drain_into(self, dst: "FluidQueue") -> None:

@@ -77,7 +77,7 @@ class RuntimeSnapshot:
     suspended_until: dict[str, float]
 
 
-@dataclass
+@dataclass(slots=True)
 class TickReport:
     """Raw per-tick observations, consumed by the metric monitor."""
 
@@ -111,6 +111,8 @@ class TickReport:
     dropped_raw_input: dict[str, float] = field(default_factory=dict)
     #: per destination stage: raw events dropped from in-flight net queues
     dropped_raw_net: dict[str, float] = field(default_factory=dict)
+    #: total tasks of the plan the tick executed
+    parallelism: int = 0
 
     def mean_sink_delay_s(self) -> float:
         if self.sink_events <= 0:
@@ -149,7 +151,8 @@ class _StageExec:
     carry their own stamps: ``routes`` (per source site, the resolved
     routing targets, valid while ``routes_version`` equals the runtime's
     net-index version) and ``flows`` (the stage's outgoing flow records,
-    valid for ``flows_stamp``; see :meth:`EngineRuntime._flow_records`).
+    valid for ``flows_stamp``; see
+    :meth:`EngineRuntime._build_flow_records`).
     """
 
     __slots__ = (
@@ -192,13 +195,14 @@ class _PlanCache:
     reuse.
     """
 
-    __slots__ = ("plan", "version", "topo", "sources")
+    __slots__ = ("plan", "version", "parallelism", "topo", "sources")
 
     def __init__(
         self, plan: PhysicalPlan, version: int, topology: Topology
     ) -> None:
         self.plan = plan
         self.version = version
+        self.parallelism = plan.total_parallelism()
         self.topo = [
             _StageExec(stage, topology)
             for stage in plan.topological_stages()
@@ -244,10 +248,6 @@ class EngineRuntime:
         self._net_version = 0
         #: Version-checked execution records (see :class:`_PlanCache`).
         self._exec_cache: _PlanCache | None = None
-        #: Reused (counts, gen times) column buffers for the tick loop's
-        #: pop/route cycles.
-        self._pop_counts: list[float] = []
-        self._pop_gens: list[float] = []
 
         self._suspended_until: dict[str, float] = {}
         self._stage_equiv_factor: dict[str, float] = {}
@@ -674,28 +674,38 @@ class EngineRuntime:
         # 2. Stage execution in topological order, transferring each stage's
         # outgoing flows immediately so downstream stages can consume them
         # within the same tick (sub-tick pipelining).
+        slo = self._degrade_slo_s
+        cutoff = (now - slo) if slo is not None else None
+        topology = self._topology
         for ex in cache.topo:
-            self._run_stage(ex, now, dt, report)
-            self._transfer_stage_flows(ex, now, dt, link_budget, report)
+            self._run_stage(ex, now, dt, cutoff, report)
+            # Stamp read after the stage ran: routing may have created a
+            # flow queue.  A stage without outgoing flows skips the pass.
+            stamp = (self._net_version, topology._factors_version, dt)
+            if ex.flows_stamp != stamp:
+                self._build_flow_records(ex, dt, stamp)
+            if ex.flows:
+                self._transfer_stage_flows(ex, cutoff, link_budget, report)
 
         # Relay flows (scale-down) originate from stages to themselves and
         # were handled inside _transfer_stage_flows via the same net queues.
 
         # 3. Record end-of-tick backlogs.
-        for (stage_name, site), queue in self._input_queue.items():
-            if queue.count > 0:
-                report.input_backlog[(stage_name, site)] = queue.count
-        for (stage_name, site), queue in self._gen_queue.items():
-            if queue.count > 0:
-                key = (stage_name, site)
-                report.input_backlog[key] = (
-                    report.input_backlog.get(key, 0.0) + queue.count
-                )
+        input_backlog = report.input_backlog
+        for key, queue in self._input_queue.items():
+            backlog = queue._count
+            if backlog > 0:
+                input_backlog[key] = backlog
+        for key, queue in self._gen_queue.items():
+            backlog = queue._count
+            if backlog > 0:
+                input_backlog[key] = input_backlog.get(key, 0.0) + backlog
         net_backlog = report.net_backlog
         for key, queue in self._net_queue.items():
-            backlog = queue.count
+            backlog = queue._count
             if backlog > 0:
                 net_backlog[key] = backlog
+        report.parallelism = cache.parallelism
 
         self._now_s = now
         self.last_report = report
@@ -704,19 +714,28 @@ class EngineRuntime:
     # -------------------------- stage execution ------------------------ #
 
     def _run_stage(
-        self, ex: _StageExec, now: float, dt: float, report: TickReport
+        self,
+        ex: _StageExec,
+        now: float,
+        dt: float,
+        cutoff: float | None,
+        report: TickReport,
     ) -> None:
+        """Process one stage's input queues (after the Degrade ``cutoff``
+        drop, if any) and route the output."""
         table = self._gen_queue if ex.is_source else self._input_queue
         name = ex.name
         cost = ex.cost
         sel = ex.selectivity
-        slo = self._degrade_slo_s
-        cutoff = (now - slo) if slo is not None else None
         suspended = self._now_s < self._suspended_until.get(name, 0.0)
-        counts = self._pop_counts
-        gens = self._pop_gens
         capacity_by_site = report.capacity_by_site
         processed_by_site = report.processed_by_site
+        # Routing rows stay valid while the net index does not move; rows
+        # resolved below may add flow queues (bumping the version), and
+        # adding a flow never replaces another, so they stay valid too.
+        routes = ex.routes
+        if ex.routes_version != self._net_version:
+            routes.clear()
         stage_processed = 0.0
         stage_emitted = 0.0
         had_output = False
@@ -740,36 +759,34 @@ class EngineRuntime:
                 capacity = (
                     n_tasks * site_obj.effective_proc_rate_eps / cost * dt
                 )
-            counts.clear()
-            gens.clear()
-            processed = queue.pop_into(capacity, counts, gens)
+            # The chained selectivity is applied while popping; the columns
+            # are exclusively ours, and downstream pushes copy the values.
+            counts: list[float] = []
+            gens: list[float] = []
+            processed, emitted = queue.pop_scaled_into(
+                capacity, sel, counts, gens
+            )
+            capacity_by_site[site_key] = capacity
             if processed <= 0:
-                capacity_by_site[site_key] = capacity
                 continue
             stage_processed += processed
             processed_by_site[site_key] = processed
-            capacity_by_site[site_key] = capacity
 
             if ex.is_sink:
-                emitted = 0.0
                 delay = 0.0
                 for c, g in zip(counts, gens):
-                    c = c * sel
-                    emitted += c
                     delay += c * (now - g)
                 report.sink_events += emitted
                 report.sink_delay_weighted_s += delay
                 continue
-            # Apply the chained selectivity in place: the popped columns
-            # are exclusively ours, and downstream pushes copy the values.
             had_output = True
-            counts[:] = [c * sel for c in counts]
-            emitted = 0.0
-            for c in counts:
-                emitted += c
             stage_emitted += emitted
             if sel != 0.0:
-                self._route_output(ex, site, counts, gens, report)
+                rows = routes.get(site)
+                if rows is None:
+                    rows = routes[site] = self._route_targets(ex, site)
+                self._push_routed(ex, site, rows, counts, gens, report)
+        ex.routes_version = self._net_version
         if stage_processed > 0.0:
             report.processed[name] = stage_processed
         if had_output:
@@ -796,10 +813,11 @@ class EngineRuntime:
                     rows.append((down.name, fraction, None, flow))
         return rows
 
-    def _route_output(
+    def _push_routed(
         self,
         ex: _StageExec,
         src_site: str,
+        rows: list[tuple],
         counts: list[float],
         gens: list[float],
         report: TickReport,
@@ -808,17 +826,9 @@ class EngineRuntime:
 
         Balanced event partitioning (Section 7): each downstream stage
         receives the full stream, split across its tasks in proportion to
-        tasks per site.  The routing rows are resolved once per source site
-        and net-index version (adding a flow queue never replaces another,
-        so rows resolved earlier in the same version stay valid).
+        tasks per site, along the resolved routing ``rows`` of
+        :meth:`_route_targets`.
         """
-        if ex.routes_version != self._net_version:
-            ex.routes.clear()
-        rows = ex.routes.get(src_site)
-        if rows is None:
-            rows = ex.routes[src_site] = self._route_targets(ex, src_site)
-        ex.routes_version = self._net_version
-        name = ex.name
         input_queue = self._input_queue
         arrived = report.arrived
         for down_name, fraction, in_key, flow in rows:
@@ -835,6 +845,7 @@ class EngineRuntime:
                 # Downstream not deployed (transient during adaptation):
                 # keep the events at the sender by re-queueing them into the
                 # queue this stage reads from, to be re-emitted next tick.
+                name = ex.name
                 table = self._gen_queue if ex.is_source else self._input_queue
                 queue = self._queue(table, (name, src_site))
                 for c, g in zip(counts, gens):
@@ -843,20 +854,20 @@ class EngineRuntime:
                     report.requeued.get(name, 0.0) + sum(counts)
                 )
 
-    def _flow_records(self, ex: _StageExec, dt: float) -> list[tuple]:
-        """The stage's outgoing WAN flows in FCFS (sorted key) order.
+    def _build_flow_records(
+        self, ex: _StageExec, dt: float, stamp: tuple
+    ) -> None:
+        """Rebuild the stage's outgoing WAN flow records, FCFS (sorted key)
+        order, and stamp them.
 
         Each record is ``(flow queue, flow key, link, destination stage,
         destination input key, full-link byte budget, latency_s)``.  The
-        records are cached per stage on (net-index version, topology factors
-        version, tick length): flow queues change only with the net index,
-        and link capacities and latencies only with a factor write or a link
+        stamp is (net-index version, topology factors version, tick
+        length): flow queues change only with the net index, and link
+        capacities and latencies only with a factor write or a link
         redefinition, both of which bump ``Topology._factors_version``.
         """
         topology = self._topology
-        stamp = (self._net_version, topology._factors_version, dt)
-        if ex.flows_stamp == stamp:
-            return ex.flows
         net_queue = self._net_queue
         records = []
         for key in self._net_index.get(ex.name, ()):
@@ -871,31 +882,25 @@ class EngineRuntime:
             ))
         ex.flows = records
         ex.flows_stamp = stamp
-        return records
 
     def _transfer_stage_flows(
         self,
         ex: _StageExec,
-        now: float,
-        dt: float,
+        cutoff: float | None,
         link_budget: dict[tuple[str, str], float],
         report: TickReport,
     ) -> None:
-        """Move this stage's outgoing WAN queues within link budgets."""
-        records = self._flow_records(ex, dt)
-        if not records:
-            return
+        """Move this stage's outgoing WAN queues within link budgets, along
+        its current flow records (after the Degrade ``cutoff`` drop)."""
         event_bytes = ex.output_event_bytes
-        slo = self._degrade_slo_s
-        cutoff = (now - slo) if slo is not None else None
         input_queue = self._input_queue
         arrived = report.arrived
         net_sent = report.net_sent
         # FCFS link sharing across flows, in the records' sorted order.
         for (
             queue, key, link, dst_stage, in_key, full_budget, latency_s
-        ) in records:
-            if not queue:
+        ) in ex.flows:
+            if not queue._count > 1e-12:
                 continue
             if cutoff is not None:
                 dropped = queue.drop_older_than(cutoff)
@@ -906,7 +911,7 @@ class EngineRuntime:
                     report.dropped_raw_net[dst_stage] = (
                         report.dropped_raw_net.get(dst_stage, 0.0) + dropped
                     )
-                if not queue:
+                if not queue._count > 1e-12:
                     continue
             budget = link_budget.get(link)
             if budget is None:

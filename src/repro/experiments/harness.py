@@ -493,7 +493,7 @@ class ExperimentRun:
             processed=self.runtime.sink_source_equiv(report.sink_events),
             offered=report.offered,
             dropped=report.dropped_source_equiv,
-            parallelism=self.runtime.plan.total_parallelism(),
+            parallelism=report.parallelism,
             extra_slots=self.scheduler.extra_slots(),
         )
         self.recorder.record_tick(sample)

@@ -94,7 +94,7 @@ class BandwidthProcess:
         value = self._mean + self._phi * (self._value - self._mean) + noise
         if self._rng.random() < self._dip_probability:
             value -= self._dip_depth * self._mean * self._rng.random()
-        self._value = float(np.clip(value, self._floor, 2.0 * self._mean))
+        self._value = float(min(max(value, self._floor), 2.0 * self._mean))
         return self._value
 
     def trace(self, samples: int) -> np.ndarray:

@@ -64,19 +64,25 @@ def dc_latency_ms(region_a: str, region_b: str) -> float:
     return 5.0 + km / _FIBRE_KM_PER_MS * _ROUTE_INFLATION
 
 
+def _clamp(value: float, low: float, high: float) -> float:
+    """``float(np.clip(value, low, high))`` for one scalar, without the
+    array round trip (a testbed build clamps a few hundred draws)."""
+    return float(min(max(value, low), high))
+
+
 def _dc_bandwidth_mbps(rng: np.random.Generator, latency_ms: float) -> float:
     """Sample a DC-DC capacity, anti-correlated with latency (Figure 7a)."""
     # Nearby regions see ~200+ Mbps, antipodal pairs ~25-60 Mbps.
     base = 260.0 * math.exp(-latency_ms / 160.0) + 25.0
     noisy = base * rng.uniform(0.75, 1.25)
-    return float(np.clip(noisy, 25.0, 250.0))
+    return _clamp(noisy, 25.0, 250.0)
 
 
 def _edge_bandwidth_mbps(rng: np.random.Generator) -> float:
     """Sample an edge-link capacity from an Akamai-like distribution."""
     # Lognormal centred near 8 Mbps with a thin tail past 25 Mbps.
     value = rng.lognormal(mean=math.log(8.0), sigma=0.55)
-    return float(np.clip(value, 1.5, 30.0))
+    return _clamp(value, 1.5, 30.0)
 
 
 def _edge_latency_ms(rng: np.random.Generator) -> float:
@@ -167,7 +173,7 @@ def paper_testbed(
     access_lat = {name: _edge_latency_ms(rng) for name in edge_names}
 
     def _path_bandwidth(nominal: float) -> float:
-        return float(np.clip(nominal * rng.uniform(0.6, 1.3), 1.0, 30.0))
+        return _clamp(nominal * rng.uniform(0.6, 1.3), 1.0, 30.0)
 
     for name in edge_names:
         home = edge_home[name]

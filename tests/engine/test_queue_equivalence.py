@@ -7,7 +7,8 @@ values compared to the original list-building implementation.
 ``ReferenceQueue`` below is that original implementation, kept verbatim; a
 seeded random op stream drives both side by side and compares exhaustively
 after every step.  The fused moves between queues (``transfer_into``,
-``drain_into``) are checked against their compositions the same way.
+``drain_into``) and the engine's pop-and-select kernel
+(``pop_scaled_into``) are checked against their compositions the same way.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from repro.engine.queues import (
     parcels_total,
     scale_parcels,
 )
+from repro.errors import SimulationError
 
 SEEDS = [7, 42, 20201207]
 
@@ -153,8 +155,11 @@ def test_randomized_op_stream_matches_reference(seed: int) -> None:
             else:
                 counts: list[float] = []
                 gens: list[float] = []
-                total = fluid.pop_into(amount, counts, gens)
+                total, emitted = fluid.pop_scaled_into(
+                    amount, 1.0, counts, gens
+                )
                 assert total == parcels_total(got_ref)
+                assert emitted == total
                 got = [Parcel(c, g) for c, g in zip(counts, gens)]
             assert [(p.count, p.gen_time_s) for p in got] == [
                 (p.count, p.gen_time_s) for p in got_ref
@@ -309,3 +314,59 @@ def test_drain_into_matches_push_parcels_of_pop(seed: int) -> None:
             assert pairs(src_clone) == src_before
         if dst_clone is not None:
             assert pairs(dst_clone) == dst_before
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_pop_scaled_into_matches_scaled_reference_pop(seed: int) -> None:
+    rng = random.Random(seed)
+    now = 0.0
+    for step in range(400):
+        now += rng.uniform(0.0, 3.0)
+        fluid, ref = _random_queue(rng, now, merge_heavy=step % 2 == 1)
+        if rng.random() < 0.3:
+            # Pop from a queue whose storage a snapshot shares.
+            shared = fluid.clone_cow()
+            fluid, ref = shared.clone_cow(), _copy_reference(ref)
+        else:
+            shared = None
+        clone = fluid.clone_cow() if rng.random() < 0.5 else None
+        before = pairs(fluid)
+        queued = fluid.count
+        # Split heads, whole-queue pops, over-asks, nothing, and pops that
+        # leave (or take) a residue below the 1e-12 emptiness threshold.
+        amount = rng.choice([
+            rng.uniform(0.0, queued + 1.0),
+            queued,
+            queued + 5.0,
+            0.0,
+            max(0.0, queued - rng.uniform(0.0, 1e-12)),
+            rng.uniform(0.0, 1e-12),
+        ])
+        factor = rng.choice([0.0, 1.0, rng.uniform(0.0, 1.0)])
+        # Caller columns may already hold values; the kernel appends.
+        counts: list[float] = [7.0] if rng.random() < 0.2 else []
+        gens: list[float] = [3.0] if counts else []
+        prefix = len(counts)
+
+        popped, emitted = fluid.pop_scaled_into(amount, factor, counts, gens)
+        got_ref = ref.pop(amount)
+        expected = scale_parcels(got_ref, factor)
+        assert counts[prefix:] == [p.count for p in expected]
+        assert gens[prefix:] == [p.gen_time_s for p in expected]
+        assert popped == parcels_total(got_ref)
+        assert emitted == _running_total(expected)
+        assert_equal_state(fluid, ref)
+        if clone is not None:
+            assert pairs(clone) == before
+        if shared is not None:
+            assert pairs(shared) == before
+
+
+def test_pop_scaled_into_rejects_negative_arguments() -> None:
+    queue = FluidQueue()
+    queue.push(5.0, 1.0)
+    with pytest.raises(SimulationError):
+        queue.pop_scaled_into(-1.0, 1.0, [], [])
+    with pytest.raises(SimulationError):
+        queue.pop_scaled_into(1.0, -0.5, [], [])
+    assert pairs(queue) == [(5.0, 1.0)]

@@ -119,7 +119,8 @@ class TestMassConservation:
         before = queue.count
         counts: list[float] = []
         gens: list[float] = []
-        popped = queue.pop_into(amount, counts, gens)
+        popped, emitted = queue.pop_scaled_into(amount, 1.0, counts, gens)
+        assert emitted == popped
         assert len(counts) == len(gens)
         assert popped == pytest.approx(
             sum(counts), abs=1e-9 + 1e-12 * before

@@ -366,3 +366,16 @@ class TestMutationSnapshot:
             runtime.tick()  # mutates live queues
         runtime.restore_mutation_snapshot(snapshot)
         assert runtime.total_backlog() == pytest.approx(backlog)
+
+    def test_routing_follows_restored_flow_queues(self, small_topology):
+        # Restoring swaps in fresh flow-queue objects while the plan (and
+        # so the plan cache) stays the same; routing must re-resolve its
+        # rows, or output lands in the old, orphaned flow queues.
+        runtime = build_pipeline(small_topology)
+        for _ in range(3):
+            runtime.tick()
+        runtime.restore_mutation_snapshot(runtime.mutation_snapshot())
+        for _ in range(30):
+            report = runtime.tick()
+        assert report.sink_events == pytest.approx(5.0, rel=0.01)
+        assert runtime.total_backlog() < 1.0

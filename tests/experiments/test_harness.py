@@ -4,12 +4,14 @@ import pytest
 
 from repro.baselines.variants import degrade, no_adapt, wasp
 from repro.config import WaspConfig
+from repro.core.actions import ActionKind
 from repro.errors import ConfigurationError
 from repro.experiments.harness import (
     DynamicsSpec,
     ExperimentRun,
     FailureEvent,
 )
+from repro.experiments.scenarios import bottleneck_dynamics, fig8_scenario
 from repro.sim.rng import RngRegistry
 from repro.sim.schedule import Schedule
 from repro.workloads.queries import ysb_advertising
@@ -52,6 +54,44 @@ class TestWiring:
         run.run(30)
         assert run.clock.now_s == pytest.approx(30.0)
         assert len(run.recorder.samples) == 30
+
+
+class TestSampleParallelism:
+    """``TickSample.parallelism`` comes from the tick's report, which reads
+    the plan cache the tick validated; it must track every adaptation."""
+
+    @pytest.mark.parametrize("backend", ["reference", "dense"])
+    def test_next_sample_follows_scale_out(self, backend):
+        scenario = fig8_scenario("ysb-advertising")
+        rngs = RngRegistry(42)
+        topology = scenario.make_topology(rngs)
+        query = scenario.make_query(topology, rngs)
+        run = ExperimentRun(
+            topology,
+            query,
+            wasp(),
+            rngs=rngs,
+            config=WaspConfig(engine_backend=backend),
+        )
+        run.set_dynamics(bottleneck_dynamics())
+        scaled_out = False
+        for _ in range(int(scenario.duration_s)):
+            # Bottleneck dynamics never fail a site, so nothing changes the
+            # plan between here and the tick.
+            expected = run.runtime.plan.total_parallelism()
+            sample = run.step()
+            assert sample.parallelism == expected
+            if scaled_out:
+                break
+            scaled_out = any(
+                record.kind is ActionKind.SCALE_OUT
+                for record in run.manager.history
+            )
+            if scaled_out:
+                assert (
+                    run.runtime.plan.total_parallelism() != sample.parallelism
+                )
+        assert scaled_out
 
 
 class TestDynamics:

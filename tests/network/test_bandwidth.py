@@ -12,6 +12,31 @@ from repro.network.bandwidth import (
 )
 
 
+class _NpClipProcess(BandwidthProcess):
+    """The original ``step`` (``np.clip`` clamp), kept as the oracle."""
+
+    def step(self) -> float:
+        noise = self._rng.normal(0.0, self._sigma)
+        value = self._mean + self._phi * (self._value - self._mean) + noise
+        if self._rng.random() < self._dip_probability:
+            value -= self._dip_depth * self._mean * self._rng.random()
+        self._value = float(np.clip(value, self._floor, 2.0 * self._mean))
+        return self._value
+
+
+class TestClampOracle:
+    @pytest.mark.parametrize("seed", range(20))
+    def test_step_matches_np_clip(self, seed):
+        # Heavy noise and frequent deep dips so both clamp bounds bind.
+        kwargs = dict(sigma_frac=0.9, dip_probability=0.5, dip_depth=0.95)
+        fast = BandwidthProcess(np.random.default_rng(seed), 100.0, **kwargs)
+        oracle = _NpClipProcess(np.random.default_rng(seed), 100.0, **kwargs)
+        trace = fast.trace(500)
+        expected = oracle.trace(500)
+        assert trace.tolist() == expected.tolist()
+        assert trace.min() == 5.0 and trace.max() == 200.0
+
+
 class TestProcess:
     def test_stays_positive(self):
         process = BandwidthProcess(np.random.default_rng(0), 100.0)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.network import traces
 from repro.network.site import SiteKind
 from repro.network.traces import (
     EC2_REGIONS,
@@ -140,3 +141,38 @@ class TestDistributions:
     def test_edge_class_only_intra_region(self, testbed):
         dists = network_distributions(testbed)
         assert (dists["edge_latency_ms"] <= 150.0).all()
+
+
+def _np_clip_clamp(value, low, high):
+    """The original clamp, kept as the oracle for ``traces._clamp``."""
+    return float(np.clip(value, low, high))
+
+
+def _link_table(topo):
+    return [
+        (link.src, link.dst, link.bandwidth_mbps, link.latency_ms)
+        for link in topo.links()
+    ]
+
+
+class TestClampOracle:
+    def test_testbed_links_match_np_clip_over_seeds(self, monkeypatch):
+        built = [
+            _link_table(paper_testbed(np.random.default_rng(seed)))
+            for seed in range(200)
+        ]
+        monkeypatch.setattr(traces, "_clamp", _np_clip_clamp)
+        for seed, links in enumerate(built):
+            oracle = _link_table(paper_testbed(np.random.default_rng(seed)))
+            assert links == oracle, f"seed {seed}"
+
+    @pytest.mark.parametrize(
+        "value", [-1.0, 0.0, 1.0, 1.5, 17.25, 30.0, 31.0, float("inf")]
+    )
+    def test_clamp_matches_np_clip(self, value):
+        assert traces._clamp(value, 1.5, 30.0) == _np_clip_clamp(
+            value, 1.5, 30.0
+        )
+
+    def test_clamp_keeps_nan(self):
+        assert np.isnan(traces._clamp(float("nan"), 1.5, 30.0))

@@ -1,8 +1,9 @@
 """The behaviour oracle: fixed-seed digests equal their pinned values.
 
-``benchmarks.perf.digest`` hashes two full fixed-seed runs (Figure 8 and a
-chaos run) and fingerprints raw ticks of the 16-site all-to-all shuffle.
-Engine and control-plane optimizations must leave all three bit-identical;
+``benchmarks.perf.digest`` hashes three full fixed-seed runs (Figure 8 under
+WASP and under the Degrade baseline, and a chaos run) and fingerprints raw
+ticks of the 16-site all-to-all shuffle.  Engine and control-plane
+optimizations must leave all four bit-identical;
 the pins are CPython 3.11 values (see the module docstring).
 """
 
