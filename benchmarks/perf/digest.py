@@ -8,7 +8,9 @@ never takes, and a chaos-enabled run with mid-adaptation faults) and hashes
 every recorded sample, adaptation and fault event at full float precision.  A
 fourth fingerprint covers the many-flow regime those runs do not reach: raw
 engine ticks on the 16-site all-to-all shuffle of
-:func:`benchmarks.perf.scale.build_world`.
+:func:`benchmarks.perf.scale.build_world`.  Two more pin the dense backend
+against itself: the same fingerprint on the 64-site shuffle, and an adapting
+Figure 8 run (adaptations recompile the dense model).
 
 Print the values, or compare them against the pinned ones (exit 1 on any
 mismatch)::
@@ -31,7 +33,7 @@ from repro.baselines.variants import VariantSpec, degrade, wasp
 from repro.chaos.faults import BandwidthCollapse, SiteCrash, Straggler
 from repro.chaos.injector import ChaosInjector
 from repro.config import WaspConfig
-from repro.engine.runtime import EngineRuntime
+from repro.engine.dense import create_runtime
 from repro.experiments.harness import ExperimentRun
 from repro.experiments.scenarios import bottleneck_dynamics, fig8_scenario
 from repro.sim.recorder import RunRecorder
@@ -44,6 +46,8 @@ DIGEST_SEED = 20201207
 #: Shuffle fingerprint world: sites, aggregation tasks per site, ticks.
 SHUFFLE_SITES = 16
 SHUFFLE_TICKS = 120
+#: Sites of the dense-backend shuffle fingerprint (same tick count).
+DENSE_SHUFFLE_SITES = 64
 
 #: Expected outputs per CPython ``(major, minor)``.
 PINNED = {
@@ -60,6 +64,13 @@ PINNED = {
         "shuffle16": (
             "sink=7918284.75794412 backlog=49681715.242055885 "
             "net=68018501.15750133"
+        ),
+        "shuffle64_dense": (
+            "sink=19002342.57895768 backlog=1132997657.4210417 "
+            "net=1075362208.1579561"
+        ),
+        "fig8_dense": (
+            "0d7e2a629c33c81e80f5fdc7fd54f8ebf61162a94f5ac04440a50e76306db8db"
         ),
     },
 }
@@ -90,17 +101,29 @@ def _build_run(
     seed: int = DIGEST_SEED,
     variant: VariantSpec | None = None,
     query_name: str = "topk-topics",
+    config: WaspConfig | None = None,
 ) -> ExperimentRun:
     scenario = fig8_scenario(query_name)
     rngs = RngRegistry(seed)
     topology = scenario.make_topology(rngs)
     query = scenario.make_query(topology, rngs)
-    return ExperimentRun(topology, query, variant or wasp(), rngs=rngs)
+    return ExperimentRun(
+        topology, query, variant or wasp(), config=config, rngs=rngs
+    )
 
 
 def fig8_digest(duration_s: float = 450.0, seed: int = DIGEST_SEED) -> str:
     """Digest of a fixed-seed Fig-8 bottleneck run (WASP variant)."""
     run = _build_run(seed)
+    run.run(duration_s, bottleneck_dynamics())
+    return recorder_digest(run.recorder)
+
+
+def fig8_dense_digest(duration_s: float = 900.0, seed: int = DIGEST_SEED) -> str:
+    """Digest of an adapting Fig-8 run (events-of-interest, WASP) on the
+    dense backend; its adaptations recompile the dense model."""
+    config = WaspConfig.paper_defaults().with_overrides(engine_backend="dense")
+    run = _build_run(seed, query_name="events-of-interest", config=config)
     run.run(duration_s, bottleneck_dynamics())
     return recorder_digest(run.recorder)
 
@@ -140,14 +163,16 @@ def chaos_digest(duration_s: float = 450.0, seed: int = DIGEST_SEED) -> str:
 
 
 def shuffle_fingerprint(
-    sites: int = SHUFFLE_SITES, ticks: int = SHUFFLE_TICKS
+    sites: int = SHUFFLE_SITES,
+    ticks: int = SHUFFLE_TICKS,
+    backend: str = "reference",
 ) -> str:
-    """Raw reference-engine ticks on the all-to-all shuffle world, no
-    controller: sums of sink events and of WAN events sent over the run,
-    plus the final backlog, at ``repr`` (exact) precision."""
+    """Raw engine ticks on the all-to-all shuffle world, no controller:
+    sums of sink events and of WAN events sent over the run, plus the
+    final backlog, at ``repr`` (exact) precision."""
     topology, plan, workload = build_world(sites, 1)
-    runtime = EngineRuntime(
-        topology, plan, workload, WaspConfig.paper_defaults()
+    runtime = create_runtime(
+        topology, plan, workload, WaspConfig.paper_defaults(), backend=backend
     )
     sink = 0.0
     net = 0.0
@@ -164,6 +189,10 @@ DIGESTS = {
     "fig8_degrade": fig8_degrade_digest,
     "chaos": chaos_digest,
     "shuffle16": shuffle_fingerprint,
+    "shuffle64_dense": lambda: shuffle_fingerprint(
+        DENSE_SHUFFLE_SITES, backend="dense"
+    ),
+    "fig8_dense": fig8_dense_digest,
 }
 
 

@@ -7,6 +7,10 @@ honest scale case for a WAN stream processor: with ``n`` sites the world
 carries ``n * (n - 1)`` active flows, so per-flow work dominates and the
 dense backend's fused array kernels are exercised where they matter.
 
+Each point also records the backend ``engine_backend="auto"`` resolves to
+for its world, and the sweep warns (without failing) wherever that
+backend took more than 25% longer per tick than the other one.
+
 Usage (from the repo root)::
 
     PYTHONPATH=src python -m benchmarks.perf.scale --out BENCH_scale.json
@@ -30,7 +34,12 @@ import numpy as np
 
 from repro.config import WaspConfig
 from repro.engine import operators as ops
-from repro.engine.dense import create_runtime
+from repro.engine.dense import (
+    AUTO_DENSE_MIN_FLOWS,
+    create_runtime,
+    potential_wan_flows,
+    resolve_backend,
+)
 from repro.engine.logical import LogicalPlan
 from repro.engine.physical import PhysicalPlan
 from repro.engine.runtime import WorkloadModel
@@ -40,8 +49,9 @@ from repro.network.topology import Topology
 #: Seed shared by every sweep point (same worlds across commits).
 SCALE_SEED = 42
 
-#: Full sweep: site counts x aggregation parallelism per site.
-FULL_SIZES = (4, 16, 64, 128)
+#: Full sweep: site counts x aggregation parallelism per site (8-16 sites
+#: bracket the auto rule's crossover).
+FULL_SIZES = (4, 8, 10, 12, 16, 64, 128)
 FULL_PARALLELISM = (1, 2)
 
 #: Reduced sweep for CI smoke runs.
@@ -50,10 +60,16 @@ SHORT_PARALLELISM = (2,)
 
 #: Measured ticks per site count (smaller worlds need more ticks for a
 #: stable rate; big ones are slow enough that fewer suffice).
-_MEASURE_TICKS = {4: 200, 16: 150, 32: 120, 64: 120, 128: 60}
+_MEASURE_TICKS = {
+    4: 200, 8: 200, 10: 200, 12: 150, 16: 150, 32: 120, 64: 120, 128: 60,
+}
 _WARMUP_TICKS = 30
 _SHORT_MEASURE = 40
 _SHORT_WARMUP = 10
+
+#: Per-tick time ratio (picked / other backend) above which the sweep
+#: warns that ``auto`` picked the slower backend.
+AUTO_SLOWDOWN_WARN = 1.25
 
 
 class _ConstWorkload(WorkloadModel):
@@ -130,6 +146,8 @@ def run_point(
 ) -> dict:
     """Time ``measure`` steady-state ticks of one backend at one size."""
     topo, plan, workload = build_world(n_sites, parallelism, seed)
+    flows = potential_wan_flows(plan)
+    auto = resolve_backend(plan, "auto")
     config = WaspConfig.paper_defaults().with_overrides(engine_backend=backend)
     runtime = create_runtime(topo, plan, workload, config)
     for _ in range(warmup):
@@ -145,6 +163,8 @@ def run_point(
         "ticks": measure,
         "wall_s": wall,
         "ticks_per_s": measure / wall if wall > 0 else float("inf"),
+        "potential_flows": flows,
+        "auto_backend": auto,
         # Sanity fingerprints: both backends must agree on these.
         "total_backlog": float(runtime.total_backlog()),
         "sink_events": float(runtime.last_report.sink_events),
@@ -189,6 +209,32 @@ def run_sweep(
                     file=sys.stderr,
                 )
     return points
+
+
+def auto_warnings(points: list[dict]) -> list[str]:
+    """One line per sweep point where the backend ``auto`` picks took
+    more than :data:`AUTO_SLOWDOWN_WARN` times longer per tick than the
+    other backend."""
+    rates = {
+        (pt["sites"], pt["parallelism"], pt["backend"]): pt["ticks_per_s"]
+        for pt in points
+    }
+    warnings = []
+    for pt in points:
+        if pt["backend"] != pt["auto_backend"]:
+            continue
+        other = "dense" if pt["backend"] == "reference" else "reference"
+        slowdown = (
+            rates[(pt["sites"], pt["parallelism"], other)] / pt["ticks_per_s"]
+        )
+        if slowdown > AUTO_SLOWDOWN_WARN:
+            warnings.append(
+                f"sites={pt['sites']} p={pt['parallelism']} "
+                f"({pt['potential_flows']} potential flows): auto picks "
+                f"{pt['backend']}, {slowdown:.2f}x the per-tick time of "
+                f"{other}"
+            )
+    return warnings
 
 
 def _git_commit() -> str:
@@ -251,6 +297,9 @@ def main(argv: list[str] | None = None) -> int:
         warmup, measure_by_size = _WARMUP_TICKS, dict(_MEASURE_TICKS)
 
     points = run_sweep(sizes, parallelisms, warmup, measure_by_size, args.seed)
+    warnings = auto_warnings(points)
+    for line in warnings:
+        print(f"warning: {line}", file=sys.stderr)
     report = {
         "schema": "wasp-scale-bench/v1",
         "commit": _git_commit(),
@@ -258,6 +307,8 @@ def main(argv: list[str] | None = None) -> int:
         "numpy": np.__version__,
         "seed": args.seed,
         "short": bool(args.short),
+        "auto_dense_min_flows": AUTO_DENSE_MIN_FLOWS,
+        "auto_warnings": warnings,
         "points": points,
     }
     text = json.dumps(report, indent=2, sort_keys=True)

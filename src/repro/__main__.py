@@ -34,6 +34,7 @@ import sys
 import numpy as np
 
 from .baselines.variants import ALL_NAMED, VariantSpec
+from .config import ENGINE_BACKENDS, WaspConfig
 from .errors import WaspError
 from .experiments import figures as fig
 from .experiments.harness import ExperimentRun
@@ -94,10 +95,11 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--seed", type=int, default=42)
     run_p.add_argument(
         "--backend",
-        choices=("reference", "dense"),
-        default="reference",
-        help="engine backend: per-parcel reference loops or the "
-        "numpy structure-of-arrays kernel",
+        choices=ENGINE_BACKENDS,
+        default=None,
+        help="engine backend: per-parcel reference loops, the numpy "
+        "structure-of-arrays kernel, or auto (picked from the plan's "
+        "potential WAN flows); default: the config's engine_backend",
     )
     run_p.add_argument(
         "--profile",
@@ -130,9 +132,10 @@ def _build_parser() -> argparse.ArgumentParser:
     fig_p.add_argument("--seed", type=int, default=42)
     fig_p.add_argument(
         "--backend",
-        choices=("reference", "dense"),
-        default="reference",
-        help="engine backend for figures that run variants (fig8-fig12)",
+        choices=ENGINE_BACKENDS,
+        default=None,
+        help="engine backend for figures that run variants (fig8-fig12); "
+        "default: the config's engine_backend",
     )
     fig_p.add_argument(
         "--trace-out",
@@ -178,7 +181,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     fuzz_p.add_argument(
         "--backend",
-        choices=("reference", "dense"),
+        choices=ENGINE_BACKENDS,
         default=None,
         help="force every scenario onto one engine backend (default: "
         "each scenario's own configuration)",
@@ -249,18 +252,22 @@ def _variant_path(path: str, variant_name: str, multi: bool) -> str:
     return f"{path}.{slug}"
 
 
-def cmd_run(args: argparse.Namespace) -> int:
-    from .config import WaspConfig
+def _config(backend: str | None) -> WaspConfig:
+    """The paper defaults, with ``--backend`` applied when given."""
+    config = WaspConfig.paper_defaults()
+    if backend is None:
+        return config
+    return config.with_overrides(engine_backend=backend)
 
+
+def cmd_run(args: argparse.Namespace) -> int:
     variants = _resolve_variants(args.variant)
     multi = len(variants) > 1
-    config = WaspConfig.paper_defaults().with_overrides(
-        engine_backend=args.backend
-    )
+    config = _config(args.backend)
     print(
         f"query={args.query} dynamics={args.dynamics} "
         f"duration={args.duration:.0f}s seed={args.seed} "
-        f"backend={args.backend}"
+        f"backend={config.engine_backend}"
     )
     for variant in variants:
         rngs = RngRegistry(args.seed)
@@ -315,9 +322,8 @@ def _figures_runs(
     which: str,
     seed: int,
     trace_out: str | None = None,
-    backend: str = "reference",
+    backend: str | None = None,
 ):
-    from .config import WaspConfig
     from .experiments.harness import run_variants
 
     if which in ("fig8", "fig9"):
@@ -339,9 +345,7 @@ def _figures_runs(
         list(scenario.variants),
         scenario.duration_s,
         scenario.make_dynamics,
-        config=WaspConfig.paper_defaults().with_overrides(
-            engine_backend=backend
-        ),
+        config=_config(backend),
         seed=seed,
         instrument=instrument,
     )
@@ -350,8 +354,8 @@ def _figures_runs(
 def cmd_figures(args: argparse.Namespace) -> int:
     which, seed = args.which, args.seed
     trace_out = getattr(args, "trace_out", None)
-    backend = getattr(args, "backend", "reference")
-    if backend != "reference" and which not in (
+    backend = getattr(args, "backend", None)
+    if backend is not None and which not in (
         "fig8", "fig9", "fig10", "fig11", "fig12"
     ):
         print(

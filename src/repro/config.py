@@ -16,6 +16,9 @@ from typing import Any
 
 from .errors import ConfigurationError
 
+#: Accepted values of :attr:`WaspConfig.engine_backend`.
+ENGINE_BACKENDS = ("auto", "reference", "dense")
+
 
 @dataclass(frozen=True)
 class WaspConfig:
@@ -78,8 +81,10 @@ class WaspConfig:
     #: Engine backend: "reference" executes the per-parcel FluidQueue loops
     #: in :mod:`repro.engine.runtime`; "dense" runs the numpy
     #: structure-of-arrays kernel in :mod:`repro.engine.dense`, converting
-    #: to/from the reference representation only at adaptation boundaries.
-    engine_backend: str = "reference"
+    #: to/from the reference representation only at adaptation boundaries;
+    #: "auto" picks one of the two from the initial plan's potential WAN
+    #: flows (:func:`repro.engine.dense.resolve_backend`).
+    engine_backend: str = "auto"
     #: Age resolution of the dense backend's bucketed queues: each queue
     #: keeps this many tick-wide age buckets; events older than the window
     #: collapse into the last bucket (their exact mean generation time is
@@ -152,9 +157,9 @@ class WaspConfig:
                 "adaptation_retry_backoff_s must be >= 0, got "
                 f"{self.adaptation_retry_backoff_s}"
             )
-        if self.engine_backend not in ("reference", "dense"):
+        if self.engine_backend not in ENGINE_BACKENDS:
             raise ConfigurationError(
-                "engine_backend must be 'reference' or 'dense', got "
+                f"engine_backend must be one of {ENGINE_BACKENDS}, got "
                 f"{self.engine_backend!r}"
             )
         if self.dense_age_buckets < 4:

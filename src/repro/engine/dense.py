@@ -13,10 +13,13 @@ generate -> process -> route -> transfer as fused array operations:
   accounting is exact and delay metrics are exact up to intra-bucket
   mixing (bounded by one tick per hop).
 * A compiled :class:`_DenseModel` (keyed on plan identity + mutation
-  version, like the reference `_PlanCache`) precomputes integer row ids,
-  routing fan-out scatter indices, per-flow link/latency tables and
+  version, like the reference `_PlanCache`) precomputes row selectors
+  (a ``slice`` for every ascending run of row ids, so kernels work on
+  views), routing fan-out indices, per-flow link/latency tables and
   FCFS link-sharing passes, so the per-tick Python work is O(stages),
-  not O(queues) or O(parcels).
+  not O(queues) or O(parcels).  It also owns the scratch buffers the
+  kernels write into: a tick allocates no ``(rows, buckets)``
+  temporaries.
 * The dict-of-FluidQueue representation remains the interchange format:
   arrays are synced out lazily whenever an inspection API or the mutation
   API (snapshot/restore, migration, ``replace_plan``, replay injection)
@@ -34,9 +37,11 @@ dense backend results are bit-exact for a fixed seed.
 
 from __future__ import annotations
 
+from collections import deque
+
 import numpy as np
 
-from ..config import WaspConfig
+from ..config import ENGINE_BACKENDS, WaspConfig
 from ..errors import ConfigurationError, SimulationError, TopologyError
 from ..network.topology import (
     LOCAL_BANDWIDTH_MBPS,
@@ -49,41 +54,91 @@ from .runtime import MBIT_BYTES, EngineRuntime, TickReport, WorkloadModel
 #: Queue totals below this are treated as drained (mirrors FluidQueue).
 _DRAIN_EPS = 1e-12
 
+#: ``engine_backend="auto"`` picks the dense backend for plans with at
+#: least this many potential WAN flows (:func:`potential_wan_flows`).  On
+#: bare shuffle worlds dense runs at 0.63x the reference at 63 flows,
+#: about 1.0x at 99-143 and 1.38x at 255 (DESIGN.md section 7).
+AUTO_DENSE_MIN_FLOWS = 128
+
+
+def _rows(ids: list[int]) -> slice | np.ndarray:
+    """Row selector for ``ids``: a ``slice`` when they form one ascending
+    run, else an index array.
+
+    numpy indexes both alike, but a slice yields views: kernels then update
+    the rows in place, with no gather and no scatter back.
+    """
+    if ids and ids == list(range(ids[0], ids[0] + len(ids))):
+        return slice(ids[0], ids[0] + len(ids))
+    return np.array(ids, dtype=np.intp)
+
+
+class _PopScratch:
+    """Preallocated ``(rows, B)`` buffers of one :func:`_pop_rows` call
+    site, reused every tick so the kernel allocates no large temporaries.
+    ``c``/``m`` hold the gathered rows when the selector is an index array.
+    """
+
+    __slots__ = ("cum", "take_c", "take_m", "c", "m")
+
+    def __init__(self, rows: slice | np.ndarray, n: int, B: int) -> None:
+        self.cum = np.empty((n, B))
+        self.take_c = np.empty((n, B))
+        self.take_m = np.empty((n, B))
+        gather = not isinstance(rows, slice)
+        self.c = np.empty((n, B)) if gather else None
+        self.m = np.empty((n, B)) if gather else None
+
 
 def _pop_rows(
     cnt: np.ndarray,
     mass: np.ndarray,
-    rows: np.ndarray,
+    rows: slice | np.ndarray,
     caps: np.ndarray,
+    sc: _PopScratch,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """FIFO-pop up to ``caps[i]`` events from each row, oldest bucket first.
 
     Mutates ``cnt``/``mass`` in place and returns ``(take_cnt, take_mass,
-    popped_totals, totals_before)``.  Fully-consumed buckets transfer their
-    exact mass (``c/c == 1.0`` in IEEE arithmetic leaves a remainder of
-    exactly 0); partially-consumed buckets split mass proportionally, i.e.
-    at the bucket's mean generation time.
+    popped_totals, totals_before)``; the first two and the last are views
+    into ``sc``, valid until the same call site runs again.
+    Fully-consumed buckets transfer their exact mass (``c/c == 1.0`` in
+    IEEE arithmetic leaves a remainder of exactly 0); partially-consumed
+    buckets split mass proportionally, i.e. at the bucket's mean generation
+    time.
     """
-    c = cnt[rows]
-    m = mass[rows]
-    rc = c[:, ::-1]
-    cum = rc.cumsum(axis=1)
-    prev = np.empty_like(cum)
-    prev[:, 0] = 0.0
-    prev[:, 1:] = cum[:, :-1]
-    take = np.minimum(np.maximum(caps[:, None] - prev, 0.0), rc)[:, ::-1]
-    frac = take / np.maximum(c, 1e-300)
-    tm = m * frac
-    new_c = c - take
-    new_m = m - tm
-    before = cum[:, -1]
+    gathered = sc.c is not None
+    if gathered:
+        c = np.take(cnt, rows, axis=0, out=sc.c)
+        m = np.take(mass, rows, axis=0, out=sc.m)
+    else:
+        c = cnt[rows]
+        m = mass[rows]
+    # cum[:, b]: events in bucket b and every older one, summed oldest
+    # first (a cumsum over the reversed row, written back reversed).
+    cum = sc.cum
+    np.cumsum(c[:, ::-1], axis=1, out=cum[:, ::-1])
+    # take[:, b] = min(max(cap - events older than b, 0), c[:, b]).
+    take = sc.take_c
+    np.subtract(caps[:, None], cum[:, 1:], out=take[:, :-1])
+    take[:, -1] = caps
+    np.maximum(take, 0.0, out=take)
+    np.minimum(take, c, out=take)
+    tm = sc.take_m
+    np.maximum(c, 1e-300, out=tm)
+    np.divide(take, tm, out=tm)
+    np.multiply(m, tm, out=tm)
+    np.subtract(c, take, out=c)
+    np.subtract(m, tm, out=m)
+    before = cum[:, 0]
     popped = np.minimum(caps, before)
     drained = before - popped < _DRAIN_EPS
     if drained.any():
-        new_c[drained] = 0.0
-        new_m[drained] = 0.0
-    cnt[rows] = new_c
-    mass[rows] = new_m
+        c[drained] = 0.0
+        m[drained] = 0.0
+    if gathered:
+        cnt[rows] = c
+        mass[rows] = m
     return take, tm, popped, before
 
 
@@ -111,12 +166,63 @@ def _drop_older_rows(
     return dropped
 
 
+def _row_queues(
+    cnt: np.ndarray, mass: np.ndarray, persistent: list[bool]
+) -> list[FluidQueue | None]:
+    """The queue each row materializes to, or ``None`` for an empty row
+    that need not persist.
+
+    A row's queue holds exactly what pushing its non-empty buckets, oldest
+    first, at their mean generation times (``mass / count``) with
+    :meth:`FluidQueue.push` would hold.  The columns are built directly;
+    only a row with two neighbouring buckets inside push's merge window
+    goes through ``push`` itself.
+    """
+    totals = cnt.sum(axis=1)
+    live = totals > 0.0
+    rc = cnt[live, ::-1]
+    pos = rc > 0.0
+    counts = rc[pos]
+    gens = mass[live, ::-1][pos] / counts
+    ends = np.cumsum(np.count_nonzero(pos, axis=1))
+    # push adds each count to the queue total in turn.
+    pushed = np.cumsum(np.where(pos, rc, 0.0), axis=1)[:, -1].tolist()
+    live_rows = np.flatnonzero(live)
+    close = np.abs(gens[:-1] - gens[1:]) < FluidQueue._MERGE_EPS
+    close[ends[:-1] - 1] = False  # pairs straddling two rows
+    merging = set(
+        live_rows[
+            np.searchsorted(ends, np.flatnonzero(close) + 1, side="right")
+        ].tolist()
+    )
+    c_list = counts.tolist()
+    g_list = gens.tolist()
+    ends_l = ends.tolist()
+    out: list[FluidQueue | None] = [None] * len(persistent)
+    for row, a, b, total in zip(
+        live_rows.tolist(), [0, *ends_l[:-1]], ends_l, pushed
+    ):
+        queue = FluidQueue()
+        if row in merging:
+            for c, g in zip(c_list[a:b], g_list[a:b]):
+                queue.push(c, g)
+        else:
+            queue._counts = deque(c_list[a:b])
+            queue._gens = deque(g_list[a:b])
+            queue._count = total
+        out[row] = queue
+    for row, keep in enumerate(persistent):
+        if keep and out[row] is None:
+            out[row] = FluidQueue()
+    return out
+
+
 class _FlowPass:
     """One FCFS round of link sharing: at most one flow per link."""
 
     __slots__ = (
         "flow_keys", "flow_rows", "link_ids", "lat_s", "eb", "inv_eb",
-        "dst_flat", "dst_stages", "dst_groups",
+        "dst_flat", "dst_stages", "dst_groups", "pop",
     )
 
 
@@ -139,11 +245,12 @@ class _DepthGroup:
     """
 
     __slots__ = (
-        "stages", "rows", "row_keys", "site_ids", "n_tasks", "cost_row",
-        "sel_col", "mult_col", "has_requeue",
+        "stages", "rows", "n_rows", "row_keys", "site_ids", "n_tasks",
+        "cost_row", "sel_col", "mult_col", "has_requeue", "pop",
+        "out_c", "out_m",
         "loc_src", "loc_frac", "loc_flat", "loc_groups",
-        "rem_src", "rem_frac", "rem_flat",
-        "flow_rows_all", "flow_dst_all", "passes",
+        "rem_src", "rem_frac", "rem_rows", "rem_c", "rem_m",
+        "flow_rows_all", "n_flows", "flow_dst_all", "passes",
     )
 
 
@@ -163,7 +270,7 @@ class _DenseModel:
     __slots__ = (
         "plan", "version", "parallelism", "links_version", "B", "dt",
         "in_rows", "in_index", "in_persistent",
-        "net_rows", "net_index", "net_persistent",
+        "net_rows", "net_keys", "net_index", "net_persistent",
         "sites", "links", "link_base", "link_local",
         "groups", "sources", "n_in", "n_net",
     )
@@ -266,6 +373,8 @@ class _DenseModel:
         self.in_index = in_index
         self.in_persistent = in_persistent
         self.net_rows = net_rows
+        #: The flow keys as an object array, for vectorized key selection.
+        self.net_keys = np.fromiter(net_rows, dtype=object, count=len(net_rows))
         self.net_index = net_index
         self.net_persistent = net_persistent
         self.n_in = len(in_rows)
@@ -393,7 +502,11 @@ class _DenseModel:
                 if st.is_source:
                     self.sources.append(st)
 
-            g.rows = np.array(rows_l, dtype=np.intp)
+            g.rows = _rows(rows_l)
+            g.n_rows = n = len(rows_l)
+            g.pop = _PopScratch(g.rows, n, B)
+            g.out_c = np.empty((n, B))
+            g.out_m = np.empty((n, B))
             g.row_keys = row_keys
             g.site_ids = np.array(site_ids_l, dtype=np.intp)
             g.n_tasks = np.array(ntasks_l)
@@ -414,14 +527,19 @@ class _DenseModel:
                 g.loc_flat = None
                 g.loc_groups = []
             if rem:
+                # Each flow key names its source stage and site, so remote
+                # targets are unique rows: routing adds into them directly.
                 g.rem_src = np.array([p for p, _, _ in rem], dtype=np.intp)
                 g.rem_frac = np.array([f for _, _, f in rem])[:, None]
-                dst = np.array([r for _, r, _ in rem], dtype=np.intp)
-                g.rem_flat = (dst[:, None] * B + bucket_idx).ravel()
+                g.rem_rows = _rows([r for _, r, _ in rem])
+                g.rem_c = np.empty((len(rem), B))
+                g.rem_m = np.empty((len(rem), B))
             else:
                 g.rem_src = None
                 g.rem_frac = None
-                g.rem_flat = None
+                g.rem_rows = None
+                g.rem_c = None
+                g.rem_m = None
 
             # FCFS passes over the group's flows in stage-major, key-sorted
             # order - exactly the order in which the reference backend
@@ -437,17 +555,15 @@ class _DenseModel:
                 if pos == len(grouped):
                     grouped.append([])
                 grouped[pos].append((key, li, eb))
-            g.flow_rows_all = np.array(
-                [net_index[k] for k, _ in flows_group], dtype=np.intp
-            )
+            g.flow_rows_all = _rows([net_index[k] for k, _ in flows_group])
+            g.n_flows = len(flows_group)
             g.flow_dst_all = [k[1] for k, _ in flows_group]
             g.passes = []
             for entries in grouped:
                 ps = _FlowPass()
                 ps.flow_keys = [k for k, _, _ in entries]
-                ps.flow_rows = np.array(
-                    [net_index[k] for k, _, _ in entries], dtype=np.intp
-                )
+                ps.flow_rows = _rows([net_index[k] for k, _, _ in entries])
+                ps.pop = _PopScratch(ps.flow_rows, len(entries), B)
                 ps.link_ids = np.array(
                     [li for _, li, _ in entries], dtype=np.intp
                 )
@@ -607,46 +723,23 @@ class DenseEngineRuntime(EngineRuntime):
         """
         model = self._model
         assert model is not None
-        B = model.B
         new_gen: dict[tuple[str, str], FluidQueue] = {}
         new_inp: dict[tuple[str, str], FluidQueue] = {}
-        totals = self._in_cnt.sum(axis=1).tolist()
-        persistent = model.in_persistent
-        for i, (tag, stage, site) in enumerate(model.in_rows):
-            total = totals[i]
-            if total <= 0.0 and not persistent[i]:
-                continue
-            queue = FluidQueue()
-            if total > 0.0:
-                crow = self._in_cnt[i].tolist()
-                mrow = self._in_mass[i].tolist()
-                for b in range(B - 1, -1, -1):
-                    cb = crow[b]
-                    if cb > 0.0:
-                        queue.push(cb, mrow[b] / cb)
-            if tag == "gen":
-                new_gen[(stage, site)] = queue
-            else:
-                new_inp[(stage, site)] = queue
-        new_net: dict[tuple[str, str, str, str], FluidQueue] = {}
-        totals = self._net_cnt.sum(axis=1).tolist()
-        persistent = model.net_persistent
-        for i, key in enumerate(model.net_rows):
-            total = totals[i]
-            if total <= 0.0 and not persistent[i]:
-                continue
-            queue = FluidQueue()
-            if total > 0.0:
-                crow = self._net_cnt[i].tolist()
-                mrow = self._net_mass[i].tolist()
-                for b in range(B - 1, -1, -1):
-                    cb = crow[b]
-                    if cb > 0.0:
-                        queue.push(cb, mrow[b] / cb)
-            new_net[key] = queue
+        queues = _row_queues(self._in_cnt, self._in_mass, model.in_persistent)
+        for (tag, stage, site), queue in zip(model.in_rows, queues):
+            if queue is not None:
+                table = new_gen if tag == "gen" else new_inp
+                table[(stage, site)] = queue
+        queues = _row_queues(
+            self._net_cnt, self._net_mass, model.net_persistent
+        )
         self._gen_queue = new_gen
         self._input_queue = new_inp
-        self._net_queue = new_net
+        self._net_queue = {
+            key: queue
+            for key, queue in zip(model.net_rows, queues)
+            if queue is not None
+        }
         self._rebuild_net_index()
         self._dicts_fresh = True
 
@@ -742,8 +835,9 @@ class DenseEngineRuntime(EngineRuntime):
         dt = self._config.tick_s
         now = self._now_s + dt
         report = TickReport(t_s=now)
-        if link_budget is None:
-            link_budget = {}
+        # A caller-owned budget dict is shared with other runtimes: read it
+        # and write the consumed budgets back.  Otherwise it is private.
+        shared = link_budget is not None
 
         model = self._ensure_model()
         B = model.B
@@ -754,10 +848,7 @@ class DenseEngineRuntime(EngineRuntime):
         net_mass = self._net_mass
         in_cnt_f = in_cnt.reshape(-1)
         in_mass_f = in_mass.reshape(-1)
-        net_cnt_f = net_cnt.reshape(-1)
-        net_mass_f = net_mass.reshape(-1)
         in_size = in_cnt_f.shape[0]
-        net_size = net_cnt_f.shape[0]
 
         # Per-tick environment reads: site health/rates and link budgets.
         site_rate = np.fromiter(
@@ -788,7 +879,7 @@ class DenseEngineRuntime(EngineRuntime):
             else:
                 lb_base = cache[2]
             lb = lb_base.copy()
-            touched = np.zeros(n_links, dtype=bool)
+            touched = np.zeros(n_links, dtype=bool) if shared else None
             if link_budget:
                 for i, link in enumerate(model.links):
                     existing = link_budget.get(link)
@@ -829,7 +920,7 @@ class DenseEngineRuntime(EngineRuntime):
 
         for g in model.groups:
             rows = g.rows
-            if rows.size:
+            if g.n_rows:
                 if cutoff is not None:
                     dropped = _drop_older_rows(in_cnt, in_mass, rows, cutoff)
                     if dropped.any():
@@ -852,7 +943,7 @@ class DenseEngineRuntime(EngineRuntime):
                         if prev_now < suspended_until.get(st.name, 0.0):
                             caps[st.s0:st.s1] = 0.0
                 take_c, take_m, popped, _ = _pop_rows(
-                    in_cnt, in_mass, rows, caps
+                    in_cnt, in_mass, rows, caps, g.pop
                 )
                 cap_by_site.update(zip(g.row_keys, caps.tolist()))
                 plist = popped.tolist()
@@ -885,8 +976,8 @@ class DenseEngineRuntime(EngineRuntime):
                 if any_routed:
                     # Fan-out for the whole group at once: rows belonging
                     # to sinks or sel == 0 stages contribute exact zeros.
-                    out_c = take_c * g.sel_col
-                    out_m = take_m * g.sel_col
+                    out_c = np.multiply(take_c, g.sel_col, out=g.out_c)
+                    out_m = np.multiply(take_m, g.sel_col, out=g.out_m)
                     if g.has_requeue:
                         in_cnt[rows] += out_c * g.mult_col
                         in_mass[rows] += out_m * g.mult_col
@@ -909,23 +1000,22 @@ class DenseEngineRuntime(EngineRuntime):
                                     arrived.get(dname, 0.0) + moved
                                 )
                     if g.rem_src is not None:
-                        net_cnt_f += np.bincount(
-                            g.rem_flat,
-                            weights=(out_c[g.rem_src] * g.rem_frac).ravel(),
-                            minlength=net_size,
+                        rc = np.take(out_c, g.rem_src, axis=0, out=g.rem_c)
+                        rm = np.take(out_m, g.rem_src, axis=0, out=g.rem_m)
+                        net_cnt[g.rem_rows] += np.multiply(
+                            rc, g.rem_frac, out=rc
                         )
-                        net_mass_f += np.bincount(
-                            g.rem_flat,
-                            weights=(out_m[g.rem_src] * g.rem_frac).ravel(),
-                            minlength=net_size,
+                        net_mass[g.rem_rows] += np.multiply(
+                            rm, g.rem_frac, out=rm
                         )
 
             # --- transfers of this group's outgoing flows --------------- #
             if not g.passes:
                 continue
-            frows = g.flow_rows_all
-            if cutoff is not None and frows.size:
-                fdropped = _drop_older_rows(net_cnt, net_mass, frows, cutoff)
+            if cutoff is not None and g.n_flows:
+                fdropped = _drop_older_rows(
+                    net_cnt, net_mass, g.flow_rows_all, cutoff
+                )
                 if fdropped.any():
                     for dst_stage, dv in zip(
                         g.flow_dst_all, fdropped.tolist()
@@ -941,17 +1031,19 @@ class DenseEngineRuntime(EngineRuntime):
             for ps in g.passes:
                 caps = np.maximum(lb[ps.link_ids] * ps.inv_eb, 0.0)
                 take_c, take_m, moved, before = _pop_rows(
-                    net_cnt, net_mass, ps.flow_rows, caps
+                    net_cnt, net_mass, ps.flow_rows, caps, ps.pop
                 )
                 nonempty = before > 0.0
                 if not nonempty.any():
                     continue
-                touched[ps.link_ids[nonempty]] = True
+                if shared:
+                    touched[ps.link_ids[nonempty]] = True
                 lb[ps.link_ids] -= moved * ps.eb
                 # Aging by link latency: the destination mass is
                 # sum(c * (gen - latency)); the bucket shift in dst_flat
-                # is the rounded equivalent for ordering purposes.
-                take_m -= ps.lat_s * take_c
+                # is the rounded equivalent for ordering purposes.  The
+                # pop's cum buffer is free again and holds the product.
+                take_m -= np.multiply(ps.lat_s, take_c, out=ps.pop.cum)
                 in_cnt_f += np.bincount(
                     ps.dst_flat, weights=take_c.ravel(), minlength=in_size
                 )
@@ -987,12 +1079,11 @@ class DenseEngineRuntime(EngineRuntime):
                 key = (stage, site)
                 input_backlog[key] = input_backlog.get(key, 0.0) + v
         net_tot = net_cnt.sum(axis=1)
-        nz = np.nonzero(net_tot > 0.0)[0]
+        nz = np.flatnonzero(net_tot > 0.0)
         if nz.size:
-            net_backlog = report.net_backlog
-            vals = net_tot[nz].tolist()
-            for i, v in zip(nz.tolist(), vals):
-                net_backlog[model.net_rows[i]] = v
+            report.net_backlog.update(
+                zip(model.net_keys[nz].tolist(), net_tot[nz].tolist())
+            )
 
         # Write back consumed link budgets (shared-contention contract).
         if touched is not None and touched.any():
@@ -1008,6 +1099,35 @@ class DenseEngineRuntime(EngineRuntime):
         return report
 
 
+def potential_wan_flows(plan: PhysicalPlan) -> int:
+    """Inter-site flows the plan's stage edges can carry: the sum over
+    every edge of ``|P_src| * |P_dst| - |P_src & P_dst|``, where ``P`` is
+    a stage's set of placement sites."""
+    sites = {s.name: s.placement().keys() for s in plan.topological_stages()}
+    flows = 0
+    for name, src in sites.items():
+        for down in plan.downstream_stages(name):
+            dst = sites[down.name]
+            flows += len(src) * len(dst) - len(src & dst)
+    return flows
+
+
+def resolve_backend(plan: PhysicalPlan, backend: str) -> str:
+    """The backend ``backend`` names for ``plan``: ``"auto"`` becomes
+    ``"dense"`` when the plan has at least :data:`AUTO_DENSE_MIN_FLOWS`
+    potential WAN flows and ``"reference"`` otherwise."""
+    if backend == "auto":
+        if potential_wan_flows(plan) >= AUTO_DENSE_MIN_FLOWS:
+            return "dense"
+        return "reference"
+    if backend not in ENGINE_BACKENDS:
+        raise ConfigurationError(
+            f"unknown engine backend {backend!r} (expected one of "
+            f"{ENGINE_BACKENDS})"
+        )
+    return backend
+
+
 def create_runtime(
     topology: Topology,
     plan: PhysicalPlan,
@@ -1019,18 +1139,11 @@ def create_runtime(
 ) -> EngineRuntime:
     """Build an engine runtime for the configured backend.
 
-    ``backend`` overrides ``config.engine_backend`` when given.
+    ``backend`` overrides ``config.engine_backend`` when given.  ``"auto"``
+    is resolved here, once, from the initial plan; later adaptations keep
+    the runtime they started on.
     """
     cfg = config or WaspConfig.paper_defaults()
-    name = backend or cfg.engine_backend
-    if name == "dense":
-        return DenseEngineRuntime(
-            topology, plan, workload, cfg, degrade_slo_s=degrade_slo_s
-        )
-    if name == "reference":
-        return EngineRuntime(
-            topology, plan, workload, cfg, degrade_slo_s=degrade_slo_s
-        )
-    raise ConfigurationError(
-        f"unknown engine backend {name!r} (expected 'reference' or 'dense')"
-    )
+    name = resolve_backend(plan, backend or cfg.engine_backend)
+    runtime = DenseEngineRuntime if name == "dense" else EngineRuntime
+    return runtime(topology, plan, workload, cfg, degrade_slo_s=degrade_slo_s)

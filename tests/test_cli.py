@@ -5,7 +5,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.__main__ import main
+from repro.__main__ import _build_parser, main
+from repro.config import ENGINE_BACKENDS
 
 
 class TestList:
@@ -110,3 +111,37 @@ class TestFuzz:
         bogus.write_text('{"schema": "other/v1"}')
         assert main(["fuzz", "--replay", str(bogus)]) == 2
         assert "not a wasp-fuzz-repro/v1" in capsys.readouterr().err
+
+
+class TestBackendFlag:
+    """``--backend`` takes the same three values on every command and
+    defaults to the config's ``engine_backend``."""
+
+    @pytest.mark.parametrize(
+        "command", [["run"], ["figures", "fig8"], ["fuzz"]]
+    )
+    def test_choices_and_default(self, command):
+        parser = _build_parser()
+        assert parser.parse_args(command).backend is None
+        for name in ENGINE_BACKENDS:
+            assert parser.parse_args([*command, "--backend", name]).backend == (
+                name
+            )
+        with pytest.raises(SystemExit):
+            parser.parse_args([*command, "--backend", "fast"])
+
+    def test_run_reports_the_configured_backend(self, capsys):
+        argv = [
+            "run", "--query", "ysb-advertising", "--dynamics", "quiet",
+            "--duration", "5",
+        ]
+        assert main(argv) == 0
+        assert "backend=auto" in capsys.readouterr().out
+        assert main([*argv, "--backend", "dense"]) == 0
+        assert "backend=dense" in capsys.readouterr().out
+
+    def test_figures_note_only_for_an_explicit_backend(self, capsys):
+        assert main(["figures", "table2"]) == 0
+        assert "--backend ignored" not in capsys.readouterr().err
+        assert main(["figures", "table2", "--backend", "dense"]) == 0
+        assert "--backend ignored for table2" in capsys.readouterr().err

@@ -1,10 +1,12 @@
-"""The microbenchmark CLI: the control-plane bench and ``--check``."""
+"""The microbenchmark CLI (the control-plane bench and ``--check``) and the
+topology-scale sweep's record of the auto backend rule."""
 
 from __future__ import annotations
 
 import json
 
 from benchmarks.perf import __main__ as perf_cli
+from benchmarks.perf import scale
 from benchmarks.perf.bench import BenchResult, bench_adaptation_round
 
 
@@ -53,3 +55,28 @@ def test_check_still_flags_a_rate_regression(
     ])
     assert perf_cli.main(["--check", "--baseline", str(baseline)]) == 1
     assert "REGRESSION" in capsys.readouterr().out
+
+
+def test_scale_points_record_the_auto_backend() -> None:
+    small = scale.run_point("reference", 4, 1, warmup=1, measure=2)
+    assert small["auto_backend"] == "reference"
+    assert small["potential_flows"] == 15
+    large = scale.run_point("dense", 16, 1, warmup=1, measure=2)
+    assert large["auto_backend"] == "dense"
+
+
+def test_scale_warns_where_auto_picked_the_slower_backend() -> None:
+    def point(backend, sites, rate, auto):
+        return {
+            "backend": backend, "sites": sites, "parallelism": 1,
+            "ticks_per_s": rate, "auto_backend": auto, "potential_flows": 0,
+        }
+
+    points = [
+        point("reference", 8, 100.0, "reference"),
+        point("dense", 8, 124.0, "reference"),  # 1.24x: no warning
+        point("reference", 16, 100.0, "dense"),
+        point("dense", 16, 79.0, "dense"),  # 1.27x: warning
+    ]
+    (line,) = scale.auto_warnings(points)
+    assert line.startswith("sites=16 p=1") and "auto picks dense" in line
