@@ -22,6 +22,7 @@ Examples::
     python -m repro trace run.jsonl
     python -m repro figures fig13
     python -m repro fuzz --seeds 25 --jobs 2 --out fuzz-report.json
+    python -m repro fuzz --seeds 200 --jobs 2 --min-exercise 1
     python -m repro fuzz --replay tests/fuzz/fixtures/conservation.json
     python -m repro list
 """
@@ -185,6 +186,11 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help="force every scenario onto one engine backend (default: "
         "each scenario's own configuration)",
+    )
+    fuzz_p.add_argument(
+        "--min-exercise", type=int, default=None, metavar="N",
+        help="fail the campaign when any invariant class is exercised "
+        "fewer than N times (replay-digest and crash are not counted)",
     )
 
     sub.add_parser("list", help="list queries, variants, dynamics, figures")
@@ -453,6 +459,10 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
     )
 
     if args.replay:
+        if args.min_exercise is not None:
+            raise WaspError(
+                "--min-exercise applies to campaigns, not --replay"
+            )
         spec, payload = load_artifact(args.replay)
         if args.backend:
             import dataclasses
@@ -497,6 +507,15 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
     print(f"  failing seeds : {len(report.failing)}/{args.seeds}")
     for invariant, count in totals.items():
         print(f"    {invariant:20s} {count}")
+    missed: dict[str, int] = {}
+    if args.min_exercise is not None:
+        missed = report.under_exercised(args.min_exercise)
+        print(
+            f"  exercised < {args.min_exercise}: "
+            f"{len(missed)} invariant class(es)"
+        )
+        for invariant, count in missed.items():
+            print(f"    {invariant:20s} {count}")
     if args.out:
         Path(args.out).write_text(report.to_json())
         print(f"  report -> {args.out}")
@@ -515,7 +534,7 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
                 path = outdir / f"{invariant}-seed{result.seed}.json"
                 write_artifact(path, shrunk, violations, invariant=invariant)
                 print(f"  repro -> {path}")
-    return 0 if report.ok else 1
+    return 0 if report.ok and not missed else 1
 
 
 def cmd_list(args: argparse.Namespace) -> int:

@@ -48,6 +48,7 @@ queue in the runtime.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 from typing import Sequence
@@ -387,6 +388,19 @@ class FluidQueue:
 
     def oldest_gen_time_s(self) -> float | None:
         return self._gens[0] if self._gens else None
+
+    def count_and_min(self) -> tuple[float, float]:
+        """Total events queued and the smallest parcel count (``inf`` for
+        an empty queue), in one call.
+
+        Read-only: scans the count column in place without building
+        :class:`Parcel` objects, so a checker can screen every parcel for
+        negativity at the cost of one C-level pass per queue.  The minimum
+        follows :func:`min`: a NaN count is skipped unless it heads the
+        queue, in which case the minimum is NaN.
+        """
+        counts = self._counts
+        return self._count, (min(counts) if counts else math.inf)
 
     def parcels(self) -> list[Parcel]:
         """Read-only copy of the queued parcels, oldest first.

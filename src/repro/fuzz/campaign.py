@@ -29,7 +29,7 @@ from pathlib import Path
 
 from ..errors import ConfigurationError
 from .generate import ScenarioSpec, build_run, generate_scenario
-from .invariants import InvariantChecker, Violation
+from .invariants import INVARIANTS, InvariantChecker, Violation
 
 #: Schema tags for the JSON artifacts this module reads/writes.
 ARTIFACT_SCHEMA = "wasp-fuzz-repro/v1"
@@ -41,6 +41,13 @@ _TRUNCATE_MARGIN_S = 60.0
 
 #: Cap on candidate evaluations per shrink (each costs two full runs).
 _MAX_SHRINK_EVALS = 64
+
+#: Invariant classes with exercise counts.  ``replay-digest`` and
+#: ``crash`` are outcomes of a whole scenario, not checks that a scoped
+#: condition may skip, so an exercise floor does not apply to them.
+COUNTED_INVARIANTS = tuple(
+    name for name in INVARIANTS if name not in ("replay-digest", "crash")
+)
 
 
 def recorder_digest(recorder) -> str:
@@ -197,6 +204,16 @@ class CampaignReport:
             for invariant, n in result.checks.items():
                 out[invariant] = out.get(invariant, 0) + n
         return dict(sorted(out.items()))
+
+    def under_exercised(self, floor: int) -> dict[str, int]:
+        """Counted invariant classes evaluated fewer than ``floor`` times
+        (with their counts), in :data:`INVARIANTS` order."""
+        checks = self.checks()
+        return {
+            name: checks.get(name, 0)
+            for name in COUNTED_INVARIANTS
+            if checks.get(name, 0) < floor
+        }
 
     def to_dict(self) -> dict:
         return {

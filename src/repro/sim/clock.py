@@ -42,6 +42,7 @@ class SimClock:
         self._now_s = 0.0
         self._tick_index = 0
         self._periodic: list[_PeriodicTask] = []
+        self._callbacks_fired = 0
 
     @property
     def now_s(self) -> float:
@@ -56,6 +57,16 @@ class SimClock:
     def tick_index(self) -> int:
         """Number of completed ticks."""
         return self._tick_index
+
+    @property
+    def callbacks_fired(self) -> int:
+        """Periodic callbacks the last :meth:`advance` fired (a task due
+        for several periods in one tick counts once per period).
+
+        Zero means the last advance only moved time forward, so whatever
+        state callbacks could touch is as it was before that advance.
+        """
+        return self._callbacks_fired
 
     def every(
         self,
@@ -105,10 +116,12 @@ class SimClock:
         """
         self._now_s += self._tick_s
         self._tick_index += 1
+        self._callbacks_fired = 0
         for task in self._periodic:
             # A long tick may cover several periods; fire once per period to
             # keep the callback cadence faithful.
             while task.enabled and task.next_due_s <= self._now_s + 1e-9:
+                self._callbacks_fired += 1
                 task.callback(self._now_s)
                 task.next_due_s += task.period_s
         return self._now_s

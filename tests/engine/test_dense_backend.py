@@ -23,6 +23,7 @@ for the reference per-parcel engine:
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -435,3 +436,24 @@ def test_shared_link_budget_matches_reference() -> None:
         assert list(d) == list(r)
         for link, remaining in r.items():
             assert d[link] == pytest.approx(remaining, rel=1e-9, abs=1e-3)
+
+
+def test_count_and_min_on_synced_queues() -> None:
+    """Queues the dense backend materializes from its bucket arrays answer
+    ``count_and_min`` like their parcel lists."""
+    topology, plan, workload = build_world(6, 1, 1)
+    runtime = create_runtime(
+        topology, plan, workload, WaspConfig(), backend="dense"
+    )
+    assert isinstance(runtime, DenseEngineRuntime)
+    seen = 0
+    for _ in range(15):
+        runtime.tick()
+        for _table, _key, queue in runtime.iter_queues():
+            counts = [p.count for p in queue.parcels()]
+            assert queue.count_and_min() == (
+                queue.count,
+                min(counts, default=math.inf),
+            )
+            seen += len(counts)
+    assert seen > 0

@@ -1,6 +1,7 @@
 """Tests for repro.engine.queues - fluid FIFO queues with age accounting."""
 
 import gc
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -267,3 +268,50 @@ class TestGarbageCollector:
         after = len(gc.get_objects())
         assert len(queue) == 10_000
         assert after - before < 10
+
+
+class TestCountAndMin:
+    def test_empty_queue(self):
+        queue = FluidQueue()
+        assert queue.count_and_min() == (0.0, math.inf)
+        queue.push(4.0, 0.0)
+        queue.pop(4.0)
+        assert queue.count_and_min() == (0.0, math.inf)
+
+    def test_merged_parcels_count_as_one(self):
+        queue = FluidQueue()
+        queue.push(4.0, 1.0)
+        queue.push(3.0, 1.0 + FluidQueue._MERGE_EPS / 2)
+        assert len(queue) == 1
+        assert queue.count_and_min() == (7.0, 7.0)
+
+    def test_matches_parcels_after_partial_pops(self):
+        queue = FluidQueue()
+        for count, gen in ((5.0, 0.0), (2.0, 1.0), (9.0, 2.0)):
+            queue.push(count, gen)
+        assert queue.count_and_min() == (16.0, 2.0)
+        queue.pop(4.5)
+        counts = [p.count for p in queue.parcels()]
+        assert queue.count_and_min() == (queue.count, min(counts)) == (
+            11.5, 0.5
+        )
+
+    def test_reads_shared_storage_without_materializing(self):
+        queue = FluidQueue()
+        for count, gen in ((5.0, 0.0), (2.0, 1.0)):
+            queue.push(count, gen)
+        clone = queue.clone_cow()
+        assert clone.count_and_min() == queue.count_and_min() == (7.0, 2.0)
+        assert clone._counts is queue._counts
+        clone.pop(6.0)
+        assert clone.count_and_min() == (1.0, 1.0)
+        assert queue.count_and_min() == (7.0, 2.0)
+
+    def test_nan_minimum_only_for_a_nan_head(self):
+        queue = FluidQueue()
+        queue.push(5.0, 0.0)
+        queue._counts.appendleft(math.nan)
+        queue._gens.appendleft(-1.0)
+        assert math.isnan(queue.count_and_min()[1])
+        queue._counts.rotate(-1)
+        assert queue.count_and_min()[1] == 5.0

@@ -108,3 +108,48 @@ class TestPeriodicCallbacks:
         clock = SimClock()
         name = clock.every(1.0, lambda t: None)
         assert name == "periodic-0"
+
+
+class TestCallbacksFired:
+    def test_zero_before_any_advance_and_on_quiet_ticks(self):
+        clock = SimClock()
+        clock.every(3.0, lambda t: None)
+        assert clock.callbacks_fired == 0
+        clock.advance()
+        assert clock.callbacks_fired == 0
+
+    def test_counts_every_firing_of_the_last_advance(self):
+        clock = SimClock()
+        clock.every(2.0, lambda t: None, name="a")
+        clock.every(3.0, lambda t: None, name="b")
+        counts = []
+        for _ in range(6):
+            clock.advance()
+            counts.append(clock.callbacks_fired)
+        assert counts == [0, 1, 1, 1, 0, 2]
+
+    def test_multi_period_tick_counts_once_per_period(self):
+        clock = SimClock(tick_s=10.0)
+        clock.every(3.0, lambda t: None)
+        clock.every(4.0, lambda t: None)
+        clock.advance()
+        assert clock.callbacks_fired == 3 + 2
+
+    def test_disabled_tasks_do_not_count(self):
+        clock = SimClock()
+        clock.every(1.0, lambda t: None, name="t")
+        clock.set_enabled("t", False)
+        clock.advance()
+        assert clock.callbacks_fired == 0
+        clock.set_enabled("t", True)
+        clock.advance()
+        # The catch-up firing of the missed period counts too.
+        assert clock.callbacks_fired == 2
+
+    def test_visible_to_callbacks_as_they_fire(self):
+        clock = SimClock()
+        seen = []
+        clock.every(1.0, lambda t: seen.append(clock.callbacks_fired))
+        clock.every(1.0, lambda t: seen.append(clock.callbacks_fired))
+        clock.advance()
+        assert seen == [1, 2]

@@ -7,6 +7,12 @@ import pytest
 
 from repro.__main__ import _build_parser, main
 from repro.config import ENGINE_BACKENDS
+from repro.fuzz.campaign import (
+    COUNTED_INVARIANTS,
+    CampaignReport,
+    ScenarioResult,
+)
+from repro.fuzz.invariants import INVARIANTS
 
 
 class TestList:
@@ -105,6 +111,64 @@ class TestFuzz:
         out = capsys.readouterr().out
         assert "pinned-invariant=conservation" in out
         assert "violations: none" in out
+
+    def test_min_exercise_met(self, capsys):
+        """Seed 19 evaluates every counted invariant class at least once."""
+        code = main(
+            ["fuzz", "--base-seed", "19", "--seeds", "1", "--min-exercise", "1"]
+        )
+        assert code == 0
+        assert "exercised < 1: 0 invariant class(es)" in capsys.readouterr().out
+
+    def test_min_exercise_missed_names_every_short_class(
+        self, capsys, tmp_path
+    ):
+        out_path = tmp_path / "report.json"
+        code = main(
+            [
+                "fuzz", "--base-seed", "19", "--seeds", "1",
+                "--min-exercise", "2", "--out", str(out_path),
+            ]
+        )
+        assert code == 1
+        out = capsys.readouterr().out
+        report = json.loads(out_path.read_text())
+        assert report["num_failing"] == 0
+        short = {
+            name for name in COUNTED_INVARIANTS
+            if report["checks"].get(name, 0) < 2
+        }
+        assert short and "alpha-cap" not in short
+        assert f"exercised < 2: {len(short)} invariant class(es)" in out
+        listed = out.split("exercised < 2:")[1].splitlines()[1:]
+        names = {line.split()[0] for line in listed if line.startswith("    ")}
+        assert names == short
+
+    def test_min_exercise_ignores_replay_and_crash(self):
+        report = CampaignReport(
+            base_seed=0,
+            num_seeds=1,
+            results=[
+                ScenarioResult(
+                    seed=0, violations=[], digest="", ticks=1,
+                    duration_s=1.0,
+                    checks={name: 1 for name in COUNTED_INVARIANTS},
+                )
+            ],
+        )
+        assert set(INVARIANTS) - set(COUNTED_INVARIANTS) == {
+            "replay-digest", "crash"
+        }
+        assert report.under_exercised(1) == {}
+        assert set(report.under_exercised(2)) == set(COUNTED_INVARIANTS)
+
+    def test_min_exercise_rejected_with_replay(self, capsys):
+        fixture = (
+            Path(__file__).parent / "fuzz" / "fixtures" / "conservation.json"
+        )
+        code = main(["fuzz", "--replay", str(fixture), "--min-exercise", "1"])
+        assert code == 2
+        assert "--min-exercise" in capsys.readouterr().err
 
     def test_replay_rejects_non_artifact(self, capsys, tmp_path):
         bogus = tmp_path / "bogus.json"
