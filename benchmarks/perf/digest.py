@@ -5,8 +5,10 @@ seed has to produce bit-identical recorder output before and after.  This
 module runs three canonical fixed-seed scenarios (the Fig-8 bottleneck run,
 the same dynamics under the Degrade baseline, whose SLO drops the WASP run
 never takes, and a chaos-enabled run with mid-adaptation faults) and hashes
-every recorded sample, adaptation and fault event at full float precision.  A
-fourth fingerprint covers the many-flow regime those runs do not reach: raw
+every recorded sample, adaptation and fault event at full float precision.
+The chaos run is pinned a second time with a trace sink attached: that pin
+hashes the JSONL trace bytes, ``attempt_log`` and ``history``, so the bus and
+the adaptation log cannot drift from the recorder.  A fingerprint covers the many-flow regime those runs do not reach: raw
 engine ticks on the 16-site all-to-all shuffle of
 :func:`benchmarks.perf.scale.build_world`.  Two more pin the dense backend
 against itself: the same fingerprint on the 64-site shuffle, and an adapting
@@ -27,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import io
 import sys
 
 from repro.baselines.variants import VariantSpec, degrade, wasp
@@ -36,7 +39,8 @@ from repro.config import WaspConfig
 from repro.engine.dense import create_runtime
 from repro.experiments.harness import ExperimentRun
 from repro.experiments.scenarios import bottleneck_dynamics, fig8_scenario
-from repro.sim.recorder import RunRecorder
+from repro.fuzz.campaign import recorder_digest
+from repro.obs.sinks import JsonlSink
 from repro.sim.rng import RngRegistry
 
 from .scale import build_world
@@ -61,6 +65,9 @@ PINNED = {
         "chaos": (
             "f8fb00876182f2e8aeb0264b705035b22d02ec73393fe639dbdfc6d8a7735655"
         ),
+        "chaos_log": (
+            "739bec911809d9cbfa21fcb33075aa21f3783132806b6af7b606037ea3ae449d"
+        ),
         "shuffle16": (
             "sink=7918284.75794412 backlog=49681715.242055885 "
             "net=68018501.15750133"
@@ -74,27 +81,6 @@ PINNED = {
         ),
     },
 }
-
-
-def recorder_digest(recorder: RunRecorder) -> str:
-    """SHA-256 over every sample/adaptation/fault at full float precision.
-
-    ``repr`` of a float is exact (round-trips the IEEE-754 value), so two
-    digests match iff the recorded runs are bit-identical.
-    """
-    h = hashlib.sha256()
-    for s in recorder.samples:
-        h.update(
-            (
-                f"{s.t_s!r}|{s.delay_s!r}|{s.processed!r}|{s.offered!r}"
-                f"|{s.dropped!r}|{s.parallelism}|{s.extra_slots}\n"
-            ).encode()
-        )
-    for a in recorder.adaptations:
-        h.update(f"A|{a.t_s!r}|{a.action}|{a.detail}\n".encode())
-    for f in recorder.faults:
-        h.update(f"F|{f.t_s!r}|{f.kind}|{f.detail}\n".encode())
-    return h.hexdigest()
 
 
 def _build_run(
@@ -142,9 +128,9 @@ def fig8_degrade_digest(
     return recorder_digest(run.recorder)
 
 
-def chaos_digest(duration_s: float = 450.0, seed: int = DIGEST_SEED) -> str:
-    """Digest of a fixed-seed chaos-enabled run (site crash + bandwidth
-    collapse + straggler + probabilistic flaps on a seeded stream)."""
+def _chaos_run(seed: int) -> ExperimentRun:
+    """The fixed-seed chaos run: site crash + bandwidth collapse +
+    straggler on a seeded stream."""
     run = _build_run(seed)
     injector = (
         ChaosInjector(rng=RngRegistry(seed).stream("chaos"))
@@ -158,8 +144,37 @@ def chaos_digest(duration_s: float = 450.0, seed: int = DIGEST_SEED) -> str:
         .at(300.0, Straggler(site="dc-oregon", slowdown=4.0, duration_s=80.0))
     )
     run.attach_chaos(injector)
+    return run
+
+
+def chaos_digest(duration_s: float = 450.0, seed: int = DIGEST_SEED) -> str:
+    """Digest of the fixed-seed chaos run's recorder output."""
+    run = _chaos_run(seed)
     run.run(duration_s, bottleneck_dynamics())
     return recorder_digest(run.recorder)
+
+
+def chaos_log_digest(duration_s: float = 450.0, seed: int = DIGEST_SEED) -> str:
+    """Digest of the chaos run's adaptation record as every reader sees it:
+    the JSONL trace bytes, ``manager.attempt_log`` and ``manager.history``
+    (time, kind, stage, attempt, transition, migrated MB)."""
+    run = _chaos_run(seed)
+    trace = io.StringIO()
+    run.obs.attach(JsonlSink(trace))
+    run.run(duration_s, bottleneck_dynamics())
+    run.obs.close()
+    h = hashlib.sha256(trace.getvalue().encode())
+    for a in run.manager.attempt_log:
+        h.update(
+            f"L|{a.t_s!r}|{a.stage}|{a.attempt}|{a.outcome}|{a.detail}\n".encode()
+        )
+    for r in run.manager.history:
+        mb = r.migration.total_mb if r.migration is not None else None
+        h.update(
+            f"H|{r.t_s!r}|{r.kind.value}|{r.stage}|{r.attempt}"
+            f"|{r.transition_s!r}|{mb!r}\n".encode()
+        )
+    return h.hexdigest()
 
 
 def shuffle_fingerprint(
@@ -188,6 +203,7 @@ DIGESTS = {
     "fig8": fig8_digest,
     "fig8_degrade": fig8_degrade_digest,
     "chaos": chaos_digest,
+    "chaos_log": chaos_log_digest,
     "shuffle16": shuffle_fingerprint,
     "shuffle64_dense": lambda: shuffle_fingerprint(
         DENSE_SHUFFLE_SITES, backend="dense"

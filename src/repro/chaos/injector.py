@@ -29,11 +29,11 @@ import numpy as np
 
 from ..core.transaction import AdaptationPoint
 from ..errors import ChaosError
+from ..obs.events import ChaosFault, EventBus
 from .faults import ChaosTarget, Fault
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..core.controller import ReconfigurationManager
-    from ..obs.events import EventBus
     from ..sim.recorder import RunRecorder
 
 
@@ -83,9 +83,10 @@ class ChaosInjector:
 
     rng: np.random.Generator
     recorder: "RunRecorder | None" = None
-    #: Optional event bus (repro.obs); fault firings and reverts are
-    #: emitted as ``chaos.fault`` events when a sink is attached.
-    obs: "EventBus | None" = None
+    #: Event bus (repro.obs) that receives fault firings and reverts as
+    #: ``chaos.fault`` events; ``ExperimentRun.attach_chaos`` installs the
+    #: run's bus.
+    obs: EventBus = field(default_factory=EventBus)
     _rules: list[_Rule] = field(default_factory=list)
     _active: list[_Activation] = field(default_factory=list)
     _target: ChaosTarget | None = None
@@ -311,12 +312,9 @@ class ChaosInjector:
     ) -> None:
         if self.recorder is not None:
             self.recorder.record_fault(t_s, kind, detail)
-        if self.obs:
-            from ..obs.events import ChaosFault
-
-            self.obs.emit(
-                ChaosFault(t_s, fault=fault or kind, detail=detail, phase=phase)
-            )
+        self.obs.emit(
+            ChaosFault(t_s, fault=fault or kind, detail=detail, phase=phase)
+        )
 
     @property
     def active_faults(self) -> list[Fault]:

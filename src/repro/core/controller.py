@@ -43,9 +43,11 @@ from ..obs.events import (
     Diagnose,
     EventBus,
     FallbackHop,
+    ObsEvent,
     Rollback,
     RoundEnd,
     RoundStart,
+    Snapshot,
     Validate,
     Verify,
     WindowSnapshot,
@@ -84,7 +86,8 @@ AdaptationHook = Callable[[AdaptationPoint, str, float], None]
 
 @dataclass
 class AdaptationRecord:
-    """One executed action, for experiment annotation and assertions."""
+    """One committed action; the committed :class:`AttemptRecord` of the
+    manager's ``attempt_log`` carries it."""
 
     t_s: float
     kind: ActionKind
@@ -95,6 +98,9 @@ class AdaptationRecord:
     #: Which technique of the Figure-6 fallback chain finally committed:
     #: "primary", "retry-<k>", "scale-out" or "abandon-state".
     attempt: str = "primary"
+    #: Committed by the long-term planner's background loop rather than a
+    #: reactive round (recorded as "re-plan (long-term)").
+    long_term: bool = False
 
 
 @dataclass(frozen=True)
@@ -160,18 +166,19 @@ class ReconfigurationManager:
         self.mode = mode or PolicyMode.wasp()
         self.migration_strategy = migration_strategy
         self._rng = rng if rng is not None else np.random.default_rng(0)
-        #: Optional event bus (repro.obs); every emission site is guarded
-        #: by its truthiness, so a sink-less bus costs nothing.
-        self.obs = obs
+        #: The event bus (repro.obs); ``emit`` returns at once while no sink
+        #: is attached.
+        self.obs = obs if obs is not None else EventBus()
         self._round_no = 0
 
         self.monitor = GlobalMetricMonitor()
         self.estimator = WorkloadEstimator()
         self.diagnoser = Diagnoser(self.config)
-        self.policy = AdaptationPolicy(self.estimator, obs=obs)
+        self.policy = AdaptationPolicy(self.estimator, obs=self.obs)
         self.network = _NetworkAdapter(self)
 
-        self.history: list[AdaptationRecord] = []
+        #: The adaptation log: every attempt's outcome, in order.  Only
+        #: :meth:`_log` appends to it; ``history`` is a view over it.
         self.attempt_log: list[AttemptRecord] = []
         self.state_lost_mb = 0.0
         self.last_window: MetricsWindow | None = None
@@ -205,30 +212,32 @@ class ReconfigurationManager:
     # The adaptation loop body
     # ------------------------------------------------------------------ #
 
+    @property
+    def history(self) -> tuple[AdaptationRecord, ...]:
+        """The committed adaptations, in order (a view over ``attempt_log``)."""
+        return tuple(a.record for a in self.attempt_log if a.record is not None)
+
     def adaptation_round(self, now_s: float) -> list[AdaptationRecord]:
         """One monitoring-interval iteration; returns the actions executed."""
         obs = self.obs
-        if obs:
-            self._round_no += 1
-            with obs.span("adaptation-round", now_s):
-                obs.emit(
-                    RoundStart(
-                        now_s,
-                        round=self._round_no,
-                        stages=len(self.runtime.plan.stages),
-                    )
+        self._round_no += 1
+        with obs.span("adaptation-round", now_s):
+            obs.emit(
+                RoundStart(
+                    now_s,
+                    round=self._round_no,
+                    stages=len(self.runtime.plan.stages),
                 )
-                executed, decided = self._round_body(now_s)
-                obs.emit(
-                    RoundEnd(
-                        now_s,
-                        round=self._round_no,
-                        decided=decided,
-                        executed=len(executed),
-                    )
+            )
+            executed, decided = self._round_body(now_s)
+            obs.emit(
+                RoundEnd(
+                    now_s,
+                    round=self._round_no,
+                    decided=decided,
+                    executed=len(executed),
                 )
-            return executed
-        executed, _ = self._round_body(now_s)
+            )
         return executed
 
     def _round_body(
@@ -245,23 +254,22 @@ class ReconfigurationManager:
             plan, window, estimates, self.network
         )
         self.last_diagnoses = diagnoses
-        if obs:
-            self._emit_window(now_s, window, estimates)
-            for name in sorted(diagnoses):
-                diag = diagnoses[name]
-                obs.emit(
-                    Diagnose(
-                        now_s,
-                        stage=name,
-                        health=diag.health.value,
-                        utilization=diag.utilization,
-                        expected_input_eps=diag.expected_input_eps,
-                        capacity_eps=diag.processing_capacity_eps,
-                        backlog=diag.input_backlog,
-                        backlog_growth=diag.input_backlog_growth,
-                        slow_sites=list(diag.slow_sites),
-                    )
+        self._emit_window(now_s, window, estimates)
+        for name in sorted(diagnoses):
+            diag = diagnoses[name]
+            obs.emit(
+                Diagnose(
+                    now_s,
+                    stage=name,
+                    health=diag.health.value,
+                    utilization=diag.utilization,
+                    expected_input_eps=diag.expected_input_eps,
+                    capacity_eps=diag.processing_capacity_eps,
+                    backlog=diag.input_backlog,
+                    backlog_growth=diag.input_backlog_growth,
+                    slow_sites=list(diag.slow_sites),
                 )
+            )
 
         # Skip stages still transitioning from the previous adaptation.
         actionable = {
@@ -302,14 +310,9 @@ class ReconfigurationManager:
         ]
         executed: list[AdaptationRecord] = []
         for action in actions:
-            record = self._execute(action, now_s)
+            record = self.execute(action, now_s)
             if record is not None:
                 executed.append(record)
-                self.history.append(record)
-                if self.recorder is not None:
-                    self.recorder.record_adaptation(
-                        now_s, record.kind.value, record.reason
-                    )
         return executed, decided
 
     def _emit_window(
@@ -357,12 +360,9 @@ class ReconfigurationManager:
     # Action execution
     # ------------------------------------------------------------------ #
 
-    def execute(self, action: Action, now_s: float) -> AdaptationRecord | None:
-        """Run one externally-constructed action through the same
-        transactional fallback chain `adaptation_round` uses."""
-        return self._execute(action, now_s)
-
-    def _execute(self, action: Action, now_s: float) -> AdaptationRecord | None:
+    def execute(
+        self, action: Action, now_s: float, *, long_term: bool = False
+    ) -> AdaptationRecord | None:
         """Run one action transactionally with technique fallback.
 
         Lifecycle per attempt: validate -> snapshot -> apply -> verify ->
@@ -374,113 +374,97 @@ class ReconfigurationManager:
         bounded simulated-time backoff, then scale-out with state
         partitioning, then abandon the state (Section 8.7.1's NONE).
         Returns None when every technique rolled back - the system is then
-        bit-identical to before the action.
+        bit-identical to before the action.  ``long_term`` marks a
+        proactive re-plan of the long-term planner.
         """
         if not isinstance(
             action, (ReassignAction, ScaleAction, ScaleDownAction, ReplanAction)
         ):
             raise AdaptationError(f"unknown action type: {action!r}")
         obs = self.obs
+        stage = action.stage
         prev_label: str | None = None
         for attempt in self._attempt_chain(action, now_s):
-            if obs:
-                if prev_label is not None:
-                    obs.emit(
-                        FallbackHop(
-                            now_s,
-                            stage=action.stage,
-                            from_attempt=prev_label,
-                            to_attempt=attempt.label,
-                        )
-                    )
+            label = attempt.label
+            kind = attempt.action.kind.value
+            if prev_label is not None:
                 obs.emit(
-                    AttemptStart(
+                    FallbackHop(
                         now_s,
-                        stage=action.stage,
-                        attempt=attempt.label,
-                        action=attempt.action.kind.value,
-                        reason=attempt.action.reason,
+                        stage=stage,
+                        from_attempt=prev_label,
+                        to_attempt=label,
                     )
                 )
-            prev_label = attempt.label
-            txn = AdaptationTransaction.begin(
-                self, now_s=now_s, stage=action.stage
+            obs.emit(
+                AttemptStart(
+                    now_s,
+                    stage=stage,
+                    attempt=label,
+                    action=kind,
+                    reason=attempt.action.reason,
+                )
             )
+            prev_label = label
+            obs.emit(Snapshot(now_s, stage=stage))
+            txn = AdaptationTransaction.begin(self)
             self._strategy_override = attempt.strategy
             self._extra_transition_s = attempt.backoff_s
             try:
                 self._validate(attempt.action)
-                if obs:
-                    obs.emit(
-                        Validate(
-                            now_s,
-                            stage=action.stage,
-                            action=attempt.action.kind.value,
-                        )
-                    )
+                obs.emit(Validate(now_s, stage=stage, action=kind))
                 record = self._apply_action(attempt.action, now_s)
-                if obs:
-                    obs.emit(
-                        Apply(
-                            now_s,
-                            stage=action.stage,
-                            action=attempt.action.kind.value,
-                            transition_s=record.transition_s,
-                        )
+                obs.emit(
+                    Apply(
+                        now_s,
+                        stage=stage,
+                        action=kind,
+                        transition_s=record.transition_s,
                     )
+                )
                 self._verify(record)
-                if obs:
-                    obs.emit(Verify(now_s, stage=action.stage))
-                    if record.migration is not None:
-                        emit_migration_events(
-                            obs,
-                            now_s,
-                            record.stage,
-                            record.migration,
-                            self._current_strategy(),
-                        )
+                obs.emit(Verify(now_s, stage=stage))
+                if record.migration is not None:
+                    emit_migration_events(
+                        obs,
+                        now_s,
+                        record.stage,
+                        record.migration,
+                        self._current_strategy(),
+                    )
             except WaspError as exc:
                 txn.rollback(self)
-                if obs:
-                    obs.emit(
-                        Rollback(
-                            now_s,
-                            stage=action.stage,
-                            attempt=attempt.label,
-                            error=str(exc),
-                        )
-                    )
-                self._log_attempt(
-                    now_s, action.stage, attempt.label, "rolled-back", str(exc)
+                self._log(
+                    Rollback(now_s, stage=stage, attempt=label, error=str(exc)),
+                    AttemptRecord(now_s, stage, label, "rolled-back", str(exc)),
                 )
                 continue
             finally:
                 self._strategy_override = None
                 self._extra_transition_s = 0.0
-            record.attempt = attempt.label
-            if obs:
-                obs.emit(
-                    Commit(
-                        now_s,
-                        stage=action.stage,
-                        attempt=attempt.label,
-                        action=record.kind.value,
-                        reason=record.reason,
-                        transition_s=record.transition_s,
-                    )
-                )
-            self._log_attempt(
-                now_s, action.stage, attempt.label, "committed",
-                attempt.action.reason,
+            record.attempt = label
+            record.long_term = long_term
+            self._log(
+                Commit(
+                    now_s,
+                    stage=stage,
+                    attempt=label,
+                    action=record.kind.value,
+                    reason=record.reason,
+                    transition_s=record.transition_s,
+                ),
+                AttemptRecord(
+                    now_s, stage, label, "committed", attempt.action.reason,
+                    record,
+                ),
             )
             return record
-        if obs:
-            obs.emit(
-                Abandoned(now_s, stage=action.stage, action=action.kind.value)
-            )
-        self._log_attempt(
-            now_s, action.stage, "exhausted", "abandoned",
-            "every technique in the fallback chain rolled back",
+        self._log(
+            Abandoned(now_s, stage=stage, action=action.kind.value),
+            AttemptRecord(
+                now_s, stage, "exhausted", "abandoned",
+                "every technique in the fallback chain rolled back",
+            ),
         )
         return None
 
@@ -510,25 +494,35 @@ class ReconfigurationManager:
         if self.adaptation_hook is not None:
             self.adaptation_hook(point, stage, now_s)
 
-    def _log_attempt(
-        self, t_s: float, stage: str, attempt: str, outcome: str, detail: str
-    ) -> None:
-        self.attempt_log.append(
-            AttemptRecord(t_s, stage, attempt, outcome, detail)
-        )
-        if self.recorder is None:
+    def _log(self, event: ObsEvent, entry: AttemptRecord) -> None:
+        """The one writer of the adaptation record: emit the outcome's bus
+        event, append ``entry`` to ``attempt_log`` and write its recorder
+        lines (``rollback``; ``fallback:<label>`` or
+        ``adaptation-abandoned``; the committed kind)."""
+        self.obs.emit(event)
+        self.attempt_log.append(entry)
+        recorder = self.recorder
+        if recorder is None:
             return
-        if outcome == "rolled-back":
-            self.recorder.record_adaptation(
-                t_s, "rollback", f"{stage}: {attempt}: {detail}"
+        t_s, stage, attempt = entry.t_s, entry.stage, entry.attempt
+        if entry.outcome == "rolled-back":
+            recorder.record_adaptation(
+                t_s, "rollback", f"{stage}: {attempt}: {entry.detail}"
             )
-        elif outcome == "abandoned":
-            self.recorder.record_adaptation(
-                t_s, "adaptation-abandoned", f"{stage}: {detail}"
+        elif entry.outcome == "abandoned":
+            recorder.record_adaptation(
+                t_s, "adaptation-abandoned", f"{stage}: {entry.detail}"
             )
-        elif attempt != "primary":
-            self.recorder.record_adaptation(
-                t_s, f"fallback:{attempt}", f"{stage}: {detail}"
+        else:
+            record = entry.record
+            if attempt != "primary":
+                recorder.record_adaptation(
+                    t_s, f"fallback:{attempt}", f"{stage}: {entry.detail}"
+                )
+            recorder.record_adaptation(
+                t_s,
+                "re-plan (long-term)" if record.long_term else record.kind.value,
+                record.reason,
             )
 
     def _validate(self, action: Action) -> None:

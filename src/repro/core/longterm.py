@@ -122,7 +122,12 @@ class LongTermPlanner:
         self.manager = manager
         self.forecaster = forecaster
         self.config = config or LongTermConfig()
-        self.history: list[AdaptationRecord] = []
+
+    @property
+    def history(self) -> tuple[AdaptationRecord, ...]:
+        """The proactive re-plans this loop committed (a view over the
+        manager's adaptation log)."""
+        return tuple(r for r in self.manager.history if r.long_term)
 
     def observe_window(self, t_s: float, rates: dict[str, float]) -> None:
         """Feed observed source rates (call once per monitoring window)."""
@@ -133,7 +138,8 @@ class LongTermPlanner:
 
         Uses the same hysteresis as reactive re-planning, so near-equal
         plans never flip; a proactive switch only happens when the forecast
-        clearly favours an alternative.
+        clearly favours an alternative.  Returns the committed re-plan, or
+        None when nothing was proposed or every attempt rolled back.
         """
         manager = self.manager
         if manager.replanner is None:
@@ -169,11 +175,4 @@ class LongTermPlanner:
             f"{proposal.current_score_ms:.1f}ms)",
             proposal.estimate,
         )
-        record = manager._execute(action, now_s)
-        manager.history.append(record)
-        self.history.append(record)
-        if manager.recorder is not None:
-            manager.recorder.record_adaptation(
-                now_s, "re-plan (long-term)", record.reason
-            )
-        return record
+        return manager.execute(action, now_s, long_term=True)

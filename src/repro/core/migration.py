@@ -23,14 +23,11 @@ import enum
 import itertools
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from ..errors import MigrationError
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from ..obs.events import EventBus
+from ..obs.events import EventBus, MigrateEnd, MigrateStart, MigrateTransfer
 
 
 class MigrationStrategy(enum.Enum):
@@ -291,7 +288,7 @@ def rebalance_transfers(
 
 
 def emit_migration_events(
-    obs: "EventBus | None",
+    obs: EventBus,
     t_s: float,
     stage: str,
     plan: MigrationPlan,
@@ -304,12 +301,8 @@ def emit_migration_events(
     duration) and ``migrate.end`` with the plan's transition cost.  Plans
     with neither transfers nor abandoned state are silent - nothing moved.
     """
-    if not obs:
-        return
     if not plan.transfers and plan.state_abandoned_mb <= 0:
         return
-    from ..obs.events import MigrateEnd, MigrateStart, MigrateTransfer
-
     with obs.span("migration", t_s):
         obs.emit(
             MigrateStart(

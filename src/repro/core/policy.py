@@ -25,11 +25,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable
+from typing import Callable
 
 from ..config import WaspConfig
 from ..engine.physical import PhysicalPlan, Stage
 from ..errors import InfeasiblePlacementError
+from ..obs.events import Decide, EventBus
 from ..planner.placement import (
     DownstreamDemand,
     PlacementProblem,
@@ -47,9 +48,6 @@ from .scaling import (
     compute_scale_up_target,
     pick_scale_down_site,
 )
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from ..obs.events import EventBus
 
 
 @dataclass(frozen=True)
@@ -131,12 +129,11 @@ class AdaptationPolicy:
         self,
         estimator: WorkloadEstimator | None = None,
         *,
-        obs: "EventBus | None" = None,
+        obs: EventBus | None = None,
     ) -> None:
         self._estimator = estimator or WorkloadEstimator()
-        #: Optional event bus; ``decide`` events are emitted only when a
-        #: sink is attached (the bus is truthy).
-        self.obs = obs
+        #: The event bus ``decide`` events go to.
+        self.obs = obs if obs is not None else EventBus()
 
     # ------------------------------------------------------------------ #
     # Entry point
@@ -166,18 +163,15 @@ class AdaptationPolicy:
                 actions.append(action)
                 self._debit_slots(stage, action, ctx)
         decided = [replan] if replan is not None else actions
-        if self.obs:
-            from ..obs.events import Decide
-
-            for action in decided:
-                self.obs.emit(
-                    Decide(
-                        ctx.now_s,
-                        stage=action.stage,
-                        action=action.kind.value,
-                        reason=action.reason,
-                    )
+        for action in decided:
+            self.obs.emit(
+                Decide(
+                    ctx.now_s,
+                    stage=action.stage,
+                    action=action.kind.value,
+                    reason=action.reason,
                 )
+            )
         return decided
 
     @staticmethod

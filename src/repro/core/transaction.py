@@ -36,7 +36,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..engine.physical import Task
     from ..engine.runtime import RuntimeSnapshot
     from ..engine.state import StatePartition
-    from .controller import ReconfigurationManager
+    from .controller import AdaptationRecord, ReconfigurationManager
 
 
 class AdaptationPoint(enum.Enum):
@@ -56,13 +56,16 @@ class AdaptationPoint(enum.Enum):
 
 @dataclass(frozen=True)
 class AttemptRecord:
-    """One attempt of the technique chain, for experiment assertions."""
+    """One entry of the adaptation log: an attempt of the technique chain
+    and its outcome.  A committed attempt carries the committed action's
+    :class:`~repro.core.controller.AdaptationRecord`."""
 
     t_s: float
     stage: str
     attempt: str  # "primary", "retry-1", "scale-out", "abandon-state"
     outcome: str  # "committed", "rolled-back", "abandoned"
     detail: str = ""
+    record: "AdaptationRecord | None" = None
 
 
 @dataclass
@@ -77,20 +80,8 @@ class AdaptationTransaction:
     state_lost_mb: float
 
     @classmethod
-    def begin(
-        cls,
-        manager: "ReconfigurationManager",
-        *,
-        now_s: float | None = None,
-        stage: str | None = None,
-    ) -> "AdaptationTransaction":
-        """Capture the snapshot (and announce it on the manager's event bus
-        when one is listening - ``now_s``/``stage`` exist only for that)."""
-        obs = getattr(manager, "obs", None)
-        if obs and now_s is not None:
-            from ..obs.events import Snapshot
-
-            obs.emit(Snapshot(now_s, stage=stage or ""))
+    def begin(cls, manager: "ReconfigurationManager") -> "AdaptationTransaction":
+        """Capture the snapshot."""
         plan = manager.runtime.plan
         return cls(
             used_slots=manager.runtime.topology.slot_snapshot(),

@@ -19,13 +19,10 @@ latest local snapshot, and answers the two questions the controller asks:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from ..errors import CheckpointError
+from ..obs.events import Checkpoint, EventBus
 from .state import StateStore
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from ..obs.events import EventBus
 
 
 @dataclass(frozen=True)
@@ -46,7 +43,7 @@ class CheckpointCoordinator:
         store: StateStore,
         interval_s: float = 30.0,
         *,
-        obs: "EventBus | None" = None,
+        obs: EventBus | None = None,
     ) -> None:
         if interval_s <= 0:
             raise CheckpointError(f"interval_s must be > 0, got {interval_s}")
@@ -54,9 +51,8 @@ class CheckpointCoordinator:
         self._interval_s = float(interval_s)
         self._records: dict[tuple[str, str], CheckpointRecord] = {}
         self._last_checkpoint_s = float("-inf")
-        #: Optional event bus (repro.obs); checkpoint rounds are announced
-        #: only while a sink is attached.
-        self.obs = obs
+        #: The event bus (repro.obs) checkpoint rounds are announced on.
+        self.obs = obs if obs is not None else EventBus()
 
     @property
     def interval_s(self) -> float:
@@ -87,17 +83,14 @@ class CheckpointCoordinator:
                 self._records[(stage_name, site)] = record
                 written.append(record)
         self._last_checkpoint_s = now_s
-        if self.obs:
-            from ..obs.events import Checkpoint
-
-            self.obs.emit(
-                Checkpoint(
-                    now_s,
-                    records=len(written),
-                    total_mb=sum(r.size_mb for r in written),
-                    skipped_sites=sorted(skip_sites),
-                )
+        self.obs.emit(
+            Checkpoint(
+                now_s,
+                records=len(written),
+                total_mb=sum(r.size_mb for r in written),
+                skipped_sites=sorted(skip_sites),
             )
+        )
         return written
 
     def maybe_checkpoint(

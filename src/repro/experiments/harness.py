@@ -114,8 +114,9 @@ class ExperimentRun:
         self.config = config or WaspConfig.paper_defaults()
         self.rngs = rngs or RngRegistry(self.config.seed)
         self.recorder = RunRecorder(name=f"{query.name}/{variant.name}")
-        #: The run's event bus (repro.obs).  Falsy until a sink is attached
-        #: (see :meth:`attach_trace`), so unobserved runs pay nothing.
+        #: The run's event bus (repro.obs), shared by every component;
+        #: emitting costs a call until a sink is attached (see
+        #: :meth:`attach_trace`).
         self.obs = EventBus()
 
         self.wan_monitor = WanMonitor(
@@ -321,8 +322,7 @@ class ExperimentRun:
         )
         if injector.recorder is None:
             injector.recorder = self.recorder
-        if injector.obs is None:
-            injector.obs = self.obs
+        injector.obs = self.obs
         self._chaos = injector
 
     def _chaos_fail_site(self, name: str, now_s: float) -> None:
@@ -443,16 +443,15 @@ class ExperimentRun:
             self.runtime.inject_replay(
                 stage.name, site, events, fail_start - replay_window / 2
             )
-            if self.obs:
-                self.obs.emit(
-                    Restore(
-                        now_s,
-                        stage=stage.name,
-                        site=site,
-                        events=events,
-                        replay_window_s=replay_window,
-                    )
+            self.obs.emit(
+                Restore(
+                    now_s,
+                    stage=stage.name,
+                    site=site,
+                    events=events,
+                    replay_window_s=replay_window,
                 )
+            )
             self.replayed_source_equiv += (
                 self.runtime.to_source_equivalents(stage.name, events)
             )

@@ -39,9 +39,9 @@ from ..baselines.variants import (
     wasp,
 )
 from ..config import WaspConfig
-from ..core.actions import ReassignAction, ScaleAction
+from ..core.actions import Action, ReassignAction, ScaleAction
 from ..core.migration import MigrationStrategy
-from ..errors import InfeasiblePlacementError, WaspError
+from ..errors import AdaptationError, InfeasiblePlacementError, WaspError
 from ..network.topology import Topology
 from ..network.traces import paper_testbed
 from ..planner.placement import PlacementProblem, UpstreamFlow
@@ -258,8 +258,9 @@ def _pin_stage_to_edge(run: ExperimentRun, stage_name: str) -> None:
     Section 8.7 studies the cost of migrating state "over a low-bandwidth
     network link": the interesting regime is a task at an edge cluster whose
     links run at public-Internet speeds, not a task on the fast data-center
-    mesh.  This setup move happens at t = 0 and leaves no residue (no
-    suspension, no history entry), so measurements start clean.
+    mesh.  This setup move is deployment, not an adaptation: it runs the
+    apply step alone, happens at t = 0 and leaves no residue (no
+    suspension, no log entry), so measurements start clean.
     """
     manager = run.manager
     if manager is None:
@@ -288,10 +289,8 @@ def _pin_stage_to_edge(run: ExperimentRun, stage_name: str) -> None:
     action = ReassignAction(
         stage_name, "setup: host at edge", {host: stage.parallelism}
     )
-    manager._execute(action, run.clock.now_s)
-    # Erase the setup's traces: no suspension, no recorded adaptation.
+    manager._apply_action(action, run.clock.now_s)
     run.runtime._suspended_until.pop(stage_name, None)
-    manager.history.clear()
 
 
 def _feasible_destinations(
@@ -394,12 +393,7 @@ def force_reassignment(
         f"controlled migration experiment -> {destination}",
         {destination: stage.parallelism},
     )
-    record = manager._execute(action, now_s)
-    manager.history.append(record)
-    if manager.recorder is not None:
-        manager.recorder.record_adaptation(
-            now_s, record.kind.value, record.reason
-        )
+    _force(run, action)
     return destination
 
 
@@ -469,11 +463,15 @@ def force_partitioned_adaptation(
         action = ReassignAction(
             stage_name, "controlled adaptation", assignment
         )
-    record = manager._execute(action, now_s)
-    manager.history.append(record)
-    if manager.recorder is not None:
-        manager.recorder.record_adaptation(
-            now_s, record.kind.value, record.reason
+    _force(run, action)
+
+
+def _force(run: ExperimentRun, action: Action) -> None:
+    """Execute a controlled adaptation; raise if every technique of the
+    fallback chain rolled back."""
+    if run.manager.execute(action, run.clock.now_s) is None:
+        raise AdaptationError(
+            f"controlled adaptation of stage {action.stage!r} rolled back"
         )
 
 

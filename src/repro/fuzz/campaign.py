@@ -54,9 +54,7 @@ def recorder_digest(recorder) -> str:
     """SHA-256 over every recorded sample/adaptation/fault.
 
     ``repr`` of a float is exact, so two digests match iff the runs are
-    bit-identical.  Duplicated from ``benchmarks/perf/digest.py`` (the
-    benchmarks tree lives outside ``src`` and is not importable here);
-    keep the framings in sync.
+    bit-identical.  ``benchmarks/perf/digest.py`` pins its values.
     """
     h = hashlib.sha256()
     for s in recorder.samples:

@@ -14,10 +14,10 @@ and chaos injector.  Attach a sink before (or during) a run::
     run.run(900.0, dynamics)
     run.obs.close()
 
-then inspect it with ``python -m repro trace trace.jsonl``.  With no sink
-attached the bus is falsy and every instrumentation site skips even event
-construction, so an unobserved run is bit-identical to an uninstrumented
-one.
+then inspect it with ``python -m repro trace trace.jsonl``.  Components
+emit unconditionally; with no sink attached ``emit`` returns before
+building a record, and emitting never touches simulation state, so an
+unobserved run's recorder output is bit-identical to a traced one's.
 """
 
 from .events import (

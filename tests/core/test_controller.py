@@ -77,7 +77,7 @@ class TestReassignExecution:
         manager = build_manager(small_topology)
         for _ in range(5):
             manager.runtime.tick()
-        record = manager._execute(
+        record = manager.execute(
             ReassignAction("agg", "test", {"dc-2": 1}), now_s=5.0
         )
         assert record.kind is ActionKind.REASSIGN
@@ -87,7 +87,7 @@ class TestReassignExecution:
 
     def test_transition_includes_migration_time(self, small_topology):
         manager = build_manager(small_topology, state_mb=100.0)
-        record = manager._execute(
+        record = manager.execute(
             ReassignAction("agg", "test", {"dc-2": 1}), now_s=0.0
         )
         # 100 MB over the 100 Mbps dc-1 -> dc-2 link = 8 s + base overhead.
@@ -101,7 +101,7 @@ class TestReassignExecution:
         for _ in range(10):
             manager.runtime.tick()
         assert manager.runtime.net_backlog_for("agg")
-        manager._execute(
+        manager.execute(
             ReassignAction("agg", "test", {"dc-2": 1}), now_s=10.0
         )
         backlog = manager.runtime.net_backlog_for("agg")
@@ -112,7 +112,7 @@ class TestReassignExecution:
             small_topology, state_mb=50.0,
             migration_strategy=MigrationStrategy.NONE,
         )
-        record = manager._execute(
+        record = manager.execute(
             ReassignAction("agg", "test", {"dc-2": 1}), now_s=0.0
         )
         assert manager.state_lost_mb == pytest.approx(50.0)
@@ -126,7 +126,7 @@ class TestReassignExecution:
 class TestScaleExecution:
     def test_scale_out_partitions_state(self, small_topology):
         manager = build_manager(small_topology, state_mb=90.0)
-        record = manager._execute(
+        record = manager.execute(
             ScaleAction("agg", "test", 2, {"dc-1": 1, "dc-2": 1},
                         cross_site=True),
             now_s=0.0,
@@ -142,7 +142,7 @@ class TestScaleExecution:
 
     def test_scale_up_local_no_migration(self, small_topology):
         manager = build_manager(small_topology, state_mb=90.0)
-        record = manager._execute(
+        record = manager.execute(
             ScaleAction("agg", "test", 2, {"dc-1": 2}, cross_site=False),
             now_s=0.0,
         )
@@ -154,7 +154,7 @@ class TestScaleExecution:
         manager = build_manager(small_topology, rate=120_000.0)
         for _ in range(10):
             manager.runtime.tick()
-        manager._execute(
+        manager.execute(
             ScaleAction("agg", "test", 2, {"dc-2": 2}, cross_site=True),
             now_s=10.0,
         )
@@ -169,7 +169,7 @@ class TestScaleDownExecution:
             manager.runtime.plan.stage("agg"), {"dc-2": 1}
         )
         manager.state_store.rebalance("agg", ["dc-1", "dc-2"])
-        record = manager._execute(
+        record = manager.execute(
             ScaleDownAction("agg", "test", "dc-2"), now_s=0.0
         )
         assert manager.runtime.plan.stage("agg").placement() == {"dc-1": 1}
@@ -237,7 +237,7 @@ class TestReplanExecution:
             variants[1], manager.wan_monitor, slots, {"src": 1000.0},
             parallelism={"agg": 1},
         )
-        record = manager._execute(
+        record = manager.execute(
             ReplanAction("agg", "test", estimate), now_s=5.0
         )
         assert record.kind is ActionKind.REPLAN
@@ -259,7 +259,7 @@ class TestReplanExecution:
         estimate = estimate_deployment(
             variants[1], manager.wan_monitor, slots, {"src": 1000.0}
         )
-        manager._execute(ReplanAction("agg", "test", estimate), now_s=0.0)
+        manager.execute(ReplanAction("agg", "test", estimate), now_s=0.0)
         assert manager.runtime.is_suspended("agg")
         assert not manager.runtime.is_suspended("src")
 
@@ -293,11 +293,15 @@ class TestAdaptationRound:
     def test_replan_cooldown_enforced(self, small_topology):
         manager = build_manager(small_topology)
         from repro.core.controller import AdaptationRecord
+        from repro.core.transaction import AttemptRecord
 
-        manager.history.append(
-            AdaptationRecord(
-                t_s=35.0, kind=ActionKind.REPLAN, stage="agg",
-                reason="prior", transition_s=1.0,
+        manager.attempt_log.append(
+            AttemptRecord(
+                35.0, "agg", "primary", "committed", "prior",
+                AdaptationRecord(
+                    t_s=35.0, kind=ActionKind.REPLAN, stage="agg",
+                    reason="prior", transition_s=1.0,
+                ),
             )
         )
         for _ in range(40):

@@ -3,14 +3,16 @@
 import pytest
 
 from repro.baselines.variants import wasp_long_term
+from repro.core.actions import ActionKind
 from repro.core.longterm import (
     LongTermConfig,
     LongTermPlanner,
     OracleForecaster,
     SeasonalNaiveForecaster,
 )
-from repro.errors import ConfigurationError
+from repro.errors import AdaptationRollbackError, ConfigurationError
 from repro.experiments.harness import ExperimentRun
+from repro.experiments.scenarios import fig8_scenario, live_dynamics
 from repro.network.traces import paper_testbed
 from repro.sim.rng import RngRegistry
 from repro.workloads.base import ShapedWorkload
@@ -90,3 +92,34 @@ class TestBackgroundLoop:
         recorder = run.run(700)
         assert recorder.processed_fraction() == 1.0
         assert recorder.mean_delay() < 5.0
+
+    def test_rolled_back_replan_is_not_recorded(self, monkeypatch):
+        """A proactive re-plan whose every attempt rolls back leaves no
+        record: the round returns None and later rounds keep running."""
+        scenario = fig8_scenario("events-of-interest")
+        rngs = RngRegistry(42)
+        topo = scenario.make_topology(rngs)
+        run = ExperimentRun(
+            topo, scenario.make_query(topo, rngs), wasp_long_term(), rngs=rngs
+        )
+        verify = run.manager._verify
+
+        def refuse_replans(record):
+            if record.kind is ActionKind.REPLAN:
+                raise AdaptationRollbackError("verification refused")
+            verify(record)
+
+        monkeypatch.setattr(run.manager, "_verify", refuse_replans)
+        # At seed 42 the background loop proposes a re-plan at t = 1200 s;
+        # the reactive round at 1240 s then reads the re-plan cooldown.
+        run.run(1240, live_dynamics(rngs))
+        abandoned = [
+            a for a in run.manager.attempt_log if a.outcome == "abandoned"
+        ]
+        assert [(a.t_s, a.stage) for a in abandoned] == [
+            (1200.0, "events-of-interest#3")
+        ]
+        assert not run.long_term.history
+        assert all(
+            r.kind is not ActionKind.REPLAN for r in run.manager.history
+        )

@@ -102,7 +102,7 @@ def assert_consistent(manager):
 class TestHappyPath:
     def test_primary_commits_and_is_logged(self, small_topology):
         manager = build_manager(small_topology)
-        record = manager._execute(
+        record = manager.execute(
             ReassignAction("agg", "test", {"dc-2": 1}), now_s=5.0
         )
         assert record is not None
@@ -116,7 +116,7 @@ class TestHappyPath:
         self, small_topology
     ):
         manager = build_manager(small_topology, state_mb=100.0)
-        record = manager._execute(
+        record = manager.execute(
             ReassignAction("agg", "test", {"dc-2": 1}), now_s=0.0
         )
         # 100 MB over the 100 Mbps dc-1 -> dc-2 link = 8 s + base overhead:
@@ -142,7 +142,7 @@ class TestMidMigrationCrash:
     def test_rollback_then_retry_commits_elsewhere(self, small_topology):
         manager = build_manager(small_topology, state_mb=100.0)
         self._crash_destination_in_flight(manager)
-        record = manager._execute(
+        record = manager.execute(
             ReassignAction("agg", "bottleneck", {"dc-2": 1}), now_s=5.0
         )
         assert record is not None
@@ -159,7 +159,7 @@ class TestMidMigrationCrash:
     def test_retry_pays_the_backoff(self, small_topology):
         manager = build_manager(small_topology, state_mb=100.0)
         self._crash_destination_in_flight(manager)
-        record = manager._execute(
+        record = manager.execute(
             ReassignAction("agg", "bottleneck", {"dc-2": 1}), now_s=5.0
         )
         # retry-1 stays at dc-1 (no transfer) but pays 1 * backoff.
@@ -187,7 +187,7 @@ class TestMidMigrationCrash:
         # retry already does - so assert the primary rollback was exact
         # by checking the pre-retry snapshot through the attempt log.
         manager.adaptation_hook = hook
-        manager._execute(
+        manager.execute(
             ReassignAction("agg", "bottleneck", {"dc-2": 1}), now_s=5.0
         )
         # Whatever committed, dc-2 never kept state or tasks.
@@ -202,11 +202,11 @@ class TestMidMigrationCrash:
     def test_fault_timeline_lands_in_recorder(self, small_topology):
         manager = build_manager(small_topology, state_mb=100.0)
         self._crash_destination_in_flight(manager)
-        manager._execute(
+        manager.execute(
             ReassignAction("agg", "bottleneck", {"dc-2": 1}), now_s=5.0
         )
         events = [e.action for e in manager.recorder.adaptations]
-        assert events == ["rollback", "fallback:retry-1"]
+        assert events == ["rollback", "fallback:retry-1", "re-assign"]
 
 
 class TestFallbackChain:
@@ -218,7 +218,7 @@ class TestFallbackChain:
         small_topology.set_bandwidth_factor("dc-1", "dc-2", 0.0)
         small_topology.set_bandwidth_factor("dc-1", "edge-x", 0.0)
         manager.wan_monitor.refresh(0.0)
-        record = manager._execute(
+        record = manager.execute(
             ReassignAction("agg", "bottleneck", {"dc-2": 1}), now_s=5.0
         )
         assert record is not None
@@ -239,7 +239,7 @@ class TestFallbackChain:
         # The direct move is impossible...
         small_topology.set_bandwidth_factor("dc-1", "dc-2", 0.0)
         manager.wan_monitor.refresh(0.0)
-        record = manager._execute(
+        record = manager.execute(
             ReassignAction("agg", "bottleneck", {"dc-2": 1}), now_s=5.0
         )
         # ...so the chain lands on scale-out (dc-1 keeps a task, so only
@@ -263,7 +263,7 @@ class TestFallbackChain:
             s.name: s.used_slots for s in manager.runtime.topology
         }
         before_sites = list(manager.state_store.sites("agg"))
-        record = manager._execute(
+        record = manager.execute(
             ReassignAction("agg", "test", {}), now_s=5.0
         )
         assert record is None
@@ -281,7 +281,7 @@ class TestFallbackChain:
         self, small_topology
     ):
         manager = build_manager(small_topology)
-        record = manager._execute(
+        record = manager.execute(
             ReassignAction("nope", "test", {"dc-2": 1}), now_s=5.0
         )
         assert record is None
@@ -294,7 +294,7 @@ class TestFallbackChain:
 
         manager = build_manager(small_topology)
         with pytest.raises(AdaptationError):
-            manager._execute(object(), now_s=0.0)
+            manager.execute(object(), now_s=0.0)
 
 
 class TestValidation:
@@ -303,7 +303,7 @@ class TestValidation:
     ):
         manager = build_manager(small_topology, state_mb=100.0)
         small_topology.site("dc-2").fail()
-        record = manager._execute(
+        record = manager.execute(
             ReassignAction("agg", "test", {"dc-2": 1}), now_s=5.0
         )
         # Primary is vetoed by validation (never applied), and the retry
@@ -316,7 +316,7 @@ class TestValidation:
     def test_scale_to_failed_site_reroutes(self, small_topology):
         manager = build_manager(small_topology, state_mb=10.0)
         small_topology.site("dc-2").fail()
-        record = manager._execute(
+        record = manager.execute(
             ScaleAction(
                 "agg", "test", 2, {"dc-1": 1, "dc-2": 1}, cross_site=True
             ),
@@ -345,7 +345,7 @@ class TestDeterminism:
                 site.fail()
 
         manager.adaptation_hook = hook
-        manager._execute(
+        manager.execute(
             ReassignAction("agg", "bottleneck", {"dc-2": 1}), now_s=5.0
         )
         return (

@@ -4,7 +4,7 @@ import pytest
 
 from repro.baselines.variants import wasp
 from repro.core.migration import MigrationStrategy
-from repro.errors import WaspError
+from repro.errors import AdaptationError, AdaptationRollbackError, WaspError
 from repro.experiments.scenarios import (
     FIG13_STATE_MB,
     FIG14_STATE_SIZES_MB,
@@ -133,6 +133,23 @@ class TestControlledMigration:
         record = run.manager.history[-1]
         assert run.runtime.plan.stage(MIGRATION_STAGE).parallelism == 1
         assert record.transition_s < 30.0 + run.config.reconfig_base_overhead_s
+
+    @pytest.mark.parametrize(
+        "force", [force_reassignment, force_partitioned_adaptation]
+    )
+    def test_rolled_back_forced_adaptation_raises(self, force, monkeypatch):
+        """When every technique rolls back, the forced experiment names the
+        stage it could not adapt instead of recording a missing result."""
+        run = build_migration_run(wasp(), FIG13_STATE_MB)
+        run.run(MIGRATION_TRIGGER_AT_S)
+
+        def refuse(record):
+            raise AdaptationRollbackError("verification refused")
+
+        monkeypatch.setattr(run.manager, "_verify", refuse)
+        with pytest.raises(AdaptationError, match=MIGRATION_STAGE):
+            force(run)
+        assert run.manager.attempt_log[-1].outcome == "abandoned"
 
     def test_strategy_ordering_on_transition(self):
         """WASP <= Random and WASP <= Distant (Section 8.7.1)."""

@@ -6,8 +6,8 @@ Two guarantees from the observability subsystem are checked end to end:
   adaptation the controller performed is reconstructible from the trace
   alone (action, attempt labels, fallback hops, migration megabytes/bytes
   and durations), matching ``manager.history`` / ``manager.attempt_log``.
-* **Zero overhead** - with no sink (or a passive ring buffer) attached, a
-  fixed-seed run records bit-identical output to an uninstrumented one.
+* **Invisible** - with no sink (or a passive ring buffer) attached, a
+  fixed-seed run records bit-identical output.
 """
 
 import pytest

@@ -86,7 +86,7 @@ class TestKillSiteMidMigration:
 
         # Drive a cross-site move of the stateful stage; chaos kills the
         # destination the moment the transfer is in flight.
-        record = run.manager._execute(
+        record = run.manager.execute(
             ReassignAction(
                 stage.name, "chaos-acceptance", {destination: 1}
             ),

@@ -120,11 +120,11 @@ class TestControllerIntegration:
             # dc-1 -> edge-x is 10 Mbps; no relay helps there.  Instead move
             # to dc-2... direct dc-1 -> dc-2 is already fast.  The
             # interesting pair: force the state to edge-x first.
-            manager._execute(
+            manager.execute(
                 ReassignAction("agg", "setup", {"edge-x": 1}), now_s=0.0
             )
             manager.runtime._suspended_until.clear()
-            record = manager._execute(
+            record = manager.execute(
                 ReassignAction("agg", "test", {"dc-2": 1}), now_s=1.0
             )
             return record.transition_s

@@ -2,11 +2,12 @@
 
 ``benchmarks.perf.digest`` hashes three full fixed-seed runs (Figure 8 under
 WASP and under the Degrade baseline, and a chaos run) and fingerprints raw
-ticks of the 16-site all-to-all shuffle.  Two more pins hold the dense
-backend to its own earlier output: raw ticks of the 64-site shuffle and an
-adapting Figure 8 run.  Engine and control-plane optimizations must leave
-all six bit-identical; the pins are CPython 3.11 values (see the module
-docstring).
+ticks of the 16-site all-to-all shuffle.  The chaos run is pinned again
+traced: its JSONL trace bytes, ``attempt_log`` and ``history``.  Two more
+pins hold the dense backend to its own earlier output: raw ticks of the
+64-site shuffle and an adapting Figure 8 run.  Engine and control-plane
+changes must leave all seven bit-identical; the pins are CPython 3.11 values
+(see the module docstring).
 """
 
 from __future__ import annotations
