@@ -12,7 +12,9 @@ the adaptation log cannot drift from the recorder.  A fingerprint covers the man
 engine ticks on the 16-site all-to-all shuffle of
 :func:`benchmarks.perf.scale.build_world`.  Two more pin the dense backend
 against itself: the same fingerprint on the 64-site shuffle, and an adapting
-Figure 8 run (adaptations recompile the dense model).
+Figure 8 run (adaptations recompile the dense model).  The Figure 11 WASP
+run pins the Section 8.6 whole-testbed outage: its samples and adaptation
+lines across the failure, the recovery replay and the round after it.
 
 Print the values, or compare them against the pinned ones (exit 1 on any
 mismatch)::
@@ -31,6 +33,7 @@ import argparse
 import hashlib
 import io
 import sys
+from types import SimpleNamespace
 
 from repro.baselines.variants import VariantSpec, degrade, wasp
 from repro.chaos.faults import BandwidthCollapse, SiteCrash, Straggler
@@ -38,7 +41,11 @@ from repro.chaos.injector import ChaosInjector
 from repro.config import WaspConfig
 from repro.engine.dense import create_runtime
 from repro.experiments.harness import ExperimentRun
-from repro.experiments.scenarios import bottleneck_dynamics, fig8_scenario
+from repro.experiments.scenarios import (
+    bottleneck_dynamics,
+    fig8_scenario,
+    fig11_scenario,
+)
 from repro.fuzz.campaign import recorder_digest
 from repro.obs.sinks import JsonlSink
 from repro.sim.rng import RngRegistry
@@ -78,6 +85,9 @@ PINNED = {
         ),
         "fig8_dense": (
             "0d7e2a629c33c81e80f5fdc7fd54f8ebf61162a94f5ac04440a50e76306db8db"
+        ),
+        "fig11_live": (
+            "9972bb915915a9c8af1b1fd76a98b88fc742d04d23332f223697499aefd3b3b1"
         ),
     },
 }
@@ -126,6 +136,25 @@ def fig8_degrade_digest(
     run = _build_run(seed, degrade(), "ysb-advertising")
     run.run(duration_s, bottleneck_dynamics())
     return recorder_digest(run.recorder)
+
+
+def fig11_live_digest(duration_s: float = 700.0, seed: int = DIGEST_SEED) -> str:
+    """Digest of the Figure 11 WASP run through the t=540 s outage.
+
+    Hashes samples and adaptation lines only: how a fault is logged is not
+    part of what this pin holds still."""
+    scenario = fig11_scenario()
+    rngs = RngRegistry(seed)
+    topology = scenario.make_topology(rngs)
+    query = scenario.make_query(topology, rngs)
+    run = ExperimentRun(topology, query, wasp(), rngs=rngs)
+    run.run(duration_s, scenario.make_dynamics(rngs))
+    recorder = run.recorder
+    return recorder_digest(
+        SimpleNamespace(
+            samples=recorder.samples, adaptations=recorder.adaptations, faults=()
+        )
+    )
 
 
 def _chaos_run(seed: int) -> ExperimentRun:
@@ -209,6 +238,7 @@ DIGESTS = {
         DENSE_SHUFFLE_SITES, backend="dense"
     ),
     "fig8_dense": fig8_dense_digest,
+    "fig11_live": fig11_live_digest,
 }
 
 

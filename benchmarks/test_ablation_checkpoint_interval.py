@@ -10,15 +10,16 @@ Section-8.6 total failure under several checkpoint cadences.
 import numpy as np
 
 from repro.baselines.variants import wasp
+from repro.chaos.faults import SiteCrash
 from repro.config import WaspConfig
 from repro.experiments.figures import segment_mean
-from repro.experiments.harness import DynamicsSpec, ExperimentRun, FailureEvent
+from repro.experiments.harness import DynamicsSpec, ExperimentRun
 from repro.network.traces import paper_testbed
 from repro.sim.rng import RngRegistry
 from repro.workloads.queries import topk_topics
 
 INTERVALS_S = (5.0, 30.0, 120.0)
-FAILURE = DynamicsSpec(failures=[FailureEvent(t_s=240.0, duration_s=60.0)])
+FAILURE = DynamicsSpec(faults=[(240.0, SiteCrash(None, duration_s=60.0))])
 DURATION_S = 700.0
 
 

@@ -10,8 +10,9 @@ aggregate capacity looks fine) and moves the work off the straggler.
 import numpy as np
 
 from repro.baselines.variants import no_adapt, wasp
+from repro.chaos.faults import Straggler
 from repro.experiments.figures import segment_mean
-from repro.experiments.harness import DynamicsSpec, ExperimentRun, StragglerEvent
+from repro.experiments.harness import DynamicsSpec, ExperimentRun
 from repro.network.traces import paper_testbed
 from repro.sim.rng import RngRegistry
 from repro.workloads.queries import ysb_advertising
@@ -26,10 +27,7 @@ def run_variant(variant):
     run = ExperimentRun(topology, query, variant, rngs=rngs)
     victim = run.runtime.plan.stage("join{ads+campaigns}").sites()[0]
     dynamics = DynamicsSpec(
-        stragglers=[
-            StragglerEvent(t_s=60.0, duration_s=540.0, site=victim,
-                           slowdown=8.0)
-        ]
+        faults=[(60.0, Straggler(victim, slowdown=8.0, duration_s=540.0))]
     )
     run.run(DURATION_S, dynamics)
     return run

@@ -36,9 +36,10 @@ from .baselines.variants import (
     scale_only,
     wasp,
 )
+from .chaos.faults import SiteCrash, Straggler
 from .config import WaspConfig
 from .errors import WaspError
-from .experiments.harness import DynamicsSpec, ExperimentRun, FailureEvent
+from .experiments.harness import DynamicsSpec, ExperimentRun
 from .experiments.scenarios import (
     bottleneck_dynamics,
     live_dynamics,
@@ -56,8 +57,9 @@ __all__ = [
     "BenchmarkQuery",
     "DynamicsSpec",
     "ExperimentRun",
-    "FailureEvent",
     "Schedule",
+    "SiteCrash",
+    "Straggler",
     "Topology",
     "VariantSpec",
     "WaspConfig",

@@ -41,8 +41,8 @@ class ChaosTarget:
 
     ``fail_site`` / ``recover_site`` default to raw topology mutation; the
     experiment harness overrides them with callbacks that also track the
-    failure window and inject checkpoint-replay on recovery, so chaos
-    crashes get the same recovery semantics as scripted ones.
+    failure window and inject checkpoint-replay on recovery.  Every crash of
+    a run, scripted in its ``DynamicsSpec`` or not, goes through them.
     """
 
     topology: "Topology"
@@ -70,7 +70,7 @@ class Fault:
     needs (e.g. how many slots were actually revoked) and is stored on the
     injector's activation record, not the spec.  ``reassert`` is called on
     every tick while the activation is live, letting continuous faults win
-    over scripted dynamics that touch the same knob.
+    over factor schedules that touch the same knob.
     """
 
     kind: str = "fault"
@@ -105,29 +105,35 @@ class Fault:
 class SiteCrash(Fault):
     """Revoke every resource of ``site``; recover after ``duration_s``.
 
+    ``site = None`` is a whole-testbed outage (Section 8.6): every live site
+    crashes, and the revert recovers exactly those, in topology order.
     ``duration_s = None`` crashes permanently (no recovery, no replay).
     """
 
-    site: str
+    site: str | None
     duration_s: float | None = None
     kind = "site-crash"
 
     def validate(self, target: ChaosTarget) -> None:
-        self._require_site(target, self.site)
+        if self.site is not None:
+            self._require_site(target, self.site)
         if self.duration_s is not None and self.duration_s <= 0:
             raise ChaosError(f"{self.kind}: duration must be > 0")
 
     def apply(self, target: ChaosTarget, now_s: float) -> tuple[str, Any]:
-        if target.topology.site(self.site).failed:
-            return f"{self.site} already failed", None
-        target.do_fail_site(self.site, now_s)
-        return f"{self.site} crashed", "crashed"
+        topology = target.topology
+        names = topology.site_names if self.site is None else [self.site]
+        crashed = tuple(n for n in names if not topology.site(n).failed)
+        for name in crashed:
+            target.do_fail_site(name, now_s)
+        if crashed:
+            return f"{', '.join(crashed)} crashed", crashed
+        return f"{self.site or 'every site'} already failed", crashed
 
     def revert(self, target: ChaosTarget, now_s: float, state: Any) -> str:
-        if state != "crashed":
-            return ""
-        target.do_recover_site(self.site, now_s)
-        return f"{self.site} recovered"
+        for name in state:
+            target.do_recover_site(name, now_s)
+        return f"{', '.join(state)} recovered" if state else ""
 
 
 @dataclass(frozen=True)

@@ -100,8 +100,7 @@ class ChaosInjector:
         """Fire ``fault`` once, at the first tick at/after ``t_s``."""
         if t_s < 0:
             raise ChaosError(f"at: t_s must be >= 0, got {t_s}")
-        self._rules.append(_Rule(fault=fault, at_s=t_s, max_firings=1))
-        return self
+        return self._add(_Rule(fault=fault, at_s=t_s, max_firings=1))
 
     def every(
         self,
@@ -116,7 +115,7 @@ class ChaosInjector:
             raise ChaosError(f"every: period must be > 0, got {period_s}")
         if count is not None and count < 1:
             raise ChaosError(f"every: count must be >= 1, got {count}")
-        self._rules.append(
+        return self._add(
             _Rule(
                 fault=fault,
                 every_s=period_s,
@@ -125,7 +124,6 @@ class ChaosInjector:
                 max_firings=count,
             )
         )
-        return self
 
     def with_probability(
         self,
@@ -152,8 +150,7 @@ class ChaosInjector:
         # A child stream per rule: adding rule N+1 never shifts the draws
         # rule N sees, so specs compose without breaking determinism.
         rule.rng = np.random.default_rng(self.rng.integers(2**63))
-        self._rules.append(rule)
-        return self
+        return self._add(rule)
 
     def at_point(
         self,
@@ -168,9 +165,16 @@ class ChaosInjector:
         ``stage`` restricts the trigger to one stage's adaptations; the
         default fires for whichever stage reaches the point first.
         """
-        self._rules.append(
+        return self._add(
             _Rule(fault=fault, point=point, stage=stage, max_firings=count)
         )
+
+    def _add(self, rule: _Rule) -> "ChaosInjector":
+        # Once attached, a new rule is validated on the spot, as ``attach``
+        # validates the rules it finds.
+        if self._target is not None:
+            self._validate(rule, self._target, self._manager)
+        self._rules.append(rule)
         return self
 
     # ------------------------------------------------------------------ #
@@ -187,21 +191,18 @@ class ChaosInjector:
 
         Validating up front turns a typo'd site name into a
         :class:`~repro.errors.ChaosError` at wiring time instead of a
-        surprise 500 simulated seconds into a run.
+        surprise 500 simulated seconds into a run; rules added later are
+        validated as they are added.
         """
         if self._target is not None:
             raise ChaosError(
                 "injector already attached; build a new ChaosInjector per run"
             )
         for rule in self._rules:
-            rule.fault.validate(target)
-            if rule.point is not None and manager is None:
-                raise ChaosError(
-                    "at_point rules need a ReconfigurationManager to hook"
-                )
+            self._validate(rule, target, manager)
         self._target = target
         self._manager = manager
-        if manager is not None and any(r.point is not None for r in self._rules):
+        if manager is not None:
             previous = manager.adaptation_hook
 
             def hook(point: AdaptationPoint, stage: str, now_s: float) -> None:
@@ -274,6 +275,18 @@ class ChaosInjector:
     # ------------------------------------------------------------------ #
     # Internals
     # ------------------------------------------------------------------ #
+
+    @staticmethod
+    def _validate(
+        rule: _Rule,
+        target: ChaosTarget,
+        manager: "ReconfigurationManager | None",
+    ) -> None:
+        rule.fault.validate(target)
+        if rule.point is not None and manager is None:
+            raise ChaosError(
+                "at_point rules need a ReconfigurationManager to hook"
+            )
 
     def _require_target(self) -> ChaosTarget:
         if self._target is None:

@@ -3,8 +3,6 @@
 from .harness import (
     DynamicsSpec,
     ExperimentRun,
-    FailureEvent,
-    StragglerEvent,
     run_variants,
 )
 from .multiquery import MultiQueryRun, QuerySubmission
@@ -12,9 +10,7 @@ from .multiquery import MultiQueryRun, QuerySubmission
 __all__ = [
     "DynamicsSpec",
     "ExperimentRun",
-    "FailureEvent",
     "MultiQueryRun",
     "QuerySubmission",
-    "StragglerEvent",
     "run_variants",
 ]

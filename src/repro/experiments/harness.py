@@ -7,8 +7,9 @@ Manager on the paper's 40-second monitoring cadence plus a Checkpoint
 Coordinator on the 30-second checkpointing cadence.
 
 Dynamics follow the driver-program approach of Section 8.2: workload-factor
-and bandwidth-factor schedules plus failure injection, all seeded and
-deterministic.
+and bandwidth-factor schedules plus scheduled faults (site crashes,
+stragglers, ...), which fire through the run's chaos injector.  All of it is
+seeded and deterministic.
 """
 
 from __future__ import annotations
@@ -18,6 +19,8 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from ..baselines.variants import VariantSpec
+from ..chaos.faults import ChaosTarget, Fault
+from ..chaos.injector import ChaosInjector
 from ..config import WaspConfig
 from ..core.controller import ReconfigurationManager
 from ..core.longterm import LongTermPlanner, OracleForecaster
@@ -25,7 +28,7 @@ from ..core.replanning import Replanner
 from ..engine.checkpoint import CheckpointCoordinator
 from ..engine.dense import create_runtime
 from ..engine.state import StateStore
-from ..errors import ConfigurationError, InfeasiblePlacementError
+from ..errors import ChaosError, InfeasiblePlacementError
 from ..network.monitor import WanMonitor
 from ..network.topology import Topology
 from ..obs.events import EventBus, Restore
@@ -38,61 +41,25 @@ from ..sim.schedule import Schedule
 from ..workloads.queries import BenchmarkQuery
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from ..chaos.injector import ChaosInjector
     from ..obs.sinks import JsonlSink, PrometheusTextfileSink
-
-
-@dataclass(frozen=True)
-class FailureEvent:
-    """Revoke (all or some) sites' resources for a duration (Section 8.6)."""
-
-    t_s: float
-    duration_s: float
-    sites: tuple[str, ...] | None = None  # None = every site
-
-    def __post_init__(self) -> None:
-        if self.t_s < 0 or self.duration_s <= 0:
-            raise ConfigurationError("failure needs t_s >= 0, duration > 0")
-
-    @property
-    def end_s(self) -> float:
-        return self.t_s + self.duration_s
-
-
-@dataclass(frozen=True)
-class StragglerEvent:
-    """Slow down a site's slots for a duration (the Section-1 straggler
-    dynamic: the site keeps running, only slower)."""
-
-    t_s: float
-    duration_s: float
-    site: str
-    slowdown: float = 4.0
-
-    def __post_init__(self) -> None:
-        if self.t_s < 0 or self.duration_s <= 0:
-            raise ConfigurationError(
-                "straggler needs t_s >= 0, duration > 0"
-            )
-        if self.slowdown < 1.0:
-            raise ConfigurationError("slowdown must be >= 1")
-
-    @property
-    def end_s(self) -> float:
-        return self.t_s + self.duration_s
 
 
 @dataclass
 class DynamicsSpec:
-    """The driver program: what changes, when."""
+    """The driver program: what changes, when.
+
+    The harness applies the factor schedules every tick; each ``(t_s,
+    fault)`` in ``faults`` fires once through the run's chaos injector
+    (``ChaosInjector.at``), e.g. ``(540.0, SiteCrash(None, 60.0))`` for the
+    Section 8.6 outage or ``(60.0, Straggler("edge-1", 4.0, 120.0))``.
+    """
 
     workload_schedule: Schedule | None = None
     bandwidth_schedule: Schedule | None = None
     link_bandwidth_schedules: dict[tuple[str, str], Schedule] = field(
         default_factory=dict
     )
-    failures: list[FailureEvent] = field(default_factory=list)
-    stragglers: list[StragglerEvent] = field(default_factory=list)
+    faults: list[tuple[float, Fault]] = field(default_factory=list)
 
 
 class ExperimentRun:
@@ -197,9 +164,7 @@ class ExperimentRun:
             )
 
         self.clock = SimClock(self.config.tick_s)
-        # Skip-sites comes from the topology's live failed flags, not the
-        # harness's scripted-failure set: chaos-injected crashes must also
-        # be excluded from a checkpoint round.
+        # Sites that are down skip the checkpoint round.
         self.clock.every(
             self.config.checkpoint_interval_s,
             lambda now: self.checkpoints.checkpoint_all(
@@ -233,10 +198,8 @@ class ExperimentRun:
             )
 
         self._dynamics: DynamicsSpec = DynamicsSpec()
-        self._failed_now: set[str] = set()
-        self._straggling_now: set[str] = set()
         self._fail_start_s: dict[str, float] = {}
-        self._chaos: "ChaosInjector | None" = None
+        self._chaos: ChaosInjector | None = None
         #: Optional invariant checker (repro.fuzz); see :meth:`attach_checker`.
         self._checker = None
         #: Source-equivalents re-queued by checkpoint-replay after failures
@@ -300,17 +263,22 @@ class ExperimentRun:
     # Chaos
     # ------------------------------------------------------------------ #
 
-    def attach_chaos(self, injector: "ChaosInjector") -> None:
+    def attach_chaos(self, injector: ChaosInjector) -> None:
         """Wire a :class:`~repro.chaos.ChaosInjector` into this run.
 
         The injector gets the live topology and checkpoint coordinator,
-        failure callbacks that reuse this harness's recovery-replay
-        semantics, and (when the variant adapts) the controller's
-        mid-transaction hook points.  Chaos ticks after scripted dynamics
-        each step, so chaos faults win conflicting knobs.
+        failure callbacks that inject this harness's recovery replay, and
+        (when the variant adapts) the controller's mid-transaction hook
+        points.  Chaos ticks after the factor schedules each step, so a
+        fault wins a knob a schedule also sets.  A run has one injector:
+        the faults of a :class:`DynamicsSpec` are scheduled on it, and a
+        second attach raises :class:`~repro.errors.ChaosError`.
         """
-        from ..chaos.faults import ChaosTarget
-
+        if self._chaos is not None:
+            raise ChaosError(
+                "run already has a chaos injector (attach yours before "
+                "installing a DynamicsSpec with faults)"
+            )
         injector.attach(
             ChaosTarget(
                 topology=self.topology,
@@ -333,8 +301,7 @@ class ExperimentRun:
 
     def _chaos_recover_site(self, name: str, now_s: float) -> None:
         site = self.topology.site(name)
-        # Never recover a site the scripted dynamics still hold down.
-        if site.failed and name not in self._failed_now:
+        if site.failed:
             site.recover()
             self._inject_recovery_replay(name, now_s)
 
@@ -343,11 +310,24 @@ class ExperimentRun:
     # ------------------------------------------------------------------ #
 
     def set_dynamics(self, dynamics: DynamicsSpec) -> None:
+        """Install ``dynamics``: its schedules and its faults.
+
+        The faults go on the run's chaos injector, created (seeded from
+        the ``"chaos"`` stream) if the run has none.  Re-installing the
+        spec already installed is a no-op, so ``run.run(dt, spec)`` in a
+        loop fires each fault once.
+        """
+        if dynamics is self._dynamics:
+            return
         self._dynamics = dynamics
         if dynamics.workload_schedule is not None:
             self.query.workload.set_factor_schedule(
                 dynamics.workload_schedule
             )
+        if dynamics.faults and self._chaos is None:
+            self.attach_chaos(ChaosInjector(rng=self.rngs.stream("chaos")))
+        for t_s, fault in dynamics.faults:
+            self._chaos.at(t_s, fault)
 
     def _apply_dynamics(self, t_s: float) -> None:
         dyn = self._dynamics
@@ -359,31 +339,6 @@ class ExperimentRun:
             self.topology.set_bandwidth_factor(
                 src, dst, schedule.factor(t_s)
             )
-        should_fail: set[str] = set()
-        for event in dyn.failures:
-            if event.t_s <= t_s < event.end_s:
-                targets = (
-                    event.sites
-                    if event.sites is not None
-                    else tuple(self.topology.site_names)
-                )
-                should_fail.update(targets)
-        for name in should_fail - self._failed_now:
-            self.topology.site(name).fail()
-            self._fail_start_s[name] = t_s
-        for name in self._failed_now - should_fail:
-            self.topology.site(name).recover()
-            self._inject_recovery_replay(name, t_s)
-        self._failed_now = should_fail
-        slowdowns: dict[str, float] = {}
-        for event in dyn.stragglers:
-            if event.t_s <= t_s < event.end_s:
-                slowdowns[event.site] = max(
-                    slowdowns.get(event.site, 1.0), event.slowdown
-                )
-        for name in set(slowdowns) | self._straggling_now:
-            self.topology.site(name).set_slowdown(slowdowns.get(name, 1.0))
-        self._straggling_now = set(slowdowns)
 
     def _inject_recovery_replay(self, site: str, now_s: float) -> None:
         """Replay work lost with a failed site's un-checkpointed progress.

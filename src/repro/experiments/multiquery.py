@@ -102,7 +102,7 @@ class MultiQueryRun:
                 rngs=self.rngs.fork(f"query-{index}"),
             )
             # Only the multi-run applies environment dynamics; sub-runs get
-            # an empty spec so failures/bandwidth are not applied twice.
+            # an empty spec so faults/bandwidth are not applied twice.
             # (The first admitted run carries the spec - its dynamics hooks
             # mutate the shared topology exactly once per tick.)
             if index == 0:

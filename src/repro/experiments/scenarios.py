@@ -38,6 +38,7 @@ from ..baselines.variants import (
     scale_only,
     wasp,
 )
+from ..chaos.faults import SiteCrash
 from ..config import WaspConfig
 from ..core.actions import Action, ReassignAction, ScaleAction
 from ..core.migration import MigrationStrategy
@@ -53,7 +54,7 @@ from ..workloads.queries import (
     topk_topics,
     ysb_advertising,
 )
-from .harness import DynamicsSpec, ExperimentRun, FailureEvent
+from .harness import DynamicsSpec, ExperimentRun
 
 #: The Section 8.4/8.5 interval length.
 STEP_S = 300.0
@@ -174,9 +175,10 @@ def live_dynamics(rngs: RngRegistry) -> DynamicsSpec:
     return DynamicsSpec(
         workload_schedule=workload,
         bandwidth_schedule=bandwidth,
-        failures=[
-            FailureEvent(
-                t_s=LIVE_FAILURE_AT_S, duration_s=LIVE_FAILURE_DURATION_S
+        faults=[
+            (
+                LIVE_FAILURE_AT_S,
+                SiteCrash(site=None, duration_s=LIVE_FAILURE_DURATION_S),
             )
         ],
     )

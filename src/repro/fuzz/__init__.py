@@ -21,7 +21,7 @@ from .campaign import (
     shrink_scenario,
     write_artifact,
 )
-from .generate import ScenarioSpec, build_chaos, build_run, generate_scenario
+from .generate import ScenarioSpec, build_run, generate_scenario
 from .invariants import InvariantChecker, Violation
 
 __all__ = [
@@ -30,7 +30,6 @@ __all__ = [
     "ScenarioResult",
     "ScenarioSpec",
     "Violation",
-    "build_chaos",
     "build_run",
     "generate_scenario",
     "load_artifact",

@@ -29,7 +29,6 @@ from ..chaos.faults import (
     SlotRevocation,
     Straggler,
 )
-from ..chaos.injector import ChaosInjector
 from ..config import WaspConfig
 from ..errors import ConfigurationError
 from ..experiments.harness import DynamicsSpec, ExperimentRun
@@ -385,7 +384,8 @@ def build_query(spec: ScenarioSpec, topology: Topology, rngs: RngRegistry):
 
 
 def build_dynamics(spec: ScenarioSpec) -> DynamicsSpec:
-    """Materialize the spec's factor schedules as a driver program."""
+    """Materialize the spec's factor schedules and fault plan as a driver
+    program."""
     return DynamicsSpec(
         workload_schedule=(
             spec.workload_schedule.to_schedule()
@@ -397,21 +397,12 @@ def build_dynamics(spec: ScenarioSpec) -> DynamicsSpec:
             if spec.bandwidth_schedule
             else None
         ),
+        faults=[(fault.at_s, fault.to_fault()) for fault in spec.faults],
     )
 
 
-def build_chaos(spec: ScenarioSpec, rngs: RngRegistry) -> ChaosInjector | None:
-    """Materialize the spec's fault plan as a chaos injector."""
-    if not spec.faults:
-        return None
-    injector = ChaosInjector(rng=rngs.stream("chaos"))
-    for fault in spec.faults:
-        injector.at(fault.at_s, fault.to_fault())
-    return injector
-
-
 def build_run(spec: ScenarioSpec) -> tuple[ExperimentRun, DynamicsSpec]:
-    """Wire a spec into a ready-to-run experiment (chaos attached).
+    """Wire a spec into a ready-to-run experiment and its driver program.
 
     Deterministic: the run's RNG registry is derived solely from
     ``spec.seed``, so the same spec always produces the same run.
@@ -424,7 +415,4 @@ def build_run(spec: ScenarioSpec) -> tuple[ExperimentRun, DynamicsSpec]:
         **spec.config_overrides
     )
     run = ExperimentRun(topology, query, variant, config=config, rngs=rngs)
-    chaos = build_chaos(spec, rngs)
-    if chaos is not None:
-        run.attach_chaos(chaos)
     return run, build_dynamics(spec)

@@ -404,10 +404,6 @@ class EventBus:
     def __bool__(self) -> bool:
         return bool(self._sinks)
 
-    @property
-    def enabled(self) -> bool:
-        return bool(self._sinks)
-
     # -- sink management ---------------------------------------------------- #
 
     def attach(self, sink: Sink) -> Sink:
@@ -471,54 +467,6 @@ class EventBus:
             # span multiple ticks emit their own end time via events.
             self.emit(SpanEnd(t_s, name, 0.0))
             self._span_stack.pop()
-
-    def span_at(self, name: str, t_start_s: float):
-        """Like :meth:`span` but the close records a real sim-duration.
-
-        Returns a context manager whose ``__exit__`` accepts the implicit
-        end time set via :meth:`_SpanHandle.set_end`.
-        """
-        return _SpanHandle(self, name, t_start_s)
-
-
-class _SpanHandle:
-    """Context manager for spans whose end time differs from their start."""
-
-    __slots__ = ("_bus", "_name", "_t_start", "_t_end", "_id")
-
-    def __init__(self, bus: EventBus, name: str, t_start_s: float) -> None:
-        self._bus = bus
-        self._name = name
-        self._t_start = t_start_s
-        self._t_end = t_start_s
-        self._id: str | None = None
-
-    @property
-    def span_id(self) -> str | None:
-        return self._id
-
-    def set_end(self, t_end_s: float) -> None:
-        self._t_end = max(self._t_end, t_end_s)
-
-    def __enter__(self) -> "_SpanHandle":
-        bus = self._bus
-        if bus._sinks:
-            bus._span_counter += 1
-            self._id = f"s{bus._span_counter}"
-            bus._span_stack.append(self._id)
-            bus.emit(SpanStart(self._t_start, self._name))
-        return self
-
-    def __exit__(self, *exc) -> None:
-        bus = self._bus
-        if self._id is not None and bus._span_stack:
-            bus.emit(
-                SpanEnd(
-                    self._t_end, self._name, self._t_end - self._t_start
-                )
-            )
-            bus._span_stack.pop()
-        return None
 
 
 # --------------------------------------------------------------------------- #

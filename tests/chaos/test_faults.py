@@ -58,6 +58,45 @@ class TestSiteCrash:
         with pytest.raises(ChaosError):
             SiteCrash("nope").validate(target)
 
+    def test_whole_testbed_crashes_every_live_site(self, target):
+        fault = SiteCrash(None, duration_s=60.0)
+        fault.validate(target)
+        detail, state = fault.apply(target, 10.0)
+        assert all(site.failed for site in target.topology)
+        assert detail == "edge-x, dc-1, dc-2 crashed"
+        assert fault.revert(target, 70.0, state) == (
+            "edge-x, dc-1, dc-2 recovered"
+        )
+        assert not any(site.failed for site in target.topology)
+
+    def test_whole_testbed_revert_keeps_a_site_that_was_down(self, target):
+        target.topology.site("dc-1").fail()
+        fault = SiteCrash(None, duration_s=60.0)
+        detail, state = fault.apply(target, 10.0)
+        assert detail == "edge-x, dc-2 crashed"
+        fault.revert(target, 70.0, state)
+        assert target.topology.site("dc-1").failed
+        assert not target.topology.site("edge-x").failed
+        assert not target.topology.site("dc-2").failed
+
+    def test_whole_testbed_revert_follows_topology_order(self, small_topology):
+        recovered = []
+        target = ChaosTarget(
+            topology=small_topology,
+            recover_site=lambda name, t: recovered.append(name),
+        )
+        fault = SiteCrash(None, duration_s=60.0)
+        _, state = fault.apply(target, 10.0)
+        fault.revert(target, 70.0, state)
+        assert recovered == small_topology.site_names
+
+    def test_whole_testbed_with_every_site_down_is_a_no_op(self, target):
+        for site in target.topology:
+            site.fail()
+        detail, state = SiteCrash(None).apply(target, 10.0)
+        assert detail == "every site already failed"
+        assert SiteCrash(None).revert(target, 20.0, state) == ""
+
     def test_non_positive_duration_rejected(self, target):
         with pytest.raises(ChaosError):
             SiteCrash("dc-1", duration_s=0.0).validate(target)

@@ -156,6 +156,19 @@ class TestAttachValidation:
         with pytest.raises(ChaosError):
             injector.attach(target)
 
+    def test_rule_added_after_attach_is_validated(self, small_topology):
+        injector, target = make_injector(small_topology)
+        injector.attach(target)
+        with pytest.raises(ChaosError):
+            injector.at(10.0, SiteCrash("dc-9000"))
+        with pytest.raises(ChaosError):
+            injector.at_point(
+                AdaptationPoint.MIGRATION_IN_FLIGHT, SiteCrash("dc-2")
+            )
+        injector.at(10.0, SiteCrash("dc-2"))
+        injector.tick(10.0)
+        assert small_topology.site("dc-2").failed
+
     def test_tick_before_attach_rejected(self, small_topology):
         injector, _ = make_injector(small_topology)
         with pytest.raises(ChaosError):

@@ -3,14 +3,12 @@
 import pytest
 
 from repro.baselines.variants import degrade, no_adapt, wasp
+from repro.chaos.faults import SiteCrash
+from repro.chaos.injector import ChaosInjector
 from repro.config import WaspConfig
 from repro.core.actions import ActionKind
-from repro.errors import ConfigurationError
-from repro.experiments.harness import (
-    DynamicsSpec,
-    ExperimentRun,
-    FailureEvent,
-)
+from repro.errors import ChaosError
+from repro.experiments.harness import DynamicsSpec, ExperimentRun
 from repro.experiments.scenarios import bottleneck_dynamics, fig8_scenario
 from repro.sim.rng import RngRegistry
 from repro.sim.schedule import Schedule
@@ -130,7 +128,7 @@ class TestDynamics:
 
     def test_failure_window(self, run):
         run.set_dynamics(
-            DynamicsSpec(failures=[FailureEvent(t_s=3.0, duration_s=4.0)])
+            DynamicsSpec(faults=[(3.0, SiteCrash(None, duration_s=4.0))])
         )
         run.run(4)
         assert all(s.failed for s in run.topology)
@@ -140,19 +138,43 @@ class TestDynamics:
     def test_partial_failure(self, run):
         victim = run.topology.site_names[0]
         run.set_dynamics(
-            DynamicsSpec(
-                failures=[
-                    FailureEvent(t_s=1.0, duration_s=2.0, sites=(victim,))
-                ]
-            )
+            DynamicsSpec(faults=[(1.0, SiteCrash(victim, duration_s=2.0))])
         )
         run.run(2)
         assert run.topology.site(victim).failed
         assert sum(1 for s in run.topology if s.failed) == 1
 
-    def test_invalid_failure_rejected(self):
-        with pytest.raises(ConfigurationError):
-            FailureEvent(t_s=-1.0, duration_s=5.0)
+    def test_reinstalling_the_spec_fires_each_fault_once(self, run):
+        dynamics = DynamicsSpec(faults=[(3.0, SiteCrash(None, duration_s=4.0))])
+        for _ in range(10):
+            run.run(1.0, dynamics)
+        kinds = [f.kind for f in run.recorder.faults]
+        assert kinds == ["site-crash", "site-crash:revert"]
+
+    def test_faults_share_an_attached_injector(self, run):
+        victim = run.topology.site_names[0]
+        injector = ChaosInjector(rng=run.rngs.stream("chaos"))
+        run.attach_chaos(injector)
+        run.set_dynamics(
+            DynamicsSpec(faults=[(1.0, SiteCrash(victim, duration_s=2.0))])
+        )
+        assert run._chaos is injector
+        run.run(2)
+        assert run.topology.site(victim).failed
+
+    def test_fault_validated_when_installed(self, run):
+        with pytest.raises(ChaosError, match="unknown site"):
+            run.set_dynamics(DynamicsSpec(faults=[(1.0, SiteCrash("nowhere"))]))
+
+    def test_second_injector_rejected(self, run):
+        victim = run.topology.site_names[0]
+        first = ChaosInjector(rng=run.rngs.stream("chaos"))
+        first.at(1.0, SiteCrash(victim, duration_s=2.0))
+        run.attach_chaos(first)
+        with pytest.raises(ChaosError, match="already has a chaos injector"):
+            run.attach_chaos(ChaosInjector(rng=run.rngs.stream("other")))
+        run.run(4)  # the first injector still recovers its crash
+        assert not run.topology.site(victim).failed
 
 
 class TestDeterminism:

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.baselines.variants import wasp
+from repro.chaos.faults import SiteCrash
 from repro.core.migration import MigrationStrategy
 from repro.errors import AdaptationError, AdaptationRollbackError, WaspError
 from repro.experiments.scenarios import (
@@ -49,8 +50,9 @@ class TestDynamicsTimelines:
             assert 0.51 <= point.factor <= 2.36
         for point in dyn.workload_schedule.breakpoints():
             assert 0.8 <= point.factor <= 2.4
-        assert dyn.failures[0].t_s == 540.0
-        assert dyn.failures[0].duration_s == 60.0
+        [(t_s, outage)] = dyn.faults
+        assert t_s == 540.0
+        assert outage == SiteCrash(site=None, duration_s=60.0)
 
 
 class TestScenarioShapes:

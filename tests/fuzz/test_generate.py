@@ -79,10 +79,16 @@ class TestMaterialization:
             generate_scenario(s) for s in range(20)
             if generate_scenario(s).faults
         )
-        run, _dynamics = build_run(with_faults)
+        run, dynamics = build_run(with_faults)
+        assert [t for t, _ in dynamics.faults] == [
+            f.at_s for f in with_faults.faults
+        ]
+        assert run._chaos is None
+        run.set_dynamics(dynamics)
         assert isinstance(run._chaos, ChaosInjector)
         without = dataclasses.replace(with_faults, faults=())
-        run2, _ = build_run(without)
+        run2, dynamics2 = build_run(without)
+        run2.set_dynamics(dynamics2)
         assert run2._chaos is None
 
     def test_build_run_smoke_steps(self):

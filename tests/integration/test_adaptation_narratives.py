@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 
 from repro.baselines.variants import degrade, no_adapt, wasp
+from repro.chaos.faults import SiteCrash
 from repro.core.actions import ActionKind
-from repro.experiments.harness import DynamicsSpec, ExperimentRun, FailureEvent
+from repro.experiments.harness import DynamicsSpec, ExperimentRun
 from repro.experiments.scenarios import bottleneck_dynamics
 from repro.network.traces import paper_testbed
 from repro.sim.rng import RngRegistry
@@ -116,7 +117,7 @@ class TestFailureRecovery:
     """Section 8.6: total resource revocation for 60 s."""
 
     DYNAMICS = DynamicsSpec(
-        failures=[FailureEvent(t_s=60.0, duration_s=60.0)]
+        faults=[(60.0, SiteCrash(None, duration_s=60.0))]
     )
 
     def test_nothing_flows_during_failure(self):

@@ -11,12 +11,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.baselines.variants import degrade, no_adapt, wasp
-from repro.experiments.harness import (
-    DynamicsSpec,
-    ExperimentRun,
-    FailureEvent,
-    StragglerEvent,
-)
+from repro.chaos.faults import SiteCrash, Straggler
+from repro.experiments.harness import DynamicsSpec, ExperimentRun
 from repro.network.traces import paper_testbed
 from repro.sim.rng import RngRegistry
 from repro.sim.schedule import Schedule
@@ -42,25 +38,32 @@ bandwidth_schedules = st.lists(
     unique_by=lambda p: p[0],
 ).map(lambda points: Schedule(points))
 
+fault_times = st.floats(min_value=10.0, max_value=DURATION_S - 40.0)
+
 failures = st.lists(
-    st.builds(
-        FailureEvent,
-        t_s=st.floats(min_value=10.0, max_value=DURATION_S - 40.0),
-        duration_s=st.floats(min_value=5.0, max_value=30.0),
+    st.tuples(
+        fault_times,
+        st.builds(
+            SiteCrash,
+            site=st.none(),
+            duration_s=st.floats(min_value=5.0, max_value=30.0),
+        ),
     ),
     max_size=2,
 )
 
 stragglers = st.lists(
-    st.builds(
-        StragglerEvent,
-        t_s=st.floats(min_value=10.0, max_value=DURATION_S - 40.0),
-        duration_s=st.floats(min_value=5.0, max_value=60.0),
-        site=st.sampled_from(
-            [f"edge-{i}" for i in range(8)]
-            + ["dc-oregon", "dc-ohio", "dc-ireland"]
+    st.tuples(
+        fault_times,
+        st.builds(
+            Straggler,
+            site=st.sampled_from(
+                [f"edge-{i}" for i in range(8)]
+                + ["dc-oregon", "dc-ohio", "dc-ireland"]
+            ),
+            slowdown=st.floats(min_value=1.5, max_value=16.0),
+            duration_s=st.floats(min_value=5.0, max_value=60.0),
         ),
-        slowdown=st.floats(min_value=1.5, max_value=16.0),
     ),
     max_size=2,
 )
@@ -69,8 +72,7 @@ dynamics_spec = st.builds(
     DynamicsSpec,
     workload_schedule=workload_schedules,
     bandwidth_schedule=bandwidth_schedules,
-    failures=failures,
-    stragglers=stragglers,
+    faults=st.builds(lambda f, s: f + s, failures, stragglers),
 )
 
 

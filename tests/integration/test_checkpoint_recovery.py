@@ -10,13 +10,14 @@ import numpy as np
 import pytest
 
 from repro.baselines.variants import no_adapt, wasp
+from repro.chaos.faults import SiteCrash
 from repro.config import WaspConfig
-from repro.experiments.harness import DynamicsSpec, ExperimentRun, FailureEvent
+from repro.experiments.harness import DynamicsSpec, ExperimentRun
 from repro.network.traces import paper_testbed
 from repro.sim.rng import RngRegistry
 from repro.workloads.queries import ysb_advertising
 
-FAILURE = DynamicsSpec(failures=[FailureEvent(t_s=100.0, duration_s=30.0)])
+FAILURE = DynamicsSpec(faults=[(100.0, SiteCrash(None, duration_s=30.0))])
 
 
 def make_run(variant, checkpoint_interval_s=30.0, seed=42):

@@ -10,12 +10,9 @@ import numpy as np
 import pytest
 
 from repro.baselines.variants import no_adapt, wasp
-from repro.errors import ConfigurationError, TopologyError
-from repro.experiments.harness import (
-    DynamicsSpec,
-    ExperimentRun,
-    StragglerEvent,
-)
+from repro.chaos.faults import Straggler
+from repro.errors import TopologyError
+from repro.experiments.harness import DynamicsSpec, ExperimentRun
 from repro.network.site import Site, SiteKind
 from repro.network.traces import paper_testbed
 from repro.sim.rng import RngRegistry
@@ -52,10 +49,6 @@ class TestSiteSlowdown:
         with pytest.raises(TopologyError):
             site.set_slowdown(0.5)
 
-    def test_invalid_event_rejected(self):
-        with pytest.raises(ConfigurationError):
-            StragglerEvent(t_s=0.0, duration_s=10.0, site="x", slowdown=0.5)
-
 
 class TestStragglerDriver:
     def test_slowdown_applied_and_lifted(self):
@@ -63,10 +56,8 @@ class TestStragglerDriver:
         victim = run.runtime.plan.stage("join{ads+campaigns}").sites()[0]
         run.set_dynamics(
             DynamicsSpec(
-                stragglers=[
-                    StragglerEvent(
-                        t_s=5.0, duration_s=10.0, site=victim, slowdown=8.0
-                    )
+                faults=[
+                    (5.0, Straggler(victim, slowdown=8.0, duration_s=10.0))
                 ]
             )
         )
@@ -75,32 +66,13 @@ class TestStragglerDriver:
         run.run(10)  # to t = 20 > 15
         assert run.topology.site(victim).slowdown == 1.0
 
-    def test_overlapping_events_take_worst(self):
-        run = make_run(no_adapt())
-        victim = run.topology.site_names[0]
-        run.set_dynamics(
-            DynamicsSpec(
-                stragglers=[
-                    StragglerEvent(t_s=0.0, duration_s=20.0, site=victim,
-                                   slowdown=2.0),
-                    StragglerEvent(t_s=5.0, duration_s=5.0, site=victim,
-                                   slowdown=6.0),
-                ]
-            )
-        )
-        run.run(8)
-        assert run.topology.site(victim).slowdown == 6.0
-
 
 class TestStragglerMitigation:
     def straggler_dynamics(self, run, slowdown=8.0):
         victim = run.runtime.plan.stage("join{ads+campaigns}").sites()[0]
         return DynamicsSpec(
-            stragglers=[
-                StragglerEvent(
-                    t_s=60.0, duration_s=540.0, site=victim,
-                    slowdown=slowdown,
-                )
+            faults=[
+                (60.0, Straggler(victim, slowdown=slowdown, duration_s=540.0))
             ]
         )
 

@@ -146,9 +146,8 @@ class TestChaosDeterminism:
 
 class TestChaosRecoveryReplay:
     def test_crash_and_recovery_injects_checkpoint_replay(self):
-        """A chaos crash gets the same recovery semantics as a scripted
-        one: on recovery the un-checkpointed window re-enters the input
-        queues (EngineRuntime.inject_replay)."""
+        """On recovery from a crash the un-checkpointed window re-enters
+        the input queues (EngineRuntime.inject_replay)."""
         run, rngs = make_run(no_adapt(), seed=13)
         _, state_site = stateful_stage(run)
         chaos = ChaosInjector(rngs.stream("chaos"))
@@ -180,32 +179,3 @@ class TestChaosRecoveryReplay:
         # predates the crash.
         assert record is not None
         assert record.taken_at_s < 50.0
-
-
-class TestDualChaosAndDynamics:
-    def test_scripted_dynamics_and_chaos_compose(self):
-        """Chaos faults and DynamicsSpec failures coexist: the harness
-        never recovers a site the scripted dynamics still hold down."""
-        from repro.experiments.harness import DynamicsSpec, FailureEvent
-
-        run, rngs = make_run(no_adapt(), seed=17)
-        _, state_site = stateful_stage(run)
-        chaos = ChaosInjector(rngs.stream("chaos"))
-        # Chaos crash ends at t=60 while the scripted failure (40..100)
-        # still holds the site down.
-        chaos.at(30.0, SiteCrash(state_site, duration_s=30.0))
-        run.attach_chaos(chaos)
-        run.set_dynamics(
-            DynamicsSpec(
-                failures=[
-                    FailureEvent(
-                        t_s=40.0, duration_s=60.0, sites=(state_site,)
-                    )
-                ]
-            )
-        )
-        run.run(70.0)
-        # Chaos's revert at t=60 must not resurrect the site.
-        assert run.topology.site(state_site).failed
-        run.run(50.0)
-        assert not run.topology.site(state_site).failed

@@ -22,13 +22,13 @@ class TestZeroOverhead:
     def test_bus_is_falsy_without_sinks(self):
         bus = EventBus()
         assert not bus
-        assert bus.enabled is False
+        assert bool(bus) is False
 
     def test_bus_is_truthy_with_sink(self):
         bus = EventBus()
         bus.attach(RingBufferSink())
         assert bus
-        assert bus.enabled is True
+        assert bool(bus) is True
 
     def test_emit_without_sink_is_a_no_op(self):
         bus = EventBus()
@@ -140,15 +140,6 @@ class TestSpans:
         with bus.span("b", 1.0) as second:
             pass
         assert (first, second) == ("s1", "s2")
-
-    def test_span_at_records_real_duration(self):
-        bus = EventBus()
-        sink = bus.attach(RingBufferSink())
-        with bus.span_at("migration", 10.0) as handle:
-            handle.set_end(17.5)
-        end = [r for r in sink.records if r["kind"] == "span.end"][0]
-        assert end["duration_s"] == pytest.approx(7.5)
-        assert end["t_s"] == pytest.approx(17.5)
 
     def test_close_detaches_all_sinks(self):
         bus = EventBus()

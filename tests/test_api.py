@@ -62,4 +62,4 @@ class TestDynamicsHelpers:
     def test_quiet_dynamics_empty(self):
         dyn = api.quiet_dynamics()
         assert dyn.workload_schedule is None
-        assert dyn.failures == []
+        assert dyn.faults == []

@@ -5,9 +5,10 @@ WASP and under the Degrade baseline, and a chaos run) and fingerprints raw
 ticks of the 16-site all-to-all shuffle.  The chaos run is pinned again
 traced: its JSONL trace bytes, ``attempt_log`` and ``history``.  Two more
 pins hold the dense backend to its own earlier output: raw ticks of the
-64-site shuffle and an adapting Figure 8 run.  Engine and control-plane
-changes must leave all seven bit-identical; the pins are CPython 3.11 values
-(see the module docstring).
+64-site shuffle and an adapting Figure 8 run.  The last pins the Figure 11
+WASP run through its whole-testbed outage.  Engine and control-plane changes
+must leave all eight bit-identical; the pins are CPython 3.11 values (see
+the module docstring).
 """
 
 from __future__ import annotations
