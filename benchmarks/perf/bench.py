@@ -304,7 +304,6 @@ def bench_adaptation_round(
     manager = run.manager
     wan = manager.wan_monitor
     metrics = manager.monitor
-    runtime = run.runtime
     window = list(metrics._reports)
     now = run.clock.now_s
     refresh_s = collect_s = 0.0
@@ -315,7 +314,7 @@ def bench_adaptation_round(
         for report in window:
             metrics.observe(report)
         t2 = time.perf_counter()
-        metrics.collect(runtime.sink_source_equiv)
+        metrics.collect()
         t3 = time.perf_counter()
         refresh_s += t1 - t0
         collect_s += t3 - t2

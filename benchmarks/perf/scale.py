@@ -11,10 +11,19 @@ Each point also records the backend ``engine_backend="auto"`` resolves to
 for its world, and the sweep warns (without failing) wherever that
 backend took more than 25% longer per tick than the other one.
 
+Controller-on points time the adaptation rounds as the topology grows:
+the paper testbed widened to 16/32/64 sites (``TestbedSpec.edge_count``)
+runs ``events-of-interest`` under WASP with the Section 8.4 bottleneck
+dynamics for 600 s, and each point records the round count, the round
+time p50/p90, the metric-window ``collect`` p50 and the rounds' share of
+wall time.
+
 Usage (from the repo root)::
 
     PYTHONPATH=src python -m benchmarks.perf.scale --out BENCH_scale.json
     PYTHONPATH=src python -m benchmarks.perf.scale --short   # CI sweep
+
+The reduced sweep keeps the 16- and 32-site controller points.
 
 Everything is seeded: same sizes + seed produce the identical world, so
 results are comparable across commits (only wall time varies).
@@ -29,13 +38,16 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
+from repro.baselines.variants import wasp
 from repro.config import WaspConfig
 from repro.engine import operators as ops
 from repro.engine.dense import (
     AUTO_DENSE_MIN_FLOWS,
+    DenseEngineRuntime,
     create_runtime,
     potential_wan_flows,
     resolve_backend,
@@ -43,8 +55,13 @@ from repro.engine.dense import (
 from repro.engine.logical import LogicalPlan
 from repro.engine.physical import PhysicalPlan
 from repro.engine.runtime import WorkloadModel
+from repro.experiments.harness import ExperimentRun
+from repro.experiments.scenarios import bottleneck_dynamics
 from repro.network.site import Site, SiteKind
 from repro.network.topology import Topology
+from repro.network.traces import TestbedSpec, paper_testbed
+from repro.sim.rng import RngRegistry
+from repro.workloads.queries import events_of_interest
 
 #: Seed shared by every sweep point (same worlds across commits).
 SCALE_SEED = 42
@@ -66,6 +83,11 @@ _MEASURE_TICKS = {
 _WARMUP_TICKS = 30
 _SHORT_MEASURE = 40
 _SHORT_WARMUP = 10
+
+#: Controller-on points: site counts of the widened paper testbed.
+CONTROLLER_SIZES = (16, 32, 64)
+SHORT_CONTROLLER_SIZES = (16, 32)
+CONTROLLER_DURATION_S = 600.0
 
 #: Per-tick time ratio (picked / other backend) above which the sweep
 #: warns that ``auto`` picked the slower backend.
@@ -211,6 +233,81 @@ def run_sweep(
     return points
 
 
+def _timed(fn: Callable, samples_ms: list[float]) -> Callable:
+    """``fn`` wrapped to append each call's wall time (ms) to a list."""
+
+    def wrapper(*args, **kwargs):
+        t0 = time.perf_counter()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            samples_ms.append((time.perf_counter() - t0) * 1000.0)
+
+    return wrapper
+
+
+def run_controller_point(
+    n_sites: int,
+    duration_s: float = CONTROLLER_DURATION_S,
+    seed: int = SCALE_SEED,
+) -> dict:
+    """Time the adaptation rounds of one controller-on run.
+
+    The paper testbed keeps its eight data centers and grows its edge
+    count to reach ``n_sites``; the query, variant and dynamics are the
+    Figure 8 WASP run's, on the default (``auto``) engine backend.
+    """
+    rngs = RngRegistry(seed)
+    spec = TestbedSpec(edge_count=n_sites - TestbedSpec.dc_count)
+    topology = paper_testbed(rngs.stream("topology"), spec)
+    query = events_of_interest(topology, rngs.stream("query"))
+    run = ExperimentRun(topology, query, wasp(), rngs=rngs)
+    manager = run.manager
+    round_ms: list[float] = []
+    collect_ms: list[float] = []
+    # Instance attributes shadow the methods the run calls through.
+    manager.adaptation_round = _timed(manager.adaptation_round, round_ms)
+    manager.monitor.collect = _timed(manager.monitor.collect, collect_ms)
+    t0 = time.perf_counter()
+    run.run(duration_s, bottleneck_dynamics())
+    wall = time.perf_counter() - t0
+    return {
+        "sites": n_sites,
+        "duration_s": duration_s,
+        "backend": (
+            "dense"
+            if isinstance(run.runtime, DenseEngineRuntime)
+            else "reference"
+        ),
+        "wall_s": wall,
+        "rounds": len(round_ms),
+        "adaptations": len(manager.history),
+        "round_ms_p50": float(np.percentile(round_ms, 50)),
+        "round_ms_p90": float(np.percentile(round_ms, 90)),
+        "collect_ms_p50": float(np.percentile(collect_ms, 50)),
+        "round_share": sum(round_ms) / 1000.0 / wall,
+    }
+
+
+def run_controller_sweep(
+    sizes: tuple[int, ...], seed: int = SCALE_SEED, verbose: bool = True
+) -> list[dict]:
+    points = []
+    for n in sizes:
+        res = run_controller_point(n, seed=seed)
+        points.append(res)
+        if verbose:
+            print(
+                f"  sites={n:4d} controller: {res['rounds']} rounds, "
+                f"round p50 {res['round_ms_p50']:.2f} ms "
+                f"p90 {res['round_ms_p90']:.2f} ms, "
+                f"collect p50 {res['collect_ms_p50']:.3f} ms, "
+                f"{100 * res['round_share']:.0f}% of {res['wall_s']:.2f} s",
+                file=sys.stderr,
+            )
+    return points
+
+
 def auto_warnings(points: list[dict]) -> list[str]:
     """One line per sweep point where the backend ``auto`` picks took
     more than :data:`AUTO_SLOWDOWN_WARN` times longer per tick than the
@@ -272,7 +369,10 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--short",
         action="store_true",
-        help="reduced CI sweep: sizes 4/16/32, fewer ticks",
+        help=(
+            "reduced CI sweep: sizes 4/16/32, fewer ticks, controller "
+            "points at 16/32 sites"
+        ),
     )
     parser.add_argument("--seed", type=int, default=SCALE_SEED)
     parser.add_argument(
@@ -289,14 +389,17 @@ def main(argv: list[str] | None = None) -> int:
             tuple(args.parallelism) if args.parallelism else SHORT_PARALLELISM
         )
         warmup, measure_by_size = _SHORT_WARMUP, None
+        controller_sizes = SHORT_CONTROLLER_SIZES
     else:
         sizes = tuple(args.sizes) if args.sizes else FULL_SIZES
         parallelisms = (
             tuple(args.parallelism) if args.parallelism else FULL_PARALLELISM
         )
         warmup, measure_by_size = _WARMUP_TICKS, dict(_MEASURE_TICKS)
+        controller_sizes = CONTROLLER_SIZES
 
     points = run_sweep(sizes, parallelisms, warmup, measure_by_size, args.seed)
+    controller_points = run_controller_sweep(controller_sizes, args.seed)
     warnings = auto_warnings(points)
     for line in warnings:
         print(f"warning: {line}", file=sys.stderr)
@@ -310,6 +413,7 @@ def main(argv: list[str] | None = None) -> int:
         "auto_dense_min_flows": AUTO_DENSE_MIN_FLOWS,
         "auto_warnings": warnings,
         "points": points,
+        "controller_points": controller_points,
     }
     text = json.dumps(report, indent=2, sort_keys=True)
     print(text)

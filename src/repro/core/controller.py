@@ -246,7 +246,7 @@ class ReconfigurationManager:
         """The round itself; returns (executed records, decided count)."""
         obs = self.obs
         self.wan_monitor.refresh(now_s)
-        window = self.monitor.collect(self.runtime.sink_source_equiv)
+        window = self.monitor.collect()
         self.last_window = window
         plan = self.runtime.plan
         estimates = self.estimator.estimate(plan, window)

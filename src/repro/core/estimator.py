@@ -10,8 +10,11 @@ are computed recursively from the source generation rates:
     lambda_hat_P = lambda_hat_I = sum_u lambda_hat_O[u]   (or lambda_O[src])
     lambda_hat_O = sigma * lambda_hat_I
 
-Selectivities come from the plan's operator specs, falling back to observed
-window selectivity where an operator's spec is unknown.
+Selectivities sigma come from the plan (each stage's chained operator
+selectivity); the metric window carries no observed output rate or sigma.
+The fluid engine realises the plan sigma exactly: every tick, each non-sink
+stage emits sigma times what it processed, on both engine backends
+(``tests/engine/test_metrics.py::TestPlanSelectivity``).
 """
 
 from __future__ import annotations

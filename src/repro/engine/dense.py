@@ -222,7 +222,7 @@ class _FlowPass:
 
     __slots__ = (
         "flow_keys", "flow_rows", "link_ids", "lat_s", "eb", "inv_eb",
-        "dst_flat", "dst_stages", "dst_groups", "pop",
+        "dst_flat", "pop",
     )
 
 
@@ -248,7 +248,7 @@ class _DepthGroup:
         "stages", "rows", "n_rows", "row_keys", "site_ids", "n_tasks",
         "cost_row", "sel_col", "mult_col", "has_requeue", "pop",
         "out_c", "out_m",
-        "loc_src", "loc_frac", "loc_flat", "loc_groups",
+        "loc_src", "loc_frac", "loc_flat",
         "rem_src", "rem_frac", "rem_rows", "rem_c", "rem_m",
         "flow_rows_all", "n_flows", "flow_dst_all", "passes",
     )
@@ -441,7 +441,6 @@ class _DenseModel:
             sel_l: list[float] = []
             mult_l: list[float] = []
             loc: list[tuple[int, int, float]] = []
-            loc_groups: list[tuple[str, int, int]] = []
             rem: list[tuple[int, int, float]] = []
             flows_group: list[tuple[tuple[str, str, str, str], float]] = []
             for s in by_depth[d]:
@@ -474,7 +473,6 @@ class _DenseModel:
                     if total <= 0:
                         requeue_mult += 1
                         continue
-                    start = len(loc)
                     for pos, src_site in enumerate(sites_sorted):
                         for dst_site in sorted(dplace):
                             frac = dplace[dst_site] / total
@@ -492,8 +490,6 @@ class _DenseModel:
                                     ],
                                     frac,
                                 ))
-                    if len(loc) > start:
-                        loc_groups.append((down.name, start, len(loc)))
                 st.requeue_mult = requeue_mult
                 mult_l.extend([float(requeue_mult)] * (st.s1 - st.s0))
                 for key in flows_by_src.get(s.name, []):
@@ -520,12 +516,10 @@ class _DenseModel:
                 g.loc_frac = np.array([f for _, _, f in loc])[:, None]
                 dst = np.array([r for _, r, _ in loc], dtype=np.intp)
                 g.loc_flat = (dst[:, None] * B + bucket_idx).ravel()
-                g.loc_groups = loc_groups
             else:
                 g.loc_src = None
                 g.loc_frac = None
                 g.loc_flat = None
-                g.loc_groups = []
             if rem:
                 # Each flow key names its source stage and site, so remote
                 # targets are unique rows: routing adds into them directly.
@@ -582,16 +576,6 @@ class _DenseModel:
                 shift = np.floor(lat / dt + 0.5).astype(np.intp)[:, None]
                 shifted = np.minimum(bucket_idx[None, :] + shift, B - 1)
                 ps.dst_flat = (dst_rows[:, None] * B + shifted).ravel()
-                ps.dst_stages = [k[1] for k, _, _ in entries]
-                # Contiguous per-destination-stage slices for arrived
-                # accounting (destinations group within the sorted order).
-                pgroups: list[tuple[str, int, int]] = []
-                for j, dst_stage in enumerate(ps.dst_stages):
-                    if pgroups and pgroups[-1][0] == dst_stage:
-                        pgroups[-1] = (dst_stage, pgroups[-1][1], j + 1)
-                    else:
-                        pgroups.append((dst_stage, j, j + 1))
-                ps.dst_groups = pgroups
                 g.passes.append(ps)
 
             self.groups.append(g)
@@ -914,8 +898,6 @@ class DenseEngineRuntime(EngineRuntime):
         prev_now = self._now_s
         suspended_until = self._suspended_until
         cap_by_site = report.capacity_by_site
-        proc_by_site = report.processed_by_site
-        arrived = report.arrived
         net_sent = report.net_sent
 
         for g in model.groups:
@@ -926,8 +908,10 @@ class DenseEngineRuntime(EngineRuntime):
                     if dropped.any():
                         dlist = dropped.tolist()
                         for st in g.stages:
-                            # Built-in sum is left-to-right: the reference's
-                            # per-site accumulation order.
+                            # Built-in sum() is left-to-right, the
+                            # reference's per-site order, only up to CPython
+                            # 3.11 (where the digests are pinned); from 3.12
+                            # on it is compensated.
                             dv = sum(dlist[st.s0:st.s1])
                             if dv > 0.0:
                                 report.dropped_source_equiv += (
@@ -949,12 +933,11 @@ class DenseEngineRuntime(EngineRuntime):
                 plist = popped.tolist()
                 any_routed = False
                 for st in g.stages:
+                    # Left-to-right over the stage's sites, like the
+                    # reference's per-site accumulation.
                     stage_processed = 0.0
-                    for key, proc in zip(
-                        g.row_keys[st.s0:st.s1], plist[st.s0:st.s1]
-                    ):
+                    for proc in plist[st.s0:st.s1]:
                         if proc > 0.0:
-                            proc_by_site[key] = proc
                             stage_processed += proc
                     if stage_processed <= 0.0:
                         continue
@@ -982,10 +965,9 @@ class DenseEngineRuntime(EngineRuntime):
                         in_cnt[rows] += out_c * g.mult_col
                         in_mass[rows] += out_m * g.mult_col
                     if g.loc_src is not None:
-                        contrib = out_c[g.loc_src] * g.loc_frac
                         in_cnt_f += np.bincount(
                             g.loc_flat,
-                            weights=contrib.ravel(),
+                            weights=(out_c[g.loc_src] * g.loc_frac).ravel(),
                             minlength=in_size,
                         )
                         in_mass_f += np.bincount(
@@ -993,12 +975,6 @@ class DenseEngineRuntime(EngineRuntime):
                             weights=(out_m[g.loc_src] * g.loc_frac).ravel(),
                             minlength=in_size,
                         )
-                        for dname, s0, s1 in g.loc_groups:
-                            moved = float(contrib[s0:s1].sum())
-                            if moved > 0.0:
-                                arrived[dname] = (
-                                    arrived.get(dname, 0.0) + moved
-                                )
                     if g.rem_src is not None:
                         rc = np.take(out_c, g.rem_src, axis=0, out=g.rem_c)
                         rm = np.take(out_m, g.rem_src, axis=0, out=g.rem_m)
@@ -1061,12 +1037,6 @@ class DenseEngineRuntime(EngineRuntime):
                         for key, mv in zip(ps.flow_keys, mv_list)
                         if mv > 0.0
                     )
-                for dname, s0, s1 in ps.dst_groups:
-                    # Built-in sum is left-to-right, preserving the
-                    # reference's per-flow accumulation order.
-                    mvd = sum(mv_list[s0:s1])
-                    if mvd > 0.0:
-                        arrived[dname] = arrived.get(dname, 0.0) + mvd
 
         # 3. End-of-tick backlogs.
         in_tot = in_cnt.sum(axis=1)

@@ -2,11 +2,14 @@
 
 Each Task Manager's Local Metric Monitor gathers task-level metrics and
 reports them to the Global Metric Monitor, which aggregates them per operator
-over the past time interval:
-
-    lambda_P = sum_i lambda_P[i]      (processing rate)
-    lambda_O = sum_i lambda_O[i]      (output rate)
-    sigma    = lambda_O / lambda_P    (selectivity)
+over the past time interval.  A window carries what the controller reads:
+per stage, the processing rate ``lambda_P = sum_i lambda_P[i]`` and per-site
+capacity (utilisation), input and WAN backlogs with their growth and the
+inbound WAN rates (diagnosis, Section 3.2); source generation rates (the
+lambda-hat estimate, Section 3.3); the offered rate and the sink delay.
+Input and output rates and observed selectivities are not aggregated: the
+estimator works from source generation and the plan's sigma, which the
+fluid engine realises exactly.
 
 In the fluid engine, task-level observations arrive as
 :class:`~repro.engine.runtime.TickReport` objects; the
@@ -18,7 +21,6 @@ interval, 40 s in the paper's setup).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 from .runtime import TickReport
 
@@ -34,10 +36,6 @@ class StageMetrics:
 
     stage: str
     lambda_p: float
-    lambda_i: float
-    lambda_o: float
-    selectivity: float
-    processed_by_site: dict[str, float]
     capacity_by_site: dict[str, float]
     input_backlog: float
     input_backlog_growth: float
@@ -68,7 +66,6 @@ class MetricsWindow:
     offered_eps: float
     source_generation_eps: dict[str, float]
     stages: dict[str, StageMetrics]
-    sink_source_equiv_eps: float
     mean_delay_s: float
 
     @property
@@ -107,72 +104,91 @@ def _group_by_stage(
 
 
 class GlobalMetricMonitor:
-    """Accumulates tick reports into per-interval metric windows."""
+    """Accumulates tick reports into per-interval metric windows.
+
+    Observed reports are buffered and folded into running per-key sums
+    when the window is read.  :meth:`peek` folds the buffer and keeps the
+    sums, so a later read continues the same additions in the same order
+    and a peeked report is not held any longer; :meth:`collect` is a peek
+    followed by a reset.
+    """
 
     def __init__(self) -> None:
         self._reports: list[TickReport] = []
+        self._reset()
+
+    def _reset(self) -> None:
+        """Start an empty window."""
+        self._folded = 0
+        self._first: TickReport | None = None
+        self._last: TickReport | None = None
+        self._offered = 0.0
+        self._sink_events = 0.0
+        self._delay_weight = 0.0
+        self._source_gen: dict[str, float] = {}
+        self._processed: dict[str, float] = {}
+        self._capacity_site: dict[tuple[str, str], float] = {}
+        self._net_in: dict[tuple[str, str, str], float] = {}
+        self._backlog_keys: set[tuple[str, str]] = set()
+        self._net_backlog_keys: set[tuple[str, str, str, str]] = set()
 
     def observe(self, report: TickReport) -> None:
         self._reports.append(report)
 
     @property
     def pending_ticks(self) -> int:
-        return len(self._reports)
+        return self._folded + len(self._reports)
 
-    def collect(
-        self, sink_source_equiv: Callable[[float], float] | None = None
-    ) -> MetricsWindow:
-        """Aggregate and reset the current window.
+    def collect(self) -> MetricsWindow:
+        """Aggregate and reset the current window."""
+        window = self.peek()
+        self._reset()
+        return window
 
-        Args:
-            sink_source_equiv: Optional callable converting sink emissions
-                into source-equivalents (the engine provides one); identity
-                when omitted.
-        """
+    def peek(self) -> MetricsWindow:
+        """Aggregate the current window without resetting it."""
         reports = self._reports
-        self._reports = []
-        if not reports:
+        if reports:
+            self._reports = []
+            self._fold(reports)
+        if not self._folded:
             return MetricsWindow(
                 t_start_s=0.0,
                 t_end_s=0.0,
                 offered_eps=0.0,
                 source_generation_eps={},
                 stages={},
-                sink_source_equiv_eps=0.0,
                 mean_delay_s=float("nan"),
             )
+        return self._window()
 
-        t_start = reports[0].t_s
-        t_end = reports[-1].t_s
-        # A window of n ticks spans n tick-lengths; infer the tick length
-        # from the report spacing (a single report falls back to its own t).
-        if len(reports) > 1:
-            tick_len = (t_end - t_start) / (len(reports) - 1)
-        else:
-            tick_len = reports[0].t_s or 1.0
-        span = max(tick_len * len(reports), 1e-9)
+    def _fold(self, reports: list[TickReport]) -> None:
+        """Add ``reports`` to the running sums.
 
-        # Single pass over the reports.  Per-site and per-link sums
-        # accumulate flat, keyed by (stage, site) and (dst stage, src site,
-        # dst site), and are grouped by stage once at the end; stage names
-        # come from the union of the backlog key sets.  Per-key accumulation
-        # order is unchanged (report order, then dict insertion order within
-        # a report), and so is each grouped dict's insertion order (first
-        # appearance), so the window aggregates are bit-for-bit the ones a
-        # per-stage rescan produces.  ``net_sent`` folds several flows into
-        # one (dst stage, link) key, so it still folds report by report.
-        offered = 0.0
-        source_gen: dict[str, float] = {}
-        processed_by: dict[str, float] = {}
-        arrived_by: dict[str, float] = {}
-        emitted_by: dict[str, float] = {}
-        processed_site: dict[tuple[str, str], float] = {}
-        capacity_site: dict[tuple[str, str], float] = {}
-        net_in: dict[tuple[str, str, str], float] = {}
-        backlog_keys: set[tuple[str, str]] = set()
-        net_backlog_keys: set[tuple[str, str, str, str]] = set()
-        sink_events = 0.0
-        delay_weight = 0.0
+        Per-site and per-link sums accumulate flat, keyed by (stage, site)
+        and (dst stage, src site, dst site), and are grouped by stage when
+        the window is built; stage names come from the union of the backlog
+        key sets.  Per-key accumulation order is report order, then dict
+        insertion order within a report, each key starting from 0.0 in
+        explicit left-to-right loops (not ``sum()``, which is compensated
+        from CPython 3.12 on); each grouped dict keeps first-appearance
+        order, so the window aggregates are bit-for-bit the ones a
+        per-stage rescan produces.  ``net_sent`` folds several flows into
+        one (dst stage, link) key, so it still folds report by report.
+        """
+        if self._first is None:
+            self._first = reports[0]
+        self._last = reports[-1]
+        self._folded += len(reports)
+        offered = self._offered
+        sink_events = self._sink_events
+        delay_weight = self._delay_weight
+        source_gen = self._source_gen
+        processed_by = self._processed
+        capacity_site = self._capacity_site
+        net_in = self._net_in
+        backlog_keys = self._backlog_keys
+        net_backlog_keys = self._net_backlog_keys
         for r in reports:
             offered += r.offered
             sink_events += r.sink_events
@@ -181,12 +197,6 @@ class GlobalMetricMonitor:
                 source_gen[name] = source_gen.get(name, 0.0) + gen
             for name, v in r.processed.items():
                 processed_by[name] = processed_by.get(name, 0.0) + v
-            for name, v in r.arrived.items():
-                arrived_by[name] = arrived_by.get(name, 0.0) + v
-            for name, v in r.emitted.items():
-                emitted_by[name] = emitted_by.get(name, 0.0) + v
-            for key, v in r.processed_by_site.items():
-                processed_site[key] = processed_site.get(key, 0.0) + v
             for key, v in r.capacity_by_site.items():
                 capacity_site[key] = capacity_site.get(key, 0.0) + v
             for (_, dst, su, sd), v in r.net_sent.items():
@@ -194,20 +204,34 @@ class GlobalMetricMonitor:
                 net_in[key] = net_in.get(key, 0.0) + v
             backlog_keys.update(r.input_backlog)
             net_backlog_keys.update(r.net_backlog)
-        by_site_by = _group_by_stage(processed_site)
-        cap_site_by = _group_by_stage(capacity_site)
-        net_in_by: dict[str, dict[tuple[str, str], float]] = {}
-        for (dst, su, sd), v in net_in.items():
-            net_in_by.setdefault(dst, {})[su, sd] = v
-        stage_names = {stage for stage, _ in backlog_keys}
-        stage_names.update(key[1] for key in net_backlog_keys)
-        stage_names.update(processed_by)
-        stage_names.update(arrived_by)
-        stage_names.update(emitted_by)
-        stage_names.update(net_in_by)
-        source_gen_eps = {k: v / span for k, v in source_gen.items()}
+        self._offered = offered
+        self._sink_events = sink_events
+        self._delay_weight = delay_weight
 
-        first, last = reports[0], reports[-1]
+    def _window(self) -> MetricsWindow:
+        """The window of the reports folded so far."""
+        first, last = self._first, self._last
+        n = self._folded
+        t_start = first.t_s
+        t_end = last.t_s
+        # A window of n ticks spans n tick-lengths; infer the tick length
+        # from the report spacing (a single report falls back to its own t).
+        if n > 1:
+            tick_len = (t_end - t_start) / (n - 1)
+        else:
+            tick_len = t_start or 1.0
+        span = max(tick_len * n, 1e-9)
+
+        processed_by = self._processed
+        cap_site_by = _group_by_stage(self._capacity_site)
+        net_in_by: dict[str, dict[tuple[str, str], float]] = {}
+        for (dst, su, sd), v in self._net_in.items():
+            net_in_by.setdefault(dst, {})[su, sd] = v
+        stage_names = {stage for stage, _ in self._backlog_keys}
+        stage_names.update(key[1] for key in self._net_backlog_keys)
+        stage_names.update(processed_by)
+        stage_names.update(net_in_by)
+
         backlog_first = _backlog_by_stage(first)
         backlog_last = _backlog_by_stage(last)
         site_backlog_last = _group_by_stage(last.input_backlog)
@@ -216,9 +240,6 @@ class GlobalMetricMonitor:
 
         stages: dict[str, StageMetrics] = {}
         for name in sorted(stage_names):
-            processed = processed_by.get(name, 0.0)
-            emitted = emitted_by.get(name, 0.0)
-            by_site = by_site_by.get(name, {})
             cap_site = cap_site_by.get(name, {})
             input_backlog_last = backlog_last.get(name, 0.0)
             input_backlog_first = backlog_first.get(name, 0.0)
@@ -229,14 +250,9 @@ class GlobalMetricMonitor:
                 link: net_last.get(link, 0.0) - net_first.get(link, 0.0)
                 for link in set(net_last) | set(net_first)
             }
-            lambda_p = processed / span
             stages[name] = StageMetrics(
                 stage=name,
-                lambda_p=lambda_p,
-                lambda_i=arrived_by.get(name, 0.0) / span,
-                lambda_o=emitted / span,
-                selectivity=(emitted / processed) if processed > 0 else 0.0,
-                processed_by_site={k: v / span for k, v in by_site.items()},
+                lambda_p=processed_by.get(name, 0.0) / span,
                 capacity_by_site={k: v / span for k, v in cap_site.items()},
                 input_backlog=input_backlog_last,
                 input_backlog_growth=input_backlog_last - input_backlog_first,
@@ -246,18 +262,17 @@ class GlobalMetricMonitor:
                 net_inflow={k: v / span for k, v in net_in.items()},
             )
 
-        if sink_source_equiv is not None:
-            sink_equiv = sink_source_equiv(sink_events)
-        else:
-            sink_equiv = sink_events
-        mean_delay = delay_weight / sink_events if sink_events > 0 else float("nan")
-
+        sink_events = self._sink_events
+        mean_delay = (
+            self._delay_weight / sink_events if sink_events > 0 else float("nan")
+        )
         return MetricsWindow(
             t_start_s=t_start,
             t_end_s=t_end,
-            offered_eps=offered / span,
-            source_generation_eps=source_gen_eps,
+            offered_eps=self._offered / span,
+            source_generation_eps={
+                k: v / span for k, v in self._source_gen.items()
+            },
             stages=stages,
-            sink_source_equiv_eps=sink_equiv / span,
             mean_delay_s=mean_delay,
         )

@@ -88,14 +88,10 @@ class TickReport:
     sink_events: float = 0.0
     sink_delay_weighted_s: float = 0.0
     dropped_source_equiv: float = 0.0
-    #: events arriving at each stage's input queues this tick
-    arrived: dict[str, float] = field(default_factory=dict)
     #: events processed by each stage this tick
     processed: dict[str, float] = field(default_factory=dict)
     #: events emitted by each stage this tick
     emitted: dict[str, float] = field(default_factory=dict)
-    #: per (stage, site): events processed
-    processed_by_site: dict[tuple[str, str], float] = field(default_factory=dict)
     #: per (stage, site): processing capacity available this tick
     capacity_by_site: dict[tuple[str, str], float] = field(default_factory=dict)
     #: per (stage, site): input backlog at end of tick
@@ -729,7 +725,6 @@ class EngineRuntime:
         sel = ex.selectivity
         suspended = self._now_s < self._suspended_until.get(name, 0.0)
         capacity_by_site = report.capacity_by_site
-        processed_by_site = report.processed_by_site
         # Routing rows stay valid while the net index does not move; rows
         # resolved below may add flow queues (bumping the version), and
         # adding a flow never replaces another, so they stay valid too.
@@ -770,7 +765,6 @@ class EngineRuntime:
             if processed <= 0:
                 continue
             stage_processed += processed
-            processed_by_site[site_key] = processed
 
             if ex.is_sink:
                 delay = 0.0
@@ -795,22 +789,22 @@ class EngineRuntime:
     def _route_targets(self, ex: _StageExec, src_site: str) -> list[tuple]:
         """Routing rows for one source site of a stage, in fan-out order.
 
-        Each row is ``(downstream name, fraction, local input key, flow
-        queue)``: a co-located share carries the input key, a remote share
-        its (created on first use) WAN flow queue, and an undeployed
-        downstream neither.
+        Each row is ``(fraction, local input key, flow queue)``: a
+        co-located share carries the input key, a remote share its (created
+        on first use) WAN flow queue, and an undeployed downstream
+        neither.
         """
         rows: list[tuple] = []
         for down in ex.downstream:
             if not down.deployed:
-                rows.append((down.name, 0.0, None, None))
+                rows.append((0.0, None, None))
                 continue
             for dst_site, fraction, in_key in down.shares:
                 if dst_site == src_site:
-                    rows.append((down.name, fraction, in_key, None))
+                    rows.append((fraction, in_key, None))
                 else:
                     flow = self._net_q((ex.name, down.name, src_site, dst_site))
-                    rows.append((down.name, fraction, None, flow))
+                    rows.append((fraction, None, flow))
         return rows
 
     def _push_routed(
@@ -830,8 +824,7 @@ class EngineRuntime:
         :meth:`_route_targets`.
         """
         input_queue = self._input_queue
-        arrived = report.arrived
-        for down_name, fraction, in_key, flow in rows:
+        for fraction, in_key, flow in rows:
             if flow is not None:
                 flow.push_scaled(counts, gens, fraction)
             elif in_key is not None:
@@ -839,8 +832,7 @@ class EngineRuntime:
                 if queue is None:
                     queue = FluidQueue()
                     input_queue[in_key] = queue
-                moved = queue.push_scaled(counts, gens, fraction)
-                arrived[down_name] = arrived.get(down_name, 0.0) + moved
+                queue.push_scaled(counts, gens, fraction)
             else:
                 # Downstream not deployed (transient during adaptation):
                 # keep the events at the sender by re-queueing them into the
@@ -894,7 +886,6 @@ class EngineRuntime:
         its current flow records (after the Degrade ``cutoff`` drop)."""
         event_bytes = ex.output_event_bytes
         input_queue = self._input_queue
-        arrived = report.arrived
         net_sent = report.net_sent
         # FCFS link sharing across flows, in the records' sorted order.
         for (
@@ -933,7 +924,6 @@ class EngineRuntime:
             link_budget[link] = budget - moved * event_bytes
             # Each flow transfers once per tick (0.0 + moved == moved).
             net_sent[key] = moved
-            arrived[dst_stage] = arrived.get(dst_stage, 0.0) + moved
 
     # -------------------------- conversions ---------------------------- #
 

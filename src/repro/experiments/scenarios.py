@@ -311,7 +311,7 @@ def _feasible_destinations(
     assert manager is not None
     plan = run.runtime.plan
     stage = plan.stage(stage_name)
-    window = manager.monitor.collect(run.runtime.sink_source_equiv)
+    window = manager.monitor.peek()
     estimates = manager.estimator.estimate(plan, window)
     flows = manager.estimator.upstream_flows_eps(plan, stage, estimates)
     upstream = [

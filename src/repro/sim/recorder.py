@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TickSample:
     """Aggregate measurements for one simulation tick.
 

@@ -48,16 +48,12 @@ def make_plan(agg_tasks=("dc-1",)):
     return plan
 
 
-def metrics(stage="agg", *, lambda_p=1000.0, lambda_i=1000.0,
+def metrics(stage="agg", *, lambda_p=1000.0,
             utilization_capacity=40_000.0, backlog=0.0, growth=0.0,
             net_backlog=None, net_growth=None, net_inflow=None):
     return StageMetrics(
         stage=stage,
         lambda_p=lambda_p,
-        lambda_i=lambda_i,
-        lambda_o=lambda_p * 0.01,
-        selectivity=0.01,
-        processed_by_site={"dc-1": lambda_p},
         capacity_by_site={"dc-1": utilization_capacity},
         input_backlog=backlog,
         input_backlog_growth=growth,
@@ -75,7 +71,6 @@ def window_for(stage_metrics):
         offered_eps=0.0,
         source_generation_eps={},
         stages={m.stage: m for m in stage_metrics},
-        sink_source_equiv_eps=0.0,
         mean_delay_s=0.0,
     )
 
@@ -93,7 +88,7 @@ class TestHealthy:
         plan = make_plan()
         result = diagnose(
             plan,
-            [metrics(lambda_p=1000.0, lambda_i=1000.0)],
+            [metrics(lambda_p=1000.0)],
             {"agg": StageEstimate("agg", 1000.0, 10.0)},
         )
         assert result["agg"].health is Health.HEALTHY

@@ -16,7 +16,6 @@ def window(source_rates):
         offered_eps=sum(source_rates.values()),
         source_generation_eps=dict(source_rates),
         stages={},
-        sink_source_equiv_eps=0.0,
         mean_delay_s=0.0,
     )
 

@@ -144,7 +144,7 @@ class TestAgreementWithFluidEngine:
         window = MetricsWindow(
             t_start_s=0.0, t_end_s=40.0, offered_eps=rate,
             source_generation_eps={"src": rate}, stages={},
-            sink_source_equiv_eps=0.0, mean_delay_s=0.0,
+            mean_delay_s=0.0,
         )
         estimates = WorkloadEstimator().estimate(plan, window)
         throttled = steady_state_rates(

@@ -5,8 +5,13 @@ import random
 
 import pytest
 
+from repro.baselines.variants import wasp
+from repro.config import WaspConfig
 from repro.engine.metrics import GlobalMetricMonitor
 from repro.engine.runtime import TickReport
+from repro.experiments.harness import ExperimentRun
+from repro.experiments.scenarios import bottleneck_dynamics, fig8_scenario
+from repro.sim.rng import RngRegistry
 
 
 def report(t, **kwargs):
@@ -21,23 +26,11 @@ class TestAggregation:
         monitor = GlobalMetricMonitor()
         for t in (1.0, 2.0, 3.0, 4.0):
             monitor.observe(
-                report(t, processed={"agg": 100.0}, arrived={"agg": 110.0},
-                       emitted={"agg": 50.0})
+                report(t, processed={"agg": 100.0}, emitted={"agg": 50.0})
             )
         window = monitor.collect()
         metrics = window.stages["agg"]
         assert metrics.lambda_p == pytest.approx(100.0)
-        assert metrics.lambda_i == pytest.approx(110.0)
-        assert metrics.lambda_o == pytest.approx(50.0)
-
-    def test_selectivity_from_window(self):
-        monitor = GlobalMetricMonitor()
-        monitor.observe(
-            report(1.0, processed={"agg": 200.0}, emitted={"agg": 50.0})
-        )
-        assert monitor.collect().stages["agg"].selectivity == pytest.approx(
-            0.25
-        )
 
     def test_collect_resets_window(self):
         monitor = GlobalMetricMonitor()
@@ -45,6 +38,24 @@ class TestAggregation:
         monitor.collect()
         assert monitor.pending_ticks == 0
         assert monitor.collect().stages == {}
+
+    def test_peek_aggregates_without_resetting(self):
+        monitor = GlobalMetricMonitor()
+        for t in (1.0, 2.0):
+            monitor.observe(
+                report(
+                    t,
+                    processed={"agg": 100.0},
+                    net_sent={("src", "agg", "e1", "d1"): 30.0},
+                    sink_events=10.0,
+                    sink_delay_weighted_s=5.0,
+                )
+            )
+        peeked = monitor.peek()
+        assert monitor.pending_ticks == 2
+        assert monitor.peek() == peeked
+        assert monitor.collect() == peeked
+        assert monitor.pending_ticks == 0
 
     def test_empty_collect(self):
         window = GlobalMetricMonitor().collect()
@@ -70,12 +81,6 @@ class TestAggregation:
             report(2.0, sink_events=300.0, sink_delay_weighted_s=600.0)
         )
         assert monitor.collect().mean_delay_s == pytest.approx(1.75)
-
-    def test_sink_conversion_applied(self):
-        monitor = GlobalMetricMonitor()
-        monitor.observe(report(1.0, sink_events=10.0))
-        window = monitor.collect(sink_source_equiv=lambda events: events * 100)
-        assert window.sink_source_equiv_eps == pytest.approx(1000.0)
 
 
 class TestBacklogs:
@@ -121,13 +126,12 @@ class TestBacklogs:
             report(
                 1.0,
                 processed={"agg": 150.0},
-                processed_by_site={("agg", "a"): 100.0, ("agg", "b"): 50.0},
-                capacity_by_site={("agg", "a"): 200.0, ("agg", "b"): 200.0},
+                capacity_by_site={("agg", "a"): 200.0, ("agg", "b"): 300.0},
             )
         )
         metrics = monitor.collect().stages["agg"]
-        assert metrics.processed_by_site["a"] == pytest.approx(100.0)
-        assert metrics.utilization == pytest.approx(150.0 / 400.0)
+        assert metrics.capacity_by_site == {"a": 200.0, "b": 300.0}
+        assert metrics.utilization == pytest.approx(150.0 / 500.0)
 
     def test_utilization_zero_without_capacity(self):
         monitor = GlobalMetricMonitor()
@@ -143,7 +147,6 @@ class TestCollectEdgeCases:
         window = monitor.collect()
         assert window.stages == {}
         assert window.offered_eps == 0.0
-        assert window.sink_source_equiv_eps == 0.0
         assert window.duration_s == 0.0
         assert math.isnan(window.mean_delay_s)
 
@@ -232,7 +235,8 @@ def _rescan_inflow(reports, stage):
 
 class TestFlatAccumulation:
     """The flat per-key sums equal a per-stage rescan bit for bit, with the
-    same per-stage key order."""
+    same per-stage key order, also when a ``peek`` folded part of the
+    window earlier."""
 
     @pytest.mark.parametrize("seed", range(10))
     def test_grouped_tables_match_a_per_stage_rescan(self, seed):
@@ -258,7 +262,6 @@ class TestFlatAccumulation:
         reports = [
             report(
                 float(t),
-                processed_by_site=table(stage_sites),
                 capacity_by_site=table(stage_sites),
                 input_backlog=table(stage_sites),
                 net_sent=table(flows),
@@ -266,9 +269,12 @@ class TestFlatAccumulation:
             )
             for t in range(1, draw.randint(2, 12))
         ]
+        peek_after = draw.randint(0, len(reports))
         monitor = GlobalMetricMonitor()
-        for r in reports:
+        for i, r in enumerate(reports, 1):
             monitor.observe(r)
+            if i == peek_after:
+                monitor.peek()
         window = monitor.collect()
         span = float(len(reports))
         expected_names = {s for r in reports for s, _ in r.input_backlog}
@@ -276,16 +282,52 @@ class TestFlatAccumulation:
         expected_names |= {k[1] for r in reports for k in r.net_sent}
         assert set(window.stages) == expected_names
         for name, metrics in window.stages.items():
-            for field, got in (
-                ("processed_by_site", metrics.processed_by_site),
-                ("capacity_by_site", metrics.capacity_by_site),
-            ):
-                expected = {
-                    k: v / span
-                    for k, v in _rescan_sites(reports, name, field).items()
-                }
-                assert list(got.items()) == list(expected.items())
+            expected = {
+                k: v / span
+                for k, v in _rescan_sites(
+                    reports, name, "capacity_by_site"
+                ).items()
+            }
+            assert list(metrics.capacity_by_site.items()) == list(
+                expected.items()
+            )
             expected = {
                 k: v / span for k, v in _rescan_inflow(reports, name).items()
             }
             assert list(metrics.net_inflow.items()) == list(expected.items())
+
+
+class TestPlanSelectivity:
+    """The window aggregates no observed output rate or selectivity: the
+    fluid engine emits exactly the plan sigma times what a stage processed,
+    so the estimator's plan sigma is the observed one."""
+
+    @pytest.mark.parametrize("backend", ["reference", "dense"])
+    def test_emitted_is_plan_selectivity_times_processed(self, backend):
+        scenario = fig8_scenario("topk-topics")
+        rngs = RngRegistry(42)
+        topology = scenario.make_topology(rngs)
+        query = scenario.make_query(topology, rngs)
+        config = WaspConfig.paper_defaults().with_overrides(
+            engine_backend=backend
+        )
+        run = ExperimentRun(topology, query, wasp(), config=config, rngs=rngs)
+        run.set_dynamics(bottleneck_dynamics())
+        checked = 0
+        for _ in range(round(scenario.duration_s / config.tick_s)):
+            # Read sigma before the step: a round at its end may re-plan.
+            sigma = {
+                name: stage.selectivity
+                for name, stage in run.runtime.plan.stages.items()
+                if not stage.is_sink
+            }
+            run.step()
+            r = run.runtime.last_report
+            for name, sel in sigma.items():
+                processed = r.processed.get(name, 0.0)
+                assert r.emitted.get(name, 0.0) == pytest.approx(
+                    sel * processed, rel=1e-9
+                ), (r.t_s, name)
+                checked += processed > 0.0
+        assert run.manager.history  # the run adapted
+        assert checked > 1000

@@ -96,6 +96,18 @@ class TestControlledMigration:
         assert after == {destination}
         assert after != before
 
+    def test_forced_reassignment_leaves_the_metric_window_alone(self):
+        # The helper reads the controller's pending window without draining
+        # it: with the periodic loop on, the round after the forced move
+        # still aggregates the whole interval since the previous round.
+        run = build_migration_run(wasp(), FIG13_STATE_MB)
+        run.clock.set_enabled("adaptation", True)
+        run.run(MIGRATION_TRIGGER_AT_S)
+        force_reassignment(run)
+        run.run(200.0 - MIGRATION_TRIGGER_AT_S)
+        assert run.manager.last_window.t_start_s == 161.0
+        assert run.manager.last_window.t_end_s == 200.0
+
     def test_forced_reassignment_needs_manager(self, testbed, rngs):
         from repro.baselines.variants import no_adapt
         from repro.experiments.harness import ExperimentRun

@@ -283,7 +283,6 @@ class TestCommitDetection:
             offered_eps=1e9,
             source_generation_eps={name: 1e9 for name in plan.stages},
             stages={},
-            sink_source_equiv_eps=0.0,
             mean_delay_s=0.0,
         )
         for name in plan.stages:

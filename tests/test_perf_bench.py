@@ -65,6 +65,15 @@ def test_scale_points_record_the_auto_backend() -> None:
     assert large["auto_backend"] == "dense"
 
 
+def test_scale_controller_point_times_every_round() -> None:
+    point = scale.run_controller_point(16, duration_s=120.0)
+    assert point["sites"] == 16 and point["backend"] == "reference"
+    assert point["rounds"] == 3  # t = 40, 80, 120
+    assert 0.0 < point["collect_ms_p50"] < point["round_ms_p50"]
+    assert point["round_ms_p50"] <= point["round_ms_p90"]
+    assert 0.0 < point["round_share"] < 1.0
+
+
 def test_scale_warns_where_auto_picked_the_slower_backend() -> None:
     def point(backend, sites, rate, auto):
         return {
