@@ -79,6 +79,8 @@ class ChaosInjector:
             are spawned per probabilistic rule so rules stay independent.
         recorder: Optional :class:`~repro.sim.recorder.RunRecorder`; every
             injection and revert lands in its fault timeline.
+            ``ExperimentRun.attach_chaos`` installs the run's recorder and
+            rejects an injector that already records elsewhere.
     """
 
     rng: np.random.Generator

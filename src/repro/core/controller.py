@@ -162,7 +162,8 @@ class ReconfigurationManager:
         self.checkpoints = checkpoints
         self.replanner = replanner
         self.config = config or WaspConfig.paper_defaults()
-        self.recorder = recorder
+        #: The run's one store; ``attempt_log`` and ``history`` read it.
+        self.recorder = recorder if recorder is not None else RunRecorder()
         self.mode = mode or PolicyMode.wasp()
         self.migration_strategy = migration_strategy
         self._rng = rng if rng is not None else np.random.default_rng(0)
@@ -177,9 +178,6 @@ class ReconfigurationManager:
         self.policy = AdaptationPolicy(self.estimator, obs=self.obs)
         self.network = _NetworkAdapter(self)
 
-        #: The adaptation log: every attempt's outcome, in order.  Only
-        #: :meth:`_log` appends to it; ``history`` is a view over it.
-        self.attempt_log: list[AttemptRecord] = []
         self.state_lost_mb = 0.0
         self.last_window: MetricsWindow | None = None
         self.last_diagnoses: dict[str, StageDiagnosis] = {}
@@ -211,6 +209,12 @@ class ReconfigurationManager:
     # ------------------------------------------------------------------ #
     # The adaptation loop body
     # ------------------------------------------------------------------ #
+
+    @property
+    def attempt_log(self) -> list[AttemptRecord]:
+        """The adaptation log: every attempt's outcome, in order (the
+        recorder's list; only :meth:`_log` appends to it)."""
+        return self.recorder.attempt_log
 
     @property
     def history(self) -> tuple[AdaptationRecord, ...]:
@@ -496,34 +500,9 @@ class ReconfigurationManager:
 
     def _log(self, event: ObsEvent, entry: AttemptRecord) -> None:
         """The one writer of the adaptation record: emit the outcome's bus
-        event, append ``entry`` to ``attempt_log`` and write its recorder
-        lines (``rollback``; ``fallback:<label>`` or
-        ``adaptation-abandoned``; the committed kind)."""
+        event and append ``entry`` to the recorder's ``attempt_log``."""
         self.obs.emit(event)
-        self.attempt_log.append(entry)
-        recorder = self.recorder
-        if recorder is None:
-            return
-        t_s, stage, attempt = entry.t_s, entry.stage, entry.attempt
-        if entry.outcome == "rolled-back":
-            recorder.record_adaptation(
-                t_s, "rollback", f"{stage}: {attempt}: {entry.detail}"
-            )
-        elif entry.outcome == "abandoned":
-            recorder.record_adaptation(
-                t_s, "adaptation-abandoned", f"{stage}: {entry.detail}"
-            )
-        else:
-            record = entry.record
-            if attempt != "primary":
-                recorder.record_adaptation(
-                    t_s, f"fallback:{attempt}", f"{stage}: {entry.detail}"
-                )
-            recorder.record_adaptation(
-                t_s,
-                "re-plan (long-term)" if record.long_term else record.kind.value,
-                record.reason,
-            )
+        self.recorder.record_adaptation(entry)
 
     def _validate(self, action: Action) -> None:
         """Reject actions that are wrong before touching anything."""

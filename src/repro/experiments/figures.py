@@ -141,18 +141,15 @@ def fig9_report(runs: dict[str, ExperimentRun], query_name: str) -> str:
 
 
 def _fault_markers(runs: dict[str, ExperimentRun]) -> list[str]:
-    """Chaos-fault annotations for figure timelines (empty without chaos).
+    """Chaos-fault markers ``<t>s:fault:<kind>`` for figure timelines.
 
-    Built from :meth:`~repro.sim.recorder.RunRecorder.annotations`, so
-    faults appear as ``<t>s:fault:<kind>`` markers alongside adaptation
-    markers; figure scenarios without chaos produce no line at all, which
-    keeps their reports byte-identical to pre-observability output.
+    Figure scenarios without chaos produce no markers, so their reports
+    print no ``faults:`` line at all.
     """
     return [
-        f"{e.t_s:.0f}s:{e.action}"
+        f"{f.t_s:.0f}s:fault:{f.kind}"
         for run in runs.values()
-        for e in run.recorder.annotations()
-        if e.action.startswith("fault:")
+        for f in run.recorder.faults
     ]
 
 

@@ -272,12 +272,18 @@ class ExperimentRun:
         points.  Chaos ticks after the factor schedules each step, so a
         fault wins a knob a schedule also sets.  A run has one injector:
         the faults of a :class:`DynamicsSpec` are scheduled on it, and a
-        second attach raises :class:`~repro.errors.ChaosError`.
+        second attach raises :class:`~repro.errors.ChaosError`, as does an
+        injector that records into another run's recorder.
         """
         if self._chaos is not None:
             raise ChaosError(
                 "run already has a chaos injector (attach yours before "
                 "installing a DynamicsSpec with faults)"
+            )
+        if injector.recorder not in (None, self.recorder):
+            raise ChaosError(
+                "injector records into another RunRecorder; a run's faults "
+                "belong in the run's recorder (leave recorder unset)"
             )
         injector.attach(
             ChaosTarget(
@@ -288,8 +294,7 @@ class ExperimentRun:
             ),
             manager=self.manager,
         )
-        if injector.recorder is None:
-            injector.recorder = self.recorder
+        injector.recorder = self.recorder
         injector.obs = self.obs
         self._chaos = injector
 

@@ -9,10 +9,13 @@ samples needed to regenerate all of them from a single run.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from ..core.transaction import AttemptRecord
 
 
 @dataclass(frozen=True, slots=True)
@@ -41,7 +44,7 @@ class TickSample:
 
 @dataclass(frozen=True)
 class AdaptationEvent:
-    """A single adaptation action taken by a controller, for annotation."""
+    """One line of the adaptation timeline, formatted from an attempt."""
 
     t_s: float
     action: str
@@ -58,14 +61,18 @@ class FaultEvent:
 
 
 class RunRecorder:
-    """Collects per-tick samples and weighted delay observations for one run."""
+    """The one store of a run's facts: per-tick samples, the adaptation
+    log and the chaos fault timeline.  Every other reading of them (the
+    delay distribution, the adaptation lines, ``manager.attempt_log``) is
+    a view."""
 
     def __init__(self, name: str = "run") -> None:
         self.name = name
         self._samples: list[TickSample] = []
-        self._delay_values: list[float] = []
-        self._delay_weights: list[float] = []
-        self._adaptations: list[AdaptationEvent] = []
+        #: The adaptation log: every attempt's outcome, in order.  Only
+        #: :meth:`record_adaptation` appends to it; the manager's
+        #: ``attempt_log`` and ``history`` and :attr:`adaptations` read it.
+        self.attempt_log: list[AttemptRecord] = []
         self._faults: list[FaultEvent] = []
 
     # ------------------------------------------------------------------ #
@@ -74,12 +81,9 @@ class RunRecorder:
 
     def record_tick(self, sample: TickSample) -> None:
         self._samples.append(sample)
-        if sample.processed > 0 and not math.isnan(sample.delay_s):
-            self._delay_values.append(sample.delay_s)
-            self._delay_weights.append(sample.processed)
 
-    def record_adaptation(self, t_s: float, action: str, detail: str = "") -> None:
-        self._adaptations.append(AdaptationEvent(t_s, action, detail))
+    def record_adaptation(self, entry: AttemptRecord) -> None:
+        self.attempt_log.append(entry)
 
     def record_fault(self, t_s: float, kind: str, detail: str = "") -> None:
         """Log a chaos injection so experiments can assert on the timeline."""
@@ -95,27 +99,34 @@ class RunRecorder:
 
     @property
     def adaptations(self) -> list[AdaptationEvent]:
-        return list(self._adaptations)
+        """The adaptation lines of ``attempt_log``: ``rollback``;
+        ``fallback:<label>`` or ``adaptation-abandoned``; then the
+        committed kind or ``re-plan (long-term)``."""
+        lines: list[AdaptationEvent] = []
+        line = lines.append
+        for entry in self.attempt_log:
+            t_s, stage, attempt = entry.t_s, entry.stage, entry.attempt
+            if entry.outcome == "rolled-back":
+                detail = f"{stage}: {attempt}: {entry.detail}"
+                line(AdaptationEvent(t_s, "rollback", detail))
+            elif entry.outcome == "abandoned":
+                detail = f"{stage}: {entry.detail}"
+                line(AdaptationEvent(t_s, "adaptation-abandoned", detail))
+            else:
+                record = entry.record
+                if attempt != "primary":
+                    detail = f"{stage}: {entry.detail}"
+                    line(AdaptationEvent(t_s, f"fallback:{attempt}", detail))
+                action = (
+                    "re-plan (long-term)" if record.long_term
+                    else record.kind.value
+                )
+                line(AdaptationEvent(t_s, action, record.reason))
+        return lines
 
     @property
     def faults(self) -> list[FaultEvent]:
         return list(self._faults)
-
-    def annotations(self) -> list[AdaptationEvent]:
-        """Adaptations and chaos faults merged into one annotation timeline.
-
-        Faults are folded in as :class:`AdaptationEvent`-style entries with
-        their kind prefixed ``fault:``, so figure scripts can mark fault
-        times on the same axis as adaptation markers.  The merge is stable:
-        at equal times adaptations precede faults.
-        """
-        merged = [(e.t_s, 0, i, e) for i, e in enumerate(self._adaptations)]
-        merged.extend(
-            (f.t_s, 1, i, AdaptationEvent(f.t_s, f"fault:{f.kind}", f.detail))
-            for i, f in enumerate(self._faults)
-        )
-        merged.sort(key=lambda entry: entry[:3])
-        return [e for _, _, _, e in merged]
 
     def times(self) -> np.ndarray:
         return np.array([s.t_s for s in self._samples])
@@ -151,17 +162,16 @@ class RunRecorder:
     # ------------------------------------------------------------------ #
 
     def _finite_delays(self) -> tuple[np.ndarray, np.ndarray]:
-        """Delay observations with NaN ticks dropped.
+        """``(delay_s, processed)`` of the busy ticks, in tick order.
 
-        ``record_tick`` already skips idle ticks, but the distribution
-        helpers must not trust that: a NaN that slips into the arrays (an
-        all-idle window, a recorder fed samples directly) would silently
-        poison every percentile, mean and CDF downstream, since NaN
-        propagates through sort/cumsum instead of raising.
+        Idle ticks (nothing processed, NaN delay) are dropped here, the one
+        filter: a NaN that reached sort/cumsum would silently poison every
+        percentile, mean and CDF downstream instead of raising.
         """
-        values = np.asarray(self._delay_values, dtype=float)
-        weights = np.asarray(self._delay_weights, dtype=float)
-        keep = ~np.isnan(values)
+        n = len(self._samples)
+        values = np.fromiter((s.delay_s for s in self._samples), float, n)
+        weights = np.fromiter((s.processed for s in self._samples), float, n)
+        keep = (weights > 0) & np.isfinite(values)
         return values[keep], weights[keep]
 
     def delay_percentile(self, q: float) -> float:

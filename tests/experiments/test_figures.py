@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from benchmarks.perf import digest
 from repro.baselines.variants import no_adapt, wasp
 from repro.experiments.figures import (
     OverheadBreakdown,
@@ -21,6 +22,7 @@ from repro.experiments.figures import (
     table3_report,
 )
 from repro.experiments.harness import ExperimentRun
+from repro.experiments.scenarios import bottleneck_dynamics
 from repro.network.bandwidth import oregon_ohio_trace
 from repro.sim.rng import RngRegistry
 from repro.workloads.queries import all_queries, ysb_advertising
@@ -93,6 +95,25 @@ class TestRunReports:
         text = fig12_report(short_runs)
         assert "processed %" in text
         assert "100.0%" in text
+
+
+class TestFaultMarkers:
+    """The reports' ``faults:`` line reads the recorder's fault timeline."""
+
+    def test_chaos_run_lists_each_fault_and_its_revert(self):
+        run = digest._chaos_run(digest.DIGEST_SEED)
+        run.run(450.0, bottleneck_dynamics())
+        report = fig8_report({"WASP": run}, "topk-topics")
+        assert report.splitlines()[-1] == (
+            "faults: 120s:fault:site-crash, 165s:fault:site-crash:revert, "
+            "200s:fault:bandwidth-collapse, "
+            "260s:fault:bandwidth-collapse:revert, 300s:fault:straggler, "
+            "380s:fault:straggler:revert"
+        )
+
+    def test_run_without_chaos_prints_no_fault_line(self, short_runs):
+        assert "faults:" not in fig8_report(short_runs, "YSB")
+        assert "faults:" not in fig9_report(short_runs, "YSB")
 
 
 class TestOverhead:

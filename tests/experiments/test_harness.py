@@ -10,6 +10,7 @@ from repro.core.actions import ActionKind
 from repro.errors import ChaosError
 from repro.experiments.harness import DynamicsSpec, ExperimentRun
 from repro.experiments.scenarios import bottleneck_dynamics, fig8_scenario
+from repro.sim.recorder import RunRecorder
 from repro.sim.rng import RngRegistry
 from repro.sim.schedule import Schedule
 from repro.workloads.queries import ysb_advertising
@@ -36,6 +37,8 @@ class TestWiring:
         query = ysb_advertising(testbed)
         run = ExperimentRun(testbed, query, wasp(), rngs=rngs)
         assert run.manager is not None
+        # One adaptation log: the manager's is the run recorder's list.
+        assert run.manager.attempt_log is run.recorder.attempt_log
 
     def test_degrade_sets_engine_slo(self, testbed, rngs):
         query = ysb_advertising(testbed)
@@ -175,6 +178,26 @@ class TestDynamics:
             run.attach_chaos(ChaosInjector(rng=run.rngs.stream("other")))
         run.run(4)  # the first injector still recovers its crash
         assert not run.topology.site(victim).failed
+
+    def test_injector_recording_elsewhere_rejected(self, run):
+        # Its faults would land in the other recorder, and the run's
+        # digest and figure fault lines would silently drop them.
+        injector = ChaosInjector(
+            rng=run.rngs.stream("chaos"), recorder=RunRecorder("mine")
+        )
+        with pytest.raises(ChaosError, match="another RunRecorder"):
+            run.attach_chaos(injector)
+        assert run._chaos is None
+
+    def test_injector_recording_into_the_run_accepted(self, run):
+        victim = run.topology.site_names[0]
+        injector = ChaosInjector(
+            rng=run.rngs.stream("chaos"), recorder=run.recorder
+        ).at(1.0, SiteCrash(victim, duration_s=2.0))
+        run.attach_chaos(injector)
+        run.run(4)
+        kinds = [f.kind for f in run.recorder.faults]
+        assert kinds == ["site-crash", "site-crash:revert"]
 
 
 class TestDeterminism:

@@ -7,6 +7,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.core.actions import ActionKind
+from repro.core.controller import AdaptationRecord
+from repro.core.transaction import AttemptRecord
 from repro.sim.recorder import RunRecorder, TickSample
 
 
@@ -159,48 +162,47 @@ class TestQualityAccounting:
         assert RunRecorder().processed_fraction() == 1.0
 
 
+def committed(t_s, stage, attempt, kind, reason, *, long_term=False):
+    record = AdaptationRecord(
+        t_s=t_s, kind=kind, stage=stage, reason=reason, transition_s=1.0,
+        attempt=attempt, long_term=long_term,
+    )
+    return AttemptRecord(t_s, stage, attempt, "committed", reason, record)
+
+
 class TestAdaptationLog:
     def test_records_events(self):
         recorder = RunRecorder()
-        recorder.record_adaptation(100.0, "scale out", "bottleneck")
-        events = recorder.adaptations
-        assert events[0].t_s == 100.0
-        assert events[0].action == "scale out"
-        assert events[0].detail == "bottleneck"
+        for entry in (
+            committed(100.0, "agg", "primary", ActionKind.SCALE_OUT,
+                      "bottleneck"),
+            AttemptRecord(150.0, "agg", "primary", "rolled-back",
+                          "site edge-1 failed"),
+            committed(150.0, "agg", "retry-1", ActionKind.REASSIGN,
+                      "re-measured"),
+            committed(200.0, "sink", "primary", ActionKind.REPLAN,
+                      "periodic", long_term=True),
+            AttemptRecord(250.0, "agg", "exhausted", "abandoned",
+                          "every technique rolled back"),
+        ):
+            recorder.record_adaptation(entry)
+        assert [
+            (e.t_s, e.action, e.detail) for e in recorder.adaptations
+        ] == [
+            (100.0, "scale out", "bottleneck"),
+            (150.0, "rollback", "agg: primary: site edge-1 failed"),
+            (150.0, "fallback:retry-1", "agg: re-measured"),
+            (150.0, "re-assign", "re-measured"),
+            (200.0, "re-plan (long-term)", "periodic"),
+            (250.0, "adaptation-abandoned",
+             "agg: every technique rolled back"),
+        ]
 
     def test_records_faults_separately(self):
         recorder = RunRecorder()
         recorder.record_fault(50.0, "site-crash", "edge-1 crashed")
         assert recorder.faults[0].kind == "site-crash"
         assert recorder.adaptations == []
-
-
-class TestAnnotations:
-    def test_merges_adaptations_and_faults_in_time_order(self):
-        recorder = RunRecorder()
-        recorder.record_adaptation(100.0, "scale out", "bottleneck")
-        recorder.record_fault(50.0, "site-crash", "edge-1 crashed")
-        recorder.record_fault(150.0, "site-crash:revert", "edge-1 recovered")
-        merged = recorder.annotations()
-        assert [e.t_s for e in merged] == [50.0, 100.0, 150.0]
-        assert merged[0].action == "fault:site-crash"
-        assert merged[1].action == "scale out"
-        assert merged[2].action == "fault:site-crash:revert"
-
-    def test_adaptation_precedes_fault_at_equal_time(self):
-        recorder = RunRecorder()
-        recorder.record_fault(60.0, "link-degrade", "")
-        recorder.record_adaptation(60.0, "re-assign", "")
-        merged = recorder.annotations()
-        assert [e.action for e in merged] == ["re-assign", "fault:link-degrade"]
-
-    def test_does_not_mutate_underlying_logs(self):
-        recorder = RunRecorder()
-        recorder.record_adaptation(10.0, "re-assign", "")
-        recorder.record_fault(5.0, "site-crash", "")
-        recorder.annotations()
-        assert len(recorder.adaptations) == 1
-        assert len(recorder.faults) == 1
 
 
 class TestIdleWindowNan:
@@ -228,14 +230,13 @@ class TestIdleWindowNan:
         assert recorder.delay_percentile(100) == pytest.approx(4.0)
 
     def test_distribution_helpers_skip_nan_defensively(self):
-        # Even if a NaN observation reaches the internal arrays (e.g. a
-        # future recording path forgets the record_tick guard), the
-        # percentile/mean/CDF helpers must drop it rather than let NaN
-        # propagate through sort/cumsum.
+        # A busy tick whose delay is NaN must be dropped by the one filter
+        # rather than let NaN propagate through sort/cumsum.
         recorder = RunRecorder()
         recorder.record_tick(make_sample(1.0, delay=2.0, processed=100.0))
-        recorder._delay_values.append(float("nan"))
-        recorder._delay_weights.append(50.0)
+        recorder.record_tick(
+            make_sample(2.0, delay=float("nan"), processed=50.0)
+        )
         assert recorder.mean_delay() == pytest.approx(2.0)
         assert recorder.delay_percentile(99) == pytest.approx(2.0)
         xs, _ = recorder.delay_cdf()

@@ -8,6 +8,7 @@ import json
 from benchmarks.perf import __main__ as perf_cli
 from benchmarks.perf import scale
 from benchmarks.perf.bench import BenchResult, bench_adaptation_round
+from repro.sim.recorder import RunRecorder
 
 
 def test_adaptation_round_times_a_full_window() -> None:
@@ -89,3 +90,21 @@ def test_scale_warns_where_auto_picked_the_slower_backend() -> None:
     ]
     (line,) = scale.auto_warnings(points)
     assert line.startswith("sites=16 p=1") and "auto picks dense" in line
+
+
+def test_perfbench_tracer_still_fits_the_source() -> None:
+    """``perfbench/run.py --trace 1`` wraps each layer's functions by name
+    (``vars(owner)[attr]``), so renaming or deleting one of them breaks the
+    traced benchmark with a ``KeyError``; installing its tracer here
+    catches that, and restoring it must put the originals back."""
+    from perfbench.instrument import Patches
+    from perfbench.spans import Tracer
+
+    original = vars(RunRecorder)["record_tick"]
+    patches = Patches()
+    try:
+        Tracer().install(patches)
+        assert vars(RunRecorder)["record_tick"] is not original
+    finally:
+        patches.restore()
+    assert vars(RunRecorder)["record_tick"] is original
