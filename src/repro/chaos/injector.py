@@ -92,7 +92,10 @@ class ChaosInjector:
     _rules: list[_Rule] = field(default_factory=list)
     _active: list[_Activation] = field(default_factory=list)
     _target: ChaosTarget | None = None
-    _manager: "ReconfigurationManager | None" = None
+    #: Whether ``attach`` hooked a controller (``at_point`` rules need
+    #: one).  The injector keeps no reference to the manager: the
+    #: manager's hook holds the injector, and the reverse would be a cycle.
+    _hooked: bool = False
 
     # ------------------------------------------------------------------ #
     # Spec building (chainable)
@@ -175,7 +178,7 @@ class ChaosInjector:
         # Once attached, a new rule is validated on the spot, as ``attach``
         # validates the rules it finds.
         if self._target is not None:
-            self._validate(rule, self._target, self._manager)
+            self._validate(rule, self._target, self._hooked)
         self._rules.append(rule)
         return self
 
@@ -200,10 +203,11 @@ class ChaosInjector:
             raise ChaosError(
                 "injector already attached; build a new ChaosInjector per run"
             )
+        hooked = manager is not None
         for rule in self._rules:
-            self._validate(rule, target, manager)
+            self._validate(rule, target, hooked)
         self._target = target
-        self._manager = manager
+        self._hooked = hooked
         if manager is not None:
             previous = manager.adaptation_hook
 
@@ -279,13 +283,9 @@ class ChaosInjector:
     # ------------------------------------------------------------------ #
 
     @staticmethod
-    def _validate(
-        rule: _Rule,
-        target: ChaosTarget,
-        manager: "ReconfigurationManager | None",
-    ) -> None:
+    def _validate(rule: _Rule, target: ChaosTarget, hooked: bool) -> None:
         rule.fault.validate(target)
-        if rule.point is not None and manager is None:
+        if rule.point is not None and not hooked:
             raise ChaosError(
                 "at_point rules need a ReconfigurationManager to hook"
             )

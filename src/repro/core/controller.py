@@ -114,25 +114,29 @@ class _Attempt:
 
 
 class _NetworkAdapter:
-    """Bridges the diagnoser/policy protocols to monitor + topology."""
+    """Bridges the diagnoser/policy protocols to monitor + topology.
 
-    def __init__(self, manager: "ReconfigurationManager") -> None:
-        self._m = manager
+    Holds the manager's monitor and runtime (never reassigned), not the
+    manager itself, so the manager's object graph stays acyclic."""
+
+    def __init__(self, wan_monitor: WanMonitor, runtime: EngineRuntime) -> None:
+        self._wan_monitor = wan_monitor
+        self._runtime = runtime
 
     def bandwidth_mbps(self, src: str, dst: str) -> float:
-        return self._m.wan_monitor.bandwidth_mbps(src, dst)
+        return self._wan_monitor.bandwidth_mbps(src, dst)
 
     def latency_ms(self, src: str, dst: str) -> float:
-        return self._m.wan_monitor.latency_ms(src, dst)
+        return self._wan_monitor.latency_ms(src, dst)
 
     def site_proc_rate_eps(self, site: str) -> float:
-        site_obj = self._m.runtime.topology.site(site)
+        site_obj = self._runtime.topology.site(site)
         if site_obj.failed:
             return 0.0
         return site_obj.effective_proc_rate_eps
 
     def plan_for(self, stage_name: str) -> PhysicalPlan | None:
-        plan = self._m.runtime.plan
+        plan = self._runtime.plan
         return plan if stage_name in plan.stages else None
 
 
@@ -176,7 +180,7 @@ class ReconfigurationManager:
         self.estimator = WorkloadEstimator()
         self.diagnoser = Diagnoser(self.config)
         self.policy = AdaptationPolicy(self.estimator, obs=self.obs)
-        self.network = _NetworkAdapter(self)
+        self.network = _NetworkAdapter(wan_monitor, runtime)
 
         self.state_lost_mb = 0.0
         self.last_window: MetricsWindow | None = None

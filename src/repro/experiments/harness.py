@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 from ..baselines.variants import VariantSpec
 from ..chaos.faults import ChaosTarget, Fault
@@ -27,8 +27,9 @@ from ..core.longterm import LongTermPlanner, OracleForecaster
 from ..core.replanning import Replanner
 from ..engine.checkpoint import CheckpointCoordinator
 from ..engine.dense import create_runtime
+from ..engine.runtime import EngineRuntime
 from ..engine.state import StateStore
-from ..errors import ChaosError, InfeasiblePlacementError
+from ..errors import ChaosError, ConfigurationError, InfeasiblePlacementError
 from ..network.monitor import WanMonitor
 from ..network.topology import Topology
 from ..obs.events import EventBus, Restore
@@ -38,6 +39,7 @@ from ..sim.clock import SimClock
 from ..sim.recorder import RunRecorder, TickSample
 from ..sim.rng import RngRegistry
 from ..sim.schedule import Schedule
+from ..workloads.base import ShapedWorkload
 from ..workloads.queries import BenchmarkQuery
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -60,6 +62,141 @@ class DynamicsSpec:
         default_factory=dict
     )
     faults: list[tuple[float, Fault]] = field(default_factory=list)
+
+
+def _source_rates_at(
+    workload: ShapedWorkload, t_s: float
+) -> dict[str, float]:
+    return {
+        name: workload.generation_eps(name, t_s)
+        for name in workload.source_names
+    }
+
+
+def _adaptation_round(
+    manager: ReconfigurationManager,
+    state_store: StateStore,
+    state_mb_override: dict[str, float],
+) -> Callable[[float], None]:
+    """The clock's adaptation callback: one controller round, then the
+    controlled-state pin (Section 8.7 experiments keep the stage state at
+    the override even as partitions move/split)."""
+
+    def adaptation_round(now_s: float) -> None:
+        manager.adaptation_round(now_s)
+        for stage_name, total in state_mb_override.items():
+            if state_store.sites(stage_name):
+                state_store.set_total_mb(stage_name, total)
+
+    return adaptation_round
+
+
+class _SiteRecovery:
+    """A run's crash bookkeeping: the chaos target's site callbacks.
+
+    Tracks when each failed site went down and, when it recovers, injects
+    the checkpoint replay of its lost work.  It holds the run's components,
+    not the run, so the run's chaos injector forms no cycle back to it.
+    """
+
+    def __init__(
+        self,
+        topology: Topology,
+        workload: ShapedWorkload,
+        runtime: EngineRuntime,
+        checkpoints: CheckpointCoordinator,
+        obs: EventBus,
+    ) -> None:
+        self._topology = topology
+        self._workload = workload
+        self._runtime = runtime
+        self._checkpoints = checkpoints
+        self._obs = obs
+        self._fail_start_s: dict[str, float] = {}
+        self.replayed_source_equiv = 0.0
+
+    def fail_site(self, name: str, now_s: float) -> None:
+        site = self._topology.site(name)
+        if not site.failed:
+            site.fail()
+            self._fail_start_s.setdefault(name, now_s)
+
+    def recover_site(self, name: str, now_s: float) -> None:
+        site = self._topology.site(name)
+        if site.failed:
+            site.recover()
+            self._inject_replay(name, now_s)
+
+    def _inject_replay(self, site: str, now_s: float) -> None:
+        """Replay work lost with a failed site's un-checkpointed progress.
+
+        A task restored from its last local checkpoint must re-process
+        every event it had consumed since that snapshot (Section 5): the
+        replay window is the gap between the snapshot and the failure, and
+        the replayed events re-enter the input queue with their original
+        ages, so the recovery's latency cost is measured honestly.
+        """
+        fail_start = self._fail_start_s.pop(site, None)
+        if fail_start is None:
+            return
+        rates = _source_rates_at(self._workload, fail_start)
+        plan = self._runtime.plan
+        expected = plan.expected_stage_rates(rates)
+
+        # Consistent-snapshot semantics: replay enters the dataflow at the
+        # most upstream restored stage only; everything downstream receives
+        # the replayed stream through the normal edges.  Injecting at every
+        # restored stage would process the same window twice.
+        restoring: set[str] = set()
+        for stage in plan.topological_stages():
+            if stage.stateful and stage.placement().get(site, 0) > 0:
+                restoring.add(stage.name)
+
+        def has_restoring_ancestor(name: str) -> bool:
+            frontier = [u.name for u in plan.upstream_stages(name)]
+            seen = set(frontier)
+            while frontier:
+                current = frontier.pop()
+                if current in restoring:
+                    return True
+                for up in plan.upstream_stages(current):
+                    if up.name not in seen:
+                        seen.add(up.name)
+                        frontier.append(up.name)
+            return False
+
+        for stage in plan.topological_stages():
+            if stage.name not in restoring:
+                continue
+            if has_restoring_ancestor(stage.name):
+                continue
+            placement = stage.placement()
+            count = placement.get(site, 0)
+            total = sum(placement.values())
+            if count == 0 or total == 0:
+                continue
+            record = self._checkpoints.record(stage.name, site)
+            last_snapshot = record.taken_at_s if record else 0.0
+            replay_window = max(0.0, fail_start - last_snapshot)
+            if replay_window <= 0:
+                continue
+            share_eps = expected[stage.name]["input"] * count / total
+            events = share_eps * replay_window
+            self._runtime.inject_replay(
+                stage.name, site, events, fail_start - replay_window / 2
+            )
+            self._obs.emit(
+                Restore(
+                    now_s,
+                    stage=stage.name,
+                    site=site,
+                    events=events,
+                    replay_window_s=replay_window,
+                )
+            )
+            self.replayed_source_equiv += (
+                self._runtime.to_source_equivalents(stage.name, events)
+            )
 
 
 class ExperimentRun:
@@ -98,7 +235,7 @@ class ExperimentRun:
         # back to latency-only placement: the query must deploy somewhere
         # and rely on backpressure; the first adaptation round then treats
         # the overload as a bottleneck to resolve.
-        source_rates = self._source_rates_at(0.0)
+        source_rates = _source_rates_at(query.workload, 0.0)
         try:
             estimate = choose_best_deployment(
                 list(query.variants),
@@ -119,15 +256,14 @@ class ExperimentRun:
         self.scheduler = Scheduler(topology)
         self.scheduler.deploy(estimate.physical, estimate.assignments)
 
-        self.state_store = StateStore()
+        state_store = self.state_store = StateStore()
         for stage in estimate.physical.topological_stages():
             if stage.stateful:
                 override = (state_mb_override or {}).get(stage.name)
                 total = override if override is not None else stage.state_mb
-                self.state_store.initialize_stage(
+                state_store.initialize_stage(
                     stage.name, total, [t.site for t in stage.tasks]
                 )
-        self._state_mb_override = dict(state_mb_override or {})
 
         self.runtime = create_runtime(
             topology,
@@ -136,8 +272,8 @@ class ExperimentRun:
             self.config,
             degrade_slo_s=variant.degrade_slo_s,
         )
-        self.checkpoints = CheckpointCoordinator(
-            self.state_store,
+        checkpoints = self.checkpoints = CheckpointCoordinator(
+            state_store,
             self.config.checkpoint_interval_s,
             obs=self.obs,
         )
@@ -152,8 +288,8 @@ class ExperimentRun:
                 self.runtime,
                 self.scheduler,
                 self.wan_monitor,
-                self.state_store,
-                self.checkpoints,
+                state_store,
+                checkpoints,
                 replanner=replanner,
                 config=self.config,
                 recorder=self.recorder,
@@ -163,20 +299,25 @@ class ExperimentRun:
                 obs=self.obs,
             )
 
+        # The clock's callbacks close over the components they drive, never
+        # over the run: a finished run then holds no reference cycle and is
+        # freed as soon as its last reference goes.
         self.clock = SimClock(self.config.tick_s)
         # Sites that are down skip the checkpoint round.
         self.clock.every(
             self.config.checkpoint_interval_s,
-            lambda now: self.checkpoints.checkpoint_all(
+            lambda now: checkpoints.checkpoint_all(
                 now,
-                skip_sites={s.name for s in self.topology if s.failed},
+                skip_sites={s.name for s in topology if s.failed},
             ),
             name="checkpoints",
         )
         if self.manager is not None:
             self.clock.every(
                 self.config.monitor_interval_s,
-                self._adaptation_round,
+                _adaptation_round(
+                    self.manager, state_store, dict(state_mb_override or {})
+                ),
                 name="adaptation",
             )
         self.long_term: LongTermPlanner | None = None
@@ -198,33 +339,18 @@ class ExperimentRun:
             )
 
         self._dynamics: DynamicsSpec = DynamicsSpec()
-        self._fail_start_s: dict[str, float] = {}
+        self._recovery = _SiteRecovery(
+            topology, query.workload, self.runtime, checkpoints, self.obs
+        )
         self._chaos: ChaosInjector | None = None
         #: Optional invariant checker (repro.fuzz); see :meth:`attach_checker`.
         self._checker = None
-        #: Source-equivalents re-queued by checkpoint-replay after failures
-        #: (these events are legitimately processed twice).
-        self.replayed_source_equiv = 0.0
 
-    # ------------------------------------------------------------------ #
-    # Wiring helpers
-    # ------------------------------------------------------------------ #
-
-    def _source_rates_at(self, t_s: float) -> dict[str, float]:
-        workload = self.query.workload
-        return {
-            name: workload.generation_eps(name, t_s)
-            for name in workload.source_names
-        }
-
-    def _adaptation_round(self, now_s: float) -> None:
-        assert self.manager is not None
-        self.manager.adaptation_round(now_s)
-        # Controlled-state experiments keep the stage state pinned to the
-        # override even as partitions move/split.
-        for stage_name, total in self._state_mb_override.items():
-            if self.state_store.sites(stage_name):
-                self.state_store.set_total_mb(stage_name, total)
+    @property
+    def replayed_source_equiv(self) -> float:
+        """Source-equivalents re-queued by checkpoint-replay after failures
+        (these events are legitimately processed twice)."""
+        return self._recovery.replayed_source_equiv
 
     # ------------------------------------------------------------------ #
     # Observability
@@ -254,7 +380,14 @@ class ExperimentRun:
         controller has observed it but *before* the periodic callbacks run,
         and ``on_step_end`` fires once the tick (including any adaptation
         round) has fully completed.
+
+        A run takes one checker, and a checker checks one run: a second
+        attach, or a checker still bound to another live run, raises
+        :class:`~repro.errors.ConfigurationError`.  The checker holds the
+        run by weak reference (see :meth:`InvariantChecker.bind`).
         """
+        if self._checker is not None:
+            raise ConfigurationError("run already has an invariant checker")
         checker.bind(self)
         self.obs.attach(checker)
         self._checker = checker
@@ -289,26 +422,14 @@ class ExperimentRun:
             ChaosTarget(
                 topology=self.topology,
                 checkpoints=self.checkpoints,
-                fail_site=self._chaos_fail_site,
-                recover_site=self._chaos_recover_site,
+                fail_site=self._recovery.fail_site,
+                recover_site=self._recovery.recover_site,
             ),
             manager=self.manager,
         )
         injector.recorder = self.recorder
         injector.obs = self.obs
         self._chaos = injector
-
-    def _chaos_fail_site(self, name: str, now_s: float) -> None:
-        site = self.topology.site(name)
-        if not site.failed:
-            site.fail()
-            self._fail_start_s.setdefault(name, now_s)
-
-    def _chaos_recover_site(self, name: str, now_s: float) -> None:
-        site = self.topology.site(name)
-        if site.failed:
-            site.recover()
-            self._inject_recovery_replay(name, now_s)
 
     # ------------------------------------------------------------------ #
     # Dynamics
@@ -343,77 +464,6 @@ class ExperimentRun:
         for (src, dst), schedule in dyn.link_bandwidth_schedules.items():
             self.topology.set_bandwidth_factor(
                 src, dst, schedule.factor(t_s)
-            )
-
-    def _inject_recovery_replay(self, site: str, now_s: float) -> None:
-        """Replay work lost with a failed site's un-checkpointed progress.
-
-        A task restored from its last local checkpoint must re-process
-        every event it had consumed since that snapshot (Section 5): the
-        replay window is the gap between the snapshot and the failure, and
-        the replayed events re-enter the input queue with their original
-        ages, so the recovery's latency cost is measured honestly.
-        """
-        fail_start = self._fail_start_s.pop(site, None)
-        if fail_start is None:
-            return
-        rates = self._source_rates_at(fail_start)
-        plan = self.runtime.plan
-        expected = plan.expected_stage_rates(rates)
-
-        # Consistent-snapshot semantics: replay enters the dataflow at the
-        # most upstream restored stage only; everything downstream receives
-        # the replayed stream through the normal edges.  Injecting at every
-        # restored stage would process the same window twice.
-        restoring: set[str] = set()
-        for stage in plan.topological_stages():
-            if stage.stateful and stage.placement().get(site, 0) > 0:
-                restoring.add(stage.name)
-
-        def has_restoring_ancestor(name: str) -> bool:
-            frontier = [u.name for u in plan.upstream_stages(name)]
-            seen = set(frontier)
-            while frontier:
-                current = frontier.pop()
-                if current in restoring:
-                    return True
-                for up in plan.upstream_stages(current):
-                    if up.name not in seen:
-                        seen.add(up.name)
-                        frontier.append(up.name)
-            return False
-
-        for stage in plan.topological_stages():
-            if stage.name not in restoring:
-                continue
-            if has_restoring_ancestor(stage.name):
-                continue
-            placement = stage.placement()
-            count = placement.get(site, 0)
-            total = sum(placement.values())
-            if count == 0 or total == 0:
-                continue
-            record = self.checkpoints.record(stage.name, site)
-            last_snapshot = record.taken_at_s if record else 0.0
-            replay_window = max(0.0, fail_start - last_snapshot)
-            if replay_window <= 0:
-                continue
-            share_eps = expected[stage.name]["input"] * count / total
-            events = share_eps * replay_window
-            self.runtime.inject_replay(
-                stage.name, site, events, fail_start - replay_window / 2
-            )
-            self.obs.emit(
-                Restore(
-                    now_s,
-                    stage=stage.name,
-                    site=site,
-                    events=events,
-                    replay_window_s=replay_window,
-                )
-            )
-            self.replayed_source_equiv += (
-                self.runtime.to_source_equivalents(stage.name, events)
             )
 
     # ------------------------------------------------------------------ #

@@ -7,9 +7,11 @@ from repro.chaos.faults import SiteCrash
 from repro.chaos.injector import ChaosInjector
 from repro.config import WaspConfig
 from repro.core.actions import ActionKind
-from repro.errors import ChaosError
+from repro.errors import ChaosError, ConfigurationError
 from repro.experiments.harness import DynamicsSpec, ExperimentRun
 from repro.experiments.scenarios import bottleneck_dynamics, fig8_scenario
+from repro.fuzz.generate import build_run, generate_scenario
+from repro.fuzz.invariants import InvariantChecker
 from repro.sim.recorder import RunRecorder
 from repro.sim.rng import RngRegistry
 from repro.sim.schedule import Schedule
@@ -223,3 +225,34 @@ class TestDeterminism:
             equal_nan=True,
         )
         assert len(a.manager.history) == len(b.manager.history)
+
+
+class TestCheckerAttach:
+    """A run takes one invariant checker, and a checker checks one run."""
+
+    @staticmethod
+    def _fuzz_run():
+        return build_run(generate_scenario(5))
+
+    def test_second_checker_rejected(self):
+        # A second checker would replace the first's step hooks while the
+        # first stayed a bus sink: it would report 0 ticks and 0 checks,
+        # which reads as a clean run.
+        run, dynamics = self._fuzz_run()
+        first = InvariantChecker()
+        run.attach_checker(first)
+        with pytest.raises(ConfigurationError, match="already has"):
+            run.attach_checker(InvariantChecker())
+        run.run(30.0, dynamics)
+        assert first.ticks_checked == 30
+        assert first.checks["conservation"] > 0
+
+    def test_checker_bound_to_a_live_run_rejected(self):
+        checker = InvariantChecker()
+        first, _ = self._fuzz_run()
+        first.attach_checker(checker)
+        second, _ = self._fuzz_run()
+        with pytest.raises(ConfigurationError, match="already bound"):
+            second.attach_checker(checker)
+        assert second._checker is None
+        assert not second.obs  # no sink attached either
