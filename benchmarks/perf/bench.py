@@ -7,6 +7,7 @@ across commits; only the wall time varies.
 
 from __future__ import annotations
 
+import copy
 import time
 from dataclasses import dataclass, field
 
@@ -291,10 +292,13 @@ def bench_adaptation_round(
     """Per-call cost of a monitoring round's two bookkeeping steps.
 
     A 16-site Figure-8 WASP run is stepped to one tick before the adaptation
-    round at ``warm_s``, so the metric monitor holds a full window of tick
-    reports.  Each call then times ``WanMonitor.refresh`` over every link
-    and ``GlobalMetricMonitor.collect`` over that window (re-fed through
-    ``observe`` outside the timed region, since ``collect`` resets it).
+    round at ``warm_s``, so the engine's window sums hold a full window.
+    Each call then times ``WanMonitor.refresh`` over every link and a real
+    window-boundary ``GlobalMetricMonitor.collect`` of that window.  Since
+    ``collect`` resets the window, each call collects from a deep copy of
+    the monitor (its sums and first and last reports) taken outside the
+    timed region.  The per-tick additions into the sums are part of the
+    engine tick, not of this figure.
     """
     run = _build_run()
     run.set_dynamics(bottleneck_dynamics())
@@ -304,17 +308,15 @@ def bench_adaptation_round(
     manager = run.manager
     wan = manager.wan_monitor
     metrics = manager.monitor
-    window = list(metrics._reports)
     now = run.clock.now_s
     refresh_s = collect_s = 0.0
     for _ in range(calls):
         t0 = time.perf_counter()
         wan.refresh(now)
         t1 = time.perf_counter()
-        for report in window:
-            metrics.observe(report)
+        monitor = copy.deepcopy(metrics)
         t2 = time.perf_counter()
-        metrics.collect()
+        monitor.collect()
         t3 = time.perf_counter()
         refresh_s += t1 - t0
         collect_s += t3 - t2
@@ -327,7 +329,7 @@ def bench_adaptation_round(
         detail={
             "calls": float(calls),
             "links": float(len(wan.bandwidth_matrix())),
-            "window_ticks": float(len(window)),
+            "window_ticks": float(metrics.pending_ticks),
             "refresh_us": refresh_s / calls * 1e6,
             "collect_us": collect_s / calls * 1e6,
         },

@@ -16,7 +16,9 @@ the paper testbed widened to 16/32/64 sites (``TestbedSpec.edge_count``)
 runs ``events-of-interest`` under WASP with the Section 8.4 bottleneck
 dynamics for 600 s, and each point records the round count, the round
 time p50/p90, the metric-window ``collect`` p50 and the rounds' share of
-wall time.
+wall time.  ``collect`` builds the window from the running sums the
+engine keeps; the per-tick additions into them are part of the ticks, so
+they count in the wall time but not in ``collect`` or the round.
 
 Usage (from the repo root)::
 

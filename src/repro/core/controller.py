@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -113,6 +113,64 @@ class _Attempt:
     backoff_s: float = 0.0
 
 
+@dataclass(frozen=True)
+class _RoundReadout(ObsEvent):
+    """What a round read: one ``window`` event (per-stage rates and backlog,
+    per-link flows), then one ``diagnose`` event per stage in name order.
+    The bus builds them only once a sink listens."""
+
+    window: MetricsWindow
+    estimates: dict
+    diagnoses: dict[str, StageDiagnosis]
+
+    def expand(self) -> Iterator[ObsEvent]:
+        now_s, window, estimates = self.t_s, self.window, self.estimates
+        stages: dict[str, dict] = {}
+        links: dict[str, dict] = {}
+        for name in sorted(window.stages):
+            metrics = window.stages[name]
+            estimate = estimates.get(name)
+            stages[name] = {
+                "lambda_p": metrics.lambda_p,
+                "lambda_hat": estimate.input_eps if estimate else 0.0,
+                "utilization": metrics.utilization,
+                "backlog": metrics.input_backlog,
+                "backlog_growth": metrics.input_backlog_growth,
+            }
+            for (src, dst), eps in metrics.net_inflow.items():
+                link = links.setdefault(
+                    f"{src}->{dst}", {"inflow_eps": 0.0, "backlog": 0.0}
+                )
+                link["inflow_eps"] += eps
+            for (src, dst), backlog in metrics.net_backlog.items():
+                link = links.setdefault(
+                    f"{src}->{dst}", {"inflow_eps": 0.0, "backlog": 0.0}
+                )
+                link["backlog"] += backlog
+        yield WindowSnapshot(
+            now_s,
+            t_start_s=window.t_start_s,
+            t_end_s=window.t_end_s,
+            offered_eps=window.offered_eps,
+            mean_delay_s=window.mean_delay_s,
+            stages=stages,
+            links=dict(sorted(links.items())),
+        )
+        for name in sorted(self.diagnoses):
+            diag = self.diagnoses[name]
+            yield Diagnose(
+                now_s,
+                stage=name,
+                health=diag.health.value,
+                utilization=diag.utilization,
+                expected_input_eps=diag.expected_input_eps,
+                capacity_eps=diag.processing_capacity_eps,
+                backlog=diag.input_backlog,
+                backlog_growth=diag.input_backlog_growth,
+                slow_sites=list(diag.slow_sites),
+            )
+
+
 class _NetworkAdapter:
     """Bridges the diagnoser/policy protocols to monitor + topology.
 
@@ -176,7 +234,7 @@ class ReconfigurationManager:
         self.obs = obs if obs is not None else EventBus()
         self._round_no = 0
 
-        self.monitor = GlobalMetricMonitor()
+        self.monitor = GlobalMetricMonitor(runtime)
         self.estimator = WorkloadEstimator()
         self.diagnoser = Diagnoser(self.config)
         self.policy = AdaptationPolicy(self.estimator, obs=self.obs)
@@ -262,22 +320,7 @@ class ReconfigurationManager:
             plan, window, estimates, self.network
         )
         self.last_diagnoses = diagnoses
-        self._emit_window(now_s, window, estimates)
-        for name in sorted(diagnoses):
-            diag = diagnoses[name]
-            obs.emit(
-                Diagnose(
-                    now_s,
-                    stage=name,
-                    health=diag.health.value,
-                    utilization=diag.utilization,
-                    expected_input_eps=diag.expected_input_eps,
-                    capacity_eps=diag.processing_capacity_eps,
-                    backlog=diag.input_backlog,
-                    backlog_growth=diag.input_backlog_growth,
-                    slow_sites=list(diag.slow_sites),
-                )
-            )
+        obs.emit(_RoundReadout(now_s, window, estimates, diagnoses))
 
         # Skip stages still transitioning from the previous adaptation.
         actionable = {
@@ -322,47 +365,6 @@ class ReconfigurationManager:
             if record is not None:
                 executed.append(record)
         return executed, decided
-
-    def _emit_window(
-        self,
-        now_s: float,
-        window: MetricsWindow,
-        estimates: dict,
-    ) -> None:
-        """One ``window`` event: per-stage rates/backlog + per-link flows."""
-        stages: dict[str, dict] = {}
-        links: dict[str, dict] = {}
-        for name in sorted(window.stages):
-            metrics = window.stages[name]
-            estimate = estimates.get(name)
-            stages[name] = {
-                "lambda_p": metrics.lambda_p,
-                "lambda_hat": estimate.input_eps if estimate else 0.0,
-                "utilization": metrics.utilization,
-                "backlog": metrics.input_backlog,
-                "backlog_growth": metrics.input_backlog_growth,
-            }
-            for (src, dst), eps in metrics.net_inflow.items():
-                link = links.setdefault(
-                    f"{src}->{dst}", {"inflow_eps": 0.0, "backlog": 0.0}
-                )
-                link["inflow_eps"] += eps
-            for (src, dst), backlog in metrics.net_backlog.items():
-                link = links.setdefault(
-                    f"{src}->{dst}", {"inflow_eps": 0.0, "backlog": 0.0}
-                )
-                link["backlog"] += backlog
-        self.obs.emit(
-            WindowSnapshot(
-                now_s,
-                t_start_s=window.t_start_s,
-                t_end_s=window.t_end_s,
-                offered_eps=window.offered_eps,
-                mean_delay_s=window.mean_delay_s,
-                stages=stages,
-                links=dict(sorted(links.items())),
-            )
-        )
 
     # ------------------------------------------------------------------ #
     # Action execution

@@ -49,7 +49,13 @@ from ..network.topology import (
 )
 from .physical import PhysicalPlan
 from .queues import FluidQueue
-from .runtime import MBIT_BYTES, EngineRuntime, TickReport, WorkloadModel
+from .runtime import (
+    MBIT_BYTES,
+    EngineRuntime,
+    TickReport,
+    WorkloadModel,
+    running_sum,
+)
 
 #: Queue totals below this are treated as drained (mirrors FluidQueue).
 _DRAIN_EPS = 1e-12
@@ -873,6 +879,17 @@ class DenseEngineRuntime(EngineRuntime):
             lb = None
             touched = None
 
+        # The metric window's running sums, if a monitor bound them; each
+        # is added where the report entry is written, in the same order.
+        window = self._window
+        if window is not None:
+            source_gen = window.source_gen
+            capacity_sums = window.capacity
+            processed_sums = window.processed
+            net_in = window.net_in
+        else:
+            source_gen = capacity_sums = processed_sums = net_in = None
+
         # 1. External generation (mean age dt/2 -> bucket 0).
         mean_gen = now - dt * 0.5
         offered = 0.0
@@ -889,6 +906,8 @@ class DenseEngineRuntime(EngineRuntime):
                 in_mass_f[flat] += gen * mean_gen
             offered += gen
             offered_by_source[st.name] = gen
+            if source_gen is not None:
+                running_sum(source_gen, st.name).value += gen
         report.offered = offered
 
         # 2. Stage execution + transfers in topological order (sub-tick
@@ -929,7 +948,12 @@ class DenseEngineRuntime(EngineRuntime):
                 take_c, take_m, popped, _ = _pop_rows(
                     in_cnt, in_mass, rows, caps, g.pop
                 )
-                cap_by_site.update(zip(g.row_keys, caps.tolist()))
+                caps_list = caps.tolist()
+                cap_by_site.update(zip(g.row_keys, caps_list))
+                if capacity_sums is not None:
+                    for (stage, site), cap in zip(g.row_keys, caps_list):
+                        by_site = capacity_sums.setdefault(stage, {})
+                        running_sum(by_site, site).value += cap
                 plist = popped.tolist()
                 any_routed = False
                 for st in g.stages:
@@ -942,6 +966,10 @@ class DenseEngineRuntime(EngineRuntime):
                     if stage_processed <= 0.0:
                         continue
                     report.processed[st.name] = stage_processed
+                    if processed_sums is not None:
+                        running_sum(processed_sums, st.name).value += (
+                            stage_processed
+                        )
                     sel = st.selectivity
                     if st.is_sink:
                         tc = float(take_c[st.s0:st.s1].sum())
@@ -1037,6 +1065,11 @@ class DenseEngineRuntime(EngineRuntime):
                         for key, mv in zip(ps.flow_keys, mv_list)
                         if mv > 0.0
                     )
+                if net_in is not None:
+                    # Inflow key: (dst stage, src site, dst site).
+                    for key, mv in zip(ps.flow_keys, mv_list):
+                        if mv > 0.0:
+                            running_sum(net_in, key[1:]).value += mv
 
         # 3. End-of-tick backlogs.
         in_tot = in_cnt.sum(axis=1)
@@ -1062,6 +1095,10 @@ class DenseEngineRuntime(EngineRuntime):
                 link_budget[model.links[i]] = lb_list[i]
 
         report.parallelism = model.parallelism
+        if window is not None:
+            window.offered += offered
+            window.sink_events += report.sink_events
+            window.delay_weight += report.sink_delay_weighted_s
         self._now_s = now
         self.last_report = report
         self._arrays_live = True

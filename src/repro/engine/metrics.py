@@ -12,17 +12,20 @@ estimator works from source generation and the plan's sigma, which the
 fluid engine realises exactly.
 
 In the fluid engine, task-level observations arrive as
-:class:`~repro.engine.runtime.TickReport` objects; the
-:class:`GlobalMetricMonitor` accumulates them until the controller collects a
-:class:`MetricsWindow`, which resets the accumulation (one monitoring
-interval, 40 s in the paper's setup).
+:class:`~repro.engine.runtime.TickReport` objects, and the engine adds each
+tick's rates into the window's running sums
+(:class:`~repro.engine.runtime.WindowSums`) as it writes them - the Local
+Metric Monitor's aggregation.  The :class:`GlobalMetricMonitor` builds a
+:class:`MetricsWindow` from those sums when the controller collects it,
+which starts the next window (one monitoring interval, 40 s in the paper's
+setup).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .runtime import TickReport
+from .runtime import EngineRuntime, TickReport, WindowSums
 
 
 @dataclass(frozen=True)
@@ -104,54 +107,61 @@ def _group_by_stage(
 
 
 class GlobalMetricMonitor:
-    """Accumulates tick reports into per-interval metric windows.
+    """Builds per-interval metric windows from the engine's running sums.
 
-    Observed reports are buffered and folded into running per-key sums
-    when the window is read.  :meth:`peek` folds the buffer and keeps the
-    sums, so a later read continues the same additions in the same order
-    and a peeked report is not held any longer; :meth:`collect` is a peek
-    followed by a reset.
+    The monitor binds the runtime's :class:`WindowSums` (an unbound
+    monitor owns empty sums, which callers may fill themselves): the
+    engine adds each tick's values into them as it writes its report, so
+    reading a window costs the number of keys, not ticks times keys.
+    :meth:`observe` keeps only what the sums cannot hold - the window's
+    first and last report (backlog level and growth) and the union of
+    backlog keys (stage names).  :meth:`peek` reads the window and keeps
+    it, so later ticks continue the same additions; :meth:`collect` reads
+    it and starts the next one.  A window covers exactly the ticks between
+    two :meth:`collect` calls.
     """
 
-    def __init__(self) -> None:
-        self._reports: list[TickReport] = []
+    def __init__(self, runtime: EngineRuntime | None = None) -> None:
+        self.sums = (
+            runtime.bind_window() if runtime is not None else WindowSums()
+        )
         self._reset()
 
     def _reset(self) -> None:
         """Start an empty window."""
-        self._folded = 0
+        self.sums.reset()
+        self._ticks = 0
         self._first: TickReport | None = None
         self._last: TickReport | None = None
-        self._offered = 0.0
-        self._sink_events = 0.0
-        self._delay_weight = 0.0
-        self._source_gen: dict[str, float] = {}
-        self._processed: dict[str, float] = {}
-        self._capacity_site: dict[tuple[str, str], float] = {}
-        self._net_in: dict[tuple[str, str, str], float] = {}
         self._backlog_keys: set[tuple[str, str]] = set()
         self._net_backlog_keys: set[tuple[str, str, str, str]] = set()
 
     def observe(self, report: TickReport) -> None:
-        self._reports.append(report)
+        if self._first is None:
+            self._first = report
+        self._last = report
+        self._ticks += 1
+        self._backlog_keys.update(report.input_backlog)
+        self._net_backlog_keys.update(report.net_backlog)
 
     @property
     def pending_ticks(self) -> int:
-        return self._folded + len(self._reports)
+        return self._ticks
 
     def collect(self) -> MetricsWindow:
         """Aggregate and reset the current window."""
-        window = self.peek()
+        window = self._window()
         self._reset()
         return window
 
     def peek(self) -> MetricsWindow:
         """Aggregate the current window without resetting it."""
-        reports = self._reports
-        if reports:
-            self._reports = []
-            self._fold(reports)
-        if not self._folded:
+        return self._window()
+
+    def _window(self) -> MetricsWindow:
+        """The window of the ticks observed so far."""
+        first, last = self._first, self._last
+        if first is None:
             return MetricsWindow(
                 t_start_s=0.0,
                 t_end_s=0.0,
@@ -160,73 +170,15 @@ class GlobalMetricMonitor:
                 stages={},
                 mean_delay_s=float("nan"),
             )
-        return self._window()
+        sums = self.sums
+        # A window of n ticks spans n tick lengths.
+        span = max(self._ticks * sums.tick_s, 1e-9)
 
-    def _fold(self, reports: list[TickReport]) -> None:
-        """Add ``reports`` to the running sums.
-
-        Per-site and per-link sums accumulate flat, keyed by (stage, site)
-        and (dst stage, src site, dst site), and are grouped by stage when
-        the window is built; stage names come from the union of the backlog
-        key sets.  Per-key accumulation order is report order, then dict
-        insertion order within a report, each key starting from 0.0 in
-        explicit left-to-right loops (not ``sum()``, which is compensated
-        from CPython 3.12 on); each grouped dict keeps first-appearance
-        order, so the window aggregates are bit-for-bit the ones a
-        per-stage rescan produces.  ``net_sent`` folds several flows into
-        one (dst stage, link) key, so it still folds report by report.
-        """
-        if self._first is None:
-            self._first = reports[0]
-        self._last = reports[-1]
-        self._folded += len(reports)
-        offered = self._offered
-        sink_events = self._sink_events
-        delay_weight = self._delay_weight
-        source_gen = self._source_gen
-        processed_by = self._processed
-        capacity_site = self._capacity_site
-        net_in = self._net_in
-        backlog_keys = self._backlog_keys
-        net_backlog_keys = self._net_backlog_keys
-        for r in reports:
-            offered += r.offered
-            sink_events += r.sink_events
-            delay_weight += r.sink_delay_weighted_s
-            for name, gen in r.offered_by_source.items():
-                source_gen[name] = source_gen.get(name, 0.0) + gen
-            for name, v in r.processed.items():
-                processed_by[name] = processed_by.get(name, 0.0) + v
-            for key, v in r.capacity_by_site.items():
-                capacity_site[key] = capacity_site.get(key, 0.0) + v
-            for (_, dst, su, sd), v in r.net_sent.items():
-                key = (dst, su, sd)
-                net_in[key] = net_in.get(key, 0.0) + v
-            backlog_keys.update(r.input_backlog)
-            net_backlog_keys.update(r.net_backlog)
-        self._offered = offered
-        self._sink_events = sink_events
-        self._delay_weight = delay_weight
-
-    def _window(self) -> MetricsWindow:
-        """The window of the reports folded so far."""
-        first, last = self._first, self._last
-        n = self._folded
-        t_start = first.t_s
-        t_end = last.t_s
-        # A window of n ticks spans n tick-lengths; infer the tick length
-        # from the report spacing (a single report falls back to its own t).
-        if n > 1:
-            tick_len = (t_end - t_start) / (n - 1)
-        else:
-            tick_len = t_start or 1.0
-        span = max(tick_len * n, 1e-9)
-
-        processed_by = self._processed
-        cap_site_by = _group_by_stage(self._capacity_site)
+        processed_by = sums.processed
+        cap_site_by = sums.capacity
         net_in_by: dict[str, dict[tuple[str, str], float]] = {}
-        for (dst, su, sd), v in self._net_in.items():
-            net_in_by.setdefault(dst, {})[su, sd] = v
+        for (dst, su, sd), cell in sums.net_in.items():
+            net_in_by.setdefault(dst, {})[su, sd] = cell.value
         stage_names = {stage for stage, _ in self._backlog_keys}
         stage_names.update(key[1] for key in self._net_backlog_keys)
         stage_names.update(processed_by)
@@ -241,6 +193,7 @@ class GlobalMetricMonitor:
         stages: dict[str, StageMetrics] = {}
         for name in sorted(stage_names):
             cap_site = cap_site_by.get(name, {})
+            processed = processed_by.get(name)
             input_backlog_last = backlog_last.get(name, 0.0)
             input_backlog_first = backlog_first.get(name, 0.0)
             net_last = net_last_by.get(name, {})
@@ -252,8 +205,12 @@ class GlobalMetricMonitor:
             }
             stages[name] = StageMetrics(
                 stage=name,
-                lambda_p=processed_by.get(name, 0.0) / span,
-                capacity_by_site={k: v / span for k, v in cap_site.items()},
+                lambda_p=(
+                    processed.value if processed is not None else 0.0
+                ) / span,
+                capacity_by_site={
+                    k: cell.value / span for k, cell in cap_site.items()
+                },
                 input_backlog=input_backlog_last,
                 input_backlog_growth=input_backlog_last - input_backlog_first,
                 input_backlog_by_site=site_backlog_last.get(name, {}),
@@ -262,16 +219,16 @@ class GlobalMetricMonitor:
                 net_inflow={k: v / span for k, v in net_in.items()},
             )
 
-        sink_events = self._sink_events
+        sink_events = sums.sink_events
         mean_delay = (
-            self._delay_weight / sink_events if sink_events > 0 else float("nan")
+            sums.delay_weight / sink_events if sink_events > 0 else float("nan")
         )
         return MetricsWindow(
-            t_start_s=t_start,
-            t_end_s=t_end,
-            offered_eps=self._offered / span,
+            t_start_s=first.t_s,
+            t_end_s=last.t_s,
+            offered_eps=sums.offered / span,
             source_generation_eps={
-                k: v / span for k, v in self._source_gen.items()
+                k: cell.value / span for k, cell in sums.source_gen.items()
             },
             stages=stages,
             mean_delay_s=mean_delay,

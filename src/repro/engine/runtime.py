@@ -116,6 +116,69 @@ class TickReport:
         return self.sink_delay_weighted_s / self.sink_events
 
 
+class RunningSum:
+    """One running sum of the metric window: a cell that the engine's
+    execution records hold on to, so a tick adds into it without a dict
+    lookup."""
+
+    __slots__ = ("value",)
+
+    def __init__(self) -> None:
+        self.value = 0.0
+
+
+def running_sum(table: dict, key) -> RunningSum:
+    """``table[key]``, entered as a fresh :class:`RunningSum` at first use."""
+    cell = table.get(key)
+    if cell is None:
+        cell = table[key] = RunningSum()
+    return cell
+
+
+class WindowSums:
+    """Running per-key sums of the current metric window.
+
+    The engine adds each tick's values here as it writes them into the
+    tick's :class:`TickReport`, once a
+    :class:`~repro.engine.metrics.GlobalMetricMonitor` has bound the sums
+    (:meth:`EngineRuntime.bind_window`); the monitor builds its window from
+    them and :meth:`reset` starts the next one.  Each key's
+    :class:`RunningSum` starts at 0.0, takes its adds in tick order, then
+    in the order the tick writes them, and enters its dict at first
+    appearance: the sums are bit for bit the per-report fold of the
+    window's reports.  Tick totals (``offered``, sink events and delay
+    weight) are added once per tick.  ``generation`` counts resets, so a
+    writer can tell that the cells it holds belong to an ended window.
+    """
+
+    __slots__ = (
+        "tick_s", "generation", "offered", "sink_events", "delay_weight",
+        "source_gen", "processed", "capacity", "net_in",
+    )
+
+    def __init__(self, tick_s: float = 1.0) -> None:
+        #: The engine's tick length: a window of n ticks spans n * tick_s.
+        self.tick_s = tick_s
+        self.generation = 0
+        self.reset()
+
+    def reset(self) -> None:
+        """Start an empty window."""
+        self.generation += 1
+        self.offered = 0.0
+        self.sink_events = 0.0
+        self.delay_weight = 0.0
+        #: per source stage: raw events generated
+        self.source_gen: dict[str, RunningSum] = {}
+        #: per stage: events processed (stages that processed any)
+        self.processed: dict[str, RunningSum] = {}
+        #: per stage, per site: processing capacity
+        self.capacity: dict[str, dict[str, RunningSum]] = {}
+        #: per (dst stage, src site, dst site): events moved over the WAN
+        #: (only flows that moved any)
+        self.net_in: dict[tuple[str, str, str], RunningSum] = {}
+
+
 class _DownstreamExec:
     """Precomputed fan-out of one stage edge (balanced partitioning)."""
 
@@ -155,6 +218,7 @@ class _StageExec:
         "stage", "name", "is_source", "is_sink", "selectivity", "cost",
         "output_event_bytes", "pinned_site", "gen_key", "site_rows",
         "downstream", "routes", "routes_version", "flows", "flows_stamp",
+        "gen_sum", "processed_sum", "capacity_sums", "flow_sums",
     )
 
     def __init__(self, stage: Stage, topology: Topology) -> None:
@@ -168,16 +232,41 @@ class _StageExec:
         self.pinned_site = stage.pinned_site
         self.gen_key = (stage.name, stage.pinned_site)
         placement = stage.placement()
-        #: (site, Site object, n_tasks, queue key) in sorted site order.
+        #: (site, Site object, n_tasks, queue key, row number) in sorted
+        #: site order.
         self.site_rows = [
-            (site, topology.site(site), placement[site], (stage.name, site))
-            for site in sorted(placement)
+            (site, topology.site(site), placement[site], (stage.name, site), i)
+            for i, site in enumerate(sorted(placement))
         ]
         self.downstream: list[_DownstreamExec] = []
         self.routes: dict[str, list[tuple]] = {}
         self.routes_version = -1
         self.flows: list[tuple] = []
         self.flows_stamp: tuple | None = None
+        #: The window cells this record adds into, set by :meth:`bind_sums`
+        #: (None while no monitor is bound).
+        self.gen_sum: RunningSum | None = None
+        self.capacity_sums: list[RunningSum] | None = None
+        self.processed_sum: RunningSum | None = None
+        self.flow_sums: list[RunningSum | None] | None = None
+
+    def bind_sums(self, window: WindowSums) -> None:
+        """Take the cells of a (new) window.
+
+        A tick writes every source's generation and every site row's
+        capacity, so those cells are entered here, in the tick's write
+        order.  The processed sum, and per outgoing flow (in ``flows``
+        order) the inflow sum of its destination, are sparse: they are
+        entered at the first positive add.
+        """
+        if self.is_source:
+            self.gen_sum = running_sum(window.source_gen, self.name)
+        by_site = window.capacity.setdefault(self.name, {})
+        self.capacity_sums = [
+            running_sum(by_site, row[0]) for row in self.site_rows
+        ]
+        self.processed_sum = None
+        self.flow_sums = None
 
 
 class _PlanCache:
@@ -191,7 +280,9 @@ class _PlanCache:
     reuse.
     """
 
-    __slots__ = ("plan", "version", "parallelism", "topo", "sources")
+    __slots__ = (
+        "plan", "version", "parallelism", "topo", "sources", "sums_generation",
+    )
 
     def __init__(
         self, plan: PhysicalPlan, version: int, topology: Topology
@@ -209,6 +300,8 @@ class _PlanCache:
                 for down in plan.downstream_stages(ex.name)
             ]
         self.sources = [ex for ex in self.topo if ex.is_source]
+        #: The window generation the records' sum cells belong to.
+        self.sums_generation = -1
 
 
 class EngineRuntime:
@@ -250,6 +343,8 @@ class EngineRuntime:
         self._plan_selectivity = 1.0
         self._n_sources = max(1, len(plan.source_stages()))
         self._refresh_plan_constants()
+        #: The metric window's running sums, once a monitor bound them.
+        self._window: WindowSums | None = None
 
         self.last_report = TickReport(t_s=0.0)
 
@@ -276,6 +371,18 @@ class EngineRuntime:
     @property
     def degrade_slo_s(self) -> float | None:
         return self._degrade_slo_s
+
+    def bind_window(self) -> WindowSums:
+        """Start keeping the metric window's running sums; returns them.
+
+        Every later tick adds its values into the returned
+        :class:`WindowSums`.  A runtime feeds one monitor: a second bind
+        raises :class:`~repro.errors.SimulationError`.
+        """
+        if self._window is not None:
+            raise SimulationError("runtime already feeds a metric monitor")
+        self._window = WindowSums(self._config.tick_s)
+        return self._window
 
     def _refresh_plan_constants(self) -> None:
         """Recompute selectivity conversion tables after a plan change."""
@@ -644,6 +751,13 @@ class EngineRuntime:
 
         cache = self._plan_cache()
         gen_queue = self._gen_queue
+        window = self._window
+        # New records, or a collect since the last tick started a new
+        # window: hand the records the current window's cells.
+        if window is not None and cache.sums_generation != window.generation:
+            for ex in cache.topo:
+                ex.bind_sums(window)
+            cache.sums_generation = window.generation
 
         # 1. External generation.
         offered = 0.0
@@ -665,6 +779,8 @@ class EngineRuntime:
                 queue.push(gen, mean_gen_time)
             offered += gen
             offered_by_source[src.name] = gen
+            if src.gen_sum is not None:
+                src.gen_sum.value += gen
         report.offered = offered
 
         # 2. Stage execution in topological order, transferring each stage's
@@ -674,14 +790,16 @@ class EngineRuntime:
         cutoff = (now - slo) if slo is not None else None
         topology = self._topology
         for ex in cache.topo:
-            self._run_stage(ex, now, dt, cutoff, report)
+            self._run_stage(ex, now, dt, cutoff, report, window)
             # Stamp read after the stage ran: routing may have created a
             # flow queue.  A stage without outgoing flows skips the pass.
             stamp = (self._net_version, topology._factors_version, dt)
             if ex.flows_stamp != stamp:
                 self._build_flow_records(ex, dt, stamp)
             if ex.flows:
-                self._transfer_stage_flows(ex, cutoff, link_budget, report)
+                self._transfer_stage_flows(
+                    ex, cutoff, link_budget, report, window
+                )
 
         # Relay flows (scale-down) originate from stages to themselves and
         # were handled inside _transfer_stage_flows via the same net queues.
@@ -702,6 +820,10 @@ class EngineRuntime:
             if backlog > 0:
                 net_backlog[key] = backlog
         report.parallelism = cache.parallelism
+        if window is not None:
+            window.offered += offered
+            window.sink_events += report.sink_events
+            window.delay_weight += report.sink_delay_weighted_s
 
         self._now_s = now
         self.last_report = report
@@ -716,6 +838,7 @@ class EngineRuntime:
         dt: float,
         cutoff: float | None,
         report: TickReport,
+        window: WindowSums | None,
     ) -> None:
         """Process one stage's input queues (after the Degrade ``cutoff``
         drop, if any) and route the output."""
@@ -725,6 +848,7 @@ class EngineRuntime:
         sel = ex.selectivity
         suspended = self._now_s < self._suspended_until.get(name, 0.0)
         capacity_by_site = report.capacity_by_site
+        capacity_sums = ex.capacity_sums
         # Routing rows stay valid while the net index does not move; rows
         # resolved below may add flow queues (bumping the version), and
         # adding a flow never replaces another, so they stay valid too.
@@ -734,7 +858,7 @@ class EngineRuntime:
         stage_processed = 0.0
         stage_emitted = 0.0
         had_output = False
-        for site, site_obj, n_tasks, site_key in ex.site_rows:
+        for site, site_obj, n_tasks, site_key, row_no in ex.site_rows:
             queue = table.get(site_key)
             if queue is None:
                 queue = FluidQueue()
@@ -762,6 +886,8 @@ class EngineRuntime:
                 capacity, sel, counts, gens
             )
             capacity_by_site[site_key] = capacity
+            if capacity_sums is not None:
+                capacity_sums[row_no].value += capacity
             if processed <= 0:
                 continue
             stage_processed += processed
@@ -783,6 +909,13 @@ class EngineRuntime:
         ex.routes_version = self._net_version
         if stage_processed > 0.0:
             report.processed[name] = stage_processed
+            if window is not None:
+                cell = ex.processed_sum
+                if cell is None:
+                    cell = ex.processed_sum = running_sum(
+                        window.processed, name
+                    )
+                cell.value += stage_processed
         if had_output:
             report.emitted[name] = stage_emitted
 
@@ -853,7 +986,9 @@ class EngineRuntime:
         order, and stamp them.
 
         Each record is ``(flow queue, flow key, link, destination stage,
-        destination input key, full-link byte budget, latency_s)``.  The
+        destination input key, record number, full-link byte budget,
+        latency_s)``; the record number indexes the stage's window inflow
+        cells (``flow_sums``).  The
         stamp is (net-index version, topology factors version, tick
         length): flow queues change only with the net index, and link
         capacities and latencies only with a factor write or a link
@@ -862,7 +997,7 @@ class EngineRuntime:
         topology = self._topology
         net_queue = self._net_queue
         records = []
-        for key in self._net_index.get(ex.name, ()):
+        for flow_no, key in enumerate(self._net_index.get(ex.name, ())):
             _, dst_stage, src_site, dst_site = key
             budget = (
                 topology.bandwidth_mbps(src_site, dst_site) * MBIT_BYTES * dt
@@ -870,10 +1005,11 @@ class EngineRuntime:
             latency_s = topology.latency_ms(src_site, dst_site) / 1000.0
             records.append((
                 net_queue[key], key, (src_site, dst_site), dst_stage,
-                (dst_stage, dst_site), budget, latency_s,
+                (dst_stage, dst_site), flow_no, budget, latency_s,
             ))
         ex.flows = records
         ex.flows_stamp = stamp
+        ex.flow_sums = None
 
     def _transfer_stage_flows(
         self,
@@ -881,15 +1017,21 @@ class EngineRuntime:
         cutoff: float | None,
         link_budget: dict[tuple[str, str], float],
         report: TickReport,
+        window: WindowSums | None,
     ) -> None:
         """Move this stage's outgoing WAN queues within link budgets, along
         its current flow records (after the Degrade ``cutoff`` drop)."""
         event_bytes = ex.output_event_bytes
         input_queue = self._input_queue
         net_sent = report.net_sent
+        if window is not None:
+            flow_sums = ex.flow_sums
+            if flow_sums is None:
+                flow_sums = ex.flow_sums = [None] * len(ex.flows)
         # FCFS link sharing across flows, in the records' sorted order.
         for (
-            queue, key, link, dst_stage, in_key, full_budget, latency_s
+            queue, key, link, dst_stage, in_key, flow_no, full_budget,
+            latency_s,
         ) in ex.flows:
             if not queue._count > 1e-12:
                 continue
@@ -924,6 +1066,13 @@ class EngineRuntime:
             link_budget[link] = budget - moved * event_bytes
             # Each flow transfers once per tick (0.0 + moved == moved).
             net_sent[key] = moved
+            if window is not None:
+                cell = flow_sums[flow_no]
+                if cell is None:
+                    cell = flow_sums[flow_no] = running_sum(
+                        window.net_in, (dst_stage, *link)
+                    )
+                cell.value += moved
 
     # -------------------------- conversions ---------------------------- #
 

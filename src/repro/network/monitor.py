@@ -67,6 +67,10 @@ class WanMonitor:
         #: Latencies change only with a link redefinition, so a refresh at
         #: an unchanged version can keep the table as it is.
         self._latency_version = -1
+        #: The ``link_bandwidths()`` table a noiseless refresh last copied;
+        #: while the topology serves the same table, a refresh has nothing
+        #: to write.
+        self._synced_from = None
         self._last_refresh_s = float("-inf")
 
     @property
@@ -84,9 +88,16 @@ class WanMonitor:
         topology = self._topology
         current = topology.link_bandwidths()
         if self._relative_error > 0:
+            # Noise is drawn every round, so the stream position does not
+            # depend on whether the WAN moved.
             noise = self._noise(len(current))
-            current = dict(zip(current, map(mul, current.values(), noise)))
-        self._bandwidth.update(current)
+            noisy = map(mul, current.values(), noise)
+            self._bandwidth.update(zip(current, noisy))
+        elif current is not self._synced_from:
+            # A noiseless remeasure writes the current value, so only a
+            # new table (a factor write or a link change) has news.
+            self._bandwidth.update(current)
+            self._synced_from = current
         if self._latency_version != topology._links_version:
             latency = topology.latency_ms
             self._latency.update({key: latency(*key) for key in current})

@@ -14,7 +14,8 @@ upstream exchange data over the local network.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from types import MappingProxyType
+from typing import Iterable, Iterator, Mapping
 
 from ..errors import TopologyError, UnknownSiteError
 from .site import Site, SiteKind
@@ -67,6 +68,10 @@ class Topology:
         #: Link keys in sorted order, rebuilt when ``_links_version`` moves.
         self._link_keys: list[tuple[str, str]] = []
         self._link_keys_version = -1
+        #: Read-only ``link_bandwidths()`` table and the
+        #: (``_factors_version``, ``_links_version``) it was built at.
+        self._bandwidths: Mapping[tuple[str, str], float] = MappingProxyType({})
+        self._bandwidths_version: tuple[int, int] | None = None
 
     # ------------------------------------------------------------------ #
     # Sites
@@ -166,19 +171,25 @@ class Topology:
             self._link_keys_version = self._links_version
         return self._link_keys
 
-    def link_bandwidths(self) -> dict[tuple[str, str], float]:
+    def link_bandwidths(self) -> Mapping[tuple[str, str], float]:
         """Current capacity of every directed link, keyed in sorted order.
 
         Each value is ``base * factor`` exactly as :meth:`bandwidth_mbps`
-        computes it, without building a :class:`Link` per entry.
+        computes it, without building a :class:`Link` per entry.  The
+        table is read-only and rebuilt only after a factor write or a link
+        (re)definition, so repeated reads of an unchanged WAN cost nothing.
         """
-        base = self._base_bandwidth
-        factor = self._factors.get
-        default = self._global_factor
-        return {
-            key: base[key] * factor(key, default)
-            for key in self._sorted_link_keys()
-        }
+        version = (self._factors_version, self._links_version)
+        if self._bandwidths_version != version:
+            base = self._base_bandwidth
+            factor = self._factors.get
+            default = self._global_factor
+            self._bandwidths = MappingProxyType({
+                key: base[key] * factor(key, default)
+                for key in self._sorted_link_keys()
+            })
+            self._bandwidths_version = version
+        return self._bandwidths
 
     def links(self) -> list[Link]:
         """All directed links with their *current* capacities."""

@@ -13,11 +13,12 @@ Two properties the rest of the system depends on:
 * **Cheap when nothing listens, invisible always.**  Every component holds
   a real bus and emits unconditionally: while no sink is attached ``emit``
   returns before stamping or building a record, so an event costs its
-  dataclass construction and one call.  Emission never touches simulation
+  dataclass construction and one call.  An event whose payload is costly
+  to build (the round's window and per-stage diagnoses) is emitted as one
+  composite event that builds its records in :meth:`ObsEvent.expand`,
+  which only runs once a sink listens.  Emission never touches simulation
   state or RNG streams, so a traced and an untraced run of the same seed
-  produce bit-identical recorder digests.  Emission with no sink costs
-  about 65 us per adaptation round (Intel Xeon, CPython 3.11), ~5% of a
-  Section-8 figure round.
+  produce bit-identical recorder digests.
 * **Stable field ordering.**  Emitted records are plain dicts built in a
   fixed order (envelope fields, then payload fields in dataclass
   declaration order), so a JSONL trace is byte-stable across runs of the
@@ -85,6 +86,12 @@ class ObsEvent:
             for f in dataclasses.fields(self)
             if f.name != "t_s"
         }
+
+    def expand(self) -> Iterator["ObsEvent"]:
+        """The events this one delivers: itself.  An event that stands for
+        several records (and is costly to build) overrides this, so the
+        bus builds them only once a sink listens."""
+        yield self
 
 
 # -- adaptation round ------------------------------------------------------- #
@@ -424,25 +431,27 @@ class EventBus:
     # -- emission ----------------------------------------------------------- #
 
     def emit(self, event: ObsEvent) -> None:
-        """Stamp and deliver one event to every sink."""
+        """Stamp and deliver the event's records (:meth:`ObsEvent.expand`)
+        to every sink."""
         if not self._sinks:
             return
-        self._seq += 1
         span = self._span_stack[-1] if self._span_stack else None
         parent = (
             self._span_stack[-2] if len(self._span_stack) >= 2 else None
         )
-        record = {
-            "schema": SCHEMA,
-            "seq": self._seq,
-            "t_s": event.t_s,
-            "kind": event.kind,
-            "span": span,
-            "parent": parent,
-        }
-        record.update(event.payload())
-        for sink in self._sinks:
-            sink.write(record)
+        for part in event.expand():
+            self._seq += 1
+            record = {
+                "schema": SCHEMA,
+                "seq": self._seq,
+                "t_s": part.t_s,
+                "kind": part.kind,
+                "span": span,
+                "parent": parent,
+            }
+            record.update(part.payload())
+            for sink in self._sinks:
+                sink.write(record)
 
     @contextmanager
     def span(self, name: str, t_s: float) -> Iterator[str | None]:

@@ -282,6 +282,32 @@ class TestAdaptationRound:
         assert executed
         assert manager.history
 
+    def test_round_builds_window_and_diagnose_events_only_for_a_sink(
+        self, small_topology, monkeypatch
+    ):
+        from repro.core import controller
+        from repro.obs.sinks import RingBufferSink
+
+        def unbuilt(self):
+            raise AssertionError("built with no sink attached")
+
+        manager = build_manager(small_topology, rate=240_000.0)
+        with monkeypatch.context() as patch:
+            patch.setattr(controller._RoundReadout, "expand", unbuilt)
+            for _ in range(40):
+                manager.observe_tick(manager.runtime.tick())
+            manager.adaptation_round(40.0)
+        sink = manager.obs.attach(RingBufferSink())
+        for _ in range(40):
+            manager.observe_tick(manager.runtime.tick())
+        manager.adaptation_round(80.0)
+        kinds = [r["kind"] for r in sink.records]
+        stages = len(manager.last_diagnoses)
+        window_at = kinds.index("window")
+        assert kinds[window_at + 1 : window_at + 1 + stages] == (
+            ["diagnose"] * stages
+        )
+
     def test_suspended_stage_not_readapted(self, small_topology):
         manager = build_manager(small_topology, rate=240_000.0)
         for _ in range(40):

@@ -8,7 +8,7 @@ import pytest
 from repro.baselines.variants import wasp
 from repro.config import WaspConfig
 from repro.engine.metrics import GlobalMetricMonitor
-from repro.engine.runtime import TickReport
+from repro.engine.runtime import TickReport, running_sum
 from repro.experiments.harness import ExperimentRun
 from repro.experiments.scenarios import bottleneck_dynamics, fig8_scenario
 from repro.sim.rng import RngRegistry
@@ -21,12 +21,31 @@ def report(t, **kwargs):
     return r
 
 
+def feed(monitor, r):
+    """Hand one report to a monitor as a tick of the engine would: its
+    values into the window sums, in report order, then ``observe``."""
+    sums = monitor.sums
+    sums.offered += r.offered
+    sums.sink_events += r.sink_events
+    sums.delay_weight += r.sink_delay_weighted_s
+    for name, v in r.offered_by_source.items():
+        running_sum(sums.source_gen, name).value += v
+    for name, v in r.processed.items():
+        running_sum(sums.processed, name).value += v
+    for (stage, site), v in r.capacity_by_site.items():
+        running_sum(sums.capacity.setdefault(stage, {}), site).value += v
+    for (_, dst, su, sd), v in r.net_sent.items():
+        running_sum(sums.net_in, (dst, su, sd)).value += v
+    monitor.observe(r)
+
+
 class TestAggregation:
     def test_rates_averaged_over_window(self):
         monitor = GlobalMetricMonitor()
         for t in (1.0, 2.0, 3.0, 4.0):
-            monitor.observe(
-                report(t, processed={"agg": 100.0}, emitted={"agg": 50.0})
+            feed(
+                monitor,
+                report(t, processed={"agg": 100.0}, emitted={"agg": 50.0}),
             )
         window = monitor.collect()
         metrics = window.stages["agg"]
@@ -34,7 +53,7 @@ class TestAggregation:
 
     def test_collect_resets_window(self):
         monitor = GlobalMetricMonitor()
-        monitor.observe(report(1.0, processed={"agg": 100.0}))
+        feed(monitor, report(1.0, processed={"agg": 100.0}))
         monitor.collect()
         assert monitor.pending_ticks == 0
         assert monitor.collect().stages == {}
@@ -42,14 +61,15 @@ class TestAggregation:
     def test_peek_aggregates_without_resetting(self):
         monitor = GlobalMetricMonitor()
         for t in (1.0, 2.0):
-            monitor.observe(
+            feed(
+                monitor,
                 report(
                     t,
                     processed={"agg": 100.0},
                     net_sent={("src", "agg", "e1", "d1"): 30.0},
                     sink_events=10.0,
                     sink_delay_weighted_s=5.0,
-                )
+                ),
             )
         peeked = monitor.peek()
         assert monitor.pending_ticks == 2
@@ -65,8 +85,9 @@ class TestAggregation:
     def test_source_generation_rates(self):
         monitor = GlobalMetricMonitor()
         for t in (1.0, 2.0):
-            monitor.observe(
-                report(t, offered=200.0, offered_by_source={"src": 200.0})
+            feed(
+                monitor,
+                report(t, offered=200.0, offered_by_source={"src": 200.0}),
             )
         window = monitor.collect()
         assert window.source_generation_eps["src"] == pytest.approx(200.0)
@@ -74,11 +95,13 @@ class TestAggregation:
 
     def test_mean_delay_weighted(self):
         monitor = GlobalMetricMonitor()
-        monitor.observe(
-            report(1.0, sink_events=100.0, sink_delay_weighted_s=100.0)
+        feed(
+            monitor,
+            report(1.0, sink_events=100.0, sink_delay_weighted_s=100.0),
         )
-        monitor.observe(
-            report(2.0, sink_events=300.0, sink_delay_weighted_s=600.0)
+        feed(
+            monitor,
+            report(2.0, sink_events=300.0, sink_delay_weighted_s=600.0),
         )
         assert monitor.collect().mean_delay_s == pytest.approx(1.75)
 
@@ -86,8 +109,8 @@ class TestAggregation:
 class TestBacklogs:
     def test_backlog_growth_last_minus_first(self):
         monitor = GlobalMetricMonitor()
-        monitor.observe(report(1.0, input_backlog={("agg", "a"): 100.0}))
-        monitor.observe(report(2.0, input_backlog={("agg", "a"): 400.0}))
+        feed(monitor, report(1.0, input_backlog={("agg", "a"): 100.0}))
+        feed(monitor, report(2.0, input_backlog={("agg", "a"): 400.0}))
         metrics = monitor.collect().stages["agg"]
         assert metrics.input_backlog == pytest.approx(400.0)
         assert metrics.input_backlog_growth == pytest.approx(300.0)
@@ -95,17 +118,19 @@ class TestBacklogs:
     def test_standing_backlog_zero_growth(self):
         monitor = GlobalMetricMonitor()
         for t in (1.0, 2.0):
-            monitor.observe(report(t, input_backlog={("agg", "a"): 500.0}))
+            feed(monitor, report(t, input_backlog={("agg", "a"): 500.0}))
         metrics = monitor.collect().stages["agg"]
         assert metrics.input_backlog_growth == pytest.approx(0.0)
 
     def test_net_backlog_keyed_by_link(self):
         monitor = GlobalMetricMonitor()
-        monitor.observe(
-            report(1.0, net_backlog={("src", "agg", "e1", "d1"): 10.0})
+        feed(
+            monitor,
+            report(1.0, net_backlog={("src", "agg", "e1", "d1"): 10.0}),
         )
-        monitor.observe(
-            report(2.0, net_backlog={("src", "agg", "e1", "d1"): 50.0})
+        feed(
+            monitor,
+            report(2.0, net_backlog={("src", "agg", "e1", "d1"): 50.0}),
         )
         metrics = monitor.collect().stages["agg"]
         assert metrics.net_backlog[("e1", "d1")] == pytest.approx(50.0)
@@ -114,20 +139,22 @@ class TestBacklogs:
     def test_net_inflow_rate(self):
         monitor = GlobalMetricMonitor()
         for t in (1.0, 2.0):
-            monitor.observe(
-                report(t, net_sent={("src", "agg", "e1", "d1"): 30.0})
+            feed(
+                monitor,
+                report(t, net_sent={("src", "agg", "e1", "d1"): 30.0}),
             )
         metrics = monitor.collect().stages["agg"]
         assert metrics.net_inflow[("e1", "d1")] == pytest.approx(30.0)
 
     def test_per_site_processing_and_capacity(self):
         monitor = GlobalMetricMonitor()
-        monitor.observe(
+        feed(
+            monitor,
             report(
                 1.0,
                 processed={"agg": 150.0},
                 capacity_by_site={("agg", "a"): 200.0, ("agg", "b"): 300.0},
-            )
+            ),
         )
         metrics = monitor.collect().stages["agg"]
         assert metrics.capacity_by_site == {"a": 200.0, "b": 300.0}
@@ -135,7 +162,7 @@ class TestBacklogs:
 
     def test_utilization_zero_without_capacity(self):
         monitor = GlobalMetricMonitor()
-        monitor.observe(report(1.0, processed={"agg": 10.0}))
+        feed(monitor, report(1.0, processed={"agg": 10.0}))
         assert monitor.collect().stages["agg"].utilization == 0.0
 
 
@@ -152,7 +179,7 @@ class TestCollectEdgeCases:
 
     def test_empty_window_does_not_carry_state(self):
         monitor = GlobalMetricMonitor()
-        monitor.observe(report(1.0, processed={"agg": 10.0}))
+        feed(monitor, report(1.0, processed={"agg": 10.0}))
         monitor.collect()
         window = monitor.collect()  # nothing observed since
         assert window.stages == {}
@@ -162,7 +189,7 @@ class TestCollectEdgeCases:
         # One report at t=0: the span falls back to a positive epsilon, so
         # every rate stays finite instead of dividing by zero.
         monitor = GlobalMetricMonitor()
-        monitor.observe(report(0.0, offered=100.0, processed={"agg": 50.0}))
+        feed(monitor, report(0.0, offered=100.0, processed={"agg": 50.0}))
         window = monitor.collect()
         assert window.duration_s == 0.0
         assert math.isfinite(window.offered_eps)
@@ -172,7 +199,7 @@ class TestCollectEdgeCases:
     def test_zero_duration_window_identical_timestamps(self):
         monitor = GlobalMetricMonitor()
         for _ in range(3):
-            monitor.observe(report(5.0, processed={"agg": 30.0}))
+            feed(monitor, report(5.0, processed={"agg": 30.0}))
         window = monitor.collect()
         assert window.duration_s == 0.0
         assert math.isfinite(window.stages["agg"].lambda_p)
@@ -181,14 +208,15 @@ class TestCollectEdgeCases:
         # A stage undeployed mid-window reports in tick 1 but not tick 2;
         # absent ticks count as zero and the backlog reads the last tick.
         monitor = GlobalMetricMonitor()
-        monitor.observe(
+        feed(
+            monitor,
             report(
                 1.0,
                 processed={"agg": 100.0},
                 input_backlog={("agg", "a"): 40.0},
-            )
+            ),
         )
-        monitor.observe(report(2.0, processed={"other": 10.0}))
+        feed(monitor, report(2.0, processed={"other": 10.0}))
         window = monitor.collect()
         metrics = window.stages["agg"]
         assert metrics.lambda_p == pytest.approx(50.0)  # 100 over 2 ticks
@@ -198,13 +226,14 @@ class TestCollectEdgeCases:
 
     def test_stage_appearing_mid_window_aggregates(self):
         monitor = GlobalMetricMonitor()
-        monitor.observe(report(1.0, processed={"other": 10.0}))
-        monitor.observe(
+        feed(monitor, report(1.0, processed={"other": 10.0}))
+        feed(
+            monitor,
             report(
                 2.0,
                 processed={"late": 80.0},
                 input_backlog={("late", "b"): 5.0},
-            )
+            ),
         )
         window = monitor.collect()
         metrics = window.stages["late"]
@@ -235,7 +264,7 @@ def _rescan_inflow(reports, stage):
 
 class TestFlatAccumulation:
     """The flat per-key sums equal a per-stage rescan bit for bit, with the
-    same per-stage key order, also when a ``peek`` folded part of the
+    same per-stage key order, also when a ``peek`` read part of the
     window earlier."""
 
     @pytest.mark.parametrize("seed", range(10))
@@ -272,7 +301,7 @@ class TestFlatAccumulation:
         peek_after = draw.randint(0, len(reports))
         monitor = GlobalMetricMonitor()
         for i, r in enumerate(reports, 1):
-            monitor.observe(r)
+            feed(monitor, r)
             if i == peek_after:
                 monitor.peek()
         window = monitor.collect()
@@ -331,3 +360,40 @@ class TestPlanSelectivity:
                 checked += processed > 0.0
         assert run.manager.history  # the run adapted
         assert checked > 1000
+
+
+class TestWindowSpan:
+    """A window of n ticks spans n times the engine's tick length, also
+    when it holds a single tick."""
+
+    def test_single_report_window_divides_by_one_tick(self):
+        monitor = GlobalMetricMonitor()
+        feed(monitor, report(401.0, processed={"agg": 100.0}))
+        assert monitor.collect().stages["agg"].lambda_p == 100.0
+
+    def test_span_uses_the_engine_tick_length(self):
+        monitor = GlobalMetricMonitor()
+        monitor.sums.tick_s = 0.5
+        for t in (10.5, 11.0, 11.5):
+            feed(monitor, report(t, processed={"agg": 30.0}))
+        assert monitor.collect().stages["agg"].lambda_p == 60.0
+
+    def test_one_tick_rounds_read_the_tick_rates(self):
+        scenario = fig8_scenario("ysb-advertising")
+        rngs = RngRegistry(42)
+        topology = scenario.make_topology(rngs)
+        query = scenario.make_query(topology, rngs)
+        config = WaspConfig.paper_defaults().with_overrides(
+            monitor_interval_s=1.0
+        )
+        run = ExperimentRun(topology, query, wasp(), config=config, rngs=rngs)
+        run.set_dynamics(scenario.make_dynamics(rngs))
+        while run.clock.now_s < 200.0:
+            run.step()
+        window = run.manager.last_window
+        last = run.runtime.last_report
+        assert window.t_start_s == window.t_end_s == 200.0
+        assert window.offered_eps == last.offered > 0.0
+        assert window.stages
+        for name, metrics in window.stages.items():
+            assert metrics.lambda_p == last.processed.get(name, 0.0), name

@@ -125,7 +125,7 @@ def test_mutation_version_invalidates_cache() -> None:
     row = next(
         ex for ex in rebuilt.topo if ex.name == stage.name
     )
-    counts = {s: n for s, _, n, _ in row.site_rows}
+    counts = {s: n for s, _, n, *_ in row.site_rows}
     assert counts == stage.placement()
 
 

@@ -249,6 +249,47 @@ class TestAgainstOracle:
             pair.assert_same()
         assert pair.rng.uniform() == pair.oracle_rng.uniform()
 
+    @pytest.mark.parametrize("relative_error", [0.0, 0.05])
+    @pytest.mark.parametrize("seed", range(8))
+    def test_refreshes_of_an_unchanged_wan(self, seed, relative_error):
+        """Refreshes with no factor write or link change between them, and
+        refreshes right after ``remeasure`` calls, match the oracle (and
+        keep drawing noise every round)."""
+        pair, draw = _build(seed, relative_error)
+        links = sorted(pair.topology._base_bandwidth)
+        now = 0.0
+        for _ in range(12):
+            now += 40.0
+            op = draw.choice(["refresh", "remeasure", "factor"])
+            if op == "remeasure":
+                for src, dst in draw.sample(links, draw.randint(1, 4)):
+                    now += 1.0
+                    expected = pair.oracle.remeasure(src, dst, now)
+                    assert pair.monitor.remeasure(src, dst, now) == expected
+                    pair.assert_same()
+            elif op == "factor":
+                src, dst = draw.choice(links)
+                pair.topology.set_bandwidth_factor(src, dst, draw.random())
+            for _ in range(draw.randint(1, 3)):
+                pair.oracle.refresh(now)
+                pair.monitor.refresh(now)
+                pair.assert_same()
+
+    def test_link_bandwidths_is_cached_and_read_only(self):
+        pair, _ = _build(1, 0.0)
+        topology = pair.topology
+        first = topology.link_bandwidths()
+        assert topology.link_bandwidths() is first
+        with pytest.raises(TypeError):
+            first[next(iter(first))] = 1.0
+        src, dst = next(iter(first))
+        topology.set_bandwidth_factor(src, dst, 0.5)
+        moved = topology.link_bandwidths()
+        assert moved is not first
+        assert moved[src, dst] == first[src, dst] * 0.5
+        topology.set_link(src, dst, 10.0, 5.0)
+        assert topology.link_bandwidths()[src, dst] == 10.0 * 0.5
+
     def test_remeasure_before_first_refresh_keeps_matrix_order(self):
         """A link gauged before the first round keeps its first position."""
         pair, _ = _build(3, 0.05)

@@ -1,5 +1,7 @@
 """Tests for repro.obs.events - the typed event bus."""
 
+from dataclasses import dataclass
+
 import pytest
 
 from repro.errors import ObsError
@@ -11,6 +13,7 @@ from repro.obs.events import (
     Diagnose,
     EventBus,
     MigrateTransfer,
+    ObsEvent,
     RoundStart,
     require_valid,
     validate_record,
@@ -37,6 +40,27 @@ class TestZeroOverhead:
         bus.emit(RoundStart(2.0, round=2, stages=3))
         # The unobserved emit left no trace: sequencing starts at 1.
         assert [r["seq"] for r in sink.records] == [1]
+
+    def test_composite_event_expands_only_when_a_sink_listens(self):
+        expansions = []
+
+        @dataclass(frozen=True)
+        class Pair(ObsEvent):
+            def expand(self):
+                expansions.append(self.t_s)
+                yield RoundStart(self.t_s, round=1, stages=2)
+                yield RoundStart(self.t_s, round=2, stages=2)
+
+        bus = EventBus()
+        bus.emit(Pair(1.0))
+        assert expansions == []
+        sink = bus.attach(RingBufferSink())
+        bus.emit(Pair(2.0))
+        assert expansions == [2.0]
+        assert [(r["seq"], r["kind"], r["round"]) for r in sink.records] == [
+            (1, "round.start", 1),
+            (2, "round.start", 2),
+        ]
 
     def test_span_without_sink_yields_none(self):
         bus = EventBus()
