@@ -50,10 +50,8 @@ class OracleForecaster(Forecaster):
         self._sources = list(source_names)
 
     def forecast(self, t_s: float) -> dict[str, float]:
-        return {
-            name: self._workload.generation_eps(name, t_s)
-            for name in self._sources
-        }
+        rates = self._workload.generation_rates(self._sources, t_s)
+        return dict(zip(self._sources, rates))
 
 
 class SeasonalNaiveForecaster(Forecaster):

@@ -277,8 +277,8 @@ class _DenseModel:
         "plan", "version", "parallelism", "links_version", "B", "dt",
         "in_rows", "in_index", "in_persistent",
         "net_rows", "net_keys", "net_index", "net_persistent",
-        "sites", "links", "link_base", "link_local",
-        "groups", "sources", "n_in", "n_net",
+        "sites", "site_rate", "site_version", "links", "link_base",
+        "link_local", "groups", "sources", "source_names", "n_in", "n_net",
     )
 
     def __init__(
@@ -389,6 +389,10 @@ class _DenseModel:
         site_names = sorted(topology.site_names)
         site_id = {name: i for i, name in enumerate(site_names)}
         self.sites = [topology.site(name) for name in site_names]
+        #: Per-slot rate of every site (0.0 while failed), valid for the
+        #: topology's site-state version ``site_version``.
+        self.site_rate = np.empty(len(self.sites))
+        self.site_version = -1
 
         links: list[tuple[str, str]] = []
         link_index: dict[tuple[str, str], int] = {}
@@ -502,6 +506,10 @@ class _DenseModel:
                     flows_group.append((key, s.output_event_bytes))
                 g.stages.append(st)
                 if st.is_source:
+                    if st.pinned_site is None:
+                        raise SimulationError(
+                            f"source stage {st.name!r} has no pinned site"
+                        )
                     self.sources.append(st)
 
             g.rows = _rows(rows_l)
@@ -588,6 +596,18 @@ class _DenseModel:
         self.links = links
         self.link_base = np.array(link_base) if links else np.empty(0)
         self.link_local = link_local
+        self.source_names = tuple(st.name for st in self.sources)
+
+    def site_rates(self, site_version: int) -> np.ndarray:
+        """The ``site_rate`` vector, re-read from the sites only when
+        the topology's site-state version moved."""
+        if self.site_version != site_version:
+            self.site_rate[:] = [
+                0.0 if s.failed else s.effective_proc_rate_eps
+                for s in self.sites
+            ]
+            self.site_version = site_version
+        return self.site_rate
 
 
 class DenseEngineRuntime(EngineRuntime):
@@ -840,15 +860,8 @@ class DenseEngineRuntime(EngineRuntime):
         in_mass_f = in_mass.reshape(-1)
         in_size = in_cnt_f.shape[0]
 
-        # Per-tick environment reads: site health/rates and link budgets.
-        site_rate = np.fromiter(
-            (
-                0.0 if s.failed else s.effective_proc_rate_eps
-                for s in model.sites
-            ),
-            dtype=np.float64,
-            count=len(model.sites),
-        )
+        # Environment reads: site health/rates (versioned) and link budgets.
+        site_rate = model.site_rates(self._topology._site_states.value)
         n_links = len(model.links)
         if n_links:
             fver = self._topology._factors_version
@@ -894,12 +907,9 @@ class DenseEngineRuntime(EngineRuntime):
         mean_gen = now - dt * 0.5
         offered = 0.0
         offered_by_source = report.offered_by_source
-        for st in model.sources:
-            if st.pinned_site is None:
-                raise SimulationError(
-                    f"source stage {st.name!r} has no pinned site"
-                )
-            gen = self._workload.generation_eps(st.name, now) * dt
+        rates = self._workload.generation_rates(model.source_names, now)
+        for st, rate in zip(model.sources, rates):
+            gen = rate * dt
             if gen > 0.0:
                 flat = st.gen_row * B
                 in_cnt_f[flat] += gen
@@ -916,7 +926,6 @@ class DenseEngineRuntime(EngineRuntime):
         cutoff = (now - slo) if slo is not None else None
         prev_now = self._now_s
         suspended_until = self._suspended_until
-        cap_by_site = report.capacity_by_site
         net_sent = report.net_sent
 
         for g in model.groups:
@@ -948,10 +957,8 @@ class DenseEngineRuntime(EngineRuntime):
                 take_c, take_m, popped, _ = _pop_rows(
                     in_cnt, in_mass, rows, caps, g.pop
                 )
-                caps_list = caps.tolist()
-                cap_by_site.update(zip(g.row_keys, caps_list))
                 if capacity_sums is not None:
-                    for (stage, site), cap in zip(g.row_keys, caps_list):
+                    for (stage, site), cap in zip(g.row_keys, caps.tolist()):
                         by_site = capacity_sums.setdefault(stage, {})
                         running_sum(by_site, site).value += cap
                 plist = popped.tolist()

@@ -192,31 +192,42 @@ class GlobalMetricMonitor:
 
         stages: dict[str, StageMetrics] = {}
         for name in sorted(stage_names):
-            cap_site = cap_site_by.get(name, {})
+            cap_site = cap_site_by.get(name)
             processed = processed_by.get(name)
             input_backlog_last = backlog_last.get(name, 0.0)
             input_backlog_first = backlog_first.get(name, 0.0)
-            net_last = net_last_by.get(name, {})
-            net_first = net_first_by.get(name, {})
-            net_in = net_in_by.get(name, {})
-            growth = {
-                link: net_last.get(link, 0.0) - net_first.get(link, 0.0)
-                for link in set(net_last) | set(net_first)
-            }
+            net_last = net_last_by.get(name)
+            net_first = net_first_by.get(name)
+            net_in = net_in_by.get(name)
+            # Most stages have no WAN backlog at either end of the window
+            # and no inflow: their WAN tables are empty, built directly.
+            if net_last is None and net_first is None:
+                net_last, growth = {}, {}
+            else:
+                net_last = net_last or {}
+                net_first = net_first or {}
+                growth = {
+                    link: net_last.get(link, 0.0) - net_first.get(link, 0.0)
+                    for link in set(net_last) | set(net_first)
+                }
             stages[name] = StageMetrics(
                 stage=name,
                 lambda_p=(
                     processed.value if processed is not None else 0.0
                 ) / span,
-                capacity_by_site={
-                    k: cell.value / span for k, cell in cap_site.items()
-                },
+                capacity_by_site=(
+                    {k: cell.value / span for k, cell in cap_site.items()}
+                    if cap_site else {}
+                ),
                 input_backlog=input_backlog_last,
                 input_backlog_growth=input_backlog_last - input_backlog_first,
                 input_backlog_by_site=site_backlog_last.get(name, {}),
                 net_backlog=net_last,
                 net_backlog_growth=growth,
-                net_inflow={k: v / span for k, v in net_in.items()},
+                net_inflow=(
+                    {k: v / span for k, v in net_in.items()}
+                    if net_in else {}
+                ),
             )
 
         sink_events = sums.sink_events

@@ -20,6 +20,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Iterator
 
+from ..counters import VersionCounter
 from ..errors import PlanError
 from .logical import LogicalPlan
 from .operators import OperatorKind, OperatorSpec
@@ -59,6 +60,11 @@ class Stage:
     version: int = 0
     _task_counter: itertools.count = field(
         default_factory=itertools.count, repr=False
+    )
+    #: The owning plan's mutation counter, bumped with ``version`` (see
+    #: :meth:`PhysicalPlan.mutation_version`).
+    _plan_mutations: VersionCounter = field(
+        default_factory=VersionCounter, repr=False, compare=False
     )
 
     # -------------------------- combined properties -------------------- #
@@ -139,6 +145,11 @@ class Stage:
     def sites(self) -> list[str]:
         return sorted(self.placement())
 
+    def _mutated(self) -> None:
+        """Bump this stage's and its plan's version (every task mutator)."""
+        self.version += 1
+        self._plan_mutations.value += 1
+
     def add_task(self, site: str) -> Task:
         task = Task(
             task_id=f"{self.name}/{next(self._task_counter)}",
@@ -146,30 +157,30 @@ class Stage:
             site=site,
         )
         self.tasks.append(task)
-        self.version += 1
+        self._mutated()
         return task
 
     def remove_task_at(self, site: str) -> Task:
         for i, task in enumerate(self.tasks):
             if task.site == site:
-                self.version += 1
+                self._mutated()
                 return self.tasks.pop(i)
         raise PlanError(f"stage {self.name!r} has no task at site {site!r}")
 
     def remove_task(self, task: Task) -> None:
         """Remove one specific task (failure evacuation)."""
         self.tasks.remove(task)
-        self.version += 1
+        self._mutated()
 
     def set_tasks(self, tasks: list[Task]) -> None:
         """Replace the whole task set (transaction rollback)."""
         self.tasks[:] = tasks
-        self.version += 1
+        self._mutated()
 
     def clear_tasks(self) -> None:
         """Drop every task (undeploy / abandoned-plan cleanup)."""
         self.tasks.clear()
-        self.version += 1
+        self._mutated()
 
     def state_mb_per_task(self) -> float:
         """Per-task state share under balanced partitioning (Section 7)."""
@@ -185,6 +196,8 @@ class PhysicalPlan:
         self.logical = logical
         self.stages: dict[str, Stage] = {}
         self._member_of: dict[str, str] = {}
+        #: Shared by every stage: each task mutation bumps it once.
+        self._mutations = VersionCounter()
         self._build_stages(chaining)
         self.stage_edges: list[tuple[str, str]] = self._build_edges()
         self._up: dict[str, list[str]] = {name: [] for name in self.stages}
@@ -212,7 +225,11 @@ class PhysicalPlan:
                 stage.operators.append(op)
                 self._member_of[op.name] = stage.name
             else:
-                stage = Stage(name=op.name, operators=[op])
+                stage = Stage(
+                    name=op.name,
+                    operators=[op],
+                    _plan_mutations=self._mutations,
+                )
                 self.stages[op.name] = stage
                 self._member_of[op.name] = op.name
 
@@ -288,11 +305,13 @@ class PhysicalPlan:
     def mutation_version(self) -> int:
         """Monotonic counter over every stage's task mutations.
 
-        Stage versions only ever increase, so the sum strictly increases on
-        any placement change anywhere in the plan - a cheap validity token
-        for placement-derived caches.
+        Every stage mutator bumps the plan's one shared counter along with
+        the stage's own ``version``, so this is the sum of the stage
+        versions, read in O(1): it strictly increases on any placement
+        change anywhere in the plan - the validity token for
+        placement-derived caches.
         """
-        return sum(s.version for s in self.stages.values())
+        return self._mutations.value
 
     def __iter__(self) -> Iterator[Stage]:
         return iter(self.topological_stages())

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from bisect import insort
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Sequence
 
 from ..config import WaspConfig
 from ..errors import SimulationError
@@ -92,8 +92,6 @@ class TickReport:
     processed: dict[str, float] = field(default_factory=dict)
     #: events emitted by each stage this tick
     emitted: dict[str, float] = field(default_factory=dict)
-    #: per (stage, site): processing capacity available this tick
-    capacity_by_site: dict[tuple[str, str], float] = field(default_factory=dict)
     #: per (stage, site): input backlog at end of tick
     input_backlog: dict[tuple[str, str], float] = field(default_factory=dict)
     #: per flow: events transferred this tick
@@ -202,9 +200,10 @@ class _StageExec:
     Everything here is derived from the plan structure and the current
     placement: chained selectivity/cost, sorted per-site task rows (with
     the site objects and queue keys pre-resolved) and downstream fan-out
-    fractions.  Site *state* (failures, slowdowns) is read live from the
-    cached :class:`~repro.network.site.Site` objects, which are stable for
-    the lifetime of the topology.
+    fractions.  ``row_caps`` holds each row's per-tick capacity ``n_tasks
+    * rate / cost * dt`` for the site states and tick length its
+    :class:`_PlanCache` was last stamped with
+    (:meth:`_PlanCache.refresh_capacities`).
 
     Two further tables depend on the runtime's WAN flow queues as well and
     carry their own stamps: ``routes`` (per source site, the resolved
@@ -217,7 +216,8 @@ class _StageExec:
     __slots__ = (
         "stage", "name", "is_source", "is_sink", "selectivity", "cost",
         "output_event_bytes", "pinned_site", "gen_key", "site_rows",
-        "downstream", "routes", "routes_version", "flows", "flows_stamp",
+        "row_caps", "downstream", "routes", "routes_version", "flows",
+        "flows_stamp",
         "gen_sum", "processed_sum", "capacity_sums", "flow_sums",
     )
 
@@ -238,6 +238,7 @@ class _StageExec:
             (site, topology.site(site), placement[site], (stage.name, site), i)
             for i, site in enumerate(sorted(placement))
         ]
+        self.row_caps: list[float] = []
         self.downstream: list[_DownstreamExec] = []
         self.routes: dict[str, list[tuple]] = {}
         self.routes_version = -1
@@ -274,14 +275,16 @@ class _PlanCache:
 
     The cache is valid while the runtime executes the *same plan object*
     at the *same mutation version*; any task mutation anywhere (reassign,
-    rescale, failure evacuation, transaction rollback) bumps a stage's
-    monotonic version counter and invalidates it.  The plan reference is
+    rescale, failure evacuation, transaction rollback) bumps the plan's
+    monotonic mutation counter and invalidates it.  The plan reference is
     held strongly so an ``is`` check can never be confused by object-id
-    reuse.
+    reuse.  The records' row capacities carry their own stamp, the
+    topology's site-state version and the tick length.
     """
 
     __slots__ = (
-        "plan", "version", "parallelism", "topo", "sources", "sums_generation",
+        "plan", "version", "parallelism", "topo", "sources", "source_names",
+        "sums_generation", "caps_site_version", "caps_dt",
     )
 
     def __init__(
@@ -300,8 +303,31 @@ class _PlanCache:
                 for down in plan.downstream_stages(ex.name)
             ]
         self.sources = [ex for ex in self.topo if ex.is_source]
+        for src in self.sources:
+            if src.pinned_site is None:
+                raise SimulationError(
+                    f"source stage {src.name!r} has no pinned site"
+                )
+        #: The workload's argument for one rate read per tick.
+        self.source_names = tuple(src.name for src in self.sources)
         #: The window generation the records' sum cells belong to.
         self.sums_generation = -1
+        #: The site-state version and tick length ``row_caps`` are for.
+        self.caps_site_version = -1
+        self.caps_dt = 0.0
+
+    def refresh_capacities(self, site_version: int, dt: float) -> None:
+        """Recompute every row's per-tick capacity (0.0 on a failed site)
+        and stamp them with ``site_version`` and ``dt``."""
+        for ex in self.topo:
+            cost = ex.cost
+            ex.row_caps = [
+                0.0 if site_obj.failed
+                else n_tasks * site_obj.effective_proc_rate_eps / cost * dt
+                for _, site_obj, n_tasks, _, _ in ex.site_rows
+            ]
+        self.caps_site_version = site_version
+        self.caps_dt = dt
 
 
 class EngineRuntime:
@@ -335,6 +361,9 @@ class EngineRuntime:
         #: Bumped whenever a flow queue is added or the flow table is
         #: rebuilt; stamps the per-stage route and flow-record tables.
         self._net_version = 0
+        #: The flow records' stamp (net-index version, topology factors
+        #: version, tick length), rebuilt only when one of them moves.
+        self._flow_stamp: tuple = (-1, -1, 0.0)
         #: Version-checked execution records (see :class:`_PlanCache`).
         self._exec_cache: _PlanCache | None = None
 
@@ -750,6 +779,10 @@ class EngineRuntime:
             link_budget = {}
 
         cache = self._plan_cache()
+        topology = self._topology
+        site_version = topology._site_states.value
+        if cache.caps_site_version != site_version or cache.caps_dt != dt:
+            cache.refresh_capacities(site_version, dt)
         gen_queue = self._gen_queue
         window = self._window
         # New records, or a collect since the last tick started a new
@@ -764,12 +797,8 @@ class EngineRuntime:
         offered_by_source = report.offered_by_source
         # Events generated uniformly across the tick: mean age dt/2.
         mean_gen_time = now - dt / 2
-        for src in cache.sources:
-            if src.pinned_site is None:
-                raise SimulationError(
-                    f"source stage {src.name!r} has no pinned site"
-                )
-            rate = self._workload.generation_eps(src.name, now)
+        rates = self._workload.generation_rates(cache.source_names, now)
+        for src, rate in zip(cache.sources, rates):
             gen = rate * dt
             if gen > 0:
                 queue = gen_queue.get(src.gen_key)
@@ -788,13 +817,22 @@ class EngineRuntime:
         # within the same tick (sub-tick pipelining).
         slo = self._degrade_slo_s
         cutoff = (now - slo) if slo is not None else None
-        topology = self._topology
+        stamp = self._flow_stamp
+        if (
+            stamp[0] != self._net_version
+            or stamp[1] != topology._factors_version
+            or stamp[2] != dt
+        ):
+            stamp = self._flow_stamp = (
+                self._net_version, topology._factors_version, dt
+            )
         for ex in cache.topo:
-            self._run_stage(ex, now, dt, cutoff, report, window)
-            # Stamp read after the stage ran: routing may have created a
-            # flow queue.  A stage without outgoing flows skips the pass.
-            stamp = (self._net_version, topology._factors_version, dt)
-            if ex.flows_stamp != stamp:
+            self._run_stage(ex, now, cutoff, report, window)
+            # Routing may have created a flow queue, which moves the net
+            # version.  A stage without outgoing flows skips the pass.
+            if stamp[0] != self._net_version:
+                stamp = self._flow_stamp = (self._net_version, stamp[1], dt)
+            if ex.flows_stamp is not stamp:
                 self._build_flow_records(ex, dt, stamp)
             if ex.flows:
                 self._transfer_stage_flows(
@@ -835,19 +873,17 @@ class EngineRuntime:
         self,
         ex: _StageExec,
         now: float,
-        dt: float,
         cutoff: float | None,
         report: TickReport,
         window: WindowSums | None,
     ) -> None:
         """Process one stage's input queues (after the Degrade ``cutoff``
-        drop, if any) and route the output."""
+        drop, if any) at its row capacities and route the output."""
         table = self._gen_queue if ex.is_source else self._input_queue
         name = ex.name
-        cost = ex.cost
         sel = ex.selectivity
         suspended = self._now_s < self._suspended_until.get(name, 0.0)
-        capacity_by_site = report.capacity_by_site
+        row_caps = ex.row_caps
         capacity_sums = ex.capacity_sums
         # Routing rows stay valid while the net index does not move; rows
         # resolved below may add flow queues (bumping the version), and
@@ -858,7 +894,7 @@ class EngineRuntime:
         stage_processed = 0.0
         stage_emitted = 0.0
         had_output = False
-        for site, site_obj, n_tasks, site_key, row_no in ex.site_rows:
+        for site, _, _, site_key, row_no in ex.site_rows:
             queue = table.get(site_key)
             if queue is None:
                 queue = FluidQueue()
@@ -872,12 +908,7 @@ class EngineRuntime:
                     report.dropped_raw_input[name] = (
                         report.dropped_raw_input.get(name, 0.0) + dropped
                     )
-            if suspended or site_obj.failed:
-                capacity = 0.0
-            else:
-                capacity = (
-                    n_tasks * site_obj.effective_proc_rate_eps / cost * dt
-                )
+            capacity = 0.0 if suspended else row_caps[row_no]
             # The chained selectivity is applied while popping; the columns
             # are exclusively ours, and downstream pushes copy the values.
             counts: list[float] = []
@@ -885,7 +916,6 @@ class EngineRuntime:
             processed, emitted = queue.pop_scaled_into(
                 capacity, sel, counts, gens
             )
-            capacity_by_site[site_key] = capacity
             if capacity_sums is not None:
                 capacity_sums[row_no].value += capacity
             if processed <= 0:
@@ -989,10 +1019,11 @@ class EngineRuntime:
         destination input key, record number, full-link byte budget,
         latency_s)``; the record number indexes the stage's window inflow
         cells (``flow_sums``).  The
-        stamp is (net-index version, topology factors version, tick
-        length): flow queues change only with the net index, and link
-        capacities and latencies only with a factor write or a link
-        redefinition, both of which bump ``Topology._factors_version``.
+        stamp is the tick's ``_flow_stamp`` (net-index version, topology
+        factors version, tick length): flow queues change only with the
+        net index, and link capacities and latencies only with a factor
+        write or a link redefinition, both of which bump
+        ``Topology._factors_version``.
         """
         topology = self._topology
         net_queue = self._net_queue
@@ -1097,6 +1128,16 @@ class WorkloadModel:
     tests can plug in trivial constant-rate workloads.
     """
 
+    def generation_rates(
+        self, source_stages: Sequence[str], t_s: float
+    ) -> list[float]:
+        """Raw events/second generated at each of ``source_stages`` at
+        ``t_s``, in order.  The engine reads every source's rate with one
+        call per tick; a workload with a schedule overrides this to read
+        it once for all sources.  The default asks :meth:`generation_eps`
+        source by source, so a workload overrides one of the two."""
+        return [self.generation_eps(name, t_s) for name in source_stages]
+
     def generation_eps(self, source_stage: str, t_s: float) -> float:
         """Raw events/second generated at the given source stage."""
-        raise NotImplementedError
+        return self.generation_rates((source_stage,), t_s)[0]

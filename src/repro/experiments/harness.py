@@ -67,10 +67,8 @@ class DynamicsSpec:
 def _source_rates_at(
     workload: ShapedWorkload, t_s: float
 ) -> dict[str, float]:
-    return {
-        name: workload.generation_eps(name, t_s)
-        for name in workload.source_names
-    }
+    names = workload.source_names
+    return dict(zip(names, workload.generation_rates(names, t_s)))
 
 
 def _adaptation_round(
@@ -503,7 +501,8 @@ class ExperimentRun:
             offered=report.offered,
             dropped=report.dropped_source_equiv,
             parallelism=report.parallelism,
-            extra_slots=self.scheduler.extra_slots(),
+            # The plan's tasks beyond the initial deployment (per query).
+            extra_slots=report.parallelism - self.scheduler.initial_slots,
         )
         self.recorder.record_tick(sample)
         if self.manager is not None:

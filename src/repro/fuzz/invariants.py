@@ -13,8 +13,10 @@ state.  From those two views it asserts the paper-level properties:
   minus (processing + SLO drops), per tick.
 * **queue/state non-negativity** - no fluid queue, parcel or state
   partition ever goes negative.
-* **slot-feasibility** - on every non-failed site, allocated slots cover
-  the tasks placed there (the ILP's ``A[s]`` accounting, Section 4.1).
+* **slot-feasibility** - on every non-failed site, the allocated slots
+  are exactly the run's tasks placed there (the ILP's ``A[s]``
+  accounting, Section 4.1): fewer is an infeasible placement, more is a
+  leaked slot.
 * **full-deployment** - every stage of the live plan keeps >= 1 task.
 * **alpha-cap** (Section 4.1) - after a committed network-bottleneck
   placement, every WAN flow the placement induces fits within
@@ -469,6 +471,13 @@ class InvariantChecker:
                     t_s,
                     f"site {site.name!r} hosts {placed} tasks but only "
                     f"{used} slots are allocated",
+                )
+            elif used > placed:
+                self._violate(
+                    "slot-feasibility",
+                    t_s,
+                    f"site {site.name!r} holds {used} allocated slots for "
+                    f"{placed} tasks (leaked slots)",
                 )
 
     def _check_deployment(self, t_s: float, tables: _PlanTables) -> None:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
+from ..counters import VersionCounter
 from ..errors import InsufficientSlotsError, TopologyError
 
 
@@ -41,6 +42,14 @@ class Site:
     _used_slots: int = field(default=0, repr=False)
     _failed: bool = field(default=False, repr=False)
     _slowdown: float = field(default=1.0, repr=False)
+    #: The site-state counter of each topology holding the site, bumped
+    #: by every health or rate change (``fail``, ``recover``,
+    #: ``set_slowdown`` when they change the value).  Capacity caches key
+    #: on it, so every writer of ``_failed``/``_slowdown`` must call
+    #: :meth:`_state_changed`.
+    _state_counters: list[VersionCounter] = field(
+        default_factory=list, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if self.total_slots < 0:
@@ -68,6 +77,10 @@ class Site:
         """Per-slot processing rate after any straggler slowdown."""
         return self.proc_rate_eps / self._slowdown
 
+    def _state_changed(self) -> None:
+        for counter in self._state_counters:
+            counter.value += 1
+
     def set_slowdown(self, factor: float) -> None:
         """Mark the site as a straggler (factor > 1) or restore it (1.0).
 
@@ -79,7 +92,9 @@ class Site:
             raise TopologyError(
                 f"site {self.name!r}: slowdown must be >= 1, got {factor}"
             )
-        self._slowdown = float(factor)
+        if self._slowdown != factor:
+            self._slowdown = float(factor)
+            self._state_changed()
 
     @property
     def failed(self) -> bool:
@@ -130,11 +145,15 @@ class Site:
 
     def fail(self) -> None:
         """Revoke all computational resources (Section 8.6 failure at t=540)."""
-        self._failed = True
+        if not self._failed:
+            self._failed = True
+            self._state_changed()
 
     def recover(self) -> None:
         """Re-allocate the revoked resources."""
-        self._failed = False
+        if self._failed:
+            self._failed = False
+            self._state_changed()
 
     def release_all(self) -> None:
         """Free every slot (used when a failed site's tasks are torn down)."""

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
 
+from ..counters import VersionCounter
 from ..errors import TopologyError, UnknownSiteError
 from .site import Site, SiteKind
 
@@ -49,6 +50,11 @@ class Topology:
             if site.name in self._sites:
                 raise TopologyError(f"duplicate site name: {site.name!r}")
             self._sites[site.name] = site
+        #: Bumped by every health or rate change of any of the sites, so
+        #: per-site capacity tables key on one counter.
+        self._site_states = VersionCounter()
+        for site in self._sites.values():
+            site._state_counters.append(self._site_states)
         self._base_bandwidth: dict[tuple[str, str], float] = {}
         self._base_latency: dict[tuple[str, str], float] = {}
         #: Per-link factor overrides; links without an entry use
@@ -92,6 +98,12 @@ class Topology:
     @property
     def site_names(self) -> list[str]:
         return list(self._sites)
+
+    @property
+    def site_state_version(self) -> int:
+        """Monotonic count of health and rate changes over every site
+        (``Site.fail``/``recover``/``set_slowdown``)."""
+        return self._site_states.value
 
     def sites_of_kind(self, kind: SiteKind) -> list[Site]:
         return [s for s in self._sites.values() if s.kind is kind]

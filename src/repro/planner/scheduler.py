@@ -43,14 +43,11 @@ class Scheduler:
 
     @property
     def initial_slots(self) -> int | None:
-        """Slot count right after the initial deployment (baseline for the
-        "extra slots" series of Figure 10c)."""
+        """Slots of this query's initial deployment, i.e. its plan's tasks
+        (baseline for the "extra slots" series of Figure 10c: a run's extra
+        slots are its plan's tasks beyond these, whatever other queries on
+        the same topology hold)."""
         return self._initial_slots
-
-    def extra_slots(self) -> int:
-        if self._initial_slots is None:
-            return 0
-        return self._topology.total_used_slots() - self._initial_slots
 
     # ------------------------------------------------------------------ #
     # Deployment
@@ -73,7 +70,7 @@ class Scheduler:
             self._apply_stage_assignment(stage, assignment)
             stage.initial_parallelism = stage.parallelism
         if self._initial_slots is None:
-            self._initial_slots = self._topology.total_used_slots()
+            self._initial_slots = plan.total_parallelism()
 
     def undeploy(self, plan: PhysicalPlan) -> None:
         """Tear down every task of the plan and release its slots."""
@@ -190,6 +187,9 @@ class Scheduler:
 
     def _release_site(self, site: str, count: int = 1) -> None:
         site_obj = self._topology.site(site)
-        # A failed site already had its slots revoked wholesale.
-        if not site_obj.failed and site_obj.used_slots >= count:
+        # A task leaving a site frees its slot, failed site or not: a
+        # crashed site keeps its tasks (and their slots) until a re-assign
+        # moves them.  Only an evacuated site, whose slots
+        # ``evacuate_failed_sites`` released wholesale, counts fewer.
+        if site_obj.used_slots >= count:
             site_obj.release(count)

@@ -11,6 +11,8 @@ each source stage generate per second at time ``t``?  The answer combines
 
 from __future__ import annotations
 
+from typing import Sequence
+
 from ..engine.runtime import WorkloadModel
 from ..errors import ConfigurationError
 from ..sim.schedule import Schedule
@@ -24,6 +26,7 @@ class ShapedWorkload(WorkloadModel):
         base_rates_eps: dict[str, float],
         *,
         factor_schedule: Schedule | None = None,
+        unscaled_sources: frozenset[str] = frozenset(),
     ) -> None:
         if not base_rates_eps:
             raise ConfigurationError("workload needs at least one source")
@@ -34,6 +37,9 @@ class ShapedWorkload(WorkloadModel):
                 )
         self._base_rates = dict(base_rates_eps)
         self._factor_schedule = factor_schedule or Schedule.constant(1.0)
+        #: Sources that generate at their base rate, outside the shape and
+        #: the factor schedule.
+        self._unscaled = frozenset(unscaled_sources)
 
     @property
     def source_names(self) -> list[str]:
@@ -54,15 +60,25 @@ class ShapedWorkload(WorkloadModel):
         """Per-source multiplicative shape; subclasses override (default 1)."""
         return 1.0
 
-    def generation_eps(self, source_stage: str, t_s: float) -> float:
-        base = self._base_rates.get(source_stage)
-        if base is None:
-            return 0.0
-        return (
-            base
-            * self.shape(source_stage, t_s)
-            * self._factor_schedule.factor(t_s)
-        )
+    def generation_rates(
+        self, source_stages: Sequence[str], t_s: float
+    ) -> list[float]:
+        """Raw events/second per source at ``t_s``: ``base * shape *
+        factor``, with the factor schedule read once; an unscaled source
+        generates its base rate and an unknown one 0.0."""
+        factor = self._factor_schedule.factor(t_s)
+        base_rates = self._base_rates
+        unscaled = self._unscaled
+        rates = []
+        for name in source_stages:
+            base = base_rates.get(name)
+            if base is None:
+                rates.append(0.0)
+            elif name in unscaled:
+                rates.append(base)
+            else:
+                rates.append(base * self.shape(name, t_s) * factor)
+        return rates
 
     def total_base_eps(self) -> float:
         return sum(self._base_rates.values())

@@ -58,14 +58,9 @@ class YsbWorkload(ShapedWorkload):
         spec = spec or YsbSpec()
         rates = {name: spec.rate_eps for name in ad_sources}
         rates[campaign_source] = spec.campaign_update_eps
-        super().__init__(rates)
+        super().__init__(rates, unscaled_sources=frozenset({campaign_source}))
         self._campaign_source = campaign_source
 
     @property
     def campaign_source(self) -> str:
         return self._campaign_source
-
-    def generation_eps(self, source_stage: str, t_s: float) -> float:
-        if source_stage == self._campaign_source:
-            return self.base_rate_eps(source_stage)
-        return super().generation_eps(source_stage, t_s)

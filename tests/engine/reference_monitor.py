@@ -3,8 +3,12 @@ kept as a test oracle.
 
 :class:`ReferenceMetricMonitor` is the previous
 :class:`repro.engine.metrics.GlobalMetricMonitor`, verbatim apart from its
-name and imports: it buffers every observed :class:`TickReport` and folds
-the buffer key by key when the window is read.
+name, its imports and where capacities come from: it buffers every
+observed :class:`TickReport` and folds the buffer key by key when the
+window is read.  Tick reports no longer carry per-site capacities, so
+:meth:`ReferenceMetricMonitor.observe` derives each (stage, site) row's
+capacity from the runtime's plan, sites and suspensions, in the engine's
+formula and operand order (bit-equal on both backends).
 ``tests/engine/test_window_equivalence.py`` feeds it the same reports as
 the live monitor and asserts ``repr``-equal windows (values and key order)
 at every ``collect`` and ``peek``.
@@ -56,8 +60,11 @@ class ReferenceMetricMonitor:
     followed by a reset.
     """
 
-    def __init__(self) -> None:
-        self._reports: list[TickReport] = []
+    def __init__(self, runtime) -> None:
+        self._runtime = runtime
+        #: When the next observed tick started (suspensions are read then).
+        self._tick_start_s = runtime.now_s
+        self._reports: list[tuple[TickReport, dict]] = []
         self._reset()
 
     def _reset(self) -> None:
@@ -76,7 +83,31 @@ class ReferenceMetricMonitor:
         self._net_backlog_keys: set[tuple[str, str, str, str]] = set()
 
     def observe(self, report: TickReport) -> None:
-        self._reports.append(report)
+        self._reports.append((report, self._capacities()))
+        self._tick_start_s = self._runtime.now_s
+
+    def _capacities(self) -> dict[tuple[str, str], float]:
+        """Per (stage, site) row of the tick just run, in the engine's
+        row order: ``n_tasks * rate / cost * dt``, 0.0 on a failed site or
+        while the stage is suspended."""
+        runtime = self._runtime
+        dt = runtime._config.tick_s
+        start = self._tick_start_s
+        capacities: dict[tuple[str, str], float] = {}
+        for stage in runtime.plan.topological_stages():
+            suspended = start < runtime.suspended_until(stage.name)
+            placement = stage.placement()
+            for site in sorted(placement):
+                site_obj = runtime.topology.site(site)
+                if suspended or site_obj.failed:
+                    capacity = 0.0
+                else:
+                    capacity = (
+                        placement[site] * site_obj.effective_proc_rate_eps
+                        / stage.cost * dt
+                    )
+                capacities[stage.name, site] = capacity
+        return capacities
 
     @property
     def pending_ticks(self) -> int:
@@ -105,7 +136,7 @@ class ReferenceMetricMonitor:
             )
         return self._window()
 
-    def _fold(self, reports: list[TickReport]) -> None:
+    def _fold(self, reports: list[tuple[TickReport, dict]]) -> None:
         """Add ``reports`` to the running sums.
 
         Per-site and per-link sums accumulate flat, keyed by (stage, site)
@@ -120,8 +151,8 @@ class ReferenceMetricMonitor:
         one (dst stage, link) key, so it still folds report by report.
         """
         if self._first is None:
-            self._first = reports[0]
-        self._last = reports[-1]
+            self._first = reports[0][0]
+        self._last = reports[-1][0]
         self._folded += len(reports)
         offered = self._offered
         sink_events = self._sink_events
@@ -132,7 +163,7 @@ class ReferenceMetricMonitor:
         net_in = self._net_in
         backlog_keys = self._backlog_keys
         net_backlog_keys = self._net_backlog_keys
-        for r in reports:
+        for r, capacities in reports:
             offered += r.offered
             sink_events += r.sink_events
             delay_weight += r.sink_delay_weighted_s
@@ -140,7 +171,7 @@ class ReferenceMetricMonitor:
                 source_gen[name] = source_gen.get(name, 0.0) + gen
             for name, v in r.processed.items():
                 processed_by[name] = processed_by.get(name, 0.0) + v
-            for key, v in r.capacity_by_site.items():
+            for key, v in capacities.items():
                 capacity_site[key] = capacity_site.get(key, 0.0) + v
             for (_, dst, su, sd), v in r.net_sent.items():
                 key = (dst, su, sd)

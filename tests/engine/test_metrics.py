@@ -21,9 +21,10 @@ def report(t, **kwargs):
     return r
 
 
-def feed(monitor, r):
+def feed(monitor, r, capacity=None):
     """Hand one report to a monitor as a tick of the engine would: its
-    values into the window sums, in report order, then ``observe``."""
+    values and the tick's per-(stage, site) ``capacity`` into the window
+    sums, in report order, then ``observe``."""
     sums = monitor.sums
     sums.offered += r.offered
     sums.sink_events += r.sink_events
@@ -32,7 +33,7 @@ def feed(monitor, r):
         running_sum(sums.source_gen, name).value += v
     for name, v in r.processed.items():
         running_sum(sums.processed, name).value += v
-    for (stage, site), v in r.capacity_by_site.items():
+    for (stage, site), v in (capacity or {}).items():
         running_sum(sums.capacity.setdefault(stage, {}), site).value += v
     for (_, dst, su, sd), v in r.net_sent.items():
         running_sum(sums.net_in, (dst, su, sd)).value += v
@@ -150,11 +151,8 @@ class TestBacklogs:
         monitor = GlobalMetricMonitor()
         feed(
             monitor,
-            report(
-                1.0,
-                processed={"agg": 150.0},
-                capacity_by_site={("agg", "a"): 200.0, ("agg", "b"): 300.0},
-            ),
+            report(1.0, processed={"agg": 150.0}),
+            capacity={("agg", "a"): 200.0, ("agg", "b"): 300.0},
         )
         metrics = monitor.collect().stages["agg"]
         assert metrics.capacity_by_site == {"a": 200.0, "b": 300.0}
@@ -242,11 +240,11 @@ class TestCollectEdgeCases:
         assert metrics.input_backlog_growth == pytest.approx(5.0)
 
 
-def _rescan_sites(reports, stage, field):
-    """Per-stage rescan of a ``(stage, site)`` table, in report order."""
+def _rescan_sites(tables, stage):
+    """Per-stage rescan of ``(stage, site)`` tables, in tick order."""
     out = {}
-    for r in reports:
-        for (name, site), v in getattr(r, field).items():
+    for table in tables:
+        for (name, site), v in table.items():
             if name == stage:
                 out[site] = out.get(site, 0.0) + v
     return out
@@ -288,20 +286,21 @@ class TestFlatAccumulation:
             for sd in sites
             if su_stage != dst and su != sd
         ]
-        reports = [
-            report(
-                float(t),
-                capacity_by_site=table(stage_sites),
-                input_backlog=table(stage_sites),
-                net_sent=table(flows),
-                net_backlog=table(flows),
+        reports, capacities = [], []
+        for t in range(1, draw.randint(2, 12)):
+            capacities.append(table(stage_sites))
+            reports.append(
+                report(
+                    float(t),
+                    input_backlog=table(stage_sites),
+                    net_sent=table(flows),
+                    net_backlog=table(flows),
+                )
             )
-            for t in range(1, draw.randint(2, 12))
-        ]
         peek_after = draw.randint(0, len(reports))
         monitor = GlobalMetricMonitor()
-        for i, r in enumerate(reports, 1):
-            feed(monitor, r)
+        for i, (r, capacity) in enumerate(zip(reports, capacities), 1):
+            feed(monitor, r, capacity)
             if i == peek_after:
                 monitor.peek()
         window = monitor.collect()
@@ -313,9 +312,7 @@ class TestFlatAccumulation:
         for name, metrics in window.stages.items():
             expected = {
                 k: v / span
-                for k, v in _rescan_sites(
-                    reports, name, "capacity_by_site"
-                ).items()
+                for k, v in _rescan_sites(capacities, name).items()
             }
             assert list(metrics.capacity_by_site.items()) == list(
                 expected.items()

@@ -42,8 +42,8 @@ from .reference_monitor import ReferenceMetricMonitor
 class _Oracle:
     """Shadows one live monitor with the reference monitor."""
 
-    def __init__(self, monitor) -> None:
-        reference = ReferenceMetricMonitor()
+    def __init__(self, monitor, runtime) -> None:
+        reference = ReferenceMetricMonitor(runtime)
         self.collects = 0
         self.peeks = 0
         observe, collect, peek = monitor.observe, monitor.collect, monitor.peek
@@ -81,7 +81,7 @@ def oracles(monkeypatch):
 
     def patched(self, *args, **kwargs):
         init(self, *args, **kwargs)
-        installed.append(_Oracle(self.monitor))
+        installed.append(_Oracle(self.monitor, self.runtime))
 
     monkeypatch.setattr(controller.ReconfigurationManager, "__init__", patched)
     return installed

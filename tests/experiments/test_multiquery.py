@@ -115,3 +115,19 @@ class TestContention:
             for run in multi.runs
         ]
         assert all(r > 0.3 for r in ratios)
+
+
+class TestPerQueryExtraSlots:
+    def test_a_tenant_does_not_count_another_tenants_slots(self):
+        """YSB deploys at 0 s and Top-K at 20 s; neither adapts, so each
+        query's extra slots stay 0 (YSB's read 14 from 20 s on while its
+        parallelism stayed 12, when they were topology-wide)."""
+        multi = build_multi(seed=7, starts=(0.0, 20.0))
+        multi.run(40)
+        ysb = multi.runs[0]
+        assert ysb.query.name.startswith("ysb")
+        assert len(multi.runs) == 2
+        for run in multi.runs:
+            assert set(run.recorder.extra_slots_series()) == {0.0}
+            parallelism = {s.parallelism for s in run.recorder.samples}
+            assert parallelism == {run.scheduler.initial_slots}

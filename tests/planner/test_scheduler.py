@@ -45,9 +45,18 @@ class TestDeploy:
 
     def test_initial_slots_recorded(self, small_topology):
         scheduler = Scheduler(small_topology)
-        scheduler.deploy(make_plan(), ASSIGNMENTS)
+        plan = make_plan()
+        scheduler.deploy(plan, ASSIGNMENTS)
         assert scheduler.initial_slots == 3
-        assert scheduler.extra_slots() == 0
+        assert plan.total_parallelism() - scheduler.initial_slots == 0
+
+    def test_initial_slots_are_this_querys_tasks(self, small_topology):
+        """A second query on the same topology counts only its own tasks
+        (the topology-wide used-slot count read 6 here)."""
+        Scheduler(small_topology).deploy(make_plan(), ASSIGNMENTS)
+        second = Scheduler(small_topology)
+        second.deploy(make_plan(), ASSIGNMENTS)
+        assert second.initial_slots == 3
 
     def test_missing_assignment_rejected(self, small_topology):
         scheduler = Scheduler(small_topology)
@@ -100,7 +109,7 @@ class TestMutations:
         scheduler, plan = deployed
         scheduler.add_tasks(plan.stage("agg"), {"dc-1": 2})
         assert plan.stage("agg").parallelism == 3
-        assert scheduler.extra_slots() == 2
+        assert plan.total_parallelism() - scheduler.initial_slots == 2
 
     def test_remove_task(self, deployed):
         scheduler, plan = deployed
@@ -187,6 +196,24 @@ class TestFailureEvacuation:
         assert lost == {"agg": 1}
         assert plan.stage("agg").placement() == {"dc-2": 1}
         assert plan.stage("out").placement() == {"dc-2": 1}
+
+    def test_moving_a_task_off_a_crashed_site_frees_its_slot(
+        self, small_topology
+    ):
+        """Under WASP a crashed site keeps its tasks until a re-assign
+        moves them; the move must free the slot, so nothing leaks past the
+        site's recovery."""
+        scheduler = Scheduler(small_topology)
+        plan = make_plan()
+        scheduler.deploy(plan, ASSIGNMENTS)
+        dc1 = small_topology.site("dc-1")
+        dc1.fail()
+        scheduler.apply_assignment(plan.stage("agg"), {"dc-2": 1})
+        assert dc1.used_slots == 1  # the sink's task is still there
+        dc1.recover()
+        assert dc1.used_slots == 1
+        assert dc1.available_slots == 7
+        assert small_topology.site("dc-2").used_slots == 1
 
     def test_evacuation_is_idempotent(self, small_topology):
         scheduler = Scheduler(small_topology)
