@@ -12,7 +12,10 @@ the adaptation log cannot drift from the recorder.  A fingerprint covers the man
 engine ticks on the 16-site all-to-all shuffle of
 :func:`benchmarks.perf.scale.build_world`.  Two more pin the dense backend
 against itself: the same fingerprint on the 64-site shuffle, and an adapting
-Figure 8 run (adaptations recompile the dense model).  The Figure 11 WASP
+Figure 8 run (adaptations recompile the dense model).  Two more drive dense
+paths those leave dark: the Degrade run on the dense backend (its SLO drops
+whole age buckets from stage and WAN rows), and a second shuffle geometry,
+32 sites with two aggregation tasks on each.  The Figure 11 WASP
 run pins the Section 8.6 whole-testbed outage: its samples and adaptation
 lines across the failure, the recovery replay and the round after it.
 
@@ -59,6 +62,9 @@ SHUFFLE_SITES = 16
 SHUFFLE_TICKS = 120
 #: Sites of the dense-backend shuffle fingerprint (same tick count).
 DENSE_SHUFFLE_SITES = 64
+#: Sites and aggregation tasks per site of the second dense shuffle pin.
+DENSE_P2_SITES = 32
+DENSE_P2_TASKS = 2
 
 #: Expected outputs per CPython ``(major, minor)``.
 PINNED = {
@@ -88,6 +94,13 @@ PINNED = {
         ),
         "fig11_live": (
             "9972bb915915a9c8af1b1fd76a98b88fc742d04d23332f223697499aefd3b3b1"
+        ),
+        "fig8_degrade_dense": (
+            "21c025dca8f75f817ec810b47ce4305a101b8752f131844722e753cfd0f10d18"
+        ),
+        "shuffle32_dense_p2": (
+            "sink=10462081.113873325 backlog=219937918.8861267 "
+            "net=266648448.02245528"
         ),
     },
 }
@@ -125,15 +138,23 @@ def fig8_dense_digest(duration_s: float = 900.0, seed: int = DIGEST_SEED) -> str
 
 
 def fig8_degrade_digest(
-    duration_s: float = 1500.0, seed: int = DIGEST_SEED
+    duration_s: float = 1500.0,
+    seed: int = DIGEST_SEED,
+    backend: str | None = None,
 ) -> str:
     """Digest of a full Fig-8 YSB panel under the Degrade baseline.
 
     Degrade drops events older than its SLO from the stage input queues
     and from the in-flight WAN queues instead of adapting; this run takes
     both drop paths on hundreds of ticks, which the WASP run never does.
+    ``backend`` overrides the configured engine backend.
     """
-    run = _build_run(seed, degrade(), "ysb-advertising")
+    config = None
+    if backend is not None:
+        config = WaspConfig.paper_defaults().with_overrides(
+            engine_backend=backend
+        )
+    run = _build_run(seed, degrade(), "ysb-advertising", config)
     run.run(duration_s, bottleneck_dynamics())
     return recorder_digest(run.recorder)
 
@@ -210,11 +231,12 @@ def shuffle_fingerprint(
     sites: int = SHUFFLE_SITES,
     ticks: int = SHUFFLE_TICKS,
     backend: str = "reference",
+    tasks_per_site: int = 1,
 ) -> str:
     """Raw engine ticks on the all-to-all shuffle world, no controller:
     sums of sink events and of WAN events sent over the run, plus the
     final backlog, at ``repr`` (exact) precision."""
-    topology, plan, workload = build_world(sites, 1)
+    topology, plan, workload = build_world(sites, tasks_per_site)
     runtime = create_runtime(
         topology, plan, workload, WaspConfig.paper_defaults(), backend=backend
     )
@@ -239,6 +261,10 @@ DIGESTS = {
     ),
     "fig8_dense": fig8_dense_digest,
     "fig11_live": fig11_live_digest,
+    "fig8_degrade_dense": lambda: fig8_degrade_digest(backend="dense"),
+    "shuffle32_dense_p2": lambda: shuffle_fingerprint(
+        DENSE_P2_SITES, backend="dense", tasks_per_site=DENSE_P2_TASKS
+    ),
 }
 
 

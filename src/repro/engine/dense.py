@@ -20,6 +20,19 @@ generate -> process -> route -> transfer as fused array operations:
   not O(queues) or O(parcels).  It also owns the scratch buffers the
   kernels write into: a tick allocates no ``(rows, buckets)``
   temporaries.
+* Work follows the events that move.  One pop kernel (:func:`_pop_rows`)
+  serves stage execution and WAN transfer alike: it computes each cell's
+  take over the full ``(rows, B)`` block, then splits mass, subtracts
+  and returns only the cells that send, in ``(row, bucket)`` order.  A
+  WAN pass ages and scatters just those cells (:func:`_deliver`); a
+  group's fan-out covers only the bucket columns it popped from
+  (:func:`_fan_out`; a source that keeps up pops its fresh bucket 0
+  alone); the per-tick roll is one flat copy plus two column fix-ups
+  (:func:`_roll_into`).
+  The skipped cells would only contribute exact zeros, so the output is
+  bit-identical to the full-width kernels.  On the 64-site shuffle this
+  took perfbench's ``step_ms.p50`` from 3.14 to 2.20 ms on a 2-vCPU VM;
+  DESIGN.md section 7, "Dense tick kernels", has the per-phase figures.
 * The dict-of-FluidQueue representation remains the interchange format:
   arrays are synced out lazily whenever an inspection API or the mutation
   API (snapshot/restore, migration, ``replace_plan``, replay injection)
@@ -61,9 +74,9 @@ from .runtime import (
 _DRAIN_EPS = 1e-12
 
 #: ``engine_backend="auto"`` picks the dense backend for plans with at
-#: least this many potential WAN flows (:func:`potential_wan_flows`).  On
-#: bare shuffle worlds dense runs at 0.63x the reference at 63 flows,
-#: about 1.0x at 99-143 and 1.38x at 255 (DESIGN.md section 7).
+#: least this many potential WAN flows (:func:`potential_wan_flows`).  The
+#: measured crossover behind it is recorded in DESIGN.md section 7,
+#: "Backends".
 AUTO_DENSE_MIN_FLOWS = 128
 
 
@@ -82,18 +95,28 @@ def _rows(ids: list[int]) -> slice | np.ndarray:
 class _PopScratch:
     """Preallocated ``(rows, B)`` buffers of one :func:`_pop_rows` call
     site, reused every tick so the kernel allocates no large temporaries.
-    ``c``/``m`` hold the gathered rows when the selector is an index array.
+
+    ``c`` holds the gathered counts and ``cells`` maps the selection's flat
+    cells back into the full arrays when the selector is an index array;
+    for a slice both are ``None`` (the kernel works on views).  With
+    ``dense_mass`` the kernel also writes the taken mass into ``tm``, zero
+    off the sending cells, for callers that read it per bucket column.
     """
 
-    __slots__ = ("cum", "take_c", "take_m", "c", "m")
+    __slots__ = ("cum", "take", "sends", "c", "cells", "tm")
 
-    def __init__(self, rows: slice | np.ndarray, n: int, B: int) -> None:
+    def __init__(
+        self, rows: slice | np.ndarray, n: int, B: int, dense_mass: bool = False
+    ) -> None:
         self.cum = np.empty((n, B))
-        self.take_c = np.empty((n, B))
-        self.take_m = np.empty((n, B))
-        gather = not isinstance(rows, slice)
-        self.c = np.empty((n, B)) if gather else None
-        self.m = np.empty((n, B)) if gather else None
+        self.take = np.empty((n, B))
+        self.sends = np.empty((n, B), dtype=bool)
+        if isinstance(rows, slice):
+            self.c = self.cells = None
+        else:
+            self.c = np.empty((n, B))
+            self.cells = (rows[:, None] * B + np.arange(B)).ravel()
+        self.tm = np.empty((n, B)) if dense_mass else None
 
 
 def _pop_rows(
@@ -102,50 +125,76 @@ def _pop_rows(
     rows: slice | np.ndarray,
     caps: np.ndarray,
     sc: _PopScratch,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """FIFO-pop up to ``caps[i]`` events from each row, oldest bucket first.
 
-    Mutates ``cnt``/``mass`` in place and returns ``(take_cnt, take_mass,
-    popped_totals, totals_before)``; the first two and the last are views
-    into ``sc``, valid until the same call site runs again.
+    Mutates ``cnt``/``mass`` in place and returns ``(idx, take_cnt,
+    take_mass, popped_totals, totals_before)``.  ``idx`` lists the flat
+    ``(row, bucket)`` cells of the selection that send events, in row-major
+    order; ``take_cnt``/``take_mass`` are what each of them sends.  The
+    dense take (zero off ``idx``) stays in ``sc.take``, and in ``sc.tm``
+    its mass when the scratch has one; ``totals_before`` is a view of
+    ``sc.cum``.  All are valid until the same call site runs again.
+
     Fully-consumed buckets transfer their exact mass (``c/c == 1.0`` in
     IEEE arithmetic leaves a remainder of exactly 0); partially-consumed
     buckets split mass proportionally, i.e. at the bucket's mean generation
-    time.
+    time.  Cells off ``idx`` are left untouched.  A split over every cell
+    would compute ``m - m * 0`` there, which leaves ``m`` as it was except
+    a mass of -0.0, which it writes as +0.0; the engine never holds a -0.0
+    mass (``tests/engine/test_dense_backend.py`` checks this at every pop).
     """
     gathered = sc.c is not None
     if gathered:
         c = np.take(cnt, rows, axis=0, out=sc.c)
-        m = np.take(mass, rows, axis=0, out=sc.m)
+        cnt_f = cnt.reshape(-1)
+        mass_f = mass.reshape(-1)
     else:
         c = cnt[rows]
-        m = mass[rows]
+        cnt_f = c.reshape(-1)
+        mass_f = mass[rows].reshape(-1)
     # cum[:, b]: events in bucket b and every older one, summed oldest
     # first (a cumsum over the reversed row, written back reversed).
     cum = sc.cum
     np.cumsum(c[:, ::-1], axis=1, out=cum[:, ::-1])
-    # take[:, b] = min(max(cap - events older than b, 0), c[:, b]).
-    take = sc.take_c
-    np.subtract(caps[:, None], cum[:, 1:], out=take[:, :-1])
+    # take[:, b] = min(max(cap - events older than b, 0), c[:, b]).  The
+    # subtraction runs flat, cell (r, b) against cum's next cell (r, b + 1):
+    # one long loop instead of one short loop per row.  It pairs each row's
+    # last bucket with the next row's bucket 0; that column is set after.
+    take = sc.take
+    take_f = take.reshape(-1)
+    np.copyto(take, caps[:, None])
+    np.subtract(take_f[:-1], cum.reshape(-1)[1:], out=take_f[:-1])
     take[:, -1] = caps
     np.maximum(take, 0.0, out=take)
     np.minimum(take, c, out=take)
-    tm = sc.take_m
-    np.maximum(c, 1e-300, out=tm)
-    np.divide(take, tm, out=tm)
-    np.multiply(m, tm, out=tm)
-    np.subtract(c, take, out=c)
-    np.subtract(m, tm, out=m)
+    # Only the sending cells take part in the split from here on.
+    np.greater(take, 0.0, out=sc.sends)
+    idx = sc.sends.reshape(-1).nonzero()[0]
+    cells = sc.cells[idx] if gathered else idx
+    tc = take_f[idx]
+    ci = cnt_f[cells]
+    mi = mass_f[cells]
+    tm = np.maximum(ci, 1e-300)
+    np.divide(tc, tm, out=tm)
+    np.multiply(mi, tm, out=tm)
+    cnt_f[cells] = np.subtract(ci, tc, out=ci)
+    mass_f[cells] = np.subtract(mi, tm, out=mi)
+    if sc.tm is not None:
+        sc.tm.fill(0.0)
+        sc.tm.reshape(-1)[idx] = tm
     before = cum[:, 0]
     popped = np.minimum(caps, before)
-    drained = before - popped < _DRAIN_EPS
-    if drained.any():
-        c[drained] = 0.0
-        m[drained] = 0.0
-    if gathered:
-        cnt[rows] = c
-        mass[rows] = m
-    return take, tm, popped, before
+    drained = (before - popped < _DRAIN_EPS).nonzero()[0]
+    if drained.size:
+        if gathered:
+            drained = rows[drained]
+            cnt[drained] = 0.0
+            mass[drained] = 0.0
+        else:
+            c[drained] = 0.0
+            mass[rows][drained] = 0.0
+    return idx, tc, tm, popped, before
 
 
 def _drop_older_rows(
@@ -170,6 +219,107 @@ def _drop_older_rows(
         cnt[rows] = np.where(mask, 0.0, c)
         mass[rows] = np.where(mask, 0.0, m)
     return dropped
+
+
+def _bucket_span(sends: np.ndarray) -> tuple[int, int]:
+    """The bucket columns ``lo:hi`` in which any row of the ``(rows, B)``
+    mask ``sends`` is set; ``(0, 0)`` when none is."""
+    cols = sends.any(axis=0).nonzero()[0]
+    if not cols.size:
+        return 0, 0
+    return int(cols[0]), int(cols[-1]) + 1
+
+
+def _fan_out(
+    g: _DepthGroup,
+    lo: int,
+    hi: int,
+    in_cnt: np.ndarray,
+    in_mass: np.ndarray,
+    net_cnt: np.ndarray,
+    net_mass: np.ndarray,
+) -> None:
+    """Route a group's popped events (``g.pop.take`` and ``g.pop.tm``), times
+    each row's selectivity, into its requeue, local and remote targets.
+
+    Only bucket columns ``lo:hi`` are routed: outside the span in which the
+    group popped, the full-width fan-out would add exact zeros.  Rows of
+    sinks or ``sel == 0`` stages have no targets, or contribute zeros.
+    """
+    n = g.n_rows
+    w = hi - lo
+    if not w:
+        return
+    out_c = np.multiply(
+        g.pop.take[:, lo:hi], g.sel_col, out=g.out_c[: n * w].reshape(n, w)
+    )
+    out_m = np.multiply(
+        g.pop.tm[:, lo:hi], g.sel_col, out=g.out_m[: n * w].reshape(n, w)
+    )
+    if g.has_requeue:
+        in_cnt[g.rows, lo:hi] += out_c * g.mult_col
+        in_mass[g.rows, lo:hi] += out_m * g.mult_col
+    if g.loc_src is not None:
+        in_cnt_f = in_cnt.reshape(-1)
+        in_mass_f = in_mass.reshape(-1)
+        cells = g.loc_cells[:, lo:hi].ravel()
+        in_cnt_f += np.bincount(
+            cells,
+            weights=(out_c[g.loc_src] * g.loc_frac).ravel(),
+            minlength=in_cnt_f.shape[0],
+        )
+        in_mass_f += np.bincount(
+            cells,
+            weights=(out_m[g.loc_src] * g.loc_frac).ravel(),
+            minlength=in_mass_f.shape[0],
+        )
+    if g.rem_src is not None:
+        k = len(g.rem_src)
+        rc = g.rem_c[: k * w].reshape(k, w)
+        rm = g.rem_m[: k * w].reshape(k, w)
+        np.take(out_c, g.rem_src, axis=0, out=rc)
+        np.take(out_m, g.rem_src, axis=0, out=rm)
+        net_cnt[g.rem_rows, lo:hi] += np.multiply(rc, g.rem_frac, out=rc)
+        net_mass[g.rem_rows, lo:hi] += np.multiply(rm, g.rem_frac, out=rm)
+
+
+def _deliver(
+    in_cnt_f: np.ndarray,
+    in_mass_f: np.ndarray,
+    idx: np.ndarray,
+    take_c: np.ndarray,
+    take_m: np.ndarray,
+    lat_flat: np.ndarray,
+    dst_flat: np.ndarray,
+) -> None:
+    """Land a WAN pass's sent cells ``idx`` in their destination cells of
+    the flat input arrays (``take_m`` is aged in place).
+
+    Aging by link latency: the destination mass is ``sum(c * (gen -
+    latency))``; the bucket shift in ``dst_flat`` is the rounded equivalent
+    for ordering purposes.  Only the sending cells are scattered, in
+    ``(flow, bucket)`` order: each destination cell sums the same nonzero
+    terms, in the same order, as a scatter of every cell would.
+    """
+    take_m -= lat_flat[idx] * take_c
+    dst = dst_flat[idx]
+    size = in_cnt_f.shape[0]
+    in_cnt_f += np.bincount(dst, weights=take_c, minlength=size)
+    in_mass_f += np.bincount(dst, weights=take_m, minlength=size)
+
+
+def _roll_into(cur: np.ndarray, nxt: np.ndarray) -> None:
+    """Write ``cur`` aged by one tick into ``nxt``: bucket ``b`` moves to
+    ``b + 1``, bucket 0 starts empty and the oldest bucket accumulates.
+
+    One flat copy shifts every row by one cell; it carries each row's
+    oldest bucket into the next row's bucket 0, which the two column
+    fix-ups then overwrite.
+    """
+    B = cur.shape[1]
+    nxt.reshape(-1)[1:] = cur.reshape(-1)[:-1]
+    nxt[:, 0] = 0.0
+    np.add(cur[:, B - 1], cur[:, B - 2], out=nxt[:, B - 1])
 
 
 def _row_queues(
@@ -227,7 +377,7 @@ class _FlowPass:
     """One FCFS round of link sharing: at most one flow per link."""
 
     __slots__ = (
-        "flow_keys", "flow_rows", "link_ids", "lat_s", "eb", "inv_eb",
+        "flow_keys", "flow_rows", "link_ids", "lat_flat", "eb", "inv_eb",
         "dst_flat", "pop",
     )
 
@@ -254,7 +404,7 @@ class _DepthGroup:
         "stages", "rows", "n_rows", "row_keys", "site_ids", "n_tasks",
         "cost_row", "sel_col", "mult_col", "has_requeue", "pop",
         "out_c", "out_m",
-        "loc_src", "loc_frac", "loc_flat",
+        "loc_src", "loc_frac", "loc_cells",
         "rem_src", "rem_frac", "rem_rows", "rem_c", "rem_m",
         "flow_rows_all", "n_flows", "flow_dst_all", "passes",
     )
@@ -514,9 +664,10 @@ class _DenseModel:
 
             g.rows = _rows(rows_l)
             g.n_rows = n = len(rows_l)
-            g.pop = _PopScratch(g.rows, n, B)
-            g.out_c = np.empty((n, B))
-            g.out_m = np.empty((n, B))
+            g.pop = _PopScratch(g.rows, n, B, dense_mass=True)
+            # Flat: the fan-out views them at its bucket span's width.
+            g.out_c = np.empty(n * B)
+            g.out_m = np.empty(n * B)
             g.row_keys = row_keys
             g.site_ids = np.array(site_ids_l, dtype=np.intp)
             g.n_tasks = np.array(ntasks_l)
@@ -529,19 +680,19 @@ class _DenseModel:
                 g.loc_src = np.array([p for p, _, _ in loc], dtype=np.intp)
                 g.loc_frac = np.array([f for _, _, f in loc])[:, None]
                 dst = np.array([r for _, r, _ in loc], dtype=np.intp)
-                g.loc_flat = (dst[:, None] * B + bucket_idx).ravel()
+                g.loc_cells = dst[:, None] * B + bucket_idx
             else:
                 g.loc_src = None
                 g.loc_frac = None
-                g.loc_flat = None
+                g.loc_cells = None
             if rem:
                 # Each flow key names its source stage and site, so remote
                 # targets are unique rows: routing adds into them directly.
                 g.rem_src = np.array([p for p, _, _ in rem], dtype=np.intp)
                 g.rem_frac = np.array([f for _, _, f in rem])[:, None]
                 g.rem_rows = _rows([r for _, r, _ in rem])
-                g.rem_c = np.empty((len(rem), B))
-                g.rem_m = np.empty((len(rem), B))
+                g.rem_c = np.empty(len(rem) * B)
+                g.rem_m = np.empty(len(rem) * B)
             else:
                 g.rem_src = None
                 g.rem_frac = None
@@ -579,7 +730,7 @@ class _DenseModel:
                     topology.latency_ms(k[2], k[3]) / 1000.0
                     for k, _, _ in entries
                 ])
-                ps.lat_s = lat[:, None]
+                ps.lat_flat = np.repeat(lat, B)
                 eb_arr = np.array([e for _, _, e in entries])
                 ps.eb = eb_arr
                 ps.inv_eb = 1.0 / eb_arr
@@ -766,7 +917,6 @@ class DenseEngineRuntime(EngineRuntime):
 
     def _roll(self) -> None:
         """Age every bucket by one tick (the oldest bucket accumulates)."""
-        B = self._B
         for attr, scr in (
             ("_in_cnt", "_in_cnt_sc"),
             ("_in_mass", "_in_mass_sc"),
@@ -775,9 +925,7 @@ class DenseEngineRuntime(EngineRuntime):
         ):
             cur = getattr(self, attr)
             nxt = getattr(self, scr)
-            nxt[:, 0] = 0.0
-            nxt[:, 1 : B - 1] = cur[:, 0 : B - 2]
-            nxt[:, B - 1] = cur[:, B - 1] + cur[:, B - 2]
+            _roll_into(cur, nxt)
             setattr(self, attr, nxt)
             setattr(self, scr, cur)
 
@@ -858,7 +1006,6 @@ class DenseEngineRuntime(EngineRuntime):
         net_mass = self._net_mass
         in_cnt_f = in_cnt.reshape(-1)
         in_mass_f = in_mass.reshape(-1)
-        in_size = in_cnt_f.shape[0]
 
         # Environment reads: site health/rates (versioned) and link budgets.
         site_rate = model.site_rates(self._topology._site_states.value)
@@ -954,9 +1101,12 @@ class DenseEngineRuntime(EngineRuntime):
                     for st in g.stages:
                         if prev_now < suspended_until.get(st.name, 0.0):
                             caps[st.s0:st.s1] = 0.0
-                take_c, take_m, popped, _ = _pop_rows(
+                _, _, _, popped, _ = _pop_rows(
                     in_cnt, in_mass, rows, caps, g.pop
                 )
+                # Sink sums and the fan-out read the take densely.
+                take_c = g.pop.take
+                take_m = g.pop.tm
                 if capacity_sums is not None:
                     for (stage, site), cap in zip(g.row_keys, caps.tolist()):
                         by_site = capacity_sums.setdefault(stage, {})
@@ -992,33 +1142,8 @@ class DenseEngineRuntime(EngineRuntime):
                                 + st.requeue_mult * sel * stage_processed
                             )
                 if any_routed:
-                    # Fan-out for the whole group at once: rows belonging
-                    # to sinks or sel == 0 stages contribute exact zeros.
-                    out_c = np.multiply(take_c, g.sel_col, out=g.out_c)
-                    out_m = np.multiply(take_m, g.sel_col, out=g.out_m)
-                    if g.has_requeue:
-                        in_cnt[rows] += out_c * g.mult_col
-                        in_mass[rows] += out_m * g.mult_col
-                    if g.loc_src is not None:
-                        in_cnt_f += np.bincount(
-                            g.loc_flat,
-                            weights=(out_c[g.loc_src] * g.loc_frac).ravel(),
-                            minlength=in_size,
-                        )
-                        in_mass_f += np.bincount(
-                            g.loc_flat,
-                            weights=(out_m[g.loc_src] * g.loc_frac).ravel(),
-                            minlength=in_size,
-                        )
-                    if g.rem_src is not None:
-                        rc = np.take(out_c, g.rem_src, axis=0, out=g.rem_c)
-                        rm = np.take(out_m, g.rem_src, axis=0, out=g.rem_m)
-                        net_cnt[g.rem_rows] += np.multiply(
-                            rc, g.rem_frac, out=rc
-                        )
-                        net_mass[g.rem_rows] += np.multiply(
-                            rm, g.rem_frac, out=rm
-                        )
+                    lo, hi = _bucket_span(g.pop.sends)
+                    _fan_out(g, lo, hi, in_cnt, in_mass, net_cnt, net_mass)
 
             # --- transfers of this group's outgoing flows --------------- #
             if not g.passes:
@@ -1041,7 +1166,7 @@ class DenseEngineRuntime(EngineRuntime):
                             )
             for ps in g.passes:
                 caps = np.maximum(lb[ps.link_ids] * ps.inv_eb, 0.0)
-                take_c, take_m, moved, before = _pop_rows(
+                idx, take_c, take_m, moved, before = _pop_rows(
                     net_cnt, net_mass, ps.flow_rows, caps, ps.pop
                 )
                 nonempty = before > 0.0
@@ -1050,16 +1175,9 @@ class DenseEngineRuntime(EngineRuntime):
                 if shared:
                     touched[ps.link_ids[nonempty]] = True
                 lb[ps.link_ids] -= moved * ps.eb
-                # Aging by link latency: the destination mass is
-                # sum(c * (gen - latency)); the bucket shift in dst_flat
-                # is the rounded equivalent for ordering purposes.  The
-                # pop's cum buffer is free again and holds the product.
-                take_m -= np.multiply(ps.lat_s, take_c, out=ps.pop.cum)
-                in_cnt_f += np.bincount(
-                    ps.dst_flat, weights=take_c.ravel(), minlength=in_size
-                )
-                in_mass_f += np.bincount(
-                    ps.dst_flat, weights=take_m.ravel(), minlength=in_size
+                _deliver(
+                    in_cnt_f, in_mass_f, idx, take_c, take_m,
+                    ps.lat_flat, ps.dst_flat,
                 )
                 # Each flow key appears in exactly one pass, so a plain
                 # assignment per key accumulates correctly across the tick.

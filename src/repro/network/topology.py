@@ -112,9 +112,6 @@ class Topology:
         """``A[s]`` for every site (0 for failed sites)."""
         return {name: s.available_slots for name, s in self._sites.items()}
 
-    def total_used_slots(self) -> int:
-        return sum(s.used_slots for s in self._sites.values())
-
     def slot_snapshot(self) -> dict[str, int]:
         """Used-slot counter per site (adaptation-rollback unit).
 

@@ -18,6 +18,11 @@ for the reference per-parcel engine:
   pins the in-place kernels bit for bit: the pop against the allocating
   formulation it replaced (slice and index-array rows alike), the array
   to queue sync against queues built by ``FluidQueue.push``.
+* **Sparse kernel oracles**: the pop and WAN scatter touch only the cells
+  that send events; they are checked bit for bit against the dense kernel
+  and scatter they replaced (kept here, verbatim), and so are the
+  span-limited fan-out against the full-width one and the one-copy roll
+  against the column roll.
 """
 
 from __future__ import annotations
@@ -30,13 +35,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from benchmarks.perf.digest import fig8_degrade_digest
 from benchmarks.perf.scale import build_world
 from repro.config import WaspConfig
+from repro.engine import dense as dense_module
 from repro.engine.dense import (
     _DRAIN_EPS,
     DenseEngineRuntime,
+    _bucket_span,
+    _deliver,
+    _drop_older_rows,
+    _fan_out,
     _pop_rows,
     _PopScratch,
+    _roll_into,
     _row_queues,
     create_runtime,
 )
@@ -147,6 +159,13 @@ gen_times = st.floats(
 )
 
 
+def _densify(idx, values, shape):
+    """A sparse pop's per-cell values as a dense array, zero elsewhere."""
+    out = np.zeros(shape)
+    out.reshape(-1)[idx] = values
+    return out
+
+
 def _naive_pop_row(c_row, m_row, cap):
     """Scalar oldest-first pop: the ledger the fused kernel must match."""
     B = len(c_row)
@@ -201,9 +220,11 @@ def test_pop_rows_conserves_mass(case) -> None:
     cnt = cnt0.copy()
     mass = mass0.copy()
     rows = np.arange(cnt.shape[0])
-    take, tm, popped, before = _pop_rows(
+    idx, tc, tm, popped, before = _pop_rows(
         cnt, mass, rows, caps, _PopScratch(rows, *cnt.shape)
     )
+    take = _densify(idx, tc, cnt.shape)
+    tm = _densify(idx, tm, cnt.shape)
 
     total = float(cnt0.sum())
     tol = 1e-6 + 1e-9 * total
@@ -234,9 +255,11 @@ def test_pop_rows_matches_naive_ledger(case) -> None:
     cnt = cnt0.copy()
     mass = mass0.copy()
     rows = np.arange(cnt.shape[0])
-    take, tm, _, _ = _pop_rows(
+    idx, tc, tm, _, _ = _pop_rows(
         cnt, mass, rows, caps, _PopScratch(rows, *cnt.shape)
     )
+    take = _densify(idx, tc, cnt.shape)
+    tm = _densify(idx, tm, cnt.shape)
 
     tol = 1e-6 + 1e-9 * float(cnt0.sum())
     mass_tol = 1e-3 + 1e-9 * float(np.abs(mass0).sum())
@@ -276,12 +299,45 @@ def _bits(a) -> bytes:
     return np.ascontiguousarray(a).tobytes()
 
 
+def _assert_same_pop(expected, got, state_e, state_g, mass_in) -> None:
+    """A sparse pop ``got`` equals a dense pop ``expected`` bit for bit.
+
+    ``expected`` is ``(take, take_mass, popped, before)`` over every cell,
+    ``got`` the sparse ``(idx, take, take_mass, popped, before)``; the
+    ``state_*`` pairs are the ``(cnt, mass)`` arrays each pop mutated.
+    The sparse pop sends from exactly the cells where the dense take is
+    positive, in row-major order, with the same bits; every other dense
+    cell sends zero.  One difference is by design: the dense split
+    computes ``m - m * 0`` on a cell it does not pop, which turns a mass
+    of -0.0 into +0.0, while the sparse pop leaves the cell as it was.
+    The engine never holds -0.0 (its zeros are written as +0.0, which
+    :func:`test_engine_pops_never_see_negative_zero_mass` checks at every
+    pop), so those cells are compared by value.
+    """
+    e_take, e_tm, e_popped, e_before = expected
+    idx, tc, tm, popped, before = got
+    sends = e_take > 0.0
+    assert idx.tolist() == np.flatnonzero(sends).tolist()
+    assert _bits(e_take.reshape(-1)[idx]) == _bits(tc)
+    assert _bits(e_tm.reshape(-1)[idx]) == _bits(tm)
+    assert (e_take[~sends] == 0.0).all()
+    assert (e_tm[~sends] == 0.0).all()
+    assert _bits(e_popped) == _bits(popped)
+    assert _bits(e_before) == _bits(before)
+    (cnt_e, mass_e), (cnt_g, mass_g) = state_e, state_g
+    assert _bits(cnt_e) == _bits(cnt_g)
+    kept = (mass_in == 0.0) & np.signbit(mass_in) & np.signbit(mass_g)
+    assert (mass_e[kept] == 0.0).all()
+    assert _bits(np.where(kept, mass_e, mass_g)) == _bits(mass_e)
+
+
 @given(pop_cases(), st.booleans())
 @settings(max_examples=200, deadline=None)
 def test_pop_rows_is_bit_identical_to_allocating_kernel(case, as_slice) -> None:
-    """Same bits as the allocating kernel, whether the rows are an
-    ascending run (a slice: in-place views) or scattered (an index array:
-    gather, then scatter back).  Untouched rows stay untouched."""
+    """Same bits as the allocating kernel (as :func:`_assert_same_pop`
+    states them), whether the rows are an ascending run (a slice: in-place
+    views) or scattered (an index array: gather, then scatter back).
+    Untouched rows stay untouched."""
     cnt0, mass0, caps = case
     n, B = cnt0.shape
     # Embed the case between padding rows so neither selector is trivial.
@@ -297,10 +353,363 @@ def test_pop_rows_is_bit_identical_to_allocating_kernel(case, as_slice) -> None:
     cnt_b, mass_b = pad_c.copy(), pad_m.copy()
     got = _pop_rows(cnt_b, mass_b, rows, caps, _PopScratch(rows, n, B))
 
-    for e, g in zip(expected, got):
-        assert _bits(e) == _bits(g)
-    assert _bits(cnt_a) == _bits(cnt_b)
-    assert _bits(mass_a) == _bits(mass_b)
+    _assert_same_pop(
+        expected, got, (cnt_a, mass_a), (cnt_b, mass_b), pad_m
+    )
+
+
+def _negative_zeros(a: np.ndarray) -> int:
+    return int(np.count_nonzero(np.signbit(a) & (a == 0.0)))
+
+
+def _degrade_dense_run() -> None:
+    fig8_degrade_digest(backend="dense")
+
+
+def _shuffle_dense_run() -> None:
+    topology, plan, workload = build_world(16, 2)
+    runtime = create_runtime(
+        topology, plan, workload, WaspConfig(), backend="dense"
+    )
+    for _ in range(60):
+        runtime.tick()
+
+
+def _fuzz_dense_run() -> None:
+    for seed in (0, 2):
+        spec = _with_backend(generate_scenario(seed), "dense")
+        run, dynamics = build_run(spec)
+        run.run(spec.duration_s, dynamics)
+
+
+@pytest.mark.parametrize(
+    "drive",
+    [_degrade_dense_run, _shuffle_dense_run, _fuzz_dense_run],
+    ids=["fig8-degrade", "shuffle-16-p2", "fuzz-0-2"],
+)
+def test_engine_pops_never_see_negative_zero_mass(monkeypatch, drive) -> None:
+    """No pop of a running dense engine meets a -0.0 mass anywhere in the
+    arrays it pops from, so the one case in which the sparse pop differs
+    from the dense one (see :func:`_assert_same_pop`) does not arise.
+
+    Checked on the Degrade run (both drop paths), a 16-site shuffle with
+    two tasks per site (fan-out fractions below 1) and two fuzz scenarios
+    (chaos faults, adaptations, array/queue syncs)."""
+    seen = {"pops": 0, "negative_zeros": 0, "drops": 0}
+
+    def checked_pop(cnt, mass, rows, caps, sc):
+        seen["pops"] += 1
+        seen["negative_zeros"] += _negative_zeros(mass)
+        return _pop_rows(cnt, mass, rows, caps, sc)
+
+    def counted_drop(cnt, mass, rows, cutoff):
+        dropped = _drop_older_rows(cnt, mass, rows, cutoff)
+        seen["drops"] += int((dropped > 0.0).any())
+        return dropped
+
+    monkeypatch.setattr(dense_module, "_pop_rows", checked_pop)
+    monkeypatch.setattr(dense_module, "_drop_older_rows", counted_drop)
+    drive()
+    assert seen["pops"] > 0
+    assert seen["negative_zeros"] == 0
+    if drive is _degrade_dense_run:
+        assert seen["drops"] > 0
+
+
+# --------------------------------------------------------------------------- #
+# Sparse kernels against the dense kernels they replaced
+# --------------------------------------------------------------------------- #
+
+
+class _DensePopScratch:
+    """Preallocated ``(rows, B)`` buffers of one :func:`_pop_rows` call
+    site, reused every tick so the kernel allocates no large temporaries.
+    ``c``/``m`` hold the gathered rows when the selector is an index array.
+    """
+
+    __slots__ = ("cum", "take_c", "take_m", "c", "m")
+
+    def __init__(self, rows: slice | np.ndarray, n: int, B: int) -> None:
+        self.cum = np.empty((n, B))
+        self.take_c = np.empty((n, B))
+        self.take_m = np.empty((n, B))
+        gather = not isinstance(rows, slice)
+        self.c = np.empty((n, B)) if gather else None
+        self.m = np.empty((n, B)) if gather else None
+
+
+def _dense_pop_rows(
+    cnt: np.ndarray,
+    mass: np.ndarray,
+    rows: slice | np.ndarray,
+    caps: np.ndarray,
+    sc: _DensePopScratch,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """FIFO-pop up to ``caps[i]`` events from each row, oldest bucket first.
+
+    Mutates ``cnt``/``mass`` in place and returns ``(take_cnt, take_mass,
+    popped_totals, totals_before)``; the first two and the last are views
+    into ``sc``, valid until the same call site runs again.
+    Fully-consumed buckets transfer their exact mass (``c/c == 1.0`` in
+    IEEE arithmetic leaves a remainder of exactly 0); partially-consumed
+    buckets split mass proportionally, i.e. at the bucket's mean generation
+    time.
+    """
+    gathered = sc.c is not None
+    if gathered:
+        c = np.take(cnt, rows, axis=0, out=sc.c)
+        m = np.take(mass, rows, axis=0, out=sc.m)
+    else:
+        c = cnt[rows]
+        m = mass[rows]
+    # cum[:, b]: events in bucket b and every older one, summed oldest
+    # first (a cumsum over the reversed row, written back reversed).
+    cum = sc.cum
+    np.cumsum(c[:, ::-1], axis=1, out=cum[:, ::-1])
+    # take[:, b] = min(max(cap - events older than b, 0), c[:, b]).
+    take = sc.take_c
+    np.subtract(caps[:, None], cum[:, 1:], out=take[:, :-1])
+    take[:, -1] = caps
+    np.maximum(take, 0.0, out=take)
+    np.minimum(take, c, out=take)
+    tm = sc.take_m
+    np.maximum(c, 1e-300, out=tm)
+    np.divide(take, tm, out=tm)
+    np.multiply(m, tm, out=tm)
+    np.subtract(c, take, out=c)
+    np.subtract(m, tm, out=m)
+    before = cum[:, 0]
+    popped = np.minimum(caps, before)
+    drained = before - popped < _DRAIN_EPS
+    if drained.any():
+        c[drained] = 0.0
+        m[drained] = 0.0
+    if gathered:
+        cnt[rows] = c
+        mass[rows] = m
+    return take, tm, popped, before
+
+
+def _dense_deliver(in_cnt_f, in_mass_f, take_c, take_m, lat_s, dst_flat, cum):
+    """The WAN pass's scatter of every cell of a dense pop (``lat_s`` is
+    the per-flow latency column, ``cum`` the pop's spent cum buffer)."""
+    in_size = in_cnt_f.shape[0]
+    # Aging by link latency: the destination mass is
+    # sum(c * (gen - latency)); the bucket shift in dst_flat
+    # is the rounded equivalent for ordering purposes.  The
+    # pop's cum buffer is free again and holds the product.
+    take_m -= np.multiply(lat_s, take_c, out=cum)
+    in_cnt_f += np.bincount(
+        dst_flat, weights=take_c.ravel(), minlength=in_size
+    )
+    in_mass_f += np.bincount(
+        dst_flat, weights=take_m.ravel(), minlength=in_size
+    )
+
+
+def _pop_case(rng: np.random.Generator, n: int, B: int):
+    """Rows of every kind the pop meets, with caps that drain, split a
+    bucket, stop on a bucket boundary or are zero.  Generation times run
+    negative too, so some masses are negative."""
+    cnt = rng.exponential(50.0, size=(n, B))
+    kind = rng.integers(0, 4, size=n)
+    cnt[kind == 0] = 0.0  # empty rows
+    sparse = kind == 1
+    cnt[sparse] *= rng.random((int(sparse.sum()), B)) < 0.2
+    gen = rng.uniform(-50.0, 200.0, size=(n, B))
+    mass = cnt * gen
+    total = cnt.sum(axis=1)
+    # Events older than each bucket boundary, oldest first.
+    older = np.cumsum(cnt[:, ::-1], axis=1)[:, ::-1]
+    boundary = older[np.arange(n), rng.integers(0, B, size=n)]
+    cap_kind = rng.integers(0, 4, size=n)
+    caps = np.select(
+        [cap_kind == 0, cap_kind == 1, cap_kind == 2],
+        [np.zeros(n), total * 1.5 + 1.0, boundary],
+        total * rng.random(n),
+    )
+    return cnt, mass, caps
+
+
+@pytest.mark.parametrize("B", [4, 16, 32])
+@pytest.mark.parametrize("as_slice", [True, False])
+@pytest.mark.parametrize("seed", range(4))
+def test_sparse_pop_and_deliver_match_dense_kernel(
+    B: int, as_slice: bool, seed: int
+) -> None:
+    """The sparse pop and its scatter against the dense kernel and scatter
+    they replaced, on random arrays: the same ``cnt``, ``mass``, sent
+    cells, ``popped`` and ``before``, and the same destination arrays."""
+    rng = np.random.default_rng(1000 * B + seed)
+    n = 48
+    cnt0, mass0, caps = _pop_case(rng, n, B)
+    pad_c = rng.exponential(5.0, size=(2 * n + 1, B))
+    pad_m = pad_c * 100.0
+    ids = list(range(1, n + 1)) if as_slice else list(range(2 * n - 1, 0, -2))
+    pad_c[ids] = cnt0
+    pad_m[ids] = mass0
+    rows = slice(1, n + 1) if as_slice else np.array(ids, dtype=np.intp)
+    # Destinations: any input row, shifted by a per-flow bucket latency.
+    n_in = 20
+    in_c0 = rng.exponential(9.0, size=(n_in, B))
+    in_m0 = in_c0 * rng.uniform(0.0, 300.0, size=(n_in, B))
+    lat = rng.uniform(0.0, 3.5, size=n)
+    shift = np.floor(lat + 0.5).astype(np.intp)[:, None]
+    dst_rows = rng.integers(0, n_in, size=n)
+    dst_flat = (
+        dst_rows[:, None] * B + np.minimum(np.arange(B) + shift, B - 1)
+    ).ravel()
+
+    cnt_e, mass_e = pad_c.copy(), pad_m.copy()
+    dense_sc = _DensePopScratch(rows, n, B)
+    expected = _dense_pop_rows(cnt_e, mass_e, rows, caps.copy(), dense_sc)
+    expected = tuple(a.copy() for a in expected)
+    in_ce, in_me = in_c0.copy(), in_m0.copy()
+    _dense_deliver(
+        in_ce.reshape(-1), in_me.reshape(-1), expected[0].copy(),
+        expected[1].copy(), lat[:, None], dst_flat, dense_sc.cum,
+    )
+
+    cnt_g, mass_g = pad_c.copy(), pad_m.copy()
+    caps_g = caps.copy()
+    got = _pop_rows(cnt_g, mass_g, rows, caps_g, _PopScratch(rows, n, B))
+    _assert_same_pop(expected, got, (cnt_e, mass_e), (cnt_g, mass_g), pad_m)
+    assert _bits(caps_g) == _bits(caps)
+    in_cg, in_mg = in_c0.copy(), in_m0.copy()
+    idx, tc, tm = got[:3]
+    _deliver(
+        in_cg.reshape(-1), in_mg.reshape(-1), idx, tc, tm,
+        np.repeat(lat, B), dst_flat,
+    )
+    assert _bits(in_cg) == _bits(in_ce)
+    assert _bits(in_mg) == _bits(in_me)
+
+    # Every case the kernels must agree on occurs here.
+    take, before, popped = expected[0], expected[3], expected[2]
+    left = before - popped
+    assert ((before == 0.0)).any()  # empty rows
+    assert ((caps == 0.0) & (before > 0.0)).any()  # zero caps
+    assert ((before > 0.0) & (left < _DRAIN_EPS)).any()  # drained rows
+    assert (left >= _DRAIN_EPS).any()  # partial rows
+    c_in = pad_c[ids]
+    assert ((take > 0.0) & (take < c_in)).any()  # split buckets
+    assert ((take > 0.0) & (pad_m[ids] < 0.0)).any()  # negative masses
+    assert (np.count_nonzero(take, axis=1) > 1).any()  # multi-bucket pops
+
+
+def _column_roll(cur: np.ndarray, nxt: np.ndarray) -> None:
+    """The roll as per-column copies."""
+    B = cur.shape[1]
+    nxt[:, 0] = 0.0
+    nxt[:, 1 : B - 1] = cur[:, 0 : B - 2]
+    nxt[:, B - 1] = cur[:, B - 1] + cur[:, B - 2]
+
+
+@pytest.mark.parametrize("B", [4, 16])
+@pytest.mark.parametrize("n", [0, 1, 37])
+def test_one_copy_roll_matches_column_roll(B: int, n: int) -> None:
+    rng = np.random.default_rng(B + n)
+    cur = rng.exponential(3.0, size=(n, B))
+    cur[rng.random(cur.shape) < 0.3] = 0.0
+    before = cur.copy()
+    expected = np.full((n, B), np.nan)
+    got = np.full((n, B), np.nan)
+    _column_roll(cur, expected)
+    _roll_into(cur, got)
+    assert _bits(got) == _bits(expected)
+    assert _bits(cur) == _bits(before)
+
+
+def _full_width_fan_out(g, take_c, take_m, in_cnt, in_mass, net_cnt, net_mass):
+    """The group fan-out over every bucket column, as a tick ran it before
+    routing was limited to the popped span."""
+    in_cnt_f = in_cnt.reshape(-1)
+    in_mass_f = in_mass.reshape(-1)
+    in_size = in_cnt_f.shape[0]
+    rows = g.rows
+    # Fan-out for the whole group at once: rows belonging
+    # to sinks or sel == 0 stages contribute exact zeros.
+    out_c = np.multiply(take_c, g.sel_col)
+    out_m = np.multiply(take_m, g.sel_col)
+    if g.has_requeue:
+        in_cnt[rows] += out_c * g.mult_col
+        in_mass[rows] += out_m * g.mult_col
+    if g.loc_src is not None:
+        loc_flat = g.loc_cells.ravel()
+        in_cnt_f += np.bincount(
+            loc_flat,
+            weights=(out_c[g.loc_src] * g.loc_frac).ravel(),
+            minlength=in_size,
+        )
+        in_mass_f += np.bincount(
+            loc_flat,
+            weights=(out_m[g.loc_src] * g.loc_frac).ravel(),
+            minlength=in_size,
+        )
+    if g.rem_src is not None:
+        rc = np.take(out_c, g.rem_src, axis=0)
+        rm = np.take(out_m, g.rem_src, axis=0)
+        net_cnt[g.rem_rows] += np.multiply(rc, g.rem_frac, out=rc)
+        net_mass[g.rem_rows] += np.multiply(rm, g.rem_frac, out=rm)
+
+
+def _fan_out_group(requeue: bool):
+    """A compiled dense model of the 6-site shuffle with two aggregation
+    tasks per site; with ``requeue`` the sink has no task, so the
+    aggregation group re-queues what it emits."""
+    topology, plan, workload = build_world(6, 2, 3)
+    if requeue:
+        plan.stage("sink").remove_task_at("s000")
+    runtime = create_runtime(
+        topology, plan, workload, WaspConfig(), backend="dense"
+    )
+    return runtime._ensure_model()
+
+
+@pytest.mark.parametrize("requeue", [False, True])
+@pytest.mark.parametrize(
+    "cols, span",
+    [((0, -1), None), ((), (0, 0)), ((2, 4), (2, 5))],
+    ids=["first-and-last", "nothing", "middle"],
+)
+def test_fan_out_span_matches_full_width(requeue, cols, span) -> None:
+    """Routing over the popped bucket span leaves every input and flow row
+    as the full-width fan-out did: a group popping only buckets 0 and
+    B - 1, one popping nothing, and one popping only middle buckets."""
+    model = _fan_out_group(requeue)
+    B = model.B
+    g = model.groups[1 if requeue else 0]
+    assert g.has_requeue == requeue
+    # The sources route locally and remotely; the sinkless aggregation
+    # only re-queues.
+    assert (g.loc_src is None) == requeue
+    assert (g.rem_src is None) == requeue
+    rng = np.random.default_rng(len(cols))
+    take = np.zeros((g.n_rows, B))
+    for b in cols:
+        take[:, b] = rng.exponential(10.0, size=g.n_rows)
+    g.pop.take[:] = take
+    g.pop.tm[:] = take * rng.uniform(50.0, 60.0, size=take.shape)
+    lo, hi = _bucket_span(take > 0.0)
+    if span is None:
+        span = (0, B)
+    assert (lo, hi) == span
+
+    state = [
+        rng.exponential(4.0, size=(model.n_in, B)),
+        rng.exponential(400.0, size=(model.n_in, B)),
+        rng.exponential(4.0, size=(model.n_net, B)),
+        rng.exponential(400.0, size=(model.n_net, B)),
+    ]
+    full = [a.copy() for a in state]
+    _full_width_fan_out(g, take, g.pop.tm.copy(), *full)
+    spanned = [a.copy() for a in state]
+    _fan_out(g, lo, hi, *spanned)
+    for f, s_ in zip(full, spanned):
+        assert _bits(f) == _bits(s_)
+    if cols:
+        # The fan-out did route something.
+        assert any(_bits(f) != _bits(a) for f, a in zip(full, state))
 
 
 def _pushed_queues(cnt, mass, persistent):

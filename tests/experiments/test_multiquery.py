@@ -12,6 +12,8 @@ from repro.workloads.queries import events_of_interest, topk_topics, ysb_adverti
 from repro.workloads.twitter import TwitterSpec
 from repro.workloads.ysb import YsbSpec
 
+from tests.slots import total_used_slots
+
 
 def build_multi(variants=(no_adapt(), no_adapt()), seed=42, starts=(0.0, 0.0),
                 ysb_rate=10_000.0, twitter_rate=10_000.0):
@@ -50,7 +52,7 @@ class TestCoScheduling:
 
     def test_slots_shared_on_one_topology(self):
         multi = build_multi()
-        used = multi.topology.total_used_slots()
+        used = total_used_slots(multi.topology)
         individual = sum(
             run.runtime.plan.total_parallelism() for run in multi.runs
         )

@@ -18,6 +18,8 @@ from repro.sim.rng import RngRegistry
 from repro.sim.schedule import Schedule
 from repro.workloads.queries import ysb_advertising
 
+from tests.slots import total_used_slots
+
 DURATION_S = 180.0
 
 workload_schedules = st.lists(
@@ -101,7 +103,7 @@ class TestInvariantsUnderChaos:
         assert recorder.processed_fraction() == 1.0
 
         # Slot accounting is conserved: used slots equal live tasks.
-        assert run.topology.total_used_slots() == (
+        assert total_used_slots(run.topology) == (
             run.runtime.plan.total_parallelism()
         )
         for site in run.topology:
@@ -145,6 +147,6 @@ class TestInvariantsUnderChaos:
     def test_no_adapt_is_deterministically_safe(self, dynamics, seed):
         run = run_chaos(no_adapt(), dynamics, seed)
         assert run.recorder.total_dropped() == 0.0
-        assert run.topology.total_used_slots() == (
+        assert total_used_slots(run.topology) == (
             run.runtime.plan.total_parallelism()
         )

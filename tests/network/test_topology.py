@@ -11,6 +11,8 @@ from repro.network.topology import (
     Topology,
 )
 
+from tests.slots import total_used_slots
+
 
 @pytest.fixture
 def topo():
@@ -54,7 +56,7 @@ class TestSites:
     def test_total_used_slots(self, topo):
         topo.site("a").allocate(1)
         topo.site("b").allocate(2)
-        assert topo.total_used_slots() == 3
+        assert total_used_slots(topo) == 3
 
 
 class TestLinks:

@@ -8,6 +8,8 @@ from repro.engine.physical import PhysicalPlan
 from repro.errors import InsufficientSlotsError, SchedulingError
 from repro.planner.scheduler import Scheduler
 
+from tests.slots import total_used_slots
+
 
 def make_plan():
     ops = [
@@ -75,7 +77,7 @@ class TestDeploy:
         plan = make_plan()
         scheduler.deploy(plan, ASSIGNMENTS)
         scheduler.undeploy(plan)
-        assert small_topology.total_used_slots() == 0
+        assert total_used_slots(small_topology) == 0
         assert plan.stage("agg").parallelism == 0
 
 

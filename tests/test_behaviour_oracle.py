@@ -3,11 +3,12 @@
 ``benchmarks.perf.digest`` hashes three full fixed-seed runs (Figure 8 under
 WASP and under the Degrade baseline, and a chaos run) and fingerprints raw
 ticks of the 16-site all-to-all shuffle.  The chaos run is pinned again
-traced: its JSONL trace bytes, ``attempt_log`` and ``history``.  Two more
+traced: its JSONL trace bytes, ``attempt_log`` and ``history``.  Four more
 pins hold the dense backend to its own earlier output: raw ticks of the
-64-site shuffle and an adapting Figure 8 run.  The last pins the Figure 11
+64-site shuffle and of the 32-site shuffle with two tasks per site, an
+adapting Figure 8 run and the Degrade run.  The last pins the Figure 11
 WASP run through its whole-testbed outage.  Engine and control-plane changes
-must leave all eight bit-identical; the pins are CPython 3.11 values (see
+must leave all ten bit-identical; the pins are CPython 3.11 values (see
 the module docstring).
 """
 
