@@ -18,7 +18,7 @@ its prototype hand-waves past:
   ILP would otherwise pick infeasible.
 
 All faults mutate the *environment* (topology, checkpoints) only.  The
-deployment-side consequences - rollbacks, fallbacks, evacuations - are the
+deployment-side consequences - rollbacks, fallbacks, re-assigns - are the
 controller's job; that separation is what the transactional executor's
 "never roll back the world" rule relies on.
 """

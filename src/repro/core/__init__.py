@@ -12,12 +12,7 @@ from .comparison import TABLE_2, TechniqueProfile, render_table
 from .controller import AdaptationRecord, ReconfigurationManager
 from .diagnosis import Diagnoser, Health, LinkPressure, StageDiagnosis
 from .estimator import StageEstimate, WorkloadEstimator
-from .longterm import (
-    LongTermConfig,
-    LongTermPlanner,
-    OracleForecaster,
-    SeasonalNaiveForecaster,
-)
+from .longterm import LongTermConfig, LongTermPlanner, OracleForecaster
 from .migration import (
     MigrationPlan,
     MigrationStrategy,
@@ -47,7 +42,6 @@ __all__ = [
     "LongTermPlanner",
     "MigrationPlan",
     "OracleForecaster",
-    "SeasonalNaiveForecaster",
     "MigrationStrategy",
     "PolicyContext",
     "PolicyMode",

@@ -13,17 +13,13 @@ executes the switch proactively, before the shift hits.
 
 Forecasting itself is explicitly out of the paper's scope ("How to
 accurately model/profile the dynamics itself is out of the scope of this
-work"), so two simple forecasters are provided:
-
-* :class:`OracleForecaster` - asks the workload model directly (exact for
-  the synthetic diurnal trace; stands in for an offline profile);
-* :class:`SeasonalNaiveForecaster` - predicts the rate observed one season
-  ago, learning the pattern purely from the metric monitor's observations.
+work"), so the planner reads an :class:`OracleForecaster`: it asks the
+workload model directly, which is exact for the synthetic diurnal trace
+and stands in for an offline profile.
 """
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass
 
 from ..engine.runtime import WorkloadModel
@@ -32,17 +28,7 @@ from .actions import ReplanAction
 from .controller import AdaptationRecord, ReconfigurationManager
 
 
-class Forecaster:
-    """Protocol: predict per-source generation rates at a future time."""
-
-    def observe(self, t_s: float, rates: dict[str, float]) -> None:
-        """Feed an observation (optional for model-based forecasters)."""
-
-    def forecast(self, t_s: float) -> dict[str, float]:  # pragma: no cover
-        raise NotImplementedError
-
-
-class OracleForecaster(Forecaster):
+class OracleForecaster:
     """Reads the workload model directly (a perfect offline profile)."""
 
     def __init__(self, workload: WorkloadModel, source_names: list[str]):
@@ -50,40 +36,9 @@ class OracleForecaster(Forecaster):
         self._sources = list(source_names)
 
     def forecast(self, t_s: float) -> dict[str, float]:
+        """Per-source generation rates at ``t_s``."""
         rates = self._workload.generation_rates(self._sources, t_s)
         return dict(zip(self._sources, rates))
-
-
-class SeasonalNaiveForecaster(Forecaster):
-    """Predicts the rate observed one season (period) earlier.
-
-    The classic baseline for periodic signals: with a 24 h (or compressed)
-    diurnal cycle, tomorrow-at-noon looks like today-at-noon.  Falls back
-    to the most recent observation while less than one full season of
-    history exists.
-    """
-
-    def __init__(self, season_s: float) -> None:
-        if season_s <= 0:
-            raise ConfigurationError(f"season_s must be > 0, got {season_s}")
-        self._season_s = float(season_s)
-        self._times: list[float] = []
-        self._rates: list[dict[str, float]] = []
-
-    def observe(self, t_s: float, rates: dict[str, float]) -> None:
-        if self._times and t_s <= self._times[-1]:
-            return
-        self._times.append(t_s)
-        self._rates.append(dict(rates))
-
-    def forecast(self, t_s: float) -> dict[str, float]:
-        if not self._times:
-            return {}
-        target = t_s - self._season_s
-        if target < self._times[0]:
-            return dict(self._rates[-1])  # no full season yet
-        idx = bisect.bisect_right(self._times, target) - 1
-        return dict(self._rates[max(0, idx)])
 
 
 @dataclass(frozen=True)
@@ -114,7 +69,7 @@ class LongTermPlanner:
     def __init__(
         self,
         manager: ReconfigurationManager,
-        forecaster: Forecaster,
+        forecaster: OracleForecaster,
         config: LongTermConfig | None = None,
     ) -> None:
         self.manager = manager
@@ -126,10 +81,6 @@ class LongTermPlanner:
         """The proactive re-plans this loop committed (a view over the
         manager's adaptation log)."""
         return tuple(r for r in self.manager.history if r.long_term)
-
-    def observe_window(self, t_s: float, rates: dict[str, float]) -> None:
-        """Feed observed source rates (call once per monitoring window)."""
-        self.forecaster.observe(t_s, rates)
 
     def background_round(self, now_s: float) -> AdaptationRecord | None:
         """One background iteration: forecast, evaluate, maybe re-plan.
@@ -143,8 +94,6 @@ class LongTermPlanner:
         if manager.replanner is None:
             return None
         forecast = self.forecaster.forecast(now_s + self.config.horizon_s)
-        if not forecast:
-            return None
         plan = manager.runtime.plan
         # Skip while any stage is mid-transition: the reactive loop owns it.
         if any(

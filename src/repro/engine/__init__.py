@@ -1,10 +1,5 @@
 """Stream-engine substrate: operators, plans, queues, state, runtime."""
 
-from .backpressure import (
-    TopologyCapacityModel,
-    bottleneck_stages,
-    steady_state_rates,
-)
 from .checkpoint import CheckpointCoordinator, CheckpointRecord
 from .dense import DenseEngineRuntime, create_runtime
 from .logical import LogicalPlan, can_replace_preserving_state
@@ -17,9 +12,6 @@ from .state import StatePartition, StateStore
 
 __all__ = [
     "CheckpointCoordinator",
-    "TopologyCapacityModel",
-    "bottleneck_stages",
-    "steady_state_rates",
     "CheckpointRecord",
     "DenseEngineRuntime",
     "EngineRuntime",

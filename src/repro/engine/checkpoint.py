@@ -93,14 +93,6 @@ class CheckpointCoordinator:
         )
         return written
 
-    def maybe_checkpoint(
-        self, now_s: float, *, skip_sites: frozenset[str] | set[str] = frozenset()
-    ) -> list[CheckpointRecord]:
-        """Checkpoint if a full interval has elapsed since the last one."""
-        if now_s - self._last_checkpoint_s + 1e-9 >= self._interval_s:
-            return self.checkpoint_all(now_s, skip_sites=skip_sites)
-        return []
-
     def record(self, stage_name: str, site: str) -> CheckpointRecord | None:
         return self._records.get((stage_name, site))
 

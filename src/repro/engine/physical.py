@@ -167,11 +167,6 @@ class Stage:
                 return self.tasks.pop(i)
         raise PlanError(f"stage {self.name!r} has no task at site {site!r}")
 
-    def remove_task(self, task: Task) -> None:
-        """Remove one specific task (failure evacuation)."""
-        self.tasks.remove(task)
-        self._mutated()
-
     def set_tasks(self, tasks: list[Task]) -> None:
         """Replace the whole task set (transaction rollback)."""
         self.tasks[:] = tasks

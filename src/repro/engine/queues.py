@@ -410,15 +410,6 @@ class FluidQueue:
         """
         return [Parcel(c, g) for c, g in zip(self._counts, self._gens)]
 
-    def mean_age_s(self, now_s: float) -> float:
-        """Average age of queued events (0 for an empty queue)."""
-        if self._count <= 0:
-            return 0.0
-        total_age = sum(
-            c * (now_s - g) for c, g in zip(self._counts, self._gens)
-        )
-        return total_age / self._count
-
 
 def parcels_total(parcels: list[Parcel]) -> float:
     return sum(p.count for p in parcels)

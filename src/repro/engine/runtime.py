@@ -46,19 +46,6 @@ def mbps_to_eps(bandwidth_mbps: float, event_bytes: float) -> float:
 
 
 @dataclass
-class FlowKey:
-    """Identifies one inter-site flow of a stage edge."""
-
-    src_stage: str
-    dst_stage: str
-    src_site: str
-    dst_site: str
-
-    def as_tuple(self) -> tuple[str, str, str, str]:
-        return (self.src_stage, self.dst_stage, self.src_site, self.dst_site)
-
-
-@dataclass
 class RuntimeSnapshot:
     """Copy-on-write capture of the engine's mutable state (rollback unit).
 
@@ -275,8 +262,8 @@ class _PlanCache:
 
     The cache is valid while the runtime executes the *same plan object*
     at the *same mutation version*; any task mutation anywhere (reassign,
-    rescale, failure evacuation, transaction rollback) bumps the plan's
-    monotonic mutation counter and invalidates it.  The plan reference is
+    rescale, transaction rollback) bumps the plan's monotonic mutation
+    counter and invalidates it.  The plan reference is
     held strongly so an ``is`` check can never be confused by object-id
     reuse.  The records' row capacities carry their own stamp, the
     topology's site-state version and the tick length.

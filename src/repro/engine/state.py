@@ -11,7 +11,7 @@ exploits to cut migration time (Sections 6.2 and 8.7.2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..errors import StateError
 
@@ -81,19 +81,6 @@ class StateStore:
         share = total_mb / len(parts)
         for part in parts:
             part.size_mb = share
-
-    def move_partition(
-        self, stage_name: str, from_site: str, to_site: str
-    ) -> StatePartition:
-        """Relocate one partition (task migration, Section 5)."""
-        parts = self._partitions.get(stage_name, [])
-        for part in parts:
-            if part.site == from_site:
-                part.site = to_site
-                return part
-        raise StateError(
-            f"stage {stage_name!r} has no state partition at {from_site!r}"
-        )
 
     def rebalance(self, stage_name: str, task_sites: list[str]) -> None:
         """Repartition the stage's state evenly over the given task sites.

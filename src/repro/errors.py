@@ -68,10 +68,6 @@ class AdaptationError(WaspError):
     """The reconfiguration manager failed to apply an adaptation action."""
 
 
-class ReplanningError(AdaptationError):
-    """No safe alternative plan exists (e.g. incompatible stateful sub-plans)."""
-
-
 class AdaptationRollbackError(AdaptationError):
     """An adaptation action failed mid-flight and its snapshot was restored.
 

@@ -83,11 +83,6 @@ class BandwidthProcess:
     def mean_mbps(self) -> float:
         return self._mean
 
-    @property
-    def value_mbps(self) -> float:
-        """Current available bandwidth."""
-        return self._value
-
     def step(self) -> float:
         """Advance one measurement interval and return the new bandwidth."""
         noise = self._rng.normal(0.0, self._sigma)

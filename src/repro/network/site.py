@@ -155,10 +155,6 @@ class Site:
             self._failed = False
             self._state_changed()
 
-    def release_all(self) -> None:
-        """Free every slot (used when a failed site's tasks are torn down)."""
-        self._used_slots = 0
-
     def force_used_slots(self, count: int) -> None:
         """Set the used-slot counter directly (adaptation rollback only).
 

@@ -241,13 +241,3 @@ class Topology:
     def _require(self, name: str) -> None:
         if name not in self._sites:
             raise UnknownSiteError(name)
-
-    def fully_connected(self) -> bool:
-        """True if every ordered site pair has a defined link."""
-        names = self.site_names
-        return all(
-            (a, b) in self._base_bandwidth
-            for a in names
-            for b in names
-            if a != b
-        )

@@ -200,11 +200,6 @@ def paper_testbed(
     return topo
 
 
-def edge_home_region(edge_index: int, dc_count: int = 8) -> str:
-    """The region an edge node is homed at under :func:`paper_testbed`."""
-    return list(EC2_REGIONS)[:dc_count][edge_index % dc_count]
-
-
 def network_distributions(topo: Topology) -> dict[str, np.ndarray]:
     """Bandwidth/latency samples split by link class, for Figure 7's CDFs.
 

@@ -1,4 +1,4 @@
-"""Query planning substrate: rewrites, enumeration, placement, scheduling."""
+"""Query planning substrate: enumeration, cost, placement, scheduling."""
 
 from .cost import DeploymentEstimate, choose_best_deployment, estimate_deployment
 from .enumerate import (
@@ -7,18 +7,14 @@ from .enumerate import (
     branch_from_ops,
     enumerate_join_trees,
     join_tree_plans,
-    region_groupings,
 )
 from .placement import (
     DownstreamDemand,
     PlacementProblem,
     PlacementSolution,
     UpstreamFlow,
-    max_placeable_tasks,
     solve_placement,
-    solve_with_milp,
 )
-from .rules import optimize
 from .scheduler import AssignmentDiff, Scheduler
 
 __all__ = [
@@ -36,9 +32,5 @@ __all__ = [
     "enumerate_join_trees",
     "estimate_deployment",
     "join_tree_plans",
-    "max_placeable_tasks",
-    "optimize",
-    "region_groupings",
     "solve_placement",
-    "solve_with_milp",
 ]

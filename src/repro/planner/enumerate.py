@@ -277,33 +277,3 @@ def aggregation_grouping_plans(
             LogicalPlan.from_edges(f"{plan_name}#{i}", operators, edges)
         )
     return plans
-
-
-def region_groupings(
-    branch_home: dict[str, str], *, max_group: int = 8
-) -> list[list[list[str]]]:
-    """Candidate groupings derived from branch home regions.
-
-    Produces: (1) everything direct, (2) one group per region with >= 2
-    branches, (3) a single global pre-aggregation, deduplicated.
-    """
-    keys = sorted(branch_home)
-    direct = [[k] for k in keys]
-    by_region: dict[str, list[str]] = {}
-    for key in keys:
-        by_region.setdefault(branch_home[key], []).append(key)
-    regional: list[list[str]] = []
-    for region in sorted(by_region):
-        members = by_region[region]
-        if 2 <= len(members) <= max_group:
-            regional.append(members)
-        else:
-            regional.extend([[m] for m in members])
-    global_group = [keys] if len(keys) <= max_group else None
-
-    groupings: list[list[list[str]]] = [direct]
-    if regional != direct:
-        groupings.append(regional)
-    if global_group is not None and global_group not in groupings:
-        groupings.append(global_group)
-    return groupings

@@ -15,9 +15,11 @@ exactly how WASP re-assigns, one stage at a time), constraints (2)-(4) are
 independent per-site upper bounds and the objective is linear with identical
 unit items, so sorting sites by their latency coefficient and filling
 greedily is provably optimal (exchange argument: swapping any task from a
-cheaper feasible site to a costlier one never helps).  A
-:func:`solve_with_milp` cross-check via ``scipy.optimize.milp`` is provided
-and exercised by the test suite to guard the reduction.
+cheaper feasible site to a costlier one never helps).  The greedy is the
+one solver production runs.  The test suite guards the reduction with two
+oracles: an exact MILP formulation (the Gurobi stand-in,
+``tests/planner/milp.py``) and brute-force enumeration
+(``tests/planner/test_ilp_differential.py``).
 
 Refinement over the paper's formulation: constraint (2) is applied per
 upstream *flow* - the traffic on link ``u -> s`` is only the share of ``u``'s
@@ -245,63 +247,4 @@ def solve_placement(
     total_cost = sum(costs[s] * n for s, n in assignment.items())
     return PlacementSolution(
         assignment=assignment, cost=total_cost, per_site_cost=costs
-    )
-
-
-def max_placeable_tasks(
-    problem: PlacementProblem,
-    network: NetworkView,
-) -> int:
-    """Upper bound on parallelism the network/slots admit (for scale-out)."""
-    return sum(
-        per_site_capacity(site, problem, network)
-        for site in problem.available_slots
-    )
-
-
-def solve_with_milp(
-    problem: PlacementProblem,
-    network: NetworkView,
-) -> PlacementSolution:
-    """Reference MILP solution via scipy, used to cross-check the greedy.
-
-    Solves ``min c.x`` subject to ``0 <= x[s] <= cap[s]`` and
-    ``sum x = p`` with integrality, which is the full Equations 1-5 system
-    after folding the per-site bandwidth constraints into ``cap``.
-    """
-    import numpy as np
-    from scipy.optimize import Bounds, LinearConstraint, milp
-
-    sites = sorted(problem.available_slots)
-    costs = np.array(
-        [site_cost_ms(site, problem, network) for site in sites]
-    )
-    caps = np.array(
-        [per_site_capacity(site, problem, network) for site in sites],
-        dtype=float,
-    )
-    if caps.sum() < problem.parallelism:
-        raise InfeasiblePlacementError(
-            f"cannot place {problem.parallelism} tasks (milp)"
-        )
-    constraint = LinearConstraint(
-        np.ones((1, len(sites))), problem.parallelism, problem.parallelism
-    )
-    result = milp(
-        c=costs,
-        constraints=[constraint],
-        integrality=np.ones(len(sites)),
-        bounds=Bounds(0, caps),
-    )
-    if not result.success:
-        raise InfeasiblePlacementError(f"milp failed: {result.message}")
-    assignment = {
-        site: int(round(x))
-        for site, x in zip(sites, result.x)
-        if round(x) > 0
-    }
-    return PlacementSolution(
-        assignment=assignment,
-        cost=float(result.fun),
-        per_site_cost={s: float(c) for s, c in zip(sites, costs)},
     )

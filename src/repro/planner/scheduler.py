@@ -121,13 +121,6 @@ class Scheduler:
                 stage.add_task(site)
         return AssignmentDiff(stage=stage.name, added=added, removed=removed)
 
-    def add_tasks(self, stage: Stage, assignment: dict[str, int]) -> AssignmentDiff:
-        """Scale up/out: add tasks on top of the existing placement."""
-        target = stage.placement()
-        for site, count in assignment.items():
-            target[site] = target.get(site, 0) + count
-        return self.apply_assignment(stage, target)
-
     def remove_task(self, stage: Stage, site: str) -> AssignmentDiff:
         """Scale down by one task at ``site`` (Section 4.2 removes one per
         iteration, prioritizing performance stability)."""
@@ -146,30 +139,6 @@ class Scheduler:
         return self.apply_assignment(stage, target)
 
     # ------------------------------------------------------------------ #
-    # Failure handling
-    # ------------------------------------------------------------------ #
-
-    def evacuate_failed_sites(self, plan: PhysicalPlan) -> dict[str, int]:
-        """Drop tasks stranded on failed sites; returns lost tasks per stage.
-
-        Slots on a failed site are released wholesale (the site lost them
-        anyway); the controller is responsible for re-deploying capacity
-        after recovery.
-        """
-        lost: dict[str, int] = {}
-        failed_sites = {s.name for s in self._topology if s.failed}
-        if not failed_sites:
-            return lost
-        for stage in plan.topological_stages():
-            stranded = [t for t in stage.tasks if t.site in failed_sites]
-            for task in stranded:
-                stage.remove_task(task)
-                lost[stage.name] = lost.get(stage.name, 0) + 1
-        for site_name in failed_sites:
-            self._topology.site(site_name).release_all()
-        return lost
-
-    # ------------------------------------------------------------------ #
     # Helpers
     # ------------------------------------------------------------------ #
 
@@ -186,10 +155,7 @@ class Scheduler:
                 stage.add_task(site)
 
     def _release_site(self, site: str, count: int = 1) -> None:
-        site_obj = self._topology.site(site)
         # A task leaving a site frees its slot, failed site or not: a
         # crashed site keeps its tasks (and their slots) until a re-assign
-        # moves them.  Only an evacuated site, whose slots
-        # ``evacuate_failed_sites`` released wholesale, counts fewer.
-        if site_obj.used_slots >= count:
-            site_obj.release(count)
+        # moves them.
+        self._topology.site(site).release(count)

@@ -165,8 +165,8 @@ class TestScaleExecution:
 class TestScaleDownExecution:
     def test_removes_task_and_merges_state(self, small_topology):
         manager = build_manager(small_topology, state_mb=60.0)
-        manager.scheduler.add_tasks(
-            manager.runtime.plan.stage("agg"), {"dc-2": 1}
+        manager.scheduler.apply_assignment(
+            manager.runtime.plan.stage("agg"), {"dc-1": 1, "dc-2": 1}
         )
         manager.state_store.rebalance("agg", ["dc-1", "dc-2"])
         record = manager.execute(

@@ -4,12 +4,7 @@ import pytest
 
 from repro.baselines.variants import wasp_long_term
 from repro.core.actions import ActionKind
-from repro.core.longterm import (
-    LongTermConfig,
-    LongTermPlanner,
-    OracleForecaster,
-    SeasonalNaiveForecaster,
-)
+from repro.core.longterm import LongTermConfig, OracleForecaster
 from repro.errors import AdaptationRollbackError, ConfigurationError
 from repro.experiments.harness import ExperimentRun
 from repro.experiments.scenarios import fig8_scenario, live_dynamics
@@ -24,32 +19,6 @@ class TestForecasters:
         workload = ShapedWorkload({"a": 100.0, "b": 200.0})
         oracle = OracleForecaster(workload, ["a", "b"])
         assert oracle.forecast(0.0) == {"a": 100.0, "b": 200.0}
-
-    def test_seasonal_naive_repeats_last_season(self):
-        forecaster = SeasonalNaiveForecaster(season_s=100.0)
-        forecaster.observe(10.0, {"a": 1.0})
-        forecaster.observe(50.0, {"a": 5.0})
-        forecaster.observe(110.0, {"a": 11.0})
-        # t=150 minus one season = t=50 -> the 5.0 observation.
-        assert forecaster.forecast(150.0) == {"a": 5.0}
-
-    def test_seasonal_naive_fallback_before_full_season(self):
-        forecaster = SeasonalNaiveForecaster(season_s=1000.0)
-        forecaster.observe(10.0, {"a": 1.0})
-        assert forecaster.forecast(20.0) == {"a": 1.0}
-
-    def test_seasonal_naive_empty(self):
-        assert SeasonalNaiveForecaster(10.0).forecast(100.0) == {}
-
-    def test_seasonal_naive_rejects_stale_observations(self):
-        forecaster = SeasonalNaiveForecaster(season_s=10.0)
-        forecaster.observe(10.0, {"a": 1.0})
-        forecaster.observe(5.0, {"a": 99.0})  # out of order: ignored
-        assert forecaster.forecast(20.0) == {"a": 1.0}
-
-    def test_invalid_season_rejected(self):
-        with pytest.raises(ConfigurationError):
-            SeasonalNaiveForecaster(0.0)
 
     def test_invalid_config_rejected(self):
         with pytest.raises(ConfigurationError):

@@ -1,4 +1,4 @@
-"""Backpressure analysis: observed vs actual rates (Section 3.3).
+"""Backpressure oracle: observed vs actual rates (Section 3.3).
 
 Modern engines rely on backpressure: a bottleneck operator triggers
 control-rate messages that throttle its upstreams, so every rate observed
@@ -12,18 +12,19 @@ generation rates, per-stage processing capacities and per-link bandwidth
 capacities, :func:`steady_state_rates` computes the throttled fixed point:
 the rates every stage would *observe* under credit-based backpressure once
 queues stop growing.  Contrasting it with the plan's unthrottled
-lambda-hat expectation identifies which stages lie about the workload -
-and the test suite uses it to verify that the fluid engine's long-run
-behaviour and the WorkloadEstimator's corrections agree with the theory.
+lambda-hat expectation identifies which stages lie about the workload.
+No production path runs it: ``test_backpressure.py`` uses it as an oracle,
+checking that the fluid engine's long-run behaviour and the
+WorkloadEstimator's corrections agree with the theory.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..engine.physical import PhysicalPlan, Stage
-from ..engine.runtime import MBIT_BYTES
-from ..errors import SimulationError
+from repro.engine.physical import PhysicalPlan, Stage
+from repro.engine.runtime import MBIT_BYTES
+from repro.errors import SimulationError
 
 
 @dataclass(frozen=True)

@@ -1,17 +1,17 @@
-"""Tests for repro.engine.backpressure - observed vs actual rates."""
+"""Tests of the backpressure oracle - observed vs actual rates."""
 
 import pytest
 
-from repro.engine.backpressure import (
+from repro.engine.logical import LogicalPlan
+from repro.engine.operators import filter_, sink, source, window_aggregate
+from repro.engine.physical import PhysicalPlan
+from repro.engine.runtime import mbps_to_eps
+from tests.engine.backpressure import (
     TopologyCapacityModel,
     bottleneck_stages,
     steady_state_rates,
 )
-from repro.engine.logical import LogicalPlan
-from repro.engine.operators import filter_, sink, source, window_aggregate
-from repro.engine.physical import PhysicalPlan
-from repro.engine.runtime import EngineRuntime, mbps_to_eps
-from tests.engine.test_runtime import ConstantWorkload, build_pipeline
+from tests.engine.test_runtime import build_pipeline
 
 
 def make_deployed_plan(agg_site="dc-1", agg_cost=1.0):

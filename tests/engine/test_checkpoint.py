@@ -32,12 +32,6 @@ class TestCheckpointing:
         record = coordinator.record("agg", "a")
         assert record is not None and record.taken_at_s == 10.0
 
-    def test_maybe_checkpoint_respects_interval(self, store):
-        coordinator = CheckpointCoordinator(store, interval_s=30.0)
-        assert coordinator.maybe_checkpoint(30.0)
-        assert not coordinator.maybe_checkpoint(45.0)
-        assert coordinator.maybe_checkpoint(60.0)
-
     def test_invalid_interval_rejected(self, store):
         with pytest.raises(CheckpointError):
             CheckpointCoordinator(store, interval_s=0.0)
@@ -95,12 +89,6 @@ class TestSkipSites:
         assert {r.site for r in records} == {"b"}
         assert coordinator.record("agg", "a") is None
         assert math.isinf(coordinator.staleness_s("agg", "a", 10.0))
-
-    def test_maybe_checkpoint_forwards_skips(self, store):
-        coordinator = CheckpointCoordinator(store, interval_s=30.0)
-        coordinator.maybe_checkpoint(30.0, skip_sites={"b"})
-        assert coordinator.record("agg", "a") is not None
-        assert coordinator.record("agg", "b") is None
 
 
 class TestCheckpointLossAndRollback:

@@ -141,7 +141,7 @@ def test_version_bumps_cover_all_mutation_paths() -> None:
     v = stage.version
     task = stage.add_task(stage.tasks[0].site)
     assert stage.version == v + 1
-    stage.remove_task(task)
+    stage.remove_task_at(task.site)
     assert stage.version == v + 2
     stage.add_task(stage.tasks[0].site)
     stage.remove_task_at(stage.tasks[0].site)

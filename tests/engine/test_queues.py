@@ -112,15 +112,6 @@ class TestDropping:
 
 
 class TestAges:
-    def test_mean_age(self):
-        queue = FluidQueue()
-        queue.push(10.0, 0.0)
-        queue.push(10.0, 10.0)
-        assert queue.mean_age_s(now_s=20.0) == pytest.approx(15.0)
-
-    def test_mean_age_empty(self):
-        assert FluidQueue().mean_age_s(0.0) == 0.0
-
     def test_oldest_gen_time_none_when_empty(self):
         assert FluidQueue().oldest_gen_time_s() is None
 

@@ -59,19 +59,6 @@ class TestQueries:
 
 
 class TestMutations:
-    def test_move_partition(self):
-        store = StateStore()
-        store.initialize_stage("agg", 60.0, ["a", "b"])
-        store.move_partition("agg", "a", "c")
-        assert store.mb_at_site("agg", "c") == pytest.approx(30.0)
-        assert store.mb_at_site("agg", "a") == 0.0
-
-    def test_move_missing_partition_rejected(self):
-        store = StateStore()
-        store.initialize_stage("agg", 60.0, ["a"])
-        with pytest.raises(StateError):
-            store.move_partition("agg", "zzz", "c")
-
     def test_rebalance_preserves_total(self):
         store = StateStore()
         store.initialize_stage("agg", 60.0, ["a"])

@@ -148,7 +148,7 @@ class TestMutationVersion:
             site = stage.tasks[0].site
             snapshot = list(stage.tasks)
             step(lambda: stage.add_task(site))
-            step(lambda: stage.remove_task(stage.tasks[-1]))
+            step(lambda: stage.remove_task_at(site))
             step(lambda: stage.add_task(site))
             step(lambda: stage.remove_task_at(site))
             # Reads and a refused removal change nothing.
@@ -177,7 +177,7 @@ class TestMutationVersion:
         before = plan.mutation_version()
         snapshot = list(stage.tasks)
         slots = run.topology.slot_snapshot()
-        scheduler.add_tasks(stage, {free: 1})
+        scheduler.apply_assignment(stage, {**stage.placement(), free: 1})
         assert plan.mutation_version() > before
         assert plan.mutation_version() == self.oracle(plan)
         stage.set_tasks(snapshot)

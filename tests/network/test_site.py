@@ -50,12 +50,6 @@ class TestSlotAccounting:
         site.allocate(3)
         assert site.available_slots == 0
 
-    def test_release_all(self):
-        site = make_site(3)
-        site.allocate(3)
-        site.release_all()
-        assert site.used_slots == 0
-
 
 class TestFailure:
     def test_failed_site_has_no_available_slots(self):

@@ -86,7 +86,6 @@ def test_slot_accounting_leaves_the_version_alone():
     site.revoke_slots(1)
     site.restore_slots(1)
     site.force_used_slots(3)
-    site.release_all()
     assert topology.site_state_version == before
 
 

@@ -11,6 +11,7 @@ from repro.network.topology import (
     Topology,
 )
 
+from tests.network.links import fully_connected
 from tests.slots import total_used_slots
 
 
@@ -93,12 +94,12 @@ class TestLinks:
         assert links[("a", "b")] == 10.0
 
     def test_fully_connected(self, topo):
-        assert topo.fully_connected()
+        assert fully_connected(topo)
 
     def test_not_fully_connected(self):
         topo = Topology([Site("a", SiteKind.EDGE, 1), Site("b", SiteKind.EDGE, 1)])
         topo.set_link("a", "b", 1.0, 1.0)
-        assert not topo.fully_connected()
+        assert not fully_connected(topo)
 
 
 class TestDynamics:

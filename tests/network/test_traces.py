@@ -13,6 +13,7 @@ from repro.network.traces import (
     network_distributions,
     paper_testbed,
 )
+from tests.network.links import fully_connected
 
 
 @pytest.fixture
@@ -68,7 +69,7 @@ class TestTestbedStructure:
             assert 2 <= site.total_slots <= 4
 
     def test_fully_connected(self, testbed):
-        assert testbed.fully_connected()
+        assert fully_connected(testbed)
 
     def test_custom_spec(self):
         spec = TestbedSpec(dc_count=3, edge_count=2, dc_slots=4)

@@ -3,14 +3,13 @@
 import pytest
 
 from repro.engine.logical import can_replace_preserving_state
-from repro.engine.operators import filter_, join, sink, source, union, window_aggregate
+from repro.engine.operators import filter_, join, sink, source, window_aggregate
 from repro.errors import PlanError
 from repro.planner.enumerate import (
     aggregation_grouping_plans,
     branch_from_ops,
     enumerate_join_trees,
     join_tree_plans,
-    region_groupings,
 )
 
 
@@ -164,21 +163,3 @@ class TestAggregationGroupings:
             normalize_selectivity=False,
         )
         assert plans[0].operators["final"].selectivity == 0.05
-
-
-class TestRegionGroupings:
-    def test_includes_direct(self):
-        groupings = region_groupings({"a": "r1", "b": "r1", "c": "r2"})
-        assert [["a"], ["b"], ["c"]] in groupings
-
-    def test_includes_regional(self):
-        groupings = region_groupings({"a": "r1", "b": "r1", "c": "r2"})
-        assert any(["a", "b"] in g for g in groupings)
-
-    def test_includes_global(self):
-        groupings = region_groupings({"a": "r1", "b": "r2"})
-        assert [["a", "b"]] in groupings
-
-    def test_no_duplicates(self):
-        groupings = region_groupings({"a": "r1", "b": "r1"})
-        assert len(groupings) == len({str(g) for g in groupings})

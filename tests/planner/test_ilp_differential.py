@@ -1,9 +1,9 @@
 """Differential test: placement solvers vs brute-force enumeration.
 
 For instances small enough to enumerate exhaustively (<= 3 sites, <= 3
-tasks), both optimizers in the planner stack - the greedy reduction
-(``solve_placement``) and the scipy MILP cross-check (``solve_with_milp``)
-- must agree with the brute-force optimum of the Section 4.1 program: minimize the latency objective over
+tasks), the production greedy reduction (``solve_placement``) and the scipy
+MILP oracle (``tests/planner/milp.py``) must agree with the brute-force
+optimum of the Section 4.1 program: minimize the latency objective over
 all integer assignments satisfying the alpha-headroom flow caps (Eqs 2-3),
 slot capacities (Eq 4) and full deployment (Eq 5).
 
@@ -28,8 +28,8 @@ from repro.planner.placement import (
     UpstreamFlow,
     site_cost_ms,
     solve_placement,
-    solve_with_milp,
 )
+from tests.planner.milp import solve_with_milp
 
 SITES = ("s0", "s1", "s2")
 _EPS_SHAVE = 1e-9

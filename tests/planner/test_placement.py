@@ -1,6 +1,5 @@
 """Tests for repro.planner.placement - the Equations 1-5 ILP."""
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,12 +10,10 @@ from repro.planner.placement import (
     DownstreamDemand,
     PlacementProblem,
     UpstreamFlow,
-    max_placeable_tasks,
     per_site_capacity,
-    site_cost_ms,
     solve_placement,
-    solve_with_milp,
 )
+from tests.planner.milp import solve_with_milp
 
 
 class GridNetwork:
@@ -154,12 +151,6 @@ class TestConstraints:
         network = GridNetwork({}, {})
         solution = solve_placement(problem(p=5), network)
         assert solution.total_tasks() == 5
-
-    def test_max_placeable_tasks(self):
-        network = GridNetwork({("u", "a"): 0.6, ("u", "b"): 0.6}, {})
-        # Each site caps at 1 of 2 tasks via bandwidth; slots allow 4.
-        assert max_placeable_tasks(problem(p=2, slots={"a": 4, "b": 4}),
-                                   network) == 2
 
 
 class TestValidation:

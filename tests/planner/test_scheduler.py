@@ -5,7 +5,7 @@ import pytest
 from repro.engine.logical import LogicalPlan
 from repro.engine.operators import filter_, sink, source, window_aggregate
 from repro.engine.physical import PhysicalPlan
-from repro.errors import InsufficientSlotsError, SchedulingError
+from repro.errors import InsufficientSlotsError, SchedulingError, TopologyError
 from repro.planner.scheduler import Scheduler
 
 from tests.slots import total_used_slots
@@ -100,7 +100,7 @@ class TestMutations:
         """Section 4.1: only S - S' is migrated."""
         scheduler, plan = deployed
         stage = plan.stage("agg")
-        scheduler.add_tasks(stage, {"dc-2": 1})
+        scheduler.apply_assignment(stage, {"dc-1": 1, "dc-2": 1})
         original_task_ids = {t.task_id for t in stage.tasks if t.site == "dc-1"}
         diff = scheduler.apply_assignment(stage, {"dc-1": 1, "edge-x": 1})
         assert diff.removed == {"dc-2": 1}
@@ -109,14 +109,14 @@ class TestMutations:
 
     def test_scale_up_adds_slots(self, deployed):
         scheduler, plan = deployed
-        scheduler.add_tasks(plan.stage("agg"), {"dc-1": 2})
+        scheduler.apply_assignment(plan.stage("agg"), {"dc-1": 3})
         assert plan.stage("agg").parallelism == 3
         assert plan.total_parallelism() - scheduler.initial_slots == 2
 
     def test_remove_task(self, deployed):
         scheduler, plan = deployed
         stage = plan.stage("agg")
-        scheduler.add_tasks(stage, {"dc-2": 1})
+        scheduler.apply_assignment(stage, {"dc-1": 1, "dc-2": 1})
         scheduler.remove_task(stage, "dc-2")
         assert stage.placement() == {"dc-1": 1}
 
@@ -152,52 +152,8 @@ class TestMutations:
 
 
 class TestFailureEvacuation:
-    def test_evacuate_removes_stranded_tasks(self, small_topology):
-        scheduler = Scheduler(small_topology)
-        plan = make_plan()
-        scheduler.deploy(plan, ASSIGNMENTS)
-        small_topology.site("dc-1").fail()
-        lost = scheduler.evacuate_failed_sites(plan)
-        assert lost == {"agg": 1, "out": 1}
-        assert plan.stage("agg").parallelism == 0
-
-    def test_evacuate_noop_without_failures(self, small_topology):
-        scheduler = Scheduler(small_topology)
-        plan = make_plan()
-        scheduler.deploy(plan, ASSIGNMENTS)
-        assert scheduler.evacuate_failed_sites(plan) == {}
-        assert plan.deployed()
-
-    def test_evacuation_releases_failed_slots_wholesale(
-        self, small_topology
-    ):
-        scheduler = Scheduler(small_topology)
-        plan = make_plan()
-        scheduler.deploy(plan, ASSIGNMENTS)
-        assert small_topology.site("dc-1").used_slots == 2
-        small_topology.site("dc-1").fail()
-        scheduler.evacuate_failed_sites(plan)
-        # The site lost the slots anyway; accounting must not leak them.
-        assert small_topology.site("dc-1").used_slots == 0
-        # Surviving sites keep their allocations.
-        assert small_topology.site("edge-x").used_slots == 1
-
-    def test_partial_failure_spares_surviving_tasks(self, small_topology):
-        scheduler = Scheduler(small_topology)
-        plan = make_plan()
-        scheduler.deploy(
-            plan,
-            {
-                "src": {"edge-x": 1},
-                "agg": {"dc-1": 1, "dc-2": 1},
-                "out": {"dc-2": 1},
-            },
-        )
-        small_topology.site("dc-1").fail()
-        lost = scheduler.evacuate_failed_sites(plan)
-        assert lost == {"agg": 1}
-        assert plan.stage("agg").placement() == {"dc-2": 1}
-        assert plan.stage("out").placement() == {"dc-2": 1}
+    """A failed site is never evacuated wholesale: it keeps its tasks, and
+    their slots, until a re-assign moves them, one release per task."""
 
     def test_moving_a_task_off_a_crashed_site_frees_its_slot(
         self, small_topology
@@ -217,12 +173,13 @@ class TestFailureEvacuation:
         assert dc1.available_slots == 7
         assert small_topology.site("dc-2").used_slots == 1
 
-    def test_evacuation_is_idempotent(self, small_topology):
+    def test_release_without_allocated_slots_raises(self, small_topology):
+        """A task leaving a site always releases its slot: a site that
+        counts fewer used slots than the tasks leaving it is a leak, and
+        the move fails loudly instead of skipping the release."""
         scheduler = Scheduler(small_topology)
         plan = make_plan()
         scheduler.deploy(plan, ASSIGNMENTS)
-        small_topology.site("dc-1").fail()
-        first = scheduler.evacuate_failed_sites(plan)
-        second = scheduler.evacuate_failed_sites(plan)
-        assert first == {"agg": 1, "out": 1}
-        assert second == {}
+        small_topology.site("dc-1").force_used_slots(0)
+        with pytest.raises(TopologyError):
+            scheduler.apply_assignment(plan.stage("agg"), {"dc-2": 1})

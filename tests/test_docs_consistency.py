@@ -46,10 +46,30 @@ class TestReferencedFilesExist:
             assert matches, name
 
     def test_design_module_map_matches_packages(self):
+        """DESIGN §3 lists exactly the modules under ``src/repro``."""
         text = (ROOT / "DESIGN.md").read_text()
-        for module in re.findall(r"^\s{4}(\w+\.py)\s", text, re.MULTILINE):
-            hits = list((ROOT / "src" / "repro").rglob(module))
-            assert hits, module
+        section = text[text.index("## 3. System inventory"):]
+        block = section[section.index("```\nsrc/repro/\n") + 4:]
+        block = block[: block.index("```")]
+        mapped = set()
+        package = ""
+        for line in block.splitlines()[1:]:
+            entry = re.match(r"^( {2}| {4})(\w+/|\w+\.py)(\s|$)", line)
+            if entry is None:
+                continue
+            indent, name = entry.group(1), entry.group(2)
+            if name.endswith("/"):
+                package = name
+            else:
+                mapped.add(name if indent == "  " else package + name)
+        source = ROOT / "src" / "repro"
+        modules = {
+            path.relative_to(source).as_posix()
+            for path in source.rglob("*.py")
+            if path.name != "__init__.py"
+        }
+        assert sorted(mapped - modules) == [], "mapped but missing"
+        assert sorted(modules - mapped) == [], "present but unmapped"
 
     def test_every_benchmark_is_indexed(self):
         """Each bench file appears in DESIGN.md's experiment index."""

@@ -22,7 +22,6 @@ class TestHierarchy:
             errors.CheckpointError,
             errors.MigrationError,
             errors.AdaptationError,
-            errors.ReplanningError,
             errors.AdaptationRollbackError,
             errors.SimulationError,
             errors.ChaosError,
@@ -58,9 +57,6 @@ class TestHierarchy:
     def test_checkpoint_and_migration_subclass_state(self):
         assert issubclass(errors.CheckpointError, errors.StateError)
         assert issubclass(errors.MigrationError, errors.StateError)
-
-    def test_replanning_subclasses_adaptation(self):
-        assert issubclass(errors.ReplanningError, errors.AdaptationError)
 
     def test_rollback_subclasses_adaptation(self):
         assert issubclass(
