@@ -25,6 +25,9 @@ from ..core.migration import MigrationStrategy
 from ..core.policy import PolicyMode
 from ..errors import ConfigurationError
 
+#: Latency SLO of the Degrade baseline (Section 8.4 sets 10 s).
+DEGRADE_SLO_S = 10.0
+
 
 @dataclass(frozen=True)
 class VariantSpec:
@@ -35,7 +38,6 @@ class VariantSpec:
     degrade_slo_s: float | None = None
     mode: PolicyMode = field(default_factory=PolicyMode.wasp)
     migration_strategy: MigrationStrategy = MigrationStrategy.WASP
-    replanning: bool = True
     #: Attach the Section-6.2 background loop for predictable long-term
     #: dynamics (periodic proactive re-planning against a forecast).
     long_term: bool = False
@@ -55,9 +57,11 @@ def no_adapt() -> VariantSpec:
     return VariantSpec(name="No Adapt", adapts=False)
 
 
-def degrade(slo_s: float = 10.0) -> VariantSpec:
+def degrade() -> VariantSpec:
     """Drop late events to hold the SLO; never re-optimize (Section 8.4)."""
-    return VariantSpec(name="Degrade", adapts=False, degrade_slo_s=slo_s)
+    return VariantSpec(
+        name="Degrade", adapts=False, degrade_slo_s=DEGRADE_SLO_S
+    )
 
 
 def reassign_only() -> VariantSpec:
@@ -66,7 +70,6 @@ def reassign_only() -> VariantSpec:
         name="Re-assign",
         adapts=True,
         mode=PolicyMode.reassign_only(),
-        replanning=False,
     )
 
 
@@ -76,7 +79,6 @@ def scale_only() -> VariantSpec:
         name="Scale",
         adapts=True,
         mode=PolicyMode.scale_only(),
-        replanning=False,
     )
 
 
@@ -86,7 +88,6 @@ def replan_only() -> VariantSpec:
         name="Re-plan",
         adapts=True,
         mode=PolicyMode.replan_only(),
-        replanning=True,
     )
 
 
@@ -104,7 +105,6 @@ def wasp(
         adapts=True,
         mode=PolicyMode.wasp(),
         migration_strategy=migration_strategy,
-        replanning=True,
     )
 
 
@@ -114,7 +114,6 @@ def wasp_long_term() -> VariantSpec:
         name="WASP/long-term",
         adapts=True,
         mode=PolicyMode.wasp(),
-        replanning=True,
         long_term=True,
     )
 

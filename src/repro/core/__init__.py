@@ -12,7 +12,7 @@ from .comparison import TABLE_2, TechniqueProfile, render_table
 from .controller import AdaptationRecord, ReconfigurationManager
 from .diagnosis import Diagnoser, Health, LinkPressure, StageDiagnosis
 from .estimator import StageEstimate, WorkloadEstimator
-from .longterm import LongTermConfig, LongTermPlanner, OracleForecaster
+from .longterm import LongTermPlanner, OracleForecaster
 from .migration import (
     MigrationPlan,
     MigrationStrategy,
@@ -38,7 +38,6 @@ __all__ = [
     "Diagnoser",
     "Health",
     "LinkPressure",
-    "LongTermConfig",
     "LongTermPlanner",
     "MigrationPlan",
     "OracleForecaster",

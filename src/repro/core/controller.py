@@ -83,6 +83,21 @@ from .transaction import (
 #: each :class:`AdaptationPoint` with the acted-on stage and the sim time.
 AdaptationHook = Callable[[AdaptationPoint, str, float], None]
 
+#: Fixed part of a re-assignment or scale transition (seconds): suspending,
+#: redeploying and resuming the stage's tasks, on top of any state transfer.
+RECONFIG_BASE_OVERHEAD_S = 2.0
+#: Transition of a re-plan (seconds): the whole query is redeployed.
+REPLAN_DEPLOY_OVERHEAD_S = 8.0
+#: Minimum time between two re-plans (seconds).
+REPLAN_COOLDOWN_S = 120.0
+#: Transactional adaptation: how often a rolled-back action is retried
+#: against re-measured bandwidth before falling through the technique chain
+#: (scale-out with state partitioning, then abandoning state).
+ADAPTATION_MAX_RETRIES = 2
+#: Simulated-time penalty added to the transition per retry attempt
+#: (bounded backoff: attempt k pays k * backoff on top of the transfer).
+ADAPTATION_RETRY_BACKOFF_S = 5.0
+
 
 @dataclass
 class AdaptationRecord:
@@ -356,7 +371,7 @@ class ReconfigurationManager:
             for a in actions
             if not (
                 isinstance(a, ReplanAction)
-                and now_s - last_replan < self.config.replan_cooldown_s
+                and now_s - last_replan < REPLAN_COOLDOWN_S
             )
         ]
         executed: list[AdaptationRecord] = []
@@ -608,12 +623,14 @@ class ReconfigurationManager:
         yield _Attempt("primary", action, None)
         if not isinstance(action, (ReassignAction, ScaleAction)):
             return
-        backoff = self.config.adaptation_retry_backoff_s
-        for k in range(1, self.config.adaptation_max_retries + 1):
+        for k in range(1, ADAPTATION_MAX_RETRIES + 1):
             retry = self._remeasured_action(action, now_s)
             if retry is None:
                 break
-            yield _Attempt(f"retry-{k}", retry, None, backoff_s=backoff * k)
+            yield _Attempt(
+                f"retry-{k}", retry, None,
+                backoff_s=ADAPTATION_RETRY_BACKOFF_S * k,
+            )
         scale_out = self._scale_out_fallback(action)
         if scale_out is not None:
             yield _Attempt("scale-out", scale_out, None)
@@ -767,7 +784,7 @@ class ReconfigurationManager:
                 AdaptationPoint.MIGRATION_IN_FLIGHT, stage.name, now_s
             )
         transition = (
-            self.config.reconfig_base_overhead_s
+            RECONFIG_BASE_OVERHEAD_S
             + migration.transition_s
             + self._extra_transition_s
         )
@@ -796,9 +813,7 @@ class ReconfigurationManager:
         }
         diff = self.scheduler.apply_assignment(stage, action.new_assignment)
         migration: MigrationPlan | None = None
-        transition = (
-            self.config.reconfig_base_overhead_s + self._extra_transition_s
-        )
+        transition = RECONFIG_BASE_OVERHEAD_S + self._extra_transition_s
         if stage.stateful and self.state_store.total_mb(stage.name) > 0:
             migration = self._rebalance_state(stage, before_state)
             if migration.transfers:
@@ -923,7 +938,7 @@ class ReconfigurationManager:
                 )
 
         self.runtime.replace_plan(new_plan)
-        transition = self.config.replan_deploy_overhead_s
+        transition = REPLAN_DEPLOY_OVERHEAD_S
         for stage in new_plan.topological_stages():
             if stage.is_source:
                 continue

@@ -15,7 +15,8 @@ fail, the diagnosis distinguishes:
   parallelism above the minimum (a scale-down candidate, Section 4.2).
 
 Transient fluctuations are ignored (Section 7): backlog must exceed what the
-stage can absorb within ``backlog_health_s`` before a bottleneck is declared.
+stage can absorb within :data:`BACKLOG_HEALTH_S` before a bottleneck is
+declared.
 """
 
 from __future__ import annotations
@@ -28,6 +29,11 @@ from ..engine.metrics import MetricsWindow, StageMetrics
 from ..engine.physical import PhysicalPlan, Stage
 from ..engine.runtime import MBIT_BYTES
 from .estimator import StageEstimate
+
+#: Queueing delay (seconds) below which an execution is still considered
+#: healthy; absorbs transient workload spikes, which the paper explicitly
+#: ignores (Section 7).
+BACKLOG_HEALTH_S = 2.0
 
 
 class Health(enum.Enum):
@@ -139,11 +145,11 @@ class Diagnoser:
             estimate.input_eps > capacity * 1.001
             or bool(slow_sites)
             or (
-                backlog_delay_s > config.backlog_health_s
+                backlog_delay_s > BACKLOG_HEALTH_S
                 and utilization > 0.9
             )
             or (backlog_growth > 0 and utilization > 0.95 and
-                backlog_delay_s > config.backlog_health_s / 2)
+                backlog_delay_s > BACKLOG_HEALTH_S / 2)
         )
         network_bound = bool(constrained)
 
@@ -157,7 +163,7 @@ class Diagnoser:
             health = Health.NETWORK_BOUND
         elif (
             utilization < config.waste_utilization
-            and input_backlog <= capacity * config.backlog_health_s
+            and input_backlog <= capacity * BACKLOG_HEALTH_S
             and backlog_growth <= 0
             and stage.parallelism > 1
             and self._over_provisioned(stage, estimate, network)
@@ -205,7 +211,7 @@ class Diagnoser:
         for site in sorted(placement):
             rate_eps = network.site_proc_rate_eps(site) / stage.cost
             backlog = metrics.input_backlog_by_site.get(site, 0.0)
-            drain_slack = max(rate_eps, 1.0) * self._config.backlog_health_s
+            drain_slack = max(rate_eps, 1.0) * BACKLOG_HEALTH_S
             model_slow = share_eps > rate_eps * 1.001 and share_eps > 0
             observed_slow = backlog > drain_slack
             if model_slow or observed_slow:
@@ -235,7 +241,7 @@ class Diagnoser:
             # Use the dominant upstream's event size for conversion.
             event_bytes = self._inbound_event_bytes(stage, network)
             capacity_eps = bandwidth_mbps * MBIT_BYTES / event_bytes
-            drain_slack = capacity_eps * self._config.backlog_health_s
+            drain_slack = capacity_eps * BACKLOG_HEALTH_S
             growing = growth > 1e-6 and backlog > drain_slack * 0.1
             # A standing queue that exceeds what the link can drain within
             # the health window is just as constrained as a growing one -

@@ -20,10 +20,7 @@ and stands in for an offline profile.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from ..engine.runtime import WorkloadModel
-from ..errors import ConfigurationError
 from .actions import ReplanAction
 from .controller import AdaptationRecord, ReconfigurationManager
 
@@ -41,26 +38,13 @@ class OracleForecaster:
         return dict(zip(self._sources, rates))
 
 
-@dataclass(frozen=True)
-class LongTermConfig:
-    """Cadence of the background loop.
-
-    Attributes:
-        period_s: How often the background re-evaluation runs.  Much slower
-            than the reactive monitor (Section 6.2's loop exists so the
-            reactive path is not bothered with predictable shifts).
-        horizon_s: How far ahead to forecast - long enough to cover the
-            re-planning overhead, short enough to stay accurate.
-    """
-
-    period_s: float = 600.0
-    horizon_s: float = 120.0
-
-    def __post_init__(self) -> None:
-        if self.period_s <= 0:
-            raise ConfigurationError("period_s must be > 0")
-        if self.horizon_s < 0:
-            raise ConfigurationError("horizon_s must be >= 0")
+#: How often the background re-evaluation runs (seconds).  Much slower than
+#: the reactive monitor: Section 6.2's loop exists so the reactive path is
+#: not bothered with predictable shifts.
+PERIOD_S = 600.0
+#: How far ahead to forecast (seconds): long enough to cover the re-planning
+#: overhead, short enough to stay accurate.
+HORIZON_S = 120.0
 
 
 class LongTermPlanner:
@@ -70,11 +54,9 @@ class LongTermPlanner:
         self,
         manager: ReconfigurationManager,
         forecaster: OracleForecaster,
-        config: LongTermConfig | None = None,
     ) -> None:
         self.manager = manager
         self.forecaster = forecaster
-        self.config = config or LongTermConfig()
 
     @property
     def history(self) -> tuple[AdaptationRecord, ...]:
@@ -93,7 +75,7 @@ class LongTermPlanner:
         manager = self.manager
         if manager.replanner is None:
             return None
-        forecast = self.forecaster.forecast(now_s + self.config.horizon_s)
+        forecast = self.forecaster.forecast(now_s + HORIZON_S)
         plan = manager.runtime.plan
         # Skip while any stage is mid-transition: the reactive loop owns it.
         if any(

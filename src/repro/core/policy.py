@@ -304,7 +304,7 @@ class AdaptationPolicy:
     ) -> Action | None:
         if not ctx.mode.allow_scale:
             return None
-        if not can_scale_down(stage, diagnosis, ctx.config):
+        if not can_scale_down(stage, diagnosis):
             return None
         site = pick_scale_down_site(stage)
         reduced = dict(stage.placement())
@@ -514,7 +514,7 @@ class AdaptationPolicy:
     def _try_scale_out(
         self, stage: Stage, diagnosis: StageDiagnosis, ctx: PolicyContext
     ) -> Action | None:
-        decision = compute_scale_out_target(stage, diagnosis, ctx.config)
+        decision = compute_scale_out_target(stage, diagnosis)
         target_p = max(decision.target, stage.parallelism + 1)
         if target_p > ctx.config.p_max * max(1, stage.initial_parallelism):
             replan = self._try_replan(

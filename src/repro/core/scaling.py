@@ -26,6 +26,10 @@ from ..config import WaspConfig
 from ..engine.physical import Stage
 from .diagnosis import StageDiagnosis
 
+#: Cap on additional tasks acquired per adaptation round, preventing
+#: resource hoarding (Section 6.2).
+MAX_SCALE_OUT_PER_ROUND = 4
+
 
 @dataclass(frozen=True)
 class ScaleDecision:
@@ -67,14 +71,12 @@ def compute_scale_up_target(
     )
     ratio = effective_input / capacity
     target = max(p + 1, math.ceil(ratio * p))
-    target = min(target, p + config.max_scale_out_per_round)
+    target = min(target, p + MAX_SCALE_OUT_PER_ROUND)
     return ScaleDecision(stage.name, p, target)
 
 
 def compute_scale_out_target(
-    stage: Stage,
-    diagnosis: StageDiagnosis,
-    config: WaspConfig | None = None,
+    stage: Stage, diagnosis: StageDiagnosis
 ) -> ScaleDecision:
     """Additional tasks needed to spread constrained links' excess load.
 
@@ -85,7 +87,6 @@ def compute_scale_out_target(
     number of extra tasks, which is then re-validated by the placement
     solver.
     """
-    config = config or WaspConfig.paper_defaults()
     p = max(1, stage.parallelism)
     if not diagnosis.constrained_links:
         return ScaleDecision(stage.name, p, p)
@@ -101,7 +102,7 @@ def compute_scale_out_target(
             link.deficit_eps / max(per_task_flow, link.capacity_eps * 0.1)
         )
         extra += max(1, deficit_tasks)
-    extra = min(extra, config.max_scale_out_per_round)
+    extra = min(extra, MAX_SCALE_OUT_PER_ROUND)
     target = p + extra
     # Never target a parallelism below the DS2 compute minimum: a smaller
     # p' cannot process the expected stream at all, so the anti-hoarding
@@ -112,22 +113,17 @@ def compute_scale_out_target(
         ds2_minimum = math.ceil(
             diagnosis.expected_input_eps / max(per_task_rate, 1e-9)
         )
-        target = max(target, min(ds2_minimum, p + 2 * config.max_scale_out_per_round))
+        target = max(target, min(ds2_minimum, p + 2 * MAX_SCALE_OUT_PER_ROUND))
     return ScaleDecision(stage.name, p, target)
 
 
-def can_scale_down(
-    stage: Stage,
-    diagnosis: StageDiagnosis,
-    config: WaspConfig | None = None,
-) -> bool:
+def can_scale_down(stage: Stage, diagnosis: StageDiagnosis) -> bool:
     """Safe to remove one task?  (Section 4.2's per-iteration check.)
 
     The remaining tasks must absorb the relayed stream: expected input must
     fit within the reduced capacity with the waste threshold as headroom,
     and there must be no standing backlog or constrained links.
     """
-    config = config or WaspConfig.paper_defaults()
     if stage.parallelism <= 1:
         return False
     if diagnosis.constrained_links:

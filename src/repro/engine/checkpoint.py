@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..errors import CheckpointError
 from ..obs.events import Checkpoint, EventBus
 from .state import StateStore
 
@@ -36,27 +35,20 @@ class CheckpointRecord:
 
 
 class CheckpointCoordinator:
-    """Takes periodic local snapshots of every stateful stage's partitions."""
+    """Takes periodic local snapshots of every stateful stage's partitions.
+
+    The run's clock calls :meth:`checkpoint_all` every
+    ``WaspConfig.checkpoint_interval_s``; the coordinator keeps no schedule.
+    """
 
     def __init__(
-        self,
-        store: StateStore,
-        interval_s: float = 30.0,
-        *,
-        obs: EventBus | None = None,
+        self, store: StateStore, *, obs: EventBus | None = None
     ) -> None:
-        if interval_s <= 0:
-            raise CheckpointError(f"interval_s must be > 0, got {interval_s}")
         self._store = store
-        self._interval_s = float(interval_s)
         self._records: dict[tuple[str, str], CheckpointRecord] = {}
         self._last_checkpoint_s = float("-inf")
         #: The event bus (repro.obs) checkpoint rounds are announced on.
         self.obs = obs if obs is not None else EventBus()
-
-    @property
-    def interval_s(self) -> float:
-        return self._interval_s
 
     @property
     def last_checkpoint_s(self) -> float:

@@ -79,6 +79,12 @@ _DRAIN_EPS = 1e-12
 #: "Backends".
 AUTO_DENSE_MIN_FLOWS = 128
 
+#: Age resolution of the bucketed queues: each queue keeps this many
+#: tick-wide age buckets; events older than the window collapse into the
+#: last bucket (their exact mean generation time is preserved, so delay
+#: metrics stay exact).
+AGE_BUCKETS = 16
+
 
 def _rows(ids: list[int]) -> slice | np.ndarray:
     """Row selector for ``ids``: a ``slice`` when they form one ascending
@@ -781,7 +787,6 @@ class DenseEngineRuntime(EngineRuntime):
         super().__init__(
             topology, plan, workload, config, degrade_slo_s=degrade_slo_s
         )
-        self._B = int(self._config.dense_age_buckets)
         self._model: _DenseModel | None = None
         self._in_cnt: np.ndarray | None = None
         self._in_mass: np.ndarray | None = None
@@ -819,7 +824,7 @@ class DenseEngineRuntime(EngineRuntime):
                 self._gen_queue,
                 self._input_queue,
                 self._net_queue,
-                self._B,
+                AGE_BUCKETS,
                 self._config.tick_s,
             )
             self._model = model

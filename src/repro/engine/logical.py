@@ -236,10 +236,7 @@ class LogicalPlan:
 
 
 def can_replace_preserving_state(
-    current: LogicalPlan,
-    candidate: LogicalPlan,
-    *,
-    allow_window_boundary: bool = True,
+    current: LogicalPlan, candidate: LogicalPlan
 ) -> bool:
     """Section 4.3: is switching from ``current`` to ``candidate`` safe?
 
@@ -251,16 +248,16 @@ def can_replace_preserving_state(
 
     The paper's relaxation: an operator that maintains "a short and finite
     state" bounded by a tumbling window can be reconfigured at the end of the
-    window interval when its state is re-initialized anyway.  With
-    ``allow_window_boundary`` (the default), windowed stateful operators are
-    therefore exempt from the common-sub-plan requirement; the scheduler pays
-    for the exemption by deferring the switch to the next window boundary.
+    window interval when its state is re-initialized anyway.  Windowed
+    stateful operators are therefore exempt from the common-sub-plan
+    requirement; the scheduler pays for the exemption by deferring the
+    switch to the next window boundary.
     """
 
     def binding_signatures(plan: LogicalPlan) -> set[str]:
         sigs = set()
         for op in plan.stateful_operators():
-            if allow_window_boundary and op.window_s > 0:
+            if op.window_s > 0:
                 continue
             sigs.add(plan.subplan_signature(op.name))
         return sigs

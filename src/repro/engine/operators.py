@@ -155,8 +155,8 @@ class OperatorSpec:
 # --------------------------------------------------------------------------- #
 
 
-def source(name: str, site: str, *, rate_hint_eps: float = 0.0,
-           event_bytes: float = 200.0, cost: float = 0.25) -> OperatorSpec:
+def source(name: str, site: str, *, event_bytes: float = 200.0,
+           cost: float = 0.25) -> OperatorSpec:
     """A pinned stream source (e.g. one geo-distributed Kafka-like ingest).
 
     Ingestion is cheap by default (cost 0.25): a source task reads and
@@ -165,7 +165,6 @@ def source(name: str, site: str, *, rate_hint_eps: float = 0.0,
     dynamics target WAN links and downstream operators, and sources are
     pinned to where the data originates, so no adaptation could move them.
     """
-    del rate_hint_eps  # Rates come from the workload model, not the plan.
     return OperatorSpec(
         name, OperatorKind.SOURCE, event_bytes=event_bytes,
         pinned_site=site, cost=cost,

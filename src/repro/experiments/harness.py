@@ -22,6 +22,7 @@ from ..baselines.variants import VariantSpec
 from ..chaos.faults import ChaosTarget, Fault
 from ..chaos.injector import ChaosInjector
 from ..config import WaspConfig
+from ..core import longterm
 from ..core.controller import ReconfigurationManager
 from ..core.longterm import LongTermPlanner, OracleForecaster
 from ..core.replanning import Replanner
@@ -271,15 +272,13 @@ class ExperimentRun:
             degrade_slo_s=variant.degrade_slo_s,
         )
         checkpoints = self.checkpoints = CheckpointCoordinator(
-            state_store,
-            self.config.checkpoint_interval_s,
-            obs=self.obs,
+            state_store, obs=self.obs
         )
         self.manager: ReconfigurationManager | None = None
         if variant.adapts:
             replanner = (
                 Replanner(list(query.variants), self.config)
-                if variant.replanning and len(query.variants) > 1
+                if variant.mode.allow_replan and len(query.variants) > 1
                 else None
             )
             self.manager = ReconfigurationManager(
@@ -331,7 +330,7 @@ class ExperimentRun:
                 ),
             )
             self.clock.every(
-                self.long_term.config.period_s,
+                longterm.PERIOD_S,
                 self.long_term.background_round,
                 name="long-term",
             )

@@ -205,6 +205,8 @@ MIGRATION_RUN_DURATION_S = 520.0
 
 #: The stateful stage whose migration Figures 13/14 control.
 MIGRATION_STAGE = "win-country"
+#: Parallelism cap of the Figure 14 "Partitioned" adaptation.
+PARTITIONED_MAX_PARALLELISM = 6
 
 
 def migration_variants() -> tuple[VariantSpec, ...]:
@@ -404,7 +406,6 @@ def force_partitioned_adaptation(
     stage_name: str = MIGRATION_STAGE,
     *,
     t_threshold_s: float = 30.0,
-    max_parallelism: int = 6,
 ) -> None:
     """The Section 8.7.2 "Partitioned" behaviour.
 
@@ -448,7 +449,7 @@ def force_partitioned_adaptation(
     target_p = stage.parallelism
     while (
         transition_estimate(target_p) > t_threshold_s
-        and target_p < min(max_parallelism, len(ranked))
+        and target_p < min(PARTITIONED_MAX_PARALLELISM, len(ranked))
     ):
         target_p += 1
 

@@ -156,6 +156,9 @@ class ScenarioSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ScenarioSpec":
+        overrides = dict(data.get("config_overrides", {}))
+        WaspConfig.check_fields(overrides)
+
         def sched(value):
             if value is None:
                 return None
@@ -180,7 +183,7 @@ class ScenarioSpec:
                 )
                 for f in data.get("faults", ())
             ),
-            config_overrides=dict(data.get("config_overrides", {})),
+            config_overrides=overrides,
         )
 
     @classmethod

@@ -712,9 +712,7 @@ class InvariantChecker:
             ).target
         else:  # scale out
             bound = max(
-                compute_scale_out_target(
-                    proxy, diagnosis, manager.config
-                ).target,
+                compute_scale_out_target(proxy, diagnosis).target,
                 old_p + 1,
             )
         if not (old_p < new_p <= bound):

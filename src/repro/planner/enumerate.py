@@ -195,8 +195,6 @@ def aggregation_grouping_plans(
     partial_factory: Callable[[str, frozenset[str]], OperatorSpec],
     final_ops: Sequence[OperatorSpec],
     sink_op: OperatorSpec | None = None,
-    *,
-    normalize_selectivity: bool = True,
 ) -> list[LogicalPlan]:
     """Materialize one plan per grouping of branches into pre-aggregations.
 
@@ -209,12 +207,12 @@ def aggregation_grouping_plans(
         partial_factory: Builds the partial-aggregate operator for a group.
         final_ops: The final aggregation chain (first consumes the groups).
         sink_op: Sink appended after the final chain.
-        normalize_selectivity: Keep variants semantically equivalent: a
-            pre-aggregated variant compresses the stream *before* the final
-            operator, so the final operator's selectivity is rescaled such
-            that every variant produces the same sink rate (exact when all
-            branches carry equal rates, or when every branch is grouped
-            with the same partial selectivity).
+
+    Variants stay semantically equivalent: a pre-aggregated variant
+    compresses the stream *before* the final operator, so the final
+    operator's selectivity is rescaled such that every variant produces the
+    same sink rate (exact when all branches carry equal rates, or when every
+    branch is grouped with the same partial selectivity).
     """
     by_key = {b.key: b for b in branches}
     all_keys = set(by_key)
@@ -232,24 +230,21 @@ def aggregation_grouping_plans(
             operators.extend(branch.operators)
             edges.extend(branch.edges)
         final_head = final_ops[0]
-        if normalize_selectivity:
-            partial_sels = {
-                frozenset(g): partial_factory(
-                    "pre{" + "+".join(sorted(g)) + "}", frozenset(g)
-                ).selectivity
-                for g in grouping
-                if len(g) > 1
-            }
-            mix = sum(
-                len(g)
-                * (partial_sels[frozenset(g)] if len(g) > 1 else 1.0)
-                for g in grouping
-            ) / len(all_keys)
-            if mix > 0:
-                final_head = replace(
-                    final_head,
-                    selectivity=final_ops[0].selectivity / mix,
-                )
+        partial_sels = {
+            frozenset(g): partial_factory(
+                "pre{" + "+".join(sorted(g)) + "}", frozenset(g)
+            ).selectivity
+            for g in grouping
+            if len(g) > 1
+        }
+        mix = sum(
+            len(g) * (partial_sels[frozenset(g)] if len(g) > 1 else 1.0)
+            for g in grouping
+        ) / len(all_keys)
+        if mix > 0:
+            final_head = replace(
+                final_head, selectivity=final_ops[0].selectivity / mix
+            )
         for group in grouping:
             if len(group) == 1:
                 edges.append((by_key[group[0]].output, final_head.name))

@@ -74,17 +74,17 @@ class SimClock:
         callback: TickCallback,
         *,
         name: str = "",
-        offset_s: float | None = None,
     ) -> str:
         """Register ``callback`` to fire every ``period_s`` seconds.
+
+        The first invocation comes one full period in (a monitor with a
+        40 s interval first fires at 40 s).
 
         Args:
             period_s: Period between invocations; must be positive.
             callback: Called with the current time once per period.
             name: Optional identifier (auto-generated when empty); used to
                 enable/disable the task later.
-            offset_s: Time of the first invocation.  Defaults to one full
-                period (a monitor with a 40 s interval first fires at 40 s).
 
         Returns:
             The task name.
@@ -94,9 +94,9 @@ class SimClock:
         task_name = name or f"periodic-{len(self._periodic)}"
         if any(t.name == task_name for t in self._periodic):
             raise SimulationError(f"duplicate periodic task name: {task_name!r}")
-        first = period_s if offset_s is None else offset_s
+        period = float(period_s)
         self._periodic.append(
-            _PeriodicTask(task_name, float(period_s), callback, float(first))
+            _PeriodicTask(task_name, period, callback, period)
         )
         return task_name
 

@@ -17,6 +17,9 @@ import numpy as np
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..core.transaction import AttemptRecord
 
+#: Sliding window of :meth:`RunRecorder.processing_ratio_series` (ticks).
+PROCESSING_RATIO_WINDOW_TICKS = 30
+
 
 @dataclass(frozen=True, slots=True)
 class TickSample:
@@ -141,8 +144,9 @@ class RunRecorder:
     def extra_slots_series(self) -> np.ndarray:
         return np.array([s.extra_slots for s in self._samples], dtype=float)
 
-    def processing_ratio_series(self, window_ticks: int = 30) -> np.ndarray:
-        """Processing ratio over a sliding window of ``window_ticks`` ticks.
+    def processing_ratio_series(self) -> np.ndarray:
+        """Processing ratio over a sliding window of
+        :data:`PROCESSING_RATIO_WINDOW_TICKS` ticks.
 
         The paper defines the ratio as processed rate over aggregated source
         rate over a time interval (Section 8.3); a ratio > 1 means queued
@@ -152,7 +156,7 @@ class RunRecorder:
         offered = np.array([s.offered for s in self._samples])
         ratios = np.empty(len(processed))
         for i in range(len(processed)):
-            lo = max(0, i - window_ticks + 1)
+            lo = max(0, i - PROCESSING_RATIO_WINDOW_TICKS + 1)
             off = offered[lo : i + 1].sum()
             ratios[i] = processed[lo : i + 1].sum() / off if off > 0 else 1.0
         return ratios

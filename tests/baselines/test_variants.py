@@ -4,6 +4,7 @@ import pytest
 
 from repro.baselines.variants import (
     ALL_NAMED,
+    DEGRADE_SLO_S,
     VariantSpec,
     degrade,
     no_adapt,
@@ -23,7 +24,7 @@ class TestSpecs:
         assert spec.degrade_slo_s is None
 
     def test_degrade_default_slo_matches_paper(self):
-        assert degrade().degrade_slo_s == 10.0
+        assert degrade().degrade_slo_s == DEGRADE_SLO_S == 10.0
 
     def test_degrade_never_adapts(self):
         assert not degrade().adapts
@@ -34,14 +35,13 @@ class TestSpecs:
 
     def test_invalid_slo_rejected(self):
         with pytest.raises(ConfigurationError):
-            degrade(slo_s=0.0)
+            VariantSpec(name="x", adapts=False, degrade_slo_s=0.0)
 
     def test_reassign_only_mode(self):
         spec = reassign_only()
         assert spec.mode.allow_reassign
         assert not spec.mode.allow_scale
         assert not spec.mode.allow_replan
-        assert not spec.replanning
 
     def test_scale_only_mode(self):
         spec = scale_only()

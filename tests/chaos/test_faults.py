@@ -172,7 +172,7 @@ class TestCheckpointLoss:
         store = StateStore()
         store.initialize_stage("agg", 10.0, ["dc-1"])
         store.initialize_stage("join", 5.0, ["dc-1", "dc-2"])
-        coordinator = CheckpointCoordinator(store, 30.0)
+        coordinator = CheckpointCoordinator(store)
         coordinator.checkpoint_all(30.0)
         return coordinator
 
@@ -196,7 +196,7 @@ class TestCheckpointLoss:
     def test_no_records_is_harmless(self, small_topology):
         target = ChaosTarget(
             topology=small_topology,
-            checkpoints=CheckpointCoordinator(StateStore(), 30.0),
+            checkpoints=CheckpointCoordinator(StateStore()),
         )
         detail, _ = CheckpointLoss("dc-1").apply(target, 0.0)
         assert "no checkpoints" in detail

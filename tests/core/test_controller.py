@@ -10,7 +10,10 @@ from repro.core.actions import (
     ScaleAction,
     ScaleDownAction,
 )
-from repro.core.controller import ReconfigurationManager
+from repro.core.controller import (
+    RECONFIG_BASE_OVERHEAD_S,
+    ReconfigurationManager,
+)
 from repro.core.migration import MigrationStrategy
 from repro.core.replanning import Replanner
 from repro.engine.checkpoint import CheckpointCoordinator
@@ -64,7 +67,7 @@ def build_manager(topology, *, rate=1000.0, state_mb=10.0,
         scheduler,
         monitor,
         state_store,
-        CheckpointCoordinator(state_store, config.checkpoint_interval_s),
+        CheckpointCoordinator(state_store),
         config=config,
         migration_strategy=migration_strategy,
         rng=np.random.default_rng(1),
@@ -92,7 +95,7 @@ class TestReassignExecution:
         )
         # 100 MB over the 100 Mbps dc-1 -> dc-2 link = 8 s + base overhead.
         assert record.transition_s == pytest.approx(
-            manager.config.reconfig_base_overhead_s + 8.0
+            RECONFIG_BASE_OVERHEAD_S + 8.0
         )
         assert manager.runtime.is_suspended("agg")
 
@@ -117,7 +120,7 @@ class TestReassignExecution:
         )
         assert manager.state_lost_mb == pytest.approx(50.0)
         assert record.transition_s == pytest.approx(
-            manager.config.reconfig_base_overhead_s
+            RECONFIG_BASE_OVERHEAD_S
         )
         # The state restarts empty at the new site.
         assert manager.state_store.total_mb("agg") == 0.0
@@ -137,7 +140,7 @@ class TestScaleExecution:
         )
         # Only the 45 MB slice crossed the WAN: 45 MB / 100 Mbps = 3.6 s.
         assert record.transition_s == pytest.approx(
-            manager.config.reconfig_base_overhead_s + 3.6
+            RECONFIG_BASE_OVERHEAD_S + 3.6
         )
 
     def test_scale_up_local_no_migration(self, small_topology):
@@ -147,7 +150,7 @@ class TestScaleExecution:
             now_s=0.0,
         )
         assert record.transition_s == pytest.approx(
-            manager.config.reconfig_base_overhead_s
+            RECONFIG_BASE_OVERHEAD_S
         )
 
     def test_scale_that_vacates_site_rehomes_queues(self, small_topology):

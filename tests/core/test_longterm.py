@@ -1,11 +1,9 @@
 """Tests for repro.core.longterm - background re-planning (Section 6.2)."""
 
-import pytest
-
 from repro.baselines.variants import wasp_long_term
 from repro.core.actions import ActionKind
-from repro.core.longterm import LongTermConfig, OracleForecaster
-from repro.errors import AdaptationRollbackError, ConfigurationError
+from repro.core.longterm import OracleForecaster
+from repro.errors import AdaptationRollbackError
 from repro.experiments.harness import ExperimentRun
 from repro.experiments.scenarios import fig8_scenario, live_dynamics
 from repro.network.traces import paper_testbed
@@ -19,10 +17,6 @@ class TestForecasters:
         workload = ShapedWorkload({"a": 100.0, "b": 200.0})
         oracle = OracleForecaster(workload, ["a", "b"])
         assert oracle.forecast(0.0) == {"a": 100.0, "b": 200.0}
-
-    def test_invalid_config_rejected(self):
-        with pytest.raises(ConfigurationError):
-            LongTermConfig(period_s=0.0)
 
 
 class TestBackgroundLoop:

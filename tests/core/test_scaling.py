@@ -5,6 +5,7 @@ import pytest
 from repro.config import WaspConfig
 from repro.core.diagnosis import LinkPressure, StageDiagnosis, Health
 from repro.core.scaling import (
+    MAX_SCALE_OUT_PER_ROUND,
     can_scale_down,
     compute_scale_out_target,
     compute_scale_up_target,
@@ -69,7 +70,7 @@ class TestScaleUp:
         decision = compute_scale_up_target(
             stage, diagnosis(expected=4_000_000.0, capacity=40_000.0), config
         )
-        assert decision.target == 1 + config.max_scale_out_per_round
+        assert decision.target == 1 + MAX_SCALE_OUT_PER_ROUND
 
     def test_backlog_drives_recovery_sizing(self):
         """After a failure the accumulated backlog must drain within one
@@ -122,13 +123,10 @@ class TestScaleOut:
         assert decision.target > 1
 
     def test_capped_per_round(self):
-        config = WaspConfig.paper_defaults()
         stage = make_stage(["a"])
         links = [self.link() for _ in range(10)]
-        decision = compute_scale_out_target(
-            stage, diagnosis(links=links), config
-        )
-        assert decision.delta <= config.max_scale_out_per_round
+        decision = compute_scale_out_target(stage, diagnosis(links=links))
+        assert decision.delta <= MAX_SCALE_OUT_PER_ROUND
 
 
 class TestScaleDown:

@@ -14,7 +14,11 @@ import pytest
 
 from repro.config import WaspConfig
 from repro.core.actions import ReassignAction, ScaleAction
-from repro.core.controller import ReconfigurationManager
+from repro.core.controller import (
+    ADAPTATION_RETRY_BACKOFF_S,
+    RECONFIG_BASE_OVERHEAD_S,
+    ReconfigurationManager,
+)
 from repro.core.migration import MigrationStrategy
 from repro.core.transaction import AdaptationPoint
 from repro.engine.checkpoint import CheckpointCoordinator
@@ -68,7 +72,7 @@ def build_manager(topology, *, rate=1000.0, state_mb=100.0, config=None,
         scheduler,
         monitor,
         state_store,
-        CheckpointCoordinator(state_store, config.checkpoint_interval_s),
+        CheckpointCoordinator(state_store),
         config=config,
         recorder=RunRecorder(),
         migration_strategy=migration_strategy,
@@ -122,7 +126,7 @@ class TestHappyPath:
         # 100 MB over the 100 Mbps dc-1 -> dc-2 link = 8 s + base overhead:
         # a committed primary pays no retry backoff.
         assert record.transition_s == pytest.approx(
-            manager.config.reconfig_base_overhead_s + 8.0
+            RECONFIG_BASE_OVERHEAD_S + 8.0
         )
 
 
@@ -164,8 +168,8 @@ class TestMidMigrationCrash:
         )
         # retry-1 stays at dc-1 (no transfer) but pays 1 * backoff.
         assert record.transition_s == pytest.approx(
-            manager.config.reconfig_base_overhead_s
-            + manager.config.adaptation_retry_backoff_s
+            RECONFIG_BASE_OVERHEAD_S
+            + ADAPTATION_RETRY_BACKOFF_S
         )
 
     def test_rollback_restores_state_ownership_and_slots(
@@ -234,8 +238,6 @@ class TestFallbackChain:
         """When only the primary's exact placement is impossible, the
         scale-out fallback splits the state across more tasks."""
         manager = build_manager(small_topology, state_mb=100.0)
-        config = manager.config.with_overrides(adaptation_max_retries=0)
-        manager.config = config
         # The direct move is impossible...
         small_topology.set_bandwidth_factor("dc-1", "dc-2", 0.0)
         manager.wan_monitor.refresh(0.0)

@@ -6,7 +6,6 @@ import pytest
 
 from repro.engine.checkpoint import CheckpointCoordinator
 from repro.engine.state import StateStore
-from repro.errors import CheckpointError
 
 
 @pytest.fixture
@@ -18,7 +17,7 @@ def store():
 
 class TestCheckpointing:
     def test_snapshots_every_partition_locally(self, store):
-        coordinator = CheckpointCoordinator(store, interval_s=30.0)
+        coordinator = CheckpointCoordinator(store)
         records = coordinator.checkpoint_all(10.0)
         assert {(r.stage_name, r.site) for r in records} == {
             ("agg", "a"),
@@ -31,10 +30,6 @@ class TestCheckpointing:
         coordinator.checkpoint_all(10.0)
         record = coordinator.record("agg", "a")
         assert record is not None and record.taken_at_s == 10.0
-
-    def test_invalid_interval_rejected(self, store):
-        with pytest.raises(CheckpointError):
-            CheckpointCoordinator(store, interval_s=0.0)
 
     def test_last_checkpoint_tracked(self, store):
         coordinator = CheckpointCoordinator(store)

@@ -212,16 +212,12 @@ class TestStateSafety:
         """sigma(A|><|B) cannot be recovered by sigma(B|><|C)."""
         ab = self.two_join_plan("p1", ("a", "b"))
         bc = self.two_join_plan("p2", ("b", "c"))
-        assert not can_replace_preserving_state(
-            ab, bc, allow_window_boundary=False
-        )
+        assert not can_replace_preserving_state(ab, bc)
 
     def test_identical_stateful_subplans_accepted(self):
         ab1 = self.two_join_plan("p1", ("a", "b"))
         ab2 = self.two_join_plan("p2", ("a", "b"))
-        assert can_replace_preserving_state(
-            ab1, ab2, allow_window_boundary=False
-        )
+        assert can_replace_preserving_state(ab1, ab2)
 
     def test_window_boundary_exemption(self):
         """Windowed operators can switch at the window boundary."""
@@ -229,7 +225,8 @@ class TestStateSafety:
         bc = self.two_join_plan("p2", ("b", "c"), windowed=True)
         assert can_replace_preserving_state(ab, bc)
         assert not can_replace_preserving_state(
-            ab, bc, allow_window_boundary=False
+            self.two_join_plan("p1", ("a", "b")),
+            self.two_join_plan("p2", ("b", "c")),
         )
 
     def test_stateless_plans_always_replaceable(self):
@@ -244,6 +241,5 @@ class TestStateSafety:
             )
 
         assert can_replace_preserving_state(
-            stateless("p1", "f1"), stateless("p2", "f2"),
-            allow_window_boundary=False,
+            stateless("p1", "f1"), stateless("p2", "f2")
         )

@@ -4,6 +4,7 @@ import pytest
 
 from repro.baselines.variants import wasp
 from repro.chaos.faults import SiteCrash
+from repro.core.controller import RECONFIG_BASE_OVERHEAD_S
 from repro.core.migration import MigrationStrategy
 from repro.errors import AdaptationError, AdaptationRollbackError, WaspError
 from repro.experiments.scenarios import (
@@ -146,7 +147,7 @@ class TestControlledMigration:
         force_partitioned_adaptation(run, t_threshold_s=30.0)
         record = run.manager.history[-1]
         assert run.runtime.plan.stage(MIGRATION_STAGE).parallelism == 1
-        assert record.transition_s < 30.0 + run.config.reconfig_base_overhead_s
+        assert record.transition_s < 30.0 + RECONFIG_BASE_OVERHEAD_S
 
     @pytest.mark.parametrize(
         "force", [force_reassignment, force_partitioned_adaptation]

@@ -505,9 +505,7 @@ class ReferenceInvariantChecker:
             ).target
         else:  # scale out
             bound = max(
-                compute_scale_out_target(
-                    proxy, diagnosis, manager.config
-                ).target,
+                compute_scale_out_target(proxy, diagnosis).target,
                 old_p + 1,
             )
         if not (old_p < new_p <= bound):

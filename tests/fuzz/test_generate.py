@@ -6,6 +6,7 @@ import pytest
 
 from repro.baselines.variants import ALL_NAMED
 from repro.chaos.injector import ChaosInjector
+from repro.errors import ConfigurationError
 from repro.fuzz.generate import (
     FAULT_KINDS,
     QUERY_NAMES,
@@ -29,6 +30,12 @@ class TestDeterminism:
     def test_json_round_trip(self):
         spec = generate_scenario(3)
         assert ScenarioSpec.from_json(spec.to_json()) == spec
+
+    def test_unknown_config_override_rejected_at_load(self):
+        data = generate_scenario(3).to_dict()
+        data["config_overrides"]["bogus"] = 1
+        with pytest.raises(ConfigurationError, match="bogus"):
+            ScenarioSpec.from_dict(data)
 
 
 class TestSpecValidity:

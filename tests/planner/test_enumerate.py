@@ -155,11 +155,3 @@ class TestAggregationGroupings:
         sink_rates = [p.propagate_rates(rates)["sink"] for p in plans]
         for rate in sink_rates[1:]:
             assert rate == pytest.approx(sink_rates[0], rel=1e-9)
-
-    def test_normalization_can_be_disabled(self):
-        branches = make_branches(["a", "b"])
-        plans = aggregation_grouping_plans(
-            "q", branches, [[["a", "b"]]], partial_factory, self.final_ops(),
-            normalize_selectivity=False,
-        )
-        assert plans[0].operators["final"].selectivity == 0.05

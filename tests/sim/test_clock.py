@@ -48,13 +48,6 @@ class TestPeriodicCallbacks:
         clock.run_until(10.0)
         assert fired == [3.0, 6.0, 9.0]
 
-    def test_offset_controls_first_firing(self):
-        clock = SimClock()
-        fired = []
-        clock.every(5.0, fired.append, offset_s=2.0)
-        clock.run_until(13.0)
-        assert fired == [2.0, 7.0, 12.0]
-
     def test_multiple_tasks_fire_in_registration_order(self):
         clock = SimClock()
         order = []

@@ -79,7 +79,7 @@ class TestProcessingRatio:
         for t in range(40, 80):
             recorder.record_tick(make_sample(float(t), processed=100.0))
         # With a 30-tick window the early zeros are out of scope by t=79.
-        assert recorder.processing_ratio_series(window_ticks=30)[-1] == (
+        assert recorder.processing_ratio_series()[-1] == (
             pytest.approx(1.0)
         )
 

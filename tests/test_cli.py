@@ -176,6 +176,20 @@ class TestFuzz:
         assert main(["fuzz", "--replay", str(bogus)]) == 2
         assert "not a wasp-fuzz-repro/v1" in capsys.readouterr().err
 
+    def test_replay_rejects_unknown_config_field(self, capsys, tmp_path):
+        """An artifact naming a field WaspConfig lacks is an input error
+        (exit 2), not a ``crash`` finding of the replayed run."""
+        fixture = (
+            Path(__file__).parent / "fuzz" / "fixtures" / "conservation.json"
+        )
+        payload = json.loads(fixture.read_text())
+        payload["spec"]["config_overrides"]["bogus"] = 1
+        artifact = tmp_path / "unknown-field.json"
+        artifact.write_text(json.dumps(payload))
+        assert main(["fuzz", "--replay", str(artifact)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "bogus" in err
+
 
 class TestBackendFlag:
     """``--backend`` takes the same three values on every command and

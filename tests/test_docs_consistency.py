@@ -90,3 +90,30 @@ class TestPublicSurfaceDocumented:
         ):
             module = importlib.import_module(info.name)
             assert module.__doc__, f"{info.name} lacks a module docstring"
+
+
+class TestConfigSurface:
+    def test_every_field_has_a_setter_row(self):
+        """DESIGN section 5 lists every ``WaspConfig`` field with the
+        production caller that sets it, or why it is a field without one."""
+        from dataclasses import fields
+
+        from repro.config import WaspConfig
+
+        text = (ROOT / "DESIGN.md").read_text()
+        section = text[text.index("## 5. Key design decisions"):]
+        section = section[: section.index("## 6. ")]
+        rows = dict(
+            re.findall(r"^\| `(\w+)` \| [^|]+ \| (.+) \|$", section, re.M)
+        )
+        assert sorted(rows) == sorted(f.name for f in fields(WaspConfig))
+        for name, setters in rows.items():
+            paths = re.findall(r"`((?:src|benchmarks|examples)/[\w/.]+\.py)`",
+                               setters)
+            if not paths:
+                assert setters.startswith("none: "), name
+                continue
+            for path in paths:
+                source = ROOT / path
+                assert source.exists(), path
+                assert name in source.read_text(), (name, path)

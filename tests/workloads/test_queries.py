@@ -133,9 +133,7 @@ class TestEventsOfInterest:
     def test_all_variants_interchangeable(self, queries):
         query = queries["events-of-interest"]
         for variant in query.variants:
-            assert can_replace_preserving_state(
-                query.primary, variant, allow_window_boundary=False
-            )
+            assert can_replace_preserving_state(query.primary, variant)
 
 
 class TestPhysicalMapping:
