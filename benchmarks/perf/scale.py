@@ -2,14 +2,18 @@
 
 Builds an all-to-all shuffle world (one source per site fanning into a
 globally partitioned aggregation) at increasing site counts and measures
-steady-state ticks/s for both engine backends.  The shuffle regime is the
-honest scale case for a WAN stream processor: with ``n`` sites the world
-carries ``n * (n - 1)`` active flows, so per-flow work dominates and the
-dense backend's fused array kernels are exercised where they matter.
+steady-state ticks/s (the reciprocal of the median tick) for both engine
+backends.  The shuffle regime is the honest scale case for a WAN stream
+processor: with ``n`` sites the world carries ``n * (n - 1)`` active
+flows, so per-flow work dominates and the dense backend's fused array
+kernels are exercised where they matter.
 
-Each point also records the backend ``engine_backend="auto"`` resolves to
-for its world, and the sweep warns (without failing) wherever that
-backend took more than 25% longer per tick than the other one.
+Each point is the median of :data:`POINT_RUNS` rounds; in a round both
+backends' runtimes tick in turn, :data:`BLOCK_TICKS` ticks at a time, so
+a change in machine speed meets both.  Each point also records the backend
+``engine_backend="auto"`` resolves to for its world, and the sweep warns
+(without failing) wherever that backend took more than 25% longer per
+tick than the other one.
 
 Controller-on points time the adaptation rounds as the topology grows:
 the paper testbed widened to 16/32/64 sites (``TestbedSpec.edge_count``)
@@ -86,6 +90,13 @@ _WARMUP_TICKS = 30
 _SHORT_MEASURE = 40
 _SHORT_WARMUP = 10
 
+#: Rounds per sweep point (the median round is recorded): single runs on
+#: a shared machine moved the small points' ratios by up to ±30%.
+POINT_RUNS = 3
+
+#: Ticks a backend runs before the other one takes its turn in a round.
+BLOCK_TICKS = 5
+
 #: Controller-on points: site counts of the widened paper testbed.
 CONTROLLER_SIZES = (16, 32, 64)
 SHORT_CONTROLLER_SIZES = (16, 32)
@@ -160,6 +171,60 @@ def build_world(
     return topo, plan, _ConstWorkload(rates)
 
 
+def run_round(
+    backends: tuple[str, ...],
+    n_sites: int,
+    parallelism: int,
+    warmup: int,
+    measure: int,
+    seed: int = SCALE_SEED,
+) -> dict[str, dict]:
+    """Time ``measure`` steady-state ticks of each backend at one size.
+
+    The backends' runtimes live side by side and tick in turn, in blocks
+    of :data:`BLOCK_TICKS`, so a change in machine speed meets all of them.
+    ``ticks_per_s`` is the reciprocal of the median tick, which the first
+    tick of each block does not move: at scale a reference tick evicts the
+    dense arrays from cache, and that tick pays for it.
+    """
+    runtimes = {}
+    for backend in backends:
+        topo, plan, workload = build_world(n_sites, parallelism, seed)
+        config = WaspConfig.paper_defaults().with_overrides(
+            engine_backend=backend
+        )
+        runtimes[backend] = create_runtime(topo, plan, workload, config)
+    flows = potential_wan_flows(plan)
+    auto = resolve_backend(plan, "auto")
+    for _ in range(warmup):
+        for runtime in runtimes.values():
+            runtime.tick()
+    ticks_s: dict[str, list[float]] = {backend: [] for backend in backends}
+    for start in range(0, measure, BLOCK_TICKS):
+        for backend, runtime in runtimes.items():
+            for _ in range(min(BLOCK_TICKS, measure - start)):
+                t0 = time.perf_counter()
+                runtime.tick()
+                ticks_s[backend].append(time.perf_counter() - t0)
+    points = {}
+    for backend, runtime in runtimes.items():
+        tick_p50 = float(np.median(ticks_s[backend]))
+        points[backend] = {
+            "backend": backend,
+            "sites": n_sites,
+            "parallelism": parallelism,
+            "ticks": measure,
+            "wall_s": sum(ticks_s[backend]),
+            "ticks_per_s": 1.0 / tick_p50 if tick_p50 > 0 else float("inf"),
+            "potential_flows": flows,
+            "auto_backend": auto,
+            # Sanity fingerprints: both backends must agree on these.
+            "total_backlog": float(runtime.total_backlog()),
+            "sink_events": float(runtime.last_report.sink_events),
+        }
+    return points
+
+
 def run_point(
     backend: str,
     n_sites: int,
@@ -169,30 +234,9 @@ def run_point(
     seed: int = SCALE_SEED,
 ) -> dict:
     """Time ``measure`` steady-state ticks of one backend at one size."""
-    topo, plan, workload = build_world(n_sites, parallelism, seed)
-    flows = potential_wan_flows(plan)
-    auto = resolve_backend(plan, "auto")
-    config = WaspConfig.paper_defaults().with_overrides(engine_backend=backend)
-    runtime = create_runtime(topo, plan, workload, config)
-    for _ in range(warmup):
-        runtime.tick()
-    t0 = time.perf_counter()
-    for _ in range(measure):
-        runtime.tick()
-    wall = time.perf_counter() - t0
-    return {
-        "backend": backend,
-        "sites": n_sites,
-        "parallelism": parallelism,
-        "ticks": measure,
-        "wall_s": wall,
-        "ticks_per_s": measure / wall if wall > 0 else float("inf"),
-        "potential_flows": flows,
-        "auto_backend": auto,
-        # Sanity fingerprints: both backends must agree on these.
-        "total_backlog": float(runtime.total_backlog()),
-        "sink_events": float(runtime.last_report.sink_events),
-    }
+    return run_round(
+        (backend,), n_sites, parallelism, warmup, measure, seed
+    )[backend]
 
 
 def run_sweep(
@@ -203,6 +247,10 @@ def run_sweep(
     seed: int = SCALE_SEED,
     verbose: bool = True,
 ) -> list[dict]:
+    """Time every point in :data:`POINT_RUNS` rounds of both backends,
+    swapping their order each round; a point records the round with the
+    median dense/reference ratio, and every round's ticks/s in
+    ``run_ticks_per_s``."""
     points = []
     for n in sizes:
         measure = (
@@ -211,10 +259,24 @@ def run_sweep(
             else _SHORT_MEASURE
         )
         for p in parallelisms:
-            pair = {}
+            rounds = [
+                run_round(
+                    ("reference", "dense") if i % 2 == 0
+                    else ("dense", "reference"),
+                    n, p, warmup, measure, seed,
+                )
+                for i in range(POINT_RUNS)
+            ]
+            rounds.sort(
+                key=lambda r: r["dense"]["ticks_per_s"]
+                / r["reference"]["ticks_per_s"]
+            )
+            pair = rounds[len(rounds) // 2]
             for backend in ("reference", "dense"):
-                res = run_point(backend, n, p, warmup, measure, seed)
-                pair[backend] = res
+                res = pair[backend]
+                res["run_ticks_per_s"] = [
+                    r[backend]["ticks_per_s"] for r in rounds
+                ]
                 points.append(res)
                 if verbose:
                     print(

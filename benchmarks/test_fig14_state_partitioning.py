@@ -18,14 +18,13 @@ from repro.experiments.scenarios import (
 
 #: Long enough for even the 512 MB Default migration to finish draining.
 RUN_DURATION_S = 700.0
-THRESHOLD_S = 30.0
 
 
 def run_mode(mode: str, state_mb: float):
     run = build_migration_run(wasp(), state_mb)
     run.run(MIGRATION_TRIGGER_AT_S)
     if mode == "Partitioned":
-        force_partitioned_adaptation(run, t_threshold_s=THRESHOLD_S)
+        force_partitioned_adaptation(run)
     else:
         force_reassignment(run)
     run.run(RUN_DURATION_S - MIGRATION_TRIGGER_AT_S)

@@ -32,7 +32,7 @@ def run_controlled(variant, state_mb: float, *, partitioned: bool = False):
     run = build_migration_run(variant, state_mb)
     run.run(MIGRATION_TRIGGER_AT_S)
     if partitioned:
-        force_partitioned_adaptation(run, t_threshold_s=30.0)
+        force_partitioned_adaptation(run)
         destination = "+".join(
             run.runtime.plan.stage("win-country").sites()
         )

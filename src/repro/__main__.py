@@ -415,7 +415,7 @@ def cmd_figures(args: argparse.Namespace) -> int:
                 run = build_migration_run(ALL_NAMED["WASP"], size, seed=20)
                 run.run(MIGRATION_TRIGGER_AT_S)
                 if mode == "Partitioned":
-                    force_partitioned_adaptation(run, t_threshold_s=30.0)
+                    force_partitioned_adaptation(run)
                 else:
                     force_reassignment(run)
                 run.run(700.0 - MIGRATION_TRIGGER_AT_S)

@@ -33,6 +33,14 @@ generate -> process -> route -> transfer as fused array operations:
   bit-identical to the full-width kernels.  On the 64-site shuffle this
   took perfbench's ``step_ms.p50`` from 3.14 to 2.20 ms on a 2-vCPU VM;
   DESIGN.md section 7, "Dense tick kernels", has the per-phase figures.
+* The per-flow report fields are arrays, not dicts: ``TickReport.net_sent``
+  and ``net_backlog`` are read-only :class:`FlowTable` mappings over the
+  model's flow keys and one fresh value array each.  Readers that sum
+  ``values()`` (the benchmark, the digest) never hash a key, and a lookup
+  builds the key dict once per table.  On the 64-site shuffle the two
+  4032-entry dict fills had taken about a quarter of the tick; the tables
+  took perfbench's ``step_ms.p50`` from 1.95 to 1.29 ms (DESIGN.md
+  section 7, "Flow tables").
 * The dict-of-FluidQueue representation remains the interchange format:
   arrays are synced out lazily whenever an inspection API or the mutation
   API (snapshot/restore, migration, ``replace_plan``, replay injection)
@@ -51,6 +59,7 @@ dense backend results are bit-exact for a fixed seed.
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Iterator, Mapping
 
 import numpy as np
 
@@ -379,12 +388,64 @@ def _row_queues(
     return out
 
 
+class FlowTable(Mapping):
+    """Read-only per-flow figures of one dense tick: ``TickReport.net_sent``
+    and ``TickReport.net_backlog``.
+
+    Holds the compiled model's flow keys and a value array the tick
+    allocated fresh (never a scratch buffer, so a kept report reads the
+    same after later ticks).  The entries are the flows with positive
+    values, in key-array order: the order in which a dict filled by the
+    tick would hold them.  :meth:`values` and :meth:`items` are served from
+    the arrays; a lookup builds a key dict once per table.
+    """
+
+    __slots__ = ("_keys", "_vals", "_pos", "_dict")
+
+    def __init__(self, keys: np.ndarray, vals: np.ndarray) -> None:
+        self._keys = keys
+        self._vals = vals
+        self._pos: np.ndarray | None = None
+        self._dict: dict | None = None
+
+    def _positions(self) -> np.ndarray:
+        if self._pos is None:
+            self._pos = np.flatnonzero(self._vals > 0.0)
+        return self._pos
+
+    def _key_list(self) -> list:
+        return self._keys[self._positions()].tolist()
+
+    def _lookup(self) -> dict:
+        if self._dict is None:
+            self._dict = dict(self.items())
+        return self._dict
+
+    def values(self) -> list[float]:
+        return self._vals[self._positions()].tolist()
+
+    def items(self) -> list[tuple]:
+        return list(zip(self._key_list(), self.values()))
+
+    def __iter__(self) -> Iterator:
+        return iter(self._key_list())
+
+    def __len__(self) -> int:
+        return len(self._positions())
+
+    def __getitem__(self, key):
+        return self._lookup()[key]
+
+    def __repr__(self) -> str:
+        return f"FlowTable({self._lookup()!r})"
+
+
 class _FlowPass:
     """One FCFS round of link sharing: at most one flow per link."""
 
     __slots__ = (
-        "flow_keys", "flow_rows", "link_ids", "lat_flat", "eb", "inv_eb",
-        "dst_flat", "pop",
+        "flow_keys", "flow_rows", "sent", "link_ids", "lat_flat", "eb",
+        "inv_eb", "dst_flat", "pop",
     )
 
 
@@ -435,6 +496,7 @@ class _DenseModel:
         "net_rows", "net_keys", "net_index", "net_persistent",
         "sites", "site_rate", "site_version", "links", "link_base",
         "link_local", "groups", "sources", "source_names", "n_in", "n_net",
+        "sent_keys",
     )
 
     def __init__(
@@ -595,6 +657,7 @@ class _DenseModel:
             by_depth.setdefault(depth[s.name], []).append(s)
 
         self.groups = []
+        sent_keys: list[tuple[str, str, str, str]] = []
         self.sources = []
         for d in sorted(by_depth):
             g = _DepthGroup()
@@ -727,6 +790,8 @@ class _DenseModel:
             for entries in grouped:
                 ps = _FlowPass()
                 ps.flow_keys = [k for k, _, _ in entries]
+                ps.sent = slice(len(sent_keys), len(sent_keys) + len(entries))
+                sent_keys.extend(ps.flow_keys)
                 ps.flow_rows = _rows([net_index[k] for k, _, _ in entries])
                 ps.pop = _PopScratch(ps.flow_rows, len(entries), B)
                 ps.link_ids = np.array(
@@ -750,6 +815,10 @@ class _DenseModel:
                 g.passes.append(ps)
 
             self.groups.append(g)
+        #: Every pass's flow keys, in pass order: the keys of ``net_sent``.
+        self.sent_keys = np.fromiter(
+            sent_keys, dtype=object, count=len(sent_keys)
+        )
         self.links = links
         self.link_base = np.array(link_base) if links else np.empty(0)
         self.link_local = link_local
@@ -1078,7 +1147,8 @@ class DenseEngineRuntime(EngineRuntime):
         cutoff = (now - slo) if slo is not None else None
         prev_now = self._now_s
         suspended_until = self._suspended_until
-        net_sent = report.net_sent
+        # Events sent per flow, in pass order (the report's ``net_sent``).
+        sent = np.zeros(len(model.sent_keys))
 
         for g in model.groups:
             rows = g.rows
@@ -1184,20 +1254,10 @@ class DenseEngineRuntime(EngineRuntime):
                     in_cnt_f, in_mass_f, idx, take_c, take_m,
                     ps.lat_flat, ps.dst_flat,
                 )
-                # Each flow key appears in exactly one pass, so a plain
-                # assignment per key accumulates correctly across the tick.
-                mv_list = moved.tolist()
-                if (moved > 0.0).all():
-                    net_sent.update(zip(ps.flow_keys, mv_list))
-                else:
-                    net_sent.update(
-                        (key, mv)
-                        for key, mv in zip(ps.flow_keys, mv_list)
-                        if mv > 0.0
-                    )
+                sent[ps.sent] = moved
                 if net_in is not None:
                     # Inflow key: (dst stage, src site, dst site).
-                    for key, mv in zip(ps.flow_keys, mv_list):
+                    for key, mv in zip(ps.flow_keys, moved.tolist()):
                         if mv > 0.0:
                             running_sum(net_in, key[1:]).value += mv
 
@@ -1211,12 +1271,8 @@ class DenseEngineRuntime(EngineRuntime):
                 _tag, stage, site = model.in_rows[i]
                 key = (stage, site)
                 input_backlog[key] = input_backlog.get(key, 0.0) + v
-        net_tot = net_cnt.sum(axis=1)
-        nz = np.flatnonzero(net_tot > 0.0)
-        if nz.size:
-            report.net_backlog.update(
-                zip(model.net_keys[nz].tolist(), net_tot[nz].tolist())
-            )
+        report.net_sent = FlowTable(model.sent_keys, sent)
+        report.net_backlog = FlowTable(model.net_keys, net_cnt.sum(axis=1))
 
         # Write back consumed link budgets (shared-contention contract).
         if touched is not None and touched.any():

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from bisect import insort
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Mapping, Sequence
 
 from ..config import WaspConfig
 from ..errors import SimulationError
@@ -66,7 +66,13 @@ class RuntimeSnapshot:
 
 @dataclass(slots=True)
 class TickReport:
-    """Raw per-tick observations, consumed by the metric monitor."""
+    """Raw per-tick observations, consumed by the metric monitor.
+
+    The per-flow fields ``net_sent`` and ``net_backlog`` are read-only
+    mappings holding only positive entries: the reference engine fills
+    plain dicts, the dense engine hands over
+    :class:`~repro.engine.dense.FlowTable` views of its arrays.
+    """
 
     t_s: float
     offered: float = 0.0
@@ -82,9 +88,13 @@ class TickReport:
     #: per (stage, site): input backlog at end of tick
     input_backlog: dict[tuple[str, str], float] = field(default_factory=dict)
     #: per flow: events transferred this tick
-    net_sent: dict[tuple[str, str, str, str], float] = field(default_factory=dict)
+    net_sent: Mapping[tuple[str, str, str, str], float] = field(
+        default_factory=dict
+    )
     #: per flow: network backlog at end of tick
-    net_backlog: dict[tuple[str, str, str, str], float] = field(default_factory=dict)
+    net_backlog: Mapping[tuple[str, str, str, str], float] = field(
+        default_factory=dict
+    )
     #: per stage: events re-queued at the sender because a downstream stage
     #: was transiently undeployed (they re-enter the sender's own queue)
     requeued: dict[str, float] = field(default_factory=dict)

@@ -56,10 +56,6 @@ class StateError(WaspError):
     """Operator state was accessed or migrated inconsistently."""
 
 
-class CheckpointError(StateError):
-    """A checkpoint could not be taken or restored."""
-
-
 class MigrationError(StateError):
     """A state migration plan could not be constructed or executed."""
 

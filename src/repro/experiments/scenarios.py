@@ -401,23 +401,21 @@ def force_reassignment(
     return destination
 
 
-def force_partitioned_adaptation(
-    run: ExperimentRun,
-    stage_name: str = MIGRATION_STAGE,
-    *,
-    t_threshold_s: float = 30.0,
-) -> None:
-    """The Section 8.7.2 "Partitioned" behaviour.
+def force_partitioned_adaptation(run: ExperimentRun) -> None:
+    """The Section 8.7.2 "Partitioned" behaviour, on
+    :data:`MIGRATION_STAGE`.
 
-    When the estimated single-destination transition exceeds the threshold,
-    the adaptation scales the operator out across several destination sites
-    so each (smaller) partition ``|state| / p'`` crosses a *different* link
-    in parallel, shrinking the slowest transfer until it fits the threshold
-    (or the destination pool runs out).
+    When the estimated single-destination transition exceeds the run's
+    ``t_max_s`` (30 s in the paper's setup), the adaptation scales the
+    operator out across several destination sites so each (smaller)
+    partition ``|state| / p'`` crosses a *different* link in parallel,
+    shrinking the slowest transfer until it fits the threshold (or the
+    destination pool runs out).
     """
     manager = run.manager
     if manager is None:
         raise WaspError("forced adaptation needs an adapting variant")
+    stage_name = MIGRATION_STAGE
     now_s = run.clock.now_s
     manager.wan_monitor.refresh(now_s)
     stage = run.runtime.plan.stage(stage_name)
@@ -448,7 +446,7 @@ def force_partitioned_adaptation(
 
     target_p = stage.parallelism
     while (
-        transition_estimate(target_p) > t_threshold_s
+        transition_estimate(target_p) > manager.config.t_max_s
         and target_p < min(PARTITIONED_MAX_PARALLELISM, len(ranked))
     ):
         target_p += 1

@@ -23,12 +23,16 @@ for the reference per-parcel engine:
   and scatter they replaced (kept here, verbatim), and so are the
   span-limited fan-out against the full-width one and the one-copy roll
   against the column roll.
+* **Flow-table oracle**: every tick's ``net_sent`` and ``net_backlog``
+  tables read exactly as the dicts the tick filled before (the two fills
+  kept here, verbatim), and still do five ticks later.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
+from collections import deque
 
 import numpy as np
 import pytest
@@ -42,6 +46,7 @@ from repro.engine import dense as dense_module
 from repro.engine.dense import (
     _DRAIN_EPS,
     DenseEngineRuntime,
+    FlowTable,
     _bucket_span,
     _deliver,
     _drop_older_rows,
@@ -796,6 +801,169 @@ def test_row_queues_on_random_arrays() -> None:
             ]
             merged += len(e) < np.count_nonzero(cnt[row])
     assert merged > 0
+
+
+# --------------------------------------------------------------------------- #
+# Flow tables against the report dicts they replaced
+# --------------------------------------------------------------------------- #
+
+#: A report is read again this many ticks after it was handed over.
+KEEP_TICKS = 5
+
+
+def _dict_fills(model, pops: dict, net_cnt: np.ndarray) -> tuple[dict, dict]:
+    """``net_sent`` and ``net_backlog`` as the tick filled them as dicts,
+    from one tick's WAN pops (``id(scratch) -> (moved, before)``) and its
+    end-of-tick net counts.  The two fills are kept verbatim."""
+    net_sent: dict = {}
+    for g in model.groups:
+        for ps in g.passes:
+            moved, before = pops[id(ps.pop)]
+            nonempty = before > 0.0
+            if not nonempty.any():
+                continue
+            # Each flow key appears in exactly one pass, so a plain
+            # assignment per key accumulates correctly across the tick.
+            mv_list = moved.tolist()
+            if (moved > 0.0).all():
+                net_sent.update(zip(ps.flow_keys, mv_list))
+            else:
+                net_sent.update(
+                    (key, mv)
+                    for key, mv in zip(ps.flow_keys, mv_list)
+                    if mv > 0.0
+                )
+    net_backlog: dict = {}
+    net_tot = net_cnt.sum(axis=1)
+    nz = np.flatnonzero(net_tot > 0.0)
+    if nz.size:
+        net_backlog.update(
+            zip(model.net_keys[nz].tolist(), net_tot[nz].tolist())
+        )
+    return net_sent, net_backlog
+
+
+def _readings(report) -> list:
+    """What a reader gets from the two flow fields, floats as bit
+    patterns: ``items()``, ``values()``, iteration, ``len`` and lookup."""
+    out = []
+    for table in (report.net_sent, report.net_backlog):
+        out.append([(k, v.hex()) for k, v in table.items()])
+        out.append([v.hex() for v in table.values()])
+        out.append(list(table))
+        out.append(len(table))
+        out.append({k: table[k].hex() for k in table})
+    return out
+
+
+class _FlowTableOracle:
+    """Checks every dense tick's flow tables against the dict fills, and
+    each report again :data:`KEEP_TICKS` ticks later."""
+
+    def __init__(self, monkeypatch) -> None:
+        self.pops: dict = {}
+        self.kept: deque = deque()
+        self.ticks = self.rechecked = self.sent = self.backlog = 0
+        original = DenseEngineRuntime.tick
+
+        def pop(cnt, mass, rows, caps, sc):
+            out = _pop_rows(cnt, mass, rows, caps, sc)
+            self.pops[id(sc)] = (out[3].copy(), out[4].copy())
+            return out
+
+        def tick(runtime, *args, **kwargs):
+            self.pops = {}
+            report = original(runtime, *args, **kwargs)
+            self.check(runtime, report)
+            return report
+
+        monkeypatch.setattr(dense_module, "_pop_rows", pop)
+        monkeypatch.setattr(DenseEngineRuntime, "tick", tick)
+
+    def check(self, runtime, report) -> None:
+        assert isinstance(report.net_sent, FlowTable)
+        assert isinstance(report.net_backlog, FlowTable)
+        net_sent, net_backlog = _dict_fills(
+            runtime._model, self.pops, runtime._net_cnt
+        )
+        expected = _readings(
+            dataclasses.replace(
+                report, net_sent=net_sent, net_backlog=net_backlog
+            )
+        )
+        assert _readings(report) == expected
+        self.ticks += 1
+        self.sent += len(net_sent)
+        self.backlog += len(net_backlog)
+        self.kept.append((report, expected))
+        if len(self.kept) > KEEP_TICKS:
+            kept, kept_expected = self.kept.popleft()
+            assert _readings(kept) == kept_expected
+            self.rechecked += 1
+
+
+def _shuffle_run(sites: int, tasks_per_site: int):
+    def drive() -> None:
+        topology, plan, workload = build_world(sites, tasks_per_site)
+        runtime = create_runtime(
+            topology, plan, workload, WaspConfig(), backend="dense"
+        )
+        for _ in range(100):
+            runtime.tick()
+
+    return drive
+
+
+def _fuzz_runs(*seeds: int):
+    """Dense fuzz scenarios with WAN backlogs and adaptations (model
+    recompiles mid-run)."""
+
+    def drive() -> None:
+        for seed in seeds:
+            spec = _with_backend(generate_scenario(seed), "dense")
+            run, dynamics = build_run(spec)
+            run.run(spec.duration_s, dynamics)
+
+    return drive
+
+
+@pytest.mark.parametrize(
+    "drive",
+    [
+        _shuffle_run(16, 1),
+        _shuffle_run(32, 2),
+        _shuffle_run(64, 1),
+        _degrade_dense_run,
+        _fuzz_runs(7, 19),
+    ],
+    ids=[
+        "shuffle-16", "shuffle-32-p2", "shuffle-64", "fig8-degrade",
+        "fuzz-7-19",
+    ],
+)
+def test_flow_tables_match_dict_fills(monkeypatch, drive) -> None:
+    """Every tick's ``net_sent`` and ``net_backlog`` read exactly as the
+    dicts the tick filled before: the same entries in the same order, bit
+    for bit, through every read path; and a report kept across
+    :data:`KEEP_TICKS` later ticks still reads the same."""
+    oracle = _FlowTableOracle(monkeypatch)
+    drive()
+    assert oracle.ticks > KEEP_TICKS
+    assert oracle.rechecked == oracle.ticks - KEEP_TICKS
+    assert oracle.sent > 0
+    assert oracle.backlog > 0
+
+
+def test_flow_table_is_a_read_only_mapping() -> None:
+    keys = np.fromiter([("a",), ("b",), ("c",)], dtype=object, count=3)
+    table = FlowTable(keys, np.array([2.0, 0.0, 0.5]))
+    assert dict(table) == {("a",): 2.0, ("c",): 0.5}
+    assert table == {("a",): 2.0, ("c",): 0.5}
+    assert ("b",) not in table
+    assert table.get(("b",)) is None
+    assert list(table.keys()) == [("a",), ("c",)]
+    with pytest.raises(TypeError):
+        table[("a",)] = 1.0  # type: ignore[index]
 
 
 # --------------------------------------------------------------------------- #

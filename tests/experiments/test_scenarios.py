@@ -138,13 +138,13 @@ class TestControlledMigration:
     def test_partitioned_scales_out_for_large_state(self):
         run = build_migration_run(wasp(), 512.0)
         run.run(MIGRATION_TRIGGER_AT_S)
-        force_partitioned_adaptation(run, t_threshold_s=30.0)
+        force_partitioned_adaptation(run)
         assert run.runtime.plan.stage(MIGRATION_STAGE).parallelism > 1
 
     def test_partitioned_keeps_small_state_whole(self):
         run = build_migration_run(wasp(), 16.0)
         run.run(MIGRATION_TRIGGER_AT_S)
-        force_partitioned_adaptation(run, t_threshold_s=30.0)
+        force_partitioned_adaptation(run)
         record = run.manager.history[-1]
         assert run.runtime.plan.stage(MIGRATION_STAGE).parallelism == 1
         assert record.transition_s < 30.0 + RECONFIG_BASE_OVERHEAD_S

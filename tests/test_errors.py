@@ -19,7 +19,6 @@ class TestHierarchy:
             errors.SchedulingError,
             errors.InsufficientSlotsError,
             errors.StateError,
-            errors.CheckpointError,
             errors.MigrationError,
             errors.AdaptationError,
             errors.AdaptationRollbackError,
@@ -54,8 +53,7 @@ class TestHierarchy:
             errors.InsufficientSlotsError, errors.SchedulingError
         )
 
-    def test_checkpoint_and_migration_subclass_state(self):
-        assert issubclass(errors.CheckpointError, errors.StateError)
+    def test_migration_subclasses_state(self):
         assert issubclass(errors.MigrationError, errors.StateError)
 
     def test_rollback_subclasses_adaptation(self):
