@@ -85,8 +85,8 @@ def bench_queue_fused_ops(rounds: int = 20_000) -> BenchResult:
     """The fused/batched FluidQueue ops the tick path leans on.
 
     Each round mimics one stage output crossing the WAN: a donor queue
-    pops a burst (``pop_scaled_into``), routes its share onto a flow queue
-    (``push_scaled``), and the flow moves a link budget into the receiver
+    pops a burst and routes its share straight onto a flow queue
+    (``pop_routed``), and the flow moves a link budget into the receiver
     aged by the latency (``transfer_into``); then periodic SLO maintenance
     (``drop_oldest`` / ``drop_older_than``) and snapshot pressure
     (``clone_cow`` followed by a mutation, so copy-on-write actually pays
@@ -99,16 +99,12 @@ def bench_queue_fused_ops(rounds: int = 20_000) -> BenchResult:
     for i in range(64):
         now += 0.5
         donor.push(200.0 + (i % 5), now)
-    counts: list[float] = []
-    gens: list[float] = []
+    targets = [(flow, 0.5)]
     t0 = time.perf_counter()
     for i in range(rounds):
         now += 0.25
         donor.push(120.0 + (i % 3), now)
-        counts.clear()
-        gens.clear()
-        donor.pop_scaled_into(110.0, 1.0, counts, gens)
-        flow.push_scaled(counts, gens, 0.5)
+        donor.pop_routed(110.0, 1.0, targets)
         flow.transfer_into(receiver, 50.0, 0.040)
         if i % 32 == 31:
             receiver.drop_oldest(90.0)

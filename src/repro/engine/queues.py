@@ -21,13 +21,18 @@ floats.  :class:`Parcel` remains the inspection and interchange type
 
 Because the engine executes these operations for every (stage, site) and
 every WAN flow on every tick, the queue exposes *fused, in-place* variants
-of its hot paths, all working on parallel ``(counts, gens)`` column lists:
+of its hot paths:
 
-* :meth:`FluidQueue.pop_scaled_into` dequeues into column lists with the
-  counts scaled (selectivity) and returns both the popped and the scaled
-  totals (``scale_parcels`` + ``pop`` + two ``parcels_total`` in one pass);
-* :meth:`FluidQueue.push_scaled` merges the ``scale_parcels`` +
-  ``push_parcels`` pair into a single pass with no intermediate list;
+* :meth:`FluidQueue.pop_routed` is a stage row's whole hand-off: it
+  dequeues up to the row's capacity, scales each parcel by the stage's
+  selectivity and pushes it straight into the row's target queues, each
+  scaled by its fan-out fraction (``pop`` + ``scale_parcels`` + one
+  ``push_parcels(scale_parcels(...))`` per target, no intermediate list);
+* :meth:`FluidQueue.pop_scaled_into` dequeues into ``(counts, gens)``
+  column lists with the counts scaled (selectivity) and returns both the
+  popped and the scaled totals, for the callers that read the parcels
+  (the sinks' delay sum, the re-queue at a sender whose downstream is not
+  deployed, :meth:`FluidQueue.pop`);
 * :meth:`FluidQueue.transfer_into` moves up to a budget of events into
   another queue, aged by a link latency, in one pass (``pop`` +
   ``age_parcels`` + ``push_parcels``); :meth:`FluidQueue.drain_into`
@@ -137,43 +142,6 @@ class FluidQueue:
         for parcel in parcels:
             self.push(parcel.count, parcel.gen_time_s)
 
-    def push_scaled(
-        self, counts: Sequence[float], gens: Sequence[float], factor: float
-    ) -> float:
-        """Push the parcels ``(counts, gens)`` scaled by ``factor``; returns
-        the scaled total.
-
-        Fuses ``push_parcels(scale_parcels(parcels, factor))`` (plus the
-        ``parcels_total`` of the scaled list) into one pass with no
-        intermediate list.
-        """
-        if factor < 0:
-            raise SimulationError(
-                f"scale factor must be >= 0, got {factor}"
-            )
-        if factor == 0 or not counts:
-            return 0.0
-        if self._shared:
-            self._materialize()
-        q_counts = self._counts
-        q_gens = self._gens
-        eps = self._MERGE_EPS
-        queued = self._count
-        total = 0.0
-        for c, g in zip(counts, gens):
-            scaled = c * factor
-            total += scaled
-            if scaled == 0.0:
-                continue
-            if q_gens and -eps < q_gens[-1] - g < eps:
-                q_counts[-1] += scaled
-            else:
-                q_counts.append(scaled)
-                q_gens.append(g)
-            queued += scaled
-        self._count = queued
-        return total
-
     def clone_cow(self) -> "FluidQueue":
         """Copy-on-write clone: O(1) now, pays the copy on first mutation.
 
@@ -251,6 +219,121 @@ class FluidQueue:
         if queued < 1e-12:
             self._count = 0.0
             if q_counts:
+                self._drain_reset()
+        else:
+            self._count = queued
+        return popped, emitted
+
+    def would_pop(self, count: float) -> bool:
+        """Whether popping up to ``count`` events dequeues any: the test
+        that opens the loop of :meth:`pop_scaled_into` and
+        :meth:`pop_routed` (queued counts are always positive)."""
+        queued = self._count
+        return (queued if queued < count else count) > 1e-12 and bool(
+            self._counts
+        )
+
+    def pop_routed(
+        self,
+        count: float,
+        factor: float,
+        targets: Sequence[tuple["FluidQueue", float]],
+    ) -> tuple[float, float]:
+        """Dequeue up to ``count`` events FIFO, scale each removed parcel by
+        ``factor`` and push it into every ``(queue, fraction)`` target,
+        scaled once more by the target's ``fraction``.
+
+        Returns ``(popped, emitted)`` exactly like :meth:`pop_scaled_into`.
+        Fuses ``pop_scaled_into`` followed by one column push
+        (``push_parcels(scale_parcels(parcels, fraction))``) per target
+        into one pass with no column lists: each queue sees the same
+        floating-point operations in the same order.  The targets must be
+        distinct queues other than this one; a zero fraction pushes
+        nothing.
+        """
+        if count < 0:
+            raise SimulationError(f"cannot pop negative count {count}")
+        if factor < 0:
+            raise SimulationError(
+                f"scale factor must be >= 0, got {factor}"
+            )
+        queued = self._count
+        remaining = queued if queued < count else count
+        popped = 0.0
+        emitted = 0.0
+        if remaining > 1e-12 and self._counts:
+            if self._shared:
+                self._materialize()
+            for target, fraction in targets:
+                if fraction < 0:
+                    raise SimulationError(
+                        f"scale factor must be >= 0, got {fraction}"
+                    )
+                if fraction and target._shared:
+                    target._materialize()
+            q_counts = self._counts
+            q_gens = self._gens
+            eps = self._MERGE_EPS
+            if len(targets) == 1:
+                # Most rows have one target; holding its columns and total
+                # in locals makes the tick measurably faster.
+                target, fraction = targets[0]
+                t_counts = target._counts
+                t_gens = target._gens
+                arrived = target._count
+                while remaining > 1e-12 and q_counts:
+                    c = q_counts.popleft()
+                    if c <= remaining + 1e-12:
+                        g = q_gens.popleft()
+                        remaining -= c
+                    else:
+                        q_counts.appendleft(c - remaining)
+                        c = remaining
+                        g = q_gens[0]
+                        remaining = 0.0
+                    queued -= c
+                    popped += c
+                    c *= factor
+                    emitted += c
+                    c *= fraction
+                    if c == 0.0:
+                        continue
+                    if t_gens and -eps < t_gens[-1] - g < eps:
+                        t_counts[-1] += c
+                    else:
+                        t_counts.append(c)
+                        t_gens.append(g)
+                    arrived += c
+                target._count = arrived
+            else:
+                while remaining > 1e-12 and q_counts:
+                    c = q_counts.popleft()
+                    if c <= remaining + 1e-12:
+                        g = q_gens.popleft()
+                        remaining -= c
+                    else:
+                        q_counts.appendleft(c - remaining)
+                        c = remaining
+                        g = q_gens[0]
+                        remaining = 0.0
+                    queued -= c
+                    popped += c
+                    c *= factor
+                    emitted += c
+                    for target, fraction in targets:
+                        scaled = c * fraction
+                        if scaled == 0.0:
+                            continue
+                        t_gens = target._gens
+                        if t_gens and -eps < t_gens[-1] - g < eps:
+                            target._counts[-1] += scaled
+                        else:
+                            target._counts.append(scaled)
+                            t_gens.append(g)
+                        target._count += scaled
+        if queued < 1e-12:
+            self._count = 0.0
+            if self._counts:
                 self._drain_reset()
         else:
             self._count = queued

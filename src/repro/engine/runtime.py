@@ -174,6 +174,10 @@ class WindowSums:
         self.net_in: dict[tuple[str, str, str], RunningSum] = {}
 
 
+#: The routing of a row that routes nothing: no targets, no requeue.
+_NO_ROUTE: tuple[tuple, int] = ((), 0)
+
+
 class _DownstreamExec:
     """Precomputed fan-out of one stage edge (balanced partitioning)."""
 
@@ -202,10 +206,11 @@ class _StageExec:
     :class:`_PlanCache` was last stamped with
     (:meth:`_PlanCache.refresh_capacities`).
 
-    Two further tables depend on the runtime's WAN flow queues as well and
-    carry their own stamps: ``routes`` (per source site, the resolved
-    routing targets, valid while ``routes_version`` equals the runtime's
-    net-index version) and ``flows`` (the stage's outgoing flow records,
+    Two further tables depend on the runtime's queues as well and carry
+    their own stamps: ``routes`` (per source site, the resolved routing
+    targets and requeue count of :meth:`EngineRuntime._route_targets`,
+    valid while ``routes_version`` equals the runtime's net version) and
+    ``flows`` (the stage's outgoing flow records,
     valid for ``flows_stamp``; see
     :meth:`EngineRuntime._build_flow_records`).
     """
@@ -237,7 +242,7 @@ class _StageExec:
         ]
         self.row_caps: list[float] = []
         self.downstream: list[_DownstreamExec] = []
-        self.routes: dict[str, list[tuple]] = {}
+        self.routes: dict[str, tuple[list[tuple], int]] = {}
         self.routes_version = -1
         self.flows: list[tuple] = []
         self.flows_stamp: tuple | None = None
@@ -355,8 +360,10 @@ class EngineRuntime:
         #: Per src-stage sorted lists of ``_net_queue`` keys, so the per-tick
         #: transfer pass never scans (and re-sorts) the whole flow table.
         self._net_index: dict[str, list[tuple[str, str, str, str]]] = {}
-        #: Bumped whenever a flow queue is added or the flow table is
-        #: rebuilt; stamps the per-stage route and flow-record tables.
+        #: Bumped whenever a flow queue is added, the flow table is
+        #: rebuilt or an input queue is removed or replaced; stamps the
+        #: per-stage route tables (which hold flow and input queues) and
+        #: flow-record tables.
         self._net_version = 0
         #: The flow records' stamp (net-index version, topology factors
         #: version, tick length), rebuilt only when one of them moves.
@@ -464,7 +471,8 @@ class EngineRuntime:
 
     def _rebuild_net_index(self) -> None:
         """Recompute the per-stage flow index after wholesale changes
-        (snapshot restore, flow redirection, plan replacement)."""
+        (snapshot restore, flow redirection, re-homing, plan
+        replacement)."""
         index: dict[str, list[tuple[str, str, str, str]]] = {}
         for key in self._net_queue:
             index.setdefault(key[0], []).append(key)
@@ -611,10 +619,14 @@ class EngineRuntime:
                 sorted(live), key=lambda s: bandwidth_rank(orphan_site, s)
             )
 
+        # Removing an input queue moves the net version (routes hold
+        # input queues) just as removing a flow queue does.
+        changed = False
         for (name, site) in list(self._input_queue):
             if name != stage_name or site in live:
                 continue
             queue = self._input_queue.pop((name, site))
+            changed = True
             if queue:
                 # Queued input at a vacated site relays over the WAN to a
                 # live task (Section 4.2's "relayed data streams"); the
@@ -623,7 +635,6 @@ class EngineRuntime:
                     (stage_name, stage_name, site, target_for(site))
                 )
                 queue.drain_into(relay)
-        changed = False
         for key in list(self._net_queue):
             src_stage, dst_stage, su, sd = key
             if dst_stage != stage_name or sd in live:
@@ -879,15 +890,18 @@ class EngineRuntime:
         table = self._gen_queue if ex.is_source else self._input_queue
         name = ex.name
         sel = ex.selectivity
+        is_sink = ex.is_sink
         suspended = self._now_s < self._suspended_until.get(name, 0.0)
         row_caps = ex.row_caps
         capacity_sums = ex.capacity_sums
-        # Routing rows stay valid while the net index does not move; rows
-        # resolved below may add flow queues (bumping the version), and
-        # adding a flow never replaces another, so they stay valid too.
+        # Routes stay valid while the net version does not move: it moves
+        # whenever a queue they hold is removed or replaced.  Routes
+        # resolved below may add queues (bumping the version), and adding
+        # a queue never replaces another, so they stay valid too.
         routes = ex.routes
         if ex.routes_version != self._net_version:
             routes.clear()
+        routed = not is_sink and sel != 0.0
         stage_processed = 0.0
         stage_emitted = 0.0
         had_output = False
@@ -906,33 +920,62 @@ class EngineRuntime:
                         report.dropped_raw_input.get(name, 0.0) + dropped
                     )
             capacity = 0.0 if suspended else row_caps[row_no]
-            # The chained selectivity is applied while popping; the columns
-            # are exclusively ours, and downstream pushes copy the values.
-            counts: list[float] = []
-            gens: list[float] = []
-            processed, emitted = queue.pop_scaled_into(
-                capacity, sel, counts, gens
-            )
             if capacity_sums is not None:
                 capacity_sums[row_no].value += capacity
-            if processed <= 0:
-                continue
-            stage_processed += processed
 
-            if ex.is_sink:
+            if is_sink:
+                # The chained selectivity is applied while popping.
+                counts: list[float] = []
+                gens: list[float] = []
+                processed, emitted = queue.pop_scaled_into(
+                    capacity, sel, counts, gens
+                )
+                if processed <= 0:
+                    continue
+                stage_processed += processed
                 delay = 0.0
                 for c, g in zip(counts, gens):
                     delay += c * (now - g)
                 report.sink_events += emitted
                 report.sink_delay_weighted_s += delay
                 continue
+
+            route = _NO_ROUTE
+            if routed:
+                route = routes.get(site)
+                if route is None:
+                    # A row's targets (and the queues they create) are
+                    # resolved when it first has output to route.
+                    route = _NO_ROUTE
+                    if queue.would_pop(capacity):
+                        route = routes[site] = self._route_targets(ex, site)
+            targets, requeues = route
+            if requeues:
+                # The requeue pushes back the popped parcels themselves:
+                # read them off a copy-on-write twin popped the same way.
+                counts = []
+                gens = []
+                queue.clone_cow().pop_scaled_into(capacity, sel, counts, gens)
+            # Selectivity, then each target's fraction, applied in one pass
+            # straight into the target queues.
+            processed, emitted = queue.pop_routed(capacity, sel, targets)
+            if processed <= 0:
+                continue
+            stage_processed += processed
             had_output = True
             stage_emitted += emitted
-            if sel != 0.0:
-                rows = routes.get(site)
-                if rows is None:
-                    rows = routes[site] = self._route_targets(ex, site)
-                self._push_routed(ex, site, rows, counts, gens, report)
+            if requeues:
+                # Downstream not deployed (transient during adaptation):
+                # keep the events at the sender by re-queueing them into
+                # the queue this stage reads from, to be re-emitted next
+                # tick.
+                requeued = sum(counts)
+                for _ in range(requeues):
+                    for c, g in zip(counts, gens):
+                        queue.push(c, g)
+                    report.requeued[name] = (
+                        report.requeued.get(name, 0.0) + requeued
+                    )
         ex.routes_version = self._net_version
         if stage_processed > 0.0:
             report.processed[name] = stage_processed
@@ -946,65 +989,35 @@ class EngineRuntime:
         if had_output:
             report.emitted[name] = stage_emitted
 
-    def _route_targets(self, ex: _StageExec, src_site: str) -> list[tuple]:
-        """Routing rows for one source site of a stage, in fan-out order.
-
-        Each row is ``(fraction, local input key, flow queue)``: a
-        co-located share carries the input key, a remote share its (created
-        on first use) WAN flow queue, and an undeployed downstream
-        neither.
-        """
-        rows: list[tuple] = []
-        for down in ex.downstream:
-            if not down.deployed:
-                rows.append((0.0, None, None))
-                continue
-            for dst_site, fraction, in_key in down.shares:
-                if dst_site == src_site:
-                    rows.append((fraction, in_key, None))
-                else:
-                    flow = self._net_q((ex.name, down.name, src_site, dst_site))
-                    rows.append((fraction, None, flow))
-        return rows
-
-    def _push_routed(
-        self,
-        ex: _StageExec,
-        src_site: str,
-        rows: list[tuple],
-        counts: list[float],
-        gens: list[float],
-        report: TickReport,
-    ) -> None:
-        """Partition a stage's per-site output across downstream tasks.
+    def _route_targets(
+        self, ex: _StageExec, src_site: str
+    ) -> tuple[list[tuple[FluidQueue, float]], int]:
+        """The routing of one source site of a stage.
 
         Balanced event partitioning (Section 7): each downstream stage
         receives the full stream, split across its tasks in proportion to
-        tasks per site, along the resolved routing ``rows`` of
-        :meth:`_route_targets`.
+        tasks per site.  Returns the ``(queue, fraction)`` targets in
+        fan-out order, a co-located share targeting the downstream's input
+        queue and a remote share its WAN flow queue (each created here if
+        missing), and the number of downstream stages that are not
+        deployed, whose share the row re-queues at the sender.
         """
         input_queue = self._input_queue
-        for fraction, in_key, flow in rows:
-            if flow is not None:
-                flow.push_scaled(counts, gens, fraction)
-            elif in_key is not None:
-                queue = input_queue.get(in_key)
-                if queue is None:
-                    queue = FluidQueue()
-                    input_queue[in_key] = queue
-                queue.push_scaled(counts, gens, fraction)
-            else:
-                # Downstream not deployed (transient during adaptation):
-                # keep the events at the sender by re-queueing them into the
-                # queue this stage reads from, to be re-emitted next tick.
-                name = ex.name
-                table = self._gen_queue if ex.is_source else self._input_queue
-                queue = self._queue(table, (name, src_site))
-                for c, g in zip(counts, gens):
-                    queue.push(c, g)
-                report.requeued[name] = (
-                    report.requeued.get(name, 0.0) + sum(counts)
-                )
+        targets: list[tuple[FluidQueue, float]] = []
+        requeues = 0
+        for down in ex.downstream:
+            if not down.deployed:
+                requeues += 1
+                continue
+            for dst_site, fraction, in_key in down.shares:
+                if dst_site == src_site:
+                    queue = input_queue.get(in_key)
+                    if queue is None:
+                        queue = input_queue[in_key] = FluidQueue()
+                else:
+                    queue = self._net_q((ex.name, down.name, src_site, dst_site))
+                targets.append((queue, fraction))
+        return targets, requeues
 
     def _build_flow_records(
         self, ex: _StageExec, dt: float, stamp: tuple

@@ -26,6 +26,8 @@ from repro.engine.queues import (
 )
 from repro.errors import SimulationError
 
+from .column_routing import push_scaled
+
 SEEDS = [7, 42, 20201207]
 
 
@@ -200,7 +202,7 @@ def test_fused_push_variants_match_compositions(seed: int) -> None:
         fused.push_parcels(seeded)
         composed.push_parcels(seeded)
         scaled = scale_parcels(parcels, factor)
-        total = fused.push_scaled(*columns(parcels), factor)
+        total = push_scaled(fused, *columns(parcels), factor)
         composed.push_parcels(scaled)
         assert total == parcels_total(scaled)
         assert_equal_state(fused, composed)

@@ -10,7 +10,7 @@ counterexample to a minimal op sequence.
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.engine.queues import (
@@ -20,6 +20,10 @@ from repro.engine.queues import (
     parcels_total,
     scale_parcels,
 )
+
+from repro.errors import SimulationError
+
+from .column_routing import push_scaled
 
 counts = st.floats(
     min_value=0.0, max_value=1e6, allow_nan=False, allow_infinity=False
@@ -38,6 +42,18 @@ ops = st.lists(
         st.tuples(
             st.just("push_scaled"),
             parcel_lists,
+            st.floats(min_value=0.0, max_value=4.0, allow_nan=False),
+        ),
+        st.tuples(
+            st.just("pop_routed"),
+            counts,
+            st.floats(min_value=0.0, max_value=4.0, allow_nan=False),
+            st.floats(min_value=0.0, max_value=1.0, allow_nan=False),
+        ),
+        st.tuples(
+            st.just("route_into"),
+            parcel_lists,
+            counts,
             st.floats(min_value=0.0, max_value=4.0, allow_nan=False),
         ),
         st.tuples(
@@ -95,7 +111,13 @@ class TestMassConservation:
             elif kind == "drop_older_than":
                 removed += queue.drop_older_than(op[1])
             elif kind == "push_scaled":
-                pushed += queue.push_scaled(*as_columns(op[1]), op[2])
+                pushed += push_scaled(queue, *as_columns(op[1]), op[2])
+            elif kind == "pop_routed":
+                target = [(FluidQueue(), op[3])]
+                removed += queue.pop_routed(op[1], op[2], target)[0]
+            elif kind == "route_into":
+                target = [(queue, 1.0)]
+                pushed += fill(op[1]).pop_routed(op[2], op[3], target)[1]
             elif kind == "transfer_into":
                 pushed += fill(op[1]).transfer_into(queue, op[2], op[3])
             elif kind == "clear":
@@ -144,7 +166,7 @@ class TestFusedEqualsCompositional:
         fused = fill(pairs)
         composed = fill(pairs)
         parcels = [Parcel(c, g) for c, g in extra]
-        returned = fused.push_scaled(*as_columns(extra), factor)
+        returned = push_scaled(fused, *as_columns(extra), factor)
         scaled = scale_parcels(parcels, factor)
         composed.push_parcels(scaled)
         assert as_pairs(fused) == as_pairs(composed)
@@ -185,6 +207,116 @@ class TestFusedEqualsCompositional:
         )
 
 
+#: Generation times that land inside, on and just outside the 1e-6 merge
+#: window of one another (from base 0.0 the offsets are exact).
+near_gens = st.builds(
+    float.__add__,
+    st.sampled_from([0.0, 10.0, 11.0, 12.5]),
+    st.sampled_from([0.0, 4e-7, 9.99e-7, 1e-6, 1.0001e-6, 3e-6]),
+)
+#: Counts including the ones a pop leaves under the 1e-12 drain threshold.
+routed_counts = st.one_of(
+    counts, st.sampled_from([1e-13, 4e-13, 1e-12, 2e-12, 1.0])
+)
+routed_parcels = st.lists(st.tuples(routed_counts, near_gens), max_size=8)
+fractions = st.one_of(
+    st.just(0.0),
+    st.just(1.0),
+    st.floats(min_value=0.0, max_value=1.0, allow_nan=False),
+)
+
+
+def state(queue: FluidQueue) -> str:
+    """Counts, generation times and total, exactly (``repr`` keeps -0.0)."""
+    return repr((list(queue._counts), list(queue._gens), queue._count))
+
+
+class TestRoutedPop:
+    """``pop_routed`` leaves every queue and both totals bit for bit as
+    ``pop_scaled_into`` followed by one ``push_scaled`` per target."""
+
+    @given(
+        source=routed_parcels,
+        share=st.one_of(
+            st.floats(min_value=0.0, max_value=1.2, allow_nan=False),
+            st.sampled_from([0.5, 1.0]),
+        ),
+        slack=st.sampled_from([0.0, 1e-13, -1e-13, 5e-13, -5e-13]),
+        factor=st.one_of(
+            st.just(0.0),
+            st.just(1.0),
+            st.floats(min_value=0.0, max_value=4.0, allow_nan=False),
+        ),
+        targets=st.lists(
+            st.tuples(routed_parcels, fractions, st.booleans()), max_size=3
+        ),
+        share_source=st.booleans(),
+    )
+    # Parcels exactly one merge window apart, routed to one and two targets.
+    @example(
+        source=[(2.0, 0.0), (1.0, 2e-6)], share=1.0, slack=0.0, factor=1.0,
+        targets=[([(1.0, 1e-6)], 1.0, False)], share_source=False,
+    )
+    @example(
+        source=[(2.0, 0.0), (1.0, 2e-6)], share=1.0, slack=0.0, factor=1.0,
+        targets=[([(1.0, 1e-6)], 0.5, True), ([(1.0, 1e-6)], 0.5, False)],
+        share_source=True,
+    )
+    @settings(max_examples=300)
+    def test_matches_pop_then_push_per_target(
+        self, source, share, slack, factor, targets, share_source
+    ):
+        routed, columns = fill(source), fill(source)
+        amount = max(0.0, share * routed.count + slack)
+        routed_targets: list[tuple[FluidQueue, float]] = []
+        column_targets: list[tuple[FluidQueue, float]] = []
+        clones = []
+        for pairs, fraction, shared in targets:
+            a, b = fill(pairs), fill(pairs)
+            if shared:
+                clones += [(a.clone_cow(), state(a)), (b.clone_cow(), state(b))]
+            routed_targets.append((a, fraction))
+            column_targets.append((b, fraction))
+        if share_source:
+            clones += [
+                (routed.clone_cow(), state(routed)),
+                (columns.clone_cow(), state(columns)),
+            ]
+
+        result = routed.pop_routed(amount, factor, routed_targets)
+        popped_counts: list[float] = []
+        popped_gens: list[float] = []
+        expected = columns.pop_scaled_into(
+            amount, factor, popped_counts, popped_gens
+        )
+        for queue, fraction in column_targets:
+            push_scaled(queue, popped_counts, popped_gens, fraction)
+
+        assert repr(result) == repr(expected)
+        assert state(routed) == state(columns)
+        for (a, _), (b, _) in zip(routed_targets, column_targets):
+            assert state(a) == state(b)
+        for clone, before in clones:
+            assert state(clone) == before
+
+    def test_rejects_negative_arguments(self):
+        queue = fill([(5.0, 1.0)])
+        with pytest.raises(SimulationError):
+            queue.pop_routed(-1.0, 1.0, [])
+        with pytest.raises(SimulationError):
+            queue.pop_routed(1.0, -0.5, [])
+        with pytest.raises(SimulationError):
+            queue.pop_routed(1.0, 1.0, [(FluidQueue(), -0.5)])
+
+    @given(routed_parcels, counts)
+    @settings(max_examples=100)
+    def test_would_pop_is_the_pop_loop_test(self, pairs, amount):
+        queue = fill(pairs)
+        expected = queue.would_pop(amount)
+        popped, _ = queue.pop_routed(amount, 1.0, [])
+        assert expected == (popped > 0)
+
+
 class TestCopyOnWriteIsolation:
     """clone_cow shares storage but never observable state."""
 
@@ -221,7 +353,11 @@ class TestCopyOnWriteIsolation:
             elif kind == "drop_older_than":
                 queue.drop_older_than(op[1])
             elif kind == "push_scaled":
-                queue.push_scaled(*as_columns(op[1]), op[2])
+                push_scaled(queue, *as_columns(op[1]), op[2])
+            elif kind == "pop_routed":
+                queue.pop_routed(op[1], op[2], [(FluidQueue(), op[3])])
+            elif kind == "route_into":
+                fill(op[1]).pop_routed(op[2], op[3], [(queue, 1.0)])
             elif kind == "transfer_into":
                 fill(op[1]).transfer_into(queue, op[2], op[3])
             elif kind == "clear":
