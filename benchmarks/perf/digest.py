@@ -70,13 +70,13 @@ DENSE_P2_TASKS = 2
 PINNED = {
     (3, 11): {
         "fig8": (
-            "618749f594a3e641dc65233797bc87e6a5114c0f2b3f5f50dcdd3c1a56efcb5d"
+            "3607d3891989c6b516ef1284191cef12b4543f29c1bd0e7713df628f2fb0b7f9"
         ),
         "fig8_degrade": (
             "80800753aaee74969355282bc88d067db2330abcc291a7c8bbfe7274dc25afc2"
         ),
         "chaos": (
-            "f8fb00876182f2e8aeb0264b705035b22d02ec73393fe639dbdfc6d8a7735655"
+            "0ec8c66c6e5371027db19bbefd211f93950c4c87e212405160ccab57c71919ee"
         ),
         "chaos_log": (
             "739bec911809d9cbfa21fcb33075aa21f3783132806b6af7b606037ea3ae449d"
@@ -90,10 +90,10 @@ PINNED = {
             "net=1075362208.1579561"
         ),
         "fig8_dense": (
-            "0d7e2a629c33c81e80f5fdc7fd54f8ebf61162a94f5ac04440a50e76306db8db"
+            "59b1a8f0e0d9ae0adf23181f40df21f4fb66610a0de9d3491eb13fe39e7f7a8a"
         ),
         "fig11_live": (
-            "9972bb915915a9c8af1b1fd76a98b88fc742d04d23332f223697499aefd3b3b1"
+            "988a666a1b9738ce345ff1cbf9a8b0c191464d09d3addab976d5ad4afc3af9b3"
         ),
         "fig8_degrade_dense": (
             "21c025dca8f75f817ec810b47ce4305a101b8752f131844722e753cfd0f10d18"

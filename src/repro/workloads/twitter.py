@@ -83,7 +83,7 @@ class TwitterWorkload(ShapedWorkload):
         weights /= weights.sum()
         rates = {
             name: spec.mean_rate_eps * n * w
-            for name, w in zip(sorted(sources), weights)
+            for name, w in zip(sorted(sources), weights.tolist())
         }
         super().__init__(rates)
         # Diurnal phase per source: rolled around the globe.
