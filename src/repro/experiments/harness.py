@@ -28,7 +28,7 @@ from ..core.longterm import LongTermPlanner, OracleForecaster
 from ..core.replanning import Replanner
 from ..engine.checkpoint import CheckpointCoordinator
 from ..engine.dense import create_runtime
-from ..engine.runtime import EngineRuntime
+from ..engine.runtime import EngineRuntime, TickReport
 from ..engine.state import StateStore
 from ..errors import ChaosError, ConfigurationError, InfeasiblePlacementError
 from ..network.monitor import WanMonitor
@@ -37,7 +37,7 @@ from ..obs.events import EventBus, Restore
 from ..planner.cost import choose_best_deployment
 from ..planner.scheduler import Scheduler
 from ..sim.clock import SimClock
-from ..sim.recorder import RunRecorder, TickSample
+from ..sim.recorder import RunRecorder
 from ..sim.rng import RngRegistry
 from ..sim.schedule import Schedule
 from ..workloads.base import ShapedWorkload
@@ -482,28 +482,31 @@ class ExperimentRun:
 
     def step(
         self, link_budget: dict[tuple[str, str], float] | None = None
-    ) -> TickSample:
+    ) -> TickReport:
         """One tick: dynamics -> engine -> recording -> periodic callbacks.
 
         ``link_budget`` is forwarded to the engine; a multi-query harness
         passes one shared dict per tick so queries contend for the WAN.
+        Returns the engine's report of the tick; its recorded
+        :class:`~repro.sim.recorder.TickSample` is
+        ``recorder.samples[-1]``.
         """
         t_next = self.clock.now_s + self.config.tick_s
         self._apply_dynamics(t_next)
         if self._chaos is not None:
             self._chaos.tick(t_next)
         report = self.runtime.tick(link_budget)
-        sample = TickSample(
-            t_s=report.t_s,
-            delay_s=report.mean_sink_delay_s(),
-            processed=self.runtime.sink_source_equiv(report.sink_events),
-            offered=report.offered,
-            dropped=report.dropped_source_equiv,
-            parallelism=report.parallelism,
+        parallelism = report.parallelism
+        self.recorder.record_tick(
+            report.t_s,
+            report.mean_sink_delay_s(),
+            self.runtime.sink_source_equiv(report.sink_events),
+            report.offered,
+            report.dropped_source_equiv,
+            parallelism,
             # The plan's tasks beyond the initial deployment (per query).
-            extra_slots=report.parallelism - self.scheduler.initial_slots,
+            parallelism - self.scheduler.initial_slots,
         )
-        self.recorder.record_tick(sample)
         if self.manager is not None:
             self.manager.observe_tick(report)
         if self._checker is not None:
@@ -511,7 +514,7 @@ class ExperimentRun:
         self.clock.advance()
         if self._checker is not None:
             self._checker.on_step_end()
-        return sample
+        return report
 
 
 def run_variants(

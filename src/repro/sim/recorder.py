@@ -9,6 +9,7 @@ samples needed to regenerate all of them from a single run.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -71,7 +72,15 @@ class RunRecorder:
 
     def __init__(self, name: str = "run") -> None:
         self.name = name
-        self._samples: list[TickSample] = []
+        # The per-tick samples as one typed column per TickSample field,
+        # in field order: 8 bytes a value instead of an object per tick.
+        self._t_s = array("d")
+        self._delay_s = array("d")
+        self._processed = array("d")
+        self._offered = array("d")
+        self._dropped = array("d")
+        self._parallelism = array("q")
+        self._extra_slots = array("q")
         #: The adaptation log: every attempt's outcome, in order.  Only
         #: :meth:`record_adaptation` appends to it; the manager's
         #: ``attempt_log`` and ``history`` and :attr:`adaptations` read it.
@@ -82,8 +91,24 @@ class RunRecorder:
     # Recording
     # ------------------------------------------------------------------ #
 
-    def record_tick(self, sample: TickSample) -> None:
-        self._samples.append(sample)
+    def record_tick(
+        self,
+        t_s: float,
+        delay_s: float,
+        processed: float,
+        offered: float,
+        dropped: float,
+        parallelism: int,
+        extra_slots: int,
+    ) -> None:
+        """Append one tick's sample (the fields of :class:`TickSample`)."""
+        self._t_s.append(t_s)
+        self._delay_s.append(delay_s)
+        self._processed.append(processed)
+        self._offered.append(offered)
+        self._dropped.append(dropped)
+        self._parallelism.append(parallelism)
+        self._extra_slots.append(extra_slots)
 
     def record_adaptation(self, entry: AttemptRecord) -> None:
         self.attempt_log.append(entry)
@@ -98,7 +123,14 @@ class RunRecorder:
 
     @property
     def samples(self) -> list[TickSample]:
-        return list(self._samples)
+        """The recorded samples, built from the columns on each read."""
+        return [
+            TickSample(*row)
+            for row in zip(
+                self._t_s, self._delay_s, self._processed, self._offered,
+                self._dropped, self._parallelism, self._extra_slots,
+            )
+        ]
 
     @property
     def adaptations(self) -> list[AdaptationEvent]:
@@ -132,17 +164,17 @@ class RunRecorder:
         return list(self._faults)
 
     def times(self) -> np.ndarray:
-        return np.array([s.t_s for s in self._samples])
+        return np.array(self._t_s)
 
     def delay_series(self) -> np.ndarray:
         """Average emitted-event delay per tick (NaN where nothing emitted)."""
-        return np.array([s.delay_s for s in self._samples])
+        return np.array(self._delay_s)
 
     def parallelism_series(self) -> np.ndarray:
-        return np.array([s.parallelism for s in self._samples], dtype=float)
+        return np.array(self._parallelism, dtype=float)
 
     def extra_slots_series(self) -> np.ndarray:
-        return np.array([s.extra_slots for s in self._samples], dtype=float)
+        return np.array(self._extra_slots, dtype=float)
 
     def processing_ratio_series(self) -> np.ndarray:
         """Processing ratio over a sliding window of
@@ -152,8 +184,8 @@ class RunRecorder:
         rate over a time interval (Section 8.3); a ratio > 1 means queued
         events from earlier intervals are being consumed.
         """
-        processed = np.array([s.processed for s in self._samples])
-        offered = np.array([s.offered for s in self._samples])
+        processed = np.array(self._processed)
+        offered = np.array(self._offered)
         ratios = np.empty(len(processed))
         for i in range(len(processed)):
             lo = max(0, i - PROCESSING_RATIO_WINDOW_TICKS + 1)
@@ -172,9 +204,8 @@ class RunRecorder:
         filter: a NaN that reached sort/cumsum would silently poison every
         percentile, mean and CDF downstream instead of raising.
         """
-        n = len(self._samples)
-        values = np.fromiter((s.delay_s for s in self._samples), float, n)
-        weights = np.fromiter((s.processed for s in self._samples), float, n)
+        values = np.array(self._delay_s)
+        weights = np.array(self._processed)
         keep = (weights > 0) & np.isfinite(values)
         return values[keep], weights[keep]
 
@@ -211,13 +242,13 @@ class RunRecorder:
         return values[idx], cum[idx]
 
     def total_processed(self) -> float:
-        return float(sum(s.processed for s in self._samples))
+        return float(sum(self._processed))
 
     def total_offered(self) -> float:
-        return float(sum(s.offered for s in self._samples))
+        return float(sum(self._offered))
 
     def total_dropped(self) -> float:
-        return float(sum(s.dropped for s in self._samples))
+        return float(sum(self._dropped))
 
     def processed_fraction(self) -> float:
         """Fraction of offered events that were ultimately processed.

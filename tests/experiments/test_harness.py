@@ -48,10 +48,12 @@ class TestWiring:
         assert run.runtime.degrade_slo_s == 10.0
 
     def test_step_records_sample(self, run):
-        sample = run.step()
-        assert sample.t_s == 1.0
-        assert sample.offered > 0
-        assert len(run.recorder.samples) == 1
+        report = run.step()
+        (sample,) = run.recorder.samples
+        assert report is run.runtime.last_report
+        assert sample.t_s == report.t_s == 1.0
+        assert sample.offered == report.offered > 0
+        assert sample.parallelism == report.parallelism
 
     def test_run_duration(self, run):
         run.run(30)
@@ -82,7 +84,8 @@ class TestSampleParallelism:
             # Bottleneck dynamics never fail a site, so nothing changes the
             # plan between here and the tick.
             expected = run.runtime.plan.total_parallelism()
-            sample = run.step()
+            run.step()
+            sample = run.recorder.samples[-1]
             assert sample.parallelism == expected
             if scaled_out:
                 break
