@@ -940,15 +940,13 @@ class EngineRuntime:
                 report.sink_delay_weighted_s += delay
                 continue
 
-            route = _NO_ROUTE
-            if routed:
-                route = routes.get(site)
-                if route is None:
-                    # A row's targets (and the queues they create) are
-                    # resolved when it first has output to route.
-                    route = _NO_ROUTE
-                    if queue.would_pop(capacity):
-                        route = routes[site] = self._route_targets(ex, site)
+            route = routes.get(site) if routed else _NO_ROUTE
+            if route is None:
+                # A row's targets (and the queues they create) are
+                # resolved when it first has output to route.
+                route = _NO_ROUTE
+                if queue.would_pop(capacity):
+                    route = routes[site] = self._route_targets(ex, site)
             targets, requeues = route
             if requeues:
                 # The requeue pushes back the popped parcels themselves:
