@@ -58,6 +58,29 @@ def test_check_still_flags_a_rate_regression(
     assert "REGRESSION" in capsys.readouterr().out
 
 
+def test_check_compares_against_the_latest_emission(
+    tmp_path, monkeypatch, capsys
+) -> None:
+    emission = tmp_path / "BENCH_engine.json"
+    emission.write_text(json.dumps({
+        "baseline": {
+            "results": {
+                "queue_ops": {"name": "queue_ops", "rate_per_s": 10.0},
+            },
+        },
+        "current": {
+            "results": {
+                "queue_ops": {"name": "queue_ops", "rate_per_s": 100.0},
+            },
+        },
+    }))
+    monkeypatch.setattr(perf_cli, "run_all", lambda mode: [
+        BenchResult("queue_ops", 1.0, 50.0, "ops/s"),
+    ])
+    assert perf_cli.main(["--check", "--baseline", str(emission)]) == 1
+    assert "baseline        100.0" in capsys.readouterr().out
+
+
 def test_scale_points_record_the_auto_backend() -> None:
     small = scale.run_point("reference", 4, 1, warmup=1, measure=2)
     assert small["auto_backend"] == "reference"
