@@ -17,9 +17,9 @@ every table and figure of the paper's evaluation.
 """
 
 from . import api
-from .config import DEFAULT_CONFIG, WaspConfig
+from .config import WaspConfig
 from .errors import WaspError
 
 __version__ = "1.0.0"
 
-__all__ = ["DEFAULT_CONFIG", "WaspConfig", "WaspError", "api", "__version__"]
+__all__ = ["WaspConfig", "WaspError", "api", "__version__"]

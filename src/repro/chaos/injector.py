@@ -330,8 +330,3 @@ class ChaosInjector:
         self.obs.emit(
             ChaosFault(t_s, fault=fault or kind, detail=detail, phase=phase)
         )
-
-    @property
-    def active_faults(self) -> list[Fault]:
-        """Currently-applied duration-bound faults (for assertions)."""
-        return [a.fault for a in self._active]

@@ -122,5 +122,3 @@ class WaspConfig:
         self.check_fields(overrides)
         return replace(self, **overrides)
 
-
-DEFAULT_CONFIG = WaspConfig.paper_defaults()

@@ -23,11 +23,13 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import Protocol
 
 from ..config import WaspConfig
 from ..engine.metrics import MetricsWindow, StageMetrics
 from ..engine.physical import PhysicalPlan, Stage
 from ..engine.runtime import MBIT_BYTES
+from ..planner.placement import NetworkView
 from .estimator import StageEstimate
 
 #: Queueing delay (seconds) below which an execution is still considered
@@ -76,12 +78,6 @@ class StageDiagnosis:
     #: the stage's aggregate capacity looks sufficient.
     slow_sites: tuple[str, ...] = ()
 
-    @property
-    def compute_deficit_eps(self) -> float:
-        return max(
-            0.0, self.expected_input_eps - self.processing_capacity_eps
-        )
-
 
 class Diagnoser:
     """Applies the Section-3.2 health conditions to a metrics window."""
@@ -94,7 +90,7 @@ class Diagnoser:
         plan: PhysicalPlan,
         window: MetricsWindow,
         estimates: dict[str, StageEstimate],
-        network: "NetworkView",
+        network: "DiagnosisView",
     ) -> dict[str, StageDiagnosis]:
         """Classify every non-source stage (sources are external, pinned)."""
         results: dict[str, StageDiagnosis] = {}
@@ -113,7 +109,7 @@ class Diagnoser:
 
     # ------------------------------------------------------------------ #
 
-    def _stage_capacity_eps(self, stage: Stage, network: "NetworkView") -> float:
+    def _stage_capacity_eps(self, stage: Stage, network: "DiagnosisView") -> float:
         total = 0.0
         for task in stage.tasks:
             total += network.site_proc_rate_eps(task.site) / stage.cost
@@ -124,7 +120,7 @@ class Diagnoser:
         stage: Stage,
         metrics: StageMetrics | None,
         estimate: StageEstimate,
-        network: "NetworkView",
+        network: "DiagnosisView",
     ) -> StageDiagnosis:
         config = self._config
         capacity = self._stage_capacity_eps(stage, network)
@@ -189,7 +185,7 @@ class Diagnoser:
         stage: Stage,
         metrics: StageMetrics | None,
         estimate: StageEstimate,
-        network: "NetworkView",
+        network: "DiagnosisView",
     ) -> tuple[str, ...]:
         """Sites whose tasks cannot drain their balanced input share.
 
@@ -226,7 +222,7 @@ class Diagnoser:
         stage: Stage,
         metrics: StageMetrics | None,
         estimate: StageEstimate,
-        network: "NetworkView",
+        network: "DiagnosisView",
     ) -> list[LinkPressure]:
         """Inbound links whose WAN queue is growing beyond the health slack."""
         if metrics is None:
@@ -262,7 +258,7 @@ class Diagnoser:
                 )
         return links
 
-    def _inbound_event_bytes(self, stage: Stage, network: "NetworkView") -> float:
+    def _inbound_event_bytes(self, stage: Stage, network: "DiagnosisView") -> float:
         """Representative event size for traffic entering ``stage``."""
         plan = network.plan_for(stage.name)
         if plan is None:
@@ -273,7 +269,7 @@ class Diagnoser:
         return max(u.output_event_bytes for u in upstream)
 
     def _over_provisioned(
-        self, stage: Stage, estimate: StageEstimate, network: "NetworkView"
+        self, stage: Stage, estimate: StageEstimate, network: "DiagnosisView"
     ) -> bool:
         """Would one fewer task still leave capacity headroom?
 
@@ -292,18 +288,13 @@ class Diagnoser:
         return estimate.input_eps < remaining * 0.8
 
 
-class NetworkView:
-    """What diagnosis needs from the environment.
+class DiagnosisView(NetworkView, Protocol):
+    """What diagnosis reads: the WAN view of the whole control plane
+    (:class:`~repro.planner.placement.NetworkView`), each site's processing
+    rate and the plan a stage runs in.  The controller implements it over
+    the WAN monitor and the runtime, so the diagnoser stays free of wiring
+    concerns."""
 
-    A thin adapter over the WAN monitor + topology + plan; implemented by
-    the controller so the diagnoser stays free of wiring concerns.
-    """
+    def site_proc_rate_eps(self, site: str) -> float: ...
 
-    def bandwidth_mbps(self, src: str, dst: str) -> float:  # pragma: no cover
-        raise NotImplementedError
-
-    def site_proc_rate_eps(self, site: str) -> float:  # pragma: no cover
-        raise NotImplementedError
-
-    def plan_for(self, stage_name: str) -> PhysicalPlan | None:  # pragma: no cover
-        raise NotImplementedError
+    def plan_for(self, stage_name: str) -> PhysicalPlan | None: ...

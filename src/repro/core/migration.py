@@ -23,6 +23,7 @@ import enum
 import itertools
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -91,18 +92,11 @@ class MigrationPlan:
         return sum(t.size_mb for t in self.transfers)
 
 
-class BandwidthLookup:
-    """Callable protocol: (src, dst) -> Mbps (monitor-measured)."""
-
-    def __call__(self, src: str, dst: str) -> float:  # pragma: no cover
-        raise NotImplementedError
-
-
 def _assignment_cost(
     sources: list[tuple[str, float]],
     destinations: list[str],
     perm: tuple[int, ...],
-    bandwidth: "BandwidthLookup",
+    bandwidth: Callable[[str, str], float],
 ) -> float:
     worst = 0.0
     for (src, size_mb), dst_idx in zip(sources, perm):

@@ -33,6 +33,7 @@ from ..errors import InfeasiblePlacementError
 from ..obs.events import Decide, EventBus
 from ..planner.placement import (
     DownstreamDemand,
+    NetworkView,
     PlacementProblem,
     UpstreamFlow,
     solve_placement,
@@ -86,9 +87,10 @@ class PolicyContext:
     plan: PhysicalPlan
     diagnoses: dict[str, StageDiagnosis]
     estimates: dict[str, StageEstimate]
-    network: "PolicyNetworkView"
+    network: NetworkView
     available_slots: dict[str, int]
-    state_mb_at: "StateLookup"
+    #: (stage, site) -> resident state MB.
+    state_mb_at: Callable[[str, str], float]
     source_generation_eps: dict[str, float]
     config: WaspConfig
     replanner: Replanner | None = None
@@ -103,23 +105,6 @@ class PolicyContext:
         if self.migration_bandwidth is not None:
             return self.migration_bandwidth(src, dst)
         return self.network.bandwidth_mbps(src, dst)
-
-
-class PolicyNetworkView:
-    """bandwidth_mbps / latency_ms protocol (the WAN monitor satisfies it)."""
-
-    def bandwidth_mbps(self, src: str, dst: str) -> float:  # pragma: no cover
-        raise NotImplementedError
-
-    def latency_ms(self, src: str, dst: str) -> float:  # pragma: no cover
-        raise NotImplementedError
-
-
-class StateLookup:
-    """Callable protocol: (stage, site) -> resident state MB."""
-
-    def __call__(self, stage: str, site: str) -> float:  # pragma: no cover
-        raise NotImplementedError
 
 
 class AdaptationPolicy:

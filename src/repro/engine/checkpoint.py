@@ -46,13 +46,8 @@ class CheckpointCoordinator:
     ) -> None:
         self._store = store
         self._records: dict[tuple[str, str], CheckpointRecord] = {}
-        self._last_checkpoint_s = float("-inf")
         #: The event bus (repro.obs) checkpoint rounds are announced on.
         self.obs = obs if obs is not None else EventBus()
-
-    @property
-    def last_checkpoint_s(self) -> float:
-        return self._last_checkpoint_s
 
     def checkpoint_all(
         self, now_s: float, *, skip_sites: frozenset[str] | set[str] = frozenset()
@@ -74,7 +69,6 @@ class CheckpointCoordinator:
                 record = CheckpointRecord(stage_name, site, mb, now_s)
                 self._records[(stage_name, site)] = record
                 written.append(record)
-        self._last_checkpoint_s = now_s
         self.obs.emit(
             Checkpoint(
                 now_s,
@@ -95,13 +89,6 @@ class CheckpointCoordinator:
         before a migration) rather than the possibly-stale snapshot.
         """
         return self._store.mb_at_site(stage_name, from_site)
-
-    def staleness_s(self, stage_name: str, site: str, now_s: float) -> float:
-        """Age of the newest local snapshot (infinite if none exists)."""
-        record = self._records.get((stage_name, site))
-        if record is None:
-            return float("inf")
-        return now_s - record.taken_at_s
 
     def forget_site(self, stage_name: str, site: str) -> None:
         """Drop records for a partition that moved away or was discarded."""

@@ -255,7 +255,7 @@ def _fan_out(
     net_mass: np.ndarray,
 ) -> None:
     """Route a group's popped events (``g.pop.take`` and ``g.pop.tm``), times
-    each row's selectivity, into its requeue, local and remote targets.
+    each row's selectivity, into its local and remote targets.
 
     Only bucket columns ``lo:hi`` are routed: outside the span in which the
     group popped, the full-width fan-out would add exact zeros.  Rows of
@@ -271,9 +271,6 @@ def _fan_out(
     out_m = np.multiply(
         g.pop.tm[:, lo:hi], g.sel_col, out=g.out_m[: n * w].reshape(n, w)
     )
-    if g.has_requeue:
-        in_cnt[g.rows, lo:hi] += out_c * g.mult_col
-        in_mass[g.rows, lo:hi] += out_m * g.mult_col
     if g.loc_src is not None:
         in_cnt_f = in_cnt.reshape(-1)
         in_mass_f = in_mass.reshape(-1)
@@ -454,7 +451,7 @@ class _DenseStage:
 
     __slots__ = (
         "name", "is_source", "is_sink", "selectivity", "pinned_site",
-        "gen_row", "s0", "s1", "requeue_mult",
+        "gen_row", "s0", "s1",
     )
 
 
@@ -469,7 +466,7 @@ class _DepthGroup:
 
     __slots__ = (
         "stages", "rows", "n_rows", "row_keys", "site_ids", "n_tasks",
-        "cost_row", "sel_col", "mult_col", "has_requeue", "pop",
+        "cost_row", "sel_col", "pop",
         "out_c", "out_m",
         "loc_src", "loc_frac", "loc_cells",
         "rem_src", "rem_frac", "rem_rows", "rem_c", "rem_m",
@@ -668,7 +665,6 @@ class _DenseModel:
             ntasks_l: list[float] = []
             cost_l: list[float] = []
             sel_l: list[float] = []
-            mult_l: list[float] = []
             loc: list[tuple[int, int, float]] = []
             rem: list[tuple[int, int, float]] = []
             flows_group: list[tuple[tuple[str, str, str, str], float]] = []
@@ -681,12 +677,20 @@ class _DenseModel:
                 st.pinned_site = s.pinned_site
                 tag = read_tag[s.name]
                 sites_sorted = sorted(placements[s.name])
+                # A stage with a downstream stage that has no task is held
+                # back: its rows count no running task, so their capacity
+                # is 0.0 and its input waits in its queues.
+                held = not all(
+                    placements[down.name] for down in downstream[s.name]
+                )
                 st.s0 = len(rows_l)
                 for site in sites_sorted:
                     rows_l.append(in_index[(tag, s.name, site)])
                     row_keys.append((s.name, site))
                     site_ids_l.append(site_id[site])
-                    ntasks_l.append(float(placements[s.name][site]))
+                    ntasks_l.append(
+                        0.0 if held else float(placements[s.name][site])
+                    )
                     cost_l.append(s.cost)
                     sel_l.append(s.selectivity)
                 st.s1 = len(rows_l)
@@ -695,13 +699,9 @@ class _DenseModel:
                     if s.is_source and s.pinned_site is not None
                     else None
                 )
-                requeue_mult = 0
                 for down in downstream[s.name]:
                     dplace = placements[down.name]
                     total = sum(dplace.values())
-                    if total <= 0:
-                        requeue_mult += 1
-                        continue
                     for pos, src_site in enumerate(sites_sorted):
                         for dst_site in sorted(dplace):
                             frac = dplace[dst_site] / total
@@ -719,8 +719,6 @@ class _DenseModel:
                                     ],
                                     frac,
                                 ))
-                st.requeue_mult = requeue_mult
-                mult_l.extend([float(requeue_mult)] * (st.s1 - st.s0))
                 for key in flows_by_src.get(s.name, []):
                     flows_group.append((key, s.output_event_bytes))
                 g.stages.append(st)
@@ -742,9 +740,6 @@ class _DenseModel:
             g.n_tasks = np.array(ntasks_l)
             g.cost_row = np.array(cost_l)
             g.sel_col = np.array(sel_l)[:, None]
-            mult_arr = np.array(mult_l)
-            g.has_requeue = bool((mult_arr > 0.0).any())
-            g.mult_col = mult_arr[:, None]
             if loc:
                 g.loc_src = np.array([p for p, _, _ in loc], dtype=np.intp)
                 g.loc_frac = np.array([f for _, _, f in loc])[:, None]
@@ -1211,11 +1206,6 @@ class DenseEngineRuntime(EngineRuntime):
                     else:
                         report.emitted[st.name] = sel * stage_processed
                         any_routed = True
-                        if st.requeue_mult and sel != 0.0:
-                            report.requeued[st.name] = (
-                                report.requeued.get(st.name, 0.0)
-                                + st.requeue_mult * sel * stage_processed
-                            )
                 if any_routed:
                     lo, hi = _bucket_span(g.pop.sends)
                     _fan_out(g, lo, hi, in_cnt, in_mass, net_cnt, net_mass)

@@ -227,13 +227,6 @@ class LogicalPlan:
 
         return sig(name)
 
-    def stateful_signatures(self) -> dict[str, str]:
-        """Signatures of all stateful operators, keyed by operator name."""
-        return {
-            op.name: self.subplan_signature(op.name)
-            for op in self.stateful_operators()
-        }
-
 
 def can_replace_preserving_state(
     current: LogicalPlan, candidate: LogicalPlan

@@ -18,7 +18,7 @@ Each spec captures the properties the WASP controller reasons about:
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from ..errors import PlanError
 
@@ -144,10 +144,6 @@ class OperatorSpec:
     def chainable(self) -> bool:
         """Whether this operator may be fused into its upstream stage."""
         return self.kind in CHAINABLE_KINDS and not self.stateful
-
-    def with_state_mb(self, state_mb: float) -> "OperatorSpec":
-        """Copy with a different controlled state size (Section 8.7 sweeps)."""
-        return replace(self, state_mb=state_mb)
 
 
 # --------------------------------------------------------------------------- #

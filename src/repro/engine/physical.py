@@ -23,7 +23,7 @@ from typing import Iterator
 from ..counters import VersionCounter
 from ..errors import PlanError
 from .logical import LogicalPlan
-from .operators import OperatorKind, OperatorSpec
+from .operators import OperatorSpec
 
 
 @dataclass
@@ -177,12 +177,6 @@ class Stage:
         self.tasks.clear()
         self._mutated()
 
-    def state_mb_per_task(self) -> float:
-        """Per-task state share under balanced partitioning (Section 7)."""
-        if not self.tasks or not self.stateful:
-            return 0.0
-        return self.state_mb / len(self.tasks)
-
 
 class PhysicalPlan:
     """Stages and their data-flow edges for one logical plan."""
@@ -205,7 +199,6 @@ class PhysicalPlan:
         # change), so the derived stage lists are built exactly once.
         self._topo_stages = [self.stages[name] for name in self._topo]
         self._source_stages = [s for s in self._topo_stages if s.is_source]
-        self._sink_stages = [s for s in self._topo_stages if s.is_sink]
 
     # ------------------------------------------------------------------ #
     # Construction
@@ -273,12 +266,6 @@ class PhysicalPlan:
         except KeyError:
             raise PlanError(f"unknown stage {name!r}") from None
 
-    def stage_of_operator(self, op_name: str) -> Stage:
-        try:
-            return self.stages[self._member_of[op_name]]
-        except KeyError:
-            raise PlanError(f"unknown operator {op_name!r}") from None
-
     def topological_stages(self) -> list[Stage]:
         """Stages in topological order (cached; do not mutate)."""
         return self._topo_stages
@@ -292,10 +279,6 @@ class PhysicalPlan:
     def source_stages(self) -> list[Stage]:
         """Source stages in topological order (cached; do not mutate)."""
         return self._source_stages
-
-    def sink_stages(self) -> list[Stage]:
-        """Sink stages in topological order (cached; do not mutate)."""
-        return self._sink_stages
 
     def mutation_version(self) -> int:
         """Monotonic counter over every stage's task mutations.
@@ -313,9 +296,6 @@ class PhysicalPlan:
 
     def total_parallelism(self) -> int:
         return sum(s.parallelism for s in self.stages.values())
-
-    def deployed(self) -> bool:
-        return all(s.parallelism > 0 for s in self.stages.values())
 
     def expected_stage_rates(
         self, source_generation_eps: dict[str, float]

@@ -15,9 +15,9 @@ than one object per parcel.  Floats are never tracked by the cyclic garbage
 collector, so a runtime holding hundreds of thousands of queued parcels
 gives the collector a handful of deques to look at instead of one object
 per parcel, and each parcel costs two floats instead of an object plus two
-floats.  :class:`Parcel` remains the inspection and interchange type
-(:meth:`FluidQueue.parcels`, :meth:`FluidQueue.pop`,
-:meth:`FluidQueue.push_parcels`); the engine's tick path never builds one.
+floats.  :class:`Parcel` remains the inspection type
+(:meth:`FluidQueue.parcels`, :meth:`FluidQueue.pop`); the engine's tick
+path never builds one.
 
 Because the engine executes these operations for every (stage, site) and
 every WAN flow on every tick, the queue exposes *fused, in-place* variants
@@ -31,8 +31,7 @@ of its hot paths:
 * :meth:`FluidQueue.pop_scaled_into` dequeues into ``(counts, gens)``
   column lists with the counts scaled (selectivity) and returns both the
   popped and the scaled totals, for the callers that read the parcels
-  (the sinks' delay sum, the re-queue at a sender whose downstream is not
-  deployed, :meth:`FluidQueue.pop`);
+  (the sinks' delay sum, :meth:`FluidQueue.pop`);
 * :meth:`FluidQueue.transfer_into` moves up to a budget of events into
   another queue, aged by a link latency, in one pass (``pop`` +
   ``age_parcels`` + ``push_parcels``); :meth:`FluidQueue.drain_into`
@@ -41,8 +40,10 @@ of its hot paths:
   materializing the dropped parcels.
 
 All fused variants perform bit-for-bit the same floating-point operations
-in the same order as their compositional equivalents, so fixed seeds
-produce identical simulations either way.
+in the same order as their compositional equivalents (built from the
+parcel-list helpers in ``tests/engine/parcels.py``, which the queue tests
+compare them against), so fixed seeds produce identical simulations
+either way.
 
 Snapshots are copy-on-write: :meth:`FluidQueue.clone_cow` shares the
 storage between the original and the clone, and the first mutation on
@@ -138,10 +139,6 @@ class FluidQueue:
             gens.append(gen_time_s)
         self._count += count
 
-    def push_parcels(self, parcels: list[Parcel]) -> None:
-        for parcel in parcels:
-            self.push(parcel.count, parcel.gen_time_s)
-
     def clone_cow(self) -> "FluidQueue":
         """Copy-on-write clone: O(1) now, pays the copy on first mutation.
 
@@ -179,7 +176,7 @@ class FluidQueue:
         Returns ``(popped, emitted)``: the unscaled events dequeued and the
         sum of the scaled counts, each summed in FIFO order.  Fuses
         ``scale_parcels(pop(count), factor)`` and both totals into one pass;
-        like :func:`scale_parcels`, a zero ``factor`` appends nothing.  With
+        like ``scale_parcels``, a zero ``factor`` appends nothing.  With
         ``factor`` 1.0 the columns are the popped parcels exactly.
         """
         if count < 0:
@@ -469,9 +466,6 @@ class FluidQueue:
         self._count = 0.0
         return dropped
 
-    def oldest_gen_time_s(self) -> float | None:
-        return self._gens[0] if self._gens else None
-
     def count_and_min(self) -> tuple[float, float]:
         """Total events queued and the smallest parcel count (``inf`` for
         an empty queue), in one call.
@@ -493,30 +487,3 @@ class FluidQueue:
         """
         return [Parcel(c, g) for c, g in zip(self._counts, self._gens)]
 
-
-def parcels_total(parcels: list[Parcel]) -> float:
-    return sum(p.count for p in parcels)
-
-
-def parcels_mean_gen_time(parcels: list[Parcel]) -> float:
-    """Event-weighted mean generation time; raises on empty input."""
-    total = parcels_total(parcels)
-    if total <= 0:
-        raise SimulationError("no parcels to average")
-    return sum(p.count * p.gen_time_s for p in parcels) / total
-
-
-def scale_parcels(parcels: list[Parcel], factor: float) -> list[Parcel]:
-    """Multiply parcel counts by ``factor`` (selectivity, fan-out shares)."""
-    if factor < 0:
-        raise SimulationError(f"scale factor must be >= 0, got {factor}")
-    if factor == 0:
-        return []
-    return [Parcel(p.count * factor, p.gen_time_s) for p in parcels]
-
-
-def age_parcels(parcels: list[Parcel], extra_age_s: float) -> list[Parcel]:
-    """Make parcels older by ``extra_age_s`` (WAN latency crossing)."""
-    if extra_age_s < 0:
-        raise SimulationError(f"extra_age_s must be >= 0, got {extra_age_s}")
-    return [Parcel(p.count, p.gen_time_s - extra_age_s) for p in parcels]

@@ -40,11 +40,6 @@ from .queues import FluidQueue
 MBIT_BYTES = 1_000_000 / 8
 
 
-def mbps_to_eps(bandwidth_mbps: float, event_bytes: float) -> float:
-    """Events/second a link sustains at the given event size."""
-    return bandwidth_mbps * MBIT_BYTES / event_bytes
-
-
 @dataclass
 class RuntimeSnapshot:
     """Copy-on-write capture of the engine's mutable state (rollback unit).
@@ -95,9 +90,6 @@ class TickReport:
     net_backlog: Mapping[tuple[str, str, str, str], float] = field(
         default_factory=dict
     )
-    #: per stage: events re-queued at the sender because a downstream stage
-    #: was transiently undeployed (they re-enter the sender's own queue)
-    requeued: dict[str, float] = field(default_factory=dict)
     #: per stage: raw events dropped from its input/gen queues (SLO cutoff)
     dropped_raw_input: dict[str, float] = field(default_factory=dict)
     #: per destination stage: raw events dropped from in-flight net queues
@@ -174,21 +166,21 @@ class WindowSums:
         self.net_in: dict[tuple[str, str, str], RunningSum] = {}
 
 
-#: The routing of a row that routes nothing: no targets, no requeue.
-_NO_ROUTE: tuple[tuple, int] = ((), 0)
+#: The routing of a row that routes nothing.
+_NO_ROUTE: tuple = ()
 
 
 class _DownstreamExec:
     """Precomputed fan-out of one stage edge (balanced partitioning)."""
 
-    __slots__ = ("name", "deployed", "shares")
+    __slots__ = ("name", "shares")
 
     def __init__(self, down: Stage) -> None:
         placement = down.placement()
         total_tasks = sum(placement.values())
         self.name = down.name
-        self.deployed = total_tasks > 0
-        #: (dst_site, task fraction, input-queue key) in sorted site order.
+        #: (dst_site, task fraction, input-queue key) in sorted site order;
+        #: empty while the stage has no task.
         self.shares = [
             (site, placement[site] / total_tasks, (down.name, site))
             for site in sorted(placement)
@@ -204,11 +196,13 @@ class _StageExec:
     fractions.  ``row_caps`` holds each row's per-tick capacity ``n_tasks
     * rate / cost * dt`` for the site states and tick length its
     :class:`_PlanCache` was last stamped with
-    (:meth:`_PlanCache.refresh_capacities`).
+    (:meth:`_PlanCache.refresh_capacities`); it is 0.0 on every row of a
+    ``held`` stage, one with a downstream stage that has no task: its
+    input waits in its queues until the downstream is deployed again.
 
     Two further tables depend on the runtime's queues as well and carry
     their own stamps: ``routes`` (per source site, the resolved routing
-    targets and requeue count of :meth:`EngineRuntime._route_targets`,
+    targets of :meth:`EngineRuntime._route_targets`,
     valid while ``routes_version`` equals the runtime's net version) and
     ``flows`` (the stage's outgoing flow records,
     valid for ``flows_stamp``; see
@@ -218,8 +212,8 @@ class _StageExec:
     __slots__ = (
         "stage", "name", "is_source", "is_sink", "selectivity", "cost",
         "output_event_bytes", "pinned_site", "gen_key", "site_rows",
-        "row_caps", "downstream", "routes", "routes_version", "flows",
-        "flows_stamp",
+        "row_caps", "downstream", "held", "routes", "routes_version",
+        "flows", "flows_stamp",
         "gen_sum", "processed_sum", "capacity_sums", "flow_sums",
     )
 
@@ -242,7 +236,8 @@ class _StageExec:
         ]
         self.row_caps: list[float] = []
         self.downstream: list[_DownstreamExec] = []
-        self.routes: dict[str, tuple[list[tuple], int]] = {}
+        self.held = False
+        self.routes: dict[str, list[tuple[FluidQueue, float]]] = {}
         self.routes_version = -1
         self.flows: list[tuple] = []
         self.flows_stamp: tuple | None = None
@@ -304,6 +299,7 @@ class _PlanCache:
                 _DownstreamExec(down)
                 for down in plan.downstream_stages(ex.name)
             ]
+            ex.held = not all(down.shares for down in ex.downstream)
         self.sources = [ex for ex in self.topo if ex.is_source]
         for src in self.sources:
             if src.pinned_site is None:
@@ -319,12 +315,14 @@ class _PlanCache:
         self.caps_dt = 0.0
 
     def refresh_capacities(self, site_version: int, dt: float) -> None:
-        """Recompute every row's per-tick capacity (0.0 on a failed site)
-        and stamp them with ``site_version`` and ``dt``."""
+        """Recompute every row's per-tick capacity (0.0 on a failed site
+        and for a held stage) and stamp them with ``site_version`` and
+        ``dt``."""
         for ex in self.topo:
             cost = ex.cost
+            held = ex.held
             ex.row_caps = [
-                0.0 if site_obj.failed
+                0.0 if held or site_obj.failed
                 else n_tasks * site_obj.effective_proc_rate_eps / cost * dt
                 for _, site_obj, n_tasks, _, _ in ex.site_rows
             ]
@@ -947,33 +945,14 @@ class EngineRuntime:
                 route = _NO_ROUTE
                 if queue.would_pop(capacity):
                     route = routes[site] = self._route_targets(ex, site)
-            targets, requeues = route
-            if requeues:
-                # The requeue pushes back the popped parcels themselves:
-                # read them off a copy-on-write twin popped the same way.
-                counts = []
-                gens = []
-                queue.clone_cow().pop_scaled_into(capacity, sel, counts, gens)
             # Selectivity, then each target's fraction, applied in one pass
             # straight into the target queues.
-            processed, emitted = queue.pop_routed(capacity, sel, targets)
+            processed, emitted = queue.pop_routed(capacity, sel, route)
             if processed <= 0:
                 continue
             stage_processed += processed
             had_output = True
             stage_emitted += emitted
-            if requeues:
-                # Downstream not deployed (transient during adaptation):
-                # keep the events at the sender by re-queueing them into
-                # the queue this stage reads from, to be re-emitted next
-                # tick.
-                requeued = sum(counts)
-                for _ in range(requeues):
-                    for c, g in zip(counts, gens):
-                        queue.push(c, g)
-                    report.requeued[name] = (
-                        report.requeued.get(name, 0.0) + requeued
-                    )
         ex.routes_version = self._net_version
         if stage_processed > 0.0:
             report.processed[name] = stage_processed
@@ -989,7 +968,7 @@ class EngineRuntime:
 
     def _route_targets(
         self, ex: _StageExec, src_site: str
-    ) -> tuple[list[tuple[FluidQueue, float]], int]:
+    ) -> list[tuple[FluidQueue, float]]:
         """The routing of one source site of a stage.
 
         Balanced event partitioning (Section 7): each downstream stage
@@ -997,16 +976,11 @@ class EngineRuntime:
         tasks per site.  Returns the ``(queue, fraction)`` targets in
         fan-out order, a co-located share targeting the downstream's input
         queue and a remote share its WAN flow queue (each created here if
-        missing), and the number of downstream stages that are not
-        deployed, whose share the row re-queues at the sender.
+        missing).
         """
         input_queue = self._input_queue
         targets: list[tuple[FluidQueue, float]] = []
-        requeues = 0
         for down in ex.downstream:
-            if not down.deployed:
-                requeues += 1
-                continue
             for dst_site, fraction, in_key in down.shares:
                 if dst_site == src_site:
                     queue = input_queue.get(in_key)
@@ -1015,7 +989,7 @@ class EngineRuntime:
                 else:
                     queue = self._net_q((ex.name, down.name, src_site, dst_site))
                 targets.append((queue, fraction))
-        return targets, requeues
+        return targets
 
     def _build_flow_records(
         self, ex: _StageExec, dt: float, stamp: tuple

@@ -84,12 +84,6 @@ class MultiQueryRun:
     def recorders(self) -> dict[str, RunRecorder]:
         return {run.recorder.name: run.recorder for run in self.runs}
 
-    def run_named(self, query_name: str) -> ExperimentRun:
-        for run in self.runs:
-            if run.query.name == query_name:
-                return run
-        raise ConfigurationError(f"no running query named {query_name!r}")
-
     def _admit_due(self) -> None:
         while self._pending and self._pending[0].start_s <= self._now_s:
             submission = self._pending.pop(0)

@@ -9,8 +9,8 @@ migrations, chaos faults, checkpoint restores), and through the harness's
 state.  From those two views it asserts the paper-level properties:
 
 * **conservation** - events are neither created nor destroyed: per stage,
-  the queued backlog changes exactly by (arrivals + replay + re-queues)
-  minus (processing + SLO drops), per tick.
+  the queued backlog changes exactly by (arrivals + replay) minus
+  (processing + SLO drops), per tick.
 * **queue/state non-negativity** - no fluid queue, parcel or state
   partition ever goes negative.
 * **slot-feasibility** - on every non-failed site, the allocated slots
@@ -116,7 +116,7 @@ class _PlanTables:
         "plan",
         "version",
         "stage_names",
-        "deployed_downstream",
+        "downstream",
         "tasks_at",
         "undeployed",
     )
@@ -125,13 +125,9 @@ class _PlanTables:
         self.plan = plan
         self.version = version
         self.stage_names = tuple(plan.stages)
-        #: Per stage: its downstream stages with >= 1 task, edge order.
-        self.deployed_downstream = {
-            name: tuple(
-                down.name
-                for down in plan.downstream_stages(name)
-                if down.parallelism > 0
-            )
+        #: Per stage: its downstream stages, edge order.
+        self.downstream = {
+            name: tuple(down.name for down in plan.downstream_stages(name))
             for name in plan.stages
         }
         #: Tasks placed per site, summed over every stage.
@@ -376,11 +372,11 @@ class InvariantChecker:
         if baseline is None or self._chaos_this_step:
             return
         self._mark("conservation")
-        # Arrivals from upstream emissions: every *deployed* downstream
-        # stage receives each upstream's full emitted stream (balanced
-        # partitioning, Section 7); undeployed downstreams re-queue at the
-        # sender and are accounted by ``report.requeued``.
-        fanout = tables.deployed_downstream
+        # Arrivals from upstream emissions: every downstream stage receives
+        # each upstream's full emitted stream (balanced partitioning,
+        # Section 7).  A stage with an undeployed downstream stage is held
+        # back and emits nothing.
+        fanout = tables.downstream
         from_upstream: dict[str, float] = {}
         for name, emitted in report.emitted.items():
             for down in fanout.get(name, ()):
@@ -392,7 +388,7 @@ class InvariantChecker:
         # failing the screen goes through the term-by-term ledger, which
         # decides the verdict and words the detail.
         inflow = dict(report.offered_by_source)
-        for terms in (from_upstream, report.requeued, self._replay_in):
+        for terms in (from_upstream, self._replay_in):
             for name, x in terms.items():
                 inflow[name] = inflow.get(name, 0.0) + x
         outflow = dict(report.processed)
@@ -430,7 +426,6 @@ class InvariantChecker:
         inflow = (
             report.offered_by_source.get(name, 0.0)
             + from_upstream.get(name, 0.0)
-            + report.requeued.get(name, 0.0)
             + self._replay_in.get(name, 0.0)
         )
         outflow = (

@@ -73,10 +73,6 @@ class WanMonitor:
         self._synced_from = None
         self._last_refresh_s = float("-inf")
 
-    @property
-    def last_refresh_s(self) -> float:
-        return self._last_refresh_s
-
     def _noise(self, n: int) -> list[float]:
         """``n`` multiplicative noise factors (same draws as ``n`` scalar
         ``uniform`` calls on the stream)."""

@@ -37,10 +37,6 @@ class RelayPath:
     via: str | None
     bandwidth_mbps: float
 
-    @property
-    def is_direct(self) -> bool:
-        return self.via is None
-
     def hops(self) -> list[tuple[str, str]]:
         if self.via is None:
             return [(self.src, self.dst)]

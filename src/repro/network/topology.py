@@ -231,9 +231,6 @@ class Topology:
             self._global_factor = float(factor)
             self._factors_version += 1
 
-    def bandwidth_factor(self, src: str, dst: str) -> float:
-        return self._factors.get((src, dst), self._global_factor)
-
     # ------------------------------------------------------------------ #
     # Helpers
     # ------------------------------------------------------------------ #

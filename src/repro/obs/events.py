@@ -418,10 +418,6 @@ class EventBus:
         self._sinks.append(sink)
         return sink
 
-    def detach(self, sink: Sink) -> None:
-        if sink in self._sinks:
-            self._sinks.remove(sink)
-
     def close(self) -> None:
         """Close and detach every sink."""
         for sink in self._sinks:

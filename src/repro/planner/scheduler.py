@@ -25,10 +25,6 @@ class AssignmentDiff:
     added: dict[str, int]
     removed: dict[str, int]
 
-    @property
-    def moved_pairs(self) -> int:
-        return min(sum(self.added.values()), sum(self.removed.values()))
-
 
 class Scheduler:
     """Allocates slots and maintains task lists for one running query."""

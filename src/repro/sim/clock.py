@@ -125,8 +125,3 @@ class SimClock:
                 task.callback(self._now_s)
                 task.next_due_s += task.period_s
         return self._now_s
-
-    def run_until(self, end_s: float) -> None:
-        """Advance tick-by-tick until the clock reaches ``end_s``."""
-        while self._now_s + 1e-9 < end_s:
-            self.advance()

@@ -79,6 +79,3 @@ class ShapedWorkload(WorkloadModel):
             else:
                 rates.append(base * self.shape(name, t_s) * factor)
         return rates
-
-    def total_base_eps(self) -> float:
-        return sum(self._base_rates.values())

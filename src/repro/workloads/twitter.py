@@ -104,11 +104,3 @@ class TwitterWorkload(ShapedWorkload):
         phase = self._phase.get(source_stage, 0.0)
         angle = 2 * math.pi * (t_s / self._spec.day_length_s + phase)
         return 1.0 + self._amplitude * math.sin(angle)
-
-    def spatial_weights(self) -> dict[str, float]:
-        """Fraction of total base load per source (sums to 1)."""
-        total = self.total_base_eps()
-        return {
-            name: self.base_rate_eps(name) / total
-            for name in self.source_names
-        }

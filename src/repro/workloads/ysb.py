@@ -27,8 +27,6 @@ PROJECTED_EVENT_BYTES = 80.0
 #: Fraction of events surviving the event_type = "view" filter (the YSB
 #: generator emits view/click/purchase uniformly; views are 1 in 3).
 VIEW_FILTER_SELECTIVITY = 1.0 / 3.0
-#: Number of distinct campaigns in the synthetic campaign table.
-CAMPAIGN_COUNT = 100
 #: Campaign-metadata update stream rate (tiny; it is a dimension table).
 CAMPAIGN_UPDATE_EPS = 50.0
 

@@ -117,12 +117,10 @@ class TestDurationsAndReassert:
         injector.attach(target)
         injector.tick(5.0)
         assert small_topology.site("dc-2").failed
-        assert injector.active_faults
         injector.tick(14.0)
         assert small_topology.site("dc-2").failed
         injector.tick(15.0)
         assert not small_topology.site("dc-2").failed
-        assert not injector.active_faults
 
     def test_continuous_fault_beats_external_writes(self, small_topology):
         injector, target = make_injector(small_topology)

@@ -24,6 +24,7 @@ from repro.engine.runtime import EngineRuntime, WorkloadModel
 from repro.engine.state import StateStore
 from repro.network.monitor import WanMonitor
 from repro.planner.scheduler import Scheduler
+from tests.slots import fully_deployed
 
 
 class ConstantWorkload(WorkloadModel):
@@ -248,7 +249,7 @@ class TestReplanExecution:
         # Windowed state re-initializes; the stage must still have a
         # partition entry for its new tasks.
         assert manager.state_store.sites("agg")
-        assert manager.runtime.plan.deployed()
+        assert fully_deployed(manager.runtime.plan)
 
     def test_replan_suspends_non_source_stages(self, small_topology):
         from repro.core.actions import ReplanAction

@@ -119,7 +119,9 @@ class TestComputeBound:
             {"agg": StageEstimate("agg", 60_000.0, 600.0)},
         )
         assert result["agg"].health is Health.COMPUTE_BOUND
-        assert result["agg"].compute_deficit_eps == pytest.approx(20_000.0)
+        agg = result["agg"]
+        deficit = agg.expected_input_eps - agg.processing_capacity_eps
+        assert deficit == pytest.approx(20_000.0)
 
     def test_large_backlog_at_full_utilization(self):
         plan = make_plan()

@@ -108,7 +108,7 @@ class ColumnRoutingRuntime(EngineRuntime):
                 rows = routes.get(site)
                 if rows is None:
                     rows = routes[site] = self._route_targets(ex, site)
-                self._push_routed(ex, site, rows, counts, gens, report)
+                self._push_routed(rows, counts, gens)
         ex.routes_version = self._net_version
         if stage_processed > 0.0:
             report.processed[name] = stage_processed
@@ -126,9 +126,6 @@ class ColumnRoutingRuntime(EngineRuntime):
         """Rows ``(fraction, local input key, flow queue)``."""
         rows: list[tuple] = []
         for down in ex.downstream:
-            if not down.deployed:
-                rows.append((0.0, None, None))
-                continue
             for dst_site, fraction, in_key in down.shares:
                 if dst_site == src_site:
                     rows.append((fraction, in_key, None))
@@ -137,23 +134,14 @@ class ColumnRoutingRuntime(EngineRuntime):
                     rows.append((fraction, None, flow))
         return rows
 
-    def _push_routed(self, ex, src_site, rows, counts, gens, report) -> None:
+    def _push_routed(self, rows, counts, gens) -> None:
         input_queue = self._input_queue
         for fraction, in_key, flow in rows:
             if flow is not None:
                 push_scaled(flow, counts, gens, fraction)
-            elif in_key is not None:
+            else:
                 queue = input_queue.get(in_key)
                 if queue is None:
                     queue = FluidQueue()
                     input_queue[in_key] = queue
                 push_scaled(queue, counts, gens, fraction)
-            else:
-                name = ex.name
-                table = self._gen_queue if ex.is_source else self._input_queue
-                queue = self._queue(table, (name, src_site))
-                for c, g in zip(counts, gens):
-                    queue.push(c, g)
-                report.requeued[name] = (
-                    report.requeued.get(name, 0.0) + sum(counts)
-                )

@@ -5,13 +5,12 @@ import pytest
 from repro.engine.logical import LogicalPlan
 from repro.engine.operators import filter_, sink, source, window_aggregate
 from repro.engine.physical import PhysicalPlan
-from repro.engine.runtime import mbps_to_eps
 from tests.engine.backpressure import (
     TopologyCapacityModel,
     bottleneck_stages,
     steady_state_rates,
 )
-from tests.engine.test_runtime import build_pipeline
+from tests.engine.test_runtime import build_pipeline, mbps_to_eps
 
 
 def make_deployed_plan(agg_site="dc-1", agg_cost=1.0):

@@ -631,14 +631,10 @@ def _full_width_fan_out(g, take_c, take_m, in_cnt, in_mass, net_cnt, net_mass):
     in_cnt_f = in_cnt.reshape(-1)
     in_mass_f = in_mass.reshape(-1)
     in_size = in_cnt_f.shape[0]
-    rows = g.rows
     # Fan-out for the whole group at once: rows belonging
     # to sinks or sel == 0 stages contribute exact zeros.
     out_c = np.multiply(take_c, g.sel_col)
     out_m = np.multiply(take_m, g.sel_col)
-    if g.has_requeue:
-        in_cnt[rows] += out_c * g.mult_col
-        in_mass[rows] += out_m * g.mult_col
     if g.loc_src is not None:
         loc_flat = g.loc_cells.ravel()
         in_cnt_f += np.bincount(
@@ -658,12 +654,12 @@ def _full_width_fan_out(g, take_c, take_m, in_cnt, in_mass, net_cnt, net_mass):
         net_mass[g.rem_rows] += np.multiply(rm, g.rem_frac, out=rm)
 
 
-def _fan_out_group(requeue: bool):
+def _fan_out_group(held: bool):
     """A compiled dense model of the 6-site shuffle with two aggregation
-    tasks per site; with ``requeue`` the sink has no task, so the
-    aggregation group re-queues what it emits."""
+    tasks per site; with ``held`` the sink has no task, so the aggregation
+    group is held back."""
     topology, plan, workload = build_world(6, 2, 3)
-    if requeue:
+    if held:
         plan.stage("sink").remove_task_at("s000")
     runtime = create_runtime(
         topology, plan, workload, WaspConfig(), backend="dense"
@@ -671,24 +667,26 @@ def _fan_out_group(requeue: bool):
     return runtime._ensure_model()
 
 
-@pytest.mark.parametrize("requeue", [False, True])
+@pytest.mark.parametrize("held", [False, True])
 @pytest.mark.parametrize(
     "cols, span",
     [((0, -1), None), ((), (0, 0)), ((2, 4), (2, 5))],
     ids=["first-and-last", "nothing", "middle"],
 )
-def test_fan_out_span_matches_full_width(requeue, cols, span) -> None:
+def test_fan_out_span_matches_full_width(held, cols, span) -> None:
     """Routing over the popped bucket span leaves every input and flow row
     as the full-width fan-out did: a group popping only buckets 0 and
-    B - 1, one popping nothing, and one popping only middle buckets."""
-    model = _fan_out_group(requeue)
+    B - 1, one popping nothing, and one popping only middle buckets.  A
+    held group (its downstream stage has no task) runs no task and routes
+    nothing."""
+    model = _fan_out_group(held)
     B = model.B
-    g = model.groups[1 if requeue else 0]
-    assert g.has_requeue == requeue
+    g = model.groups[1 if held else 0]
     # The sources route locally and remotely; the sinkless aggregation
-    # only re-queues.
-    assert (g.loc_src is None) == requeue
-    assert (g.rem_src is None) == requeue
+    # has no target and no running task, so its rows' capacity is 0.0.
+    assert (g.loc_src is None) == held
+    assert (g.rem_src is None) == held
+    assert (not g.n_tasks.any()) == held
     rng = np.random.default_rng(len(cols))
     take = np.zeros((g.n_rows, B))
     for b in cols:
@@ -712,7 +710,9 @@ def test_fan_out_span_matches_full_width(requeue, cols, span) -> None:
     _fan_out(g, lo, hi, *spanned)
     for f, s_ in zip(full, spanned):
         assert _bits(f) == _bits(s_)
-    if cols:
+    if held:
+        assert all(_bits(f) == _bits(a) for f, a in zip(full, state))
+    elif cols:
         # The fan-out did route something.
         assert any(_bits(f) != _bits(a) for f, a in zip(full, state))
 

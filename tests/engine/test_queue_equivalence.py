@@ -17,16 +17,11 @@ import random
 
 import pytest
 
-from repro.engine.queues import (
-    FluidQueue,
-    Parcel,
-    age_parcels,
-    parcels_total,
-    scale_parcels,
-)
+from repro.engine.queues import FluidQueue, Parcel
 from repro.errors import SimulationError
 
 from .column_routing import push_scaled
+from .parcels import age_parcels, parcels_total, push_parcels, scale_parcels
 
 SEEDS = [7, 42, 20201207]
 
@@ -199,11 +194,11 @@ def test_fused_push_variants_match_compositions(seed: int) -> None:
         factor = rng.choice([0.0, rng.uniform(0.0, 2.0)])
         fused, composed = FluidQueue(), ReferenceQueue()
         seeded = random_parcels(rng, now)
-        fused.push_parcels(seeded)
-        composed.push_parcels(seeded)
+        push_parcels(fused, seeded)
+        push_parcels(composed, seeded)
         scaled = scale_parcels(parcels, factor)
         total = push_scaled(fused, *columns(parcels), factor)
-        composed.push_parcels(scaled)
+        push_parcels(composed, scaled)
         assert total == parcels_total(scaled)
         assert_equal_state(fused, composed)
 
@@ -283,7 +278,7 @@ def test_transfer_into_matches_pop_then_aged_push(seed: int) -> None:
 
         moved = src.transfer_into(dst, budget, age)
         popped = src_ref.pop(budget)
-        dst_ref.push_parcels(age_parcels(popped, age))
+        push_parcels(dst_ref, age_parcels(popped, age))
         assert moved == _running_total(popped)
         assert_equal_state(src, src_ref)
         assert_equal_state(dst, dst_ref)
@@ -308,7 +303,7 @@ def test_drain_into_matches_push_parcels_of_pop(seed: int) -> None:
         src_before, dst_before = pairs(src), pairs(dst)
 
         src.drain_into(dst)
-        dst_ref.push_parcels(src_ref.pop(src_ref.count))
+        push_parcels(dst_ref, src_ref.pop(src_ref.count))
         assert_equal_state(src, src_ref)
         assert_equal_state(dst, dst_ref)
         # Copy-on-write clones of either side never see the move.

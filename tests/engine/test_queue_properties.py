@@ -13,17 +13,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.engine.queues import (
-    FluidQueue,
-    Parcel,
-    age_parcels,
-    parcels_total,
-    scale_parcels,
-)
-
+from repro.engine.queues import FluidQueue, Parcel
 from repro.errors import SimulationError
 
 from .column_routing import push_scaled
+from .parcels import age_parcels, parcels_total, push_parcels, scale_parcels
 
 counts = st.floats(
     min_value=0.0, max_value=1e6, allow_nan=False, allow_infinity=False
@@ -168,7 +162,7 @@ class TestFusedEqualsCompositional:
         parcels = [Parcel(c, g) for c, g in extra]
         returned = push_scaled(fused, *as_columns(extra), factor)
         scaled = scale_parcels(parcels, factor)
-        composed.push_parcels(scaled)
+        push_parcels(composed, scaled)
         assert as_pairs(fused) == as_pairs(composed)
         assert fused.count == composed.count
         assert returned == parcels_total(scaled)
@@ -185,7 +179,7 @@ class TestFusedEqualsCompositional:
         composed, composed_src = fill(pairs), fill(extra)
         moved = fused_src.transfer_into(fused, amount, age)
         popped = composed_src.pop(amount)
-        composed.push_parcels(age_parcels(popped, age))
+        push_parcels(composed, age_parcels(popped, age))
         assert as_pairs(fused) == as_pairs(composed)
         assert fused.count == composed.count
         assert as_pairs(fused_src) == as_pairs(composed_src)

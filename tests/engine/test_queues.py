@@ -7,15 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine.queues import (
-    FluidQueue,
-    Parcel,
+from repro.engine.queues import FluidQueue, Parcel
+from repro.errors import SimulationError
+
+from .parcels import (
     age_parcels,
+    oldest_gen_time_s,
     parcels_mean_gen_time,
     parcels_total,
     scale_parcels,
 )
-from repro.errors import SimulationError
 
 
 class TestPushPop:
@@ -88,7 +89,7 @@ class TestDropping:
         queue.push(10.0, 5.0)
         dropped = queue.drop_oldest(12.0)
         assert dropped == pytest.approx(12.0)
-        assert queue.oldest_gen_time_s() == 5.0
+        assert oldest_gen_time_s(queue) == 5.0
 
     def test_drop_older_than_cutoff(self):
         """The Degrade baseline's move: drop events past the SLO."""
@@ -113,7 +114,7 @@ class TestDropping:
 
 class TestAges:
     def test_oldest_gen_time_none_when_empty(self):
-        assert FluidQueue().oldest_gen_time_s() is None
+        assert oldest_gen_time_s(FluidQueue()) is None
 
 
 class TestParcelHelpers:

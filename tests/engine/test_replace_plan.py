@@ -6,8 +6,8 @@ from repro.config import WaspConfig
 from repro.engine.logical import LogicalPlan
 from repro.engine.operators import filter_, sink, source, union, window_aggregate
 from repro.engine.physical import PhysicalPlan
-from repro.engine.runtime import EngineRuntime, mbps_to_eps
-from tests.engine.test_runtime import ConstantWorkload
+from repro.engine.runtime import EngineRuntime
+from tests.engine.test_runtime import ConstantWorkload, mbps_to_eps
 
 
 def variant(name, *, via_relay: bool, agg_cost: float = 2.0):

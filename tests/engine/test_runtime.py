@@ -14,7 +14,12 @@ from repro.engine.operators import (
 )
 from repro.engine.dense import DenseEngineRuntime
 from repro.engine.physical import PhysicalPlan
-from repro.engine.runtime import EngineRuntime, WorkloadModel, mbps_to_eps
+from repro.engine.runtime import MBIT_BYTES, EngineRuntime, WorkloadModel
+
+
+def mbps_to_eps(bandwidth_mbps: float, event_bytes: float) -> float:
+    """Events/second a link sustains at the given event size."""
+    return bandwidth_mbps * MBIT_BYTES / event_bytes
 
 
 class ConstantWorkload(WorkloadModel):

@@ -16,6 +16,7 @@ from repro.sim.recorder import RunRecorder
 from repro.sim.rng import RngRegistry
 from repro.sim.schedule import Schedule
 from repro.workloads.queries import ysb_advertising
+from tests.slots import fully_deployed
 
 
 @pytest.fixture
@@ -26,7 +27,7 @@ def run(testbed, rngs):
 
 class TestWiring:
     def test_initial_deployment_complete(self, run):
-        assert run.runtime.plan.deployed()
+        assert fully_deployed(run.runtime.plan)
         assert run.scheduler.initial_slots is not None
 
     def test_stateful_stages_have_state(self, run):
@@ -132,7 +133,9 @@ class TestDynamics:
             )
         )
         run.run(2)
-        assert run.topology.bandwidth_factor(link.src, link.dst) == 0.25
+        assert run.topology.bandwidth_mbps(link.src, link.dst) == (
+            link.bandwidth_mbps * 0.25
+        )
 
     def test_failure_window(self, run):
         run.set_dynamics(

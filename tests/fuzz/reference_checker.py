@@ -3,10 +3,12 @@ test oracle.
 
 :class:`ReferenceInvariantChecker` is the previous
 :class:`repro.fuzz.invariants.InvariantChecker`, verbatim apart from its
-name and imports: three ``iter_queues()`` walks per checked tick, one
-:class:`~repro.engine.queues.Parcel` per queued parcel, and ``placement()``
-dicts rebuilt for the conservation fan-out and the slot check on every
-tick.  ``tests/fuzz/test_checker_equivalence.py`` runs both checkers on the
+name, its imports and its conservation fan-out, which follows the engine's
+hold-back of a stage with an undeployed downstream stage (every downstream
+stage counts, and no re-queue term): three ``iter_queues()`` walks per
+checked tick, one :class:`~repro.engine.queues.Parcel` per queued parcel,
+and ``placement()`` dicts rebuilt for the slot check on every tick.
+``tests/fuzz/test_checker_equivalence.py`` runs both checkers on the
 same scenarios and asserts identical exercise counts, violations and
 recorder digests.
 """
@@ -201,19 +203,18 @@ class ReferenceInvariantChecker:
             return
         self._mark("conservation")
         plan = run.runtime.plan
-        # Arrivals from upstream emissions: every *deployed* downstream
-        # stage receives each upstream's full emitted stream (balanced
-        # partitioning, Section 7); undeployed downstreams re-queue at the
-        # sender and are accounted by ``report.requeued``.
+        # Arrivals from upstream emissions: every downstream stage receives
+        # each upstream's full emitted stream (balanced partitioning,
+        # Section 7).  A stage with an undeployed downstream stage is held
+        # back and emits nothing.
         from_upstream: dict[str, float] = {}
         for name, emitted in report.emitted.items():
             if name not in plan.stages:
                 continue
             for down in plan.downstream_stages(name):
-                if sum(down.placement().values()) > 0:
-                    from_upstream[down.name] = (
-                        from_upstream.get(down.name, 0.0) + emitted
-                    )
+                from_upstream[down.name] = (
+                    from_upstream.get(down.name, 0.0) + emitted
+                )
         for name in plan.stages:
             if name not in baseline:
                 continue
@@ -222,7 +223,6 @@ class ReferenceInvariantChecker:
             inflow = (
                 report.offered_by_source.get(name, 0.0)
                 + from_upstream.get(name, 0.0)
-                + report.requeued.get(name, 0.0)
                 + self._replay_in.get(name, 0.0)
             )
             outflow = (

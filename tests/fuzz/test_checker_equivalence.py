@@ -144,7 +144,7 @@ class TestShortcuts:
             for stage, src in queues:
                 if src.count > 1.0:
                     dst = next(q for s, q in queues if s != stage)
-                    dst.push_parcels(src.pop(src.count / 2))
+                    src.transfer_into(dst, src.count / 2, 0.0)
                     shifts.append(now_s)
                     return
 
@@ -253,7 +253,7 @@ class TestShortcuts:
 
     def test_undeployed_downstream_stage(self):
         """A downstream stage with no tasks receives nothing: its
-        upstream's emissions re-queue at the sender instead."""
+        upstream stage is held back and its input waits at the sender."""
         spec = generate_scenario(BACKLOG_SEED)
         run, dynamics, both = _both_run(spec)
         run.run(20.0, dynamics)

@@ -53,7 +53,8 @@ class TestStaleness:
     def test_last_refresh_tracked(self, small_topology, rng):
         monitor = WanMonitor(small_topology, rng)
         monitor.refresh(42.0)
-        assert monitor.last_refresh_s == 42.0
+        # A link's sample carries the refresh time.
+        assert monitor.measurement("edge-x", "dc-1").measured_at_s == 42.0
 
     def test_measurement_record(self, small_topology, rng):
         monitor = WanMonitor(small_topology, rng)

@@ -23,7 +23,7 @@ class TestBestRelayPath:
         bw = table_lookup({("a", "b"): 100.0, ("a", "r"): 10.0,
                            ("r", "b"): 10.0})
         path = best_relay_path("a", "b", ["r"], bw)
-        assert path.is_direct
+        assert path.via is None
         assert path.bandwidth_mbps == 100.0
 
     def test_relay_beats_weak_direct(self):
@@ -51,7 +51,7 @@ class TestBestRelayPath:
     def test_endpoints_excluded_as_relays(self):
         bw = table_lookup({("a", "b"): 3.0})
         path = best_relay_path("a", "b", ["a", "b"], bw)
-        assert path.is_direct
+        assert path.via is None
 
     def test_same_site_rejected(self):
         with pytest.raises(TopologyError):
@@ -67,7 +67,7 @@ class TestBestRelayPath:
         # Relay min-hop 10 * 0.9 = 9 < direct 9.5: direct wins.
         bw = table_lookup({("a", "b"): 9.5, ("a", "r"): 10.0,
                            ("r", "b"): 10.0})
-        assert best_relay_path("a", "b", ["r"], bw).is_direct
+        assert best_relay_path("a", "b", ["r"], bw).via is None
 
 
 class TestRelayedLookup:

@@ -138,9 +138,10 @@ class TestDynamics:
         assert topo.latency_ms("a", "b") == 80.0
 
     def test_factor_query(self, topo):
+        ab, ba = topo.bandwidth_mbps("a", "b"), topo.bandwidth_mbps("b", "a")
         topo.set_bandwidth_factor("a", "b", 0.25)
-        assert topo.bandwidth_factor("a", "b") == 0.25
-        assert topo.bandwidth_factor("b", "a") == 1.0
+        assert topo.bandwidth_mbps("a", "b") == ab * 0.25
+        assert topo.bandwidth_mbps("b", "a") == ba
 
 
 class TestLinkTables:

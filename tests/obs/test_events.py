@@ -69,8 +69,8 @@ class TestZeroOverhead:
 
     def test_detach_restores_falsiness(self):
         bus = EventBus()
-        sink = bus.attach(RingBufferSink())
-        bus.detach(sink)
+        bus.attach(RingBufferSink())
+        bus.close()
         assert not bus
 
 

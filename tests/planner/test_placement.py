@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine.runtime import mbps_to_eps
 from repro.errors import InfeasiblePlacementError, PlacementError
 from repro.planner.placement import (
     DownstreamDemand,
@@ -13,6 +12,7 @@ from repro.planner.placement import (
     per_site_capacity,
     solve_placement,
 )
+from tests.engine.test_runtime import mbps_to_eps
 from tests.planner.milp import solve_with_milp
 
 

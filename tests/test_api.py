@@ -4,6 +4,7 @@ import pytest
 
 from repro import api
 from repro.errors import WaspError
+from tests.slots import fully_deployed
 
 
 class TestBuilders:
@@ -25,7 +26,7 @@ class TestBuilders:
 class TestLaunch:
     def test_launch_by_name(self):
         run = api.launch("ysb-advertising", api.no_adapt(), seed=3)
-        assert run.runtime.plan.deployed()
+        assert fully_deployed(run.runtime.plan)
         assert run.manager is None
 
     def test_launch_default_variant_is_wasp(self):

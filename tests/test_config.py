@@ -5,7 +5,7 @@ from dataclasses import fields
 import pytest
 
 from repro.baselines.variants import DEGRADE_SLO_S
-from repro.config import DEFAULT_CONFIG, WaspConfig
+from repro.config import WaspConfig
 from repro.errors import ConfigurationError
 
 
@@ -24,9 +24,6 @@ class TestPaperDefaults:
 
     def test_slo_ten_seconds(self):
         assert DEGRADE_SLO_S == 10.0
-
-    def test_default_config_matches_paper_defaults(self):
-        assert DEFAULT_CONFIG == WaspConfig.paper_defaults()
 
 
 class TestValidation:
