@@ -109,7 +109,9 @@ class Diagnoser:
 
     # ------------------------------------------------------------------ #
 
-    def _stage_capacity_eps(self, stage: Stage, network: "DiagnosisView") -> float:
+    def _stage_capacity_eps(
+        self, stage: Stage, network: "DiagnosisView"
+    ) -> float:
         total = 0.0
         for task in stage.tasks:
             total += network.site_proc_rate_eps(task.site) / stage.cost
@@ -258,7 +260,9 @@ class Diagnoser:
                 )
         return links
 
-    def _inbound_event_bytes(self, stage: Stage, network: "DiagnosisView") -> float:
+    def _inbound_event_bytes(
+        self, stage: Stage, network: "DiagnosisView"
+    ) -> float:
         """Representative event size for traffic entering ``stage``."""
         plan = network.plan_for(stage.name)
         if plan is None:

@@ -61,7 +61,8 @@ class TestMigrationSupport:
     def test_staleness(self, store):
         coordinator = CheckpointCoordinator(store)
         coordinator.checkpoint_all(10.0)
-        assert staleness_s(coordinator, "agg", "a", 25.0) == pytest.approx(15.0)
+        staleness = staleness_s(coordinator, "agg", "a", 25.0)
+        assert staleness == pytest.approx(15.0)
 
     def test_staleness_infinite_without_snapshot(self, store):
         coordinator = CheckpointCoordinator(store)

@@ -70,9 +70,9 @@ def _definitions(path: pathlib.Path) -> list[tuple[str, str]]:
 
 def _reads(path: pathlib.Path) -> set[str]:
     """The names ``path`` reads (see the module docstring)."""
+    tree = ast.parse(path.read_text())
     if path.name == "__init__.py":
         # Re-export lines, and ``__all__``, do not read; code there does.
-        tree = ast.parse(path.read_text())
         tree.body = [
             node for node in tree.body
             if not isinstance(node, (ast.Import, ast.ImportFrom))
@@ -84,8 +84,6 @@ def _reads(path: pathlib.Path) -> set[str]:
                 )
             )
         ]
-    else:
-        tree = ast.parse(path.read_text())
     names: set[str] = set()
     renamed: dict[str, str] = {}
     for node in ast.walk(tree):

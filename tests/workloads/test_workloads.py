@@ -12,7 +12,9 @@ from repro.workloads.ysb import YsbSpec, YsbWorkload
 
 def spatial_weights(workload: TwitterWorkload) -> dict[str, float]:
     """Fraction of total base load per source (sums to 1)."""
-    rates = {name: workload.base_rate_eps(name) for name in workload.source_names}
+    rates = {
+        name: workload.base_rate_eps(name) for name in workload.source_names
+    }
     total = sum(rates.values())
     return {name: rate / total for name, rate in rates.items()}
 
