@@ -53,7 +53,7 @@ def bench_queue_ops(ops: int = 200_000) -> BenchResult:
 
     The access pattern mirrors the engine's: pushes at advancing gen times
     (merging adjacent parcels), fractional pops, and occasional SLO drops -
-    the three ops `_run_stage` and `_transfer_stage_flows` hammer.
+    the three moves ``EngineRuntime.tick`` makes on every stage's queues.
     """
     queue = FluidQueue()
     t0 = time.perf_counter()
@@ -82,32 +82,36 @@ def bench_queue_ops(ops: int = 200_000) -> BenchResult:
 
 
 def bench_queue_fused_ops(rounds: int = 20_000) -> BenchResult:
-    """The fused/batched FluidQueue ops the tick path leans on.
+    """The fused FluidQueue ops the engine calls.
 
-    Each round mimics one stage output crossing the WAN: a donor queue
-    pops a burst and routes its share straight onto a flow queue
-    (``pop_routed``), and the flow moves a link budget into the receiver
-    aged by the latency (``transfer_into``); then periodic SLO maintenance
+    The tick runs its single-target row pops and WAN transfers in place
+    (``single_tick`` and ``full_scenario`` time those); what stays a queue
+    call is timed here.  Each round a donor pops a burst and routes it to
+    two targets, a flow queue and a co-located queue (``pop_routed`` with
+    several targets), and the mutation API's move drains the flow into a
+    receiver (``drain_into``); then periodic SLO maintenance
     (``drop_oldest`` / ``drop_older_than``) and snapshot pressure
     (``clone_cow`` followed by a mutation, so copy-on-write actually pays
     its materialization).
     """
     donor = FluidQueue()
     flow = FluidQueue()
+    local = FluidQueue()
     receiver = FluidQueue()
     now = 0.0
     for i in range(64):
         now += 0.5
         donor.push(200.0 + (i % 5), now)
-    targets = [(flow, 0.5)]
+    targets = [(flow, 0.5), (local, 0.5)]
     t0 = time.perf_counter()
     for i in range(rounds):
         now += 0.25
         donor.push(120.0 + (i % 3), now)
         donor.pop_routed(110.0, 1.0, targets)
-        flow.transfer_into(receiver, 50.0, 0.040)
+        flow.drain_into(receiver)
         if i % 32 == 31:
-            receiver.drop_oldest(90.0)
+            receiver.drop_oldest(1700.0)
+            local.drop_oldest(1700.0)
         if i % 128 == 127:
             receiver.drop_older_than(now - 24.0)
         if i % 256 == 255:
@@ -304,11 +308,10 @@ def bench_adaptation_round(
     manager = run.manager
     wan = manager.wan_monitor
     metrics = manager.monitor
-    now = run.clock.now_s
     refresh_s = collect_s = 0.0
     for _ in range(calls):
         t0 = time.perf_counter()
-        wan.refresh(now)
+        wan.refresh()
         t1 = time.perf_counter()
         monitor = copy.deepcopy(metrics)
         t2 = time.perf_counter()

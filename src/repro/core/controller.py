@@ -326,7 +326,7 @@ class ReconfigurationManager:
     ) -> tuple[list[AdaptationRecord], int]:
         """The round itself; returns (executed records, decided count)."""
         obs = self.obs
-        self.wan_monitor.refresh(now_s)
+        self.wan_monitor.refresh()
         window = self.monitor.collect()
         self.last_window = window
         plan = self.runtime.plan
@@ -409,7 +409,7 @@ class ReconfigurationManager:
         obs = self.obs
         stage = action.stage
         prev_label: str | None = None
-        for attempt in self._attempt_chain(action, now_s):
+        for attempt in self._attempt_chain(action):
             label = attempt.label
             kind = attempt.action.kind.value
             if prev_label is not None:
@@ -612,7 +612,7 @@ class ReconfigurationManager:
                     f"{site.used_slots} slots in use"
                 )
 
-    def _attempt_chain(self, action: Action, now_s: float):
+    def _attempt_chain(self, action: Action):
         """Lazily yield the Figure-6 fallback chain for ``action``.
 
         Built lazily so each fallback is derived from the world as it is
@@ -624,7 +624,7 @@ class ReconfigurationManager:
         if not isinstance(action, (ReassignAction, ScaleAction)):
             return
         for k in range(1, ADAPTATION_MAX_RETRIES + 1):
-            retry = self._remeasured_action(action, now_s)
+            retry = self._remeasured_action(action)
             if retry is None:
                 break
             yield _Attempt(
@@ -683,7 +683,7 @@ class ReconfigurationManager:
         return surviving or None
 
     def _remeasured_action(
-        self, action: ReassignAction | ScaleAction, now_s: float
+        self, action: ReassignAction | ScaleAction
     ) -> Action | None:
         stage = self.runtime.plan.stages.get(action.stage)
         if stage is None:
@@ -696,7 +696,7 @@ class ReconfigurationManager:
         for src in sorted(stage.placement()):
             for dst in sorted(assignment):
                 if src != dst:
-                    self.wan_monitor.remeasure(src, dst, now_s)
+                    self.wan_monitor.remeasure(src, dst)
         reason = f"{action.reason} [retry: re-measured bandwidth]"
         if isinstance(action, ScaleAction):
             return ScaleAction(

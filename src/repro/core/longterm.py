@@ -87,7 +87,7 @@ class LongTermPlanner:
         for stage in plan.topological_stages():
             for site, count in stage.placement().items():
                 slots[site] = slots.get(site, 0) + count
-        manager.wan_monitor.refresh(now_s)
+        manager.wan_monitor.refresh()
         proposal = manager.replanner.propose(
             plan.logical,
             plan,

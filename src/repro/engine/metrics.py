@@ -24,17 +24,19 @@ setup).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .runtime import EngineRuntime, TickReport, WindowSums
 
 
-@dataclass(frozen=True)
-class StageMetrics:
+class StageMetrics(NamedTuple):
     """Aggregated execution metrics for one stage over a window.
 
     Rates are events/second averaged over the window.  ``backlog_growth``
     values compare the window's last tick against its first, which is what
     distinguishes a standing (already-drained) queue from a growing one.
+    Immutable; a named tuple because ``collect`` builds one per stage per
+    window, and a tuple is built in a third of a frozen dataclass's time.
     """
 
     stage: str

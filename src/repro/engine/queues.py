@@ -16,26 +16,25 @@ collector, so a runtime holding hundreds of thousands of queued parcels
 gives the collector a handful of deques to look at instead of one object
 per parcel, and each parcel costs two floats instead of an object plus two
 floats.  :class:`Parcel` remains the inspection type
-(:meth:`FluidQueue.parcels`, :meth:`FluidQueue.pop`); the engine's tick
-path never builds one.
+(:meth:`FluidQueue.parcels`); the engine's tick path never builds one.
 
-Because the engine executes these operations for every (stage, site) and
-every WAN flow on every tick, the queue exposes *fused, in-place* variants
-of its hot paths:
+The queue exposes *fused, in-place* variants of the moves its callers
+make:
 
-* :meth:`FluidQueue.pop_routed` is a stage row's whole hand-off: it
-  dequeues up to the row's capacity, scales each parcel by the stage's
-  selectivity and pushes it straight into the row's target queues, each
-  scaled by its fan-out fraction (``pop`` + ``scale_parcels`` + one
-  ``push_parcels(scale_parcels(...))`` per target, no intermediate list);
+* :meth:`FluidQueue.pop_routed` dequeues up to a budget, scales each
+  parcel by a factor and pushes it straight into each of a list of
+  target queues, each scaled by its fraction (``pop`` + ``scale_parcels``
+  + one ``push_parcels(scale_parcels(...))`` per target, no intermediate
+  list).  The engine tick calls it for the site rows with several
+  targets or none; it runs the single-target row pop and the WAN
+  transfer over the queues' columns itself
+  (:meth:`~repro.engine.runtime.EngineRuntime.tick`);
+* :meth:`FluidQueue.drain_into` moves everything into another queue
+  (``push_parcels(pop(count))``), the mutation API's move;
 * :meth:`FluidQueue.pop_scaled_into` dequeues into ``(counts, gens)``
   column lists with the counts scaled (selectivity) and returns both the
   popped and the scaled totals, for the callers that read the parcels
-  (the sinks' delay sum, :meth:`FluidQueue.pop`);
-* :meth:`FluidQueue.transfer_into` moves up to a budget of events into
-  another queue, aged by a link latency, in one pass (``pop`` +
-  ``age_parcels`` + ``push_parcels``); :meth:`FluidQueue.drain_into`
-  moves everything (``push_parcels(pop(count))``);
+  (the sinks' delay sum);
 * :meth:`FluidQueue.drop_oldest` discards head events without
   materializing the dropped parcels.
 
@@ -156,13 +155,6 @@ class FluidQueue:
         self._shared = True
         return copy
 
-    def pop(self, count: float) -> list[Parcel]:
-        """Dequeue up to ``count`` events FIFO; returns the parcels removed."""
-        counts: list[float] = []
-        gens: list[float] = []
-        self.pop_scaled_into(count, 1.0, counts, gens)
-        return [Parcel(c, g) for c, g in zip(counts, gens)]
-
     def pop_scaled_into(
         self,
         count: float,
@@ -223,8 +215,9 @@ class FluidQueue:
 
     def would_pop(self, count: float) -> bool:
         """Whether popping up to ``count`` events dequeues any: the test
-        that opens the loop of :meth:`pop_scaled_into` and
-        :meth:`pop_routed` (queued counts are always positive)."""
+        that opens the loop of :meth:`pop_scaled_into`,
+        :meth:`pop_routed` and the engine tick's in-place row pop
+        (queued counts are always positive)."""
         queued = self._count
         return (queued if queued < count else count) > 1e-12 and bool(
             self._counts
@@ -271,63 +264,31 @@ class FluidQueue:
             q_counts = self._counts
             q_gens = self._gens
             eps = self._MERGE_EPS
-            if len(targets) == 1:
-                # Most rows have one target; holding its columns and total
-                # in locals makes the tick measurably faster.
-                target, fraction = targets[0]
-                t_counts = target._counts
-                t_gens = target._gens
-                arrived = target._count
-                while remaining > 1e-12 and q_counts:
-                    c = q_counts.popleft()
-                    if c <= remaining + 1e-12:
-                        g = q_gens.popleft()
-                        remaining -= c
-                    else:
-                        q_counts.appendleft(c - remaining)
-                        c = remaining
-                        g = q_gens[0]
-                        remaining = 0.0
-                    queued -= c
-                    popped += c
-                    c *= factor
-                    emitted += c
-                    c *= fraction
-                    if c == 0.0:
+            while remaining > 1e-12 and q_counts:
+                c = q_counts.popleft()
+                if c <= remaining + 1e-12:
+                    g = q_gens.popleft()
+                    remaining -= c
+                else:
+                    q_counts.appendleft(c - remaining)
+                    c = remaining
+                    g = q_gens[0]
+                    remaining = 0.0
+                queued -= c
+                popped += c
+                c *= factor
+                emitted += c
+                for target, fraction in targets:
+                    scaled = c * fraction
+                    if scaled == 0.0:
                         continue
+                    t_gens = target._gens
                     if t_gens and -eps < t_gens[-1] - g < eps:
-                        t_counts[-1] += c
+                        target._counts[-1] += scaled
                     else:
-                        t_counts.append(c)
+                        target._counts.append(scaled)
                         t_gens.append(g)
-                    arrived += c
-                target._count = arrived
-            else:
-                while remaining > 1e-12 and q_counts:
-                    c = q_counts.popleft()
-                    if c <= remaining + 1e-12:
-                        g = q_gens.popleft()
-                        remaining -= c
-                    else:
-                        q_counts.appendleft(c - remaining)
-                        c = remaining
-                        g = q_gens[0]
-                        remaining = 0.0
-                    queued -= c
-                    popped += c
-                    c *= factor
-                    emitted += c
-                    for target, fraction in targets:
-                        scaled = c * fraction
-                        if scaled == 0.0:
-                            continue
-                        t_gens = target._gens
-                        if t_gens and -eps < t_gens[-1] - g < eps:
-                            target._counts[-1] += scaled
-                        else:
-                            target._counts.append(scaled)
-                            t_gens.append(g)
-                        target._count += scaled
+                    target._count += scaled
         if queued < 1e-12:
             self._count = 0.0
             if self._counts:
@@ -336,68 +297,14 @@ class FluidQueue:
             self._count = queued
         return popped, emitted
 
-    def transfer_into(
-        self, dst: "FluidQueue", max_events: float, extra_age_s: float
-    ) -> float:
-        """Move up to ``max_events`` events FIFO into ``dst``, aged by
-        ``extra_age_s``; returns the events moved.
-
-        Fuses ``dst.push_parcels(age_parcels(self.pop(max_events),
-        extra_age_s))`` into one pass with no intermediate lists.  ``dst``
-        must be a different queue.
-        """
-        if max_events < 0:
-            raise SimulationError(f"cannot pop negative count {max_events}")
-        if extra_age_s < 0:
-            raise SimulationError(
-                f"extra_age_s must be >= 0, got {extra_age_s}"
-            )
-        queued = self._count
-        remaining = queued if queued < max_events else max_events
-        moved = 0.0
-        if remaining > 1e-12 and self._counts:
-            if self._shared:
-                self._materialize()
-            if dst._shared:
-                dst._materialize()
-            q_counts = self._counts
-            q_gens = self._gens
-            d_counts = dst._counts
-            d_gens = dst._gens
-            eps = self._MERGE_EPS
-            arrived = dst._count
-            while remaining > 1e-12 and q_counts:
-                c = q_counts.popleft()
-                if c <= remaining + 1e-12:
-                    gen = q_gens.popleft() - extra_age_s
-                    remaining -= c
-                else:
-                    q_counts.appendleft(c - remaining)
-                    c = remaining
-                    gen = q_gens[0] - extra_age_s
-                    remaining = 0.0
-                queued -= c
-                moved += c
-                if d_gens and -eps < d_gens[-1] - gen < eps:
-                    d_counts[-1] += c
-                else:
-                    d_counts.append(c)
-                    d_gens.append(gen)
-                arrived += c
-            self._count = queued
-            dst._count = arrived
-        if queued < 1e-12:
-            self._count = 0.0
-            if self._counts:
-                self._drain_reset()
-        return moved
-
     def drain_into(self, dst: "FluidQueue") -> None:
         """Move every queued event into ``dst`` (FIFO, ages unchanged).
 
-        Bit-identical to ``dst.push_parcels(self.pop(self.count))``.
+        Bit-identical to ``dst.push_parcels(self.pop(self.count))``: a
+        single-target :meth:`pop_routed` with factor and fraction 1.0,
+        which multiply exactly.  ``dst`` must be a different queue.
         """
-        self.transfer_into(dst, self._count, 0.0)
+        self.pop_routed(self._count, 1.0, [(dst, 1.0)])
 
     def drop_oldest(self, count: float) -> float:
         """Discard up to ``count`` events from the head; returns dropped.
@@ -450,20 +357,6 @@ class FluidQueue:
             self._count = 0.0
             q_counts.clear()
             q_gens.clear()
-        return dropped
-
-    def clear(self) -> float:
-        """Empty the queue; returns the number of events discarded."""
-        dropped = self._count
-        if self._shared:
-            # No copy needed: discard the shared storage reference wholesale.
-            self._counts = deque()
-            self._gens = deque()
-            self._shared = False
-        else:
-            self._counts.clear()
-            self._gens.clear()
-        self._count = 0.0
         return dropped
 
     def count_and_min(self) -> tuple[float, float]:

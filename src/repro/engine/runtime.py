@@ -820,7 +820,11 @@ class EngineRuntime:
 
         # 2. Stage execution in topological order, transferring each stage's
         # outgoing flows immediately so downstream stages can consume them
-        # within the same tick (sub-tick pipelining).
+        # within the same tick (sub-tick pipelining).  Relay flows
+        # (scale-down) run from a stage to itself over the same net queues.
+        # The single-target row pop and the WAN transfer run in place over
+        # the queues' columns: most calls move one parcel, so a queue call
+        # per row or flow would cost more than the move.
         slo = self._degrade_slo_s
         cutoff = (now - slo) if slo is not None else None
         stamp = self._flow_stamp
@@ -832,21 +836,266 @@ class EngineRuntime:
             stamp = self._flow_stamp = (
                 self._net_version, topology._factors_version, dt
             )
+        input_queue = self._input_queue
+        suspended_until = self._suspended_until
+        processed_by = report.processed
+        net_sent = report.net_sent
+        eps = FluidQueue._MERGE_EPS
         for ex in cache.topo:
-            self._run_stage(ex, now, cutoff, report, window)
-            # Routing may have created a flow queue, which moves the net
-            # version.  A stage without outgoing flows skips the pass.
+            # -- Process the stage's input queues (after the Degrade
+            # ``cutoff`` drop, if any) at its row capacities and route the
+            # output.
+            table = gen_queue if ex.is_source else input_queue
+            name = ex.name
+            sel = ex.selectivity
+            is_sink = ex.is_sink
+            suspended = self._now_s < suspended_until.get(name, 0.0)
+            row_caps = ex.row_caps
+            capacity_sums = ex.capacity_sums
+            # Routes stay valid while the net version does not move: it
+            # moves whenever a queue they hold is removed or replaced.
+            # Routes resolved below may add queues (bumping the version),
+            # and adding a queue never replaces another, so they stay
+            # valid too.
+            routes = ex.routes
+            if ex.routes_version != self._net_version:
+                routes.clear()
+            routed = not is_sink and sel != 0.0
+            stage_processed = 0.0
+            stage_emitted = 0.0
+            had_output = False
+            for site, _, _, site_key, row_no in ex.site_rows:
+                queue = table.get(site_key)
+                if queue is None:
+                    queue = FluidQueue()
+                    table[site_key] = queue
+                if cutoff is not None:
+                    dropped = queue.drop_older_than(cutoff)
+                    if dropped > 0:
+                        report.dropped_source_equiv += self._to_source_equiv(
+                            name, dropped
+                        )
+                        report.dropped_raw_input[name] = (
+                            report.dropped_raw_input.get(name, 0.0) + dropped
+                        )
+                capacity = 0.0 if suspended else row_caps[row_no]
+                if capacity_sums is not None:
+                    capacity_sums[row_no].value += capacity
+
+                if is_sink:
+                    # The chained selectivity is applied while popping.
+                    counts: list[float] = []
+                    gens: list[float] = []
+                    processed, emitted = queue.pop_scaled_into(
+                        capacity, sel, counts, gens
+                    )
+                    if processed <= 0:
+                        continue
+                    stage_processed += processed
+                    delay = 0.0
+                    for c, g in zip(counts, gens):
+                        delay += c * (now - g)
+                    report.sink_events += emitted
+                    report.sink_delay_weighted_s += delay
+                    continue
+
+                route = routes.get(site) if routed else _NO_ROUTE
+                if route is None:
+                    # A row's targets (and the queues they create) are
+                    # resolved when it first has output to route.
+                    route = _NO_ROUTE
+                    if queue.would_pop(capacity):
+                        route = routes[site] = self._route_targets(ex, site)
+                if len(route) != 1:
+                    processed, emitted = queue.pop_routed(
+                        capacity, sel, route
+                    )
+                else:
+                    # ``queue.pop_routed(capacity, sel, route)`` for the
+                    # one target most rows have: pop FIFO up to the
+                    # capacity, scale by the selectivity, then by the
+                    # target's fraction, and push.
+                    if capacity < 0:
+                        raise SimulationError(
+                            f"cannot pop negative count {capacity}"
+                        )
+                    if sel < 0:
+                        raise SimulationError(
+                            f"scale factor must be >= 0, got {sel}"
+                        )
+                    queued = queue._count
+                    remaining = queued if queued < capacity else capacity
+                    processed = emitted = 0.0
+                    if remaining > 1e-12 and queue._counts:
+                        if queue._shared:
+                            queue._materialize()
+                        target, fraction = route[0]
+                        if fraction < 0:
+                            raise SimulationError(
+                                f"scale factor must be >= 0, got {fraction}"
+                            )
+                        if fraction and target._shared:
+                            target._materialize()
+                        q_counts = queue._counts
+                        q_gens = queue._gens
+                        t_counts = target._counts
+                        t_gens = target._gens
+                        arrived = target._count
+                        while remaining > 1e-12 and q_counts:
+                            c = q_counts.popleft()
+                            if c <= remaining + 1e-12:
+                                g = q_gens.popleft()
+                                remaining -= c
+                            else:
+                                # Split head: put the rest back.
+                                q_counts.appendleft(c - remaining)
+                                c = remaining
+                                g = q_gens[0]
+                                remaining = 0.0
+                            queued -= c
+                            processed += c
+                            c *= sel
+                            emitted += c
+                            c *= fraction
+                            if c == 0.0:
+                                continue
+                            if t_gens and -eps < t_gens[-1] - g < eps:
+                                t_counts[-1] += c
+                            else:
+                                t_counts.append(c)
+                                t_gens.append(g)
+                            arrived += c
+                        target._count = arrived
+                    if queued < 1e-12:
+                        queue._count = 0.0
+                        if queue._counts:
+                            queue._drain_reset()
+                    else:
+                        queue._count = queued
+                if processed <= 0:
+                    continue
+                stage_processed += processed
+                had_output = True
+                stage_emitted += emitted
+            ex.routes_version = self._net_version
+            if stage_processed > 0.0:
+                processed_by[name] = stage_processed
+                if window is not None:
+                    cell = ex.processed_sum
+                    if cell is None:
+                        cell = ex.processed_sum = running_sum(
+                            window.processed, name
+                        )
+                    cell.value += stage_processed
+            if had_output:
+                report.emitted[name] = stage_emitted
+
+            # -- Move the stage's outgoing WAN queues within link budgets,
+            # along its current flow records (after the Degrade ``cutoff``
+            # drop).  Routing may have created a flow queue, which moves
+            # the net version.  A stage without outgoing flows skips this.
             if stamp[0] != self._net_version:
                 stamp = self._flow_stamp = (self._net_version, stamp[1], dt)
             if ex.flows_stamp is not stamp:
                 self._build_flow_records(ex, dt, stamp)
-            if ex.flows:
-                self._transfer_stage_flows(
-                    ex, cutoff, link_budget, report, window
+            flows = ex.flows
+            if not flows:
+                continue
+            event_bytes = ex.output_event_bytes
+            if window is not None:
+                flow_sums = ex.flow_sums
+                if flow_sums is None:
+                    flow_sums = ex.flow_sums = [None] * len(flows)
+            # FCFS link sharing across flows, in the records' sorted order.
+            for (
+                queue, key, link, dst_stage, in_key, flow_no, full_budget,
+                latency_s,
+            ) in flows:
+                if not queue._count > 1e-12:
+                    continue
+                if cutoff is not None:
+                    dropped = queue.drop_older_than(cutoff)
+                    if dropped > 0:
+                        report.dropped_source_equiv += self._to_source_equiv(
+                            dst_stage, dropped
+                        )
+                        report.dropped_raw_net[dst_stage] = (
+                            report.dropped_raw_net.get(dst_stage, 0.0)
+                            + dropped
+                        )
+                    if not queue._count > 1e-12:
+                        continue
+                budget = link_budget.get(link)
+                if budget is None:
+                    budget = full_budget
+                    link_budget[link] = budget
+                budget_events = budget / event_bytes
+                if budget_events <= 0:
+                    continue
+                if latency_s < 0:
+                    raise SimulationError(
+                        f"extra_age_s must be >= 0, got {latency_s}"
+                    )
+                dst_q = input_queue.get(in_key)
+                fresh = dst_q is None
+                if fresh:
+                    dst_q = FluidQueue()
+                # Pop FIFO up to the budget and push into the destination,
+                # each parcel aged by the link latency.
+                queued = queue._count
+                remaining = (
+                    queued if queued < budget_events else budget_events
                 )
-
-        # Relay flows (scale-down) originate from stages to themselves and
-        # were handled inside _transfer_stage_flows via the same net queues.
+                moved = 0.0
+                if remaining > 1e-12 and queue._counts:
+                    if queue._shared:
+                        queue._materialize()
+                    if dst_q._shared:
+                        dst_q._materialize()
+                    q_counts = queue._counts
+                    q_gens = queue._gens
+                    d_counts = dst_q._counts
+                    d_gens = dst_q._gens
+                    arrived = dst_q._count
+                    while remaining > 1e-12 and q_counts:
+                        c = q_counts.popleft()
+                        if c <= remaining + 1e-12:
+                            g = q_gens.popleft() - latency_s
+                            remaining -= c
+                        else:
+                            q_counts.appendleft(c - remaining)
+                            c = remaining
+                            g = q_gens[0] - latency_s
+                            remaining = 0.0
+                        queued -= c
+                        moved += c
+                        if d_gens and -eps < d_gens[-1] - g < eps:
+                            d_counts[-1] += c
+                        else:
+                            d_counts.append(c)
+                            d_gens.append(g)
+                        arrived += c
+                    queue._count = queued
+                    dst_q._count = arrived
+                if queued < 1e-12:
+                    queue._count = 0.0
+                    if queue._counts:
+                        queue._drain_reset()
+                if moved <= 0:
+                    continue
+                if fresh:
+                    # A destination queue exists once events land in it.
+                    input_queue[in_key] = dst_q
+                link_budget[link] = budget - moved * event_bytes
+                # Each flow transfers once per tick (0.0 + moved == moved).
+                net_sent[key] = moved
+                if window is not None:
+                    cell = flow_sums[flow_no]
+                    if cell is None:
+                        cell = flow_sums[flow_no] = running_sum(
+                            window.net_in, (dst_stage, *link)
+                        )
+                    cell.value += moved
 
         # 3. Record end-of-tick backlogs.
         input_backlog = report.input_backlog
@@ -874,97 +1123,6 @@ class EngineRuntime:
         return report
 
     # -------------------------- stage execution ------------------------ #
-
-    def _run_stage(
-        self,
-        ex: _StageExec,
-        now: float,
-        cutoff: float | None,
-        report: TickReport,
-        window: WindowSums | None,
-    ) -> None:
-        """Process one stage's input queues (after the Degrade ``cutoff``
-        drop, if any) at its row capacities and route the output."""
-        table = self._gen_queue if ex.is_source else self._input_queue
-        name = ex.name
-        sel = ex.selectivity
-        is_sink = ex.is_sink
-        suspended = self._now_s < self._suspended_until.get(name, 0.0)
-        row_caps = ex.row_caps
-        capacity_sums = ex.capacity_sums
-        # Routes stay valid while the net version does not move: it moves
-        # whenever a queue they hold is removed or replaced.  Routes
-        # resolved below may add queues (bumping the version), and adding
-        # a queue never replaces another, so they stay valid too.
-        routes = ex.routes
-        if ex.routes_version != self._net_version:
-            routes.clear()
-        routed = not is_sink and sel != 0.0
-        stage_processed = 0.0
-        stage_emitted = 0.0
-        had_output = False
-        for site, _, _, site_key, row_no in ex.site_rows:
-            queue = table.get(site_key)
-            if queue is None:
-                queue = FluidQueue()
-                table[site_key] = queue
-            if cutoff is not None:
-                dropped = queue.drop_older_than(cutoff)
-                if dropped > 0:
-                    report.dropped_source_equiv += self._to_source_equiv(
-                        name, dropped
-                    )
-                    report.dropped_raw_input[name] = (
-                        report.dropped_raw_input.get(name, 0.0) + dropped
-                    )
-            capacity = 0.0 if suspended else row_caps[row_no]
-            if capacity_sums is not None:
-                capacity_sums[row_no].value += capacity
-
-            if is_sink:
-                # The chained selectivity is applied while popping.
-                counts: list[float] = []
-                gens: list[float] = []
-                processed, emitted = queue.pop_scaled_into(
-                    capacity, sel, counts, gens
-                )
-                if processed <= 0:
-                    continue
-                stage_processed += processed
-                delay = 0.0
-                for c, g in zip(counts, gens):
-                    delay += c * (now - g)
-                report.sink_events += emitted
-                report.sink_delay_weighted_s += delay
-                continue
-
-            route = routes.get(site) if routed else _NO_ROUTE
-            if route is None:
-                # A row's targets (and the queues they create) are
-                # resolved when it first has output to route.
-                route = _NO_ROUTE
-                if queue.would_pop(capacity):
-                    route = routes[site] = self._route_targets(ex, site)
-            # Selectivity, then each target's fraction, applied in one pass
-            # straight into the target queues.
-            processed, emitted = queue.pop_routed(capacity, sel, route)
-            if processed <= 0:
-                continue
-            stage_processed += processed
-            had_output = True
-            stage_emitted += emitted
-        ex.routes_version = self._net_version
-        if stage_processed > 0.0:
-            report.processed[name] = stage_processed
-            if window is not None:
-                cell = ex.processed_sum
-                if cell is None:
-                    cell = ex.processed_sum = running_sum(
-                        window.processed, name
-                    )
-                cell.value += stage_processed
-        if had_output:
-            report.emitted[name] = stage_emitted
 
     def _route_targets(
         self, ex: _StageExec, src_site: str
@@ -1023,69 +1181,6 @@ class EngineRuntime:
         ex.flows = records
         ex.flows_stamp = stamp
         ex.flow_sums = None
-
-    def _transfer_stage_flows(
-        self,
-        ex: _StageExec,
-        cutoff: float | None,
-        link_budget: dict[tuple[str, str], float],
-        report: TickReport,
-        window: WindowSums | None,
-    ) -> None:
-        """Move this stage's outgoing WAN queues within link budgets, along
-        its current flow records (after the Degrade ``cutoff`` drop)."""
-        event_bytes = ex.output_event_bytes
-        input_queue = self._input_queue
-        net_sent = report.net_sent
-        if window is not None:
-            flow_sums = ex.flow_sums
-            if flow_sums is None:
-                flow_sums = ex.flow_sums = [None] * len(ex.flows)
-        # FCFS link sharing across flows, in the records' sorted order.
-        for (
-            queue, key, link, dst_stage, in_key, flow_no, full_budget,
-            latency_s,
-        ) in ex.flows:
-            if not queue._count > 1e-12:
-                continue
-            if cutoff is not None:
-                dropped = queue.drop_older_than(cutoff)
-                if dropped > 0:
-                    report.dropped_source_equiv += self._to_source_equiv(
-                        dst_stage, dropped
-                    )
-                    report.dropped_raw_net[dst_stage] = (
-                        report.dropped_raw_net.get(dst_stage, 0.0) + dropped
-                    )
-                if not queue._count > 1e-12:
-                    continue
-            budget = link_budget.get(link)
-            if budget is None:
-                budget = full_budget
-                link_budget[link] = budget
-            budget_events = budget / event_bytes
-            if budget_events <= 0:
-                continue
-            dst_q = input_queue.get(in_key)
-            fresh = dst_q is None
-            if fresh:
-                dst_q = FluidQueue()
-            moved = queue.transfer_into(dst_q, budget_events, latency_s)
-            if moved <= 0:
-                continue
-            if fresh:
-                # A destination queue exists once events land in it.
-                input_queue[in_key] = dst_q
-            link_budget[link] = budget - moved * event_bytes
-            # Each flow transfers once per tick (0.0 + moved == moved).
-            net_sent[key] = moved
-            if window is not None:
-                cell = flow_sums[flow_no]
-                if cell is None:
-                    cell = flow_sums[flow_no] = running_sum(
-                        window.net_in, (dst_stage, *link)
-                    )
-                cell.value += moved
 
     # -------------------------- conversions ---------------------------- #
 

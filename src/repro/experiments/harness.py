@@ -227,7 +227,7 @@ class ExperimentRun:
             self.rngs.stream("wan-monitor"),
             relative_error=self.config.estimation_error,
         )
-        self.wan_monitor.refresh(0.0)
+        self.wan_monitor.refresh()
 
         # WAN-aware initial deployment over all plan variants.  When no
         # bandwidth-feasible placement exists (a harsh topology draw), fall

@@ -366,8 +366,7 @@ def force_reassignment(
     manager = run.manager
     if manager is None:
         raise WaspError("forced re-assignment needs an adapting variant")
-    now_s = run.clock.now_s
-    manager.wan_monitor.refresh(now_s)
+    manager.wan_monitor.refresh()
     plan = run.runtime.plan
     stage = plan.stage(stage_name)
     feasible, _ = _feasible_destinations(run, stage_name)
@@ -416,8 +415,7 @@ def force_partitioned_adaptation(run: ExperimentRun) -> None:
     if manager is None:
         raise WaspError("forced adaptation needs an adapting variant")
     stage_name = MIGRATION_STAGE
-    now_s = run.clock.now_s
-    manager.wan_monitor.refresh(now_s)
+    manager.wan_monitor.refresh()
     stage = run.runtime.plan.stage(stage_name)
     total_mb = manager.state_store.total_mb(stage_name)
     state_sites = manager.state_store.sites(stage_name) or stage.sites()

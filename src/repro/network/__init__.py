@@ -1,7 +1,7 @@
 """WAN substrate: sites, topology, bandwidth processes, monitoring."""
 
 from .bandwidth import BandwidthProcess, BandwidthStats, oregon_ohio_trace
-from .monitor import LinkMeasurement, WanMonitor
+from .monitor import WanMonitor
 from .relay import RelayPath, best_relay_path, relayed_bandwidth_lookup
 from .site import Site, SiteKind
 from .topology import Link, Topology
@@ -11,7 +11,6 @@ __all__ = [
     "BandwidthProcess",
     "BandwidthStats",
     "Link",
-    "LinkMeasurement",
     "RelayPath",
     "Site",
     "SiteKind",

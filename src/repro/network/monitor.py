@@ -11,24 +11,12 @@ the placement ILP exists to absorb (Section 4.1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import mul
 
 import numpy as np
 
 from ..errors import ConfigurationError
 from .topology import Topology
-
-
-@dataclass(frozen=True)
-class LinkMeasurement:
-    """One measured sample of a directed link."""
-
-    src: str
-    dst: str
-    bandwidth_mbps: float
-    latency_ms: float
-    measured_at_s: float
 
 
 class WanMonitor:
@@ -57,12 +45,9 @@ class WanMonitor:
         self._relative_error = float(relative_error)
         # Measurements live in flat per-link tables.  ``_bandwidth`` keeps
         # the order links were first measured in (``bandwidth_matrix``'s
-        # order); a link is measured iff it has a bandwidth entry.  A link's
-        # sample time is its ``remeasure`` time if it was re-gauged since the
-        # last refresh, else the refresh time.
+        # order); a link is measured iff it has a bandwidth entry.
         self._bandwidth: dict[tuple[str, str], float] = {}
         self._latency: dict[tuple[str, str], float] = {}
-        self._remeasured_at: dict[tuple[str, str], float] = {}
         #: ``Topology._links_version`` the latency table was last synced at.
         #: Latencies change only with a link redefinition, so a refresh at
         #: an unchanged version can keep the table as it is.
@@ -71,7 +56,6 @@ class WanMonitor:
         #: while the topology serves the same table, a refresh has nothing
         #: to write.
         self._synced_from = None
-        self._last_refresh_s = float("-inf")
 
     def _noise(self, n: int) -> list[float]:
         """``n`` multiplicative noise factors (same draws as ``n`` scalar
@@ -79,7 +63,7 @@ class WanMonitor:
         e = self._relative_error
         return self._rng.uniform(1.0 - e, 1.0 + e, size=n).tolist()
 
-    def refresh(self, now_s: float) -> None:
+    def refresh(self) -> None:
         """Re-measure every defined link (one monitoring round)."""
         topology = self._topology
         current = topology.link_bandwidths()
@@ -98,10 +82,8 @@ class WanMonitor:
             latency = topology.latency_ms
             self._latency.update({key: latency(*key) for key in current})
             self._latency_version = topology._links_version
-        self._remeasured_at.clear()
-        self._last_refresh_s = now_s
 
-    def remeasure(self, src: str, dst: str, now_s: float) -> float:
+    def remeasure(self, src: str, dst: str) -> float:
         """Re-measure one directed link immediately (WANify-style re-gauging).
 
         The transactional executor calls this before retrying a failed
@@ -117,7 +99,6 @@ class WanMonitor:
         key = (src, dst)
         self._latency[key] = self._topology.latency_ms(src, dst)
         self._bandwidth[key] = bandwidth
-        self._remeasured_at[key] = now_s
         return bandwidth
 
     def bandwidth_mbps(self, src: str, dst: str) -> float:
@@ -142,19 +123,6 @@ class WanMonitor:
         if measured is None:
             return self._topology.latency_ms(src, dst)
         return measured
-
-    def measurement(self, src: str, dst: str) -> LinkMeasurement | None:
-        key = (src, dst)
-        bandwidth = self._bandwidth.get(key)
-        if bandwidth is None:
-            return None
-        return LinkMeasurement(
-            src=src,
-            dst=dst,
-            bandwidth_mbps=bandwidth,
-            latency_ms=self._latency[key],
-            measured_at_s=self._remeasured_at.get(key, self._last_refresh_s),
-        )
 
     def bandwidth_matrix(self) -> dict[tuple[str, str], float]:
         """Measured bandwidth for every known link."""

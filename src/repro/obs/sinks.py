@@ -45,9 +45,6 @@ class RingBufferSink:
     def __len__(self) -> int:
         return len(self._buffer)
 
-    def clear(self) -> None:
-        self._buffer.clear()
-
 
 class JsonlSink:
     """Append each record as one JSON line to a file (or file-like).

@@ -62,7 +62,7 @@ def build_manager(topology, *, rate=1000.0, state_mb=10.0,
         topology, physical, ConstantWorkload({"src": rate}), config
     )
     monitor = WanMonitor(topology, np.random.default_rng(0))
-    monitor.refresh(0.0)
+    monitor.refresh()
     manager = ReconfigurationManager(
         runtime,
         scheduler,
@@ -217,7 +217,7 @@ class TestReplanExecution:
             topology, physical, ConstantWorkload({"src": 1000.0}), config
         )
         monitor = WanMonitor(topology, np.random.default_rng(0))
-        monitor.refresh(0.0)
+        monitor.refresh()
         manager = ReconfigurationManager(
             runtime, scheduler, monitor, state_store,
             CheckpointCoordinator(state_store),

@@ -49,7 +49,7 @@ def stateful_variant(name, join_pair):
 @pytest.fixture
 def monitor(small_topology, rng):
     m = WanMonitor(small_topology, rng)
-    m.refresh(0.0)
+    m.refresh()
     return m
 
 

@@ -66,7 +66,7 @@ def build_manager(topology, *, rate=1000.0, state_mb=100.0, config=None,
         topology, physical, ConstantWorkload({"src": rate}), config
     )
     monitor = WanMonitor(topology, np.random.default_rng(0))
-    monitor.refresh(0.0)
+    monitor.refresh()
     return ReconfigurationManager(
         runtime,
         scheduler,
@@ -221,7 +221,7 @@ class TestFallbackChain:
         # Sever every link out of dc-1 (where the state lives).
         small_topology.set_bandwidth_factor("dc-1", "dc-2", 0.0)
         small_topology.set_bandwidth_factor("dc-1", "edge-x", 0.0)
-        manager.wan_monitor.refresh(0.0)
+        manager.wan_monitor.refresh()
         record = manager.execute(
             ReassignAction("agg", "bottleneck", {"dc-2": 1}), now_s=5.0
         )
@@ -240,7 +240,7 @@ class TestFallbackChain:
         manager = build_manager(small_topology, state_mb=100.0)
         # The direct move is impossible...
         small_topology.set_bandwidth_factor("dc-1", "dc-2", 0.0)
-        manager.wan_monitor.refresh(0.0)
+        manager.wan_monitor.refresh()
         record = manager.execute(
             ReassignAction("agg", "bottleneck", {"dc-2": 1}), now_s=5.0
         )

@@ -9,8 +9,35 @@ uses; they were queue methods and module functions of
 
 from __future__ import annotations
 
+from collections import deque
+
 from repro.engine.queues import FluidQueue, Parcel
 from repro.errors import SimulationError
+
+
+def pop(queue: FluidQueue, count: float) -> list[Parcel]:
+    """Dequeue up to ``count`` events FIFO; returns the parcels removed
+    (the former ``FluidQueue.pop``)."""
+    counts: list[float] = []
+    gens: list[float] = []
+    queue.pop_scaled_into(count, 1.0, counts, gens)
+    return [Parcel(c, g) for c, g in zip(counts, gens)]
+
+
+def clear(queue: FluidQueue) -> float:
+    """Empty the queue; returns the number of events discarded (the former
+    ``FluidQueue.clear``)."""
+    dropped = queue._count
+    if queue._shared:
+        # No copy needed: discard the shared storage reference wholesale.
+        queue._counts = deque()
+        queue._gens = deque()
+        queue._shared = False
+    else:
+        queue._counts.clear()
+        queue._gens.clear()
+    queue._count = 0.0
+    return dropped
 
 
 def push_parcels(queue: FluidQueue, parcels: list[Parcel]) -> None:

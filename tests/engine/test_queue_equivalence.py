@@ -6,9 +6,11 @@ operation has to leave bit-identical counts, parcel lists and return
 values compared to the original list-building implementation.
 ``ReferenceQueue`` below is that original implementation, kept verbatim; a
 seeded random op stream drives both side by side and compares exhaustively
-after every step.  The fused moves between queues (``transfer_into``,
-``drain_into``) and the engine's pop-and-select kernel
-(``pop_scaled_into``) are checked against their compositions the same way.
+after every step.  The fused moves between queues (``drain_into``, and
+the WAN move the engine tick runs in place, checked through its former
+queue method ``transfer_into`` in ``column_routing.py``) and the engine's
+pop-and-select kernel (``pop_scaled_into``) are checked against their
+compositions the same way.
 """
 
 from __future__ import annotations
@@ -20,8 +22,15 @@ import pytest
 from repro.engine.queues import FluidQueue, Parcel
 from repro.errors import SimulationError
 
-from .column_routing import push_scaled
-from .parcels import age_parcels, parcels_total, push_parcels, scale_parcels
+from .column_routing import push_scaled, transfer_into
+from .parcels import (
+    age_parcels,
+    clear,
+    parcels_total,
+    pop,
+    push_parcels,
+    scale_parcels,
+)
 
 SEEDS = [7, 42, 20201207]
 
@@ -148,7 +157,7 @@ def test_randomized_op_stream_matches_reference(seed: int) -> None:
             amount = rng.uniform(0.0, 150.0)
             got_ref = ref.pop(amount)
             if rng.random() < 0.5:
-                got = fluid.pop(amount)
+                got = pop(fluid, amount)
             else:
                 counts: list[float] = []
                 gens: list[float] = []
@@ -170,14 +179,14 @@ def test_randomized_op_stream_matches_reference(seed: int) -> None:
                 cutoff
             )
         elif op == 6:
-            assert fluid.clear() == ref.clear()
+            assert clear(fluid) == ref.clear()
         else:
             # Copy-on-write clones must never disturb the original, no
             # matter how the clone is mutated afterwards.
             clone = fluid.clone_cow()
             if rng.random() < 0.5:
                 clone.push(rng.uniform(0.0, 30.0), now)
-                clone.pop(rng.uniform(0.0, 60.0))
+                pop(clone, rng.uniform(0.0, 60.0))
             cow_clones.append(clone)
         assert_equal_state(fluid, ref)
     assert len(cow_clones) > 10  # the stream actually exercised COW
@@ -209,7 +218,7 @@ def test_clone_cow_restores_exactly_after_mutation() -> None:
         queue.push(10.0 + i, float(i))
     snapshot = queue.clone_cow()
     before = pairs(queue)
-    queue.pop(55.0)
+    pop(queue, 55.0)
     queue.push(3.0, 99.0)
     queue.drop_oldest(7.0)
     restored = snapshot.clone_cow()
@@ -276,7 +285,7 @@ def test_transfer_into_matches_pop_then_aged_push(seed: int) -> None:
         )
         age = rng.choice([0.0, rng.uniform(0.0, 4.0), FluidQueue._MERGE_EPS])
 
-        moved = src.transfer_into(dst, budget, age)
+        moved = transfer_into(src, dst, budget, age)
         popped = src_ref.pop(budget)
         push_parcels(dst_ref, age_parcels(popped, age))
         assert moved == _running_total(popped)

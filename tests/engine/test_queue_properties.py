@@ -16,8 +16,15 @@ from hypothesis import strategies as st
 from repro.engine.queues import FluidQueue, Parcel
 from repro.errors import SimulationError
 
-from .column_routing import push_scaled
-from .parcels import age_parcels, parcels_total, push_parcels, scale_parcels
+from .column_routing import push_scaled, transfer_into
+from .parcels import (
+    age_parcels,
+    clear,
+    parcels_total,
+    pop,
+    push_parcels,
+    scale_parcels,
+)
 
 counts = st.floats(
     min_value=0.0, max_value=1e6, allow_nan=False, allow_infinity=False
@@ -99,7 +106,7 @@ class TestMassConservation:
                 queue.push(op[1], op[2])
                 pushed += op[1]
             elif kind == "pop":
-                removed += sum(p.count for p in queue.pop(op[1]))
+                removed += sum(p.count for p in pop(queue, op[1]))
             elif kind == "drop_oldest":
                 removed += queue.drop_oldest(op[1])
             elif kind == "drop_older_than":
@@ -113,9 +120,9 @@ class TestMassConservation:
                 target = [(queue, 1.0)]
                 pushed += fill(op[1]).pop_routed(op[2], op[3], target)[1]
             elif kind == "transfer_into":
-                pushed += fill(op[1]).transfer_into(queue, op[2], op[3])
+                pushed += transfer_into(fill(op[1]), queue, op[2], op[3])
             elif kind == "clear":
-                removed += queue.clear()
+                removed += clear(queue)
             elif kind == "clone_cow":
                 clones.append(queue.clone_cow())
             tol = 1e-6 + 1e-9 * max(pushed, removed)
@@ -177,8 +184,8 @@ class TestFusedEqualsCompositional:
     def test_transfer_into(self, pairs, extra, amount, age):
         fused, fused_src = fill(pairs), fill(extra)
         composed, composed_src = fill(pairs), fill(extra)
-        moved = fused_src.transfer_into(fused, amount, age)
-        popped = composed_src.pop(amount)
+        moved = transfer_into(fused_src, fused, amount, age)
+        popped = pop(composed_src, amount)
         push_parcels(composed, age_parcels(popped, age))
         assert as_pairs(fused) == as_pairs(composed)
         assert fused.count == composed.count
@@ -194,7 +201,7 @@ class TestFusedEqualsCompositional:
         dropper = fill(pairs)
         popper = fill(pairs)
         dropped = dropper.drop_oldest(amount)
-        popped = popper.pop(amount)
+        popped = pop(popper, amount)
         assert as_pairs(dropper) == as_pairs(popper)
         assert dropped == pytest.approx(
             parcels_total(popped), abs=1e-9 + 1e-12 * dropped
@@ -341,7 +348,7 @@ class TestCopyOnWriteIsolation:
             if kind == "push":
                 queue.push(op[1], op[2])
             elif kind == "pop":
-                queue.pop(op[1])
+                pop(queue, op[1])
             elif kind == "drop_oldest":
                 queue.drop_oldest(op[1])
             elif kind == "drop_older_than":
@@ -353,8 +360,8 @@ class TestCopyOnWriteIsolation:
             elif kind == "route_into":
                 fill(op[1]).pop_routed(op[2], op[3], [(queue, 1.0)])
             elif kind == "transfer_into":
-                fill(op[1]).transfer_into(queue, op[2], op[3])
+                transfer_into(fill(op[1]), queue, op[2], op[3])
             elif kind == "clear":
-                queue.clear()
+                clear(queue)
             elif kind == "clone_cow":
                 queue.clone_cow()

@@ -12,9 +12,11 @@ from repro.errors import SimulationError
 
 from .parcels import (
     age_parcels,
+    clear,
     oldest_gen_time_s,
     parcels_mean_gen_time,
     parcels_total,
+    pop,
     scale_parcels,
 )
 
@@ -35,14 +37,14 @@ class TestPushPop:
         queue = FluidQueue()
         queue.push(10.0, 0.0)
         queue.push(10.0, 1.0)
-        popped = queue.pop(10.0)
+        popped = pop(queue, 10.0)
         assert len(popped) == 1
         assert popped[0].gen_time_s == 0.0
 
     def test_pop_splits_parcel(self):
         queue = FluidQueue()
         queue.push(10.0, 0.0)
-        popped = queue.pop(4.0)
+        popped = pop(queue, 4.0)
         assert parcels_total(popped) == pytest.approx(4.0)
         assert queue.count == pytest.approx(6.0)
 
@@ -50,14 +52,14 @@ class TestPushPop:
         queue = FluidQueue()
         queue.push(3.0, 0.0)
         queue.push(3.0, 1.0)
-        popped = queue.pop(5.0)
+        popped = pop(queue, 5.0)
         assert parcels_total(popped) == pytest.approx(5.0)
         assert [p.gen_time_s for p in popped] == [0.0, 1.0]
 
     def test_pop_more_than_available(self):
         queue = FluidQueue()
         queue.push(3.0, 0.0)
-        popped = queue.pop(10.0)
+        popped = pop(queue, 10.0)
         assert parcels_total(popped) == pytest.approx(3.0)
         assert queue.count == 0.0
 
@@ -72,7 +74,7 @@ class TestPushPop:
 
     def test_negative_pop_rejected(self):
         with pytest.raises(SimulationError):
-            FluidQueue().pop(-1.0)
+            pop(FluidQueue(), -1.0)
 
     def test_same_gen_time_parcels_merge(self):
         queue = FluidQueue()
@@ -108,7 +110,7 @@ class TestDropping:
     def test_clear(self):
         queue = FluidQueue()
         queue.push(7.0, 0.0)
-        assert queue.clear() == pytest.approx(7.0)
+        assert clear(queue) == pytest.approx(7.0)
         assert not queue
 
 
@@ -176,7 +178,7 @@ class TestInvariants:
                 queue.push(op[1], op[2])
                 pushed += op[1]
             else:
-                popped += parcels_total(queue.pop(op[1]))
+                popped += parcels_total(pop(queue, op[1]))
         assert pushed == pytest.approx(popped + queue.count, abs=1e-6)
 
     @given(
@@ -194,7 +196,7 @@ class TestInvariants:
         queue = FluidQueue()
         for count, gen in pushes:
             queue.push(count, gen)
-        popped = queue.pop(sum(c for c, _ in pushes))
+        popped = pop(queue, sum(c for c, _ in pushes))
         order = [p.gen_time_s for p in popped]
         # Merging only combines *adjacent* equal times, so the output order
         # must match the input order with adjacent duplicates collapsed.
@@ -267,7 +269,7 @@ class TestCountAndMin:
         queue = FluidQueue()
         assert queue.count_and_min() == (0.0, math.inf)
         queue.push(4.0, 0.0)
-        queue.pop(4.0)
+        pop(queue, 4.0)
         assert queue.count_and_min() == (0.0, math.inf)
 
     def test_merged_parcels_count_as_one(self):
@@ -282,7 +284,7 @@ class TestCountAndMin:
         for count, gen in ((5.0, 0.0), (2.0, 1.0), (9.0, 2.0)):
             queue.push(count, gen)
         assert queue.count_and_min() == (16.0, 2.0)
-        queue.pop(4.5)
+        pop(queue, 4.5)
         counts = [p.count for p in queue.parcels()]
         assert queue.count_and_min() == (queue.count, min(counts)) == (
             11.5, 0.5
@@ -295,7 +297,7 @@ class TestCountAndMin:
         clone = queue.clone_cow()
         assert clone.count_and_min() == queue.count_and_min() == (7.0, 2.0)
         assert clone._counts is queue._counts
-        clone.pop(6.0)
+        pop(clone, 6.0)
         assert clone.count_and_min() == (1.0, 1.0)
         assert queue.count_and_min() == (7.0, 2.0)
 

@@ -222,6 +222,42 @@ def test_fuzz_runs_match_column_routing(seed, monkeypatch):
                  else "rehome_to_placement"] > 0
 
 
+def test_snapshot_before_every_tick_stays_unchanged():
+    """With dc-1 slowed down, ``agg``'s row there (one target, the sink's
+    co-located input queue) and the flows into dc-1 stay backlogged.  A
+    copy-on-write snapshot taken before every tick shares every queue's
+    storage, so the tick has to materialize each queue it pops or pushes:
+    the snapshot never changes, and the runtime still matches the oracle."""
+    routed = build_runtime(EngineRuntime, None)
+    oracle = build_runtime(ColumnRoutingRuntime, None)
+    for runtime in (routed, oracle):
+        runtime.topology.site("dc-1").set_slowdown(8.0)
+    single_target_backlog = 0
+    for tick in range(30):
+        snapshot = routed.mutation_snapshot()
+        before = queue_state(snapshot_runtime(snapshot))
+        report = routed.tick()
+        expected = oracle.tick()
+        assert queue_state(snapshot_runtime(snapshot)) == before, tick
+        assert report_state(report) == report_state(expected), tick
+        assert queue_state(routed) == queue_state(oracle), tick
+        agg = next(ex for ex in routed._exec_cache.topo if ex.name == "agg")
+        single_target_backlog += (
+            routed._input_queue[("agg", "dc-1")].count > 0
+            and len(agg.routes.get("dc-1", ())) == 1
+        )
+    assert single_target_backlog >= 20
+
+
+def snapshot_runtime(snapshot) -> EngineRuntime:
+    """An object :func:`queue_state` reads the snapshot's queues from."""
+    view = EngineRuntime.__new__(EngineRuntime)
+    view._gen_queue = snapshot.gen_queue
+    view._input_queue = snapshot.input_queue
+    view._net_queue = snapshot.net_queue
+    return view
+
+
 def stage_pending(runtime: EngineRuntime) -> dict[str, float]:
     """Events waiting per stage: in its generation and input queues, and
     in the flow queues bound for it."""

@@ -12,8 +12,8 @@ import json
 
 import pytest
 
+import repro.engine.dense as dense_module
 from repro.errors import ConfigurationError
-from repro.engine.queues import FluidQueue
 from repro.fuzz import campaign
 from repro.fuzz.campaign import (
     load_artifact,
@@ -24,6 +24,9 @@ from repro.fuzz.campaign import (
 )
 from repro.fuzz.generate import generate_scenario
 from repro.fuzz.invariants import Violation
+
+from tests.engine import column_routing
+from tests.engine.column_routing import ColumnRoutingRuntime
 
 
 def short_scenario(seed, duration_s=40.0):
@@ -112,14 +115,19 @@ class TestShrinking:
             shrink_scenario(short_scenario(1), "conservation", max_evals=1)
 
     def test_shrinks_leaky_repro(self, monkeypatch):
-        original = FluidQueue.transfer_into
+        # The runs tick the previous engine, whose WAN transfer goes
+        # through a function the leak can wrap.
+        monkeypatch.setattr(
+            dense_module, "EngineRuntime", ColumnRoutingRuntime
+        )
+        original = column_routing.transfer_into
 
-        def leaky(self, dst, max_events, extra_age_s):
-            moved = original(self, dst, max_events, extra_age_s)
+        def leaky(src, dst, max_events, extra_age_s):
+            moved = original(src, dst, max_events, extra_age_s)
             dst.drop_oldest(moved * 0.1)
             return moved
 
-        monkeypatch.setattr(FluidQueue, "transfer_into", leaky)
+        monkeypatch.setattr(column_routing, "transfer_into", leaky)
         spec = short_scenario(0, duration_s=80.0)
         shrunk, violations = shrink_scenario(
             spec, "conservation", max_evals=4

@@ -22,11 +22,13 @@ import math
 
 import pytest
 
-from repro.engine.queues import FluidQueue
+import repro.engine.dense as dense_module
 from repro.fuzz.campaign import recorder_digest
 from repro.fuzz.generate import FaultSpec, build_run, generate_scenario
 from repro.fuzz.invariants import InvariantChecker
 
+from tests.engine import column_routing
+from tests.engine.column_routing import ColumnRoutingRuntime, transfer_into
 from tests.fuzz.reference_checker import ReferenceInvariantChecker
 
 #: Seeds whose campaign results carry ``scale-law`` violations.
@@ -144,7 +146,7 @@ class TestShortcuts:
             for stage, src in queues:
                 if src.count > 1.0:
                     dst = next(q for s, q in queues if s != stage)
-                    src.transfer_into(dst, src.count / 2, 0.0)
+                    transfer_into(src, dst, src.count / 2, 0.0)
                     shifts.append(now_s)
                     return
 
@@ -235,14 +237,19 @@ class TestShortcuts:
     def test_small_leak_inside_the_tick(self, monkeypatch):
         """0.005 events vanish from each WAN arrival: a gap just above the
         tolerance, which the screen must pass on to the full ledger."""
-        original = FluidQueue.transfer_into
+        # The runs tick the previous engine, whose WAN transfer goes
+        # through a function the leak can wrap.
+        monkeypatch.setattr(
+            dense_module, "EngineRuntime", ColumnRoutingRuntime
+        )
+        original = column_routing.transfer_into
 
-        def leaky(self, dst, max_events, extra_age_s):
-            moved = original(self, dst, max_events, extra_age_s)
+        def leaky(src, dst, max_events, extra_age_s):
+            moved = original(src, dst, max_events, extra_age_s)
             dst.drop_oldest(min(moved, 0.005))
             return moved
 
-        monkeypatch.setattr(FluidQueue, "transfer_into", leaky)
+        monkeypatch.setattr(column_routing, "transfer_into", leaky)
         spec = dataclasses.replace(generate_scenario(0), duration_s=60.0)
         run, dynamics, both = _both_run(spec)
         run.run(spec.duration_s, dynamics)

@@ -16,12 +16,15 @@ import itertools
 
 import pytest
 
+import repro.engine.dense as dense_module
 from repro.core.diagnosis import Health, StageDiagnosis
 from repro.engine.metrics import MetricsWindow
-from repro.engine.queues import FluidQueue
 from repro.fuzz.campaign import run_scenario
 from repro.fuzz.generate import build_run, generate_scenario
 from repro.fuzz.invariants import InvariantChecker
+
+from tests.engine import column_routing
+from tests.engine.column_routing import ColumnRoutingRuntime
 
 
 def make_run(seed=1, *, duration_s=None, variant=None, run_for=None):
@@ -59,14 +62,19 @@ class TestPerTickDetection:
     def test_conservation_catches_wan_mass_leak(self, monkeypatch):
         """Shave 10% off every WAN arrival: the per-stage ledger must
         notice mass vanishing between emission and enqueue."""
-        original = FluidQueue.transfer_into
+        # The runs tick the previous engine, whose WAN transfer goes
+        # through a function the leak can wrap.
+        monkeypatch.setattr(
+            dense_module, "EngineRuntime", ColumnRoutingRuntime
+        )
+        original = column_routing.transfer_into
 
-        def leaky(self, dst, max_events, extra_age_s):
-            moved = original(self, dst, max_events, extra_age_s)
+        def leaky(src, dst, max_events, extra_age_s):
+            moved = original(src, dst, max_events, extra_age_s)
             dst.drop_oldest(moved * 0.1)
             return moved
 
-        monkeypatch.setattr(FluidQueue, "transfer_into", leaky)
+        monkeypatch.setattr(column_routing, "transfer_into", leaky)
         spec = dataclasses.replace(generate_scenario(0), duration_s=60.0)
         result = run_scenario(spec, verify_digest=False)
         assert any(v.invariant == "conservation" for v in result.violations)

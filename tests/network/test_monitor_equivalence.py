@@ -24,7 +24,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError, TopologyError
-from repro.network.monitor import LinkMeasurement, WanMonitor
+from repro.network.monitor import WanMonitor
 from repro.network.site import Site, SiteKind
 from repro.network.topology import Link, Topology
 
@@ -47,6 +47,17 @@ class _ReferenceLinks:
 
     def latency_ms(self, src: str, dst: str) -> float:
         return self._topology.latency_ms(src, dst)
+
+
+@dataclass(frozen=True)
+class LinkMeasurement:
+    """One measured sample of a directed link (the oracle's record)."""
+
+    src: str
+    dst: str
+    bandwidth_mbps: float
+    latency_ms: float
+    measured_at_s: float
 
 
 class _OracleWanMonitor:
@@ -161,7 +172,7 @@ class _Pair:
         assert new_matrix == old_matrix
         for src in self.names:
             for dst in self.names:
-                for method in ("bandwidth_mbps", "latency_ms", "measurement"):
+                for method in ("bandwidth_mbps", "latency_ms"):
                     expected = _answer(lambda: getattr(old, method)(src, dst))
                     got = _answer(lambda: getattr(new, method)(src, dst))
                     assert got == expected, (method, src, dst)
@@ -214,12 +225,12 @@ def _step(pair: _Pair, draw: random.Random, now_s: float) -> None:
     ])
     if op == "refresh":
         pair.oracle.refresh(now_s)
-        pair.monitor.refresh(now_s)
+        pair.monitor.refresh()
     elif op == "remeasure":
         # Includes intra-site pairs and undefined links (which raise after
         # the noise draw); both monitors must agree on all of them.
         expected = _answer(lambda: pair.oracle.remeasure(src, dst, now_s))
-        got = _answer(lambda: pair.monitor.remeasure(src, dst, now_s))
+        got = _answer(lambda: pair.monitor.remeasure(src, dst))
         assert got == expected
     elif op == "factor":
         a, b = draw.choice(list(topology._base_bandwidth))
@@ -264,14 +275,14 @@ class TestAgainstOracle:
                 for src, dst in draw.sample(links, draw.randint(1, 4)):
                     now += 1.0
                     expected = pair.oracle.remeasure(src, dst, now)
-                    assert pair.monitor.remeasure(src, dst, now) == expected
+                    assert pair.monitor.remeasure(src, dst) == expected
                     pair.assert_same()
             elif op == "factor":
                 src, dst = draw.choice(links)
                 pair.topology.set_bandwidth_factor(src, dst, draw.random())
             for _ in range(draw.randint(1, 3)):
                 pair.oracle.refresh(now)
-                pair.monitor.refresh(now)
+                pair.monitor.refresh()
                 pair.assert_same()
 
     def test_link_bandwidths_is_cached_and_read_only(self):
@@ -293,9 +304,10 @@ class TestAgainstOracle:
         """A link gauged before the first round keeps its first position."""
         pair, _ = _build(3, 0.05)
         src, dst = sorted(pair.topology._base_bandwidth)[-1]
-        for monitor in (pair.oracle, pair.monitor):
-            monitor.remeasure(src, dst, 5.0)
-            monitor.refresh(40.0)
+        pair.oracle.remeasure(src, dst, 5.0)
+        pair.oracle.refresh(40.0)
+        pair.monitor.remeasure(src, dst)
+        pair.monitor.refresh()
         pair.assert_same()
         assert next(iter(pair.monitor.bandwidth_matrix())) == (src, dst)
 
@@ -316,30 +328,19 @@ class TestNoiseDraws:
         monitor = WanMonitor(
             small_topology, np.random.default_rng(1), relative_error=0.2
         )
-        monitor.refresh(0.0)
+        monitor.refresh()
         matrix = monitor.bandwidth_matrix()
         assert all(type(v) is float for v in matrix.values())
-        assert type(monitor.remeasure("edge-x", "dc-1", 1.0)) is float
+        assert type(monitor.remeasure("edge-x", "dc-1")) is float
 
 
 class TestMeasuredAt:
-    def test_remeasure_stamps_only_its_link_until_the_next_refresh(
-        self, small_topology
-    ):
-        monitor = WanMonitor(small_topology, np.random.default_rng(0))
-        monitor.refresh(40.0)
-        monitor.remeasure("edge-x", "dc-1", 55.0)
-        assert monitor.measurement("edge-x", "dc-1").measured_at_s == 55.0
-        assert monitor.measurement("dc-1", "dc-2").measured_at_s == 40.0
-        monitor.refresh(80.0)
-        assert monitor.measurement("edge-x", "dc-1").measured_at_s == 80.0
-
     def test_redefined_latency_shows_after_the_next_refresh(
         self, small_topology
     ):
         monitor = WanMonitor(small_topology, np.random.default_rng(0))
-        monitor.refresh(0.0)
+        monitor.refresh()
         small_topology.set_link("edge-x", "dc-1", 10.0, 90.0)
         assert monitor.latency_ms("edge-x", "dc-1") == 50.0
-        monitor.refresh(40.0)
+        monitor.refresh()
         assert monitor.latency_ms("edge-x", "dc-1") == 90.0

@@ -48,13 +48,6 @@ class TestRingBufferSink:
         with pytest.raises(ObsError):
             RingBufferSink(capacity=0)
 
-    def test_clear(self):
-        bus = EventBus()
-        sink = bus.attach(RingBufferSink())
-        emit_n(bus, 2)
-        sink.clear()
-        assert len(sink) == 0
-
 
 class TestJsonlSink:
     def test_round_trips_records(self, tmp_path):

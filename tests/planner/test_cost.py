@@ -26,7 +26,7 @@ def simple_plan(name="q", agg_bytes=100.0):
 @pytest.fixture
 def monitor(small_topology, rng):
     m = WanMonitor(small_topology, rng)
-    m.refresh(0.0)
+    m.refresh()
     return m
 
 

@@ -8,9 +8,16 @@ string naming it (a quoted annotation, a ``getattr`` name, the
 reads, and neither is anything in an ``__init__.py`` re-export line.  A
 definition nothing reads is code only tests reach: delete it, move it
 beside its tests, or list it below with the reason it stays.
+
+A read of a name proves nothing about a method that shares it with a
+``dict``, ``list``, ``set``, ``deque`` or ``str`` method: ``queue.pop(...)``
+may be ``dict.pop``.  Such a method counts as unread unless
+``BUILTIN_NAMED`` names a caller outside ``tests/`` whose body reads the
+name.
 """
 
 import ast
+import collections
 import pathlib
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -27,10 +34,6 @@ ALLOWED = {
         "DESIGN's fuzzing section names the to_json/from_json round trip "
         "that makes a pinned spec a complete reproduction"
     ),
-    "network/monitor.py:WanMonitor.measurement": (
-        "DESIGN's monitoring-round paragraph names it as the monitor's "
-        "per-link sample"
-    ),
     "network/topology.py:Topology.site_state_version": (
         "DESIGN section 7 names it as the stamp every Site state writer "
         "moves; tests/network/test_site_state_version.py enforces that"
@@ -40,6 +43,30 @@ ALLOWED = {
     ),
     "sim/recorder.py:RunRecorder.delay_cdf": (
         "DESIGN's recorder notes name it as part of the delay view"
+    ),
+}
+
+
+#: Method names a builtin container or ``str`` also has.
+BUILTIN_METHOD_NAMES = frozenset(
+    name
+    for kind in (dict, list, set, collections.deque, str)
+    for name in dir(kind)
+    if not name.startswith("_")
+)
+
+#: The methods named like a builtin one that stay, each with a caller
+#: outside ``tests/`` (``path from the repo root:qualified name``) whose
+#: body reads the name on an object of the method's class.
+BUILTIN_NAMED = {
+    "engine/queues.py:FluidQueue.count": (
+        "src/repro/engine/runtime.py:EngineRuntime.input_backlog"
+    ),
+    "engine/dense.py:FlowTable.items": (
+        "src/repro/engine/metrics.py:_net_backlog_by_stage"
+    ),
+    "engine/dense.py:FlowTable.values": (
+        "benchmarks/perf/digest.py:shuffle_fingerprint"
     ),
 }
 
@@ -115,9 +142,33 @@ def _unread() -> list[str]:
     for path in sorted(SOURCE.rglob("*.py")):
         module = path.relative_to(SOURCE).as_posix()
         for qual, short in _definitions(path):
-            if short not in read:
-                unread.append(f"{module}:{qual}")
+            key = f"{module}:{qual}"
+            if short not in read or (
+                "." in qual
+                and short in BUILTIN_METHOD_NAMES
+                and key not in BUILTIN_NAMED
+            ):
+                unread.append(key)
     return unread
+
+
+def _body_reads(caller: str) -> set[str]:
+    """The attribute names read in the body of ``path:qualified name``."""
+    path, qual = caller.split(":")
+    scope = ast.parse((ROOT / path).read_text())
+    for part in qual.split("."):
+        scope = next(
+            node for node in scope.body
+            if isinstance(
+                node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+            )
+            and node.name == part
+        )
+    return {
+        node.attr for node in ast.walk(scope)
+        if isinstance(node, ast.Attribute)
+        and not isinstance(node.ctx, ast.Store)
+    }
 
 
 def test_every_src_definition_has_a_reader_outside_tests():
@@ -126,6 +177,21 @@ def test_every_src_definition_has_a_reader_outside_tests():
         "read only by tests (delete, move beside the tests, or allow-list "
         "with a reason):\n" + "\n".join(unread)
     )
+
+
+def test_builtin_named_methods_have_their_named_callers():
+    """Each table entry is a method named like a builtin one, and its
+    caller exists and reads the name."""
+    defined = {
+        f"{path.relative_to(SOURCE).as_posix()}:{qual}"
+        for path in SOURCE.rglob("*.py")
+        for qual, _ in _definitions(path)
+    }
+    for key, caller in BUILTIN_NAMED.items():
+        name = key.rpartition(".")[2]
+        assert key in defined and name in BUILTIN_METHOD_NAMES, key
+        assert not caller.startswith("tests/"), key
+        assert name in _body_reads(caller), (key, caller)
 
 
 def test_allow_list_names_only_unread_definitions():
