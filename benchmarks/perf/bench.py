@@ -52,8 +52,9 @@ def bench_queue_ops(ops: int = 200_000) -> BenchResult:
     """Tight push/pop/drop cycles on one FluidQueue.
 
     The access pattern mirrors the engine's: pushes at advancing gen times
-    (merging adjacent parcels), fractional pops, and occasional SLO drops -
-    the three moves ``EngineRuntime.tick`` makes on every stage's queues.
+    (merging adjacent parcels), fractional pops, and occasional SLO drops
+    (``drop_older_than``) - the three moves ``EngineRuntime.tick`` makes
+    on every stage's queues.
     """
     queue = FluidQueue()
     t0 = time.perf_counter()
@@ -67,8 +68,6 @@ def bench_queue_ops(ops: int = 200_000) -> BenchResult:
             counts.clear()
             gens.clear()
             queue.pop_scaled_into(150.0, 1.0, counts, gens)
-        if i % 64 == 63:
-            queue.drop_oldest(50.0)
         if i % 256 == 255:
             queue.drop_older_than(now - 16.0)
     wall = time.perf_counter() - t0
@@ -90,9 +89,8 @@ def bench_queue_fused_ops(rounds: int = 20_000) -> BenchResult:
     two targets, a flow queue and a co-located queue (``pop_routed`` with
     several targets), and the mutation API's move drains the flow into a
     receiver (``drain_into``); then periodic SLO maintenance
-    (``drop_oldest`` / ``drop_older_than``) and snapshot pressure
-    (``clone_cow`` followed by a mutation, so copy-on-write actually pays
-    its materialization).
+    (``drop_older_than``) and snapshot pressure (``clone_cow`` followed by
+    a mutation, so copy-on-write actually pays its materialization).
     """
     donor = FluidQueue()
     flow = FluidQueue()
@@ -110,14 +108,11 @@ def bench_queue_fused_ops(rounds: int = 20_000) -> BenchResult:
         donor.pop_routed(110.0, 1.0, targets)
         flow.drain_into(receiver)
         if i % 32 == 31:
-            receiver.drop_oldest(1700.0)
-            local.drop_oldest(1700.0)
-        if i % 128 == 127:
-            receiver.drop_older_than(now - 24.0)
+            receiver.drop_older_than(now - 8.0)
+            local.drop_older_than(now - 8.0)
         if i % 256 == 255:
-            snap = receiver.clone_cow()
+            receiver.clone_cow()
             receiver.push(1.0, now)  # force the copy-on-write to pay
-            snap.drop_oldest(1.0)
     wall = time.perf_counter() - t0
     return BenchResult(
         name="queue_fused_ops",
@@ -232,7 +227,7 @@ def bench_full_scenario(duration_s: float = 600.0) -> BenchResult:
             "duration_s": duration_s,
             "peak_queued_events": peak_events,
             "peak_parcels": float(peak_parcels),
-            "total_processed": recorder.total_processed(),
+            "total_processed": sum(s.processed for s in recorder.samples),
             "adaptations": float(len(recorder.adaptations)),
         },
     )
@@ -247,8 +242,8 @@ def bench_snapshot(rounds: int = 200, warm_ticks: int = 350) -> BenchResult:
     """mutation_snapshot + restore cycles on a loaded runtime.
 
     The runtime first ticks through the Fig-8 workload surge so the queue
-    tables are populated; each round then snapshots, mutates one queue (so
-    copy-on-write implementations cannot skip all work), and restores.
+    tables are populated; each round then snapshots, pushes into one queue
+    (so copy-on-write implementations cannot skip all work), and restores.
     """
     run = _build_run()
     run.set_dynamics(bottleneck_dynamics())
@@ -263,9 +258,7 @@ def bench_snapshot(rounds: int = 200, warm_ticks: int = 350) -> BenchResult:
     t0 = time.perf_counter()
     for _ in range(rounds):
         snapshot = runtime.mutation_snapshot()
-        queue = runtime._gen_queue[key]
-        queue.push(1.0, runtime.now_s)
-        queue.drop_oldest(1.0)
+        runtime._gen_queue[key].push(1.0, runtime.now_s)
         runtime.restore_mutation_snapshot(snapshot)
     wall = time.perf_counter() - t0
     return BenchResult(
@@ -327,8 +320,8 @@ def bench_adaptation_round(
         unit="rounds/s",
         detail={
             "calls": float(calls),
-            "links": float(len(wan.bandwidth_matrix())),
-            "window_ticks": float(metrics.pending_ticks),
+            "links": float(len(wan._bandwidth)),
+            "window_ticks": float(metrics._ticks),
             "refresh_us": refresh_s / calls * 1e6,
             "collect_us": collect_s / calls * 1e6,
         },

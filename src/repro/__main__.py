@@ -44,6 +44,7 @@ from .experiments.scenarios import (
     FIG14_STATE_SIZES_MB,
     MIGRATION_RUN_DURATION_S,
     MIGRATION_TRIGGER_AT_S,
+    QUERIES,
     bottleneck_dynamics,
     build_migration_run,
     fig8_scenario,
@@ -62,7 +63,6 @@ from .network.traces import paper_testbed
 from .sim.rng import RngRegistry
 from .workloads.queries import all_queries
 
-QUERIES = ("ysb-advertising", "topk-topics", "events-of-interest")
 DYNAMICS = {
     "quiet": quiet_dynamics,
     "bottleneck": bottleneck_dynamics,
@@ -83,7 +83,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run_p = sub.add_parser("run", help="run a query under dynamics")
-    run_p.add_argument("--query", choices=QUERIES, default="topk-topics")
+    run_p.add_argument(
+        "--query", choices=tuple(QUERIES), default="topk-topics"
+    )
     run_p.add_argument(
         "--variant",
         action="append",

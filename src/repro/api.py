@@ -38,7 +38,6 @@ from .baselines.variants import (
 )
 from .chaos.faults import SiteCrash, Straggler
 from .config import WaspConfig
-from .errors import WaspError
 from .experiments.harness import DynamicsSpec, ExperimentRun
 from .experiments.scenarios import (
     bottleneck_dynamics,
@@ -78,9 +77,6 @@ __all__ = [
     "wasp",
 ]
 
-#: Names accepted by :func:`benchmark_query` / :func:`launch`.
-QUERY_NAMES = ("ysb-advertising", "topk-topics", "events-of-interest")
-
 
 def build_testbed(
     seed: int = WaspConfig().seed, spec: TestbedSpec | None = None
@@ -94,10 +90,6 @@ def benchmark_query(
     name: str, topology: Topology, seed: int = WaspConfig().seed
 ) -> BenchmarkQuery:
     """One of the Table-3 queries bound to ``topology``."""
-    if name not in QUERY_NAMES:
-        raise WaspError(
-            f"unknown query {name!r}; expected one of {QUERY_NAMES}"
-        )
     rngs = RngRegistry(seed)
     return make_query_by_name(name)(topology, rngs)
 
@@ -129,10 +121,6 @@ def launch(
     if topology is None:
         topology = paper_testbed(rngs.stream("topology"))
     if isinstance(query, str):
-        if query not in QUERY_NAMES:
-            raise WaspError(
-                f"unknown query {query!r}; expected one of {QUERY_NAMES}"
-            )
         query = make_query_by_name(query)(topology, rngs)
     return ExperimentRun(
         topology,

@@ -24,7 +24,6 @@ from .policy import AdaptationPolicy, PolicyContext, PolicyMode
 from .replanning import Replanner, ReplanProposal
 from .scaling import (
     ScaleDecision,
-    can_scale_down,
     compute_scale_out_target,
     compute_scale_up_target,
     pick_scale_down_site,
@@ -58,7 +57,6 @@ __all__ = [
     "TechniqueProfile",
     "Transfer",
     "WorkloadEstimator",
-    "can_scale_down",
     "compute_scale_out_target",
     "compute_scale_up_target",
     "estimate_transition_s",

@@ -44,7 +44,6 @@ from .estimator import StageEstimate, WorkloadEstimator
 from .migration import estimate_transition_s
 from .replanning import Replanner
 from .scaling import (
-    can_scale_down,
     compute_scale_out_target,
     compute_scale_up_target,
     pick_scale_down_site,
@@ -288,8 +287,6 @@ class AdaptationPolicy:
         self, stage: Stage, diagnosis: StageDiagnosis, ctx: PolicyContext
     ) -> Action | None:
         if not ctx.mode.allow_scale:
-            return None
-        if not can_scale_down(stage, diagnosis):
             return None
         site = pick_scale_down_site(stage)
         reduced = dict(stage.placement())

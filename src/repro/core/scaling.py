@@ -11,10 +11,13 @@ bottlenecks, the scale-out factor is "the ratio between the stream rate that
 cannot be handled over the bandwidth availability" - each additional task
 placed behind a different link absorbs that link's worth of traffic.
 
-Scale-down is deliberately gradual: one task per iteration, and only when
-every remaining task would have both the compute and bandwidth headroom to
-absorb the relayed load (the paper prioritizes performance stability over
-resource utilization).
+Scale-down is deliberately gradual: one task per iteration, and only for a
+stage the round's diagnosis found wasteful
+(:attr:`~repro.core.diagnosis.Health.WASTEFUL`: no constrained link, no
+growing backlog, and the expected input within 0.8 x the capacity left
+without the smallest task); the policy then checks that the bandwidth to
+and from the remaining sites carries the relayed load (the paper
+prioritizes performance stability over resource utilization).
 """
 
 from __future__ import annotations
@@ -115,29 +118,6 @@ def compute_scale_out_target(
         )
         target = max(target, min(ds2_minimum, p + 2 * MAX_SCALE_OUT_PER_ROUND))
     return ScaleDecision(stage.name, p, target)
-
-
-def can_scale_down(stage: Stage, diagnosis: StageDiagnosis) -> bool:
-    """Safe to remove one task?  (Section 4.2's per-iteration check.)
-
-    The remaining tasks must absorb the relayed stream: expected input must
-    fit within the reduced capacity with the waste threshold as headroom,
-    and there must be no standing backlog or constrained links.
-    """
-    if stage.parallelism <= 1:
-        return False
-    if diagnosis.constrained_links:
-        return False
-    if diagnosis.input_backlog_growth > 0:
-        return False
-    capacity = diagnosis.processing_capacity_eps
-    if capacity <= 0 or stage.parallelism == 0:
-        return False
-    per_task = capacity / stage.parallelism
-    remaining = capacity - per_task
-    # 10% headroom above the expected rate so the relayed load does not
-    # immediately re-trigger a bottleneck (stability over utilization).
-    return diagnosis.expected_input_eps <= remaining * 0.9
 
 
 def pick_scale_down_site(stage: Stage) -> str:

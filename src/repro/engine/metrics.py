@@ -146,10 +146,6 @@ class GlobalMetricMonitor:
         self._backlog_keys.update(report.input_backlog)
         self._net_backlog_keys.update(report.net_backlog)
 
-    @property
-    def pending_ticks(self) -> int:
-        return self._ticks
-
     def collect(self) -> MetricsWindow:
         """Aggregate and reset the current window."""
         window = self._window()

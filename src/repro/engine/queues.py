@@ -34,9 +34,7 @@ make:
 * :meth:`FluidQueue.pop_scaled_into` dequeues into ``(counts, gens)``
   column lists with the counts scaled (selectivity) and returns both the
   popped and the scaled totals, for the callers that read the parcels
-  (the sinks' delay sum);
-* :meth:`FluidQueue.drop_oldest` discards head events without
-  materializing the dropped parcels.
+  (the sinks' delay sum).
 
 All fused variants perform bit-for-bit the same floating-point operations
 in the same order as their compositional equivalents (built from the
@@ -305,33 +303,6 @@ class FluidQueue:
         which multiply exactly.  ``dst`` must be a different queue.
         """
         self.pop_routed(self._count, 1.0, [(dst, 1.0)])
-
-    def drop_oldest(self, count: float) -> float:
-        """Discard up to ``count`` events from the head; returns dropped.
-
-        Non-allocating: the dropped parcels are never materialized.
-        """
-        if count < 0:
-            raise SimulationError(f"cannot pop negative count {count}")
-        before = self._count
-        remaining = min(count, self._count)
-        if remaining > 1e-12 and self._shared:
-            self._materialize()
-        q_counts = self._counts
-        q_gens = self._gens
-        while remaining > 1e-12 and q_counts:
-            head_count = q_counts[0]
-            if head_count <= remaining + 1e-12:
-                remaining -= head_count
-                self._count -= head_count
-                q_counts.popleft()
-                q_gens.popleft()
-            else:
-                q_counts[0] = head_count - remaining
-                self._count -= remaining
-                remaining = 0.0
-        self._drain_reset()
-        return before - self._count
 
     def drop_older_than(self, cutoff_gen_time_s: float) -> float:
         """Discard every event generated before ``cutoff_gen_time_s``.

@@ -76,19 +76,27 @@ def _testbed(rngs: RngRegistry) -> Topology:
     return paper_testbed(rngs.stream("topology"))
 
 
+#: The Table-3 queries by name, each built over a topology and a run's
+#: RNG registry.  The order is the fuzz generator's query draw order.
+QUERIES: dict[str, Callable[[Topology, RngRegistry], BenchmarkQuery]] = {
+    "ysb-advertising": lambda topo, rngs: ysb_advertising(topo),
+    "topk-topics": lambda topo, rngs: topk_topics(topo, rngs.stream("query")),
+    "events-of-interest": lambda topo, rngs: events_of_interest(
+        topo, rngs.stream("query")
+    ),
+}
+
+
 def make_query_by_name(
     name: str,
 ) -> Callable[[Topology, RngRegistry], BenchmarkQuery]:
     """Query factory keyed by Table-3 name."""
-    if name == "ysb-advertising":
-        return lambda topo, rngs: ysb_advertising(topo)
-    if name == "topk-topics":
-        return lambda topo, rngs: topk_topics(topo, rngs.stream("query"))
-    if name == "events-of-interest":
-        return lambda topo, rngs: events_of_interest(
-            topo, rngs.stream("query")
-        )
-    raise WaspError(f"unknown query {name!r}")
+    try:
+        return QUERIES[name]
+    except KeyError:
+        raise WaspError(
+            f"unknown query {name!r}; expected one of {tuple(QUERIES)}"
+        ) from None
 
 
 # --------------------------------------------------------------------------- #

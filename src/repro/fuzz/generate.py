@@ -32,18 +32,11 @@ from ..chaos.faults import (
 from ..config import WaspConfig
 from ..errors import ConfigurationError
 from ..experiments.harness import DynamicsSpec, ExperimentRun
+from ..experiments.scenarios import QUERIES, make_query_by_name
 from ..network.site import Site, SiteKind
 from ..network.topology import Topology
 from ..sim.rng import RngRegistry
 from ..sim.schedule import Schedule
-from ..workloads.queries import (
-    events_of_interest,
-    topk_topics,
-    ysb_advertising,
-)
-
-#: Query names the generator draws from (mirrors the CLI registry).
-QUERY_NAMES = ("ysb-advertising", "topk-topics", "events-of-interest")
 
 #: Controller variants the generator draws from.
 VARIANT_NAMES = tuple(sorted(ALL_NAMED))
@@ -260,7 +253,7 @@ def generate_scenario(seed: int) -> ScenarioSpec:
 
     # -- query / variant / duration -------------------------------------- #
     query_rng = rngs.stream("fuzz.query")
-    query = QUERY_NAMES[int(query_rng.integers(len(QUERY_NAMES)))]
+    query = tuple(QUERIES)[int(query_rng.integers(len(QUERIES)))]
     variant = VARIANT_NAMES[int(query_rng.integers(len(VARIANT_NAMES)))]
     duration_s = float([120.0, 180.0, 240.0][int(query_rng.integers(3))])
 
@@ -375,17 +368,6 @@ def build_topology(spec: ScenarioSpec) -> Topology:
     return topology
 
 
-def build_query(spec: ScenarioSpec, topology: Topology, rngs: RngRegistry):
-    """Materialize the spec's benchmark query on the topology."""
-    if spec.query == "ysb-advertising":
-        return ysb_advertising(topology)
-    if spec.query == "topk-topics":
-        return topk_topics(topology, rngs.stream("query"))
-    if spec.query == "events-of-interest":
-        return events_of_interest(topology, rngs.stream("query"))
-    raise ConfigurationError(f"unknown query {spec.query!r}")
-
-
 def build_dynamics(spec: ScenarioSpec) -> DynamicsSpec:
     """Materialize the spec's factor schedules and fault plan as a driver
     program."""
@@ -412,7 +394,7 @@ def build_run(spec: ScenarioSpec) -> tuple[ExperimentRun, DynamicsSpec]:
     """
     rngs = RngRegistry(spec.seed)
     topology = build_topology(spec)
-    query = build_query(spec, topology, rngs)
+    query = make_query_by_name(spec.query)(topology, rngs)
     variant: VariantSpec = ALL_NAMED[spec.variant]
     config = WaspConfig.paper_defaults().with_overrides(
         **spec.config_overrides

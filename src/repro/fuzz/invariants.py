@@ -18,13 +18,15 @@ state.  From those two views it asserts the paper-level properties:
   accounting, Section 4.1): fewer is an infeasible placement, more is a
   leaked slot.
 * **full-deployment** - every stage of the live plan keeps >= 1 task.
-* **alpha-cap** (Section 4.1) - after a committed network-bottleneck
-  placement, every WAN flow the placement induces fits within
-  ``alpha * B`` of its link.
+* **alpha-cap** (Section 4.1) - after a committed placement of the
+  alpha-capped solver (a re-assignment, or a scale-up/out of a stage the
+  round diagnosed network-bound), every WAN flow the placement induces
+  fits within ``alpha * B`` of its link.
 * **scale-law** (Section 4.2) - a committed scale-up/out lands strictly
-  above the old parallelism and at or below the DS2-style target
-  ``p' = ceil(lambda_hat_I / lambda_P * p)`` (plus the scale-out link
-  deficit bound).
+  above the old parallelism and at or below the bound of the law the
+  round's diagnosis picked: the DS2 target
+  ``p' = ceil(lambda_hat_I / lambda_P * p)`` for a compute-bound stage,
+  the scale-out link-deficit bound for a network-bound one.
 * **migration-minmax** (Section 5) - a committed WASP-strategy
   re-assignment's migration achieves the minmax over destination
   assignments; transfer arithmetic (``duration = MB * 8 / Mbps``,
@@ -33,11 +35,17 @@ state.  From those two views it asserts the paper-level properties:
   snapshot bit-for-bit (slots, task lists, queues, suspensions, state,
   checkpoint records, loss counter).
 
-Scoping notes (to stay false-positive-free): the alpha-cap check runs only
-on the *first* commit of a round, on ``primary`` attempts, for
-network-bottleneck re-assign/scale-out actions - retries re-measure
-bandwidth and later commits shift the upstream/downstream placements the
-decision saw.  The minmax check runs only for primary WASP re-assignments
+Scoping notes (to stay false-positive-free): the round's
+:class:`~repro.core.diagnosis.StageDiagnosis` (``manager.last_diagnoses``)
+is the one record of why a stage adapted, so it alone picks the law; an
+action's ``scale up``/``scale out`` label names where its tasks landed and
+its ``reason`` is display text.  Both laws run only on ``primary``
+attempts committed inside an adaptation round (between ``round.start``
+and ``round.end``): a commit outside one - a controlled action, a
+long-term re-plan - had no diagnosis pick it.  The alpha-cap check runs
+only on the *first* commit of a round - retries re-measure bandwidth and
+later commits shift the upstream/downstream placements the decision
+saw.  The minmax check runs only for primary WASP re-assignments
 with <= 7 unique-source transfers (the exhaustive-permutation regime) and
 verifies the optimum over permutations of the *observed* destinations, a
 sound necessary condition for optimality over the full destination set.
@@ -60,6 +68,7 @@ from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import TYPE_CHECKING, Callable
 
+from ..core.diagnosis import Health, StageDiagnosis
 from ..core.scaling import compute_scale_out_target, compute_scale_up_target
 from ..engine.runtime import MBIT_BYTES, TickReport
 from ..errors import ConfigurationError
@@ -163,6 +172,7 @@ class InvariantChecker:
         self._tables: _PlanTables | None = None
         # Adaptation bookkeeping.
         self._round_parallelism: dict[str, int] = {}
+        self._in_round = False
         self._commits_in_round = 0
         self._pre_digest: str | None = None
         self._current_attempt: str | None = None
@@ -230,7 +240,10 @@ class InvariantChecker:
                     name: stage.parallelism
                     for name, stage in run.runtime.plan.stages.items()
                 }
+            self._in_round = True
             self._commits_in_round = 0
+        elif kind == "round.end":
+            self._in_round = False
         elif kind == "attempt.start":
             self._current_attempt = record["attempt"]
             self._migrate_transfers = []
@@ -571,7 +584,6 @@ class InvariantChecker:
         stage_name = record["stage"]
         attempt = record["attempt"]
         action = record["action"]
-        reason = record.get("reason") or ""
         stage = run.runtime.plan.stages.get(stage_name)
         if stage is not None and action != "re-plan":
             placement = stage.placement()
@@ -589,16 +601,8 @@ class InvariantChecker:
                         f"commit of {action!r} placed {stage_name!r} on "
                         f"failed site {site!r}",
                     )
-        if (
-            attempt == "primary"
-            and self._commits_in_round == 0
-            and action in ("re-assign", "scale out")
-            and reason.startswith("network bottleneck")
-            and stage is not None
-        ):
-            self._check_alpha_cap(t_s, stage)
-        if attempt == "primary" and action in ("scale up", "scale out"):
-            self._check_scale_law(t_s, stage_name, action, reason)
+        if attempt == "primary" and self._in_round:
+            self._check_round_laws(t_s, stage_name, stage, action)
         if (
             attempt == "primary"
             and action == "re-assign"
@@ -606,6 +610,32 @@ class InvariantChecker:
             and self._migrate_transfers
         ):
             self._check_migration_minmax(t_s, stage_name)
+
+    def _check_round_laws(
+        self, t_s: float, stage_name: str, stage, action: str
+    ) -> None:
+        """Sections 4.1 and 4.2 on a primary commit of an adaptation round.
+
+        The round's diagnosis of the stage picked the technique, so it
+        picks the laws too (DESIGN.md section 9): a re-assignment and a
+        network-bound scale action were placed by the alpha-capped solver;
+        a scale action obeys the scaling law of its diagnosis.
+        """
+        run = self._run()
+        assert run is not None and run.manager is not None
+        diagnosis = run.manager.last_diagnoses.get(stage_name)
+        scale = action in ("scale up", "scale out")
+        network_bound = (
+            diagnosis is not None and diagnosis.health is Health.NETWORK_BOUND
+        )
+        if (
+            self._commits_in_round == 0
+            and stage is not None
+            and (action == "re-assign" or (scale and network_bound))
+        ):
+            self._check_alpha_cap(t_s, stage)
+        if scale and diagnosis is not None:
+            self._check_scale_law(t_s, stage_name, diagnosis)
 
     def _check_alpha_cap(self, t_s: float, stage) -> None:
         """Section 4.1: committed placements respect ``alpha * B`` per flow.
@@ -681,31 +711,33 @@ class InvariantChecker:
                         )
 
     def _check_scale_law(
-        self, t_s: float, stage_name: str, action: str, reason: str
+        self, t_s: float, stage_name: str, diagnosis: StageDiagnosis
     ) -> None:
-        """Section 4.2: committed parallelism obeys the scaling formulas.
+        """Section 4.2: committed parallelism obeys the diagnosis's law.
 
-        The committed ``p'`` may fall below the decision target (partial
-        slot availability, feasibility-capped scale-out) but must be
-        strictly above the old ``p`` and never exceed the bound the round's
-        own diagnosis implies.
+        A compute-bound stage is bounded by the DS2 target, a network-bound
+        one by the scale-out target (at least ``p + 1``).  The committed
+        ``p'`` may fall below the target (partial slot availability,
+        feasibility-capped scale-out) but must be strictly above the old
+        ``p`` and never exceed the bound.
         """
         run = self._run()
         assert run is not None and run.manager is not None
-        manager = run.manager
         old_p = self._round_parallelism.get(stage_name)
-        diagnosis = getattr(manager, "last_diagnoses", {}).get(stage_name)
         stage = run.runtime.plan.stages.get(stage_name)
-        if old_p is None or diagnosis is None or stage is None:
+        health = diagnosis.health
+        if old_p is None or stage is None or health not in (
+            Health.COMPUTE_BOUND, Health.NETWORK_BOUND
+        ):
             return
         self._mark("scale-law")
         new_p = stage.parallelism
         proxy = SimpleNamespace(name=stage_name, parallelism=old_p)
-        if action == "scale up":
+        if health is Health.COMPUTE_BOUND:
             bound = compute_scale_up_target(
-                proxy, diagnosis, manager.config
+                proxy, diagnosis, run.manager.config
             ).target
-        else:  # scale out
+        else:
             bound = max(
                 compute_scale_out_target(proxy, diagnosis).target,
                 old_p + 1,
@@ -714,8 +746,8 @@ class InvariantChecker:
             self._violate(
                 "scale-law",
                 t_s,
-                f"stage {stage_name!r}: {action} committed p={new_p} "
-                f"outside (p={old_p}, bound={bound}] ({reason})",
+                f"stage {stage_name!r}: {health.value} commit p={new_p} "
+                f"outside (p={old_p}, bound={bound}]",
             )
 
     # ------------------------------------------------------------------ #

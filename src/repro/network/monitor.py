@@ -44,8 +44,8 @@ class WanMonitor:
         self._rng = rng
         self._relative_error = float(relative_error)
         # Measurements live in flat per-link tables.  ``_bandwidth`` keeps
-        # the order links were first measured in (``bandwidth_matrix``'s
-        # order); a link is measured iff it has a bandwidth entry.
+        # the order links were first measured in; a link is measured iff
+        # it has a bandwidth entry.
         self._bandwidth: dict[tuple[str, str], float] = {}
         self._latency: dict[tuple[str, str], float] = {}
         #: ``Topology._links_version`` the latency table was last synced at.
@@ -123,7 +123,3 @@ class WanMonitor:
         if measured is None:
             return self._topology.latency_ms(src, dst)
         return measured
-
-    def bandwidth_matrix(self) -> dict[tuple[str, str], float]:
-        """Measured bandwidth for every known link."""
-        return dict(self._bandwidth)

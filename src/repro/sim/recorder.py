@@ -241,9 +241,6 @@ class RunRecorder:
         idx = np.linspace(0, len(values) - 1, points).astype(int)
         return values[idx], cum[idx]
 
-    def total_processed(self) -> float:
-        return float(sum(self._processed))
-
     def total_offered(self) -> float:
         return float(sum(self._offered))
 

@@ -240,6 +240,43 @@ class TestWasteful:
         )
         assert result["agg"].health is Health.HEALTHY
 
+    def test_growing_backlog_not_wasteful(self):
+        """Low utilization with spare capacity, but the input queue grew
+        over the window: shedding a task now would only add to it."""
+        plan = make_plan(agg_tasks=("dc-1", "dc-2"))
+        result = diagnose(
+            plan,
+            [
+                metrics(
+                    lambda_p=5_000.0,
+                    utilization_capacity=80_000.0,
+                    backlog=100.0,
+                    growth=10.0,
+                )
+            ],
+            {"agg": StageEstimate("agg", 5_000.0, 50.0)},
+        )
+        assert result["agg"].health is Health.HEALTHY
+
+    def test_constrained_link_not_wasteful(self):
+        """Spare compute behind a constrained inbound link is a network
+        bottleneck, not waste."""
+        plan = make_plan(agg_tasks=("dc-1", "dc-2"))
+        result = diagnose(
+            plan,
+            [
+                metrics(
+                    lambda_p=5_000.0,
+                    utilization_capacity=80_000.0,
+                    net_backlog={("edge-x", "dc-1"): 50_000.0},
+                    net_growth={("edge-x", "dc-1"): 20_000.0},
+                    net_inflow={("edge-x", "dc-1"): 10_000.0},
+                )
+            ],
+            {"agg": StageEstimate("agg", 5_000.0, 50.0)},
+        )
+        assert result["agg"].health is Health.NETWORK_BOUND
+
     def test_failed_site_contributes_no_capacity(self):
         plan = make_plan(agg_tasks=("dc-1",))
 

@@ -294,6 +294,28 @@ class TestWasteful:
         assert len(actions) == 1
         assert isinstance(actions[0], ScaleDownAction)
 
+    def test_wasteful_diagnosis_alone_gates_scale_down(self):
+        """The policy acts on the WASTEFUL verdict alone: 37k expected on
+        80k capacity is above 0.9 x (capacity - the average task) = 36k,
+        the headroom a second scale-down rule once required, and the
+        stage still sheds a task."""
+        plan = stateful_plan(agg_sites=("dc-1", "dc-2"))
+        ctx = context(
+            plan,
+            {
+                "agg": diagnosis_for(
+                    "agg",
+                    Health.WASTEFUL,
+                    expected_input_eps=37_000.0,
+                    processing_capacity_eps=80_000.0,
+                    utilization=0.46,
+                )
+            },
+        )
+        actions = AdaptationPolicy().decide(ctx)
+        assert len(actions) == 1
+        assert isinstance(actions[0], ScaleDownAction)
+
     def test_scale_down_blocked_without_bandwidth(self):
         """Section 4.2: remaining sites must have the bandwidth to absorb
         the relayed stream."""

@@ -6,7 +6,6 @@ from repro.config import WaspConfig
 from repro.core.diagnosis import LinkPressure, StageDiagnosis, Health
 from repro.core.scaling import (
     MAX_SCALE_OUT_PER_ROUND,
-    can_scale_down,
     compute_scale_out_target,
     compute_scale_up_target,
     pick_scale_down_site,
@@ -130,37 +129,6 @@ class TestScaleOut:
 
 
 class TestScaleDown:
-    def test_safe_when_remaining_capacity_has_headroom(self):
-        stage = make_stage(["a", "b", "c"])
-        assert can_scale_down(
-            stage, diagnosis(expected=10_000.0, capacity=120_000.0)
-        )
-
-    def test_unsafe_when_remaining_would_be_tight(self):
-        stage = make_stage(["a", "b"])
-        assert not can_scale_down(
-            stage, diagnosis(expected=39_000.0, capacity=80_000.0)
-        )
-
-    def test_never_below_one_task(self):
-        stage = make_stage(["a"])
-        assert not can_scale_down(
-            stage, diagnosis(expected=0.0, capacity=40_000.0)
-        )
-
-    def test_blocked_by_constrained_links(self):
-        stage = make_stage(["a", "b"])
-        link = LinkPressure("e1", "a", 100.0, 10.0, 1000.0, 500.0)
-        assert not can_scale_down(
-            stage, diagnosis(expected=100.0, capacity=80_000.0, links=[link])
-        )
-
-    def test_blocked_by_growing_backlog(self):
-        stage = make_stage(["a", "b"])
-        assert not can_scale_down(
-            stage, diagnosis(expected=100.0, capacity=80_000.0, growth=10.0)
-        )
-
     def test_prefers_singleton_site(self):
         """Section 4.2: terminate tasks not co-located with the rest."""
         stage = make_stage(["a", "a", "b"])

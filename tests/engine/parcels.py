@@ -40,6 +40,35 @@ def clear(queue: FluidQueue) -> float:
     return dropped
 
 
+def drop_oldest(queue: FluidQueue, count: float) -> float:
+    """Discard up to ``count`` events from the head; returns dropped (the
+    former ``FluidQueue.drop_oldest``, which no engine path calls).
+
+    Non-allocating: the dropped parcels are never materialized.
+    """
+    if count < 0:
+        raise SimulationError(f"cannot pop negative count {count}")
+    before = queue._count
+    remaining = min(count, queue._count)
+    if remaining > 1e-12 and queue._shared:
+        queue._materialize()
+    q_counts = queue._counts
+    q_gens = queue._gens
+    while remaining > 1e-12 and q_counts:
+        head_count = q_counts[0]
+        if head_count <= remaining + 1e-12:
+            remaining -= head_count
+            queue._count -= head_count
+            q_counts.popleft()
+            q_gens.popleft()
+        else:
+            q_counts[0] = head_count - remaining
+            queue._count -= remaining
+            remaining = 0.0
+    queue._drain_reset()
+    return before - queue._count
+
+
 def push_parcels(queue: FluidQueue, parcels: list[Parcel]) -> None:
     """Push each parcel in order (the former ``FluidQueue.push_parcels``)."""
     for parcel in parcels:

@@ -83,7 +83,7 @@ def _run_aggregates(spec) -> dict:
     recorder = run.recorder
     return {
         "runtime": run.runtime,
-        "processed": recorder.total_processed(),
+        "processed": sum(s.processed for s in recorder.samples),
         "fraction": recorder.processed_fraction(),
         "mean_delay": recorder.mean_delay(),
         "p99_delay": recorder.delay_percentile(0.99),

@@ -56,7 +56,7 @@ class TestAggregation:
         monitor = GlobalMetricMonitor()
         feed(monitor, report(1.0, processed={"agg": 100.0}))
         monitor.collect()
-        assert monitor.pending_ticks == 0
+        assert monitor._ticks == 0
         assert monitor.collect().stages == {}
 
     def test_peek_aggregates_without_resetting(self):
@@ -73,10 +73,10 @@ class TestAggregation:
                 ),
             )
         peeked = monitor.peek()
-        assert monitor.pending_ticks == 2
+        assert monitor._ticks == 2
         assert monitor.peek() == peeked
         assert monitor.collect() == peeked
-        assert monitor.pending_ticks == 0
+        assert monitor._ticks == 0
 
     def test_empty_collect(self):
         window = GlobalMetricMonitor().collect()
@@ -181,7 +181,7 @@ class TestCollectEdgeCases:
         monitor.collect()
         window = monitor.collect()  # nothing observed since
         assert window.stages == {}
-        assert monitor.pending_ticks == 0
+        assert monitor._ticks == 0
 
     def test_zero_duration_window_single_report_at_t0(self):
         # One report at t=0: the span falls back to a positive epsilon, so

@@ -26,6 +26,7 @@ from .column_routing import push_scaled, transfer_into
 from .parcels import (
     age_parcels,
     clear,
+    drop_oldest,
     parcels_total,
     pop,
     push_parcels,
@@ -172,7 +173,7 @@ def test_randomized_op_stream_matches_reference(seed: int) -> None:
             ]
         elif op == 4:
             amount = rng.uniform(0.0, 150.0)
-            assert fluid.drop_oldest(amount) == ref.drop_oldest(amount)
+            assert drop_oldest(fluid, amount) == ref.drop_oldest(amount)
         elif op == 5:
             cutoff = now - rng.uniform(0.0, 10.0)
             assert fluid.drop_older_than(cutoff) == ref.drop_older_than(
@@ -220,7 +221,7 @@ def test_clone_cow_restores_exactly_after_mutation() -> None:
     before = pairs(queue)
     pop(queue, 55.0)
     queue.push(3.0, 99.0)
-    queue.drop_oldest(7.0)
+    drop_oldest(queue, 7.0)
     restored = snapshot.clone_cow()
     assert pairs(restored) == before
     assert restored.count == sum(c for c, _ in before)

@@ -20,6 +20,7 @@ from .column_routing import push_scaled, transfer_into
 from .parcels import (
     age_parcels,
     clear,
+    drop_oldest,
     parcels_total,
     pop,
     push_parcels,
@@ -108,7 +109,7 @@ class TestMassConservation:
             elif kind == "pop":
                 removed += sum(p.count for p in pop(queue, op[1]))
             elif kind == "drop_oldest":
-                removed += queue.drop_oldest(op[1])
+                removed += drop_oldest(queue, op[1])
             elif kind == "drop_older_than":
                 removed += queue.drop_older_than(op[1])
             elif kind == "push_scaled":
@@ -200,7 +201,7 @@ class TestFusedEqualsCompositional:
     def test_drop_oldest_leaves_same_tail_as_pop(self, pairs, amount):
         dropper = fill(pairs)
         popper = fill(pairs)
-        dropped = dropper.drop_oldest(amount)
+        dropped = drop_oldest(dropper, amount)
         popped = pop(popper, amount)
         assert as_pairs(dropper) == as_pairs(popper)
         assert dropped == pytest.approx(
@@ -350,7 +351,7 @@ class TestCopyOnWriteIsolation:
             elif kind == "pop":
                 pop(queue, op[1])
             elif kind == "drop_oldest":
-                queue.drop_oldest(op[1])
+                drop_oldest(queue, op[1])
             elif kind == "drop_older_than":
                 queue.drop_older_than(op[1])
             elif kind == "push_scaled":

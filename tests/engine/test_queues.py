@@ -13,6 +13,7 @@ from repro.errors import SimulationError
 from .parcels import (
     age_parcels,
     clear,
+    drop_oldest,
     oldest_gen_time_s,
     parcels_mean_gen_time,
     parcels_total,
@@ -89,7 +90,7 @@ class TestDropping:
         queue = FluidQueue()
         queue.push(10.0, 0.0)
         queue.push(10.0, 5.0)
-        dropped = queue.drop_oldest(12.0)
+        dropped = drop_oldest(queue, 12.0)
         assert dropped == pytest.approx(12.0)
         assert oldest_gen_time_s(queue) == 5.0
 

@@ -75,7 +75,7 @@ class TestScenarioShapes:
         assert scenario.duration_s == 1800.0
 
     def test_unknown_query_rejected(self):
-        with pytest.raises(WaspError):
+        with pytest.raises(WaspError, match="expected one of.*topk-topics"):
             make_query_by_name("nope")
 
     def test_migration_variants_cover_strategies(self):

@@ -3,9 +3,12 @@ test oracle.
 
 :class:`ReferenceInvariantChecker` is the previous
 :class:`repro.fuzz.invariants.InvariantChecker`, verbatim apart from its
-name, its imports and its conservation fan-out, which follows the engine's
+name, its imports, its conservation fan-out, which follows the engine's
 hold-back of a stage with an undeployed downstream stage (every downstream
-stage counts, and no re-queue term): three ``iter_queues()`` walks per
+stage counts, and no re-queue term), and its commit rule, which follows
+the production checker's: the round's diagnosis of the stage, not the
+action's label or reason, picks the alpha-cap and scale-law checks, and
+only primary commits inside an adaptation round get them.  Three ``iter_queues()`` walks per
 checked tick, one :class:`~repro.engine.queues.Parcel` per queued parcel,
 and ``placement()`` dicts rebuilt for the slot check on every tick.
 ``tests/fuzz/test_checker_equivalence.py`` runs both checkers on the
@@ -21,6 +24,7 @@ import math
 from types import SimpleNamespace
 from typing import TYPE_CHECKING
 
+from repro.core.diagnosis import Health
 from repro.core.scaling import compute_scale_out_target, compute_scale_up_target
 from repro.engine.runtime import MBIT_BYTES, TickReport
 from repro.fuzz.invariants import Violation
@@ -46,6 +50,7 @@ class ReferenceInvariantChecker:
         self._chaos_this_step = False
         # Adaptation bookkeeping.
         self._round_parallelism: dict[str, int] = {}
+        self._in_round = False
         self._commits_in_round = 0
         self._pre_digest: str | None = None
         self._current_attempt: str | None = None
@@ -101,7 +106,10 @@ class ReferenceInvariantChecker:
                     name: stage.parallelism
                     for name, stage in run.runtime.plan.stages.items()
                 }
+            self._in_round = True
             self._commits_in_round = 0
+        elif kind == "round.end":
+            self._in_round = False
         elif kind == "attempt.start":
             self._current_attempt = record["attempt"]
             self._migrate_transfers = []
@@ -369,8 +377,11 @@ class ReferenceInvariantChecker:
         stage_name = record["stage"]
         attempt = record["attempt"]
         action = record["action"]
-        reason = record.get("reason") or ""
         stage = run.runtime.plan.stages.get(stage_name)
+        diagnosis = run.manager.last_diagnoses.get(stage_name)
+        health = None if diagnosis is None else diagnosis.health
+        scale = action in ("scale up", "scale out")
+        round_primary = attempt == "primary" and self._in_round
         if stage is not None and action != "re-plan":
             placement = stage.placement()
             if sum(placement.values()) < 1:
@@ -388,15 +399,19 @@ class ReferenceInvariantChecker:
                         f"failed site {site!r}",
                     )
         if (
-            attempt == "primary"
+            round_primary
             and self._commits_in_round == 0
-            and action in ("re-assign", "scale out")
-            and reason.startswith("network bottleneck")
+            and (
+                action == "re-assign"
+                or (scale and health is Health.NETWORK_BOUND)
+            )
             and stage is not None
         ):
             self._check_alpha_cap(t_s, stage)
-        if attempt == "primary" and action in ("scale up", "scale out"):
-            self._check_scale_law(t_s, stage_name, action, reason)
+        if round_primary and scale and health in (
+            Health.COMPUTE_BOUND, Health.NETWORK_BOUND
+        ):
+            self._check_scale_law(t_s, stage_name, diagnosis)
         if (
             attempt == "primary"
             and action == "re-assign"
@@ -478,9 +493,7 @@ class ReferenceInvariantChecker:
                             f"{cap_eps:.1f} eps",
                         )
 
-    def _check_scale_law(
-        self, t_s: float, stage_name: str, action: str, reason: str
-    ) -> None:
+    def _check_scale_law(self, t_s: float, stage_name: str, diagnosis) -> None:
         """Section 4.2: committed parallelism obeys the scaling formulas.
 
         The committed ``p'`` may fall below the decision target (partial
@@ -492,18 +505,17 @@ class ReferenceInvariantChecker:
         assert run is not None and run.manager is not None
         manager = run.manager
         old_p = self._round_parallelism.get(stage_name)
-        diagnosis = getattr(manager, "last_diagnoses", {}).get(stage_name)
         stage = run.runtime.plan.stages.get(stage_name)
-        if old_p is None or diagnosis is None or stage is None:
+        if old_p is None or stage is None:
             return
         self._mark("scale-law")
         new_p = stage.parallelism
         proxy = SimpleNamespace(name=stage_name, parallelism=old_p)
-        if action == "scale up":
+        if diagnosis.health is Health.COMPUTE_BOUND:
             bound = compute_scale_up_target(
                 proxy, diagnosis, manager.config
             ).target
-        else:  # scale out
+        else:  # network-bound
             bound = max(
                 compute_scale_out_target(proxy, diagnosis).target,
                 old_p + 1,
@@ -512,8 +524,8 @@ class ReferenceInvariantChecker:
             self._violate(
                 "scale-law",
                 t_s,
-                f"stage {stage_name!r}: {action} committed p={new_p} "
-                f"outside (p={old_p}, bound={bound}] ({reason})",
+                f"stage {stage_name!r}: {diagnosis.health.value} commit "
+                f"p={new_p} outside (p={old_p}, bound={bound}]",
             )
 
     # ------------------------------------------------------------------ #

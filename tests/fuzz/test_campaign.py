@@ -27,6 +27,7 @@ from repro.fuzz.invariants import Violation
 
 from tests.engine import column_routing
 from tests.engine.column_routing import ColumnRoutingRuntime
+from tests.engine.parcels import drop_oldest
 
 
 def short_scenario(seed, duration_s=40.0):
@@ -124,7 +125,7 @@ class TestShrinking:
 
         def leaky(src, dst, max_events, extra_age_s):
             moved = original(src, dst, max_events, extra_age_s)
-            dst.drop_oldest(moved * 0.1)
+            drop_oldest(dst, moved * 0.1)
             return moved
 
         monkeypatch.setattr(column_routing, "transfer_into", leaky)

@@ -7,9 +7,9 @@ import pytest
 from repro.baselines.variants import ALL_NAMED
 from repro.chaos.injector import ChaosInjector
 from repro.errors import ConfigurationError
+from repro.experiments.scenarios import QUERIES
 from repro.fuzz.generate import (
     FAULT_KINDS,
-    QUERY_NAMES,
     ScenarioSpec,
     build_run,
     build_topology,
@@ -51,7 +51,7 @@ class TestSpecValidity:
         expected = {(a, b) for a in names for b in names if a != b}
         assert pairs == expected
         assert all(link.bandwidth_mbps > 0 for link in spec.links)
-        assert spec.query in QUERY_NAMES
+        assert spec.query in QUERIES
         assert spec.variant in ALL_NAMED
         for fault in spec.faults:
             assert fault.kind in FAULT_KINDS

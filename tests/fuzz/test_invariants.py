@@ -17,7 +17,7 @@ import itertools
 import pytest
 
 import repro.engine.dense as dense_module
-from repro.core.diagnosis import Health, StageDiagnosis
+from repro.core.diagnosis import Health, LinkPressure, StageDiagnosis
 from repro.engine.metrics import MetricsWindow
 from repro.fuzz.campaign import run_scenario
 from repro.fuzz.generate import build_run, generate_scenario
@@ -25,6 +25,7 @@ from repro.fuzz.invariants import InvariantChecker
 
 from tests.engine import column_routing
 from tests.engine.column_routing import ColumnRoutingRuntime
+from tests.engine.parcels import drop_oldest
 
 
 def make_run(seed=1, *, duration_s=None, variant=None, run_for=None):
@@ -71,7 +72,7 @@ class TestPerTickDetection:
 
         def leaky(src, dst, max_events, extra_age_s):
             moved = original(src, dst, max_events, extra_age_s)
-            dst.drop_oldest(moved * 0.1)
+            drop_oldest(dst, moved * 0.1)
             return moved
 
         monkeypatch.setattr(column_routing, "transfer_into", leaky)
@@ -309,3 +310,115 @@ class TestCommitDetection:
                 break
         assert checker.counts().get("alpha-cap", 0) >= 1
         assert checker.checks.get("alpha-cap", 0) >= 1
+
+
+def _pressure(count):
+    """``count`` inbound links with no capacity: the scale-out bound of a
+    network-bound stage is ``p + count`` (count <= 4)."""
+    return tuple(
+        LinkPressure(f"src-{i}", "dst", 1.0, 1.0, 100.0, 0.0)
+        for i in range(count)
+    )
+
+
+class TestDiagnosisPicksTheLaw:
+    """The round's diagnosis, not the action's label or reason, picks the
+    Section 4.1/4.2 checks of a commit.
+
+    Each case diagnoses one stage with 100 eps expected on 1000 eps per
+    task, so the DS2 bound is ``p + 1``, and with four saturated inbound
+    links, so the scale-out bound is ``p + 4``; the commit lands at
+    ``p + 2``, inside the second and outside the first.
+    """
+
+    def _round(self, health, *, grow_by=2):
+        run, checker, _ = make_run(seed=1, variant="WASP", run_for=5.0)
+        stage = next(
+            s for s in run.runtime.plan.topological_stages()
+            if not s.is_source
+        )
+        p = stage.parallelism
+        # A quiet window: the alpha check evaluates, and every flow fits.
+        run.manager.last_window = MetricsWindow(
+            t_start_s=0.0,
+            t_end_s=5.0,
+            offered_eps=0.0,
+            source_generation_eps={},
+            stages={},
+            mean_delay_s=0.0,
+        )
+        run.manager.last_diagnoses = {
+            stage.name: StageDiagnosis(
+                stage=stage.name,
+                health=health,
+                expected_input_eps=100.0,
+                processing_capacity_eps=1000.0 * p,
+                utilization=0.5,
+                input_backlog=0.0,
+                input_backlog_growth=0.0,
+                constrained_links=_pressure(4),
+            )
+        }
+        checker.write({"kind": "round.start"})
+        site = next(iter(stage.placement()))
+        for _ in range(grow_by):
+            stage.add_task(site)
+        # The checker holds its run weakly: the caller keeps it alive.
+        return run, checker, stage.name
+
+    @staticmethod
+    def _commit(checker, stage, action, reason):
+        checker.write(
+            {
+                "kind": "commit",
+                "t_s": 40.0,
+                "stage": stage,
+                "attempt": "primary",
+                "action": action,
+                "reason": reason,
+            }
+        )
+
+    def test_network_bound_scale_up_gets_alpha_and_scale_out_bound(self):
+        """A network-bound scale-out whose tasks all land on one site is
+        labelled ``scale up``; the alpha-capped solver still placed it."""
+        _run, checker, stage = self._round(Health.NETWORK_BOUND)
+        self._commit(checker, stage, "scale up", "network bottleneck")
+        assert checker.violations == []
+        assert checker.checks.get("scale-law", 0) == 1
+        assert checker.checks.get("alpha-cap", 0) == 1
+
+    def test_compute_bound_scale_out_gets_ds2_bound_and_no_alpha(self):
+        """A compute-bound scale-up that ran out of local slots is
+        labelled ``scale out``; DS2 bounds it and no alpha cap applies."""
+        _run, checker, stage = self._round(Health.COMPUTE_BOUND)
+        self._commit(checker, stage, "scale out", "compute bottleneck")
+        assert checker.counts() == {"scale-law": 1}
+        assert checker.checks.get("alpha-cap", 0) == 0
+
+    @pytest.mark.parametrize(
+        "health,alpha_checks",
+        [(Health.COMPUTE_BOUND, 0), (Health.NETWORK_BOUND, 1)],
+    )
+    def test_reason_text_does_not_gate(self, health, alpha_checks):
+        """The same "network bottleneck" reason, two diagnoses: only the
+        network-bound one is alpha-checked."""
+        _run, checker, stage = self._round(health, grow_by=1)
+        self._commit(
+            checker, stage, "scale out", "network bottleneck: fuzzed"
+        )
+        assert checker.violations == []
+        assert checker.checks.get("alpha-cap", 0) == alpha_checks
+        assert checker.checks.get("scale-law", 0) == 1
+
+    def test_commit_outside_a_round_gets_no_law_check(self):
+        """A controlled action or a long-term re-plan commits between
+        rounds: no diagnosis picked it, so neither law applies."""
+        _run, checker, stage = self._round(Health.COMPUTE_BOUND, grow_by=0)
+        checker.write({"kind": "round.end"})
+        # Checked, this no-op scale up would violate strict growth.
+        self._commit(checker, stage, "scale up", "controlled adaptation")
+        self._commit(checker, stage, "re-assign", "controlled adaptation")
+        assert checker.violations == []
+        assert "scale-law" not in checker.checks
+        assert "alpha-cap" not in checker.checks

@@ -10,6 +10,9 @@ stops a check from ever firing fails here, not in production).
 
 Regenerate after intentional engine-behavior changes with
 ``PYTHONPATH=src python tests/fuzz/regen_fixtures.py``.
+
+A paper run whose commit the checker once misjudged is replayed under the
+checker as well.
 """
 
 from __future__ import annotations
@@ -19,8 +22,12 @@ from pathlib import Path
 
 import pytest
 
+from repro.baselines.variants import wasp
+from repro.experiments.harness import ExperimentRun
+from repro.experiments.scenarios import fig11_scenario
 from repro.fuzz.campaign import load_artifact, run_scenario
-from repro.fuzz.invariants import INVARIANTS
+from repro.fuzz.invariants import INVARIANTS, InvariantChecker
+from repro.sim.rng import RngRegistry
 
 FIXTURE_DIR = Path(__file__).parent / "fixtures"
 FIXTURES = sorted(FIXTURE_DIR.glob("*.json"))
@@ -62,3 +69,20 @@ def test_fixtures_are_normalized_json():
         payload = json.loads(path.read_text())
         canonical = json.dumps(payload, indent=2, sort_keys=True) + "\n"
         assert path.read_text() == canonical, path.name
+
+
+def test_fig11_wasp_run_checks_clean():
+    """Figure 11's WASP run at seed 42 scales a network-bound stage from
+    one task to three on one site at t=600 s: the scale-out law, not
+    DS2, bounds that commit."""
+    scenario = fig11_scenario()
+    rngs = RngRegistry(42)
+    topology = scenario.make_topology(rngs)
+    run = ExperimentRun(
+        topology, scenario.make_query(topology, rngs), wasp(), rngs=rngs
+    )
+    checker = InvariantChecker()
+    run.attach_checker(checker)
+    run.run(660.0, scenario.make_dynamics(rngs))
+    assert checker.violations == []
+    assert checker.checks.get("scale-law", 0) > 0

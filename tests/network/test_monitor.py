@@ -6,6 +6,8 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.network.monitor import WanMonitor
 
+from tests.network.links import bandwidth_matrix
+
 
 class TestMeasurement:
     def test_exact_without_noise(self, small_topology, rng):
@@ -53,4 +55,4 @@ class TestStaleness:
     def test_bandwidth_matrix_covers_all_links(self, small_topology, rng):
         monitor = WanMonitor(small_topology, rng)
         monitor.refresh()
-        assert len(monitor.bandwidth_matrix()) == 6
+        assert len(bandwidth_matrix(monitor)) == 6

