@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 from repro.baselines.variants import wasp
 from repro.engine.queues import FluidQueue
-from repro.engine.runtime import EngineRuntime
+from repro.engine.runtime import TICK_S, EngineRuntime
 from repro.experiments.harness import ExperimentRun
 from repro.experiments.scenarios import bottleneck_dynamics, fig8_scenario
 from repro.sim.rng import RngRegistry
@@ -144,11 +144,7 @@ def _queue_stats(runtime: EngineRuntime) -> tuple[float, int]:
     """(total queued events, total parcel objects) across all queue tables."""
     events = 0.0
     parcels = 0
-    for table in (
-        runtime._gen_queue,
-        runtime._input_queue,
-        runtime._net_queue,
-    ):
+    for table in (runtime._input_queue, runtime._net_queue):
         for queue in table.values():
             events += queue.count
             parcels += len(queue)
@@ -165,7 +161,7 @@ def bench_single_tick(ticks: int = 600) -> BenchResult:
     run = _build_run()
     run.set_dynamics(bottleneck_dynamics())
     runtime = run.runtime
-    dt = run.config.tick_s
+    dt = TICK_S
     peak_events, peak_parcels = 0.0, 0
     t0 = time.perf_counter()
     for i in range(ticks):
@@ -205,7 +201,7 @@ def bench_full_scenario(duration_s: float = 600.0) -> BenchResult:
     rounds on the paper cadences.
     """
     run = _build_run()
-    ticks = int(duration_s / run.config.tick_s)
+    ticks = int(duration_s / TICK_S)
     peak_events, peak_parcels = 0.0, 0
     t0 = time.perf_counter()
     run.set_dynamics(bottleneck_dynamics())
@@ -247,7 +243,7 @@ def bench_snapshot(rounds: int = 200, warm_ticks: int = 350) -> BenchResult:
     """
     run = _build_run()
     run.set_dynamics(bottleneck_dynamics())
-    dt = run.config.tick_s
+    dt = TICK_S
     for i in range(warm_ticks):
         run._apply_dynamics((i + 1) * dt)
         run.runtime.tick()
@@ -258,7 +254,7 @@ def bench_snapshot(rounds: int = 200, warm_ticks: int = 350) -> BenchResult:
     t0 = time.perf_counter()
     for _ in range(rounds):
         snapshot = runtime.mutation_snapshot()
-        runtime._gen_queue[key].push(1.0, runtime.now_s)
+        runtime._input_queue[key].push(1.0, runtime.now_s)
         runtime.restore_mutation_snapshot(snapshot)
     wall = time.perf_counter() - t0
     return BenchResult(
@@ -295,7 +291,7 @@ def bench_adaptation_round(
     """
     run = _build_run()
     run.set_dynamics(bottleneck_dynamics())
-    dt = run.config.tick_s
+    dt = TICK_S
     for _ in range(int(round(warm_s / dt)) - 1):
         run.step()
     manager = run.manager

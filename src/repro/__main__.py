@@ -36,6 +36,7 @@ import numpy as np
 
 from .baselines.variants import ALL_NAMED, VariantSpec
 from .config import ENGINE_BACKENDS, WaspConfig
+from .engine.runtime import TICK_S
 from .errors import WaspError
 from .experiments import figures as fig
 from .experiments.harness import ExperimentRun
@@ -227,7 +228,7 @@ def _profiled_run(
     recorder = run.run(duration, dynamics)
     profiler.disable()
     wall = time.perf_counter() - t0
-    ticks = duration / run.config.tick_s
+    ticks = duration / TICK_S
     print(
         f"  profile: {wall:.3f}s wall, "
         f"{ticks / wall if wall > 0 else float('inf'):.0f} ticks/s"

@@ -38,7 +38,6 @@ class WaspConfig:
             loop in seconds (Section 8.2 uses 40 s "to allow any adapted
             query to stabilize").
         checkpoint_interval_s: Localized checkpointing period (Section 8.3).
-        tick_s: Simulation tick length in seconds.
         waste_utilization: Utilization threshold below which a stage is
             flagged as wasteful and considered for scale-down (Section 4.2).
         estimation_error: Relative error injected into the WAN monitor's
@@ -61,7 +60,6 @@ class WaspConfig:
     t_max_s: float = 30.0
     monitor_interval_s: float = 40.0
     checkpoint_interval_s: float = 30.0
-    tick_s: float = 1.0
     waste_utilization: float = 0.5
     estimation_error: float = 0.0
     migration_relays: bool = False
@@ -86,8 +84,6 @@ class WaspConfig:
                 "checkpoint_interval_s must be > 0, got "
                 f"{self.checkpoint_interval_s}"
             )
-        if self.tick_s <= 0:
-            raise ConfigurationError(f"tick_s must be > 0, got {self.tick_s}")
         if not 0.0 <= self.waste_utilization < 1.0:
             raise ConfigurationError(
                 "waste_utilization must be in [0, 1), got "

@@ -30,7 +30,7 @@ from ..config import WaspConfig
 from ..engine.checkpoint import CheckpointCoordinator
 from ..engine.metrics import GlobalMetricMonitor, MetricsWindow
 from ..engine.physical import PhysicalPlan, Stage
-from ..engine.runtime import EngineRuntime, TickReport
+from ..engine.runtime import EngineRuntime, TickReport, best_connected
 from ..engine.state import StateStore
 from ..errors import AdaptationError, AdaptationRollbackError, WaspError
 from ..network.monitor import WanMonitor
@@ -850,16 +850,18 @@ class ReconfigurationManager:
         self.scheduler.remove_task(stage, action.site)
         # Relay the terminated task's queued input and state to the
         # best-connected surviving site.
-        survivors = stage.sites()
-        target = max(
-            survivors,
-            key=lambda s: self.wan_monitor.bandwidth_mbps(action.site, s)
-            if s != action.site
-            else float("inf"),
+        survivors = stage.placement()
+        vacated = action.site not in survivors
+        target = (
+            best_connected(
+                survivors, action.site, self.wan_monitor.bandwidth_mbps
+            )
+            if vacated
+            else action.site
         )
         transition = 0.0
         migration = None
-        if stage.stateful and partition_mb > 0 and action.site not in survivors:
+        if stage.stateful and partition_mb > 0 and vacated:
             migration = plan_migration(
                 stage.name,
                 {action.site: partition_mb},
@@ -874,9 +876,8 @@ class ReconfigurationManager:
             self.state_store.rebalance(
                 stage.name, [t.site for t in stage.tasks]
             )
-        if action.site not in survivors:
-            self.runtime.relay_queue(stage.name, action.site, target)
-            self.runtime.redirect_flows(stage.name, action.site, target)
+        if vacated:
+            self.runtime.rehome(stage.name, action.site, target, relay=True)
         if transition > 0:
             self.runtime.suspend_stage(stage.name, now_s + transition)
         return AdaptationRecord(
@@ -1040,15 +1041,13 @@ class ReconfigurationManager:
     def _rehome_orphans(self, stage: Stage, diff: AssignmentDiff) -> None:
         """Move queued input and in-flight traffic off sites the stage no
         longer runs at, onto the best-connected surviving site."""
-        survivors = set(stage.placement())
+        survivors = stage.placement()
         if not survivors:
             return
         for site in sorted(diff.removed):
             if site in survivors:
                 continue
-            target = max(
-                sorted(survivors),
-                key=lambda s: self.wan_monitor.bandwidth_mbps(site, s),
+            target = best_connected(
+                survivors, site, self.wan_monitor.bandwidth_mbps
             )
-            self.runtime.move_task_queue(stage.name, site, target)
-            self.runtime.redirect_flows(stage.name, site, target)
+            self.runtime.rehome(stage.name, site, target, relay=False)

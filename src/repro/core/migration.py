@@ -235,9 +235,11 @@ def rebalance_transfers(
     abandons the excess state instead of moving it.
     """
     eps = 1e-9
+    # In site order: the stable sort below keeps tied slices in it, so the
+    # transfers never follow a set's (hash-seed dependent) order.
     excess = {
         s: before_mb.get(s, 0.0) - target_mb.get(s, 0.0)
-        for s in set(before_mb) | set(target_mb)
+        for s in sorted(set(before_mb) | set(target_mb))
     }
     sources = sorted(
         ((s, v) for s, v in excess.items() if v > eps),

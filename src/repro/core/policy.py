@@ -326,9 +326,7 @@ class AdaptationPolicy:
         p = sum(assignment.values())
         if p == 0:
             return False
-        problem = self._placement_problem(
-            stage, ctx, p, reuse_own_slots=True
-        )
+        problem = self._placement_problem(stage, ctx, p)
         return all(
             per_site_capacity(site, problem, ctx.network) >= count
             for site, count in assignment.items()
@@ -388,7 +386,6 @@ class AdaptationPolicy:
         ctx: PolicyContext,
         parallelism: int,
         *,
-        reuse_own_slots: bool,
         cap_by_migration: bool = False,
     ) -> PlacementProblem:
         flows = self._estimator.upstream_flows_eps(
@@ -419,10 +416,10 @@ class AdaptationPolicy:
                         event_bytes=stage.output_event_bytes,
                     )
                 )
+        # The stage's own slots are free to it: re-placing keeps them.
         slots = dict(ctx.available_slots)
-        if reuse_own_slots:
-            for site, count in stage.placement().items():
-                slots[site] = slots.get(site, 0) + count
+        for site, count in stage.placement().items():
+            slots[site] = slots.get(site, 0) + count
         if cap_by_migration:
             slots = self._migration_capped_slots(
                 stage, ctx, slots, parallelism
@@ -463,9 +460,7 @@ class AdaptationPolicy:
         p = stage.parallelism
         if p == 0:
             return None
-        problem = self._placement_problem(
-            stage, ctx, p, reuse_own_slots=True
-        )
+        problem = self._placement_problem(stage, ctx, p)
         try:
             solution = solve_placement(problem, ctx.network)
         except InfeasiblePlacementError:
@@ -522,8 +517,7 @@ class AdaptationPolicy:
             try:
                 solution = solve_placement(
                     self._placement_problem(
-                        stage, ctx, target_p, reuse_own_slots=True,
-                        cap_by_migration=cap_migration,
+                        stage, ctx, target_p, cap_by_migration=cap_migration,
                     ),
                     ctx.network,
                 )
@@ -535,8 +529,7 @@ class AdaptationPolicy:
                 try:
                     solution = solve_placement(
                         self._placement_problem(
-                            stage, ctx, p, reuse_own_slots=True,
-                            cap_by_migration=cap_migration,
+                            stage, ctx, p, cap_by_migration=cap_migration,
                         ),
                         ctx.network,
                     )

@@ -5,7 +5,7 @@
 age-bucketed structure-of-arrays form and runs
 generate -> process -> route -> transfer as fused array operations:
 
-* Every queue (``gen``/``input`` per ``(stage, site)``, ``net`` per flow)
+* Every queue (``input`` per ``(stage, site)``, ``net`` per flow)
   becomes one row of two ``(rows, B)`` float64 arrays: ``cnt[r, b]`` is the
   event count whose age falls in bucket ``b`` (one tick wide) and
   ``mass[r, b]`` is the summed ``count * gen_time`` of those events.  The
@@ -43,7 +43,7 @@ generate -> process -> route -> transfer as fused array operations:
   section 7, "Flow tables").
 * The dict-of-FluidQueue representation remains the interchange format:
   arrays are synced out lazily whenever an inspection API or the mutation
-  API (snapshot/restore, migration, ``replace_plan``, replay injection)
+  API (snapshot/restore, ``rehome``, ``replace_plan``, replay injection)
   needs parcel-level state, and synced back in before the next tick.
   Adaptations are rare; ticks are hot.
 
@@ -73,6 +73,7 @@ from .physical import PhysicalPlan
 from .queues import FluidQueue
 from .runtime import (
     MBIT_BYTES,
+    TICK_S,
     EngineRuntime,
     TickReport,
     WorkloadModel,
@@ -488,7 +489,7 @@ class _DenseModel:
     """
 
     __slots__ = (
-        "plan", "version", "parallelism", "links_version", "B", "dt",
+        "plan", "version", "parallelism", "links_version", "B",
         "in_rows", "in_index", "in_persistent",
         "net_rows", "net_keys", "net_index", "net_persistent",
         "sites", "site_rate", "site_version", "links", "link_base",
@@ -500,11 +501,9 @@ class _DenseModel:
         self,
         plan: PhysicalPlan,
         topology: Topology,
-        gen_queue: dict,
         input_queue: dict,
         net_queue: dict,
         B: int,
-        dt: float,
     ) -> None:
         self.plan = plan
         self.version = plan.mutation_version()
@@ -512,14 +511,13 @@ class _DenseModel:
         #: Link capacities and latencies are compiled in below.
         self.links_version = topology._links_version
         self.B = B
-        self.dt = dt
 
-        in_index: dict[tuple[str, str, str], int] = {}
-        in_rows: list[tuple[str, str, str]] = []
+        in_index: dict[tuple[str, str], int] = {}
+        in_rows: list[tuple[str, str]] = []
         in_persistent: list[bool] = []
 
-        def in_row(tag: str, stage: str, site: str, persist: bool = False) -> int:
-            key = (tag, stage, site)
+        def in_row(stage: str, site: str, persist: bool = False) -> int:
+            key = (stage, site)
             row = in_index.get(key)
             if row is None:
                 row = len(in_rows)
@@ -532,26 +530,20 @@ class _DenseModel:
 
         topo_stages = plan.topological_stages()
         placements = {s.name: s.placement() for s in topo_stages}
-        read_tag = {
-            s.name: ("gen" if s.is_source else "input") for s in topo_stages
-        }
 
-        # 1. Read rows: one per placement site in each stage's read table
-        #    (the reference creates these queues eagerly every tick), plus
-        #    the generation row at each source's pinned site.
+        # 1. Read rows: one per placement site of each stage (the reference
+        #    creates these queues eagerly every tick), plus the generation
+        #    row at each source's pinned site.
         for s in topo_stages:
-            tag = read_tag[s.name]
             for site in sorted(placements[s.name]):
-                in_row(tag, s.name, site, persist=True)
+                in_row(s.name, site, persist=True)
             if s.is_source and s.pinned_site is not None:
-                in_row("gen", s.name, s.pinned_site)
+                in_row(s.name, s.pinned_site)
 
         # 2. Existing dict keys (includes queues for undeployed sites or
         #    stages outside the plan: they only roll and report backlog).
-        for stage, site in sorted(gen_queue):
-            in_row("gen", stage, site, persist=True)
         for stage, site in sorted(input_queue):
-            in_row("input", stage, site, persist=True)
+            in_row(stage, site, persist=True)
 
         # 3. Net rows: existing flows plus every potential flow a deployed
         #    edge can create by routing this plan version.
@@ -586,9 +578,9 @@ class _DenseModel:
                         if dst_site != src_site:
                             net_row((s.name, down.name, src_site, dst_site))
 
-        # 4. Flow destinations always land in the input table.
+        # 4. Flow destinations.
         for _src_st, dst_st, _su, sd in net_rows:
-            in_row("input", dst_st, sd)
+            in_row(dst_st, sd)
 
         self.in_rows = in_rows
         self.in_index = in_index
@@ -675,7 +667,6 @@ class _DenseModel:
                 st.is_sink = s.is_sink
                 st.selectivity = s.selectivity
                 st.pinned_site = s.pinned_site
-                tag = read_tag[s.name]
                 sites_sorted = sorted(placements[s.name])
                 # A stage with a downstream stage that has no task is held
                 # back: its rows count no running task, so their capacity
@@ -685,7 +676,7 @@ class _DenseModel:
                 )
                 st.s0 = len(rows_l)
                 for site in sites_sorted:
-                    rows_l.append(in_index[(tag, s.name, site)])
+                    rows_l.append(in_index[(s.name, site)])
                     row_keys.append((s.name, site))
                     site_ids_l.append(site_id[site])
                     ntasks_l.append(
@@ -695,7 +686,7 @@ class _DenseModel:
                     sel_l.append(s.selectivity)
                 st.s1 = len(rows_l)
                 st.gen_row = (
-                    in_index[("gen", s.name, s.pinned_site)]
+                    in_index[(s.name, s.pinned_site)]
                     if s.is_source and s.pinned_site is not None
                     else None
                 )
@@ -708,7 +699,7 @@ class _DenseModel:
                             if dst_site == src_site:
                                 loc.append((
                                     st.s0 + pos,
-                                    in_index[("input", down.name, dst_site)],
+                                    in_index[(down.name, dst_site)],
                                     frac,
                                 ))
                             else:
@@ -801,10 +792,10 @@ class _DenseModel:
                 ps.eb = eb_arr
                 ps.inv_eb = 1.0 / eb_arr
                 dst_rows = np.array(
-                    [in_index[("input", k[1], k[3])] for k, _, _ in entries],
+                    [in_index[(k[1], k[3])] for k, _, _ in entries],
                     dtype=np.intp,
                 )
-                shift = np.floor(lat / dt + 0.5).astype(np.intp)[:, None]
+                shift = np.floor(lat / TICK_S + 0.5).astype(np.intp)[:, None]
                 shifted = np.minimum(bucket_idx[None, :] + shift, B - 1)
                 ps.dst_flat = (dst_rows[:, None] * B + shifted).ravel()
                 g.passes.append(ps)
@@ -885,11 +876,9 @@ class DenseEngineRuntime(EngineRuntime):
             model = _DenseModel(
                 plan,
                 self._topology,
-                self._gen_queue,
                 self._input_queue,
                 self._net_queue,
                 AGE_BUCKETS,
-                self._config.tick_s,
             )
             self._model = model
             self._sync_in(model)
@@ -900,7 +889,7 @@ class DenseEngineRuntime(EngineRuntime):
     def _sync_in(self, model: _DenseModel) -> None:
         """Load the dict queues into fresh arrays (dicts stay valid)."""
         B = model.B
-        dt = model.dt
+        dt = TICK_S
         now = self._now_s
         self._in_cnt = np.zeros((model.n_in, B))
         self._in_mass = np.zeros((model.n_in, B))
@@ -910,9 +899,8 @@ class DenseEngineRuntime(EngineRuntime):
         self._in_mass_sc = np.empty_like(self._in_mass)
         self._net_cnt_sc = np.empty_like(self._net_cnt)
         self._net_mass_sc = np.empty_like(self._net_mass)
-        for i, (tag, stage, site) in enumerate(model.in_rows):
-            table = self._gen_queue if tag == "gen" else self._input_queue
-            queue = table.get((stage, site))
+        for i, key in enumerate(model.in_rows):
+            queue = self._input_queue.get(key)
             if queue is None or not queue:
                 continue
             crow = self._in_cnt[i]
@@ -953,18 +941,15 @@ class DenseEngineRuntime(EngineRuntime):
         """
         model = self._model
         assert model is not None
-        new_gen: dict[tuple[str, str], FluidQueue] = {}
-        new_inp: dict[tuple[str, str], FluidQueue] = {}
         queues = _row_queues(self._in_cnt, self._in_mass, model.in_persistent)
-        for (tag, stage, site), queue in zip(model.in_rows, queues):
-            if queue is not None:
-                table = new_gen if tag == "gen" else new_inp
-                table[(stage, site)] = queue
+        self._input_queue = {
+            key: queue
+            for key, queue in zip(model.in_rows, queues)
+            if queue is not None
+        }
         queues = _row_queues(
             self._net_cnt, self._net_mass, model.net_persistent
         )
-        self._gen_queue = new_gen
-        self._input_queue = new_inp
         self._net_queue = {
             key: queue
             for key, queue in zip(model.net_rows, queues)
@@ -1000,14 +985,6 @@ class DenseEngineRuntime(EngineRuntime):
 
     # ------------------------- inspection API -------------------------- #
 
-    def input_backlog(self, stage_name: str, site: str | None = None) -> float:
-        self._ensure_dicts()
-        return super().input_backlog(stage_name, site)
-
-    def net_backlog_for(self, dst_stage: str) -> dict[tuple[str, str], float]:
-        self._ensure_dicts()
-        return super().net_backlog_for(dst_stage)
-
     def total_backlog(self) -> float:
         self._ensure_dicts()
         return super().total_backlog()
@@ -1022,21 +999,13 @@ class DenseEngineRuntime(EngineRuntime):
 
     # -------------------------- mutation API --------------------------- #
 
-    def move_task_queue(self, stage_name, from_site, to_site):
+    def rehome(self, stage_name, from_site, to_site, *, relay):
         self._invalidate()
-        super().move_task_queue(stage_name, from_site, to_site)
+        super().rehome(stage_name, from_site, to_site, relay=relay)
 
-    def redirect_flows(self, stage_name, from_site, to_site):
+    def rehome_to_placement(self, stage_name, bandwidth):
         self._invalidate()
-        super().redirect_flows(stage_name, from_site, to_site)
-
-    def relay_queue(self, stage_name, from_site, to_site):
-        self._invalidate()
-        super().relay_queue(stage_name, from_site, to_site)
-
-    def rehome_to_placement(self, stage_name, bandwidth_rank=None):
-        self._invalidate()
-        super().rehome_to_placement(stage_name, bandwidth_rank)
+        super().rehome_to_placement(stage_name, bandwidth)
 
     def inject_replay(self, stage_name, site, events, gen_time_s):
         self._invalidate()
@@ -1059,7 +1028,7 @@ class DenseEngineRuntime(EngineRuntime):
     def tick(
         self, link_budget: dict[tuple[str, str], float] | None = None
     ) -> TickReport:
-        dt = self._config.tick_s
+        dt = TICK_S
         now = self._now_s + dt
         report = TickReport(t_s=now)
         # A caller-owned budget dict is shared with other runtimes: read it
@@ -1258,9 +1227,7 @@ class DenseEngineRuntime(EngineRuntime):
             input_backlog = report.input_backlog
             vals = in_tot[nz].tolist()
             for i, v in zip(nz.tolist(), vals):
-                _tag, stage, site = model.in_rows[i]
-                key = (stage, site)
-                input_backlog[key] = input_backlog.get(key, 0.0) + v
+                input_backlog[model.in_rows[i]] = v
         report.net_sent = FlowTable(model.sent_keys, sent)
         report.net_backlog = FlowTable(model.net_keys, net_cnt.sum(axis=1))
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .runtime import EngineRuntime, TickReport, WindowSums
+from .runtime import TICK_S, EngineRuntime, TickReport, WindowSums
 
 
 class StageMetrics(NamedTuple):
@@ -170,7 +170,7 @@ class GlobalMetricMonitor:
             )
         sums = self.sums
         # A window of n ticks spans n tick lengths.
-        span = max(self._ticks * sums.tick_s, 1e-9)
+        span = max(self._ticks * TICK_S, 1e-9)
 
         processed_by = sums.processed
         cap_site_by = sums.capacity

@@ -19,16 +19,17 @@ exactly as the paper describes them - ``lambda_P < lambda_I`` when compute
 bound, ``lambda_I < sum lambda_O[upstream]`` when network bound.
 
 Adaptations interact with the engine through a small mutation API: stages
-can be suspended (state-migration transitions halt execution), task queues
-move between sites, and a running plan can be replaced by a re-planned one
-that carries over queues and state for common sub-plans.
+can be suspended (state-migration transitions halt execution), a stage's
+queued input is re-homed from a vacated site to a live one
+(:meth:`EngineRuntime.rehome`), and a running plan can be replaced by a
+re-planned one that carries over queues and state for common sub-plans.
 """
 
 from __future__ import annotations
 
 from bisect import insort
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from ..config import WaspConfig
 from ..errors import SimulationError
@@ -38,6 +39,22 @@ from .queues import FluidQueue
 
 #: Conversion: megabits to bytes.
 MBIT_BYTES = 1_000_000 / 8
+
+#: The engine's tick length in seconds: the simulator step.
+TICK_S = 1.0
+
+
+def best_connected(
+    sites: Iterable[str],
+    from_site: str,
+    bandwidth: Callable[[str, str], float],
+) -> str:
+    """The site of ``sites`` with the best ``bandwidth`` from
+    ``from_site``; ties go to the first name in sorted order.
+
+    The one target rule for re-homing a vacated site's queued work.
+    """
+    return max(sorted(sites), key=lambda site: bandwidth(from_site, site))
 
 
 @dataclass
@@ -53,7 +70,6 @@ class RuntimeSnapshot:
     """
 
     plan: PhysicalPlan
-    gen_queue: dict[tuple[str, str], FluidQueue]
     input_queue: dict[tuple[str, str], FluidQueue]
     net_queue: dict[tuple[str, str, str, str], FluidQueue]
     suspended_until: dict[str, float]
@@ -90,7 +106,7 @@ class TickReport:
     net_backlog: Mapping[tuple[str, str, str, str], float] = field(
         default_factory=dict
     )
-    #: per stage: raw events dropped from its input/gen queues (SLO cutoff)
+    #: per stage: raw events dropped from its input queues (SLO cutoff)
     dropped_raw_input: dict[str, float] = field(default_factory=dict)
     #: per destination stage: raw events dropped from in-flight net queues
     dropped_raw_net: dict[str, float] = field(default_factory=dict)
@@ -139,13 +155,11 @@ class WindowSums:
     """
 
     __slots__ = (
-        "tick_s", "generation", "offered", "sink_events", "delay_weight",
+        "generation", "offered", "sink_events", "delay_weight",
         "source_gen", "processed", "capacity", "net_in",
     )
 
-    def __init__(self, tick_s: float = 1.0) -> None:
-        #: The engine's tick length: a window of n ticks spans n * tick_s.
-        self.tick_s = tick_s
+    def __init__(self) -> None:
         self.generation = 0
         self.reset()
 
@@ -194,11 +208,11 @@ class _StageExec:
     placement: chained selectivity/cost, sorted per-site task rows (with
     the site objects and queue keys pre-resolved) and downstream fan-out
     fractions.  ``row_caps`` holds each row's per-tick capacity ``n_tasks
-    * rate / cost * dt`` for the site states and tick length its
-    :class:`_PlanCache` was last stamped with
-    (:meth:`_PlanCache.refresh_capacities`); it is 0.0 on every row of a
-    ``held`` stage, one with a downstream stage that has no task: its
-    input waits in its queues until the downstream is deployed again.
+    * rate / cost * TICK_S`` for the site states its :class:`_PlanCache`
+    was last stamped with (:meth:`_PlanCache.refresh_capacities`); it is
+    0.0 on every row of a ``held`` stage, one with a downstream stage that
+    has no task: its input waits in its queues until the downstream is
+    deployed again.
 
     Two further tables depend on the runtime's queues as well and carry
     their own stamps: ``routes`` (per source site, the resolved routing
@@ -226,6 +240,7 @@ class _StageExec:
         self.cost = stage.cost
         self.output_event_bytes = stage.output_event_bytes
         self.pinned_site = stage.pinned_site
+        #: The input queue generation pushes into (a source's pinned site).
         self.gen_key = (stage.name, stage.pinned_site)
         placement = stage.placement()
         #: (site, Site object, n_tasks, queue key, row number) in sorted
@@ -276,12 +291,12 @@ class _PlanCache:
     counter and invalidates it.  The plan reference is
     held strongly so an ``is`` check can never be confused by object-id
     reuse.  The records' row capacities carry their own stamp, the
-    topology's site-state version and the tick length.
+    topology's site-state version.
     """
 
     __slots__ = (
         "plan", "version", "parallelism", "topo", "sources", "source_names",
-        "sums_generation", "caps_site_version", "caps_dt",
+        "sums_generation", "caps_site_version",
     )
 
     def __init__(
@@ -310,24 +325,21 @@ class _PlanCache:
         self.source_names = tuple(src.name for src in self.sources)
         #: The window generation the records' sum cells belong to.
         self.sums_generation = -1
-        #: The site-state version and tick length ``row_caps`` are for.
+        #: The site-state version ``row_caps`` are for.
         self.caps_site_version = -1
-        self.caps_dt = 0.0
 
-    def refresh_capacities(self, site_version: int, dt: float) -> None:
+    def refresh_capacities(self, site_version: int) -> None:
         """Recompute every row's per-tick capacity (0.0 on a failed site
-        and for a held stage) and stamp them with ``site_version`` and
-        ``dt``."""
+        and for a held stage) and stamp them with ``site_version``."""
         for ex in self.topo:
             cost = ex.cost
             held = ex.held
             ex.row_caps = [
                 0.0 if held or site_obj.failed
-                else n_tasks * site_obj.effective_proc_rate_eps / cost * dt
+                else n_tasks * site_obj.effective_proc_rate_eps / cost * TICK_S
                 for _, site_obj, n_tasks, _, _ in ex.site_rows
             ]
         self.caps_site_version = site_version
-        self.caps_dt = dt
 
 
 class EngineRuntime:
@@ -349,10 +361,9 @@ class EngineRuntime:
         self._degrade_slo_s = degrade_slo_s
         self._now_s = 0.0
 
-        # Queues.  gen: external arrivals at source sites awaiting the source
-        # task; input: per (stage, site) processing queues; net: sender-side
-        # per-flow WAN queues.
-        self._gen_queue: dict[tuple[str, str], FluidQueue] = {}
+        # Queues.  input: per (stage, site) processing queues (a source's
+        # generated events wait in its queue at its pinned site); net:
+        # sender-side per-flow WAN queues.
         self._input_queue: dict[tuple[str, str], FluidQueue] = {}
         self._net_queue: dict[tuple[str, str, str, str], FluidQueue] = {}
         #: Per src-stage sorted lists of ``_net_queue`` keys, so the per-tick
@@ -364,8 +375,8 @@ class EngineRuntime:
         #: flow-record tables.
         self._net_version = 0
         #: The flow records' stamp (net-index version, topology factors
-        #: version, tick length), rebuilt only when one of them moves.
-        self._flow_stamp: tuple = (-1, -1, 0.0)
+        #: version), rebuilt only when one of them moves.
+        self._flow_stamp: tuple = (-1, -1)
         #: Version-checked execution records (see :class:`_PlanCache`).
         self._exec_cache: _PlanCache | None = None
 
@@ -412,7 +423,7 @@ class EngineRuntime:
         """
         if self._window is not None:
             raise SimulationError("runtime already feeds a metric monitor")
-        self._window = WindowSums(self._config.tick_s)
+        self._window = WindowSums()
         return self._window
 
     def _refresh_plan_constants(self) -> None:
@@ -448,13 +459,11 @@ class EngineRuntime:
     # Queue helpers
     # ------------------------------------------------------------------ #
 
-    def _queue(
-        self, table: dict, key: tuple
-    ) -> FluidQueue:
-        queue = table.get(key)
+    def _input_q(self, key: tuple[str, str]) -> FluidQueue:
+        """Get-or-create a stage's input queue at a site."""
+        queue = self._input_queue.get(key)
         if queue is None:
-            queue = FluidQueue()
-            table[key] = queue
+            queue = self._input_queue[key] = FluidQueue()
         return queue
 
     def _net_q(self, key: tuple[str, str, str, str]) -> FluidQueue:
@@ -493,45 +502,20 @@ class EngineRuntime:
             self._exec_cache = cache
         return cache
 
-    def input_backlog(self, stage_name: str, site: str | None = None) -> float:
-        """Events queued at a stage's input (optionally one site only)."""
-        total = 0.0
-        for (name, s), queue in self._input_queue.items():
-            if name == stage_name and (site is None or s == site):
-                total += queue.count
-        if self._plan.stages.get(stage_name, None) is not None:
-            stage = self._plan.stages[stage_name]
-            if stage.is_source:
-                for (name, s), queue in self._gen_queue.items():
-                    if name == stage_name and (site is None or s == site):
-                        total += queue.count
-        return total
-
-    def net_backlog_for(self, dst_stage: str) -> dict[tuple[str, str], float]:
-        """Per (src_site, dst_site) WAN backlog feeding ``dst_stage``."""
-        result: dict[tuple[str, str], float] = {}
-        for (src, dst, su, sd), queue in self._net_queue.items():
-            if dst == dst_stage and queue.count > 0:
-                result[(su, sd)] = result.get((su, sd), 0.0) + queue.count
-        return result
-
     def total_backlog(self) -> float:
         return (
-            sum(q.count for q in self._gen_queue.values())
-            + sum(q.count for q in self._input_queue.values())
+            sum(q.count for q in self._input_queue.values())
             + sum(q.count for q in self._net_queue.values())
         )
 
     def iter_queues(self):
         """Yield ``(table, key, queue)`` for every live queue.
 
-        ``table`` is ``"gen"``/``"input"`` (key ``(stage, site)``) or
-        ``"net"`` (key ``(src_stage, dst_stage, src_site, dst_site)``).
-        Read-only inspection surface for invariant checkers and tests; the
-        yielded queues must not be mutated.
+        ``table`` is ``"input"`` (key ``(stage, site)``) or ``"net"`` (key
+        ``(src_stage, dst_stage, src_site, dst_site)``).  Read-only
+        inspection surface for invariant checkers and tests; the yielded
+        queues must not be mutated.
         """
-        for key in sorted(self._gen_queue):
-            yield "gen", key, self._gen_queue[key]
         for key in sorted(self._input_queue):
             yield "input", key, self._input_queue[key]
         for key in sorted(self._net_queue):
@@ -552,22 +536,28 @@ class EngineRuntime:
     def is_suspended(self, stage_name: str) -> bool:
         return self._now_s < self._suspended_until.get(stage_name, 0.0)
 
-    def move_task_queue(
-        self, stage_name: str, from_site: str, to_site: str
+    def rehome(
+        self, stage_name: str, from_site: str, to_site: str, *, relay: bool
     ) -> None:
-        """Re-home queued input when a task migrates between sites.
+        """Move a stage's queued work off ``from_site`` onto ``to_site``.
 
-        The queued events travel with the state transfer; the engine moves
-        them instantaneously and relies on the transition suspension to
-        account for the time cost.
+        The input queued at ``from_site`` drains into the stage's input at
+        ``to_site``: at once when a task migrates (``relay=False``; the
+        queued events travel with the state transfer, and the transition
+        suspension accounts for the time cost), or as a relay flow over
+        the WAN when a scale-down terminates the task (``relay=True``;
+        "relayed data streams", Section 4.2), which pays for the link
+        like any other traffic.  The drained input queue stays in the
+        table.  In-flight WAN queues bound for ``from_site`` are then
+        repointed to ``to_site``.
         """
         src = self._input_queue.get((stage_name, from_site))
-        if src is None or not src:
-            return
-        src.drain_into(self._queue(self._input_queue, (stage_name, to_site)))
-
-    def redirect_flows(self, stage_name: str, from_site: str, to_site: str) -> None:
-        """Repoint in-flight WAN queues targeting a migrated task."""
+        if src:
+            if relay:
+                dst = self._net_q((stage_name, stage_name, from_site, to_site))
+            else:
+                dst = self._input_q((stage_name, to_site))
+            src.drain_into(dst)
         changed = False
         for key in list(self._net_queue):
             src_stage, dst_stage, su, sd = key
@@ -581,27 +571,16 @@ class EngineRuntime:
         if changed:
             self._rebuild_net_index()
 
-    def relay_queue(self, stage_name: str, from_site: str, to_site: str) -> None:
-        """Send a terminated task's queued input to a surviving task over the
-        WAN (scale-down: "relayed data streams", Section 4.2)."""
-        src = self._input_queue.get((stage_name, from_site))
-        if src is None or not src:
-            return
-        relay = self._net_q((stage_name, stage_name, from_site, to_site))
-        src.drain_into(relay)
-
     def rehome_to_placement(
-        self,
-        stage_name: str,
-        bandwidth_rank: "Callable[[str, str], float] | None" = None,
+        self, stage_name: str, bandwidth: Callable[[str, str], float]
     ) -> None:
         """Move queues destined for sites where the stage has no tasks.
 
-        After a re-plan or failure the stage's placement may no longer cover
-        every site holding queued input or expecting in-flight traffic; this
-        sweep re-homes those onto the stage's live sites (the one ranked
-        best by ``bandwidth_rank`` when provided, the lexicographically
-        first otherwise).
+        After a re-plan the stage's placement may no longer cover every
+        site holding queued input or expecting in-flight traffic; this
+        sweep re-homes those onto the stage's live sites, each onto the
+        :func:`best_connected` one by ``bandwidth`` from the vacated site.
+        Unlike :meth:`rehome`, it removes the vacated input queues.
         """
         stage = self._plan.stages.get(stage_name)
         if stage is None:
@@ -609,13 +588,6 @@ class EngineRuntime:
         live = set(stage.placement())
         if not live:
             return
-
-        def target_for(orphan_site: str) -> str:
-            if bandwidth_rank is None:
-                return sorted(live)[0]
-            return max(
-                sorted(live), key=lambda s: bandwidth_rank(orphan_site, s)
-            )
 
         # Removing an input queue moves the net version (routes hold
         # input queues) just as removing a flow queue does.
@@ -629,9 +601,10 @@ class EngineRuntime:
                 # Queued input at a vacated site relays over the WAN to a
                 # live task (Section 4.2's "relayed data streams"); the
                 # relay flow pays for the link like any other traffic.
-                relay = self._net_q(
-                    (stage_name, stage_name, site, target_for(site))
-                )
+                relay = self._net_q((
+                    stage_name, stage_name, site,
+                    best_connected(live, site, bandwidth),
+                ))
                 queue.drain_into(relay)
         for key in list(self._net_queue):
             src_stage, dst_stage, su, sd = key
@@ -640,9 +613,10 @@ class EngineRuntime:
             queue = self._net_queue.pop(key)
             changed = True
             if queue:
-                queue.drain_into(
-                    self._net_q((src_stage, dst_stage, su, target_for(sd)))
-                )
+                queue.drain_into(self._net_q((
+                    src_stage, dst_stage, su,
+                    best_connected(live, sd, bandwidth),
+                )))
         if changed:
             self._rebuild_net_index()
 
@@ -659,13 +633,7 @@ class EngineRuntime:
         """
         if events <= 0:
             return
-        table = (
-            self._gen_queue
-            if self._plan.stages.get(stage_name) is not None
-            and self._plan.stages[stage_name].is_source
-            else self._input_queue
-        )
-        self._queue(table, (stage_name, site)).push(events, gen_time_s)
+        self._input_q((stage_name, site)).push(events, gen_time_s)
 
     def mutation_snapshot(self) -> "RuntimeSnapshot":
         """Capture everything the mutation API can change.
@@ -679,7 +647,6 @@ class EngineRuntime:
         """
         return RuntimeSnapshot(
             plan=self._plan,
-            gen_queue={k: q.clone_cow() for k, q in self._gen_queue.items()},
             input_queue={
                 k: q.clone_cow() for k, q in self._input_queue.items()
             },
@@ -691,9 +658,6 @@ class EngineRuntime:
         """Restore a :meth:`mutation_snapshot` (adaptation rollback)."""
         plan_changed = snapshot.plan is not self._plan
         self._plan = snapshot.plan
-        self._gen_queue = {
-            k: q.clone_cow() for k, q in snapshot.gen_queue.items()
-        }
         self._input_queue = {
             k: q.clone_cow() for k, q in snapshot.input_queue.items()
         }
@@ -740,7 +704,7 @@ class EngineRuntime:
             heirs = new_downstream_of.get(upstream[0], []) if upstream else []
             if heirs:
                 heir = heirs[0]
-                queue.drain_into(self._queue(self._input_queue, (heir, site)))
+                queue.drain_into(self._input_q((heir, site)))
 
         for key in list(self._net_queue):
             src_stage, dst_stage, su, sd = key
@@ -777,7 +741,7 @@ class EngineRuntime:
                 contention with other executions"); by default each tick
                 gets a private budget.
         """
-        dt = self._config.tick_s
+        dt = TICK_S
         now = self._now_s + dt
         report = TickReport(t_s=now)
 
@@ -787,9 +751,9 @@ class EngineRuntime:
         cache = self._plan_cache()
         topology = self._topology
         site_version = topology._site_states.value
-        if cache.caps_site_version != site_version or cache.caps_dt != dt:
-            cache.refresh_capacities(site_version, dt)
-        gen_queue = self._gen_queue
+        if cache.caps_site_version != site_version:
+            cache.refresh_capacities(site_version)
+        input_queue = self._input_queue
         window = self._window
         # New records, or a collect since the last tick started a new
         # window: hand the records the current window's cells.
@@ -798,7 +762,8 @@ class EngineRuntime:
                 ex.bind_sums(window)
             cache.sums_generation = window.generation
 
-        # 1. External generation.
+        # 1. External generation, into each source's input queue at its
+        # pinned site.
         offered = 0.0
         offered_by_source = report.offered_by_source
         # Events generated uniformly across the tick: mean age dt/2.
@@ -807,10 +772,10 @@ class EngineRuntime:
         for src, rate in zip(cache.sources, rates):
             gen = rate * dt
             if gen > 0:
-                queue = gen_queue.get(src.gen_key)
+                queue = input_queue.get(src.gen_key)
                 if queue is None:
                     queue = FluidQueue()
-                    gen_queue[src.gen_key] = queue
+                    input_queue[src.gen_key] = queue
                 queue.push(gen, mean_gen_time)
             offered += gen
             offered_by_source[src.name] = gen
@@ -831,12 +796,10 @@ class EngineRuntime:
         if (
             stamp[0] != self._net_version
             or stamp[1] != topology._factors_version
-            or stamp[2] != dt
         ):
             stamp = self._flow_stamp = (
-                self._net_version, topology._factors_version, dt
+                self._net_version, topology._factors_version
             )
-        input_queue = self._input_queue
         suspended_until = self._suspended_until
         processed_by = report.processed
         net_sent = report.net_sent
@@ -845,7 +808,6 @@ class EngineRuntime:
             # -- Process the stage's input queues (after the Degrade
             # ``cutoff`` drop, if any) at its row capacities and route the
             # output.
-            table = gen_queue if ex.is_source else input_queue
             name = ex.name
             sel = ex.selectivity
             is_sink = ex.is_sink
@@ -865,10 +827,10 @@ class EngineRuntime:
             stage_emitted = 0.0
             had_output = False
             for site, _, _, site_key, row_no in ex.site_rows:
-                queue = table.get(site_key)
+                queue = input_queue.get(site_key)
                 if queue is None:
                     queue = FluidQueue()
-                    table[site_key] = queue
+                    input_queue[site_key] = queue
                 if cutoff is not None:
                     dropped = queue.drop_older_than(cutoff)
                     if dropped > 0:
@@ -995,9 +957,9 @@ class EngineRuntime:
             # drop).  Routing may have created a flow queue, which moves
             # the net version.  A stage without outgoing flows skips this.
             if stamp[0] != self._net_version:
-                stamp = self._flow_stamp = (self._net_version, stamp[1], dt)
+                stamp = self._flow_stamp = (self._net_version, stamp[1])
             if ex.flows_stamp is not stamp:
-                self._build_flow_records(ex, dt, stamp)
+                self._build_flow_records(ex, stamp)
             flows = ex.flows
             if not flows:
                 continue
@@ -1099,14 +1061,10 @@ class EngineRuntime:
 
         # 3. Record end-of-tick backlogs.
         input_backlog = report.input_backlog
-        for key, queue in self._input_queue.items():
+        for key, queue in input_queue.items():
             backlog = queue._count
             if backlog > 0:
                 input_backlog[key] = backlog
-        for key, queue in self._gen_queue.items():
-            backlog = queue._count
-            if backlog > 0:
-                input_backlog[key] = input_backlog.get(key, 0.0) + backlog
         net_backlog = report.net_backlog
         for key, queue in self._net_queue.items():
             backlog = queue._count
@@ -1136,22 +1094,17 @@ class EngineRuntime:
         queue and a remote share its WAN flow queue (each created here if
         missing).
         """
-        input_queue = self._input_queue
         targets: list[tuple[FluidQueue, float]] = []
         for down in ex.downstream:
             for dst_site, fraction, in_key in down.shares:
                 if dst_site == src_site:
-                    queue = input_queue.get(in_key)
-                    if queue is None:
-                        queue = input_queue[in_key] = FluidQueue()
+                    queue = self._input_q(in_key)
                 else:
                     queue = self._net_q((ex.name, down.name, src_site, dst_site))
                 targets.append((queue, fraction))
         return targets
 
-    def _build_flow_records(
-        self, ex: _StageExec, dt: float, stamp: tuple
-    ) -> None:
+    def _build_flow_records(self, ex: _StageExec, stamp: tuple) -> None:
         """Rebuild the stage's outgoing WAN flow records, FCFS (sorted key)
         order, and stamp them.
 
@@ -1160,7 +1113,7 @@ class EngineRuntime:
         latency_s)``; the record number indexes the stage's window inflow
         cells (``flow_sums``).  The
         stamp is the tick's ``_flow_stamp`` (net-index version, topology
-        factors version, tick length): flow queues change only with the
+        factors version): flow queues change only with the
         net index, and link capacities and latencies only with a factor
         write or a link redefinition, both of which bump
         ``Topology._factors_version``.
@@ -1171,7 +1124,8 @@ class EngineRuntime:
         for flow_no, key in enumerate(self._net_index.get(ex.name, ())):
             _, dst_stage, src_site, dst_site = key
             budget = (
-                topology.bandwidth_mbps(src_site, dst_site) * MBIT_BYTES * dt
+                topology.bandwidth_mbps(src_site, dst_site) * MBIT_BYTES
+                * TICK_S
             )
             latency_s = topology.latency_ms(src_site, dst_site) / 1000.0
             records.append((

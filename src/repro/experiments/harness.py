@@ -28,7 +28,7 @@ from ..core.longterm import LongTermPlanner, OracleForecaster
 from ..core.replanning import Replanner
 from ..engine.checkpoint import CheckpointCoordinator
 from ..engine.dense import create_runtime
-from ..engine.runtime import EngineRuntime, TickReport
+from ..engine.runtime import TICK_S, EngineRuntime, TickReport
 from ..engine.state import StateStore
 from ..errors import ChaosError, ConfigurationError, InfeasiblePlacementError
 from ..network.monitor import WanMonitor
@@ -299,7 +299,7 @@ class ExperimentRun:
         # The clock's callbacks close over the components they drive, never
         # over the run: a finished run then holds no reference cycle and is
         # freed as soon as its last reference goes.
-        self.clock = SimClock(self.config.tick_s)
+        self.clock = SimClock(TICK_S)
         # Sites that are down skip the checkpoint round.
         self.clock.every(
             self.config.checkpoint_interval_s,
@@ -475,7 +475,7 @@ class ExperimentRun:
         """Advance the experiment by ``duration_s`` of simulated time."""
         if dynamics is not None:
             self.set_dynamics(dynamics)
-        ticks = int(math.ceil(duration_s / self.config.tick_s))
+        ticks = int(math.ceil(duration_s / TICK_S))
         for _ in range(ticks):
             self.step()
         return self.recorder
@@ -491,7 +491,7 @@ class ExperimentRun:
         :class:`~repro.sim.recorder.TickSample` is
         ``recorder.samples[-1]``.
         """
-        t_next = self.clock.now_s + self.config.tick_s
+        t_next = self.clock.now_s + TICK_S
         self._apply_dynamics(t_next)
         if self._chaos is not None:
             self._chaos.tick(t_next)

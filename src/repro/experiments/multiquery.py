@@ -27,6 +27,7 @@ from dataclasses import dataclass
 
 from ..baselines.variants import VariantSpec
 from ..config import WaspConfig
+from ..engine.runtime import TICK_S
 from ..errors import ConfigurationError
 from ..network.topology import Topology
 from ..sim.recorder import RunRecorder
@@ -107,7 +108,7 @@ class MultiQueryRun:
 
     def step(self) -> None:
         """One shared tick: every query's engine draws from one budget."""
-        self._now_s += self.config.tick_s
+        self._now_s += TICK_S
         self._admit_due()
         shared_budget: dict[tuple[str, str], float] = {}
         order = list(range(len(self.runs)))

@@ -305,17 +305,15 @@ def _pin_stage_to_edge(run: ExperimentRun, stage_name: str) -> None:
     run.runtime._suspended_until.pop(stage_name, None)
 
 
-def _feasible_destinations(
-    run: ExperimentRun, stage_name: str, *, edge_only: bool = True
-) -> tuple[list[str], "PlacementProblem"]:
-    """Sites (excluding the current ones) that could host the whole stage
-    with sufficient bandwidth to process the actual data stream - the
+def _feasible_destinations(run: ExperimentRun, stage_name: str) -> list[str]:
+    """Edge sites (excluding the current ones) that could host the whole
+    stage with sufficient bandwidth to process the actual data stream - the
     paper's Section 8.7.1 guarantee that "the execution would eventually
     stabilize" regardless of the migration strategy.
 
-    ``edge_only`` keeps the controlled experiments in the public-Internet
-    regime Section 8.7 studies (the stage is hosted at an edge and moves
-    between edges); disable it for general use.
+    Only edges qualify: the controlled experiments stay in the
+    public-Internet regime Section 8.7 studies (the stage is hosted at an
+    edge and moves between edges).
     """
     manager = run.manager
     assert manager is not None
@@ -335,10 +333,9 @@ def _feasible_destinations(
     slots = run.topology.available_slots()
     for site in stage.placement():
         slots[site] = 0
-    if edge_only:
-        for site in list(slots):
-            if not run.topology.site(site).is_edge:
-                slots[site] = 0
+    for site in list(slots):
+        if not run.topology.site(site).is_edge:
+            slots[site] = 0
     problem = PlacementProblem(
         parallelism=stage.parallelism,
         upstream=upstream,
@@ -348,14 +345,13 @@ def _feasible_destinations(
     )
     from ..planner.placement import per_site_capacity
 
-    feasible = [
+    return [
         site
         for site in sorted(slots)
         if slots[site] >= stage.parallelism
         and per_site_capacity(site, problem, manager.wan_monitor)
         >= stage.parallelism
     ]
-    return feasible, problem
 
 
 def force_reassignment(
@@ -377,7 +373,7 @@ def force_reassignment(
     manager.wan_monitor.refresh()
     plan = run.runtime.plan
     stage = plan.stage(stage_name)
-    feasible, _ = _feasible_destinations(run, stage_name)
+    feasible = _feasible_destinations(run, stage_name)
     if not feasible:
         raise InfeasiblePlacementError(
             f"no feasible destination for stage {stage_name!r}"
@@ -427,7 +423,7 @@ def force_partitioned_adaptation(run: ExperimentRun) -> None:
     stage = run.runtime.plan.stage(stage_name)
     total_mb = manager.state_store.total_mb(stage_name)
     state_sites = manager.state_store.sites(stage_name) or stage.sites()
-    feasible, _ = _feasible_destinations(run, stage_name)
+    feasible = _feasible_destinations(run, stage_name)
     if not feasible:
         raise InfeasiblePlacementError(
             f"no feasible destination for stage {stage_name!r}"

@@ -48,8 +48,6 @@ def best_relay_path(
     dst: str,
     candidates: Iterable[str],
     bandwidth: Callable[[str, str], float],
-    *,
-    efficiency: float = RELAY_EFFICIENCY,
 ) -> RelayPath:
     """The fastest route from ``src`` to ``dst``: direct or single-relay.
 
@@ -59,7 +57,8 @@ def best_relay_path(
         candidates: Sites eligible to forward (typically every site; the
             src/dst themselves are skipped).
         bandwidth: Measured ``(a, b) -> Mbps`` lookup (the WAN monitor).
-        efficiency: Relay forwarding discount.
+
+    A relayed path is discounted by :data:`RELAY_EFFICIENCY`.
 
     Returns:
         The best path; falls back to direct when no relay beats it.
@@ -72,7 +71,7 @@ def best_relay_path(
         if via in (src, dst):
             continue
         effective = (
-            min(bandwidth(src, via), bandwidth(via, dst)) * efficiency
+            min(bandwidth(src, via), bandwidth(via, dst)) * RELAY_EFFICIENCY
         )
         if effective > best.bandwidth_mbps:
             best = RelayPath(src, dst, via, effective)
@@ -82,8 +81,6 @@ def best_relay_path(
 def relayed_bandwidth_lookup(
     candidates: Iterable[str],
     bandwidth: Callable[[str, str], float],
-    *,
-    efficiency: float = RELAY_EFFICIENCY,
 ) -> Callable[[str, str], float]:
     """A bandwidth lookup that transparently routes via the best relay.
 
@@ -97,8 +94,6 @@ def relayed_bandwidth_lookup(
     def lookup(src: str, dst: str) -> float:
         if src == dst:
             return bandwidth(src, dst)
-        return best_relay_path(
-            src, dst, sites, bandwidth, efficiency=efficiency
-        ).bandwidth_mbps
+        return best_relay_path(src, dst, sites, bandwidth).bandwidth_mbps
 
     return lookup

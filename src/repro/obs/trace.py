@@ -339,9 +339,10 @@ def _render_action(action: ActionTrace, indent: str) -> list[str]:
     return lines
 
 
-def render_timeline(records: list[dict], *, validate: bool = True) -> str:
-    """The ``repro trace`` view: rounds, faults, fallbacks, migrations."""
-    summary = reconstruct(records, validate=validate)
+def render_timeline(records: list[dict]) -> str:
+    """The ``repro trace`` view: rounds, faults, fallbacks, migrations
+    (every record is schema-checked first)."""
+    summary = reconstruct(records)
     actions = summary.all_actions
     committed = sum(1 for a in actions if a.committed is not None)
     abandoned = sum(1 for a in actions if a.abandoned)

@@ -87,8 +87,6 @@ def estimate_deployment(
     *,
     alpha: float = 0.8,
     parallelism: dict[str, int] | None = None,
-    default_parallelism: int = 1,
-    chaining: bool = True,
     relaxed: bool = False,
 ) -> DeploymentEstimate:
     """Place every stage of ``logical`` topologically and score the result.
@@ -101,14 +99,12 @@ def estimate_deployment(
         source_generation_eps: Raw generation rate per source stage.
         alpha: Bandwidth-utilization headroom.
         parallelism: Per-stage parallelism override (existing stages keep
-            their live parallelism on re-planning).
-        default_parallelism: Parallelism for stages not in ``parallelism``
-            (the paper initializes all operators with p = 1).
-        chaining: Whether to chain narrow operators (on, as in Flink).
+            their live parallelism on re-planning); any other stage gets
+            p = 1, as the paper initializes all operators.
         relaxed: Drop the bandwidth constraints (initial-deployment
             fallback; see :class:`~repro.planner.placement.PlacementProblem`).
     """
-    physical = PhysicalPlan(logical, chaining=chaining)
+    physical = PhysicalPlan(logical)
     stage_rates = physical.expected_stage_rates(source_generation_eps)
     slots = dict(available_slots)
     parallelism = parallelism or {}
@@ -130,7 +126,7 @@ def estimate_deployment(
             assignments[stage.name] = {site: 1}
             slots[site] = slots.get(site, 0) - 1
             continue
-        p = parallelism.get(stage.name, default_parallelism)
+        p = parallelism.get(stage.name, 1)
         upstream_flows = _stage_flows_to(
             stage, physical, assignments, stage_rates
         )
@@ -236,7 +232,6 @@ def choose_best_deployment(
     *,
     alpha: float = 0.8,
     parallelism: dict[str, int] | None = None,
-    default_parallelism: int = 1,
     relaxed: bool = False,
 ) -> DeploymentEstimate:
     """Evaluate every variant and return the best feasible deployment.
@@ -255,7 +250,6 @@ def choose_best_deployment(
             source_generation_eps,
             alpha=alpha,
             parallelism=parallelism,
-            default_parallelism=default_parallelism,
             relaxed=relaxed,
         )
         if estimate.better_than(best):

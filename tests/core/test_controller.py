@@ -24,6 +24,7 @@ from repro.engine.runtime import EngineRuntime, WorkloadModel
 from repro.engine.state import StateStore
 from repro.network.monitor import WanMonitor
 from repro.planner.scheduler import Scheduler
+from tests.engine.backlog import input_backlog, net_backlog_for
 from tests.slots import fully_deployed
 
 
@@ -104,11 +105,11 @@ class TestReassignExecution:
         manager = build_manager(small_topology, rate=60_000.0)
         for _ in range(10):
             manager.runtime.tick()
-        assert manager.runtime.net_backlog_for("agg")
+        assert net_backlog_for(manager.runtime, "agg")
         manager.execute(
             ReassignAction("agg", "test", {"dc-2": 1}), now_s=10.0
         )
-        backlog = manager.runtime.net_backlog_for("agg")
+        backlog = net_backlog_for(manager.runtime, "agg")
         assert all(dst == "dc-2" for _, dst in backlog)
 
     def test_none_strategy_loses_state(self, small_topology):
@@ -163,7 +164,7 @@ class TestScaleExecution:
             now_s=10.0,
         )
         # Nothing may remain keyed to the vacated site dc-1.
-        assert manager.runtime.input_backlog("agg", "dc-1") == 0.0
+        assert input_backlog(manager.runtime, "agg", "dc-1") == 0.0
 
 
 class TestScaleDownExecution:

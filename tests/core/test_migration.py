@@ -179,6 +179,18 @@ class TestRebalance:
         assert plan.total_mb == pytest.approx(30.0)
         assert plan.transfers[0].from_site == "b"
 
+    def test_tied_slices_ship_in_site_order(self):
+        # Equal excess at six sites: they ship in name order, whatever
+        # the hash seed makes of a set of their names.
+        sites = ["f", "b", "d", "a", "e", "c"]
+        plan = rebalance_transfers(
+            "agg",
+            {site: 30.0 for site in sites},
+            {"z": 180.0},
+            bandwidth_table({}, default=10.0),
+        )
+        assert [t.from_site for t in plan.transfers] == sorted(sites)
+
     def test_wasp_prefers_fast_destination(self):
         bw = bandwidth_table({("a", "b"): 100.0, ("a", "c"): 1.0})
         plan = rebalance_transfers(

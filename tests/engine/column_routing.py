@@ -12,7 +12,9 @@ as functions, and :class:`ColumnRoutingRuntime` is an
 routes through the columns and whose flows move through
 :func:`transfer_into` (looked up in this module at call time, so a test
 can patch it to inject a fault inside the tick).  The tests run it next to
-the production runtime and compare bit for bit.
+the production runtime and compare bit for bit.  It keeps the engine's
+one input-queue table: a source's generated events wait in its input
+queue at its pinned site.
 """
 
 from __future__ import annotations
@@ -20,7 +22,9 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.engine.queues import FluidQueue
-from repro.engine.runtime import EngineRuntime, TickReport, running_sum
+from repro.engine.runtime import (
+    TICK_S, EngineRuntime, TickReport, running_sum,
+)
 from repro.errors import SimulationError
 
 
@@ -121,7 +125,7 @@ class ColumnRoutingRuntime(EngineRuntime):
     """An engine whose rows route their output through column lists."""
 
     def tick(self, link_budget=None) -> TickReport:
-        dt = self._config.tick_s
+        dt = TICK_S
         now = self._now_s + dt
         report = TickReport(t_s=now)
 
@@ -131,9 +135,9 @@ class ColumnRoutingRuntime(EngineRuntime):
         cache = self._plan_cache()
         topology = self._topology
         site_version = topology._site_states.value
-        if cache.caps_site_version != site_version or cache.caps_dt != dt:
-            cache.refresh_capacities(site_version, dt)
-        gen_queue = self._gen_queue
+        if cache.caps_site_version != site_version:
+            cache.refresh_capacities(site_version)
+        input_queue = self._input_queue
         window = self._window
         # New records, or a collect since the last tick started a new
         # window: hand the records the current window's cells.
@@ -151,10 +155,10 @@ class ColumnRoutingRuntime(EngineRuntime):
         for src, rate in zip(cache.sources, rates):
             gen = rate * dt
             if gen > 0:
-                queue = gen_queue.get(src.gen_key)
+                queue = input_queue.get(src.gen_key)
                 if queue is None:
                     queue = FluidQueue()
-                    gen_queue[src.gen_key] = queue
+                    input_queue[src.gen_key] = queue
                 queue.push(gen, mean_gen_time)
             offered += gen
             offered_by_source[src.name] = gen
@@ -171,19 +175,18 @@ class ColumnRoutingRuntime(EngineRuntime):
         if (
             stamp[0] != self._net_version
             or stamp[1] != topology._factors_version
-            or stamp[2] != dt
         ):
             stamp = self._flow_stamp = (
-                self._net_version, topology._factors_version, dt
+                self._net_version, topology._factors_version
             )
         for ex in cache.topo:
             self._run_stage(ex, now, cutoff, report, window)
             # Routing may have created a flow queue, which moves the net
             # version.  A stage without outgoing flows skips the pass.
             if stamp[0] != self._net_version:
-                stamp = self._flow_stamp = (self._net_version, stamp[1], dt)
+                stamp = self._flow_stamp = (self._net_version, stamp[1])
             if ex.flows_stamp is not stamp:
-                self._build_flow_records(ex, dt, stamp)
+                self._build_flow_records(ex, stamp)
             if ex.flows:
                 self._transfer_stage_flows(
                     ex, cutoff, link_budget, report, window
@@ -194,14 +197,10 @@ class ColumnRoutingRuntime(EngineRuntime):
 
         # 3. Record end-of-tick backlogs.
         input_backlog = report.input_backlog
-        for key, queue in self._input_queue.items():
+        for key, queue in input_queue.items():
             backlog = queue._count
             if backlog > 0:
                 input_backlog[key] = backlog
-        for key, queue in self._gen_queue.items():
-            backlog = queue._count
-            if backlog > 0:
-                input_backlog[key] = input_backlog.get(key, 0.0) + backlog
         net_backlog = report.net_backlog
         for key, queue in self._net_queue.items():
             backlog = queue._count
@@ -276,7 +275,7 @@ class ColumnRoutingRuntime(EngineRuntime):
                 cell.value += moved
 
     def _run_stage(self, ex, now, cutoff, report, window) -> None:
-        table = self._gen_queue if ex.is_source else self._input_queue
+        table = self._input_queue
         name = ex.name
         sel = ex.selectivity
         suspended = self._now_s < self._suspended_until.get(name, 0.0)

@@ -17,7 +17,7 @@ at every ``collect`` and ``peek``.
 from __future__ import annotations
 
 from repro.engine.metrics import MetricsWindow, StageMetrics
-from repro.engine.runtime import TickReport
+from repro.engine.runtime import TICK_S, TickReport
 
 
 def _backlog_by_stage(report: TickReport) -> dict[str, float]:
@@ -91,7 +91,7 @@ class ReferenceMetricMonitor:
         row order: ``n_tasks * rate / cost * dt``, 0.0 on a failed site or
         while the stage is suspended."""
         runtime = self._runtime
-        dt = runtime._config.tick_s
+        dt = TICK_S
         start = self._tick_start_s
         capacities: dict[tuple[str, str], float] = {}
         for stage in runtime.plan.topological_stages():

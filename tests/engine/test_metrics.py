@@ -8,7 +8,7 @@ import pytest
 from repro.baselines.variants import wasp
 from repro.config import WaspConfig
 from repro.engine.metrics import GlobalMetricMonitor
-from repro.engine.runtime import TickReport, running_sum
+from repro.engine.runtime import TICK_S, TickReport, running_sum
 from repro.experiments.harness import ExperimentRun
 from repro.experiments.scenarios import bottleneck_dynamics, fig8_scenario
 from repro.sim.rng import RngRegistry
@@ -340,7 +340,7 @@ class TestPlanSelectivity:
         run = ExperimentRun(topology, query, wasp(), config=config, rngs=rngs)
         run.set_dynamics(bottleneck_dynamics())
         checked = 0
-        for _ in range(round(scenario.duration_s / config.tick_s)):
+        for _ in range(round(scenario.duration_s / TICK_S)):
             # Read sigma before the step: a round at its end may re-plan.
             sigma = {
                 name: stage.selectivity
@@ -370,10 +370,9 @@ class TestWindowSpan:
 
     def test_span_uses_the_engine_tick_length(self):
         monitor = GlobalMetricMonitor()
-        monitor.sums.tick_s = 0.5
-        for t in (10.5, 11.0, 11.5):
+        for t in (11.0, 12.0, 13.0):
             feed(monitor, report(t, processed={"agg": 30.0}))
-        assert monitor.collect().stages["agg"].lambda_p == 60.0
+        assert monitor.collect().stages["agg"].lambda_p == 90.0 / (3 * TICK_S)
 
     def test_one_tick_rounds_read_the_tick_rates(self):
         scenario = fig8_scenario("ysb-advertising")

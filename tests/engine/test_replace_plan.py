@@ -7,6 +7,7 @@ from repro.engine.logical import LogicalPlan
 from repro.engine.operators import filter_, sink, source, union, window_aggregate
 from repro.engine.physical import PhysicalPlan
 from repro.engine.runtime import EngineRuntime
+from tests.engine.backlog import input_backlog, net_backlog_for
 from tests.engine.test_runtime import ConstantWorkload, mbps_to_eps
 
 
@@ -91,7 +92,7 @@ class TestPlanSwap:
         )
         for _ in range(10):
             runtime.tick()
-        queued_before = runtime.input_backlog("agg")
+        queued_before = input_backlog(runtime, "agg")
         assert queued_before > 0
         new_plan = deploy(
             variant("relayed", via_relay=True, agg_cost=20.0),
@@ -101,7 +102,7 @@ class TestPlanSwap:
             },
         )
         runtime.replace_plan(new_plan)
-        assert runtime.input_backlog("agg") == pytest.approx(queued_before)
+        assert input_backlog(runtime, "agg") == pytest.approx(queued_before)
 
     def test_net_queues_rebind_to_new_downstream(self, small_topology):
         """In-flight traffic from a surviving source re-binds to the new
@@ -119,11 +120,11 @@ class TestPlanSwap:
         )
         for _ in range(10):
             runtime.tick()
-        assert runtime.net_backlog_for("agg")
+        assert net_backlog_for(runtime, "agg")
         runtime.replace_plan(self.new_plan())
         # The a -> agg edge no longer exists; the queue now feeds the relay.
-        assert runtime.net_backlog_for("relay")
-        assert not runtime.net_backlog_for("agg")
+        assert net_backlog_for(runtime, "relay")
+        assert not net_backlog_for(runtime, "agg")
 
     def test_conversion_constants_refresh(self, runtime):
         for _ in range(5):

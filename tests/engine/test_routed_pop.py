@@ -32,7 +32,7 @@ from repro.engine.dense import DenseEngineRuntime
 from repro.engine.logical import LogicalPlan
 from repro.engine.operators import sink, source, window_aggregate
 from repro.engine.physical import PhysicalPlan
-from repro.engine.runtime import EngineRuntime, TickReport
+from repro.engine.runtime import TICK_S, EngineRuntime, TickReport
 from repro.fuzz import build_run, generate_scenario
 from repro.network.site import Site, SiteKind
 from repro.network.topology import Topology
@@ -57,7 +57,6 @@ def report_state(report: TickReport) -> str:
 def queue_state(runtime: EngineRuntime) -> str:
     """Each queue table's key order, then every queue's parcels and total."""
     tables = [
-        list(runtime._gen_queue),
         list(runtime._input_queue),
         list(runtime._net_queue),
     ]
@@ -147,7 +146,7 @@ def script(runtime: EngineRuntime, tick: int, snapshots: dict) -> None:
     elif tick == 33:
         plan.stage("agg").remove_task_at("edge-a")
         plan.stage("agg").add_task("dc-2")
-        runtime.rehome_to_placement("agg")
+        runtime.rehome_to_placement("agg", runtime.topology.bandwidth_mbps)
     elif tick == 37:
         runtime.suspend_stage("agg", runtime.now_s + 3.0)
     elif tick == 43:
@@ -209,7 +208,7 @@ def test_fuzz_runs_match_column_routing(seed, monkeypatch):
         if dynamics is not None:
             run.set_dynamics(dynamics)
         states = []
-        for _ in range(math.ceil(spec.duration_s / run.config.tick_s)):
+        for _ in range(math.ceil(spec.duration_s / TICK_S)):
             run.step()
             states.append(report_state(run.runtime.last_report))
         return states, queue_state(run.runtime)
@@ -252,15 +251,14 @@ def test_snapshot_before_every_tick_stays_unchanged():
 def snapshot_runtime(snapshot) -> EngineRuntime:
     """An object :func:`queue_state` reads the snapshot's queues from."""
     view = EngineRuntime.__new__(EngineRuntime)
-    view._gen_queue = snapshot.gen_queue
     view._input_queue = snapshot.input_queue
     view._net_queue = snapshot.net_queue
     return view
 
 
 def stage_pending(runtime: EngineRuntime) -> dict[str, float]:
-    """Events waiting per stage: in its generation and input queues, and
-    in the flow queues bound for it."""
+    """Events waiting per stage: in its input queues, and in the flow
+    queues bound for it."""
     pending: dict[str, float] = {}
     for table, key, queue in runtime.iter_queues():
         stage = key[1] if table == "net" else key[0]

@@ -14,7 +14,11 @@ from repro.engine.operators import (
 )
 from repro.engine.dense import DenseEngineRuntime
 from repro.engine.physical import PhysicalPlan
-from repro.engine.runtime import MBIT_BYTES, EngineRuntime, WorkloadModel
+from repro.engine.runtime import (
+    MBIT_BYTES, EngineRuntime, WorkloadModel, best_connected,
+)
+
+from .backlog import input_backlog, net_backlog_for
 
 
 def mbps_to_eps(bandwidth_mbps: float, event_bytes: float) -> float:
@@ -102,7 +106,7 @@ class TestComputeBottleneck:
         )
         for _ in range(30):
             report = runtime.tick()
-        assert runtime.input_backlog("agg") > 1000.0
+        assert input_backlog(runtime, "agg") > 1000.0
         assert report.input_backlog[("agg", "dc-1")] > 1000.0
 
     def test_delay_grows_with_backlog(self, small_topology):
@@ -217,7 +221,7 @@ class TestSuspension:
         for _ in range(4):
             report = runtime.tick()
         assert report.processed.get("agg", 0.0) == 0.0
-        assert runtime.input_backlog("agg") > 0.0
+        assert input_backlog(runtime, "agg") > 0.0
 
     def test_resumes_after_transition(self, small_topology):
         runtime = build_pipeline(small_topology)
@@ -277,18 +281,21 @@ class TestMutations:
         runtime = build_pipeline(small_topology, rate=5000.0, agg_cost=20.0)
         for _ in range(10):
             runtime.tick()
-        before = runtime.input_backlog("agg", "dc-1")
-        runtime.move_task_queue("agg", "dc-1", "dc-2")
-        assert runtime.input_backlog("agg", "dc-2") == pytest.approx(before)
-        assert runtime.input_backlog("agg", "dc-1") == 0.0
+        before = input_backlog(runtime, "agg", "dc-1")
+        assert before > 0
+        runtime.rehome("agg", "dc-1", "dc-2", relay=False)
+        assert input_backlog(runtime, "agg", "dc-2") == pytest.approx(before)
+        assert input_backlog(runtime, "agg", "dc-1") == 0.0
+        assert not net_backlog_for(runtime, "agg")
 
     def test_redirect_flows(self, small_topology):
         flow_eps = mbps_to_eps(10.0, 100.0)
         runtime = build_pipeline(small_topology, rate=flow_eps * 4)
         for _ in range(10):
             runtime.tick()
-        runtime.redirect_flows("agg", "dc-1", "dc-2")
-        backlog = runtime.net_backlog_for("agg")
+        assert ("edge-x", "dc-1") in net_backlog_for(runtime, "agg")
+        runtime.rehome("agg", "dc-1", "dc-2", relay=False)
+        backlog = net_backlog_for(runtime, "agg")
         assert ("edge-x", "dc-2") in backlog
         assert ("edge-x", "dc-1") not in backlog
 
@@ -296,24 +303,75 @@ class TestMutations:
         runtime = build_pipeline(small_topology, rate=5000.0, agg_cost=20.0)
         for _ in range(10):
             runtime.tick()
-        queued = runtime.input_backlog("agg", "dc-1")
+        queued = input_backlog(runtime, "agg", "dc-1")
         assert queued > 0
-        runtime.relay_queue("agg", "dc-1", "dc-2")
-        assert runtime.input_backlog("agg", "dc-1") == 0.0
+        runtime.rehome("agg", "dc-1", "dc-2", relay=True)
+        assert input_backlog(runtime, "agg", "dc-1") == 0.0
+        assert input_backlog(runtime, "agg", "dc-2") == 0.0
         # The relayed events are in a WAN queue, not teleported.
-        assert runtime.net_backlog_for("agg")[("dc-1", "dc-2")] == (
+        assert net_backlog_for(runtime, "agg")[("dc-1", "dc-2")] == (
             pytest.approx(queued)
         )
+
+    @pytest.mark.parametrize("relay", [False, True])
+    def test_rehome_keeps_the_drained_input_key(self, small_topology, relay):
+        # The metric window sums each stage's backlog in input-table order,
+        # so whether a drained key stays decides bits: it stays.
+        runtime = build_pipeline(small_topology, rate=5000.0, agg_cost=20.0)
+        for _ in range(10):
+            runtime.tick()
+        order = list(runtime._input_queue)
+        runtime.rehome("agg", "dc-1", "dc-2", relay=relay)
+        assert list(runtime._input_queue)[: len(order)] == order
+        assert runtime._input_queue[("agg", "dc-1")].count == 0.0
 
     def test_rehome_relays_orphaned_input(self, small_topology):
         runtime = build_pipeline(small_topology, rate=5000.0, agg_cost=20.0)
         for _ in range(10):
             runtime.tick()
+        queued = input_backlog(runtime, "agg", "dc-1")
+        assert queued > 0
         stage = runtime.plan.stage("agg")
         stage.remove_task_at("dc-1")
         stage.add_task("dc-2")
-        runtime.rehome_to_placement("agg")
-        assert runtime.input_backlog("agg", "dc-1") == 0.0
+        runtime.rehome_to_placement("agg", small_topology.bandwidth_mbps)
+        # Unlike rehome, the re-plan sweep removes the vacated input key.
+        assert ("agg", "dc-1") not in runtime._input_queue
+        assert net_backlog_for(runtime, "agg")[("dc-1", "dc-2")] == (
+            pytest.approx(queued)
+        )
+
+    @pytest.mark.parametrize("relay", [False, True])
+    def test_dense_rehome_matches_reference(self, small_topology, relay):
+        runtimes = [
+            build_pipeline(
+                small_topology, rate=60_000.0, agg_cost=20.0, runtime_cls=cls
+            )
+            for cls in (EngineRuntime, DenseEngineRuntime)
+        ]
+        for runtime in runtimes:
+            for _ in range(10):
+                runtime.tick()
+            runtime.rehome("agg", "dc-1", "dc-2", relay=relay)
+        ref, dense = (
+            {(t, k): q.count for t, k, q in runtime.iter_queues()}
+            for runtime in runtimes
+        )
+        assert ref.keys() == dense.keys()
+        for key, count in ref.items():
+            assert dense[key] == pytest.approx(count, rel=1e-9), key
+        # The dense tick runs on after the mutation.
+        assert runtimes[1].tick().t_s == 11.0
+
+    def test_best_connected_breaks_ties_by_name(self):
+        bandwidth = {("a", "c"): 5.0, ("a", "b"): 5.0, ("a", "d"): 1.0}
+
+        def lookup(src, dst):
+            return bandwidth[src, dst]
+
+        assert best_connected({"d", "c", "b"}, "a", lookup) == "b"
+        bandwidth[("a", "c")] = 6.0
+        assert best_connected(["b", "c", "d"], "a", lookup) == "c"
 
 
 class TestReplayInjection:
@@ -337,7 +395,7 @@ class TestReplayInjection:
     ):
         runtime = build_pipeline(small_topology)
         runtime.inject_replay("src", "edge-x", 100.0, gen_time_s=0.0)
-        assert runtime.total_backlog() >= 100.0
+        assert input_backlog(runtime, "src", "edge-x") == 100.0
 
     def test_non_positive_replay_is_ignored(self, small_topology):
         runtime = build_pipeline(small_topology)
@@ -355,7 +413,7 @@ class TestMutationSnapshot:
         snapshot = runtime.mutation_snapshot()
         backlog = runtime.total_backlog()
         runtime.suspend_stage("agg", 99.0)
-        runtime.move_task_queue("agg", "dc-1", "dc-2")
+        runtime.rehome("agg", "dc-1", "dc-2", relay=False)
         runtime.inject_replay("agg", "dc-2", 1000.0, gen_time_s=0.0)
         runtime.restore_mutation_snapshot(snapshot)
         assert runtime.total_backlog() == pytest.approx(backlog)

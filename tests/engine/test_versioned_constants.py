@@ -12,6 +12,7 @@ import pytest
 from repro.baselines.variants import no_adapt
 from repro.chaos import ChaosInjector, SiteCrash, Straggler
 from repro.config import WaspConfig
+from repro.engine.runtime import TICK_S
 from repro.errors import PlanError
 from repro.experiments.harness import ExperimentRun
 from repro.experiments.scenarios import fig8_scenario
@@ -80,7 +81,7 @@ def test_cached_row_capacities_follow_every_site_change(backend):
     run, sites = build(backend)
     runtime = run.runtime
     sums = runtime.bind_window()
-    dt = run.config.tick_s
+    dt = TICK_S
     initial = run.topology.site_state_version
     for tick in range(1, 31):
         if tick == 20:

@@ -32,7 +32,7 @@ from repro.engine.logical import LogicalPlan
 from repro.engine.operators import sink, source, window_aggregate
 from repro.engine.physical import PhysicalPlan
 from repro.engine.queues import FluidQueue
-from repro.engine.runtime import MBIT_BYTES, EngineRuntime
+from repro.engine.runtime import MBIT_BYTES, TICK_S, EngineRuntime
 from repro.network.site import Site, SiteKind
 from repro.network.topology import Topology
 
@@ -154,7 +154,7 @@ def expected_pass(runtime: EngineRuntime, link_budget: dict):
     flows = {key: copy_of(q) for key, q in runtime._net_queue.items()}
     inputs = {key: copy_of(q) for key, q in runtime._input_queue.items()}
     topology = runtime.topology
-    dt = runtime._config.tick_s
+    dt = TICK_S
     sent = {}
     for stage in runtime.plan.topological_stages():
         for key in sorted(k for k in flows if k[0] == stage.name):
@@ -240,7 +240,7 @@ def test_single_target_rows_match_the_previous_tick():
         report = routed.tick()
         expected = oracle.tick()
         assert repr(report) == repr(expected), tick
-        for table in ("_gen_queue", "_input_queue", "_net_queue"):
+        for table in ("_input_queue", "_net_queue"):
             ours, theirs = getattr(routed, table), getattr(oracle, table)
             assert list(ours) == list(theirs), tick
             for key, queue in ours.items():

@@ -294,9 +294,10 @@ class TestShortcuts:
         run.run(20.0, dynamics)
         report = run.runtime.tick()
         both.on_report(report)
+        sources = {stage.name for stage in run.runtime.plan.source_stages()}
         queues = [
             q for table, key, q in run.runtime.iter_queues()
-            if table == "gen"
+            if table == "input" and key[0] in sources
         ]
         queues[0].push(50.0, run.runtime.now_s)
         both.on_step_end()

@@ -52,10 +52,6 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             WaspConfig(checkpoint_interval_s=0)
 
-    def test_zero_tick_rejected(self):
-        with pytest.raises(ConfigurationError):
-            WaspConfig(tick_s=0)
-
     def test_waste_utilization_one_rejected(self):
         with pytest.raises(ConfigurationError):
             WaspConfig(waste_utilization=1.0)
@@ -90,6 +86,7 @@ class TestOverrides:
             "replan_deploy_overhead_s",
             "replan_cooldown_s",
             "dense_age_buckets",
+            "tick_s",
         ],
     )
     def test_with_overrides_rejects_unknown_field(self, name):
@@ -113,7 +110,6 @@ class TestOptionSurface:
             "t_max_s",
             "monitor_interval_s",
             "checkpoint_interval_s",
-            "tick_s",
             "waste_utilization",
             "estimation_error",
             "migration_relays",

@@ -7,7 +7,9 @@ string naming it (a quoted annotation, a ``getattr`` name, the
 ``repro.api`` facade's ``__all__``).  The engine microbenchmarks
 (``MICROBENCHMARKS``) do not count: they time ``src`` code on purpose, so
 a name only they read is still code that no production path runs.  Assignments and definitions are not
-reads, and neither is anything in an ``__init__.py`` re-export line.  A
+reads, and neither is anything in an ``__init__.py`` re-export line, nor
+a ``super().name`` read inside a method named ``name`` (an override
+forwarding to itself reads nothing new).  A
 definition nothing reads is code only tests reach: delete it, move it
 beside its tests, or list it below with the reason it stays.
 
@@ -71,7 +73,7 @@ BUILTIN_METHOD_NAMES = frozenset(
 #: body reads the name on an object of the method's class.
 BUILTIN_NAMED = {
     "engine/queues.py:FluidQueue.count": (
-        "src/repro/engine/runtime.py:EngineRuntime.input_backlog"
+        "src/repro/engine/runtime.py:EngineRuntime.total_backlog"
     ),
     "engine/dense.py:FlowTable.items": (
         "src/repro/engine/metrics.py:_net_backlog_by_stage"
@@ -122,13 +124,26 @@ def _reads(path: pathlib.Path) -> set[str]:
                 )
             )
         ]
+    forwards = {
+        id(node)
+        for method in ast.walk(tree)
+        if isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(method)
+        if isinstance(node, ast.Attribute)
+        and node.attr == method.name
+        and isinstance(node.value, ast.Call)
+        and isinstance(node.value.func, ast.Name)
+        and node.value.func.id == "super"
+    }
     names: set[str] = set()
     renamed: dict[str, str] = {}
     for node in ast.walk(tree):
         if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
             names.add(node.id)
-        elif isinstance(node, ast.Attribute) and not isinstance(
-            node.ctx, ast.Store
+        elif (
+            isinstance(node, ast.Attribute)
+            and not isinstance(node.ctx, ast.Store)
+            and id(node) not in forwards
         ):
             names.add(node.attr)
         elif (
@@ -210,3 +225,19 @@ def test_allow_list_names_only_unread_definitions():
     """An entry whose definition gained a reader, or is gone, is stale."""
     assert sorted(set(ALLOWED) - set(_unread())) == []
     assert all(reason.strip() for reason in ALLOWED.values())
+
+
+def test_super_forward_in_a_same_named_method_is_no_read(tmp_path):
+    path = tmp_path / "snippet.py"
+    path.write_text(
+        "class Child(Base):\n"
+        "    def probe(self):\n"
+        "        return super().probe()\n"
+    )
+    assert "probe" not in _reads(path)
+    path.write_text(
+        "class Child(Base):\n"
+        "    def other(self):\n"
+        "        return super().probe()\n"
+    )
+    assert "probe" in _reads(path)
