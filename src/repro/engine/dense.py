@@ -6,33 +6,42 @@ age-bucketed structure-of-arrays form and runs
 generate -> process -> route -> transfer as fused array operations:
 
 * Every queue (``input`` per ``(stage, site)``, ``net`` per flow)
-  becomes one row of two ``(rows, B)`` float64 arrays: ``cnt[r, b]`` is the
-  event count whose age falls in bucket ``b`` (one tick wide) and
-  ``mass[r, b]`` is the summed ``count * gen_time`` of those events.  The
-  pair preserves each bucket's exact mean generation time, so throughput
-  accounting is exact and delay metrics are exact up to intra-bucket
-  mixing (bounded by one tick per hop).
+  becomes one column of two bucket-major ``(B, rows)`` float64 arrays:
+  ``cnt[b, r]`` is the event count of row ``r`` whose age falls in bucket
+  ``b`` (one tick wide) and ``mass[b, r]`` is the summed
+  ``count * gen_time`` of those events.  The pair preserves each bucket's
+  exact mean generation time, so throughput accounting is exact and delay
+  metrics are exact up to intra-bucket mixing (bounded by one tick per
+  hop).  Each bucket is one contiguous row over all queues, so a
+  per-bucket step runs as a few long array loops, not one short loop per
+  queue.
 * A compiled :class:`_DenseModel` (keyed on plan identity + mutation
   version, like the reference `_PlanCache`) precomputes row selectors
   (a ``slice`` for every ascending run of row ids, so kernels work on
   views), routing fan-out indices, per-flow link/latency tables and
   FCFS link-sharing passes, so the per-tick Python work is O(stages),
   not O(queues) or O(parcels).  It also owns the scratch buffers the
-  kernels write into: a tick allocates no ``(rows, buckets)``
+  kernels write into: a tick allocates no ``(buckets, rows)``
   temporaries.
 * Work follows the events that move.  One pop kernel (:func:`_pop_rows`)
   serves stage execution and WAN transfer alike: it computes each cell's
-  take over the full ``(rows, B)`` block, then splits mass, subtracts
-  and returns only the cells that send, in ``(row, bucket)`` order.  A
-  WAN pass ages and scatters just those cells (:func:`_deliver`); a
-  group's fan-out covers only the bucket columns it popped from
+  take over the full ``(B, rows)`` block (the events in older buckets as
+  B - 1 contiguous row adds at a long pop site, one ``cumsum`` at a short
+  one), then splits mass, subtracts and returns only the cells that send,
+  bucket by bucket.  A WAN pass ages and scatters just those cells
+  (:func:`_deliver`); a pass that shifts a flow by its latency pops in
+  flow order instead, so that every destination cell sums its terms flow
+  by flow.  A group's fan-out covers only the buckets it popped from
   (:func:`_fan_out`; a source that keeps up pops its fresh bucket 0
-  alone); the per-tick roll is one flat copy plus two column fix-ups
-  (:func:`_roll_into`).
-  The skipped cells would only contribute exact zeros, so the output is
-  bit-identical to the full-width kernels.  On the 64-site shuffle this
-  took perfbench's ``step_ms.p50`` from 3.14 to 2.20 ms on a 2-vCPU VM;
-  DESIGN.md section 7, "Dense tick kernels", has the per-phase figures.
+  alone); the per-tick roll is one block copy plus two row fix-ups
+  (:func:`_roll_into`); per-row totals fold in numpy's own order for a
+  16-wide row (:func:`_row_totals`).
+  The skipped cells would only contribute exact zeros, and every sum
+  keeps the order of the row-major kernels before, so the output is
+  bit-identical to them.  On the 64-site shuffle the sparse kernels took
+  perfbench's ``step_ms.p50`` from 3.14 to 2.20 ms on a 2-vCPU VM, and the
+  bucket-major layout from 1.32 to 0.97 ms; DESIGN.md section 7, "Dense
+  tick kernels", has the per-phase figures.
 * The per-flow report fields are arrays, not dicts: ``TickReport.net_sent``
   and ``net_backlog`` are read-only :class:`FlowTable` mappings over the
   model's flow keys and one fresh value array each.  Readers that sum
@@ -108,31 +117,54 @@ def _rows(ids: list[int]) -> slice | np.ndarray:
     return np.array(ids, dtype=np.intp)
 
 
+#: Pop sites with at least this many rows are *long*: they sum the older
+#: buckets as B - 1 contiguous row adds and zero drained rows by a mask
+#: multiply.  Shorter ones take one ``np.cumsum`` over the bucket axis and
+#: a boolean column write, whose fewer numpy calls cost less there.  Both
+#: ways give the same bits.  The measured crossover is in DESIGN.md
+#: section 7, "Dense tick kernels".
+_LONG_POP_ROWS = 256
+
+
 class _PopScratch:
-    """Preallocated ``(rows, B)`` buffers of one :func:`_pop_rows` call
+    """Preallocated ``(B, rows)`` buffers of one :func:`_pop_rows` call
     site, reused every tick so the kernel allocates no large temporaries.
 
-    ``c`` holds the gathered counts and ``cells`` maps the selection's flat
-    cells back into the full arrays when the selector is an index array;
-    for a slice both are ``None`` (the kernel works on views).  With
-    ``dense_mass`` the kernel also writes the taken mass into ``tm``, zero
-    off the sending cells, for callers that read it per bucket column.
+    ``c`` holds the gathered counts when the selector is an index array
+    (``None`` for a slice: the kernel works on views).  ``cells`` maps the
+    selection's flat cells into the flat ``(B, width)`` arrays, ``None``
+    when the selection is every row.  With ``dense_mass`` the kernel also
+    writes the taken mass into ``tm``, zero off the sending cells, for
+    callers that read it per bucket.  ``flow_order`` makes the kernel list
+    the sending cells flow by flow (see :func:`_deliver`), and ``long``
+    picks the kernel's steps for :data:`_LONG_POP_ROWS` rows or more.
     """
 
-    __slots__ = ("cum", "take", "sends", "c", "cells", "tm")
+    __slots__ = ("cum", "take", "sends", "c", "cells", "tm", "long",
+                 "flow_order")
 
     def __init__(
-        self, rows: slice | np.ndarray, n: int, B: int, dense_mass: bool = False
+        self,
+        rows: slice | np.ndarray,
+        n: int,
+        B: int,
+        width: int,
+        dense_mass: bool = False,
+        flow_order: bool = False,
     ) -> None:
-        self.cum = np.empty((n, B))
-        self.take = np.empty((n, B))
-        self.sends = np.empty((n, B), dtype=bool)
-        if isinstance(rows, slice):
-            self.c = self.cells = None
+        self.cum = np.empty((B, n))
+        self.take = np.empty((B, n))
+        self.sends = np.empty((B, n), dtype=bool)
+        view = isinstance(rows, slice)
+        self.c = None if view else np.empty((B, n))
+        if view and rows == slice(0, width):
+            self.cells = None
         else:
-            self.c = np.empty((n, B))
-            self.cells = (rows[:, None] * B + np.arange(B)).ravel()
-        self.tm = np.empty((n, B)) if dense_mass else None
+            ids = np.arange(width)[rows]
+            self.cells = (np.arange(B)[:, None] * width + ids).ravel()
+        self.tm = np.empty((B, n)) if dense_mass else None
+        self.long = n >= _LONG_POP_ROWS
+        self.flow_order = flow_order
 
 
 def _pop_rows(
@@ -146,49 +178,55 @@ def _pop_rows(
 
     Mutates ``cnt``/``mass`` in place and returns ``(idx, take_cnt,
     take_mass, popped_totals, totals_before)``.  ``idx`` lists the flat
-    ``(row, bucket)`` cells of the selection that send events, in row-major
-    order; ``take_cnt``/``take_mass`` are what each of them sends.  The
-    dense take (zero off ``idx``) stays in ``sc.take``, and in ``sc.tm``
-    its mass when the scratch has one; ``totals_before`` is a view of
-    ``sc.cum``.  All are valid until the same call site runs again.
+    ``(bucket, row)`` cells of the selection that send events, bucket by
+    bucket (flow by flow with ``sc.flow_order``); ``take_cnt``/``take_mass``
+    are what each of them sends.  With a dense mass buffer ``sc.tm``, the
+    dense take (zero off ``idx``) stays in ``sc.take`` and its mass in
+    ``sc.tm``; ``totals_before`` is a view of ``sc.cum``.  All are valid
+    until the same call site runs again.
 
     Fully-consumed buckets transfer their exact mass (``c/c == 1.0`` in
     IEEE arithmetic leaves a remainder of exactly 0); partially-consumed
     buckets split mass proportionally, i.e. at the bucket's mean generation
-    time.  Cells off ``idx`` are left untouched.  A split over every cell
-    would compute ``m - m * 0`` there, which leaves ``m`` as it was except
-    a mass of -0.0, which it writes as +0.0; the engine never holds a -0.0
-    mass (``tests/engine/test_dense_backend.py`` checks this at every pop).
+    time.  Cells off ``idx`` are left untouched, except that a long pop that
+    drains a row writes a -0.0 mass as +0.0.  A split over every cell would
+    compute ``m - m * 0`` there, which leaves ``m`` as it was except a mass
+    of -0.0, which it writes as +0.0; the engine never holds a -0.0 mass
+    (``tests/engine/test_dense_backend.py`` checks this at every pop).
     """
-    gathered = sc.c is not None
-    if gathered:
-        c = np.take(cnt, rows, axis=0, out=sc.c)
-        cnt_f = cnt.reshape(-1)
-        mass_f = mass.reshape(-1)
+    if sc.c is not None:
+        c = np.take(cnt, rows, axis=1, out=sc.c)
     else:
-        c = cnt[rows]
-        cnt_f = c.reshape(-1)
-        mass_f = mass[rows].reshape(-1)
-    # cum[:, b]: events in bucket b and every older one, summed oldest
-    # first (a cumsum over the reversed row, written back reversed).
+        c = cnt[:, rows]
+    # cum[b]: events in bucket b and every older one, summed oldest first.
     cum = sc.cum
-    np.cumsum(c[:, ::-1], axis=1, out=cum[:, ::-1])
-    # take[:, b] = min(max(cap - events older than b, 0), c[:, b]).  The
-    # subtraction runs flat, cell (r, b) against cum's next cell (r, b + 1):
-    # one long loop instead of one short loop per row.  It pairs each row's
-    # last bucket with the next row's bucket 0; that column is set after.
+    if sc.long:
+        np.copyto(cum[-1], c[-1])
+        for b in range(cum.shape[0] - 2, -1, -1):
+            np.add(cum[b + 1], c[b], out=cum[b])
+    else:
+        np.cumsum(c[::-1], axis=0, out=cum[::-1])
+    # take[b] = min(max(cap - events older than b, 0), c[b]).  Without a
+    # dense mass buffer nothing reads the take off the sending cells, and
+    # min(cap - older, c) is positive on exactly those cells, with the same
+    # value: the clamp at 0 is skipped there.
     take = sc.take
-    take_f = take.reshape(-1)
-    np.copyto(take, caps[:, None])
-    np.subtract(take_f[:-1], cum.reshape(-1)[1:], out=take_f[:-1])
-    take[:, -1] = caps
-    np.maximum(take, 0.0, out=take)
+    np.subtract(caps, cum[1:], out=take[:-1])
+    take[-1] = caps
+    if sc.tm is not None:
+        np.maximum(take, 0.0, out=take)
     np.minimum(take, c, out=take)
     # Only the sending cells take part in the split from here on.
-    np.greater(take, 0.0, out=sc.sends)
-    idx = sc.sends.reshape(-1).nonzero()[0]
-    cells = sc.cells[idx] if gathered else idx
-    tc = take_f[idx]
+    sends = np.greater(take, 0.0, out=sc.sends)
+    if sc.flow_order:
+        flow, bucket = sends.T.nonzero()
+        idx = bucket * sends.shape[1] + flow
+    else:
+        idx = sends.reshape(-1).nonzero()[0]
+    cells = idx if sc.cells is None else sc.cells[idx]
+    cnt_f = cnt.reshape(-1)
+    mass_f = mass.reshape(-1)
+    tc = take.reshape(-1)[idx]
     ci = cnt_f[cells]
     mi = mass_f[cells]
     tm = np.maximum(ci, 1e-300)
@@ -199,24 +237,47 @@ def _pop_rows(
     if sc.tm is not None:
         sc.tm.fill(0.0)
         sc.tm.reshape(-1)[idx] = tm
-    before = cum[:, 0]
+    before = cum[0]
     popped = np.minimum(caps, before)
-    drained = (before - popped < _DRAIN_EPS).nonzero()[0]
-    if drained.size:
-        if gathered:
-            drained = rows[drained]
-            cnt[drained] = 0.0
-            mass[drained] = 0.0
+    drained = before - popped < _DRAIN_EPS
+    if drained.any():
+        if sc.c is not None:
+            cols = rows[drained]
+            cnt[:, cols] = 0.0
+            mass[:, cols] = 0.0
+        elif sc.long:
+            # A mask multiply beats a masked write on long rows.  The add
+            # turns the -0.0 that a negative mass times 0 gives into +0.0
+            # (and would do so to a -0.0 mass kept elsewhere, which the
+            # engine never holds).
+            keep = np.logical_not(drained)
+            c *= keep
+            m = mass[:, rows]
+            m *= keep
+            m += 0.0
         else:
-            c[drained] = 0.0
-            mass[rows][drained] = 0.0
+            c[:, drained] = 0.0
+            mass[:, rows][:, drained] = 0.0
     return idx, tc, tm, popped, before
+
+
+def _row_totals(a: np.ndarray) -> np.ndarray:
+    """Per-row totals of a bucket-major ``(16, rows)`` array, summed in the
+    order numpy sums a 16-wide row: eight lanes ``a[j] + a[j + 8]``, then a
+    pairwise tree.  Bit-equal to ``a.T.sum(axis=1)`` on a row-major copy
+    (``tests/engine/test_dense_backend.py`` pins it), except that a row of
+    -0.0 sums to -0.0 where numpy gives +0.0; the engine's counts never
+    hold -0.0."""
+    lanes = a[:8] + a[8:]
+    pairs = lanes[0::2] + lanes[1::2]
+    halves = pairs[0::2] + pairs[1::2]
+    return halves[0] + halves[1]
 
 
 def _drop_older_rows(
     cnt: np.ndarray,
     mass: np.ndarray,
-    rows: np.ndarray,
+    rows: slice | np.ndarray,
     cutoff: float,
 ) -> np.ndarray:
     """Drop whole buckets whose mean generation time precedes ``cutoff``.
@@ -227,23 +288,22 @@ def _drop_older_rows(
     interleaved by transfers, which is what the differential tolerances
     absorb.)
     """
-    c = cnt[rows]
-    m = mass[rows]
+    c = cnt[:, rows]
+    m = mass[:, rows]
     mask = (c > 0.0) & (m < cutoff * c)
-    dropped = np.where(mask, c, 0.0).sum(axis=1)
+    dropped = _row_totals(np.where(mask, c, 0.0))
     if mask.any():
-        cnt[rows] = np.where(mask, 0.0, c)
-        mass[rows] = np.where(mask, 0.0, m)
+        cnt[:, rows] = np.where(mask, 0.0, c)
+        mass[:, rows] = np.where(mask, 0.0, m)
     return dropped
 
 
-def _bucket_span(sends: np.ndarray) -> tuple[int, int]:
-    """The bucket columns ``lo:hi`` in which any row of the ``(rows, B)``
-    mask ``sends`` is set; ``(0, 0)`` when none is."""
-    cols = sends.any(axis=0).nonzero()[0]
-    if not cols.size:
+def _bucket_span(idx: np.ndarray, n: int) -> tuple[int, int]:
+    """The buckets ``lo:hi`` holding the sending cells ``idx`` of a
+    bucket-ordered pop over ``n`` rows; ``(0, 0)`` when none sends."""
+    if not idx.size:
         return 0, 0
-    return int(cols[0]), int(cols[-1]) + 1
+    return int(idx[0]) // n, int(idx[-1]) // n + 1
 
 
 def _fan_out(
@@ -258,42 +318,42 @@ def _fan_out(
     """Route a group's popped events (``g.pop.take`` and ``g.pop.tm``), times
     each row's selectivity, into its local and remote targets.
 
-    Only bucket columns ``lo:hi`` are routed: outside the span in which the
-    group popped, the full-width fan-out would add exact zeros.  Rows of
-    sinks or ``sel == 0`` stages have no targets, or contribute zeros.
+    Only buckets ``lo:hi`` are routed: outside the span in which the group
+    popped, routing every bucket would add exact zeros.  Rows of sinks or
+    ``sel == 0`` stages have no targets, or contribute zeros.
     """
     n = g.n_rows
     w = hi - lo
     if not w:
         return
     out_c = np.multiply(
-        g.pop.take[:, lo:hi], g.sel_col, out=g.out_c[: n * w].reshape(n, w)
+        g.pop.take[lo:hi], g.sel, out=g.out_c[: w * n].reshape(w, n)
     )
     out_m = np.multiply(
-        g.pop.tm[:, lo:hi], g.sel_col, out=g.out_m[: n * w].reshape(n, w)
+        g.pop.tm[lo:hi], g.sel, out=g.out_m[: w * n].reshape(w, n)
     )
     if g.loc_src is not None:
         in_cnt_f = in_cnt.reshape(-1)
         in_mass_f = in_mass.reshape(-1)
-        cells = g.loc_cells[:, lo:hi].ravel()
+        cells = g.loc_cells[lo:hi].reshape(-1)
         in_cnt_f += np.bincount(
             cells,
-            weights=(out_c[g.loc_src] * g.loc_frac).ravel(),
+            weights=(out_c[:, g.loc_src] * g.loc_frac).reshape(-1),
             minlength=in_cnt_f.shape[0],
         )
         in_mass_f += np.bincount(
             cells,
-            weights=(out_m[g.loc_src] * g.loc_frac).ravel(),
+            weights=(out_m[:, g.loc_src] * g.loc_frac).reshape(-1),
             minlength=in_mass_f.shape[0],
         )
     if g.rem_src is not None:
         k = len(g.rem_src)
-        rc = g.rem_c[: k * w].reshape(k, w)
-        rm = g.rem_m[: k * w].reshape(k, w)
-        np.take(out_c, g.rem_src, axis=0, out=rc)
-        np.take(out_m, g.rem_src, axis=0, out=rm)
-        net_cnt[g.rem_rows, lo:hi] += np.multiply(rc, g.rem_frac, out=rc)
-        net_mass[g.rem_rows, lo:hi] += np.multiply(rm, g.rem_frac, out=rm)
+        rc = g.rem_c[: w * k].reshape(w, k)
+        rm = g.rem_m[: w * k].reshape(w, k)
+        np.take(out_c, g.rem_src, axis=1, out=rc)
+        np.take(out_m, g.rem_src, axis=1, out=rm)
+        net_cnt[lo:hi, g.rem_rows] += np.multiply(rc, g.rem_frac, out=rc)
+        net_mass[lo:hi, g.rem_rows] += np.multiply(rm, g.rem_frac, out=rm)
 
 
 def _deliver(
@@ -310,9 +370,11 @@ def _deliver(
 
     Aging by link latency: the destination mass is ``sum(c * (gen -
     latency))``; the bucket shift in ``dst_flat`` is the rounded equivalent
-    for ordering purposes.  Only the sending cells are scattered, in
-    ``(flow, bucket)`` order: each destination cell sums the same nonzero
-    terms, in the same order, as a scatter of every cell would.
+    for ordering purposes.  Each destination cell sums its terms in the
+    order of ``idx``, which must list any two cells that land in one
+    destination cell in flow order.  Bucket order does so when no flow of
+    the pass is shifted (a destination cell then only receives one bucket);
+    a pass with a shifted flow pops with ``flow_order``.
     """
     take_m -= lat_flat[idx] * take_c
     dst = dst_flat[idx]
@@ -325,14 +387,12 @@ def _roll_into(cur: np.ndarray, nxt: np.ndarray) -> None:
     """Write ``cur`` aged by one tick into ``nxt``: bucket ``b`` moves to
     ``b + 1``, bucket 0 starts empty and the oldest bucket accumulates.
 
-    One flat copy shifts every row by one cell; it carries each row's
-    oldest bucket into the next row's bucket 0, which the two column
-    fix-ups then overwrite.
+    One block copy shifts every bucket row down by one; the two row
+    fix-ups then clear bucket 0 and merge the two oldest buckets.
     """
-    B = cur.shape[1]
-    nxt.reshape(-1)[1:] = cur.reshape(-1)[:-1]
-    nxt[:, 0] = 0.0
-    np.add(cur[:, B - 1], cur[:, B - 2], out=nxt[:, B - 1])
+    nxt[1:] = cur[:-1]
+    nxt[0] = 0.0
+    np.add(cur[-1], cur[-2], out=nxt[-1])
 
 
 def _row_queues(
@@ -467,7 +527,7 @@ class _DepthGroup:
 
     __slots__ = (
         "stages", "rows", "n_rows", "row_keys", "site_ids", "n_tasks",
-        "cost_row", "sel_col", "pop",
+        "cost_row", "sel", "pop",
         "out_c", "out_m",
         "loc_src", "loc_frac", "loc_cells",
         "rem_src", "rem_frac", "rem_rows", "rem_c", "rem_m",
@@ -722,7 +782,7 @@ class _DenseModel:
 
             g.rows = _rows(rows_l)
             g.n_rows = n = len(rows_l)
-            g.pop = _PopScratch(g.rows, n, B, dense_mass=True)
+            g.pop = _PopScratch(g.rows, n, B, self.n_in, dense_mass=True)
             # Flat: the fan-out views them at its bucket span's width.
             g.out_c = np.empty(n * B)
             g.out_m = np.empty(n * B)
@@ -730,12 +790,12 @@ class _DenseModel:
             g.site_ids = np.array(site_ids_l, dtype=np.intp)
             g.n_tasks = np.array(ntasks_l)
             g.cost_row = np.array(cost_l)
-            g.sel_col = np.array(sel_l)[:, None]
+            g.sel = np.array(sel_l)
             if loc:
                 g.loc_src = np.array([p for p, _, _ in loc], dtype=np.intp)
-                g.loc_frac = np.array([f for _, _, f in loc])[:, None]
+                g.loc_frac = np.array([f for _, _, f in loc])
                 dst = np.array([r for _, r, _ in loc], dtype=np.intp)
-                g.loc_cells = dst[:, None] * B + bucket_idx
+                g.loc_cells = bucket_idx[:, None] * self.n_in + dst
             else:
                 g.loc_src = None
                 g.loc_frac = None
@@ -744,7 +804,7 @@ class _DenseModel:
                 # Each flow key names its source stage and site, so remote
                 # targets are unique rows: routing adds into them directly.
                 g.rem_src = np.array([p for p, _, _ in rem], dtype=np.intp)
-                g.rem_frac = np.array([f for _, _, f in rem])[:, None]
+                g.rem_frac = np.array([f for _, _, f in rem])
                 g.rem_rows = _rows([r for _, r, _ in rem])
                 g.rem_c = np.empty(len(rem) * B)
                 g.rem_m = np.empty(len(rem) * B)
@@ -779,7 +839,6 @@ class _DenseModel:
                 ps.sent = slice(len(sent_keys), len(sent_keys) + len(entries))
                 sent_keys.extend(ps.flow_keys)
                 ps.flow_rows = _rows([net_index[k] for k, _, _ in entries])
-                ps.pop = _PopScratch(ps.flow_rows, len(entries), B)
                 ps.link_ids = np.array(
                     [li for _, li, _ in entries], dtype=np.intp
                 )
@@ -787,7 +846,7 @@ class _DenseModel:
                     topology.latency_ms(k[2], k[3]) / 1000.0
                     for k, _, _ in entries
                 ])
-                ps.lat_flat = np.repeat(lat, B)
+                ps.lat_flat = np.tile(lat, B)
                 eb_arr = np.array([e for _, _, e in entries])
                 ps.eb = eb_arr
                 ps.inv_eb = 1.0 / eb_arr
@@ -795,9 +854,15 @@ class _DenseModel:
                     [in_index[(k[1], k[3])] for k, _, _ in entries],
                     dtype=np.intp,
                 )
-                shift = np.floor(lat / TICK_S + 0.5).astype(np.intp)[:, None]
-                shifted = np.minimum(bucket_idx[None, :] + shift, B - 1)
-                ps.dst_flat = (dst_rows[:, None] * B + shifted).ravel()
+                shift = np.floor(lat / TICK_S + 0.5).astype(np.intp)
+                shifted = np.minimum(bucket_idx[:, None] + shift, B - 1)
+                ps.dst_flat = (shifted * self.n_in + dst_rows).ravel()
+                # A pass that shifts a flow lands cells of several buckets
+                # in one destination cell: it pops them in flow order.
+                ps.pop = _PopScratch(
+                    ps.flow_rows, len(entries), B, self.n_net,
+                    flow_order=bool(shift.any()),
+                )
                 g.passes.append(ps)
 
             self.groups.append(g)
@@ -835,13 +900,10 @@ class DenseEngineRuntime(EngineRuntime):
         topology: Topology,
         plan: PhysicalPlan,
         workload: WorkloadModel,
-        config: WaspConfig | None = None,
         *,
         degrade_slo_s: float | None = None,
     ) -> None:
-        super().__init__(
-            topology, plan, workload, config, degrade_slo_s=degrade_slo_s
-        )
+        super().__init__(topology, plan, workload, degrade_slo_s=degrade_slo_s)
         self._model: _DenseModel | None = None
         self._in_cnt: np.ndarray | None = None
         self._in_mass: np.ndarray | None = None
@@ -891,10 +953,10 @@ class DenseEngineRuntime(EngineRuntime):
         B = model.B
         dt = TICK_S
         now = self._now_s
-        self._in_cnt = np.zeros((model.n_in, B))
-        self._in_mass = np.zeros((model.n_in, B))
-        self._net_cnt = np.zeros((model.n_net, B))
-        self._net_mass = np.zeros((model.n_net, B))
+        self._in_cnt = np.zeros((B, model.n_in))
+        self._in_mass = np.zeros((B, model.n_in))
+        self._net_cnt = np.zeros((B, model.n_net))
+        self._net_mass = np.zeros((B, model.n_net))
         self._in_cnt_sc = np.empty_like(self._in_cnt)
         self._in_mass_sc = np.empty_like(self._in_mass)
         self._net_cnt_sc = np.empty_like(self._net_cnt)
@@ -903,8 +965,8 @@ class DenseEngineRuntime(EngineRuntime):
             queue = self._input_queue.get(key)
             if queue is None or not queue:
                 continue
-            crow = self._in_cnt[i]
-            mrow = self._in_mass[i]
+            crow = self._in_cnt[:, i]
+            mrow = self._in_mass[:, i]
             for p in queue.parcels():
                 b = int((now - p.gen_time_s) / dt)
                 if b < 0:
@@ -917,8 +979,8 @@ class DenseEngineRuntime(EngineRuntime):
             queue = self._net_queue.get(key)
             if queue is None or not queue:
                 continue
-            crow = self._net_cnt[i]
-            mrow = self._net_mass[i]
+            crow = self._net_cnt[:, i]
+            mrow = self._net_mass[:, i]
             for p in queue.parcels():
                 b = int((now - p.gen_time_s) / dt)
                 if b < 0:
@@ -941,14 +1003,16 @@ class DenseEngineRuntime(EngineRuntime):
         """
         model = self._model
         assert model is not None
-        queues = _row_queues(self._in_cnt, self._in_mass, model.in_persistent)
+        queues = _row_queues(
+            self._in_cnt.T, self._in_mass.T, model.in_persistent
+        )
         self._input_queue = {
             key: queue
             for key, queue in zip(model.in_rows, queues)
             if queue is not None
         }
         queues = _row_queues(
-            self._net_cnt, self._net_mass, model.net_persistent
+            self._net_cnt.T, self._net_mass.T, model.net_persistent
         )
         self._net_queue = {
             key: queue
@@ -1036,7 +1100,6 @@ class DenseEngineRuntime(EngineRuntime):
         shared = link_budget is not None
 
         model = self._ensure_model()
-        B = model.B
         self._roll()
         in_cnt = self._in_cnt
         in_mass = self._in_mass
@@ -1096,9 +1159,9 @@ class DenseEngineRuntime(EngineRuntime):
         for st, rate in zip(model.sources, rates):
             gen = rate * dt
             if gen > 0.0:
-                flat = st.gen_row * B
-                in_cnt_f[flat] += gen
-                in_mass_f[flat] += gen * mean_gen
+                # Bucket 0 of the generation row.
+                in_cnt_f[st.gen_row] += gen
+                in_mass_f[st.gen_row] += gen * mean_gen
             offered += gen
             offered_by_source[st.name] = gen
             if source_gen is not None:
@@ -1122,11 +1185,11 @@ class DenseEngineRuntime(EngineRuntime):
                     if dropped.any():
                         dlist = dropped.tolist()
                         for st in g.stages:
-                            # Built-in sum() is left-to-right, the
-                            # reference's per-site order, only up to CPython
-                            # 3.11 (where the digests are pinned); from 3.12
-                            # on it is compensated.
-                            dv = sum(dlist[st.s0:st.s1])
+                            # Left-to-right over the stage's sites, like
+                            # the reference's per-site accumulation.
+                            dv = 0.0
+                            for d in dlist[st.s0:st.s1]:
+                                dv += d
                             if dv > 0.0:
                                 report.dropped_source_equiv += (
                                     self._to_source_equiv(st.name, dv)
@@ -1140,7 +1203,7 @@ class DenseEngineRuntime(EngineRuntime):
                     for st in g.stages:
                         if prev_now < suspended_until.get(st.name, 0.0):
                             caps[st.s0:st.s1] = 0.0
-                _, _, _, popped, _ = _pop_rows(
+                idx, _, _, popped, _ = _pop_rows(
                     in_cnt, in_mass, rows, caps, g.pop
                 )
                 # Sink sums and the fan-out read the take densely.
@@ -1168,15 +1231,17 @@ class DenseEngineRuntime(EngineRuntime):
                         )
                     sel = st.selectivity
                     if st.is_sink:
-                        tc = float(take_c[st.s0:st.s1].sum())
-                        tm = float(take_m[st.s0:st.s1].sum())
+                        # Summed over a row-major copy, in the order the
+                        # sum of a (rows, B) block takes.
+                        tc = float(take_c[:, st.s0:st.s1].T.copy().sum())
+                        tm = float(take_m[:, st.s0:st.s1].T.copy().sum())
                         report.sink_events += sel * tc
                         report.sink_delay_weighted_s += sel * (now * tc - tm)
                     else:
                         report.emitted[st.name] = sel * stage_processed
                         any_routed = True
                 if any_routed:
-                    lo, hi = _bucket_span(g.pop.sends)
+                    lo, hi = _bucket_span(idx, g.n_rows)
                     _fan_out(g, lo, hi, in_cnt, in_mass, net_cnt, net_mass)
 
             # --- transfers of this group's outgoing flows --------------- #
@@ -1221,7 +1286,7 @@ class DenseEngineRuntime(EngineRuntime):
                             running_sum(net_in, key[1:]).value += mv
 
         # 3. End-of-tick backlogs.
-        in_tot = in_cnt.sum(axis=1)
+        in_tot = _row_totals(in_cnt)
         nz = np.nonzero(in_tot > 0.0)[0]
         if nz.size:
             input_backlog = report.input_backlog
@@ -1229,7 +1294,7 @@ class DenseEngineRuntime(EngineRuntime):
             for i, v in zip(nz.tolist(), vals):
                 input_backlog[model.in_rows[i]] = v
         report.net_sent = FlowTable(model.sent_keys, sent)
-        report.net_backlog = FlowTable(model.net_keys, net_cnt.sum(axis=1))
+        report.net_backlog = FlowTable(model.net_keys, _row_totals(net_cnt))
 
         # Write back consumed link budgets (shared-contention contract).
         if touched is not None and touched.any():
@@ -1296,4 +1361,4 @@ def create_runtime(
     cfg = config or WaspConfig.paper_defaults()
     name = resolve_backend(plan, backend or cfg.engine_backend)
     runtime = DenseEngineRuntime if name == "dense" else EngineRuntime
-    return runtime(topology, plan, workload, cfg, degrade_slo_s=degrade_slo_s)
+    return runtime(topology, plan, workload, degrade_slo_s=degrade_slo_s)

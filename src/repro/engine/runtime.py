@@ -31,7 +31,6 @@ from bisect import insort
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Sequence
 
-from ..config import WaspConfig
 from ..errors import SimulationError
 from ..network.topology import Topology
 from .physical import PhysicalPlan, Stage
@@ -350,14 +349,12 @@ class EngineRuntime:
         topology: Topology,
         plan: PhysicalPlan,
         workload: "WorkloadModel",
-        config: WaspConfig | None = None,
         *,
         degrade_slo_s: float | None = None,
     ) -> None:
         self._topology = topology
         self._plan = plan
         self._workload = workload
-        self._config = config or WaspConfig.paper_defaults()
         self._degrade_slo_s = degrade_slo_s
         self._now_s = 0.0
 
@@ -383,7 +380,6 @@ class EngineRuntime:
         self._suspended_until: dict[str, float] = {}
         self._stage_equiv_factor: dict[str, float] = {}
         self._plan_selectivity = 1.0
-        self._n_sources = max(1, len(plan.source_stages()))
         self._refresh_plan_constants()
         #: The metric window's running sums, once a monitor bound them.
         self._window: WindowSums | None = None
@@ -453,7 +449,6 @@ class EngineRuntime:
             name: total_reference / max(vals["input"], 1e-12)
             for name, vals in rates.items()
         }
-        self._n_sources = max(1, len(self._plan.source_stages()))
 
     # ------------------------------------------------------------------ #
     # Queue helpers

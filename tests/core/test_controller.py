@@ -60,7 +60,7 @@ def build_manager(topology, *, rate=1000.0, state_mb=10.0,
     state_store.initialize_stage("agg", state_mb, ["dc-1"])
     config = config or WaspConfig.paper_defaults()
     runtime = EngineRuntime(
-        topology, physical, ConstantWorkload({"src": rate}), config
+        topology, physical, ConstantWorkload({"src": rate})
     )
     monitor = WanMonitor(topology, np.random.default_rng(0))
     monitor.refresh()
@@ -215,7 +215,7 @@ class TestReplanExecution:
         state_store.initialize_stage("agg", 10.0, ["dc-1"])
         config = WaspConfig.paper_defaults()
         runtime = EngineRuntime(
-            topology, physical, ConstantWorkload({"src": 1000.0}), config
+            topology, physical, ConstantWorkload({"src": 1000.0})
         )
         monitor = WanMonitor(topology, np.random.default_rng(0))
         monitor.refresh()

@@ -63,7 +63,7 @@ def build_manager(topology, *, rate=1000.0, state_mb=100.0, config=None,
     state_store.initialize_stage("agg", state_mb, ["dc-1"])
     config = config or WaspConfig.paper_defaults()
     runtime = EngineRuntime(
-        topology, physical, ConstantWorkload({"src": rate}), config
+        topology, physical, ConstantWorkload({"src": rate})
     )
     monitor = WanMonitor(topology, np.random.default_rng(0))
     monitor.refresh()

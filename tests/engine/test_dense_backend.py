@@ -18,11 +18,14 @@ for the reference per-parcel engine:
   pins the in-place kernels bit for bit: the pop against the allocating
   formulation it replaced (slice and index-array rows alike), the array
   to queue sync against queues built by ``FluidQueue.push``.
-* **Sparse kernel oracles**: the pop and WAN scatter touch only the cells
-  that send events; they are checked bit for bit against the dense kernel
-  and scatter they replaced (kept here, verbatim), and so are the
-  span-limited fan-out against the full-width one and the one-copy roll
-  against the column roll.
+* **Kernel oracles**: the kernels keep their arrays bucket-major,
+  ``(B, rows)``.  Through transposes, the pop and WAN scatter are checked
+  bit for bit against the row-major sparse pop they replaced (kept here,
+  verbatim; the scatter code is unchanged and runs on row-major tables)
+  and the dense kernel and scatter before that, and so are the
+  span-limited fan-out against the row-major and full-width ones and the
+  block-copy roll against the row-major and column rolls.  The row totals
+  are pinned to numpy's own row sums.
 * **Flow-table oracle**: every tick's ``net_sent`` and ``net_backlog``
   tables read exactly as the dicts the tick filled before (the two fills
   kept here, verbatim), and still do five ticks later.
@@ -33,6 +36,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from collections import deque
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -55,6 +59,7 @@ from repro.engine.dense import (
     _PopScratch,
     _roll_into,
     _row_queues,
+    _row_totals,
     create_runtime,
 )
 from repro.engine.queues import FluidQueue
@@ -155,6 +160,10 @@ def test_dense_passes_invariant_checker(seed: int) -> None:
 # --------------------------------------------------------------------------- #
 # Kernel properties (Hypothesis vs a naive per-bucket ledger)
 # --------------------------------------------------------------------------- #
+#
+# The kernels keep their arrays bucket-major, ``(B, rows)``; the tests state
+# cases and oracles row-major, ``(rows, B)``, as the engine kept them before,
+# and go through transposes.
 
 counts = st.floats(
     min_value=0.0, max_value=1e6, allow_nan=False, allow_infinity=False
@@ -169,6 +178,33 @@ def _densify(idx, values, shape):
     out = np.zeros(shape)
     out.reshape(-1)[idx] = values
     return out
+
+
+def _n_rows(rows) -> int:
+    return rows.stop - rows.start if isinstance(rows, slice) else len(rows)
+
+
+def _bm_pop(cnt, mass, rows, caps, flow_order=False):
+    """:func:`_pop_rows` on the row-major arrays ``cnt``/``mass``, through
+    bucket-major copies that are written back into them.
+
+    Returns ``(cells, take, take_mass, popped, before)`` like the row-major
+    pop did, except that ``cells`` holds the row-major cell of each sending
+    cell in the kernel's order, which is bucket by bucket (ascending
+    bucket-major index) or, with ``flow_order``, ascending.
+    """
+    n, B = _n_rows(rows), cnt.shape[1]
+    cnt_b = cnt.T.copy()
+    mass_b = mass.T.copy()
+    sc = _PopScratch(rows, n, B, cnt.shape[0], flow_order=flow_order)
+    idx, tc, tm, popped, before = _pop_rows(cnt_b, mass_b, rows, caps, sc)
+    if flow_order:
+        assert (np.diff(idx % n * B + idx // n) > 0).all()
+    else:
+        assert (np.diff(idx) > 0).all()
+    cnt[:] = cnt_b.T
+    mass[:] = mass_b.T
+    return idx % n * B + idx // n, tc, tm.copy(), popped, before.copy()
 
 
 def _naive_pop_row(c_row, m_row, cap):
@@ -225,9 +261,7 @@ def test_pop_rows_conserves_mass(case) -> None:
     cnt = cnt0.copy()
     mass = mass0.copy()
     rows = np.arange(cnt.shape[0])
-    idx, tc, tm, popped, before = _pop_rows(
-        cnt, mass, rows, caps, _PopScratch(rows, *cnt.shape)
-    )
+    idx, tc, tm, popped, before = _bm_pop(cnt, mass, rows, caps)
     take = _densify(idx, tc, cnt.shape)
     tm = _densify(idx, tm, cnt.shape)
 
@@ -260,9 +294,7 @@ def test_pop_rows_matches_naive_ledger(case) -> None:
     cnt = cnt0.copy()
     mass = mass0.copy()
     rows = np.arange(cnt.shape[0])
-    idx, tc, tm, _, _ = _pop_rows(
-        cnt, mass, rows, caps, _PopScratch(rows, *cnt.shape)
-    )
+    idx, tc, tm, _, _ = _bm_pop(cnt, mass, rows, caps)
     take = _densify(idx, tc, cnt.shape)
     tm = _densify(idx, tm, cnt.shape)
 
@@ -308,21 +340,22 @@ def _assert_same_pop(expected, got, state_e, state_g, mass_in) -> None:
     """A sparse pop ``got`` equals a dense pop ``expected`` bit for bit.
 
     ``expected`` is ``(take, take_mass, popped, before)`` over every cell,
-    ``got`` the sparse ``(idx, take, take_mass, popped, before)``; the
-    ``state_*`` pairs are the ``(cnt, mass)`` arrays each pop mutated.
-    The sparse pop sends from exactly the cells where the dense take is
-    positive, in row-major order, with the same bits; every other dense
-    cell sends zero.  One difference is by design: the dense split
-    computes ``m - m * 0`` on a cell it does not pop, which turns a mass
-    of -0.0 into +0.0, while the sparse pop leaves the cell as it was.
-    The engine never holds -0.0 (its zeros are written as +0.0, which
+    ``got`` the sparse ``(cells, take, take_mass, popped, before)`` of
+    :func:`_bm_pop`; the ``state_*`` pairs are the ``(cnt, mass)`` arrays
+    each pop mutated.  The sparse pop sends from exactly the cells where the
+    dense take is positive, with the same bits; every other dense cell
+    sends zero.  One difference is by design: a mass of -0.0 in the input
+    may come out as -0.0 or +0.0 on either side (the dense split computes
+    ``m - m * 0`` on a cell it does not pop, the sparse pop leaves the cell
+    or normalises it while zeroing drained rows).  The engine never holds
+    -0.0 (its zeros are written as +0.0, which
     :func:`test_engine_pops_never_see_negative_zero_mass` checks at every
     pop), so those cells are compared by value.
     """
     e_take, e_tm, e_popped, e_before = expected
     idx, tc, tm, popped, before = got
     sends = e_take > 0.0
-    assert idx.tolist() == np.flatnonzero(sends).tolist()
+    assert sorted(idx.tolist()) == np.flatnonzero(sends).tolist()
     assert _bits(e_take.reshape(-1)[idx]) == _bits(tc)
     assert _bits(e_tm.reshape(-1)[idx]) == _bits(tm)
     assert (e_take[~sends] == 0.0).all()
@@ -331,18 +364,29 @@ def _assert_same_pop(expected, got, state_e, state_g, mass_in) -> None:
     assert _bits(e_before) == _bits(before)
     (cnt_e, mass_e), (cnt_g, mass_g) = state_e, state_g
     assert _bits(cnt_e) == _bits(cnt_g)
-    kept = (mass_in == 0.0) & np.signbit(mass_in) & np.signbit(mass_g)
-    assert (mass_e[kept] == 0.0).all()
-    assert _bits(np.where(kept, mass_e, mass_g)) == _bits(mass_e)
+    _assert_same_mass(mass_e, mass_g, mass_in)
 
 
-@given(pop_cases(), st.booleans())
+def _assert_same_mass(mass_e, mass_g, mass_in) -> None:
+    """Equal bits, except that a cell holding -0.0 in ``mass_in`` is
+    compared by value (see :func:`_assert_same_pop`)."""
+    negative_zero = (mass_in == 0.0) & np.signbit(mass_in)
+    assert (mass_e[negative_zero] == 0.0).all()
+    assert (mass_g[negative_zero] == 0.0).all()
+    assert _bits(np.where(negative_zero, 0.0, mass_g)) == _bits(
+        np.where(negative_zero, 0.0, mass_e)
+    )
+
+
+@given(pop_cases(), st.booleans(), st.booleans())
 @settings(max_examples=200, deadline=None)
-def test_pop_rows_is_bit_identical_to_allocating_kernel(case, as_slice) -> None:
+def test_pop_rows_is_bit_identical_to_allocating_kernel(
+    case, as_slice, flow_order
+) -> None:
     """Same bits as the allocating kernel (as :func:`_assert_same_pop`
     states them), whether the rows are an ascending run (a slice: in-place
-    views) or scattered (an index array: gather, then scatter back).
-    Untouched rows stay untouched."""
+    views) or scattered (an index array: gather, then scatter back), and
+    in either cell order.  Untouched rows stay untouched."""
     cnt0, mass0, caps = case
     n, B = cnt0.shape
     # Embed the case between padding rows so neither selector is trivial.
@@ -356,7 +400,7 @@ def test_pop_rows_is_bit_identical_to_allocating_kernel(case, as_slice) -> None:
     cnt_a, mass_a = pad_c.copy(), pad_m.copy()
     expected = _allocating_pop_rows(cnt_a, mass_a, rows, caps)
     cnt_b, mass_b = pad_c.copy(), pad_m.copy()
-    got = _pop_rows(cnt_b, mass_b, rows, caps, _PopScratch(rows, n, B))
+    got = _bm_pop(cnt_b, mass_b, rows, caps, flow_order)
 
     _assert_same_pop(
         expected, got, (cnt_a, mass_a), (cnt_b, mass_b), pad_m
@@ -422,8 +466,132 @@ def test_engine_pops_never_see_negative_zero_mass(monkeypatch, drive) -> None:
 
 
 # --------------------------------------------------------------------------- #
-# Sparse kernels against the dense kernels they replaced
+# Oracles: the row-major sparse kernels and the dense kernels before them
 # --------------------------------------------------------------------------- #
+
+
+class _RowMajorPopScratch:
+    """Preallocated ``(rows, B)`` buffers of one :func:`_rm_pop_rows` call
+    site: the row-major engine's ``_PopScratch``, verbatim."""
+
+    __slots__ = ("cum", "take", "sends", "c", "cells", "tm")
+
+    def __init__(
+        self, rows: slice | np.ndarray, n: int, B: int, dense_mass: bool = False
+    ) -> None:
+        self.cum = np.empty((n, B))
+        self.take = np.empty((n, B))
+        self.sends = np.empty((n, B), dtype=bool)
+        if isinstance(rows, slice):
+            self.c = self.cells = None
+        else:
+            self.c = np.empty((n, B))
+            self.cells = (rows[:, None] * B + np.arange(B)).ravel()
+        self.tm = np.empty((n, B)) if dense_mass else None
+
+
+def _rm_pop_rows(cnt, mass, rows, caps, sc):
+    """The row-major sparse pop, verbatim: it returns the sending cells in
+    ``(row, bucket)`` order."""
+    gathered = sc.c is not None
+    if gathered:
+        c = np.take(cnt, rows, axis=0, out=sc.c)
+        cnt_f = cnt.reshape(-1)
+        mass_f = mass.reshape(-1)
+    else:
+        c = cnt[rows]
+        cnt_f = c.reshape(-1)
+        mass_f = mass[rows].reshape(-1)
+    cum = sc.cum
+    np.cumsum(c[:, ::-1], axis=1, out=cum[:, ::-1])
+    take = sc.take
+    take_f = take.reshape(-1)
+    np.copyto(take, caps[:, None])
+    np.subtract(take_f[:-1], cum.reshape(-1)[1:], out=take_f[:-1])
+    take[:, -1] = caps
+    np.maximum(take, 0.0, out=take)
+    np.minimum(take, c, out=take)
+    np.greater(take, 0.0, out=sc.sends)
+    idx = sc.sends.reshape(-1).nonzero()[0]
+    cells = sc.cells[idx] if gathered else idx
+    tc = take_f[idx]
+    ci = cnt_f[cells]
+    mi = mass_f[cells]
+    tm = np.maximum(ci, 1e-300)
+    np.divide(tc, tm, out=tm)
+    np.multiply(mi, tm, out=tm)
+    cnt_f[cells] = np.subtract(ci, tc, out=ci)
+    mass_f[cells] = np.subtract(mi, tm, out=mi)
+    if sc.tm is not None:
+        sc.tm.fill(0.0)
+        sc.tm.reshape(-1)[idx] = tm
+    before = cum[:, 0]
+    popped = np.minimum(caps, before)
+    drained = (before - popped < _DRAIN_EPS).nonzero()[0]
+    if drained.size:
+        if gathered:
+            drained = rows[drained]
+            cnt[drained] = 0.0
+            mass[drained] = 0.0
+        else:
+            c[drained] = 0.0
+            mass[rows][drained] = 0.0
+    return idx, tc, tm, popped, before
+
+
+def _rm_fan_out(g, lo, hi, in_cnt, in_mass, net_cnt, net_mass):
+    """The row-major span-limited fan-out, verbatim, over the row-major
+    tables of :func:`_row_major_group`."""
+    n = g.n_rows
+    w = hi - lo
+    if not w:
+        return
+    out_c = np.multiply(
+        g.pop.take[:, lo:hi], g.sel_col, out=g.out_c[: n * w].reshape(n, w)
+    )
+    out_m = np.multiply(
+        g.pop.tm[:, lo:hi], g.sel_col, out=g.out_m[: n * w].reshape(n, w)
+    )
+    if g.loc_src is not None:
+        in_cnt_f = in_cnt.reshape(-1)
+        in_mass_f = in_mass.reshape(-1)
+        cells = g.loc_cells[:, lo:hi].ravel()
+        in_cnt_f += np.bincount(
+            cells,
+            weights=(out_c[g.loc_src] * g.loc_frac).ravel(),
+            minlength=in_cnt_f.shape[0],
+        )
+        in_mass_f += np.bincount(
+            cells,
+            weights=(out_m[g.loc_src] * g.loc_frac).ravel(),
+            minlength=in_mass_f.shape[0],
+        )
+    if g.rem_src is not None:
+        k = len(g.rem_src)
+        rc = g.rem_c[: k * w].reshape(k, w)
+        rm = g.rem_m[: k * w].reshape(k, w)
+        np.take(out_c, g.rem_src, axis=0, out=rc)
+        np.take(out_m, g.rem_src, axis=0, out=rm)
+        net_cnt[g.rem_rows, lo:hi] += np.multiply(rc, g.rem_frac, out=rc)
+        net_mass[g.rem_rows, lo:hi] += np.multiply(rm, g.rem_frac, out=rm)
+
+
+def _rm_bucket_span(sends: np.ndarray) -> tuple[int, int]:
+    """The bucket columns ``lo:hi`` in which any row of the ``(rows, B)``
+    mask ``sends`` is set; ``(0, 0)`` when none is (row-major, verbatim)."""
+    cols = sends.any(axis=0).nonzero()[0]
+    if not cols.size:
+        return 0, 0
+    return int(cols[0]), int(cols[-1]) + 1
+
+
+def _rm_roll_into(cur: np.ndarray, nxt: np.ndarray) -> None:
+    """The row-major roll, verbatim: one flat copy plus two column
+    fix-ups."""
+    B = cur.shape[1]
+    nxt.reshape(-1)[1:] = cur.reshape(-1)[:-1]
+    nxt[:, 0] = 0.0
+    np.add(cur[:, B - 1], cur[:, B - 2], out=nxt[:, B - 1])
 
 
 class _DensePopScratch:
@@ -542,11 +710,19 @@ def _pop_case(rng: np.random.Generator, n: int, B: int):
 def test_sparse_pop_and_deliver_match_dense_kernel(
     B: int, as_slice: bool, seed: int
 ) -> None:
-    """The sparse pop and its scatter against the dense kernel and scatter
-    they replaced, on random arrays: the same ``cnt``, ``mass``, sent
-    cells, ``popped`` and ``before``, and the same destination arrays."""
+    """The bucket-major pop and its scatter against the row-major sparse
+    kernels and the dense kernel and scatter before them, on random arrays:
+    the same ``cnt``, ``mass``, sent cells, ``popped`` and ``before``, and
+    the same destination arrays.
+
+    Seeds 0 and 1 pop 48 rows (one cumsum, a boolean write of drained
+    rows), seeds 2 and 3 pop 300 (row adds, a mask multiply).  Even seeds
+    draw latencies of 0-3.5 s, so flows land up to four buckets later and
+    the pass pops in flow order, as a compiled pass with a shifted flow
+    does; odd seeds stay under 0.5 s and pop bucket by bucket."""
     rng = np.random.default_rng(1000 * B + seed)
-    n = 48
+    n = 48 if seed < 2 else 300
+    assert (n >= dense_module._LONG_POP_ROWS) == (seed >= 2)
     cnt0, mass0, caps = _pop_case(rng, n, B)
     pad_c = rng.exponential(5.0, size=(2 * n + 1, B))
     pad_m = pad_c * 100.0
@@ -558,12 +734,14 @@ def test_sparse_pop_and_deliver_match_dense_kernel(
     n_in = 20
     in_c0 = rng.exponential(9.0, size=(n_in, B))
     in_m0 = in_c0 * rng.uniform(0.0, 300.0, size=(n_in, B))
-    lat = rng.uniform(0.0, 3.5, size=n)
-    shift = np.floor(lat + 0.5).astype(np.intp)[:, None]
+    lat = rng.uniform(0.0, 3.5 if seed % 2 == 0 else 0.49, size=n)
+    shift = np.floor(lat + 0.5).astype(np.intp)
+    flow_order = bool(shift.any())
+    assert flow_order == (seed % 2 == 0)
     dst_rows = rng.integers(0, n_in, size=n)
-    dst_flat = (
-        dst_rows[:, None] * B + np.minimum(np.arange(B) + shift, B - 1)
-    ).ravel()
+    shifted = np.minimum(np.arange(B)[:, None] + shift, B - 1)  # (B, n)
+    dst_flat = (dst_rows[:, None] * B + shifted.T).ravel()
+    dst_flat_bm = (shifted * n_in + dst_rows).ravel()
 
     cnt_e, mass_e = pad_c.copy(), pad_m.copy()
     dense_sc = _DensePopScratch(rows, n, B)
@@ -575,19 +753,43 @@ def test_sparse_pop_and_deliver_match_dense_kernel(
         expected[1].copy(), lat[:, None], dst_flat, dense_sc.cum,
     )
 
-    cnt_g, mass_g = pad_c.copy(), pad_m.copy()
-    caps_g = caps.copy()
-    got = _pop_rows(cnt_g, mass_g, rows, caps_g, _PopScratch(rows, n, B))
-    _assert_same_pop(expected, got, (cnt_e, mass_e), (cnt_g, mass_g), pad_m)
-    assert _bits(caps_g) == _bits(caps)
-    in_cg, in_mg = in_c0.copy(), in_m0.copy()
-    idx, tc, tm = got[:3]
+    # The row-major sparse kernels: the same pop, and the scatter in
+    # (row, bucket) order over row-major destination cells.
+    cnt_r, mass_r = pad_c.copy(), pad_m.copy()
+    r_idx, r_tc, r_tm, r_popped, r_before = _rm_pop_rows(
+        cnt_r, mass_r, rows, caps.copy(), _RowMajorPopScratch(rows, n, B)
+    )
+    in_cr, in_mr = in_c0.copy(), in_m0.copy()
     _deliver(
-        in_cg.reshape(-1), in_mg.reshape(-1), idx, tc, tm,
+        in_cr.reshape(-1), in_mr.reshape(-1), r_idx, r_tc, r_tm.copy(),
         np.repeat(lat, B), dst_flat,
     )
-    assert _bits(in_cg) == _bits(in_ce)
-    assert _bits(in_mg) == _bits(in_me)
+
+    cnt_g, mass_g = pad_c.copy(), pad_m.copy()
+    caps_g = caps.copy()
+    got = _bm_pop(cnt_g, mass_g, rows, caps_g, flow_order)
+    _assert_same_pop(expected, got, (cnt_e, mass_e), (cnt_g, mass_g), pad_m)
+    assert _bits(caps_g) == _bits(caps)
+    cells, tc, tm = got[:3]
+    order = np.argsort(cells)
+    assert cells[order].tolist() == r_idx.tolist()
+    assert _bits(tc[order]) == _bits(r_tc)
+    assert _bits(tm[order]) == _bits(r_tm)
+    assert _bits(got[3]) == _bits(r_popped)
+    assert _bits(got[4]) == _bits(r_before)
+    assert _bits(cnt_g) == _bits(cnt_r)
+    _assert_same_mass(mass_r, mass_g, pad_m)
+
+    # The bucket-major scatter, over bucket-major destination arrays.
+    in_cg, in_mg = in_c0.T.copy(), in_m0.T.copy()
+    idx = cells % B * n + cells // B  # back to bucket-major selection cells
+    _deliver(
+        in_cg.reshape(-1), in_mg.reshape(-1), idx, tc, tm,
+        np.tile(lat, B), dst_flat_bm,
+    )
+    for bm, rm, dense in ((in_cg, in_cr, in_ce), (in_mg, in_mr, in_me)):
+        assert _bits(bm.T) == _bits(rm)
+        assert _bits(bm.T) == _bits(dense)
 
     # Every case the kernels must agree on occurs here.
     take, before, popped = expected[0], expected[3], expected[2]
@@ -613,21 +815,27 @@ def _column_roll(cur: np.ndarray, nxt: np.ndarray) -> None:
 @pytest.mark.parametrize("B", [4, 16])
 @pytest.mark.parametrize("n", [0, 1, 37])
 def test_one_copy_roll_matches_column_roll(B: int, n: int) -> None:
+    """The bucket-major roll against the row-major one-copy roll and the
+    column roll before it."""
     rng = np.random.default_rng(B + n)
     cur = rng.exponential(3.0, size=(n, B))
     cur[rng.random(cur.shape) < 0.3] = 0.0
     before = cur.copy()
     expected = np.full((n, B), np.nan)
-    got = np.full((n, B), np.nan)
+    row_major = np.full((n, B), np.nan)
     _column_roll(cur, expected)
-    _roll_into(cur, got)
-    assert _bits(got) == _bits(expected)
-    assert _bits(cur) == _bits(before)
+    _rm_roll_into(cur, row_major)
+    cur_b = cur.T.copy()
+    got = np.full((B, n), np.nan)
+    _roll_into(cur_b, got)
+    assert _bits(got.T) == _bits(expected)
+    assert _bits(row_major) == _bits(expected)
+    assert _bits(cur_b.T) == _bits(before)
 
 
 def _full_width_fan_out(g, take_c, take_m, in_cnt, in_mass, net_cnt, net_mass):
     """The group fan-out over every bucket column, as a tick ran it before
-    routing was limited to the popped span."""
+    routing was limited to the popped span (row-major tables)."""
     in_cnt_f = in_cnt.reshape(-1)
     in_mass_f = in_mass.reshape(-1)
     in_size = in_cnt_f.shape[0]
@@ -654,6 +862,32 @@ def _full_width_fan_out(g, take_c, take_m, in_cnt, in_mass, net_cnt, net_mass):
         net_mass[g.rem_rows] += np.multiply(rm, g.rem_frac, out=rm)
 
 
+def _row_major_group(g, B: int):
+    """The row-major routing tables of the compiled group ``g``, as the
+    row-major model compiled them, and its popped take (``g.pop.take`` and
+    ``g.pop.tm`` transposed)."""
+    n = g.n_rows
+    rm = SimpleNamespace(
+        n_rows=n,
+        sel_col=g.sel[:, None],
+        loc_src=g.loc_src,
+        rem_src=g.rem_src,
+        rem_rows=g.rem_rows,
+        out_c=np.empty(n * B),
+        out_m=np.empty(n * B),
+        pop=SimpleNamespace(take=g.pop.take.T.copy(), tm=g.pop.tm.T.copy()),
+    )
+    if g.loc_src is not None:
+        rm.loc_frac = g.loc_frac[:, None]
+        # Bucket 0 of the bucket-major cells holds the destination rows.
+        rm.loc_cells = g.loc_cells[0][:, None] * B + np.arange(B)
+    if g.rem_src is not None:
+        rm.rem_frac = g.rem_frac[:, None]
+        rm.rem_c = np.empty(len(g.rem_src) * B)
+        rm.rem_m = np.empty(len(g.rem_src) * B)
+    return rm
+
+
 def _fan_out_group(held: bool):
     """A compiled dense model of the 6-site shuffle with two aggregation
     tasks per site; with ``held`` the sink has no task, so the aggregation
@@ -675,10 +909,10 @@ def _fan_out_group(held: bool):
 )
 def test_fan_out_span_matches_full_width(held, cols, span) -> None:
     """Routing over the popped bucket span leaves every input and flow row
-    as the full-width fan-out did: a group popping only buckets 0 and
-    B - 1, one popping nothing, and one popping only middle buckets.  A
-    held group (its downstream stage has no task) runs no task and routes
-    nothing."""
+    as the full-width fan-out did, and as the row-major span-limited
+    fan-out did: a group popping only buckets 0 and B - 1, one popping
+    nothing, and one popping only middle buckets.  A held group (its
+    downstream stage has no task) runs no task and routes nothing."""
     model = _fan_out_group(held)
     B = model.B
     g = model.groups[1 if held else 0]
@@ -691,12 +925,14 @@ def test_fan_out_span_matches_full_width(held, cols, span) -> None:
     take = np.zeros((g.n_rows, B))
     for b in cols:
         take[:, b] = rng.exponential(10.0, size=g.n_rows)
-    g.pop.take[:] = take
-    g.pop.tm[:] = take * rng.uniform(50.0, 60.0, size=take.shape)
-    lo, hi = _bucket_span(take > 0.0)
+    g.pop.take[:] = take.T
+    g.pop.tm[:] = take.T * rng.uniform(50.0, 60.0, size=(B, g.n_rows))
+    idx = np.flatnonzero(g.pop.take > 0.0)
+    lo, hi = _bucket_span(idx, g.n_rows)
     if span is None:
         span = (0, B)
     assert (lo, hi) == span
+    assert _rm_bucket_span(take > 0.0) == span
 
     state = [
         rng.exponential(4.0, size=(model.n_in, B)),
@@ -704,12 +940,16 @@ def test_fan_out_span_matches_full_width(held, cols, span) -> None:
         rng.exponential(4.0, size=(model.n_net, B)),
         rng.exponential(400.0, size=(model.n_net, B)),
     ]
+    rm_g = _row_major_group(g, B)
     full = [a.copy() for a in state]
-    _full_width_fan_out(g, take, g.pop.tm.copy(), *full)
-    spanned = [a.copy() for a in state]
+    _full_width_fan_out(rm_g, take, rm_g.pop.tm.copy(), *full)
+    row_major = [a.copy() for a in state]
+    _rm_fan_out(rm_g, lo, hi, *row_major)
+    spanned = [a.T.copy() for a in state]
     _fan_out(g, lo, hi, *spanned)
-    for f, s_ in zip(full, spanned):
-        assert _bits(f) == _bits(s_)
+    for f, r, s_ in zip(full, row_major, spanned):
+        assert _bits(f) == _bits(s_.T)
+        assert _bits(f) == _bits(r)
     if held:
         assert all(_bits(f) == _bits(a) for f, a in zip(full, state))
     elif cols:
@@ -834,13 +1074,34 @@ def _dict_fills(model, pops: dict, net_cnt: np.ndarray) -> tuple[dict, dict]:
                     if mv > 0.0
                 )
     net_backlog: dict = {}
-    net_tot = net_cnt.sum(axis=1)
+    # The row sums of the row-major (flows, B) array.
+    net_tot = np.ascontiguousarray(net_cnt.T).sum(axis=1)
     nz = np.flatnonzero(net_tot > 0.0)
     if nz.size:
         net_backlog.update(
             zip(model.net_keys[nz].tolist(), net_tot[nz].tolist())
         )
     return net_sent, net_backlog
+
+
+@pytest.mark.parametrize("kind", ["exponential", "mixed-magnitudes"])
+def test_row_totals_sum_like_numpy_row_sums(kind) -> None:
+    """The bucket-major row totals equal numpy's ``(rows, 16).sum(axis=1)``
+    on the row-major array bit for bit, at every row count from 1 to 299
+    and at the 64-site shuffle's 4032 and 4095 flows.  A numpy that sums a
+    16-wide row in another order fails here, not in a digest."""
+    rng = np.random.default_rng(len(kind))
+    assert dense_module.AGE_BUCKETS == 16
+    for n in [*range(1, 300), 4032, 4095]:
+        if kind == "exponential":
+            a = rng.exponential(50.0, size=(n, 16))
+        else:
+            a = rng.exponential(1.0, size=(n, 16)) * 10.0 ** rng.integers(
+                -12, 13, size=(n, 16)
+            )
+            a[rng.random((n, 16)) < 0.3] = 0.0
+            a[rng.random((n, 16)) < 0.2] *= -1.0
+        assert _bits(_row_totals(a.T.copy())) == _bits(a.sum(axis=1)), n
 
 
 def _readings(report) -> list:

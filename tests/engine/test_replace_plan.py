@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.config import WaspConfig
 from repro.engine.logical import LogicalPlan
 from repro.engine.operators import filter_, sink, source, union, window_aggregate
 from repro.engine.physical import PhysicalPlan
@@ -49,7 +48,6 @@ def runtime(small_topology):
     return EngineRuntime(
         small_topology, plan,
         ConstantWorkload({"a": 1000.0, "b": 1000.0}),
-        WaspConfig.paper_defaults(),
     )
 
 
@@ -88,7 +86,6 @@ class TestPlanSwap:
         runtime = EngineRuntime(
             small_topology, plan,
             ConstantWorkload({"a": 20_000.0, "b": 0.0}),
-            WaspConfig.paper_defaults(),
         )
         for _ in range(10):
             runtime.tick()
@@ -116,7 +113,6 @@ class TestPlanSwap:
         runtime = EngineRuntime(
             small_topology, plan,
             ConstantWorkload({"a": rate, "b": 0.0}),
-            WaspConfig.paper_defaults(),
         )
         for _ in range(10):
             runtime.tick()
@@ -146,7 +142,6 @@ class TestPlanSwap:
         runtime = EngineRuntime(
             small_topology, plan,
             ConstantWorkload({"a": rate, "b": 0.0}),
-            WaspConfig.paper_defaults(),
         )
         for _ in range(10):
             runtime.tick()

@@ -27,7 +27,6 @@ import math
 import pytest
 
 import repro.engine.dense as dense_module
-from repro.config import WaspConfig
 from repro.engine.dense import DenseEngineRuntime
 from repro.engine.logical import LogicalPlan
 from repro.engine.operators import sink, source, window_aggregate
@@ -120,8 +119,7 @@ def build_runtime(cls, degrade_slo_s):
     plan.stage("out").add_task("dc-1")
     workload = ConstantWorkload({"src1": 2300.0, "src2": 1700.0})
     return cls(
-        make_topology(), plan, workload, WaspConfig.paper_defaults(),
-        degrade_slo_s=degrade_slo_s,
+        make_topology(), plan, workload, degrade_slo_s=degrade_slo_s
     )
 
 

@@ -4,7 +4,6 @@ import math
 
 import pytest
 
-from repro.config import WaspConfig
 from repro.engine.logical import LogicalPlan
 from repro.engine.operators import (
     filter_,
@@ -57,7 +56,6 @@ def build_pipeline(topology, *, rate=1000.0, selectivity=0.5,
         topology,
         physical,
         ConstantWorkload({"src": rate}),
-        WaspConfig.paper_defaults(),
         degrade_slo_s=degrade_slo,
     )
     return runtime

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 from collections import deque
 
-from repro.config import WaspConfig
 from repro.engine.logical import LogicalPlan
 from repro.engine.operators import sink, source, window_aggregate
 from repro.engine.physical import PhysicalPlan
@@ -108,8 +107,7 @@ def build_runtime(
     plan.stage("agg").add_task("dc-2")
     plan.stage("out").add_task("dc-1")
     runtime = cls(
-        topology, plan, ConstantWorkload({"src1": 0.0, "src2": 0.0}),
-        WaspConfig.paper_defaults(),
+        topology, plan, ConstantWorkload({"src1": 0.0, "src2": 0.0})
     )
     for key, parcels in contents.items():
         if len(key) == 4:
