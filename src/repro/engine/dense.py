@@ -26,9 +26,9 @@ generate -> process -> route -> transfer as fused array operations:
 * Work follows the events that move.  One pop kernel (:func:`_pop_rows`)
   serves stage execution and WAN transfer alike: it computes each cell's
   take over the full ``(B, rows)`` block (the events in older buckets as
-  B - 1 contiguous row adds at a long pop site, one ``cumsum`` at a short
-  one), then splits mass, subtracts and returns only the cells that send,
-  bucket by bucket.  A WAN pass ages and scatters just those cells
+  B - 1 contiguous row adds at a long pop site, one accumulate at a
+  short one), then splits mass, subtracts and returns only the cells
+  that send, bucket by bucket.  A WAN pass ages and scatters just those cells
   (:func:`_deliver`); a pass that shifts a flow by its latency pops in
   flow order instead, so that every destination cell sums its terms flow
   by flow.  A group's fan-out covers only the buckets it popped from
@@ -119,10 +119,11 @@ def _rows(ids: list[int]) -> slice | np.ndarray:
 
 #: Pop sites with at least this many rows are *long*: they sum the older
 #: buckets as B - 1 contiguous row adds and zero drained rows by a mask
-#: multiply.  Shorter ones take one ``np.cumsum`` over the bucket axis and
-#: a boolean column write, whose fewer numpy calls cost less there.  Both
-#: ways give the same bits.  The measured crossover is in DESIGN.md
-#: section 7, "Dense tick kernels".
+#: multiply.  Shorter ones take one ``np.add.accumulate`` over the bucket
+#: axis (the sequential sum ``np.cumsum`` runs, without its wrapper's
+#: cost) and a boolean column write, whose fewer numpy calls cost less
+#: there.  Both ways give the same bits.  The measured crossover is in
+#: DESIGN.md section 7, "Dense tick kernels".
 _LONG_POP_ROWS = 256
 
 
@@ -205,7 +206,7 @@ def _pop_rows(
         for b in range(cum.shape[0] - 2, -1, -1):
             np.add(cum[b + 1], c[b], out=cum[b])
     else:
-        np.cumsum(c[::-1], axis=0, out=cum[::-1])
+        np.add.accumulate(c[::-1], axis=0, out=cum[::-1])
     # take[b] = min(max(cap - events older than b, 0), c[b]).  Without a
     # dense mass buffer nothing reads the take off the sending cells, and
     # min(cap - older, c) is positive on exactly those cells, with the same
@@ -268,6 +269,8 @@ def _row_totals(a: np.ndarray) -> np.ndarray:
     (``tests/engine/test_dense_backend.py`` pins it), except that a row of
     -0.0 sums to -0.0 where numpy gives +0.0; the engine's counts never
     hold -0.0."""
+    if a.shape[0] != 16:
+        raise ValueError(f"_row_totals folds 16 buckets, got {a.shape[0]}")
     lanes = a[:8] + a[8:]
     pairs = lanes[0::2] + lanes[1::2]
     halves = pairs[0::2] + pairs[1::2]

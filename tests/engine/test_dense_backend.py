@@ -715,7 +715,7 @@ def test_sparse_pop_and_deliver_match_dense_kernel(
     the same ``cnt``, ``mass``, sent cells, ``popped`` and ``before``, and
     the same destination arrays.
 
-    Seeds 0 and 1 pop 48 rows (one cumsum, a boolean write of drained
+    Seeds 0 and 1 pop 48 rows (one accumulate, a boolean write of drained
     rows), seeds 2 and 3 pop 300 (row adds, a mask multiply).  Even seeds
     draw latencies of 0-3.5 s, so flows land up to four buckets later and
     the pass pops in flow order, as a compiled pass with a shifted flow
@@ -1102,6 +1102,14 @@ def test_row_totals_sum_like_numpy_row_sums(kind) -> None:
             a[rng.random((n, 16)) < 0.3] = 0.0
             a[rng.random((n, 16)) < 0.2] *= -1.0
         assert _bits(_row_totals(a.T.copy())) == _bits(a.sum(axis=1)), n
+
+
+@pytest.mark.parametrize("buckets", [4, 8, 15, 17, 32])
+def test_row_totals_reject_other_bucket_counts(buckets) -> None:
+    """The fold is written for 16 buckets; any other count raises rather
+    than returning partial sums."""
+    with pytest.raises(ValueError, match="16 buckets"):
+        _row_totals(np.ones((buckets, 5)))
 
 
 def _readings(report) -> list:
