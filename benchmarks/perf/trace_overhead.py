@@ -35,12 +35,13 @@ def _timed_run(duration_s: float, make_sink) -> tuple[float, int, int]:
     run.run(duration_s, bottleneck_dynamics())
     wall = time.perf_counter() - t0
     ticks = len(run.recorder.samples)
+    run.obs.close()
     records = 0
     if isinstance(sink, RingBufferSink):
         records = len(sink)
     elif isinstance(sink, JsonlSink):
-        records = sink.written
-    run.obs.close()
+        with sink.path.open(encoding="utf-8") as trace:
+            records = sum(1 for _ in trace)
     return wall, ticks, records
 
 

@@ -76,7 +76,6 @@ def build_query(topo: Topology) -> BenchmarkQuery:
         name="four-way-join",
         variants=tuple(variants),
         workload=workload,
-        description="Figure-5-style commutative 4-way join",
         table3=Table3Row("Custom Join", "~16 MB", ("filter", "join"), "synthetic"),
     )
 

@@ -137,7 +137,6 @@ class ChaosInjector:
         *,
         start_s: float = 0.0,
         end_s: float = math.inf,
-        count: int | None = None,
     ) -> "ChaosInjector":
         """Bernoulli(``probability``) trial per tick within the window."""
         if not 0.0 <= probability <= 1.0:
@@ -150,7 +149,6 @@ class ChaosInjector:
             probability=probability,
             start_s=start_s,
             end_s=end_s,
-            max_firings=count,
         )
         # A child stream per rule: adding rule N+1 never shifts the draws
         # rule N sees, so specs compose without breaking determinism.
@@ -163,7 +161,6 @@ class ChaosInjector:
         fault: Fault,
         *,
         stage: str | None = None,
-        count: int | None = 1,
     ) -> "ChaosInjector":
         """Fire when the controller reaches ``point`` mid-transaction.
 
@@ -171,7 +168,7 @@ class ChaosInjector:
         default fires for whichever stage reaches the point first.
         """
         return self._add(
-            _Rule(fault=fault, point=point, stage=stage, max_firings=count)
+            _Rule(fault=fault, point=point, stage=stage, max_firings=1)
         )
 
     def _add(self, rule: _Rule) -> "ChaosInjector":

@@ -49,14 +49,12 @@ class ReassignAction(Action):
 class ScaleAction(Action):
     """Increase parallelism; ``assignment`` is the complete new placement."""
 
-    target_parallelism: int = 0
     new_assignment: dict[str, int] = field(default_factory=dict)
 
     def __init__(
         self,
         stage: str,
         reason: str,
-        target_parallelism: int,
         new_assignment: dict[str, int],
         *,
         cross_site: bool,
@@ -65,7 +63,6 @@ class ScaleAction(Action):
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "stage", stage)
         object.__setattr__(self, "reason", reason)
-        object.__setattr__(self, "target_parallelism", target_parallelism)
         object.__setattr__(self, "new_assignment", dict(new_assignment))
 
 

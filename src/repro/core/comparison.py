@@ -40,7 +40,6 @@ class TechniqueProfile:
     granularity: Granularity
     overhead: Overhead
     quality_reduction: bool
-    note: str = ""
 
 
 TABLE_2: tuple[TechniqueProfile, ...] = (
@@ -51,7 +50,6 @@ TABLE_2: tuple[TechniqueProfile, ...] = (
         granularity=Granularity.STAGE,
         overhead=Overhead.LOW,
         quality_reduction=False,
-        note="Excludes the cross-site state migration overhead.",
     ),
     TechniqueProfile(
         technique="Operator Scaling",
@@ -60,7 +58,6 @@ TABLE_2: tuple[TechniqueProfile, ...] = (
         granularity=Granularity.STAGE,
         overhead=Overhead.LOW,
         quality_reduction=False,
-        note="Excludes the cross-site state migration overhead.",
     ),
     TechniqueProfile(
         technique="Query Re-Planning",
@@ -69,8 +66,6 @@ TABLE_2: tuple[TechniqueProfile, ...] = (
         granularity=Granularity.QUERY,
         overhead=Overhead.HIGH,
         quality_reduction=False,
-        note="Quality reduced only if state is incompatible with or ignored "
-        "by the new plan.",
     ),
     TechniqueProfile(
         technique="Data Degradation",

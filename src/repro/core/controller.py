@@ -702,7 +702,6 @@ class ReconfigurationManager:
             return ScaleAction(
                 stage=action.stage,
                 reason=reason,
-                target_parallelism=sum(assignment.values()),
                 new_assignment=assignment,
                 cross_site=any(
                     site not in stage.placement() for site in assignment
@@ -746,7 +745,6 @@ class ReconfigurationManager:
             reason=(
                 f"{action.reason} [fallback: scale-out partitions state]"
             ),
-            target_parallelism=sum(target.values()),
             new_assignment=target,
             cross_site=any(site not in current for site in target),
         )

@@ -51,8 +51,6 @@ class LinkPressure:
 
     src_site: str
     dst_site: str
-    backlog_events: float
-    backlog_growth: float
     expected_flow_eps: float
     capacity_eps: float
 
@@ -250,8 +248,6 @@ class Diagnoser:
                     LinkPressure(
                         src_site=src_site,
                         dst_site=dst_site,
-                        backlog_events=backlog,
-                        backlog_growth=growth,
                         expected_flow_eps=inflow + growth / max(
                             1.0, self._config.monitor_interval_s
                         ),

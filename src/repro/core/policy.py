@@ -234,7 +234,6 @@ class AdaptationPolicy:
             stage.name,
             f"compute bottleneck: expected {diagnosis.expected_input_eps:.0f}"
             f" eps > capacity {diagnosis.processing_capacity_eps:.0f} eps",
-            decision.target,
             target,
             cross_site=cross_site,
         )
@@ -547,7 +546,6 @@ class AdaptationPolicy:
             stage.name,
             "network bottleneck: scale out to spread load over "
             f"{len(solution.assignment)} sites{reason_suffix}",
-            target_p,
             solution.assignment,
             cross_site=bool(cross_site),
         )

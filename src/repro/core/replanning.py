@@ -36,7 +36,6 @@ class ReplanProposal:
     """A vetted alternative deployment."""
 
     estimate: DeploymentEstimate
-    surviving_stages: frozenset[str]
     current_score_ms: float
 
     @property
@@ -122,11 +121,4 @@ class Replanner:
             if not best.delay_score_ms < current_score * HYSTERESIS:
                 return None
 
-        surviving = frozenset(
-            set(best.physical.stages) & set(current_physical.stages)
-        )
-        return ReplanProposal(
-            estimate=best,
-            surviving_stages=surviving,
-            current_score_ms=current_score,
-        )
+        return ReplanProposal(estimate=best, current_score_ms=current_score)

@@ -553,8 +553,8 @@ class _DenseModel:
 
     __slots__ = (
         "plan", "version", "parallelism", "links_version", "B",
-        "in_rows", "in_index", "in_persistent",
-        "net_rows", "net_keys", "net_index", "net_persistent",
+        "in_rows", "in_persistent",
+        "net_rows", "net_keys", "net_persistent",
         "sites", "site_rate", "site_version", "links", "link_base",
         "link_local", "groups", "sources", "source_names", "n_in", "n_net",
         "sent_keys",
@@ -646,12 +646,10 @@ class _DenseModel:
             in_row(dst_st, sd)
 
         self.in_rows = in_rows
-        self.in_index = in_index
         self.in_persistent = in_persistent
         self.net_rows = net_rows
         #: The flow keys as an object array, for vectorized key selection.
         self.net_keys = np.fromiter(net_rows, dtype=object, count=len(net_rows))
-        self.net_index = net_index
         self.net_persistent = net_persistent
         self.n_in = len(in_rows)
         self.n_net = len(net_rows)

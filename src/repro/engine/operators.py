@@ -175,17 +175,16 @@ def filter_(name: str, *, selectivity: float, event_bytes: float = 100.0,
     )
 
 
-def map_(name: str, *, event_bytes: float = 100.0, cost: float = 1.0,
-         selectivity: float = 1.0) -> OperatorSpec:
+def map_(name: str, *, event_bytes: float = 100.0,
+         cost: float = 1.0) -> OperatorSpec:
     return OperatorSpec(
-        name, OperatorKind.MAP, selectivity=selectivity,
-        event_bytes=event_bytes, cost=cost,
+        name, OperatorKind.MAP, event_bytes=event_bytes, cost=cost
     )
 
 
-def project(name: str, *, event_bytes: float, cost: float = 0.5) -> OperatorSpec:
+def project(name: str, *, event_bytes: float) -> OperatorSpec:
     return OperatorSpec(
-        name, OperatorKind.PROJECT, event_bytes=event_bytes, cost=cost
+        name, OperatorKind.PROJECT, event_bytes=event_bytes, cost=0.5
     )
 
 
@@ -222,21 +221,16 @@ def join(name: str, *, selectivity: float, state_mb: float,
 
 
 def top_k(name: str, *, k: int, window_s: float, state_mb: float,
-          event_bytes: float = 120.0, cost: float = 2.0,
-          splittable: bool = True) -> OperatorSpec:
-    # A global top-k is a counter-like operator: splitting it requires an
-    # extra combiner, so callers model the final global instance with
-    # splittable=False (Section 6.2).
+          event_bytes: float = 120.0, cost: float = 2.0) -> OperatorSpec:
     selectivity = max(1e-6, min(1.0, k / 1000.0))
     return OperatorSpec(
         name, OperatorKind.TOP_K, selectivity=selectivity, cost=cost,
         event_bytes=event_bytes, state_mb=state_mb, window_s=window_s,
-        splittable=splittable,
     )
 
 
-def sink(name: str, *, splittable: bool = False) -> OperatorSpec:
+def sink(name: str) -> OperatorSpec:
     return OperatorSpec(
         name, OperatorKind.SINK, selectivity=1.0, cost=0.25,
-        event_bytes=100.0, splittable=splittable,
+        event_bytes=100.0, splittable=False,
     )

@@ -16,7 +16,6 @@ for the common part (Section 4.3).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -30,7 +29,6 @@ from .operators import OperatorSpec
 class Task:
     """One execution instance of a stage, occupying one computing slot."""
 
-    task_id: str
     stage_name: str
     site: str
 
@@ -58,9 +56,6 @@ class Stage:
     #: version mismatch.  All task mutations must go through the methods
     #: below - never mutate ``tasks`` directly.
     version: int = 0
-    _task_counter: itertools.count = field(
-        default_factory=itertools.count, repr=False
-    )
     #: The owning plan's mutation counter, bumped with ``version`` (see
     #: :meth:`PhysicalPlan.mutation_version`).
     _plan_mutations: VersionCounter = field(
@@ -151,11 +146,7 @@ class Stage:
         self._plan_mutations.value += 1
 
     def add_task(self, site: str) -> Task:
-        task = Task(
-            task_id=f"{self.name}/{next(self._task_counter)}",
-            stage_name=self.name,
-            site=site,
-        )
+        task = Task(stage_name=self.name, site=site)
         self.tasks.append(task)
         self._mutated()
         return task

@@ -1166,4 +1166,7 @@ class WorkloadModel:
 
     def generation_eps(self, source_stage: str, t_s: float) -> float:
         """Raw events/second generated at the given source stage."""
-        return self.generation_rates((source_stage,), t_s)[0]
+        raise NotImplementedError(
+            f"{type(self).__name__} must override generation_rates or "
+            "generation_eps"
+        )

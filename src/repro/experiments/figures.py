@@ -264,18 +264,17 @@ def measure_overhead(
     record: AdaptationRecord,
     *,
     destination: str = "",
-    baseline_lo: int = 60,
-    baseline_hi: int = 170,
 ) -> OverheadBreakdown:
     """Split an adaptation's overhead into transition and stabilizing time.
 
     Transition: the suspension while state migrates (Section 8.7).
     Stabilizing: from the end of the transition until the delay returns to
-    twice the pre-adaptation baseline (None if it never does within the run).
+    twice the pre-adaptation baseline, the mean delay over ticks 60-170
+    before the t=180 adaptation (None if it never does within the run).
     """
     rec = run.recorder
     delay = rec.delay_series()
-    baseline = segment_mean(delay, baseline_lo, baseline_hi)
+    baseline = segment_mean(delay, 60, 170)
     threshold = max(2 * baseline, 1.5)
     t_end = record.t_s + record.transition_s
     stabilize = None

@@ -526,7 +526,6 @@ def run_variants(
     *,
     config: WaspConfig | None = None,
     seed: int | None = None,
-    state_mb_override: dict[str, float] | None = None,
     instrument=None,
 ) -> dict[str, ExperimentRun]:
     """Run several variants under *identical* (independently re-created)
@@ -541,7 +540,6 @@ def run_variants(
         make_dynamics: ``(RngRegistry) -> DynamicsSpec``.
         config: Shared configuration.
         seed: Master seed (defaults to the config's).
-        state_mb_override: Controlled state sizes (Section 8.7).
         instrument: Optional ``(variant_name, run) -> None`` hook called
             before each run starts - e.g. to attach trace sinks.
     """
@@ -557,7 +555,6 @@ def run_variants(
             variant,
             config=config,
             rngs=rngs,
-            state_mb_override=state_mb_override,
         )
         if instrument is not None:
             instrument(variant.name, run)

@@ -354,11 +354,9 @@ def _feasible_destinations(run: ExperimentRun, stage_name: str) -> list[str]:
     ]
 
 
-def force_reassignment(
-    run: ExperimentRun,
-    stage_name: str = MIGRATION_STAGE,
-) -> str:
-    """Trigger the controlled adaptation of Section 8.7.1.
+def force_reassignment(run: ExperimentRun) -> str:
+    """Trigger the controlled adaptation of Section 8.7.1 on
+    :data:`MIGRATION_STAGE`.
 
     The migration strategy chooses the *destination site* among the
     stream-feasible candidates: WASP (and No Migrate) pick the site with the
@@ -370,6 +368,7 @@ def force_reassignment(
     manager = run.manager
     if manager is None:
         raise WaspError("forced re-assignment needs an adapting variant")
+    stage_name = MIGRATION_STAGE
     manager.wan_monitor.refresh()
     plan = run.runtime.plan
     stage = plan.stage(stage_name)
@@ -458,7 +457,6 @@ def force_partitioned_adaptation(run: ExperimentRun) -> None:
         action: ReassignAction | ScaleAction = ScaleAction(
             stage_name,
             "controlled partitioned adaptation",
-            target_p,
             assignment,
             cross_site=True,
         )

@@ -121,16 +121,14 @@ def _execute(spec: ScenarioSpec, checker: InvariantChecker | None) -> str:
     return recorder_digest(run.recorder)
 
 
-def run_scenario(
-    spec: ScenarioSpec, *, verify_digest: bool = True
-) -> ScenarioResult:
+def run_scenario(spec: ScenarioSpec) -> ScenarioResult:
     """Run one scenario under invariant checking.
 
     Never raises: an engine/harness exception becomes a ``crash``
-    violation so a campaign reports it instead of dying.  With
-    ``verify_digest`` the scenario runs a second time *without* the
-    checker; differing recorder digests become a ``replay-digest``
-    violation (nondeterminism, or a checker that perturbs the run).
+    violation so a campaign reports it instead of dying.  The scenario
+    then runs a second time *without* the checker; differing recorder
+    digests become a ``replay-digest`` violation (nondeterminism, or a
+    checker that perturbs the run).
     """
     checker = InvariantChecker()
     violations: list[Violation] = []
@@ -142,7 +140,7 @@ def run_scenario(
             Violation("crash", 0.0, f"{type(exc).__name__}: {exc}")
         )
     violations.extend(checker.violations)
-    if verify_digest and digest:
+    if digest:
         try:
             replay = _execute(spec, None)
         except Exception as exc:  # noqa: BLE001 - fuzzing oracle

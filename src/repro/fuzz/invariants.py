@@ -175,10 +175,8 @@ class InvariantChecker:
         self._in_round = False
         self._commits_in_round = 0
         self._pre_digest: str | None = None
-        self._current_attempt: str | None = None
         self._migrate_strategy: str | None = None
         self._migrate_transfers: list[dict] = []
-        self._migrate_end: dict | None = None
         self.ticks_checked = 0
         #: How often each invariant was actually *evaluated* (scoped checks
         #: skip silently, so zero violations is only meaningful alongside
@@ -217,8 +215,8 @@ class InvariantChecker:
     def _violate(self, invariant: str, t_s: float, detail: str) -> None:
         self.violations.append(Violation(invariant, float(t_s), detail))
 
-    def _mark(self, invariant: str, n: int = 1) -> None:
-        self.checks[invariant] = self.checks.get(invariant, 0) + n
+    def _mark(self, invariant: str) -> None:
+        self.checks[invariant] = self.checks.get(invariant, 0) + 1
 
     # ------------------------------------------------------------------ #
     # Obs sink: adaptation lifecycle
@@ -245,10 +243,8 @@ class InvariantChecker:
         elif kind == "round.end":
             self._in_round = False
         elif kind == "attempt.start":
-            self._current_attempt = record["attempt"]
             self._migrate_transfers = []
             self._migrate_strategy = None
-            self._migrate_end = None
         elif kind == "snapshot":
             self._pre_digest = self._state_digest()
         elif kind == "migrate.start":
@@ -257,7 +253,6 @@ class InvariantChecker:
         elif kind == "migrate.transfer":
             self._migrate_transfers.append(record)
         elif kind == "migrate.end":
-            self._migrate_end = record
             self._check_migration_arithmetic(record)
         elif kind == "rollback":
             self._check_rollback_digest(record)
@@ -839,7 +834,7 @@ class InvariantChecker:
             )
 
     @staticmethod
-    def _close(a: float, b: float, rel: float = 1e-9) -> bool:
+    def _close(a: float, b: float) -> bool:
         if math.isinf(a) or math.isinf(b):
             return a == b
-        return abs(a - b) <= rel * max(1.0, abs(a), abs(b))
+        return abs(a - b) <= 1e-9 * max(1.0, abs(a), abs(b))

@@ -40,43 +40,33 @@ class BandwidthStats:
         )
 
 
+#: Shape of the Figure 2 process: how sticky the current level is (AR(1)
+#: coefficient), the noise as a fraction of the mean, the chance and the
+#: largest depth (a fraction of the mean) of a contention dip per step,
+#: and the floor as a fraction of the mean.
+PHI = 0.75
+SIGMA_FRAC = 0.22
+DIP_PROBABILITY = 0.06
+DIP_DEPTH = 0.75
+FLOOR_FRAC = 0.05
+
+
 class BandwidthProcess:
     """Mean-reverting bandwidth process with occasional contention dips.
 
-    The process evolves as ``b[t+1] = mean + phi * (b[t] - mean) + noise``
-    with ``phi`` controlling how sticky the current level is, plus a dip term
+    The process evolves as ``b[t+1] = mean + PHI * (b[t] - mean) + noise``
+    with ``PHI`` controlling how sticky the current level is, plus a dip term
     that occasionally drags the link down to a fraction of its mean,
     modelling cross-traffic contention and topology reconfiguration.
     """
 
-    def __init__(
-        self,
-        rng: np.random.Generator,
-        mean_mbps: float,
-        *,
-        phi: float = 0.75,
-        sigma_frac: float = 0.22,
-        dip_probability: float = 0.06,
-        dip_depth: float = 0.75,
-        floor_frac: float = 0.05,
-    ) -> None:
+    def __init__(self, rng: np.random.Generator, mean_mbps: float) -> None:
         if mean_mbps <= 0:
             raise ConfigurationError(f"mean_mbps must be > 0, got {mean_mbps}")
-        if not 0 <= phi < 1:
-            raise ConfigurationError(f"phi must be in [0, 1), got {phi}")
-        if not 0 <= dip_probability <= 1:
-            raise ConfigurationError(
-                f"dip_probability must be in [0, 1], got {dip_probability}"
-            )
-        if not 0 < dip_depth < 1:
-            raise ConfigurationError(f"dip_depth must be in (0, 1), got {dip_depth}")
         self._rng = rng
         self._mean = float(mean_mbps)
-        self._phi = float(phi)
-        self._sigma = float(sigma_frac) * self._mean
-        self._dip_probability = float(dip_probability)
-        self._dip_depth = float(dip_depth)
-        self._floor = float(floor_frac) * self._mean
+        self._sigma = SIGMA_FRAC * self._mean
+        self._floor = FLOOR_FRAC * self._mean
         self._value = self._mean
 
     @property
@@ -86,9 +76,9 @@ class BandwidthProcess:
     def step(self) -> float:
         """Advance one measurement interval and return the new bandwidth."""
         noise = self._rng.normal(0.0, self._sigma)
-        value = self._mean + self._phi * (self._value - self._mean) + noise
-        if self._rng.random() < self._dip_probability:
-            value -= self._dip_depth * self._mean * self._rng.random()
+        value = self._mean + PHI * (self._value - self._mean) + noise
+        if self._rng.random() < DIP_PROBABILITY:
+            value -= DIP_DEPTH * self._mean * self._rng.random()
         self._value = float(min(max(value, self._floor), 2.0 * self._mean))
         return self._value
 
@@ -99,12 +89,10 @@ class BandwidthProcess:
         return np.array([self.step() for _ in range(samples)])
 
 
-def oregon_ohio_trace(
-    rng: np.random.Generator, *, samples: int = 288, mean_mbps: float = 110.0
-) -> np.ndarray:
-    """A Figure-2-like one-day trace (288 five-minute samples by default)."""
-    process = BandwidthProcess(rng, mean_mbps)
-    return process.trace(samples)
+def oregon_ohio_trace(rng: np.random.Generator) -> np.ndarray:
+    """A Figure-2-like one-day trace: 288 five-minute samples around a
+    110 Mbps mean."""
+    return BandwidthProcess(rng, 110.0).trace(288)
 
 
 def thirty_minute_rollup(trace_5min: np.ndarray) -> np.ndarray:

@@ -63,12 +63,10 @@ class JsonlSink:
             self.path = Path(target)
             self._file = self.path.open("w", encoding="utf-8")
             self._owns = True
-        self.written = 0
 
     def write(self, record: dict) -> None:
         self._file.write(json.dumps(record, separators=(",", ":")))
         self._file.write("\n")
-        self.written += 1
 
     def close(self) -> None:
         if self._owns and not self._file.closed:

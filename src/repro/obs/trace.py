@@ -9,7 +9,7 @@ wants from it:
 * :func:`reconstruct` - per-round :class:`RoundTrace` objects in which every
   action's full Figure-6 fallback chain is replayed: each
   :class:`AttemptTrace` carries its outcome, error, migration transfers
-  (bytes, bandwidth, duration) and the hop that led to it;
+  (size, bandwidth, duration) and the hop that led to it;
 * :func:`render_timeline` - the text view ``python -m repro trace`` prints.
 
 Reconstruction is the inverse of the controller's instrumentation: an
@@ -85,7 +85,6 @@ class TransferTrace:
     from_site: str
     to_site: str
     size_mb: float
-    bytes: float
     bandwidth_mbps: float
     duration_s: float
 
@@ -147,7 +146,6 @@ class RoundTrace:
     diagnoses: list[dict] = field(default_factory=list)
     decisions: list[dict] = field(default_factory=list)
     actions: list[ActionTrace] = field(default_factory=list)
-    executed: int = 0
     window: dict | None = None
 
 
@@ -173,21 +171,20 @@ class TraceSummary:
         return out
 
 
-def reconstruct(records: list[dict], *, validate: bool = True) -> TraceSummary:
+def reconstruct(records: list[dict]) -> TraceSummary:
     """Replay a record stream into rounds, fallback chains and migrations.
 
     The stream must be seq-ordered (JSONL written by one bus always is).
-    With ``validate=True`` every record is schema-checked first and the
-    first invalid one raises :class:`~repro.errors.ObsError`.
+    Every record is schema-checked first and the first invalid one raises
+    :class:`~repro.errors.ObsError`.
     """
-    if validate:
-        for i, record in enumerate(records):
-            problems = validate_record(record)
-            if problems:
-                raise ObsError(
-                    f"record {i + 1} (seq {record.get('seq')!r}): "
-                    + "; ".join(problems)
-                )
+    for i, record in enumerate(records):
+        problems = validate_record(record)
+        if problems:
+            raise ObsError(
+                f"record {i + 1} (seq {record.get('seq')!r}): "
+                + "; ".join(problems)
+            )
 
     summary = TraceSummary(records=len(records))
     current_round: RoundTrace | None = None
@@ -221,8 +218,6 @@ def reconstruct(records: list[dict], *, validate: bool = True) -> TraceSummary:
             summary.rounds.append(current_round)
         elif kind == "round.end":
             close_action()
-            if current_round is not None:
-                current_round.executed = int(record.get("executed", 0))
             current_round = None
         elif kind == "window":
             if current_round is not None:
@@ -268,7 +263,6 @@ def reconstruct(records: list[dict], *, validate: bool = True) -> TraceSummary:
                         from_site=str(record.get("from_site", "")),
                         to_site=str(record.get("to_site", "")),
                         size_mb=float(record.get("size_mb", 0.0)),
-                        bytes=float(record.get("bytes", 0.0)),
                         bandwidth_mbps=float(
                             record.get("bandwidth_mbps", 0.0)
                         ),

@@ -31,7 +31,7 @@ Figure 4).  Local flows (``u == s``) consume no WAN bandwidth.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Protocol
 
 from ..errors import InfeasiblePlacementError, PlacementError
@@ -122,7 +122,6 @@ class PlacementSolution:
 
     assignment: dict[str, int]
     cost: float
-    per_site_cost: dict[str, float] = field(default_factory=dict)
 
     def sites(self) -> list[str]:
         return sorted(s for s, n in self.assignment.items() if n > 0)
@@ -245,6 +244,4 @@ def solve_placement(
             assignment[site] = take
             remaining -= take
     total_cost = sum(costs[s] * n for s, n in assignment.items())
-    return PlacementSolution(
-        assignment=assignment, cost=total_cost, per_site_cost=costs
-    )
+    return PlacementSolution(assignment=assignment, cost=total_cost)

@@ -228,17 +228,18 @@ class RunRecorder:
             return float("nan")
         return float(np.average(values, weights=weights))
 
-    def delay_cdf(self, points: int = 200) -> tuple[np.ndarray, np.ndarray]:
-        """Return (delay, cumulative fraction) pairs for a CDF plot."""
+    def delay_cdf(self) -> tuple[np.ndarray, np.ndarray]:
+        """Return (delay, cumulative fraction) pairs for a CDF plot, at
+        most 200 of them."""
         values, weights = self._finite_delays()
         if values.size == 0:
             return np.array([]), np.array([])
         order = np.argsort(values)
         values, weights = values[order], weights[order]
         cum = np.cumsum(weights) / weights.sum()
-        if len(values) <= points:
+        if len(values) <= 200:
             return values, cum
-        idx = np.linspace(0, len(values) - 1, points).astype(int)
+        idx = np.linspace(0, len(values) - 1, 200).astype(int)
         return values[idx], cum[idx]
 
     def total_offered(self) -> float:

@@ -91,7 +91,6 @@ class BenchmarkQuery:
     name: str
     variants: tuple[LogicalPlan, ...]
     workload: ShapedWorkload
-    description: str
     table3: Table3Row
 
     @property
@@ -245,10 +244,6 @@ def ysb_advertising(
         name="ysb-advertising",
         variants=(plan,),
         workload=workload,
-        description=(
-            "YSB Advertising Campaign: 10 s windowed ad-campaign join and "
-            "per-campaign count over 8 edge ad streams."
-        ),
         table3=Table3Row(
             application="Advertising Campaign",
             state="<10 MB",
@@ -344,10 +339,6 @@ def topk_topics(
         name="topk-topics",
         variants=tuple(variants),
         workload=workload,
-        description=(
-            "Top-K Popular Topic Detection: top-10 topics per country over "
-            "30 s windows of a geo-tagged Twitter trace."
-        ),
         table3=Table3Row(
             application="Top-K Topics",
             state="~100 MB",
@@ -363,9 +354,7 @@ def topk_topics(
 
 
 def events_of_interest(
-    topology: Topology,
-    rng: np.random.Generator,
-    spec: TwitterSpec | None = None,
+    topology: Topology, rng: np.random.Generator
 ) -> BenchmarkQuery:
     """Attribute filtering of tweets; fully stateless (Table 3 state 0 MB).
 
@@ -373,7 +362,6 @@ def events_of_interest(
     per-continent relay unions - the stateless analogue of aggregation
     re-ordering, freely switchable by the re-planner.
     """
-    spec = spec or TwitterSpec()
     edges = _edge_sites(topology)
     homes = _edge_home_regions(topology, edges)
 
@@ -402,17 +390,11 @@ def events_of_interest(
         [union_all],
         out,
     )
-    workload = TwitterWorkload(
-        [f"tweets@{site}" for site in edges], rng, spec
-    )
+    workload = TwitterWorkload([f"tweets@{site}" for site in edges], rng)
     return BenchmarkQuery(
         name="events-of-interest",
         variants=tuple(variants),
         workload=workload,
-        description=(
-            "Events of Interest: stateless attribute filtering and "
-            "projection of a geo-tagged Twitter trace."
-        ),
         table3=Table3Row(
             application="Events of Interest",
             state="0 MB",

@@ -68,8 +68,6 @@ class TwitterWorkload(ShapedWorkload):
         sources: list[str],
         rng: np.random.Generator,
         spec: TwitterSpec | None = None,
-        *,
-        phase_by_source: dict[str, float] | None = None,
     ) -> None:
         spec = spec or TwitterSpec()
         self._spec = spec
@@ -87,11 +85,7 @@ class TwitterWorkload(ShapedWorkload):
         }
         super().__init__(rates)
         # Diurnal phase per source: rolled around the globe.
-        if phase_by_source is None:
-            phase_by_source = {
-                name: i / n for i, name in enumerate(sorted(sources))
-            }
-        self._phase = dict(phase_by_source)
+        self._phase = {name: i / n for i, name in enumerate(sorted(sources))}
         # Amplitude from the day/night ratio r: (1+a)/(1-a) = r.
         r = spec.day_night_ratio
         self._amplitude = (r - 1) / (r + 1)

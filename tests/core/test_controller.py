@@ -132,7 +132,7 @@ class TestScaleExecution:
     def test_scale_out_partitions_state(self, small_topology):
         manager = build_manager(small_topology, state_mb=90.0)
         record = manager.execute(
-            ScaleAction("agg", "test", 2, {"dc-1": 1, "dc-2": 1},
+            ScaleAction("agg", "test", {"dc-1": 1, "dc-2": 1},
                         cross_site=True),
             now_s=0.0,
         )
@@ -148,7 +148,7 @@ class TestScaleExecution:
     def test_scale_up_local_no_migration(self, small_topology):
         manager = build_manager(small_topology, state_mb=90.0)
         record = manager.execute(
-            ScaleAction("agg", "test", 2, {"dc-1": 2}, cross_site=False),
+            ScaleAction("agg", "test", {"dc-1": 2}, cross_site=False),
             now_s=0.0,
         )
         assert record.transition_s == pytest.approx(
@@ -160,7 +160,7 @@ class TestScaleExecution:
         for _ in range(10):
             manager.runtime.tick()
         manager.execute(
-            ScaleAction("agg", "test", 2, {"dc-2": 2}, cross_site=True),
+            ScaleAction("agg", "test", {"dc-2": 2}, cross_site=True),
             now_s=10.0,
         )
         # Nothing may remain keyed to the vacated site dc-1.

@@ -180,8 +180,6 @@ class TestNetworkBound:
                 LinkPressure(
                     src_site="edge-x",
                     dst_site="dc-1",
-                    backlog_events=50_000.0,
-                    backlog_growth=10_000.0,
                     expected_flow_eps=expected_flow,
                     capacity_eps=capacity,
                 ),
@@ -360,7 +358,7 @@ class TestReplanPaths:
                 source("a", "edge-x", event_bytes=200),
                 filter_("fa", selectivity=0.5, event_bytes=relay_bytes),
                 union("u", event_bytes=relay_bytes),
-                sink("out", splittable=False),
+                sink("out"),
             ]
             return LogicalPlan.from_edges(
                 name, ops, [("a", "fa"), ("fa", "u"), ("u", "out")]
@@ -378,8 +376,7 @@ class TestReplanPaths:
             "u",
             Health.NETWORK_BOUND,
             constrained_links=(
-                LinkPressure("edge-x", "dc-1", 10_000.0, 1_000.0,
-                             5_000.0, 2_000.0),
+                LinkPressure("edge-x", "dc-1", 5_000.0, 2_000.0),
             ),
         )
         diag = StageDiagnosis(
@@ -421,8 +418,7 @@ class TestReplanPaths:
         plan.stage("a").add_task("edge-x")
         plan.stage("u").add_task("dc-1")
         plan.stage("out").add_task("dc-1")
-        link = LinkPressure("edge-x", "dc-1", 10_000.0, 1_000.0, 5_000.0,
-                            2_000.0)
+        link = LinkPressure("edge-x", "dc-1", 5_000.0, 2_000.0)
         diagnoses = {
             "u": diagnosis_for("u", Health.NETWORK_BOUND,
                                constrained_links=(link,)),
@@ -456,8 +452,7 @@ class TestMigrationBudget:
     """Section 6.2: the t_max budget governs every state-moving action."""
 
     def _net_diag(self):
-        link = LinkPressure("edge-x", "dc-1", 50_000.0, 10_000.0,
-                            8_000.0, 4_000.0)
+        link = LinkPressure("edge-x", "dc-1", 8_000.0, 4_000.0)
         return diagnosis_for(
             "agg", Health.NETWORK_BOUND, constrained_links=(link,)
         )

@@ -99,7 +99,6 @@ class TestProposal:
         )
         assert proposal is not None
         assert proposal.new_plan_name == "light"
-        assert "u" in proposal.surviving_stages
 
     def test_hysteresis_blocks_marginal_wins(self, small_topology, monitor):
         v0 = stateless_variant("v0", 100)

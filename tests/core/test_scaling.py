@@ -104,8 +104,7 @@ class TestScaleOut:
     def link(self, deficit_ratio=0.5, flow=10_000.0):
         capacity = flow * (1 - deficit_ratio)
         return LinkPressure(
-            src_site="e1", dst_site="d1", backlog_events=10_000.0,
-            backlog_growth=1_000.0, expected_flow_eps=flow,
+            src_site="e1", dst_site="d1", expected_flow_eps=flow,
             capacity_eps=capacity,
         )
 

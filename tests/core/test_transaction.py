@@ -320,7 +320,7 @@ class TestValidation:
         small_topology.site("dc-2").fail()
         record = manager.execute(
             ScaleAction(
-                "agg", "test", 2, {"dc-1": 1, "dc-2": 1}, cross_site=True
+                "agg", "test", {"dc-1": 1, "dc-2": 1}, cross_site=True
             ),
             now_s=5.0,
         )

@@ -6,8 +6,9 @@ from hypothesis import strategies as st
 
 from repro.engine.logical import LogicalPlan
 from repro.engine.operators import (
+    OperatorKind,
+    OperatorSpec,
     filter_,
-    map_,
     sink,
     source,
     window_aggregate,
@@ -36,8 +37,8 @@ def build_linear_plan(specs):
             ops.append(filter_(name, selectivity=sel, cost=cost,
                                event_bytes=100))
         else:
-            ops.append(map_(name, selectivity=sel, cost=cost,
-                            event_bytes=100))
+            ops.append(OperatorSpec(name, OperatorKind.MAP, selectivity=sel,
+                                    cost=cost, event_bytes=100))
         edges.append((prev, name))
         prev = name
     ops.append(

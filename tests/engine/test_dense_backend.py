@@ -150,7 +150,7 @@ def test_dense_is_deterministic(seed: int) -> None:
 def test_dense_passes_invariant_checker(seed: int) -> None:
     """Dense scenarios run clean under the full runtime invariant suite."""
     spec = _with_backend(generate_scenario(seed), "dense")
-    result = run_scenario(spec, verify_digest=(seed == 0))
+    result = run_scenario(spec)
     assert result.ok, [
         f"t={v.t_s} {v.invariant}: {v.detail}" for v in result.violations
     ]

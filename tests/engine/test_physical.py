@@ -110,12 +110,13 @@ class TestCombinedProperties:
 
 
 class TestTasks:
-    def test_add_task_assigns_ids(self):
+    def test_add_task_appends_one_task_per_call(self):
         plan = PhysicalPlan(chained_logical())
         stage = plan.stage("agg")
         t0 = stage.add_task("site-a")
         t1 = stage.add_task("site-b")
-        assert t0.task_id != t1.task_id
+        assert stage.tasks == [t0, t1]
+        assert (t1.stage_name, t1.site) == ("agg", "site-b")
         assert stage.parallelism == 2
 
     def test_placement_counts(self):

@@ -34,6 +34,17 @@ class ConstantWorkload(WorkloadModel):
         return self.rates.get(source_stage, 0.0)
 
 
+def test_workload_overriding_neither_rate_method_raises():
+    """The base methods call each other; without an override the base
+    ``generation_eps`` names the two methods instead of recursing."""
+
+    class Silent(WorkloadModel):
+        pass
+
+    with pytest.raises(NotImplementedError, match="generation_rates"):
+        Silent().generation_rates(["src"], 0.0)
+
+
 def build_pipeline(topology, *, rate=1000.0, selectivity=0.5,
                    agg_site="dc-1", event_bytes=100.0, degrade_slo=None,
                    agg_cost=1.0, runtime_cls=EngineRuntime):

@@ -117,18 +117,22 @@ class TestFaultMarkers:
 
 
 class TestOverhead:
-    def test_measure_overhead_splits_phases(self, short_runs):
+    def test_measure_overhead_splits_phases(self):
         from repro.core.controller import AdaptationRecord
         from repro.core.actions import ActionKind
+        from repro.network.traces import paper_testbed
 
-        run = short_runs["WASP"]
+        # Long enough for the baseline window (ticks 60-170) and a
+        # t=180 adaptation, as in Figure 13.
+        rngs = RngRegistry(5)
+        topo = paper_testbed(rngs.stream("topology"))
+        run = ExperimentRun(topo, ysb_advertising(topo), wasp(), rngs=rngs)
+        run.run(200)
         record = AdaptationRecord(
-            t_s=30.0, kind=ActionKind.REASSIGN, stage="x", reason="",
+            t_s=180.0, kind=ActionKind.REASSIGN, stage="x", reason="",
             transition_s=5.0,
         )
-        breakdown = measure_overhead(
-            run, record, destination="dc", baseline_lo=5, baseline_hi=25
-        )
+        breakdown = measure_overhead(run, record, destination="dc")
         assert breakdown.transition_s == 5.0
         assert breakdown.stabilize_s is not None
 

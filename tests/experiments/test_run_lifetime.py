@@ -237,6 +237,6 @@ def test_checker_findings_outlive_its_run():
 
 
 def test_run_scenario_reports_a_freed_runs_findings():
-    result = run_scenario(generate_scenario(2), verify_digest=False)
+    result = run_scenario(generate_scenario(2))
     assert result.ticks == int(generate_scenario(2).duration_s)
     assert result.checks["conservation"] > 0

@@ -77,7 +77,7 @@ class TestPerTickDetection:
 
         monkeypatch.setattr(column_routing, "transfer_into", leaky)
         spec = dataclasses.replace(generate_scenario(0), duration_s=60.0)
-        result = run_scenario(spec, verify_digest=False)
+        result = run_scenario(spec)
         assert any(v.invariant == "conservation" for v in result.violations)
 
     def test_queue_nonnegative_catches_negative_parcel(self):
@@ -316,7 +316,7 @@ def _pressure(count):
     """``count`` inbound links with no capacity: the scale-out bound of a
     network-bound stage is ``p + count`` (count <= 4)."""
     return tuple(
-        LinkPressure(f"src-{i}", "dst", 1.0, 1.0, 100.0, 0.0)
+        LinkPressure(f"src-{i}", "dst", 100.0, 0.0)
         for i in range(count)
     )
 

@@ -140,9 +140,6 @@ class TestChaosTraceRoundTrip:
         assert committed.migration_s == pytest.approx(
             record.migration.transition_s
         )
-        assert sum(t.bytes for t in committed.transfers) == pytest.approx(
-            record.migration.total_mb * 1e6
-        )
         for transfer in committed.transfers:
             assert transfer.bandwidth_mbps > 0
             assert transfer.duration_s >= 0

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.network import bandwidth
 from repro.network.bandwidth import (
     BandwidthProcess,
     BandwidthStats,
@@ -17,20 +18,22 @@ class _NpClipProcess(BandwidthProcess):
 
     def step(self) -> float:
         noise = self._rng.normal(0.0, self._sigma)
-        value = self._mean + self._phi * (self._value - self._mean) + noise
-        if self._rng.random() < self._dip_probability:
-            value -= self._dip_depth * self._mean * self._rng.random()
+        value = self._mean + bandwidth.PHI * (self._value - self._mean) + noise
+        if self._rng.random() < bandwidth.DIP_PROBABILITY:
+            value -= bandwidth.DIP_DEPTH * self._mean * self._rng.random()
         self._value = float(np.clip(value, self._floor, 2.0 * self._mean))
         return self._value
 
 
 class TestClampOracle:
     @pytest.mark.parametrize("seed", range(20))
-    def test_step_matches_np_clip(self, seed):
+    def test_step_matches_np_clip(self, seed, monkeypatch):
         # Heavy noise and frequent deep dips so both clamp bounds bind.
-        kwargs = dict(sigma_frac=0.9, dip_probability=0.5, dip_depth=0.95)
-        fast = BandwidthProcess(np.random.default_rng(seed), 100.0, **kwargs)
-        oracle = _NpClipProcess(np.random.default_rng(seed), 100.0, **kwargs)
+        monkeypatch.setattr(bandwidth, "SIGMA_FRAC", 0.9)
+        monkeypatch.setattr(bandwidth, "DIP_PROBABILITY", 0.5)
+        monkeypatch.setattr(bandwidth, "DIP_DEPTH", 0.95)
+        fast = BandwidthProcess(np.random.default_rng(seed), 100.0)
+        oracle = _NpClipProcess(np.random.default_rng(seed), 100.0)
         trace = fast.trace(500)
         expected = oracle.trace(500)
         assert trace.tolist() == expected.tolist()
@@ -67,16 +70,6 @@ class TestProcess:
     def test_invalid_mean_rejected(self):
         with pytest.raises(ConfigurationError):
             BandwidthProcess(np.random.default_rng(0), 0.0)
-
-    def test_invalid_phi_rejected(self):
-        with pytest.raises(ConfigurationError):
-            BandwidthProcess(np.random.default_rng(0), 100.0, phi=1.0)
-
-    def test_invalid_dip_probability_rejected(self):
-        with pytest.raises(ConfigurationError):
-            BandwidthProcess(
-                np.random.default_rng(0), 100.0, dip_probability=1.5
-            )
 
     def test_zero_samples_rejected(self):
         with pytest.raises(ConfigurationError):

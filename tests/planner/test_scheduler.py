@@ -101,11 +101,11 @@ class TestMutations:
         scheduler, plan = deployed
         stage = plan.stage("agg")
         scheduler.apply_assignment(stage, {"dc-1": 1, "dc-2": 1})
-        original_task_ids = {t.task_id for t in stage.tasks if t.site == "dc-1"}
+        original = {id(t) for t in stage.tasks if t.site == "dc-1"}
         diff = scheduler.apply_assignment(stage, {"dc-1": 1, "edge-x": 1})
         assert diff.removed == {"dc-2": 1}
-        surviving = {t.task_id for t in stage.tasks if t.site == "dc-1"}
-        assert surviving == original_task_ids
+        surviving = {id(t) for t in stage.tasks if t.site == "dc-1"}
+        assert surviving == original
 
     def test_scale_up_adds_slots(self, deployed):
         scheduler, plan = deployed

@@ -145,8 +145,8 @@ class TestDistributions:
         recorder = RunRecorder()
         for t in range(500):
             recorder.record_tick(*make_sample(float(t), delay=float(t)))
-        xs, _ = recorder.delay_cdf(points=50)
-        assert len(xs) == 50
+        xs, _ = recorder.delay_cdf()
+        assert len(xs) == 200
 
     @given(st.lists(st.floats(min_value=0.01, max_value=1e4), min_size=1,
                     max_size=60))

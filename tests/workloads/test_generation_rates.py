@@ -2,7 +2,7 @@
 per-source formula.
 
 The engine reads every source's rate with one ``generation_rates`` call
-per tick, and ``generation_eps`` is a one-source call of it.  The oracle
+per tick, and a one-source call reads one rate.  The oracle
 below is the per-source formula as it stood before the batched read:
 ``base * shape(source, t) * factor(t)``, a YSB campaign source at its base
 rate, an unknown source at 0.0.
@@ -83,7 +83,8 @@ def test_rates_equal_the_per_source_formula(
     for name, rate in zip(names, rates):
         expected = oracle_rate(workload, name, t_s)
         assert repr(rate) == repr(expected)
-        assert repr(workload.generation_eps(name, t_s)) == repr(expected)
+        (one,) = workload.generation_rates([name], t_s)
+        assert repr(one) == repr(expected)
 
 
 def test_unknown_sources_generate_nothing():

@@ -80,7 +80,7 @@ class TestTopK:
         """Every grouping variant must produce the same sink rate."""
         query = queries["topk-topics"]
         rates = {
-            name: query.workload.generation_eps(name, 0.0)
+            name: query.workload.generation_rates([name], 0.0)[0]
             for name in query.workload.source_names
         }
         sink_rates = [

@@ -22,17 +22,18 @@ def spatial_weights(workload: TwitterWorkload) -> dict[str, float]:
 class TestShapedWorkload:
     def test_base_rates(self):
         workload = ShapedWorkload({"a": 100.0, "b": 200.0})
-        assert workload.generation_eps("a", 0.0) == 100.0
-        assert workload.generation_eps("b", 0.0) == 200.0
+        assert workload.generation_rates(["a"], 0.0)[0] == 100.0
+        assert workload.generation_rates(["b"], 0.0)[0] == 200.0
 
     def test_factor_schedule_applies(self):
         workload = ShapedWorkload({"a": 100.0})
         workload.set_factor_schedule(Schedule([(0.0, 1.0), (300.0, 2.0)]))
-        assert workload.generation_eps("a", 100.0) == 100.0
-        assert workload.generation_eps("a", 400.0) == 200.0
+        assert workload.generation_rates(["a"], 100.0)[0] == 100.0
+        assert workload.generation_rates(["a"], 400.0)[0] == 200.0
 
     def test_unknown_source_is_zero(self):
-        assert ShapedWorkload({"a": 1.0}).generation_eps("zzz", 0.0) == 0.0
+        workload = ShapedWorkload({"a": 1.0})
+        assert workload.generation_rates(["zzz"], 0.0) == [0.0]
 
     def test_empty_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -56,20 +57,20 @@ class TestYsb:
     def test_uniform_ad_rates(self):
         """Section 8.3: YSB data distributed evenly across edges."""
         workload = self.make()
-        assert workload.generation_eps("ads@e1", 0.0) == 10_000.0
-        assert workload.generation_eps("ads@e2", 0.0) == 10_000.0
+        assert workload.generation_rates(["ads@e1"], 0.0)[0] == 10_000.0
+        assert workload.generation_rates(["ads@e2"], 0.0)[0] == 10_000.0
 
     def test_campaign_stream_is_a_trickle(self):
         workload = self.make()
-        assert workload.generation_eps("campaigns@dc", 0.0) < 1_000.0
+        assert workload.generation_rates(["campaigns@dc"], 0.0)[0] < 1_000.0
 
     def test_factor_applies_to_ads_only(self):
         """Section 8.4's rate steps double the ad workload, not the
         campaign-metadata control stream."""
         workload = self.make()
         workload.set_factor_schedule(Schedule.constant(2.0))
-        assert workload.generation_eps("ads@e1", 0.0) == 20_000.0
-        assert workload.generation_eps("campaigns@dc", 0.0) == (
+        assert workload.generation_rates(["ads@e1"], 0.0)[0] == 20_000.0
+        assert workload.generation_rates(["campaigns@dc"], 0.0)[0] == (
             YsbSpec().campaign_update_eps
         )
 
@@ -100,7 +101,8 @@ class TestTwitter:
         workload = self.make(day_length_s=1000.0)
         source = workload.source_names[0]
         rates = [
-            workload.generation_eps(source, t) for t in range(0, 1000, 10)
+            workload.generation_rates([source], t)[0]
+            for t in range(0, 1000, 10)
         ]
         assert max(rates) / min(rates) == pytest.approx(2.0, rel=0.05)
 
