@@ -14,12 +14,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.experiments.harness import run_variants
-from repro.experiments.scenarios import (
-    fig8_scenario,
-    fig10_scenario,
-    fig11_scenario,
-)
+from repro.experiments.scenarios import FIGURE_SCENARIOS, run_variants
 
 _CACHE: dict[str, dict] = {}
 
@@ -31,22 +26,7 @@ def scenario_runs(name: str):
     """Run (or fetch) a named scenario's full variant sweep."""
     if name in _CACHE:
         return _CACHE[name]
-    if name.startswith("fig8-"):
-        scenario = fig8_scenario(name.removeprefix("fig8-"))
-    elif name == "fig10":
-        scenario = fig10_scenario()
-    elif name == "fig11":
-        scenario = fig11_scenario()
-    else:  # pragma: no cover - defensive
-        raise KeyError(name)
-    runs = run_variants(
-        scenario.make_topology,
-        scenario.make_query,
-        list(scenario.variants),
-        scenario.duration_s,
-        scenario.make_dynamics,
-        seed=BENCH_SEED,
-    )
+    runs = run_variants(FIGURE_SCENARIOS[name](), seed=BENCH_SEED)
     _CACHE[name] = runs
     return runs
 

@@ -11,12 +11,9 @@ import copy
 import time
 from dataclasses import dataclass, field
 
-from repro.baselines.variants import wasp
 from repro.engine.queues import FluidQueue
 from repro.engine.runtime import TICK_S, EngineRuntime
-from repro.experiments.harness import ExperimentRun
-from repro.experiments.scenarios import bottleneck_dynamics, fig8_scenario
-from repro.sim.rng import RngRegistry
+from repro.experiments.scenarios import bottleneck_dynamics, launch
 
 #: Seed shared by every benchmark (same world across commits).
 BENCH_SEED = 42
@@ -132,14 +129,6 @@ def bench_queue_fused_ops(rounds: int = 20_000) -> BenchResult:
 # --------------------------------------------------------------------------- #
 
 
-def _build_run(variant=None) -> ExperimentRun:
-    scenario = fig8_scenario("topk-topics")
-    rngs = RngRegistry(BENCH_SEED)
-    topology = scenario.make_topology(rngs)
-    query = scenario.make_query(topology, rngs)
-    return ExperimentRun(topology, query, variant or wasp(), rngs=rngs)
-
-
 def _queue_stats(runtime: EngineRuntime) -> tuple[float, int]:
     """(total queued events, total parcel objects) across all queue tables."""
     events = 0.0
@@ -158,7 +147,7 @@ def bench_single_tick(ticks: int = 600) -> BenchResult:
     times ``Runtime.tick()`` and nothing else.  The workload steps at
     t=300s so backlog builds up and queues stay non-trivial.
     """
-    run = _build_run()
+    run = launch("topk-topics", seed=BENCH_SEED)
     run.set_dynamics(bottleneck_dynamics())
     runtime = run.runtime
     dt = TICK_S
@@ -200,7 +189,7 @@ def bench_full_scenario(duration_s: float = 600.0) -> BenchResult:
     engine ticks, metric collection, checkpoint rounds and adaptation
     rounds on the paper cadences.
     """
-    run = _build_run()
+    run = launch("topk-topics", seed=BENCH_SEED)
     ticks = int(duration_s / TICK_S)
     peak_events, peak_parcels = 0.0, 0
     t0 = time.perf_counter()
@@ -241,7 +230,7 @@ def bench_snapshot(rounds: int = 200, warm_ticks: int = 350) -> BenchResult:
     tables are populated; each round then snapshots, pushes into one queue
     (so copy-on-write implementations cannot skip all work), and restores.
     """
-    run = _build_run()
+    run = launch("topk-topics", seed=BENCH_SEED)
     run.set_dynamics(bottleneck_dynamics())
     dt = TICK_S
     for i in range(warm_ticks):
@@ -289,7 +278,7 @@ def bench_adaptation_round(
     timed region.  The per-tick additions into the sums are part of the
     engine tick, not of this figure.
     """
-    run = _build_run()
+    run = launch("topk-topics", seed=BENCH_SEED)
     run.set_dynamics(bottleneck_dynamics())
     dt = TICK_S
     for _ in range(int(round(warm_s / dt)) - 1):

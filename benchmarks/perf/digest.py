@@ -38,7 +38,7 @@ import io
 import sys
 from types import SimpleNamespace
 
-from repro.baselines.variants import VariantSpec, degrade, wasp
+from repro.baselines.variants import degrade
 from repro.chaos.faults import BandwidthCollapse, SiteCrash, Straggler
 from repro.chaos.injector import ChaosInjector
 from repro.config import WaspConfig
@@ -46,8 +46,8 @@ from repro.engine.dense import create_runtime
 from repro.experiments.harness import ExperimentRun
 from repro.experiments.scenarios import (
     bottleneck_dynamics,
-    fig8_scenario,
-    fig11_scenario,
+    launch,
+    live_dynamics,
 )
 from repro.fuzz.campaign import recorder_digest
 from repro.obs.sinks import JsonlSink
@@ -106,24 +106,9 @@ PINNED = {
 }
 
 
-def _build_run(
-    seed: int = DIGEST_SEED,
-    variant: VariantSpec | None = None,
-    query_name: str = "topk-topics",
-    config: WaspConfig | None = None,
-) -> ExperimentRun:
-    scenario = fig8_scenario(query_name)
-    rngs = RngRegistry(seed)
-    topology = scenario.make_topology(rngs)
-    query = scenario.make_query(topology, rngs)
-    return ExperimentRun(
-        topology, query, variant or wasp(), config=config, rngs=rngs
-    )
-
-
 def fig8_digest(duration_s: float = 450.0, seed: int = DIGEST_SEED) -> str:
     """Digest of a fixed-seed Fig-8 bottleneck run (WASP variant)."""
-    run = _build_run(seed)
+    run = launch("topk-topics", seed=seed)
     run.run(duration_s, bottleneck_dynamics())
     return recorder_digest(run.recorder)
 
@@ -132,7 +117,7 @@ def fig8_dense_digest(duration_s: float = 900.0, seed: int = DIGEST_SEED) -> str
     """Digest of an adapting Fig-8 run (events-of-interest, WASP) on the
     dense backend; its adaptations recompile the dense model."""
     config = WaspConfig.paper_defaults().with_overrides(engine_backend="dense")
-    run = _build_run(seed, query_name="events-of-interest", config=config)
+    run = launch("events-of-interest", config=config, seed=seed)
     run.run(duration_s, bottleneck_dynamics())
     return recorder_digest(run.recorder)
 
@@ -154,7 +139,7 @@ def fig8_degrade_digest(
         config = WaspConfig.paper_defaults().with_overrides(
             engine_backend=backend
         )
-    run = _build_run(seed, degrade(), "ysb-advertising", config)
+    run = launch("ysb-advertising", degrade(), config=config, seed=seed)
     run.run(duration_s, bottleneck_dynamics())
     return recorder_digest(run.recorder)
 
@@ -164,12 +149,8 @@ def fig11_live_digest(duration_s: float = 700.0, seed: int = DIGEST_SEED) -> str
 
     Hashes samples and adaptation lines only: how a fault is logged is not
     part of what this pin holds still."""
-    scenario = fig11_scenario()
-    rngs = RngRegistry(seed)
-    topology = scenario.make_topology(rngs)
-    query = scenario.make_query(topology, rngs)
-    run = ExperimentRun(topology, query, wasp(), rngs=rngs)
-    run.run(duration_s, scenario.make_dynamics(rngs))
+    run = launch("topk-topics", seed=seed)
+    run.run(duration_s, live_dynamics(run.rngs))
     recorder = run.recorder
     return recorder_digest(
         SimpleNamespace(
@@ -181,7 +162,7 @@ def fig11_live_digest(duration_s: float = 700.0, seed: int = DIGEST_SEED) -> str
 def _chaos_run(seed: int) -> ExperimentRun:
     """The fixed-seed chaos run: site crash + bandwidth collapse +
     straggler on a seeded stream."""
-    run = _build_run(seed)
+    run = launch("topk-topics", seed=seed)
     injector = (
         ChaosInjector(rng=RngRegistry(seed).stream("chaos"))
         .at(120.0, SiteCrash(site="edge-1", duration_s=45.0))

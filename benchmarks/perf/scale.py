@@ -48,7 +48,7 @@ from typing import Callable
 
 import numpy as np
 
-from repro.baselines.variants import wasp
+from repro.api import build_testbed
 from repro.config import WaspConfig
 from repro.engine import operators as ops
 from repro.engine.dense import (
@@ -61,13 +61,10 @@ from repro.engine.dense import (
 from repro.engine.logical import LogicalPlan
 from repro.engine.physical import PhysicalPlan
 from repro.engine.runtime import WorkloadModel
-from repro.experiments.harness import ExperimentRun
-from repro.experiments.scenarios import bottleneck_dynamics
+from repro.experiments.scenarios import bottleneck_dynamics, launch
 from repro.network.site import Site, SiteKind
 from repro.network.topology import Topology
-from repro.network.traces import TestbedSpec, paper_testbed
-from repro.sim.rng import RngRegistry
-from repro.workloads.queries import events_of_interest
+from repro.network.traces import TestbedSpec
 
 #: Seed shared by every sweep point (same worlds across commits).
 SCALE_SEED = 42
@@ -321,11 +318,10 @@ def run_controller_point(
     count to reach ``n_sites``; the query, variant and dynamics are the
     Figure 8 WASP run's, on the default (``auto``) engine backend.
     """
-    rngs = RngRegistry(seed)
     spec = TestbedSpec(edge_count=n_sites - TestbedSpec.dc_count)
-    topology = paper_testbed(rngs.stream("topology"), spec)
-    query = events_of_interest(topology, rngs.stream("query"))
-    run = ExperimentRun(topology, query, wasp(), rngs=rngs)
+    run = launch(
+        "events-of-interest", topology=build_testbed(seed, spec), seed=seed
+    )
     manager = run.manager
     round_ms: list[float] = []
     collect_ms: list[float] = []

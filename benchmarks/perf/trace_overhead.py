@@ -21,15 +21,15 @@ import tempfile
 import time
 from pathlib import Path
 
-from repro.experiments.scenarios import bottleneck_dynamics
+from repro.experiments.scenarios import bottleneck_dynamics, launch
 from repro.obs.sinks import JsonlSink, RingBufferSink
 
-from .digest import DIGEST_SEED, _build_run
+from .digest import DIGEST_SEED
 
 
 def _timed_run(duration_s: float, make_sink) -> tuple[float, int, int]:
     """Returns (wall_s, ticks, records) for one fixed-seed run."""
-    run = _build_run(DIGEST_SEED)
+    run = launch("topk-topics", seed=DIGEST_SEED)
     sink = make_sink(run) if make_sink is not None else None
     t0 = time.perf_counter()
     run.run(duration_s, bottleneck_dynamics())

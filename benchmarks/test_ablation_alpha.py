@@ -8,15 +8,9 @@ dynamics *with measurement noise enabled* and reports delay and adaptation
 churn per setting.
 """
 
-import numpy as np
-
 from repro.baselines.variants import wasp
 from repro.config import WaspConfig
-from repro.experiments.harness import ExperimentRun
-from repro.experiments.scenarios import bottleneck_dynamics
-from repro.network.traces import paper_testbed
-from repro.sim.rng import RngRegistry
-from repro.workloads.queries import topk_topics
+from repro.experiments.scenarios import bottleneck_dynamics, launch
 
 ALPHAS = (0.5, 0.8, 0.95)
 DURATION_S = 900.0
@@ -26,10 +20,7 @@ def run_alpha(alpha: float):
     config = WaspConfig.paper_defaults().with_overrides(
         alpha=alpha, estimation_error=0.15
     )
-    rngs = RngRegistry(42)
-    topology = paper_testbed(rngs.stream("topology"))
-    query = topk_topics(topology, rngs.stream("query"))
-    run = ExperimentRun(topology, query, wasp(), config=config, rngs=rngs)
+    run = launch("topk-topics", wasp(), config=config, seed=42)
     run.run(DURATION_S, bottleneck_dynamics())
     return run
 

@@ -7,16 +7,12 @@ more replay work and a longer recovery tail.  This sweep injects the
 Section-8.6 total failure under several checkpoint cadences.
 """
 
-import numpy as np
-
 from repro.baselines.variants import wasp
 from repro.chaos.faults import SiteCrash
 from repro.config import WaspConfig
 from repro.experiments.figures import segment_mean
-from repro.experiments.harness import DynamicsSpec, ExperimentRun
-from repro.network.traces import paper_testbed
-from repro.sim.rng import RngRegistry
-from repro.workloads.queries import topk_topics
+from repro.experiments.harness import DynamicsSpec
+from repro.experiments.scenarios import launch
 
 INTERVALS_S = (5.0, 30.0, 120.0)
 FAILURE = DynamicsSpec(faults=[(240.0, SiteCrash(None, duration_s=60.0))])
@@ -27,10 +23,7 @@ def run_interval(interval_s: float):
     config = WaspConfig.paper_defaults().with_overrides(
         checkpoint_interval_s=interval_s
     )
-    rngs = RngRegistry(42)
-    topology = paper_testbed(rngs.stream("topology"))
-    query = topk_topics(topology, rngs.stream("query"))
-    run = ExperimentRun(topology, query, wasp(), config=config, rngs=rngs)
+    run = launch("topk-topics", wasp(), config=config, seed=42)
     run.run(DURATION_S, FAILURE)
     return run
 

@@ -14,8 +14,7 @@ adaptation mix.
 
 from repro.baselines.variants import wasp, wasp_long_term
 from repro.core.actions import ActionKind
-from repro.experiments.harness import ExperimentRun
-from repro.experiments.scenarios import quiet_dynamics
+from repro.experiments.scenarios import launch, quiet_dynamics
 from repro.network.traces import paper_testbed
 from repro.sim.rng import RngRegistry
 from repro.workloads.queries import topk_topics
@@ -31,7 +30,7 @@ def run_variant(variant):
     rngs = RngRegistry(42)
     topology = paper_testbed(rngs.stream("topology"))
     query = topk_topics(topology, rngs.stream("query"), SPEC)
-    run = ExperimentRun(topology, query, variant, rngs=rngs)
+    run = launch(query, variant, topology=topology, seed=42)
     run.run(DURATION_S, quiet_dynamics())
     return run
 

@@ -10,14 +10,7 @@ the paper cites, answered for the migration use case.
 from repro.baselines.variants import wasp
 from repro.core.migration import MigrationStrategy
 from repro.config import WaspConfig
-from repro.experiments.figures import measure_overhead
-from repro.experiments.scenarios import (
-    FIG13_STATE_MB,
-    MIGRATION_RUN_DURATION_S,
-    MIGRATION_TRIGGER_AT_S,
-    build_migration_run,
-    force_reassignment,
-)
+from repro.experiments.scenarios import FIG13_STATE_MB, controlled_adaptation
 
 
 def run_mode(relays: bool):
@@ -28,14 +21,9 @@ def run_mode(relays: bool):
     config = WaspConfig.paper_defaults().with_overrides(
         migration_relays=relays
     )
-    run = build_migration_run(
+    return controlled_adaptation(
         wasp(MigrationStrategy.DISTANT), FIG13_STATE_MB, config=config
     )
-    run.run(MIGRATION_TRIGGER_AT_S)
-    destination = force_reassignment(run)
-    run.run(MIGRATION_RUN_DURATION_S - MIGRATION_TRIGGER_AT_S)
-    record = run.manager.history[-1]
-    return measure_overhead(run, record, destination=destination)
 
 
 def test_ablation_relay_migration(bench_once):

@@ -8,16 +8,12 @@ one-step scale-down against an aggressive waste threshold that tears
 capacity down faster.
 """
 
-import numpy as np
-
 from repro.baselines.variants import wasp
 from repro.config import WaspConfig
 from repro.core.actions import ActionKind
-from repro.experiments.harness import DynamicsSpec, ExperimentRun
-from repro.network.traces import paper_testbed
-from repro.sim.rng import RngRegistry
+from repro.experiments.harness import DynamicsSpec
+from repro.experiments.scenarios import launch
 from repro.sim.schedule import Schedule
-from repro.workloads.queries import topk_topics
 
 #: spike -> lull -> spike
 SPIKY = Schedule.steps(200.0, [1.0, 2.0, 1.0, 2.0, 1.0])
@@ -28,10 +24,7 @@ def run_policy(waste_utilization: float):
     config = WaspConfig.paper_defaults().with_overrides(
         waste_utilization=waste_utilization
     )
-    rngs = RngRegistry(42)
-    topology = paper_testbed(rngs.stream("topology"))
-    query = topk_topics(topology, rngs.stream("query"))
-    run = ExperimentRun(topology, query, wasp(), config=config, rngs=rngs)
+    run = launch("topk-topics", wasp(), config=config, seed=42)
     run.run(DURATION_S, DynamicsSpec(workload_schedule=SPIKY))
     return run
 

@@ -7,24 +7,17 @@ the imbalance (the slow site cannot drain its balanced share even though
 aggregate capacity looks fine) and moves the work off the straggler.
 """
 
-import numpy as np
-
 from repro.baselines.variants import no_adapt, wasp
 from repro.chaos.faults import Straggler
 from repro.experiments.figures import segment_mean
-from repro.experiments.harness import DynamicsSpec, ExperimentRun
-from repro.network.traces import paper_testbed
-from repro.sim.rng import RngRegistry
-from repro.workloads.queries import ysb_advertising
+from repro.experiments.harness import DynamicsSpec
+from repro.experiments.scenarios import launch
 
 DURATION_S = 500.0
 
 
 def run_variant(variant):
-    rngs = RngRegistry(42)
-    topology = paper_testbed(rngs.stream("topology"))
-    query = ysb_advertising(topology)
-    run = ExperimentRun(topology, query, variant, rngs=rngs)
+    run = launch("ysb-advertising", variant, seed=42)
     victim = run.runtime.plan.stage("join{ads+campaigns}").sites()[0]
     dynamics = DynamicsSpec(
         faults=[(60.0, Straggler(victim, slowdown=8.0, duration_s=540.0))]

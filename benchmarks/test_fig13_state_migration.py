@@ -6,29 +6,20 @@ yields 41-56% lower overhead than Random and Distant; No Migrate is nearly
 instant but abandons the state (accuracy loss).
 """
 
-from repro.experiments.figures import fig13_report, measure_overhead
+from repro.experiments.figures import fig13_report
 from repro.experiments.scenarios import (
     FIG13_STATE_MB,
-    MIGRATION_RUN_DURATION_S,
-    MIGRATION_TRIGGER_AT_S,
-    build_migration_run,
-    force_reassignment,
+    controlled_adaptation,
     migration_variants,
 )
 
 
-def run_strategy(variant):
-    run = build_migration_run(variant, FIG13_STATE_MB)
-    run.run(MIGRATION_TRIGGER_AT_S)
-    destination = force_reassignment(run)
-    run.run(MIGRATION_RUN_DURATION_S - MIGRATION_TRIGGER_AT_S)
-    record = run.manager.history[-1]
-    return measure_overhead(run, record, destination=destination)
-
-
 def test_fig13_state_migration(bench_once):
     breakdowns = bench_once(
-        lambda: [run_strategy(v) for v in migration_variants()]
+        lambda: [
+            controlled_adaptation(v, FIG13_STATE_MB)
+            for v in migration_variants()
+        ]
     )
     print()
     print(fig13_report(breakdowns))

@@ -6,42 +6,12 @@ scales the operator out so each |state|/p' slice crosses a different link,
 cutting the overhead by >120 s (and the delay by ~42 s) at large sizes.
 """
 
-from repro.baselines.variants import wasp
-from repro.experiments.figures import fig14_report, measure_overhead
-from repro.experiments.scenarios import (
-    FIG14_STATE_SIZES_MB,
-    MIGRATION_TRIGGER_AT_S,
-    build_migration_run,
-    force_partitioned_adaptation,
-    force_reassignment,
-)
-
-#: Long enough for even the 512 MB Default migration to finish draining.
-RUN_DURATION_S = 700.0
-
-
-def run_mode(mode: str, state_mb: float):
-    run = build_migration_run(wasp(), state_mb)
-    run.run(MIGRATION_TRIGGER_AT_S)
-    if mode == "Partitioned":
-        force_partitioned_adaptation(run)
-    else:
-        force_reassignment(run)
-    run.run(RUN_DURATION_S - MIGRATION_TRIGGER_AT_S)
-    record = run.manager.history[-1]
-    return measure_overhead(run, record)
-
-
-def sweep():
-    rows = []
-    for mode in ("Default", "Partitioned"):
-        for size in FIG14_STATE_SIZES_MB:
-            rows.append((mode, size, run_mode(mode, size)))
-    return rows
+from repro.experiments.figures import fig14_report
+from repro.experiments.scenarios import fig14_rows
 
 
 def test_fig14_state_partitioning(bench_once):
-    rows = bench_once(sweep)
+    rows = bench_once(fig14_rows)
     print()
     print(fig14_report(rows))
 

@@ -22,24 +22,13 @@ render it with ``python -m repro trace trace.jsonl``.
 
 import argparse
 
+from repro.api import launch
 from repro.baselines.variants import wasp
 from repro.chaos import ChaosInjector, SiteCrash
 from repro.core.actions import ReassignAction
 from repro.core.transaction import AdaptationPoint
-from repro.experiments.harness import ExperimentRun
-from repro.network.traces import paper_testbed
-from repro.sim.rng import RngRegistry
-from repro.workloads.queries import ysb_advertising
 
 SEED = 11
-
-
-def build_run():
-    rngs = RngRegistry(SEED)
-    topology = paper_testbed(rngs.stream("topology"))
-    query = ysb_advertising(topology)
-    run = ExperimentRun(topology, query, wasp(), rngs=rngs)
-    return run, rngs
 
 
 def pick_migration(run):
@@ -63,7 +52,7 @@ def main(argv=None):
     )
     args = parser.parse_args(argv)
 
-    run, rngs = build_run()
+    run = launch("ysb-advertising", wasp(), seed=SEED)
     if args.trace_out:
         run.attach_trace(args.trace_out)
     stage, destination = pick_migration(run)
@@ -72,7 +61,7 @@ def main(argv=None):
 
     # Arm the fault: crash the destination the moment state is in flight,
     # bring it back 60 s later so recovery shows up in the timeline too.
-    chaos = ChaosInjector(rngs.stream("chaos"))
+    chaos = ChaosInjector(run.rngs.stream("chaos"))
     chaos.at_point(
         AdaptationPoint.MIGRATION_IN_FLIGHT,
         SiteCrash(destination, duration_s=60.0),

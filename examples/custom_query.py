@@ -11,14 +11,14 @@ switch bracketing when bandwidth shifts.
 Run:  python examples/custom_query.py
 """
 
+from repro.api import launch
 from repro.baselines.variants import wasp
 from repro.engine.logical import can_replace_preserving_state
 from repro.engine.operators import filter_, join, sink, source
-from repro.experiments.harness import DynamicsSpec, ExperimentRun
+from repro.experiments.harness import DynamicsSpec
 from repro.network.site import Site, SiteKind
 from repro.network.topology import Topology
 from repro.planner.enumerate import branch_from_ops, join_tree_plans
-from repro.sim.rng import RngRegistry
 from repro.sim.schedule import Schedule
 from repro.workloads.base import ShapedWorkload
 from repro.workloads.queries import BenchmarkQuery, Table3Row
@@ -93,7 +93,7 @@ def main() -> None:
     )
     print(f"state-safe alternatives to {query.primary.name}: {safe}\n")
 
-    run = ExperimentRun(topo, query, wasp(), rngs=RngRegistry(3))
+    run = launch(query, wasp(), topology=topo, seed=3)
     print(f"planner chose: {run.runtime.plan.logical.name}")
     for stage in run.runtime.plan.topological_stages():
         if not stage.is_source:

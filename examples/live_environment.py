@@ -11,10 +11,8 @@ Run:  python examples/live_environment.py
 
 import numpy as np
 
-from repro import api
 from repro.experiments.figures import fig11_report, fig12_report
-from repro.experiments.harness import run_variants
-from repro.experiments.scenarios import fig11_scenario
+from repro.experiments.scenarios import fig11_scenario, run_variants
 
 
 def main() -> None:
@@ -23,14 +21,7 @@ def main() -> None:
         "live environment: random bandwidth/workload variation, total "
         "failure at t=540 for 60s\n"
     )
-    runs = run_variants(
-        scenario.make_topology,
-        scenario.make_query,
-        list(scenario.variants),
-        scenario.duration_s,
-        scenario.make_dynamics,
-        seed=42,
-    )
+    runs = run_variants(scenario, seed=42)
     print(fig11_report(runs))
     print()
     print(fig12_report(runs))

@@ -42,21 +42,16 @@ from .experiments import figures as fig
 from .experiments.harness import ExperimentRun
 from .experiments.scenarios import (
     FIG13_STATE_MB,
-    FIG14_STATE_SIZES_MB,
-    MIGRATION_RUN_DURATION_S,
-    MIGRATION_TRIGGER_AT_S,
+    FIGURE_SCENARIOS,
     QUERIES,
     bottleneck_dynamics,
-    build_migration_run,
-    fig8_scenario,
-    fig10_scenario,
-    fig11_scenario,
-    force_partitioned_adaptation,
-    force_reassignment,
+    controlled_adaptation,
+    fig14_rows,
+    launch,
     live_dynamics,
-    make_query_by_name,
     migration_variants,
     quiet_dynamics,
+    run_variants,
     technique_dynamics,
 )
 from .network.bandwidth import oregon_ohio_trace
@@ -279,10 +274,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         f"backend={config.engine_backend}"
     )
     for variant in variants:
-        rngs = RngRegistry(args.seed)
-        topology = paper_testbed(rngs.stream("topology"))
-        query = make_query_by_name(args.query)(topology, rngs)
-        run = ExperimentRun(topology, query, variant, config=config, rngs=rngs)
+        run = launch(args.query, variant, config=config, seed=args.seed)
         if args.trace_out:
             trace_path = _variant_path(args.trace_out, variant.name, multi)
             run.attach_trace(trace_path)
@@ -293,7 +285,7 @@ def cmd_run(args: argparse.Namespace) -> int:
             )
             run.attach_metrics(metrics_path)
             print(f"  metrics -> {metrics_path}")
-        dynamics = DYNAMICS[args.dynamics](rngs)
+        dynamics = DYNAMICS[args.dynamics](run.rngs)
         if args.profile:
             profile_out = (
                 _variant_path(args.profile_out, variant.name, multi)
@@ -333,14 +325,7 @@ def _figures_runs(
     trace_out: str | None = None,
     backend: str | None = None,
 ):
-    from .experiments.harness import run_variants
-
-    if which in ("fig8", "fig9"):
-        scenario = fig8_scenario("topk-topics")
-    elif which == "fig10":
-        scenario = fig10_scenario()
-    else:
-        scenario = fig11_scenario()
+    scenario = FIGURE_SCENARIOS[which]()
     instrument = None
     if trace_out:
         multi = len(scenario.variants) > 1
@@ -349,14 +334,7 @@ def _figures_runs(
             run.attach_trace(_variant_path(trace_out, name, multi))
 
     return run_variants(
-        scenario.make_topology,
-        scenario.make_query,
-        list(scenario.variants),
-        scenario.duration_s,
-        scenario.make_dynamics,
-        config=_config(backend),
-        seed=seed,
-        instrument=instrument,
+        scenario, config=_config(backend), seed=seed, instrument=instrument
     )
 
 
@@ -364,69 +342,40 @@ def cmd_figures(args: argparse.Namespace) -> int:
     which, seed = args.which, args.seed
     trace_out = getattr(args, "trace_out", None)
     backend = getattr(args, "backend", None)
-    if backend is not None and which not in (
-        "fig8", "fig9", "fig10", "fig11", "fig12"
-    ):
-        print(
-            f"note: --backend ignored for {which} (no variant runs)",
-            file=sys.stderr,
-        )
-    if trace_out and which not in ("fig8", "fig9", "fig10", "fig11", "fig12"):
-        print(
-            f"note: --trace-out ignored for {which} (no variant runs)",
-            file=sys.stderr,
-        )
+    if which in FIGURE_SCENARIOS:
+        runs = _figures_runs(which, seed, trace_out, backend)
+    else:
+        for flag, value in (("--backend", backend), ("--trace-out", trace_out)):
+            if value:
+                print(
+                    f"note: {flag} ignored for {which} (no variant runs)",
+                    file=sys.stderr,
+                )
     if which == "fig2":
         print(fig.fig2_report(oregon_ohio_trace(np.random.default_rng(seed))))
     elif which == "fig7":
         print(fig.fig7_report(paper_testbed(np.random.default_rng(seed))))
     elif which == "fig8":
-        print(
-            fig.fig8_report(
-                _figures_runs(which, seed, trace_out, backend), "topk-topics"
-            )
-        )
+        print(fig.fig8_report(runs, "topk-topics"))
     elif which == "fig9":
+        print(fig.fig9_report(runs, "topk-topics"))
+    elif which == "fig10":
+        print(fig.fig10_report(runs))
+    elif which == "fig11":
+        print(fig.fig11_report(runs))
+    elif which == "fig12":
+        print(fig.fig12_report(runs))
+    elif which == "fig13":
         print(
-            fig.fig9_report(
-                _figures_runs(which, seed, trace_out, backend), "topk-topics"
+            fig.fig13_report(
+                [
+                    controlled_adaptation(variant, FIG13_STATE_MB)
+                    for variant in migration_variants()
+                ]
             )
         )
-    elif which == "fig10":
-        print(fig.fig10_report(_figures_runs(which, seed, trace_out, backend)))
-    elif which == "fig11":
-        print(fig.fig11_report(_figures_runs(which, seed, trace_out, backend)))
-    elif which == "fig12":
-        print(fig.fig12_report(_figures_runs(which, seed, trace_out, backend)))
-    elif which == "fig13":
-        breakdowns = []
-        for variant in migration_variants():
-            run = build_migration_run(variant, FIG13_STATE_MB, seed=20)
-            run.run(MIGRATION_TRIGGER_AT_S)
-            destination = force_reassignment(run)
-            run.run(MIGRATION_RUN_DURATION_S - MIGRATION_TRIGGER_AT_S)
-            breakdowns.append(
-                fig.measure_overhead(
-                    run, run.manager.history[-1], destination=destination
-                )
-            )
-        print(fig.fig13_report(breakdowns))
     elif which == "fig14":
-        rows = []
-        for mode in ("Default", "Partitioned"):
-            for size in FIG14_STATE_SIZES_MB:
-                run = build_migration_run(ALL_NAMED["WASP"], size, seed=20)
-                run.run(MIGRATION_TRIGGER_AT_S)
-                if mode == "Partitioned":
-                    force_partitioned_adaptation(run)
-                else:
-                    force_reassignment(run)
-                run.run(700.0 - MIGRATION_TRIGGER_AT_S)
-                rows.append(
-                    (mode, size,
-                     fig.measure_overhead(run, run.manager.history[-1]))
-                )
-        print(fig.fig14_report(rows))
+        print(fig.fig14_report(fig14_rows()))
     elif which == "table2":
         print(fig.table2_report())
     elif which == "table3":

@@ -41,6 +41,7 @@ from .config import WaspConfig
 from .experiments.harness import DynamicsSpec, ExperimentRun
 from .experiments.scenarios import (
     bottleneck_dynamics,
+    launch,
     live_dynamics,
     make_query_by_name,
     quiet_dynamics,
@@ -92,40 +93,3 @@ def benchmark_query(
     """One of the Table-3 queries bound to ``topology``."""
     rngs = RngRegistry(seed)
     return make_query_by_name(name)(topology, rngs)
-
-
-def launch(
-    query: str | BenchmarkQuery,
-    variant: VariantSpec | None = None,
-    *,
-    topology: Topology | None = None,
-    config: WaspConfig | None = None,
-    seed: int | None = None,
-) -> ExperimentRun:
-    """Deploy a query and return a runnable experiment.
-
-    Args:
-        query: A Table-3 query name or a pre-built :class:`BenchmarkQuery`.
-        variant: Adaptation behaviour; defaults to the full WASP policy.
-        topology: WAN topology; the paper testbed is built when omitted.
-        config: Controller configuration (paper defaults when omitted).
-        seed: Master seed for topology/workload/controller randomness.
-
-    Returns:
-        A wired :class:`ExperimentRun`; call ``run(duration, dynamics)`` or
-        drive it tick-by-tick with ``step()``.
-    """
-    config = config or WaspConfig.paper_defaults()
-    master_seed = seed if seed is not None else config.seed
-    rngs = RngRegistry(master_seed)
-    if topology is None:
-        topology = paper_testbed(rngs.stream("topology"))
-    if isinstance(query, str):
-        query = make_query_by_name(query)(topology, rngs)
-    return ExperimentRun(
-        topology,
-        query,
-        variant or wasp(),
-        config=config,
-        rngs=rngs,
-    )

@@ -36,6 +36,7 @@ from ..planner.placement import (
     NetworkView,
     PlacementProblem,
     UpstreamFlow,
+    per_site_capacity,
     solve_placement,
 )
 from .actions import Action, ReassignAction, ReplanAction, ScaleAction, ScaleDownAction
@@ -320,8 +321,6 @@ class AdaptationPolicy:
         self, stage: Stage, assignment: dict[str, int], ctx: PolicyContext
     ) -> bool:
         """Do the bandwidth caps admit this exact placement?"""
-        from ..planner.placement import per_site_capacity
-
         p = sum(assignment.values())
         if p == 0:
             return False

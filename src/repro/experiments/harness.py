@@ -516,49 +516,3 @@ class ExperimentRun:
             self._checker.on_step_end()
         return report
 
-
-def run_variants(
-    make_topology,
-    make_query,
-    variants: list[VariantSpec],
-    duration_s: float,
-    make_dynamics,
-    *,
-    config: WaspConfig | None = None,
-    seed: int | None = None,
-    instrument=None,
-) -> dict[str, ExperimentRun]:
-    """Run several variants under *identical* (independently re-created)
-    conditions: each variant gets its own topology/query instances built
-    from the same seed, so adaptations cannot cross-contaminate runs.
-
-    Args:
-        make_topology: ``(RngRegistry) -> Topology``.
-        make_query: ``(Topology, RngRegistry) -> BenchmarkQuery``.
-        variants: Comparison lines.
-        duration_s: Simulated run length.
-        make_dynamics: ``(RngRegistry) -> DynamicsSpec``.
-        config: Shared configuration.
-        seed: Master seed (defaults to the config's).
-        instrument: Optional ``(variant_name, run) -> None`` hook called
-            before each run starts - e.g. to attach trace sinks.
-    """
-    config = config or WaspConfig.paper_defaults()
-    results: dict[str, ExperimentRun] = {}
-    for variant in variants:
-        rngs = RngRegistry(seed if seed is not None else config.seed)
-        topology = make_topology(rngs)
-        query = make_query(topology, rngs)
-        run = ExperimentRun(
-            topology,
-            query,
-            variant,
-            config=config,
-            rngs=rngs,
-        )
-        if instrument is not None:
-            instrument(variant.name, run)
-        run.run(duration_s, make_dynamics(rngs))
-        run.obs.close()
-        results[variant.name] = run
-    return results

@@ -21,12 +21,18 @@ revoking all computational resources for 60 seconds.
 Sections 8.7.1/8.7.2 (Figures 13 and 14): a controlled adaptation at
 t=180 with a controlled state size, comparing migration strategies and
 state partitioning.
+
+Every run is wired by :func:`launch` (the controlled-state runs of
+Section 8.7 by :func:`build_migration_run`), every variant sweep by
+:func:`run_variants`, and every Section 8.7 run by
+:func:`controlled_adaptation`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 from ..baselines.variants import (
@@ -45,7 +51,11 @@ from ..core.migration import MigrationStrategy
 from ..errors import AdaptationError, InfeasiblePlacementError, WaspError
 from ..network.topology import Topology
 from ..network.traces import paper_testbed
-from ..planner.placement import PlacementProblem, UpstreamFlow
+from ..planner.placement import (
+    PlacementProblem,
+    UpstreamFlow,
+    per_site_capacity,
+)
 from ..sim.rng import RngRegistry
 from ..sim.schedule import Schedule
 from ..workloads.queries import (
@@ -54,26 +64,11 @@ from ..workloads.queries import (
     topk_topics,
     ysb_advertising,
 )
+from .figures import OverheadBreakdown, measure_overhead
 from .harness import DynamicsSpec, ExperimentRun
 
 #: The Section 8.4/8.5 interval length.
 STEP_S = 300.0
-
-
-@dataclass(frozen=True)
-class Scenario:
-    """Everything needed to run one experiment family."""
-
-    name: str
-    duration_s: float
-    variants: tuple[VariantSpec, ...]
-    make_topology: Callable[[RngRegistry], Topology]
-    make_query: Callable[[Topology, RngRegistry], BenchmarkQuery]
-    make_dynamics: Callable[[RngRegistry], DynamicsSpec]
-
-
-def _testbed(rngs: RngRegistry) -> Topology:
-    return paper_testbed(rngs.stream("topology"))
 
 
 #: The Table-3 queries by name, each built over a topology and a run's
@@ -97,6 +92,100 @@ def make_query_by_name(
         raise WaspError(
             f"unknown query {name!r}; expected one of {tuple(QUERIES)}"
         ) from None
+
+
+def _testbed(rngs: RngRegistry) -> Topology:
+    return paper_testbed(rngs.stream("topology"))
+
+
+def launch(
+    query: str | BenchmarkQuery,
+    variant: VariantSpec | None = None,
+    *,
+    topology: Topology | None = None,
+    config: WaspConfig | None = None,
+    seed: int | None = None,
+) -> ExperimentRun:
+    """Deploy a query and return a runnable experiment.
+
+    Args:
+        query: A Table-3 query name or a pre-built :class:`BenchmarkQuery`.
+        variant: Adaptation behaviour; defaults to the full WASP policy.
+        topology: WAN topology; the paper testbed is built when omitted.
+        config: Controller configuration (paper defaults when omitted).
+        seed: Master seed for topology/workload/controller randomness.
+
+    Returns:
+        A wired :class:`ExperimentRun`; call ``run(duration, dynamics)`` or
+        drive it tick-by-tick with ``step()``.
+    """
+    config = config or WaspConfig.paper_defaults()
+    rngs = RngRegistry(seed if seed is not None else config.seed)
+    if topology is None:
+        topology = _testbed(rngs)
+    if isinstance(query, str):
+        query = make_query_by_name(query)(topology, rngs)
+    return ExperimentRun(
+        topology, query, variant or wasp(), config=config, rngs=rngs
+    )
+
+
+@dataclass(frozen=True)
+class Scenario:
+    """Everything needed to run one experiment family on the paper testbed."""
+
+    name: str
+    duration_s: float
+    variants: tuple[VariantSpec, ...]
+    #: The Table-3 query every variant deploys (a :data:`QUERIES` key).
+    query: str
+    make_dynamics: Callable[[RngRegistry], DynamicsSpec]
+
+    make_topology = staticmethod(_testbed)
+
+    def make_query(self, topology: Topology, rngs: RngRegistry):
+        return QUERIES[self.query](topology, rngs)
+
+    def build_run(
+        self,
+        variant: VariantSpec,
+        seed: int | None,
+        config: WaspConfig | None = None,
+    ) -> ExperimentRun:
+        """One variant's run, wired by :func:`launch`; its dynamics are
+        ``make_dynamics(run.rngs)``."""
+        return launch(self.query, variant, config=config, seed=seed)
+
+
+def run_variants(
+    scenario: Scenario,
+    *,
+    config: WaspConfig | None = None,
+    seed: int | None = None,
+    instrument=None,
+) -> dict[str, ExperimentRun]:
+    """Run a scenario's variants under *identical* (independently
+    re-created) conditions: each variant gets its own topology/query
+    instances built from the same seed, so adaptations cannot
+    cross-contaminate runs.
+
+    Args:
+        scenario: The experiment; each of its variants runs for its
+            ``duration_s`` under its dynamics.
+        config: Shared configuration.
+        seed: Master seed (defaults to the config's).
+        instrument: Optional ``(variant_name, run) -> None`` hook called
+            before each run starts - e.g. to attach trace sinks.
+    """
+    results: dict[str, ExperimentRun] = {}
+    for variant in scenario.variants:
+        run = scenario.build_run(variant, seed, config)
+        if instrument is not None:
+            instrument(variant.name, run)
+        run.run(scenario.duration_s, scenario.make_dynamics(run.rngs))
+        run.obs.close()
+        results[variant.name] = run
+    return results
 
 
 # --------------------------------------------------------------------------- #
@@ -123,8 +212,7 @@ def fig8_scenario(query_name: str) -> Scenario:
         name=f"fig8-{query_name}",
         duration_s=5 * STEP_S,
         variants=(no_adapt(), degrade(), wasp()),
-        make_topology=_testbed,
-        make_query=make_query_by_name(query_name),
+        query=query_name,
         make_dynamics=bottleneck_dynamics,
     )
 
@@ -149,8 +237,7 @@ def fig10_scenario() -> Scenario:
         name="fig10-technique-comparison",
         duration_s=5 * STEP_S,
         variants=(no_adapt(), reassign_only(), scale_only(), replan_only()),
-        make_topology=_testbed,
-        make_query=make_query_by_name("topk-topics"),
+        query="topk-topics",
         make_dynamics=technique_dynamics,
     )
 
@@ -198,8 +285,7 @@ def fig11_scenario() -> Scenario:
         name="fig11-live-environment",
         duration_s=LIVE_DURATION_S,
         variants=(no_adapt(), degrade(), wasp()),
-        make_topology=_testbed,
-        make_query=make_query_by_name("topk-topics"),
+        query="topk-topics",
         make_dynamics=live_dynamics,
     )
 
@@ -210,6 +296,9 @@ def fig11_scenario() -> Scenario:
 
 MIGRATION_TRIGGER_AT_S = 180.0
 MIGRATION_RUN_DURATION_S = 520.0
+#: Figure 14's run length: long enough for even the 512 MB Default
+#: migration (a 353 s transition from t=180) to finish draining.
+FIG14_RUN_DURATION_S = 700.0
 
 #: The stateful stage whose migration Figures 13/14 control.
 MIGRATION_STAGE = "win-country"
@@ -343,8 +432,6 @@ def _feasible_destinations(run: ExperimentRun, stage_name: str) -> list[str]:
         available_slots=slots,
         alpha=manager.config.alpha,
     )
-    from ..planner.placement import per_site_capacity
-
     return [
         site
         for site in sorted(slots)
@@ -352,6 +439,31 @@ def _feasible_destinations(run: ExperimentRun, stage_name: str) -> list[str]:
         and per_site_capacity(site, problem, manager.wan_monitor)
         >= stage.parallelism
     ]
+
+
+def _destination_view(run: ExperimentRun):
+    """:data:`MIGRATION_STAGE`, its stream-feasible destinations after a
+    fresh WAN measurement, and the state-transfer bandwidth to each (the
+    slowest link from the sites holding its state)."""
+    manager = run.manager
+    if manager is None:
+        raise WaspError("forced adaptation needs an adapting variant")
+    manager.wan_monitor.refresh()
+    feasible = _feasible_destinations(run, MIGRATION_STAGE)
+    if not feasible:
+        raise InfeasiblePlacementError(
+            f"no feasible destination for stage {MIGRATION_STAGE!r}"
+        )
+    stage = run.runtime.plan.stage(MIGRATION_STAGE)
+    state_sites = manager.state_store.sites(MIGRATION_STAGE) or stage.sites()
+
+    def migration_bw(dst: str) -> float:
+        return min(
+            manager.wan_monitor.bandwidth_mbps(src, dst)
+            for src in state_sites
+        )
+
+    return stage, feasible, migration_bw
 
 
 def force_reassignment(run: ExperimentRun) -> str:
@@ -365,27 +477,8 @@ def force_reassignment(run: ExperimentRun) -> str:
     paper's controlled experiment where "the system started adapting the
     query at t=180".  Returns the chosen destination.
     """
-    manager = run.manager
-    if manager is None:
-        raise WaspError("forced re-assignment needs an adapting variant")
-    stage_name = MIGRATION_STAGE
-    manager.wan_monitor.refresh()
-    plan = run.runtime.plan
-    stage = plan.stage(stage_name)
-    feasible = _feasible_destinations(run, stage_name)
-    if not feasible:
-        raise InfeasiblePlacementError(
-            f"no feasible destination for stage {stage_name!r}"
-        )
-    state_sites = manager.state_store.sites(stage_name) or stage.sites()
-
-    def migration_bw(dst: str) -> float:
-        return min(
-            manager.wan_monitor.bandwidth_mbps(src, dst)
-            for src in state_sites
-        )
-
-    strategy = manager.migration_strategy
+    stage, feasible, migration_bw = _destination_view(run)
+    strategy = run.manager.migration_strategy
     if strategy is MigrationStrategy.RANDOM:
         rng = run.rngs.stream("fig13-destination")
         destination = feasible[int(rng.integers(len(feasible)))]
@@ -395,7 +488,7 @@ def force_reassignment(run: ExperimentRun) -> str:
         destination = max(feasible, key=lambda s: (migration_bw(s), s))
 
     action = ReassignAction(
-        stage_name,
+        MIGRATION_STAGE,
         f"controlled migration experiment -> {destination}",
         {destination: stage.parallelism},
     )
@@ -414,26 +507,9 @@ def force_partitioned_adaptation(run: ExperimentRun) -> None:
     shrinking the slowest transfer until it fits the threshold (or the
     destination pool runs out).
     """
+    stage, feasible, migration_bw = _destination_view(run)
     manager = run.manager
-    if manager is None:
-        raise WaspError("forced adaptation needs an adapting variant")
-    stage_name = MIGRATION_STAGE
-    manager.wan_monitor.refresh()
-    stage = run.runtime.plan.stage(stage_name)
-    total_mb = manager.state_store.total_mb(stage_name)
-    state_sites = manager.state_store.sites(stage_name) or stage.sites()
-    feasible = _feasible_destinations(run, stage_name)
-    if not feasible:
-        raise InfeasiblePlacementError(
-            f"no feasible destination for stage {stage_name!r}"
-        )
-
-    def migration_bw(dst: str) -> float:
-        return min(
-            manager.wan_monitor.bandwidth_mbps(src, dst)
-            for src in state_sites
-        )
-
+    total_mb = manager.state_store.total_mb(MIGRATION_STAGE)
     ranked = sorted(feasible, key=lambda s: (-migration_bw(s), s))
 
     def transition_estimate(p: int) -> float:
@@ -455,14 +531,14 @@ def force_partitioned_adaptation(run: ExperimentRun) -> None:
     assignment = {dst: 1 for dst in ranked[:target_p]}
     if target_p > stage.parallelism:
         action: ReassignAction | ScaleAction = ScaleAction(
-            stage_name,
+            MIGRATION_STAGE,
             "controlled partitioned adaptation",
             assignment,
             cross_site=True,
         )
     else:
         action = ReassignAction(
-            stage_name, "controlled adaptation", assignment
+            MIGRATION_STAGE, "controlled adaptation", assignment
         )
     _force(run, action)
 
@@ -480,3 +556,62 @@ def _force(run: ExperimentRun, action: Action) -> None:
 FIG14_STATE_SIZES_MB = (0.0, 32.0, 64.0, 128.0, 256.0, 512.0)
 #: Controlled state size of Figure 13.
 FIG13_STATE_MB = 60.0
+
+
+def controlled_adaptation(
+    variant: VariantSpec,
+    state_mb: float,
+    *,
+    partitioned: bool = False,
+    duration_s: float = MIGRATION_RUN_DURATION_S,
+    config: WaspConfig | None = None,
+) -> OverheadBreakdown:
+    """One Section 8.7 run: the adaptation forced at
+    :data:`MIGRATION_TRIGGER_AT_S` - a re-assignment (Figure 13, Figure 14
+    "Default") or the ``partitioned`` scale-out (Figure 14
+    "Partitioned") - and its overhead over a ``duration_s`` run."""
+    run = build_migration_run(variant, state_mb, config=config)
+    run.run(MIGRATION_TRIGGER_AT_S)
+    if partitioned:
+        force_partitioned_adaptation(run)
+        destination = ""
+    else:
+        destination = force_reassignment(run)
+    run.run(duration_s - MIGRATION_TRIGGER_AT_S)
+    return measure_overhead(
+        run, run.manager.history[-1], destination=destination
+    )
+
+
+def fig14_rows(
+    sizes: tuple[float, ...] = FIG14_STATE_SIZES_MB,
+) -> list[tuple[str, float, OverheadBreakdown]]:
+    """Figure 14's ``(mode, state MB, overhead)`` rows, Default then
+    Partitioned, each over ``sizes``."""
+    return [
+        (
+            mode,
+            size,
+            controlled_adaptation(
+                wasp(),
+                size,
+                partitioned=mode == "Partitioned",
+                duration_s=FIG14_RUN_DURATION_S,
+            ),
+        )
+        for mode in ("Default", "Partitioned")
+        for size in sizes
+    ]
+
+
+#: The figures drawn from one scenario's variant sweep: ``fig8-<query>``
+#: is one Figure 8/9 panel (``fig8`` and ``fig9`` print the Top-K one),
+#: and Figures 11 and 12 share the live run.
+FIGURE_SCENARIOS: dict[str, Callable[[], Scenario]] = {
+    **{f"fig8-{query}": partial(fig8_scenario, query) for query in QUERIES},
+    "fig8": partial(fig8_scenario, "topk-topics"),
+    "fig9": partial(fig8_scenario, "topk-topics"),
+    "fig10": fig10_scenario,
+    "fig11": fig11_scenario,
+    "fig12": fig11_scenario,
+}

@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass, field
 
-from ..baselines.variants import ALL_NAMED, VariantSpec
+from ..baselines.variants import ALL_NAMED
 from ..chaos.faults import (
     BandwidthCollapse,
     CheckpointLoss,
@@ -32,7 +32,7 @@ from ..chaos.faults import (
 from ..config import WaspConfig
 from ..errors import ConfigurationError
 from ..experiments.harness import DynamicsSpec, ExperimentRun
-from ..experiments.scenarios import QUERIES, make_query_by_name
+from ..experiments.scenarios import QUERIES, launch
 from ..network.site import Site, SiteKind
 from ..network.topology import Topology
 from ..sim.rng import RngRegistry
@@ -392,12 +392,13 @@ def build_run(spec: ScenarioSpec) -> tuple[ExperimentRun, DynamicsSpec]:
     Deterministic: the run's RNG registry is derived solely from
     ``spec.seed``, so the same spec always produces the same run.
     """
-    rngs = RngRegistry(spec.seed)
-    topology = build_topology(spec)
-    query = make_query_by_name(spec.query)(topology, rngs)
-    variant: VariantSpec = ALL_NAMED[spec.variant]
-    config = WaspConfig.paper_defaults().with_overrides(
-        **spec.config_overrides
+    run = launch(
+        spec.query,
+        ALL_NAMED[spec.variant],
+        topology=build_topology(spec),
+        config=WaspConfig.paper_defaults().with_overrides(
+            **spec.config_overrides
+        ),
+        seed=spec.seed,
     )
-    run = ExperimentRun(topology, query, variant, config=config, rngs=rngs)
     return run, build_dynamics(spec)

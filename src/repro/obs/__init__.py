@@ -9,7 +9,7 @@ Wiring: :class:`~repro.experiments.harness.ExperimentRun` owns one
 :class:`EventBus` and hands it to the controller, checkpoint coordinator
 and chaos injector.  Attach a sink before (or during) a run::
 
-    run = ExperimentRun(topology, query, wasp(), rngs=rngs)
+    run = launch("topk-topics", wasp(), seed=7)
     run.obs.attach(JsonlSink("trace.jsonl"))
     run.run(900.0, dynamics)
     run.obs.close()

@@ -18,23 +18,19 @@ from repro.config import WaspConfig
 from repro.core import controller
 from repro.core.actions import ReassignAction
 from repro.core.transaction import AdaptationPoint
-from repro.experiments.harness import ExperimentRun
 from repro.experiments.scenarios import (
     FIG13_STATE_MB,
-    MIGRATION_RUN_DURATION_S,
-    MIGRATION_TRIGGER_AT_S,
     bottleneck_dynamics,
-    build_migration_run,
+    controlled_adaptation,
     fig8_scenario,
     fig10_scenario,
     fig11_scenario,
-    force_reassignment,
+    launch,
     migration_variants,
 )
 from repro.fuzz.campaign import _execute
 from repro.fuzz.generate import generate_scenario
 from repro.fuzz.invariants import InvariantChecker
-from repro.sim.rng import RngRegistry
 
 from .reference_monitor import ReferenceMetricMonitor
 
@@ -88,11 +84,8 @@ def oracles(monkeypatch):
 
 
 def _scenario_run(scenario, variant, seed, config=None):
-    rngs = RngRegistry(seed)
-    topology = scenario.make_topology(rngs)
-    query = scenario.make_query(topology, rngs)
-    run = ExperimentRun(topology, query, variant, config=config, rngs=rngs)
-    run.set_dynamics(scenario.make_dynamics(rngs))
+    run = scenario.build_run(variant, seed, config)
+    run.set_dynamics(scenario.make_dynamics(run.rngs))
     return run
 
 
@@ -116,10 +109,7 @@ def test_paper_figures_at_seed_42(oracles, scenario):
 
 def test_figure_13_migrations(oracles):
     for variant in migration_variants():
-        run = build_migration_run(variant, FIG13_STATE_MB, seed=20)
-        run.run(MIGRATION_TRIGGER_AT_S)
-        force_reassignment(run)
-        run.run(MIGRATION_RUN_DURATION_S - MIGRATION_TRIGGER_AT_S)
+        controlled_adaptation(variant, FIG13_STATE_MB)
     # The destination search reads the window without resetting it.
     assert len(oracles) == len(migration_variants())
     assert all(o.peeks for o in oracles)
@@ -142,11 +132,7 @@ def test_fuzz_seeds_on_the_dense_backend(oracles):
 
 def test_dense_backend_fig8(oracles):
     config = WaspConfig.paper_defaults().with_overrides(engine_backend="dense")
-    scenario = fig8_scenario("events-of-interest")
-    rngs = RngRegistry(42)
-    topology = scenario.make_topology(rngs)
-    query = scenario.make_query(topology, rngs)
-    run = ExperimentRun(topology, query, wasp(), config=config, rngs=rngs)
+    run = launch("events-of-interest", wasp(), config=config, seed=42)
     run.run(900.0, bottleneck_dynamics())
     assert run.manager.history  # the dense model recompiled mid-run
     assert oracles[0].collects == 22

@@ -108,11 +108,8 @@ def assert_freed_by_refcount(make):
 
 def _scenario_run(scenario, variant, *, config=None) -> ExperimentRun:
     """One line of a figure, wired as ``run_variants`` wires it."""
-    rngs = RngRegistry(42)
-    topology = scenario.make_topology(rngs)
-    query = scenario.make_query(topology, rngs)
-    run = ExperimentRun(topology, query, variant, config=config, rngs=rngs)
-    run.set_dynamics(scenario.make_dynamics(rngs))
+    run = scenario.build_run(variant, 42, config)
+    run.set_dynamics(scenario.make_dynamics(run.rngs))
     return run
 
 

@@ -1,21 +1,11 @@
 """Tests for run_variants - isolated, comparable multi-variant sweeps."""
 
-import numpy as np
 import pytest
 
 from repro.baselines.variants import no_adapt, wasp
-from repro.experiments.harness import DynamicsSpec, run_variants
-from repro.network.traces import paper_testbed
+from repro.experiments.harness import DynamicsSpec
+from repro.experiments.scenarios import Scenario, run_variants
 from repro.sim.schedule import Schedule
-from repro.workloads.queries import ysb_advertising
-
-
-def make_topology(rngs):
-    return paper_testbed(rngs.stream("topology"))
-
-
-def make_query(topology, rngs):
-    return ysb_advertising(topology)
 
 
 def make_dynamics(rngs):
@@ -24,21 +14,21 @@ def make_dynamics(rngs):
     )
 
 
+def scenario(duration_s, variants=(no_adapt(), wasp())):
+    return Scenario(
+        "ysb-step", duration_s, variants, "ysb-advertising", make_dynamics
+    )
+
+
 class TestIsolation:
     def test_each_variant_gets_its_own_world(self):
         """Adaptations in one run must not leak into another: every variant
         re-creates the topology from the same seed."""
-        results = run_variants(
-            make_topology, make_query, [no_adapt(), wasp()], 90,
-            make_dynamics, seed=7,
-        )
+        results = run_variants(scenario(90), seed=7)
         assert results["No Adapt"].topology is not results["WASP"].topology
 
     def test_identical_worlds_from_one_seed(self):
-        results = run_variants(
-            make_topology, make_query, [no_adapt(), wasp()], 30,
-            make_dynamics, seed=7,
-        )
+        results = run_variants(scenario(30), seed=7)
         links_a = results["No Adapt"].topology.links()
         links_b = results["WASP"].topology.links()
         # Base capacities identical; only live factors may differ through
@@ -48,25 +38,16 @@ class TestIsolation:
         ] == [(l.src, l.dst, l.latency_ms) for l in links_b]
 
     def test_results_keyed_by_variant_name(self):
-        results = run_variants(
-            make_topology, make_query, [no_adapt()], 20, make_dynamics,
-            seed=7,
-        )
+        results = run_variants(scenario(20, (no_adapt(),)), seed=7)
         assert set(results) == {"No Adapt"}
 
     def test_recorders_cover_full_duration(self):
-        results = run_variants(
-            make_topology, make_query, [no_adapt()], 25, make_dynamics,
-            seed=7,
-        )
+        results = run_variants(scenario(25, (no_adapt(),)), seed=7)
         assert len(results["No Adapt"].recorder.samples) == 25
 
     def test_same_offered_load_across_variants(self):
         """Comparability: every variant faces the exact same workload."""
-        results = run_variants(
-            make_topology, make_query, [no_adapt(), wasp()], 60,
-            make_dynamics, seed=7,
-        )
+        results = run_variants(scenario(60), seed=7)
         offered = {
             name: run.recorder.total_offered()
             for name, run in results.items()

@@ -12,14 +12,14 @@ Two guarantees from the observability subsystem are checked end to end:
 
 import pytest
 
-from benchmarks.perf.digest import DIGEST_SEED, _build_run, recorder_digest
+from benchmarks.perf.digest import DIGEST_SEED, recorder_digest
 from repro.baselines.variants import wasp
 from repro.chaos import ChaosInjector, SiteCrash
 from repro.chaos.faults import BandwidthCollapse
 from repro.core.actions import ReassignAction
 from repro.core.transaction import AdaptationPoint
 from repro.experiments.harness import ExperimentRun
-from repro.experiments.scenarios import bottleneck_dynamics
+from repro.experiments.scenarios import bottleneck_dynamics, launch
 from repro.network.traces import paper_testbed
 from repro.obs import JsonlSink, RingBufferSink, read_jsonl, reconstruct, require_valid
 from repro.obs.trace import render_timeline
@@ -72,7 +72,7 @@ def chaos_example_run(trace_path=None):
 def traced_chaos_controller_run(trace_path):
     """The digest chaos scenario with a JSONL trace attached: faults strike
     the running control loop, so adaptations happen inside rounds."""
-    run = _build_run(DIGEST_SEED)
+    run = launch("topk-topics", seed=DIGEST_SEED)
     run.attach_trace(trace_path)
     injector = (
         ChaosInjector(rng=RngRegistry(DIGEST_SEED).stream("chaos"))
@@ -218,7 +218,7 @@ class TestControllerRoundTrace:
 class TestZeroOverheadDigest:
     def test_attached_ring_buffer_does_not_change_recorder_output(self):
         def digest(attach_sink):
-            run = _build_run(DIGEST_SEED)
+            run = launch("topk-topics", seed=DIGEST_SEED)
             sink = run.obs.attach(RingBufferSink()) if attach_sink else None
             run.run(DURATION_S, bottleneck_dynamics())
             if sink is not None:

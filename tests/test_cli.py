@@ -1,6 +1,7 @@
 """Tests for the python -m repro command-line interface."""
 
 import json
+import runpy
 from pathlib import Path
 
 import pytest
@@ -13,6 +14,8 @@ from repro.fuzz.campaign import (
     ScenarioResult,
 )
 from repro.fuzz.invariants import INVARIANTS
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 class TestList:
@@ -82,6 +85,31 @@ class TestFigures:
         assert main(["figures", "fig13"]) == 0
         out = capsys.readouterr().out
         assert "WASP/none" in out
+
+    def test_migration_example_prints_figure14_rows(self, capsys):
+        """The example's Part 2 rows are ``figures fig14``'s rows for the
+        same state sizes: every row runs as long as Figure 14's, so the
+        512 MB Default migration (t=180 to t=533) drains before the end."""
+        example = runpy.run_path(
+            str(ROOT / "examples" / "migration_overhead.py")
+        )
+        example["main"]()
+        part2 = capsys.readouterr().out.split("Part 2")[1]
+        assert main(["figures", "fig14"]) == 0
+        figure = capsys.readouterr().out
+
+        def rows(text):
+            return [
+                line
+                for line in text.splitlines()
+                if line.startswith(("Default", "Partitioned"))
+            ]
+
+        sizes = {float(line.split()[1]) for line in rows(part2)}
+        assert len(rows(part2)) == 2 * len(sizes)
+        assert sorted(rows(part2)) == sorted(
+            line for line in rows(figure) if float(line.split()[1]) in sizes
+        )
 
     def test_unknown_figure_rejected(self):
         with pytest.raises(SystemExit):

@@ -1,5 +1,6 @@
 """Documentation consistency: the docs reference things that exist."""
 
+import importlib
 import pathlib
 import re
 
@@ -70,6 +71,41 @@ class TestReferencedFilesExist:
         }
         assert sorted(mapped - modules) == [], "mapped but missing"
         assert sorted(modules - mapped) == [], "present but unmapped"
+
+    def test_experiment_index_modules_resolve(self):
+        """Each backticked dotted name in the Modules column of DESIGN §4's
+        figure table is a ``repro`` module or a module attribute."""
+        text = (ROOT / "DESIGN.md").read_text()
+        section = text[text.index("## 4. Experiment index"):]
+        section = section[: section.index("\n## 5.")]
+        rows = [
+            line.split("|")
+            for line in section.splitlines()
+            if line.startswith("| ") and line.count("|") == 6
+        ]
+        assert rows[0][4].strip() == "Modules"
+        names = [
+            name
+            for row in rows[1:]
+            for name in re.findall(r"`([\w.]+)`", row[4])
+            if "." in name
+        ]
+        assert names
+        unresolved = []
+        for name in names:
+            try:
+                importlib.import_module(f"repro.{name}")
+                continue
+            except ModuleNotFoundError:
+                pass
+            module, _, attr = f"repro.{name}".rpartition(".")
+            try:
+                if hasattr(importlib.import_module(module), attr):
+                    continue
+            except ModuleNotFoundError:
+                pass
+            unresolved.append(name)
+        assert unresolved == []
 
     def test_every_benchmark_is_indexed(self):
         """Each bench file appears in DESIGN.md's experiment index."""
